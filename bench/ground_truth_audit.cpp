@@ -4,20 +4,22 @@
 // For every scheme, enumerates the complete fault-site space of one
 // workload TWICE — once re-running every site from program start
 // (InjectionMode::kFull, the oracle) and once with golden-prefix checkpoint
-// restore plus the reconvergence cutoff (kCheckpointed) — and reports wall
-// time, sites/second and the speedup, verifying the two reports agree site
-// for site.  Then the usual audit: the exact SDC probability next to the
-// sampled campaign's estimate and its 99% Wilson interval, plus the static
-// ProtectionLint's gap count.  The "in99" column must read "yes"
-// everywhere: it is the convergence contract
+// restore (kCheckpointed) — and reports wall time, sites/second and the
+// speedup, verifying the two reports agree site for site; the audit exits
+// non-zero when any scheme's reports differ.  Then the usual audit: the
+// exact SDC probability next to the sampled campaign's estimate and its 99%
+// Wilson interval, plus the static ProtectionLint's gap count.  The "in99"
+// column must read "yes" everywhere: it is the convergence contract
 // tests/exhaustive_ground_truth_test.cpp enforces, evaluated here on a full
 // workload instead of the test-sized ones.
 //
 // Timing and identity results are written to BENCH_ground_truth.json
 // (override the path with CASTED_BENCH_JSON).
 //
-//   CASTED_SCALE=1 CASTED_TRIALS=300 CASTED_THREADS=0 \
-//     ./build/bench/ground_truth_audit [workload]
+//   CASTED_THREADS=0 ./build/bench/ground_truth_audit [workload]
+//
+// CASTED_SCALE (default 1) and CASTED_TRIALS (default 300) set the workload
+// scale and the Monte Carlo trial count.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -57,18 +59,19 @@ ModeSample measure(const core::CompiledProgram& bin, fault::InjectionMode mode,
   return sample;
 }
 
-// Site-for-site agreement between the two modes.  The integer site counts
-// must match exactly; the mcMass doubles are summed in worker order and are
-// checked by the test layer with an epsilon instead.
+// Site-for-site agreement between the two modes: counts, the SDC ranking
+// and the Monte Carlo masses, which are exact and so must match bit for bit.
 bool reportsIdentical(const fault::GroundTruthReport& a,
                       const fault::GroundTruthReport& b) {
   if (a.defInsns != b.defInsns || a.sites != b.sites || a.counts != b.counts ||
+      a.mcProbability != b.mcProbability ||
       a.perInsn.size() != b.perInsn.size()) {
     return false;
   }
   for (std::size_t i = 0; i < a.perInsn.size(); ++i) {
     if (a.perInsn[i].insn != b.perInsn[i].insn ||
-        a.perInsn[i].counts != b.perInsn[i].counts) {
+        a.perInsn[i].counts != b.perInsn[i].counts ||
+        a.perInsn[i].mcMass != b.perInsn[i].mcMass) {
       return false;
     }
   }
@@ -211,9 +214,9 @@ int main(int argc, char** argv) {
       "the static analysis cannot prove protected — every site outside that\n"
       "set contributes zero to exact-sdc by the soundness contract.\n"
       "The timing table compares full re-execution per site against\n"
-      "checkpoint-and-diverge (golden-prefix restore + reconvergence\n"
-      "cutoff); 'identical' certifies the two enumerations agree site for\n"
-      "site.\n",
+      "checkpoint-and-diverge (golden-prefix restore); 'identical'\n"
+      "certifies the two enumerations agree site for site, and the audit\n"
+      "exits non-zero when they do not.\n",
       trials);
   writeJson(jsonPath, wl.name, scale, threads, rows);
 
@@ -228,6 +231,15 @@ int main(int argc, char** argv) {
   trace::setMetadata("injection_mode", "full+checkpointed");
   if (trace::writeReport()) {
     std::printf("wrote trace %s\n", trace::outputPath().c_str());
+  }
+  for (const SchemeRow& row : rows) {
+    if (!row.identical) {
+      std::fprintf(stderr,
+                   "ground_truth_audit: %s full and checkpointed reports "
+                   "differ\n",
+                   row.scheme.c_str());
+      return 1;
+    }
   }
   return 0;
 }

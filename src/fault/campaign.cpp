@@ -215,7 +215,7 @@ CoverageReport runCampaign(const ir::Program& program,
     std::optional<detail::CheckpointSweep> sweep;
     std::optional<TrialContext> context;
     if (checkpointed) {
-      sweep.emplace(*choice.decoded, armedOptions, golden);
+      sweep.emplace(*choice.decoded, armedOptions);
     } else {
       context.emplace(armedOptions, choice.decoded);
     }

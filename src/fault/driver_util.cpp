@@ -190,9 +190,8 @@ void runWorkerPool(std::uint32_t threads,
 }
 
 CheckpointSweep::CheckpointSweep(const sim::DecodedProgram& decoded,
-                                 const sim::SimOptions& armedOptions,
-                                 const GoldenProfile& golden)
-    : runner_(decoded), options_(armedOptions), golden_(golden) {
+                                 const sim::SimOptions& armedOptions)
+    : runner_(decoded), options_(armedOptions) {
   CASTED_CHECK(options_.faultPlan == nullptr && options_.defTrace == nullptr)
       << "sweep options must arrive with no plan and no trace";
 }
@@ -202,7 +201,6 @@ sim::RunResult CheckpointSweep::run(const sim::FaultPlan& plan) {
   const std::uint64_t target = plan.points[0].ordinal;
   if (!started_) {
     runner_.begin(options_);
-    runner_.setCutoffReference(&golden_.result);
     const bool paused = runner_.runToDef(target);
     CASTED_CHECK(paused) << "injection ordinal " << target
                          << " beyond the golden run";

@@ -114,22 +114,18 @@ void runWorkerPool(std::uint32_t threads,
 // the prefix, and a LARGER ordinal rolls the snapshot forward.  Ordinals
 // must therefore be non-decreasing across run() calls — both drivers
 // arrange their work streams that way (enumeration is ordinal-major by
-// construction; the campaign sorts each worker's trial stream).
-//
-// The reconvergence cutoff is armed with the golden final result: a faulty
-// run that provably rejoins the fault-free trajectory returns
-// `golden.result` verbatim without executing the common suffix.
+// construction; the campaign sorts each worker's trial stream).  Every
+// faulty suffix runs to its natural end.
 //
 // Bit-identity contract: run(plan) returns a RunResult field-for-field
 // identical to a fresh full run under `armedOptions` with `plan` attached.
 class CheckpointSweep {
  public:
   // `armedOptions` is the worker's ready-to-run configuration (watchdog
-  // applied, faultPlan and defTrace null); `decoded` and `golden` must
-  // outlive the sweep.
+  // applied, faultPlan and defTrace null); `decoded` must outlive the
+  // sweep.
   CheckpointSweep(const sim::DecodedProgram& decoded,
-                  const sim::SimOptions& armedOptions,
-                  const GoldenProfile& golden);
+                  const sim::SimOptions& armedOptions);
 
   // Executes one faulty run for `plan` (points[0] is the injection point;
   // later points fire downstream).  `plan` only needs to live for the call.
@@ -139,7 +135,6 @@ class CheckpointSweep {
   sim::DecodedRunner runner_;
   sim::ArchCheckpoint checkpoint_;
   sim::SimOptions options_;
-  const GoldenProfile& golden_;
   bool started_ = false;
   std::uint64_t ordinal_ = 0;  // ordinal of the live checkpoint
 };

@@ -26,12 +26,12 @@ struct StaticSite {
   std::uint32_t defCount = 0;
   std::uint32_t sitesPerExecution = 0;  // sum over defs of bitsOf(def)
   std::uint64_t executions = 0;
-  // Monte Carlo weight of (whichDef % defCount == d): the sampler draws
-  // whichDef uniformly in [0, 4), so for defCount == 3 the weights are
-  // non-uniform (2/4, 1/4, 1/4).
-  double defWeight[4] = {0, 0, 0, 0};
-  // Effective bit sites and per-site MC weight for each def: predicate
-  // registers collapse all 64 bit draws onto one flip.
+  // Monte Carlo weight of (whichDef % defCount == d), in quarters: the
+  // sampler draws whichDef uniformly in [0, 4), so for defCount == 3 the
+  // weights are non-uniform (2/4, 1/4, 1/4).
+  std::uint32_t defQuarters[4] = {0, 0, 0, 0};
+  // Effective bit sites for each def: predicate registers collapse all 64
+  // bit draws onto one flip.
   std::uint32_t bitsOf[4] = {0, 0, 0, 0};
 };
 
@@ -39,10 +39,15 @@ std::uint32_t effectiveBits(ir::RegClass cls) {
   return cls == ir::RegClass::kPr ? 1u : 64u;
 }
 
-// Per-worker tally for one static instruction.
+// Per-worker tally for one static instruction.  Monte Carlo mass is kept
+// exact, in units of 1 / (defInsns * 256): a site's weight is
+// (1 / defInsns) * (defQuarters / 4) * (1 / 64 or, for a predicate, 1), so
+// every site adds defQuarters * (64 or 1) units.  Integer sums do not
+// depend on the order workers add them in, so neither do the report's
+// doubles nor the ranking sorted by them.
 struct Tally {
   std::array<std::uint64_t, kOutcomeCount> counts = {};
-  std::array<double, kOutcomeCount> mcMass = {};
+  std::array<std::uint64_t, kOutcomeCount> massUnits = {};
 };
 
 }  // namespace
@@ -135,7 +140,7 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
         entry.sitesPerExecution += entry.bitsOf[d];
       }
       for (std::uint32_t w = 0; w < 4; ++w) {
-        entry.defWeight[w % entry.defCount] += 0.25;
+        ++entry.defQuarters[w % entry.defCount];
       }
       statics.push_back(std::move(entry));
     }
@@ -168,7 +173,6 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
   // checkpoint customer: the (def x bit) loop visits up to 256 sites at the
   // SAME ordinal, so the sweep replays the golden prefix once and restores
   // the snapshot for every site after the first.
-  const double ordinalWeight = 1.0 / static_cast<double>(golden.defInsns);
   const auto classifyOrdinal = [&](std::uint64_t ordinal,
                                    sim::SimOptions& simOptions,
                                    sim::DecodedRunner* runner,
@@ -180,9 +184,8 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
     plan.points.resize(1);
     simOptions.faultPlan = &plan;
     for (std::uint32_t d = 0; d < entry.defCount; ++d) {
-      const double bitWeight =
-          entry.bitsOf[d] == 1 ? 1.0 : 1.0 / 64.0;
-      const double siteWeight = ordinalWeight * entry.defWeight[d] * bitWeight;
+      const std::uint64_t siteUnits =
+          entry.defQuarters[d] * (entry.bitsOf[d] == 1 ? 64u : 1u);
       for (std::uint32_t bit = 0; bit < entry.bitsOf[d]; ++bit) {
         plan.points[0] = {ordinal, d, bit};
         sim::RunResult faulty;
@@ -195,7 +198,7 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
         }
         const Outcome outcome = classify(faulty, golden);
         ++tally.counts[static_cast<int>(outcome)];
-        tally.mcMass[static_cast<int>(outcome)] += siteWeight;
+        tally.massUnits[static_cast<int>(outcome)] += siteUnits;
       }
     }
     simOptions.faultPlan = nullptr;
@@ -218,7 +221,7 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
     std::optional<detail::CheckpointSweep> sweep;
     std::optional<sim::DecodedRunner> runner;
     if (checkpointed) {
-      sweep.emplace(*choice.decoded, armedOptions, golden);
+      sweep.emplace(*choice.decoded, armedOptions);
     } else if (choice.decoded != nullptr) {
       runner.emplace(*choice.decoded);
     }
@@ -250,6 +253,8 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
   report.defInsns = golden.defInsns;
   report.sites = totalSites;
   report.perInsn.reserve(statics.size());
+  const double unitsPerTrial = static_cast<double>(golden.defInsns) * 256.0;
+  std::array<std::uint64_t, kOutcomeCount> reportUnits = {};
   for (std::size_t s = 0; s < statics.size(); ++s) {
     const StaticSite& entry = statics[s];
     SiteOutcome outcome;
@@ -260,17 +265,23 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
     outcome.text = entry.text;
     outcome.executions = entry.executions;
     outcome.sites = entry.executions * entry.sitesPerExecution;
+    std::array<std::uint64_t, kOutcomeCount> units = {};
     for (std::uint32_t w = 0; w < threads; ++w) {
       for (std::size_t i = 0; i < kOutcomeCount; ++i) {
         outcome.counts[i] += partial[w][s].counts[i];
-        outcome.mcMass[i] += partial[w][s].mcMass[i];
+        units[i] += partial[w][s].massUnits[i];
       }
     }
     for (std::size_t i = 0; i < kOutcomeCount; ++i) {
+      outcome.mcMass[i] = static_cast<double>(units[i]) / unitsPerTrial;
       report.counts[i] += outcome.counts[i];
-      report.mcProbability[i] += outcome.mcMass[i];
+      reportUnits[i] += units[i];
     }
     report.perInsn.push_back(std::move(outcome));
+  }
+  for (std::size_t i = 0; i < kOutcomeCount; ++i) {
+    report.mcProbability[i] =
+        static_cast<double>(reportUnits[i]) / unitsPerTrial;
   }
   std::sort(report.perInsn.begin(), report.perInsn.end(),
             [](const SiteOutcome& a, const SiteOutcome& b) {

@@ -87,9 +87,9 @@ class CacheLevel {
   // rewindToCheckpoint() every way mutation records its pre-image, and the
   // rewind replays them backwards plus restores the scalar state (clock,
   // epoch, stats) by value — O(accesses since the mark), never O(way
-  // array).  Cache metadata is timing state the reconvergence cutoff
-  // (DESIGN.md) compares implicitly via cycle counts, so it must rewind
-  // bit-exactly with the architectural state.
+  // array).  Cache metadata is timing state (it decides stall cycles and
+  // the per-level hit/miss counts), so it must rewind bit-exactly with the
+  // architectural state.
   void setCheckpoint();
   void rewindToCheckpoint();
   void dropCheckpoint();

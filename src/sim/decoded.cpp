@@ -242,7 +242,6 @@ enum class Flow : std::uint8_t {
   kContinue,  // nothing did (internal: keep executing)
   kFinished,  // the entry function returned
   kPause,     // reached the runToDef() target ordinal
-  kCutoff,    // reconverged with the golden trajectory (see taintStep)
 };
 
 // The decoded interpreter.  Frames live in three per-class arenas (one
@@ -278,6 +277,11 @@ struct Interp {
   std::size_t faultCursor = 0;
   std::uint64_t defOrdinal = 0;
   std::uint64_t nextFaultOrdinal = kNoFault;
+  // The next def ordinal that needs more than counting: min(pauseAt,
+  // nextFaultOrdinal), or every ordinal while a def trace is recorded.  It
+  // makes a normal def one compare (noteDef); updateNextEvent() recomputes
+  // it wherever one of its inputs changes.
+  std::uint64_t nextEvent = kNoFault;
 
   using FrameBase = InterpFrameBase;
 
@@ -295,29 +299,6 @@ struct Interp {
   bool finished = false;
   RunResult result;
   std::uint64_t checkpointGen = 0;  // invalidates outstanding checkpoints
-
-  // Reconvergence-cutoff state.  While `tracking`, the sets below hold every
-  // register slot / memory byte whose value MAY differ from the golden
-  // (fault-free) trajectory at the current execution point.  Empty sets with
-  // no pending flips prove the whole machine state is bit-identical to
-  // golden, so the run's remainder is the golden suffix and `goldenFinal`
-  // is its result.  The tracking is conservative: any approximation keeps
-  // slots tainted longer (delaying or forfeiting the cutoff), never the
-  // reverse, so a fired cutoff is always sound.  Linear-scan vectors: the
-  // sets stay tiny (give-up caps below) and are scanned per tracked op.
-  const RunResult* goldenFinal = nullptr;
-  bool tracking = false;
-  std::uint64_t trackBudget = 0;
-  std::vector<std::uint32_t> gpTaint;   // absolute arena slots
-  std::vector<std::uint32_t> fpTaint;
-  std::vector<std::uint32_t> prTaint;
-  std::vector<std::uint64_t> memTaint;  // absolute byte addresses
-  // Give-up bounds: past these the bookkeeping would cost more than the
-  // cutoff saves, so tracking turns off and the run simply executes to its
-  // natural end (still exact, just not shortcut).
-  static constexpr std::size_t kMaxRegTaint = 64;
-  static constexpr std::size_t kMaxMemTaint = 512;
-  static constexpr std::uint64_t kTrackWindow = 4096;  // defs after inject
 
   explicit Interp(const DecodedProgram& program)
       : prog(program),
@@ -366,9 +347,13 @@ struct Interp {
     finished = false;
     result = RunResult{};
     ++checkpointGen;  // outstanding checkpoints are now stale
-    goldenFinal = nullptr;
-    giveUpTracking();
-    trackBudget = 0;
+    updateNextEvent();
+  }
+
+  void updateNextEvent() {
+    nextEvent = options->defTrace != nullptr
+                    ? defOrdinal
+                    : std::min(pauseAt, nextFaultOrdinal);
   }
 
   // Reads one register as raw bits; the marshalling used for call arguments
@@ -430,298 +415,6 @@ struct Interp {
         prStack[frame.pr + target.slot] ^= 1;
         break;
     }
-    if (tracking) {
-      // Seed the divergence: the flipped slot is the only state that differs
-      // from the golden trajectory at this instant.
-      setRegTaint(frame, target, true);
-    }
-  }
-
-  // ---- Reconvergence taint tracking ----
-
-  void giveUpTracking() {
-    // Forfeits the cutoff for the rest of this run; execution stays exact.
-    tracking = false;
-    gpTaint.clear();
-    fpTaint.clear();
-    prTaint.clear();
-    memTaint.clear();
-  }
-
-  static bool taintHas(const std::vector<std::uint32_t>& set,
-                       std::uint32_t slot) {
-    return std::find(set.begin(), set.end(), slot) != set.end();
-  }
-
-  void setTaint(std::vector<std::uint32_t>& set, std::uint32_t slot,
-                bool on) {
-    if (!tracking) {
-      return;
-    }
-    const auto it = std::find(set.begin(), set.end(), slot);
-    if (on) {
-      if (it == set.end()) {
-        if (set.size() >= kMaxRegTaint) {
-          giveUpTracking();
-          return;
-        }
-        set.push_back(slot);
-      }
-    } else if (it != set.end()) {
-      *it = set.back();
-      set.pop_back();
-    }
-  }
-
-  bool regTaint(const FrameBase& frame, const DecodedReg& reg) const {
-    switch (static_cast<RegClass>(reg.cls)) {
-      case RegClass::kGp:
-        return taintHas(gpTaint, frame.gp + reg.slot);
-      case RegClass::kFp:
-        return taintHas(fpTaint, frame.fp + reg.slot);
-      case RegClass::kPr:
-        return taintHas(prTaint, frame.pr + reg.slot);
-    }
-    CASTED_UNREACHABLE("bad RegClass");
-  }
-
-  void setRegTaint(const FrameBase& frame, const DecodedReg& reg, bool on) {
-    switch (static_cast<RegClass>(reg.cls)) {
-      case RegClass::kGp:
-        setTaint(gpTaint, frame.gp + reg.slot, on);
-        break;
-      case RegClass::kFp:
-        setTaint(fpTaint, frame.fp + reg.slot, on);
-        break;
-      case RegClass::kPr:
-        setTaint(prTaint, frame.pr + reg.slot, on);
-        break;
-    }
-  }
-
-  bool memTainted(std::uint64_t address, std::uint32_t width) const {
-    for (const std::uint64_t byte : memTaint) {
-      if (byte - address < width) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void setMemTaint(std::uint64_t address, std::uint32_t width, bool on) {
-    for (std::uint32_t i = 0; i < width; ++i) {
-      if (!tracking) {
-        return;
-      }
-      const std::uint64_t byte = address + i;
-      const auto it = std::find(memTaint.begin(), memTaint.end(), byte);
-      if (on) {
-        if (it == memTaint.end()) {
-          if (memTaint.size() >= kMaxMemTaint) {
-            giveUpTracking();
-            return;
-          }
-          memTaint.push_back(byte);
-        }
-      } else if (it != memTaint.end()) {
-        *it = memTaint.back();
-        memTaint.pop_back();
-      }
-    }
-  }
-
-  // Erases every taint belonging to a popped frame (its slots are dead; the
-  // golden run's slots at the same ordinals die identically).
-  void dropFrameTaint(const FrameBase& base) {
-    const auto eraseFrom = [](std::vector<std::uint32_t>& set,
-                              std::uint32_t floor) {
-      for (std::size_t i = 0; i < set.size();) {
-        if (set[i] >= floor) {
-          set[i] = set.back();
-          set.pop_back();
-        } else {
-          ++i;
-        }
-      }
-    };
-    eraseFrom(gpTaint, base.gp);
-    eraseFrom(fpTaint, base.fp);
-    eraseFrom(prTaint, base.pr);
-  }
-
-  // Post-execution taint transfer for one op: a def becomes tainted iff any
-  // input may differ from golden; clean stores scrub memory bytes; tainted
-  // control (branch predicates) or tainted access addresses end tracking —
-  // after either, execution points, cache state or touched bytes may drift
-  // from the golden trajectory in ways these sets do not model.  Runs only
-  // while `tracking`, after the op executed and before its def bookkeeping
-  // (so a multi-point plan's later flip re-taints its target afterwards).
-  void taintStep(const MicroOp& u, const FrameBase& f, std::uint32_t node) {
-    switch (u.op) {
-      case Opcode::kNop:
-      case Opcode::kBr:
-      case Opcode::kCheckG:   // compare-only: no def, no state change
-      case Opcode::kCheckF:
-      case Opcode::kCheckP:
-      case Opcode::kTrapIf:
-      case Opcode::kCall:  // args taint at pushFrame, defs at ret writeback
-      case Opcode::kRet:   // writeback handled by the execute case
-      case Opcode::kHalt:  // unwound before taint runs
-        break;
-      case Opcode::kMovImm:
-        setTaint(gpTaint, f.gp + u.def, false);
-        break;
-      case Opcode::kMov:
-      case Opcode::kNot:
-      case Opcode::kNeg:
-      case Opcode::kAbs:
-      case Opcode::kAddImm:
-      case Opcode::kMulImm:
-      case Opcode::kAndImm:
-      case Opcode::kShlImm:
-      case Opcode::kShrImm:
-      case Opcode::kSraImm:
-        setTaint(gpTaint, f.gp + u.def, taintHas(gpTaint, f.gp + u.a));
-        break;
-      case Opcode::kAdd:
-      case Opcode::kSub:
-      case Opcode::kMul:
-      case Opcode::kDiv:
-      case Opcode::kRem:
-      case Opcode::kAnd:
-      case Opcode::kOr:
-      case Opcode::kXor:
-      case Opcode::kShl:
-      case Opcode::kShr:
-      case Opcode::kSra:
-      case Opcode::kMin:
-      case Opcode::kMax:
-        setTaint(gpTaint, f.gp + u.def,
-                 taintHas(gpTaint, f.gp + u.a) ||
-                     taintHas(gpTaint, f.gp + u.b));
-        break;
-      case Opcode::kSelect:
-        // Conservative: a tainted predicate may pick the other arm.
-        setTaint(gpTaint, f.gp + u.def,
-                 taintHas(prTaint, f.pr + u.a) ||
-                     taintHas(gpTaint, f.gp + u.b) ||
-                     taintHas(gpTaint, f.gp + u.c));
-        break;
-      case Opcode::kCmpEq:
-      case Opcode::kCmpNe:
-      case Opcode::kCmpLt:
-      case Opcode::kCmpLe:
-      case Opcode::kCmpGt:
-      case Opcode::kCmpGe:
-        setTaint(prTaint, f.pr + u.def,
-                 taintHas(gpTaint, f.gp + u.a) ||
-                     taintHas(gpTaint, f.gp + u.b));
-        break;
-      case Opcode::kCmpEqImm:
-      case Opcode::kCmpNeImm:
-      case Opcode::kCmpLtImm:
-      case Opcode::kCmpLeImm:
-      case Opcode::kCmpGtImm:
-      case Opcode::kCmpGeImm:
-        setTaint(prTaint, f.pr + u.def, taintHas(gpTaint, f.gp + u.a));
-        break;
-      case Opcode::kPMov:
-      case Opcode::kPNot:
-        setTaint(prTaint, f.pr + u.def, taintHas(prTaint, f.pr + u.a));
-        break;
-      case Opcode::kPAnd:
-      case Opcode::kPOr:
-      case Opcode::kPXor:
-        setTaint(prTaint, f.pr + u.def,
-                 taintHas(prTaint, f.pr + u.a) ||
-                     taintHas(prTaint, f.pr + u.b));
-        break;
-      case Opcode::kPSetImm:
-        setTaint(prTaint, f.pr + u.def, false);
-        break;
-      case Opcode::kFMovImm:
-        setTaint(fpTaint, f.fp + u.def, false);
-        break;
-      case Opcode::kFMov:
-      case Opcode::kFNeg:
-      case Opcode::kFAbs:
-      case Opcode::kFSqrt:
-        setTaint(fpTaint, f.fp + u.def, taintHas(fpTaint, f.fp + u.a));
-        break;
-      case Opcode::kFAdd:
-      case Opcode::kFSub:
-      case Opcode::kFMul:
-      case Opcode::kFDiv:
-      case Opcode::kFMin:
-      case Opcode::kFMax:
-        setTaint(fpTaint, f.fp + u.def,
-                 taintHas(fpTaint, f.fp + u.a) ||
-                     taintHas(fpTaint, f.fp + u.b));
-        break;
-      case Opcode::kFCmpEq:
-      case Opcode::kFCmpLt:
-      case Opcode::kFCmpLe:
-      case Opcode::kFCmpNeBits:
-        setTaint(prTaint, f.pr + u.def,
-                 taintHas(fpTaint, f.fp + u.a) ||
-                     taintHas(fpTaint, f.fp + u.b));
-        break;
-      case Opcode::kI2F:
-        setTaint(fpTaint, f.fp + u.def, taintHas(gpTaint, f.gp + u.a));
-        break;
-      case Opcode::kF2I:
-        setTaint(gpTaint, f.gp + u.def, taintHas(fpTaint, f.fp + u.a));
-        break;
-      case Opcode::kLoad:
-        if (taintHas(gpTaint, f.gp + u.a)) {
-          giveUpTracking();  // divergent address: cache state drifts
-          break;
-        }
-        setTaint(gpTaint, f.gp + u.def, memTainted(addr[node], 8));
-        break;
-      case Opcode::kLoadB:
-        if (taintHas(gpTaint, f.gp + u.a)) {
-          giveUpTracking();
-          break;
-        }
-        setTaint(gpTaint, f.gp + u.def, memTainted(addr[node], 1));
-        break;
-      case Opcode::kFLoad:
-        if (taintHas(gpTaint, f.gp + u.a)) {
-          giveUpTracking();
-          break;
-        }
-        setTaint(fpTaint, f.fp + u.def, memTainted(addr[node], 8));
-        break;
-      case Opcode::kStore:
-        if (taintHas(gpTaint, f.gp + u.a)) {
-          giveUpTracking();
-          break;
-        }
-        setMemTaint(addr[node], 8, taintHas(gpTaint, f.gp + u.b));
-        break;
-      case Opcode::kStoreB:
-        if (taintHas(gpTaint, f.gp + u.a)) {
-          giveUpTracking();
-          break;
-        }
-        setMemTaint(addr[node], 1, taintHas(gpTaint, f.gp + u.b));
-        break;
-      case Opcode::kFStore:
-        if (taintHas(gpTaint, f.gp + u.a)) {
-          giveUpTracking();
-          break;
-        }
-        setMemTaint(addr[node], 8, taintHas(fpTaint, f.fp + u.b));
-        break;
-      case Opcode::kBrCond:
-        if (taintHas(prTaint, f.pr + u.a)) {
-          giveUpTracking();  // control may diverge from golden
-        }
-        break;
-      case Opcode::kOpcodeCount:
-        CASTED_UNREACHABLE("bad opcode");
-    }
   }
 
   void chargeBlockTiming(const DecodedFunction& fn, const DecodedBlock& blk) {
@@ -779,14 +472,6 @@ struct Interp {
       writeBits(f.base, fn.params[i],
                 readBits(caller, prog.pool()[argPool + i]));
     }
-    if (tracking) {
-      // Fresh slots are zero in both trajectories; arguments inherit the
-      // caller's taint.
-      for (std::uint32_t i = 0; i < argCount; ++i) {
-        setRegTaint(f.base, fn.params[i],
-                    regTaint(caller, prog.pool()[argPool + i]));
-      }
-    }
     frames.push_back(f);
     if (stats.cycles > options->maxCycles) {
       throw TimeoutSignal{};
@@ -794,44 +479,52 @@ struct Interp {
   }
 
   // Def bookkeeping, shared by every def-producing op including calls
-  // (invoked after the callee's returns were written back).  The first half
-  // (counting + trace) runs before a potential runToDef pause; finishDef is
-  // the post-pause half.
+  // (invoked after the callee's returns were written back).  A def that is
+  // no event costs one compare; defEvent handles the rest.
   Flow noteDef(const MicroOp& u, const InterpFrame& f, std::uint32_t node) {
     ++stats.dynamicDefInsns;
+    if (defOrdinal != nextEvent) [[likely]] {
+      ++defOrdinal;
+      return Flow::kContinue;
+    }
+    return defEvent(u, f, node);
+  }
+
+  // The trace record and the runToDef pause run before finishDef, the part
+  // a pause defers until the run resumes.
+  Flow defEvent(const MicroOp& u, const InterpFrame& f, std::uint32_t node) {
     if (options->defTrace != nullptr) {
       options->defTrace->push_back({f.func, f.block, node});
     }
     if (defOrdinal == pauseAt) {
       return Flow::kPause;
     }
-    return finishDef(u, f.base);
+    finishDef(u, f.base);
+    return Flow::kContinue;
   }
 
-  // Fault check, ordinal advance, and the reconvergence-cutoff test: empty
-  // taint sets with no flips pending prove every register, memory byte,
-  // cache way and statistic equals the golden trajectory at this ordinal,
-  // so the remaining execution is exactly the golden suffix.
-  Flow finishDef(const MicroOp& u, const FrameBase& base) {
+  // Fault check and ordinal advance.
+  void finishDef(const MicroOp& u, const FrameBase& base) {
     if (defOrdinal == nextFaultOrdinal) {
       injectFault(u, base);
     }
     ++defOrdinal;
-    if (tracking) {
-      if (--trackBudget == 0) {
-        giveUpTracking();
-      } else if (nextFaultOrdinal == kNoFault && gpTaint.empty() &&
-                 fpTaint.empty() && prTaint.empty() && memTaint.empty()) {
-        return Flow::kCutoff;
-      }
-    }
-    return Flow::kContinue;
+    updateNextEvent();
   }
 
-  // The core loop: executes frames.back() until the entry function returns,
-  // a runToDef pause ordinal is reached, or the cutoff fires.  Signals
-  // (halt/detect/trap/timeout) unwind as exceptions into drive().
+  // The core loop: executes frames.back() until the entry function returns
+  // or a runToDef pause ordinal is reached.  Signals (halt/detect/trap/
+  // timeout) unwind as exceptions into drive().
   Flow exec() {
+    // The per-op instruction count lives in a local: the arena stores below
+    // (int64_t, uint8_t) may alias the uint64_t members of `this`, so a
+    // member counter would be reloaded and stored on every op.  The
+    // destructor writes it back on every exit, the signal unwinds included.
+    struct InsnCount {
+      std::uint64_t& out;
+      std::uint64_t n;
+      ~InsnCount() { out = n; }
+    } insns{stats.dynamicInsns, stats.dynamicInsns};
     while (true) {
       InterpFrame& f = frames.back();
       const DecodedFunction& fn = prog.functions()[f.func];
@@ -849,7 +542,7 @@ struct Interp {
       std::uint32_t node = f.node;
       for (; node < blk.opCount; ++node) {
         const MicroOp& u = ops[node];
-        ++stats.dynamicInsns;
+        ++insns.n;
         switch (u.op) {
           case Opcode::kNop:
             break;
@@ -1172,12 +865,6 @@ struct Interp {
                 writeBits(caller, prog.pool()[f.retPool + i],
                           readBits(f.base, prog.pool()[u.a + i]));
               }
-              if (tracking) {
-                for (std::uint32_t i = 0; i < u.b; ++i) {
-                  setRegTaint(caller, prog.pool()[f.retPool + i],
-                              regTaint(f.base, prog.pool()[u.a + i]));
-                }
-              }
             }
             returned = true;
             break;
@@ -1190,9 +877,6 @@ struct Interp {
         }
         if (pushed) {
           break;  // enter the callee frame
-        }
-        if (tracking) {
-          taintStep(u, f.base, node);
         }
         if (u.defCount != 0) {
           const Flow flow = noteDef(u, f, node);
@@ -1215,9 +899,6 @@ struct Interp {
         gpStack.resize(base.gp);
         fpStack.resize(base.fp);
         prStack.resize(base.pr);
-        if (tracking) {
-          dropFrameTaint(base);
-        }
         frames.pop_back();
         if (frames.empty()) {
           return Flow::kFinished;  // the entry function returned
@@ -1249,21 +930,17 @@ struct Interp {
   }
 
   // Completes the def bookkeeping a pause interrupted — the paused op's
-  // counting and trace already ran, so only the fault check / ordinal
-  // advance / cutoff test remain — then steps past the op.
-  Flow finishPausedDef() {
+  // counting already ran, so only the fault check and ordinal advance
+  // remain — then steps past the op.
+  void finishPausedDef() {
     InterpFrame& f = frames.back();
     const DecodedFunction& fn = prog.functions()[f.func];
-    const MicroOp& u = fn.ops[fn.blocks[f.block].firstOp + f.node];
-    const Flow flow = finishDef(u, f.base);
-    if (flow == Flow::kContinue) {
-      ++f.node;
-    }
-    return flow;
+    finishDef(fn.ops[fn.blocks[f.block].firstOp + f.node], f.base);
+    ++f.node;
   }
 
-  // Runs or resumes until a pause, the cutoff, or completion.  Returns true
-  // while paused at a def; otherwise `result` is final and `finished` set.
+  // Runs or resumes until a pause or completion.  Returns true while paused
+  // at a def; otherwise `result` is final and `finished` set.
   bool drive() {
     CASTED_CHECK(!finished) << "run already complete";
     try {
@@ -1272,26 +949,13 @@ struct Interp {
         pushFrame(prog.entryFunction(), 0, 0, FrameBase{}, 0,
                   kDiscardReturns);
       }
-      Flow flow = Flow::kContinue;
       if (pausedAtDef) {
         pausedAtDef = false;
-        flow = finishPausedDef();
+        finishPausedDef();
       }
-      if (flow == Flow::kContinue) {
-        flow = exec();
-      }
-      if (flow == Flow::kPause) {
+      if (exec() == Flow::kPause) {
         pausedAtDef = true;
         return true;
-      }
-      if (flow == Flow::kCutoff) {
-        // Provably bit-identical to the fault-free trajectory with no flips
-        // pending: the rest of the run IS the golden suffix, so its final
-        // result (stats, output, exit state) is this run's result verbatim.
-        trace::counterAdd("sim.cutoff.hits");
-        result = *goldenFinal;
-        finished = true;
-        return false;
       }
       // The entry function returned without halting: clean exit, code 0.
       result = RunResult{};
@@ -1327,9 +991,14 @@ struct Interp {
     return false;
   }
 
+  void setPause(std::uint64_t ordinal) {
+    pauseAt = ordinal;
+    updateNextEvent();
+  }
+
   // Whole-run execution; reset() must have armed `options` first.
   RunResult run() {
-    pauseAt = kNoFault;
+    setPause(kNoFault);
     const bool paused = drive();
     CASTED_CHECK(!paused);
     return result;
@@ -1353,9 +1022,9 @@ struct Interp {
     CASTED_CHECK(pausedAtDef ? ordinal > defOrdinal : ordinal >= defOrdinal)
         << "cannot rewind to def " << ordinal << " (at " << defOrdinal
         << "); restore a checkpoint instead";
-    pauseAt = ordinal;
+    setPause(ordinal);
     const bool paused = drive();
-    pauseAt = kNoFault;
+    setPause(kNoFault);
     return paused;
   }
 
@@ -1396,8 +1065,7 @@ struct Interp {
     stepOptions.faultPlan = d.faultPlan;
     pausedAtDef = true;
     finished = false;
-    giveUpTracking();
-    trackBudget = 0;
+    updateNextEvent();
   }
 
   void injectAtPause(const FaultPlan& plan) {
@@ -1409,26 +1077,19 @@ struct Interp {
     stepOptions.faultPlan = &plan;
     faultCursor = 0;
     nextFaultOrdinal = plan.points[0].ordinal;
-    if (goldenFinal != nullptr) {
-      tracking = true;
-      trackBudget = kTrackWindow;
-      gpTaint.clear();
-      fpTaint.clear();
-      prTaint.clear();
-      memTaint.clear();
-    }
     // Apply point 0 to the op we are paused on (injectFault advances the
     // cursor to any later points, which fire during finish()).
     InterpFrame& f = frames.back();
     const DecodedFunction& fn = prog.functions()[f.func];
     const MicroOp& u = fn.ops[fn.blocks[f.block].firstOp + f.node];
     injectFault(u, f.base);
+    updateNextEvent();
   }
 
   RunResult finishRun() {
     CASTED_CHECK(stepMode) << "finish requires begin()";
     if (!finished) {
-      pauseAt = kNoFault;
+      setPause(kNoFault);
       const bool paused = drive();
       CASTED_CHECK(!paused);
     }
@@ -1482,16 +1143,14 @@ void DecodedRunner::restoreCheckpoint(const ArchCheckpoint& checkpoint) {
   impl_->interp.restoreCheckpoint(*checkpoint.data_);
 }
 
-void DecodedRunner::setCutoffReference(const RunResult* golden) {
-  impl_->interp.goldenFinal = golden;
-}
-
 void DecodedRunner::injectAtPause(const FaultPlan& plan) {
   impl_->interp.injectAtPause(plan);
 }
 
 RunResult DecodedRunner::finish() {
-  return impl_->interp.finishRun();
+  RunResult result = impl_->interp.finishRun();
+  traceRunStats("decoded", result.stats);
+  return result;
 }
 
 RunResult runDecoded(const DecodedProgram& program, const SimOptions& options) {

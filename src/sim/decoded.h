@@ -180,7 +180,6 @@ class DecodedRunner {
   // The injection drivers drive a run in pieces instead of whole:
   //
   //   runner.begin(options);                 // options.faultPlan must be null
-  //   runner.setCutoffReference(&golden);    // arms the reconvergence cutoff
   //   runner.runToDef(d);                    // golden prefix, once per def
   //   runner.saveCheckpoint(cp);
   //   for (each site at d) {
@@ -192,10 +191,10 @@ class DecodedRunner {
   // The pause point sits inside the def bookkeeping of the instruction that
   // produced dynamic def ordinal `d`: after its execution and def-count /
   // def-trace accounting, immediately before the fault-injection check —
-  // exactly where a FaultPlan targeting `d` takes effect.  A finished or
-  // cut-off run yields a RunResult field-for-field identical to
-  // run(options-with-plan); tests/engine_differential_test.cpp and the
-  // driver oracle tests enforce this.
+  // exactly where a FaultPlan targeting `d` takes effect.  A finished run
+  // yields a RunResult field-for-field identical to run(options-with-plan);
+  // tests/engine_differential_test.cpp and the driver oracle tests enforce
+  // this.
 
   // Starts a stepwise run.  `options.faultPlan` and `options.defTrace` must
   // be null (faults enter via injectAtPause; a def trace cannot be rewound).
@@ -215,22 +214,14 @@ class DecodedRunner {
   void saveCheckpoint(ArchCheckpoint& out);
   void restoreCheckpoint(const ArchCheckpoint& checkpoint);
 
-  // Arms the reconvergence cutoff: after an injection, the runner tracks a
-  // conservative taint set over registers and memory bytes, and the moment
-  // the set is empty (and no flips are pending) the live state is provably
-  // bit-identical to the fault-free trajectory, so the remaining execution
-  // is skipped and `*golden` — the fault-free final result, which must
-  // outlive the run — is returned verbatim.  Optional; without it every
-  // injected run executes to its natural end.
-  void setCutoffReference(const RunResult* golden);
-
   // Injects `plan` while paused; plan.points[0].ordinal must equal
   // pausedOrdinal() (later points fire during finish()).  `plan` must
   // outlive the run.
   void injectAtPause(const FaultPlan& plan);
 
   // Runs the paused (or already finished) stepwise run to completion and
-  // returns its result.
+  // returns its result.  Each call adds the run to the trace's
+  // sim.decoded.* counters, as run() does.
   RunResult finish();
 
  private:

@@ -14,8 +14,11 @@
 
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "fault/campaign.h"
@@ -183,11 +186,6 @@ TEST(EngineDifferentialTest, CheckpointRoundTripMatchesFullRuns) {
 
     DecodedRunner runner(*bin.decoded);
     runner.begin(options);
-    if (seed % 3 != 0) {
-      // Two of three seeds arm the reconvergence cutoff, one runs every
-      // suffix to its natural end — both must land on the oracle result.
-      runner.setCutoffReference(&golden);
-    }
     ASSERT_TRUE(runner.runToDef(first.ordinal)) << label;
     EXPECT_EQ(runner.pausedOrdinal(), first.ordinal) << label;
     ArchCheckpoint checkpoint;
@@ -202,6 +200,113 @@ TEST(EngineDifferentialTest, CheckpointRoundTripMatchesFullRuns) {
 
     runner.restoreCheckpoint(checkpoint);
     expectIdentical(golden, runner.finish(), label + " restored golden");
+  }
+}
+
+// Stepwise injection: begin, pause at the plan's first ordinal, inject,
+// finish.
+RunResult runStepwise(const core::CompiledProgram& bin,
+                      const SimOptions& options, const FaultPlan& plan) {
+  DecodedRunner runner(*bin.decoded);
+  runner.begin(options);
+  EXPECT_TRUE(runner.runToDef(plan.points.front().ordinal));
+  runner.injectAtPause(plan);
+  return runner.finish();
+}
+
+// Edge cases of the stepwise def path (a pause or fault ordinal is the one
+// def per event that leaves the one-compare fast path), each checked
+// against the reference engine's full run with the same plan.
+TEST(EngineDifferentialTest, StepwiseEdgeCasesMatchReferenceRuns) {
+  // vpr calls a function with a returned value, so its defs include the
+  // pop-time def of a call op; the random program has none.
+  const std::vector<std::pair<std::string, ir::Program>> sources = {
+      {"vpr", workloads::makeWorkload("vpr", 1).program},
+      {"cfg seed 3", testutil::makeRandomCfgProgram(3)},
+  };
+  for (const auto& [name, source] : sources) {
+    for (const Scheme scheme : {Scheme::kNoed, Scheme::kCasted}) {
+      const core::CompiledProgram bin =
+          core::compile(source, testutil::machine(2, 2), scheme);
+      const std::string label = name + " " + passes::schemeName(scheme);
+      SimOptions refOptions;
+      refOptions.engine = Engine::kReference;
+      std::vector<DefSite> refTrace;
+      refOptions.defTrace = &refTrace;
+      const RunResult golden =
+          simulate(bin.program, bin.schedule, bin.machine, refOptions);
+      refOptions.defTrace = nullptr;
+      ASSERT_EQ(golden.exit, ExitKind::kHalted) << label;
+      const std::uint64_t defs = golden.stats.dynamicDefInsns;
+      ASSERT_GE(defs, 3u) << label;
+
+      // A decoded golden run records the same def trace.
+      SimOptions decOptions;
+      std::vector<DefSite> decTrace;
+      decOptions.defTrace = &decTrace;
+      expectIdentical(golden, runDecoded(*bin.decoded, decOptions),
+                      label + " traced golden");
+      ASSERT_EQ(refTrace.size(), decTrace.size()) << label;
+      for (std::size_t i = 0; i < refTrace.size(); ++i) {
+        ASSERT_TRUE(refTrace[i].func == decTrace[i].func &&
+                    refTrace[i].block == decTrace[i].block &&
+                    refTrace[i].node == decTrace[i].node)
+            << label << " def trace differs at ordinal " << i;
+      }
+
+      // The first call-return def, if the program has one.
+      std::optional<std::uint64_t> callDef;
+      for (std::size_t i = 0; i < refTrace.size() && !callDef; ++i) {
+        const DefSite& site = refTrace[i];
+        if (bin.program.function(site.func)
+                .block(site.block)
+                .insns()[site.node]
+                .op == ir::Opcode::kCall) {
+          callDef = i;
+        }
+      }
+      if (name == "vpr") {
+        ASSERT_TRUE(callDef.has_value()) << label;
+      }
+
+      refOptions.maxCycles = golden.stats.cycles * 20;
+      SimOptions stepOptions;
+      stepOptions.maxCycles = refOptions.maxCycles;
+      std::vector<std::pair<std::string, FaultPlan>> plans;
+      plans.emplace_back("first def", FaultPlan{{{0, 0, 5}}});
+      plans.emplace_back("last def", FaultPlan{{{defs - 1, 1, 63}}});
+      const std::uint64_t mid = defs / 2;
+      plans.emplace_back("consecutive ordinals",
+                         FaultPlan{{{mid - 1, 0, 1}, {mid, 2, 0}, {mid + 1, 3, 9}}});
+      if (callDef.has_value()) {
+        plans.emplace_back("paused on a call's return def",
+                           FaultPlan{{{*callDef, 0, 0}}});
+        if (*callDef > 0) {
+          // The call's def fires during finish(), not at the pause.
+          plans.emplace_back(
+              "call's return def downstream",
+              FaultPlan{{{*callDef - 1, 0, 3}, {*callDef, 0, 0}}});
+        }
+      }
+      for (const auto& [what, plan] : plans) {
+        refOptions.faultPlan = &plan;
+        expectIdentical(
+            simulate(bin.program, bin.schedule, bin.machine, refOptions),
+            runStepwise(bin, stepOptions, plan), label + " " + what);
+      }
+      refOptions.faultPlan = nullptr;
+
+      // Pausing on the last def and finishing without an injection is the
+      // golden run; a pause past the last def finishes the run instead.
+      DecodedRunner runner(*bin.decoded);
+      runner.begin(stepOptions);
+      ASSERT_TRUE(runner.runToDef(defs - 1)) << label;
+      EXPECT_EQ(runner.pausedOrdinal(), defs - 1) << label;
+      expectIdentical(golden, runner.finish(), label + " paused at last def");
+      runner.begin(stepOptions);
+      EXPECT_FALSE(runner.runToDef(defs)) << label;
+      expectIdentical(golden, runner.finish(), label + " pause past the end");
+    }
   }
 }
 

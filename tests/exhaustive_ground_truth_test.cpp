@@ -138,9 +138,9 @@ TEST(ExhaustiveGroundTruthTest, ReportAccountingIsConsistent) {
 TEST(ExhaustiveGroundTruthTest, ThreadCountEngineAndModeAreInvariant) {
   // The baseline is the serial full-rerun enumeration — the oracle path.
   // Every other way of computing the report (checkpoint-and-diverge, more
-  // workers, the reference engine) must reproduce it bit for bit; only the
-  // mcProbability doubles get an epsilon, since worker partitioning changes
-  // their summation order.
+  // workers, the reference engine) must reproduce it bit for bit, the
+  // mcProbability doubles included: the mass is summed in exact integer
+  // units, so worker partitioning cannot change it.
   const core::CompiledProgram bin =
       compileFor(testutil::makeLoopProgram(4), passes::Scheme::kCasted);
   fault::ExhaustiveOptions fullSerial;
@@ -169,8 +169,7 @@ TEST(ExhaustiveGroundTruthTest, ThreadCountEngineAndModeAreInvariant) {
     EXPECT_EQ(baseline.sites, other.sites) << label;
     EXPECT_EQ(baseline.counts, other.counts) << label;
     for (std::size_t i = 0; i < fault::kOutcomeCount; ++i) {
-      EXPECT_NEAR(baseline.mcProbability[i], other.mcProbability[i], 1e-12)
-          << label;
+      EXPECT_EQ(baseline.mcProbability[i], other.mcProbability[i]) << label;
     }
     ASSERT_EQ(baseline.perInsn.size(), other.perInsn.size()) << label;
     for (std::size_t i = 0; i < baseline.perInsn.size(); ++i) {

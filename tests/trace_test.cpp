@@ -4,7 +4,8 @@
 //     here by a small recursive-descent JSON reader — no external parser);
 //   * the disabled mode is observationally silent: no file, no counter
 //     mutations, no events;
-//   * the CASTED_TRACE environment override activates a session lazily.
+//   * the CASTED_TRACE environment override activates a session lazily;
+//   * stepwise (checkpointed) runs are counted like whole runs.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -17,9 +18,11 @@
 #include <string>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "fault/driver_util.h"
 #include "support/check.h"
 #include "support/trace.h"
+#include "test_util.h"
 
 namespace casted {
 namespace {
@@ -278,6 +281,25 @@ TEST_F(TraceTest, CountersMergeAcrossWorkerPoolThreads) {
     EXPECT_EQ(trace::counterValue("pool.worker" + std::to_string(w)),
               static_cast<std::int64_t>(w + 1));
   }
+}
+
+TEST_F(TraceTest, CheckpointedCampaignCountsEveryTrialRun) {
+  // Every faulty run of a checkpointed campaign ends in
+  // DecodedRunner::finish(), which adds it to sim.decoded.* like a whole
+  // run; the golden profiling run is the one run more.
+  const core::CompiledProgram bin =
+      core::compile(testutil::makeLoopProgram(8), testutil::machine(2, 1),
+                    passes::Scheme::kCasted);
+  fault::CampaignOptions options;
+  options.trials = 40;
+  options.threads = 2;
+  options.mode = fault::InjectionMode::kCheckpointed;
+  trace::enable("");
+  const fault::CoverageReport report = core::campaign(bin, options);
+  ASSERT_EQ(report.trials, options.trials);
+  EXPECT_EQ(trace::counterValue("fault.campaign.trials"), options.trials);
+  EXPECT_EQ(trace::counterValue("sim.decoded.runs"), options.trials + 1);
+  EXPECT_GT(trace::counterValue("sim.checkpoint.restores"), 0);
 }
 
 TEST_F(TraceTest, ReportIsValidChromeTraceJson) {
