@@ -8,8 +8,7 @@ namespace casted::core {
 
 pm::PassManager buildPipeline(passes::Scheme scheme,
                               const PipelineOptions& options) {
-  pm::PassManager manager({.verifyAfterEachPass = options.verifyAfterPasses,
-                           .trace = options.trace});
+  pm::PassManager manager({.verifyAfterEachPass = options.verifyAfterPasses});
   if (options.runEarlyOptimisations) {
     manager.emplacePass<passes::EarlyOptsPass>();
   }
@@ -35,7 +34,7 @@ CompiledProgram compile(const ir::Program& source,
                         passes::Scheme scheme,
                         const PipelineOptions& options) {
   machine.validate();
-  const trace::Scope compileScope("core.compile", options.trace);
+  const trace::Scope compileScope("core.compile");
   trace::counterAdd("core.compiles");
   CompiledProgram compiled;
   compiled.program = source;
@@ -52,13 +51,13 @@ CompiledProgram compile(const ir::Program& source,
   {
     // The scheduler walks the same block DFGs the assignment pass used (it
     // preserves them: only `cluster` fields changed).
-    const trace::Scope scope("core.schedule", options.trace);
+    const trace::Scope scope("core.schedule");
     compiled.schedule = sched::scheduleProgram(compiled.program, machine, &am);
   }
   compiled.report.analysisHits = am.hits();
   compiled.report.analysisMisses = am.misses();
   {
-    const trace::Scope scope("core.decode", options.trace);
+    const trace::Scope scope("core.decode");
     compiled.decoded = std::make_shared<const sim::DecodedProgram>(
         sim::DecodedProgram::build(compiled.program, compiled.schedule,
                                    compiled.machine));

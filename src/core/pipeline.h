@@ -60,13 +60,6 @@ struct PipelineOptions {
   // (e.g. report.stat("protection-lint", "unprotected")).  Analysis-only;
   // flip off in inner loops of big sweeps.
   bool runProtectionLint = true;
-  // Observability (support/trace.h): when the global trace session is
-  // active (trace::enable() or CASTED_TRACE=<path>), this compile emits
-  // scoped duration events (core.compile, pm.<pass>, core.schedule,
-  // core.decode) and per-pass instruction-delta counters.  Purely
-  // observational — the CompiledProgram and its report are identical either
-  // way; set false to opt a hot inner-loop compile out of an active session.
-  bool trace = true;
 };
 
 // A scheduled binary for one (machine, scheme) point.

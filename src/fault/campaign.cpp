@@ -1,14 +1,10 @@
 #include "fault/campaign.h"
 
 #include <algorithm>
-#include <atomic>
-#include <numeric>
-#include <optional>
 #include <vector>
 
 #include "fault/driver_util.h"
 #include "support/check.h"
-#include "support/trace.h"
 
 namespace casted::fault {
 
@@ -42,9 +38,8 @@ GoldenProfile profileGolden(const ir::Program& program,
                             const sched::ProgramSchedule& schedule,
                             const arch::MachineConfig& config,
                             const sim::SimOptions& simOptions) {
-  sim::SimOptions options = simOptions;
-  options.faultPlan = nullptr;
-  return detail::toProfile(sim::simulate(program, schedule, config, options));
+  return detail::toProfile(
+      detail::runGolden(program, schedule, config, simOptions, nullptr));
 }
 
 Outcome classify(const sim::RunResult& faulty, const GoldenProfile& golden) {
@@ -104,150 +99,40 @@ sim::FaultPlan makeTrialPlan(Rng& rng, std::uint64_t runDefInsns,
   return plan;
 }
 
-namespace {
-
-// All randomness of a trial derives from (seed, trialIndex) via a SplitMix64
-// mix, so a trial's outcome is independent of which worker runs it, in what
-// order, and under which InjectionMode — the property that makes the
-// parallel and checkpointed campaigns bit-identical to the serial full one.
-struct TrialResult {
-  Outcome outcome = Outcome::kBenign;
-  std::uint64_t dynamicInsns = 0;
-};
-
-// Per-worker state for the full-rerun path, set up once and reused for
-// every trial the worker claims: the armed SimOptions (watchdog already
-// applied; only faultPlan changes per trial) and, for the decoded engine,
-// the reusable execution context over the shared DecodedProgram.
-struct TrialContext {
-  sim::SimOptions simOptions;
-  std::optional<sim::DecodedRunner> runner;
-
-  TrialContext(const sim::SimOptions& armedOptions,
-               const sim::DecodedProgram* decoded)
-      : simOptions(armedOptions) {
-    if (decoded != nullptr) {
-      runner.emplace(*decoded);
-    }
-  }
-};
-
-TrialResult runTrial(const ir::Program& program,
-                     const sched::ProgramSchedule& schedule,
-                     const arch::MachineConfig& config, TrialContext& context,
-                     const GoldenProfile& golden, const sim::FaultPlan& plan) {
-  context.simOptions.faultPlan = &plan;
-  const sim::RunResult faulty =
-      context.runner.has_value()
-          ? context.runner->run(context.simOptions)
-          : sim::simulate(program, schedule, config, context.simOptions);
-  context.simOptions.faultPlan = nullptr;
-  return {classify(faulty, golden), faulty.stats.dynamicInsns};
-}
-
-}  // namespace
-
 CoverageReport runCampaign(const ir::Program& program,
                            const sched::ProgramSchedule& schedule,
                            const arch::MachineConfig& config,
                            const CampaignOptions& options,
                            const sim::DecodedProgram* decoded) {
-  const trace::Scope campaignScope("fault.campaign", options.trace);
-  // Decode once per campaign; every trial on every worker shares the result
-  // read-only.  A caller-supplied decode (e.g. core::CompiledProgram's) is
-  // reused as-is; the reference engine never touches a decode.
-  const detail::EngineChoice choice = detail::chooseEngine(
-      program, schedule, config, options.simOptions, decoded);
+  detail::FaultSiteLoop loop("campaign", program, schedule, config,
+                             options.simOptions, options.mode,
+                             options.timeoutFactor, options.threads, decoded);
+  const GoldenProfile& golden = loop.golden();
 
-  GoldenProfile golden;
-  {
-    const trace::Scope scope("fault.campaign.golden", options.trace);
-    golden = detail::toProfile(detail::runGolden(
-        program, schedule, config, options.simOptions, choice));
-  }
-
-  sim::SimOptions armedOptions = options.simOptions;
-  armedOptions.maxCycles = golden.cycles * options.timeoutFactor;
-  armedOptions.faultPlan = nullptr;
-  armedOptions.defTrace = nullptr;
-
-  const std::uint32_t threads =
-      detail::resolveThreads(options.threads, options.trials);
-
-  // Every trial's plan is derived up front — it costs a few RNG draws, and
-  // having all plans in hand lets the checkpointed path order each worker's
-  // stream by injection ordinal.
+  // Every trial's plan is derived up front from (seed, trialIndex) alone, so
+  // a trial's outcome does not depend on which worker runs it or when.  The
+  // plans are visited in (injection ordinal, trialIndex) order: a
+  // checkpointed executor needs non-decreasing ordinals and profits when
+  // trials at nearby ordinals run back to back.
   std::vector<sim::FaultPlan> plans(options.trials);
   for (std::uint32_t trial = 0; trial < options.trials; ++trial) {
     Rng trialRng(deriveStreamSeed(options.seed, trial));
     plans[trial] =
         makeTrialPlan(trialRng, golden.defInsns, options.originalDefInsns);
   }
+  std::stable_sort(plans.begin(), plans.end(),
+                   [](const sim::FaultPlan& a, const sim::FaultPlan& b) {
+                     return a.points[0].ordinal < b.points[0].ordinal;
+                   });
 
-  const bool checkpointed =
-      options.mode == InjectionMode::kCheckpointed && choice.decoded != nullptr;
-
-  // Trial visit order.  The checkpointed sweep requires non-decreasing
-  // injection ordinals per worker, and profits most when trials that inject
-  // at nearby ordinals run back to back (shorter prefix replays between
-  // snapshots) — so it claims trials in (ordinal, trialIndex) order.  The
-  // full path keeps plain index order, exactly the historical behaviour.
-  std::vector<std::uint32_t> order(options.trials);
-  std::iota(order.begin(), order.end(), 0u);
-  if (checkpointed) {
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const std::uint64_t ordA = plans[a].points[0].ordinal;
-                const std::uint64_t ordB = plans[b].points[0].ordinal;
-                return ordA != ordB ? ordA < ordB : a < b;
-              });
-  }
-
-  std::atomic<std::uint32_t> nextSlot{0};
-  std::vector<CoverageReport> partial(threads);
-  detail::ProgressMeter meter("campaign trials", options.trials,
-                              options.progress);
-  detail::runWorkerPool(threads, [&](std::uint32_t w) {
-    // One reusable execution context per worker; the DecodedProgram itself
-    // is shared read-only.  An atomic cursor over the sorted order hands
-    // each worker an ascending-ordinal subsequence.
-    const trace::Scope workerScope("fault.campaign.worker", options.trace);
-    std::optional<detail::CheckpointSweep> sweep;
-    std::optional<TrialContext> context;
-    if (checkpointed) {
-      sweep.emplace(*choice.decoded, armedOptions);
-    } else {
-      context.emplace(armedOptions, choice.decoded);
-    }
-    std::uint64_t workerTrials = 0;
-    while (true) {
-      const std::uint32_t slot =
-          nextSlot.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= options.trials) {
-        break;
-      }
-      const sim::FaultPlan& plan = plans[order[slot]];
-      TrialResult result;
-      if (checkpointed) {
-        const sim::RunResult faulty = sweep->run(plan);
-        result = {classify(faulty, golden), faulty.stats.dynamicInsns};
-      } else {
-        result = runTrial(program, schedule, config, *context, golden, plan);
-      }
-      ++partial[w].counts[static_cast<int>(result.outcome)];
-      partial[w].dynamicInsns += result.dynamicInsns;
-      ++workerTrials;
-      meter.add();
-    }
-    // Per-worker trial totals alongside the worker's duration scope: the
-    // pair gives a per-worker trial rate in the trace viewer.
-    if (options.trace && trace::enabled()) {
-      trace::counterAdd("fault.campaign.trials", workerTrials);
-      trace::counterAdd("fault.campaign.worker" + std::to_string(w) +
-                            ".trials",
-                        workerTrials);
-    }
-  }, &meter);
+  const std::vector<CoverageReport> partial = loop.run(
+      plans.size(), "trials", CoverageReport{},
+      [&](CoverageReport& part, std::uint64_t trial,
+          detail::SiteExecutor& executor) {
+        const sim::RunResult faulty = executor.run(plans[trial]);
+        ++part.counts[static_cast<int>(classify(faulty, golden))];
+        part.dynamicInsns += faulty.stats.dynamicInsns;
+      });
 
   // Outcome counts and instruction totals commute, so the merged report
   // does not depend on which worker ran which trial.

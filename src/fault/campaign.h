@@ -42,12 +42,11 @@ enum class InjectionMode : std::uint8_t {
   // simple, no shared state between runs.
   kFull,
   // Checkpoint-and-diverge (DESIGN.md §10): replay the golden prefix once
-  // per injection ordinal, snapshot at the def pause, restore for every
-  // site at that ordinal, and cut the faulty suffix short the moment the
-  // run provably reconverges with the golden trajectory.  Reports are
-  // bit-identical to kFull — the driver oracle tests enforce it.  Requires
-  // the decoded engine; silently falls back to kFull under the reference
-  // engine (which has no stepwise API).
+  // per injection ordinal, snapshot at the def pause, and restore the
+  // snapshot for every site at that ordinal; each faulty suffix runs to its
+  // natural end.  Reports are bit-identical to kFull — the driver oracle
+  // tests enforce it.  Requires the decoded engine; silently falls back to
+  // kFull under the reference engine (which has no stepwise API).
   kCheckpointed,
 };
 
@@ -91,23 +90,12 @@ struct CampaignOptions {
   // Watchdog: a faulty run is declared a timeout after
   // goldenCycles * timeoutFactor cycles.
   std::uint64_t timeoutFactor = 20;
-  // Execution strategy for the faulty runs; kFull is the oracle.  The
-  // checkpointed driver sorts each worker's trial stream by injection
-  // ordinal so one golden prefix serves every trial that injects there —
-  // outcome counts and instruction totals commute, so the report stays
-  // bit-identical to kFull at every thread count.
+  // Execution strategy for the faulty runs; kFull is the oracle.  Trials
+  // are visited in injection-ordinal order in every mode, so a checkpointed
+  // worker replays each golden prefix once; outcome counts and instruction
+  // totals commute, so the report stays bit-identical to kFull at every
+  // thread count.
   InjectionMode mode = InjectionMode::kCheckpointed;
-  // Observability (support/trace.h): when the global trace session is
-  // active, the campaign emits scoped duration events (fault.campaign,
-  // fault.campaign.golden, one fault.campaign.worker per pool worker) and
-  // per-worker trial counters.  Observation only — the CoverageReport is
-  // bit-identical with tracing on or off (the oracle test asserts it); set
-  // false to opt a hot inner-loop campaign out of an active session.
-  bool trace = true;
-  // Periodic progress heartbeat with rate and ETA on stderr while the trial
-  // pool runs (see detail::ProgressMeter).  The CASTED_PROGRESS env var
-  // overrides this both ways (0 = off, N = on every N seconds).
-  bool progress = false;
   sim::SimOptions simOptions;
 };
 

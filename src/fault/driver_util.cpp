@@ -1,9 +1,12 @@
 #include "fault/driver_util.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -12,35 +15,17 @@
 
 namespace casted::fault::detail {
 
-EngineChoice chooseEngine(const ir::Program& program,
-                          const sched::ProgramSchedule& schedule,
-                          const arch::MachineConfig& config,
-                          const sim::SimOptions& simOptions,
-                          const sim::DecodedProgram* decoded) {
-  EngineChoice choice;
-  if (simOptions.engine == sim::Engine::kDecoded) {
-    if (decoded == nullptr) {
-      choice.owned.emplace(
-          sim::DecodedProgram::build(program, schedule, config));
-      choice.decoded = &*choice.owned;
-    } else {
-      choice.decoded = decoded;
-    }
-  }
-  return choice;
-}
-
 sim::RunResult runGolden(const ir::Program& program,
                          const sched::ProgramSchedule& schedule,
                          const arch::MachineConfig& config,
                          const sim::SimOptions& simOptions,
-                         const EngineChoice& choice,
+                         const sim::DecodedProgram* decoded,
                          std::vector<sim::DefSite>* trace) {
   sim::SimOptions goldenOptions = simOptions;
   goldenOptions.faultPlan = nullptr;
   goldenOptions.defTrace = trace;
-  return choice.decoded != nullptr
-             ? sim::runDecoded(*choice.decoded, goldenOptions)
+  return decoded != nullptr
+             ? sim::runDecoded(*decoded, goldenOptions)
              : sim::simulate(program, schedule, config, goldenOptions);
 }
 
@@ -68,39 +53,31 @@ std::uint32_t resolveThreads(std::uint32_t requested,
 
 namespace {
 
-constexpr std::uint32_t kDefaultHeartbeatSeconds = 5;
-
-}  // namespace
-
-ProgressMeter::ProgressMeter(std::string label, std::uint64_t total,
-                             bool enabledOption)
-    : label_(std::move(label)), total_(total) {
-  // CASTED_PROGRESS overrides the driver option both ways: 0 forces the
-  // heartbeat off, N > 0 forces it on every N seconds.  Parsed with the
-  // validated helper, so CASTED_PROGRESS=junk dies loudly instead of
-  // silently disabling the heartbeat.
-  const std::uint32_t interval =
-      envU32("CASTED_PROGRESS",
-             enabledOption ? kDefaultHeartbeatSeconds : 0);
-  intervalSeconds_ = interval;
-  active_ = interval > 0;
-}
-
-// RAII heartbeat monitor around one worker-pool run: a thread that wakes
-// every interval and prints the meter's state to stderr, stopped (and
-// joined) by the destructor on every exit path, including a rethrown worker
-// exception.
-class PoolMonitor {
+// Progress heartbeat for one run of the fault-site loop.  Workers tick
+// add() once per completed work item; while the meter lives and
+// CASTED_PROGRESS=N (N > 0) is set, a monitor thread prints completion,
+// rate and ETA to stderr every N seconds:
+//
+//   [casted] campaign trials: 4500/30000 (15.0%) | 1234.5/s | ETA 20.7s
+//
+// The destructor stops and joins the monitor on every exit path, including
+// a rethrown worker exception.  stderr only — the meter never feeds back
+// into a report, so determinism is untouched.
+class ProgressMeter {
  public:
-  explicit PoolMonitor(ProgressMeter* meter) : meter_(meter) {
-    if (meter_ == nullptr || !meter_->active()) {
-      return;
+  ProgressMeter(std::string label, std::uint64_t total)
+      : label_(std::move(label)),
+        total_(total),
+        // Parsed with the validated helper, so CASTED_PROGRESS=junk dies
+        // loudly instead of silently disabling the heartbeat.
+        interval_(envU32("CASTED_PROGRESS", 0)) {
+    if (interval_.count() > 0) {
+      start_ = std::chrono::steady_clock::now();
+      thread_ = std::thread([this] { loop(); });
     }
-    start_ = std::chrono::steady_clock::now();
-    thread_ = std::thread([this] { loop(); });
   }
 
-  ~PoolMonitor() {
+  ~ProgressMeter() {
     if (!thread_.joinable()) {
       return;
     }
@@ -112,57 +89,62 @@ class PoolMonitor {
     thread_.join();
   }
 
+  ProgressMeter(const ProgressMeter&) = delete;
+  ProgressMeter& operator=(const ProgressMeter&) = delete;
+
+  // One relaxed atomic add — cheap enough to tick unconditionally from the
+  // worker loop.
+  void add() { done_.fetch_add(1, std::memory_order_relaxed); }
+
  private:
   void loop() {
     std::unique_lock<std::mutex> lock(mu_);
-    while (!cv_.wait_for(lock, std::chrono::seconds(meter_->intervalSeconds_),
-                         [this] { return stop_; })) {
+    while (!cv_.wait_for(lock, interval_, [this] { return stop_; })) {
       printHeartbeat();
     }
   }
 
   void printHeartbeat() const {
-    const std::uint64_t done =
-        meter_->done_.load(std::memory_order_relaxed);
+    const std::uint64_t done = done_.load(std::memory_order_relaxed);
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
             .count();
     const double rate = elapsed > 0.0 ? static_cast<double>(done) / elapsed
                                       : 0.0;
-    const std::uint64_t total = meter_->total_;
     const double pct =
-        total == 0 ? 100.0
-                   : 100.0 * static_cast<double>(done) /
-                         static_cast<double>(total);
-    if (rate > 0.0 && done < total) {
-      const double eta = static_cast<double>(total - done) / rate;
+        total_ == 0 ? 100.0
+                    : 100.0 * static_cast<double>(done) /
+                          static_cast<double>(total_);
+    if (rate > 0.0 && done < total_) {
+      const double eta = static_cast<double>(total_ - done) / rate;
       std::fprintf(stderr,
                    "[casted] %s: %llu/%llu (%.1f%%) | %.1f/s | ETA %.1fs\n",
-                   meter_->label_.c_str(),
-                   static_cast<unsigned long long>(done),
-                   static_cast<unsigned long long>(total), pct, rate, eta);
+                   label_.c_str(), static_cast<unsigned long long>(done),
+                   static_cast<unsigned long long>(total_), pct, rate, eta);
     } else {
       std::fprintf(stderr, "[casted] %s: %llu/%llu (%.1f%%) | %.1f/s\n",
-                   meter_->label_.c_str(),
-                   static_cast<unsigned long long>(done),
-                   static_cast<unsigned long long>(total), pct, rate);
+                   label_.c_str(), static_cast<unsigned long long>(done),
+                   static_cast<unsigned long long>(total_), pct, rate);
     }
     std::fflush(stderr);
   }
 
-  ProgressMeter* meter_ = nullptr;
+  std::string label_;
+  std::uint64_t total_ = 0;
+  std::chrono::seconds interval_;
+  std::atomic<std::uint64_t> done_{0};
   std::chrono::steady_clock::time_point start_;
-  std::thread thread_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
-  bool stop_ = false;
+  bool stop_ = false;  // guarded by mu_
+  std::thread thread_;  // last: it uses every member above
 };
 
+}  // namespace
+
 void runWorkerPool(std::uint32_t threads,
-                   const std::function<void(std::uint32_t)>& body,
-                   ProgressMeter* progress) {
-  const PoolMonitor monitor(progress);
+                   const std::function<void(std::uint32_t)>& body) {
   if (threads <= 1) {
     body(0);
     return;
@@ -189,41 +171,130 @@ void runWorkerPool(std::uint32_t threads,
   }
 }
 
-CheckpointSweep::CheckpointSweep(const sim::DecodedProgram& decoded,
-                                 const sim::SimOptions& armedOptions)
-    : runner_(decoded), options_(armedOptions) {
+SiteExecutor::SiteExecutor(const ir::Program& program,
+                           const sched::ProgramSchedule& schedule,
+                           const arch::MachineConfig& config,
+                           const sim::DecodedProgram* decoded,
+                           InjectionMode mode,
+                           const sim::SimOptions& armedOptions)
+    : program_(program),
+      schedule_(schedule),
+      config_(config),
+      options_(armedOptions),
+      checkpointed_(decoded != nullptr &&
+                    mode == InjectionMode::kCheckpointed) {
   CASTED_CHECK(options_.faultPlan == nullptr && options_.defTrace == nullptr)
-      << "sweep options must arrive with no plan and no trace";
+      << "executor options must arrive with no plan and no trace";
+  if (decoded != nullptr) {
+    runner_.emplace(*decoded);
+  }
 }
 
-sim::RunResult CheckpointSweep::run(const sim::FaultPlan& plan) {
+sim::RunResult SiteExecutor::run(const sim::FaultPlan& plan) {
+  if (checkpointed_) {
+    return resume(plan);
+  }
+  options_.faultPlan = &plan;
+  sim::RunResult result =
+      runner_.has_value()
+          ? runner_->run(options_)
+          : sim::simulate(program_, schedule_, config_, options_);
+  options_.faultPlan = nullptr;
+  return result;
+}
+
+sim::RunResult SiteExecutor::resume(const sim::FaultPlan& plan) {
   CASTED_CHECK(!plan.points.empty()) << "empty fault plan";
   const std::uint64_t target = plan.points[0].ordinal;
-  if (!started_) {
-    runner_.begin(options_);
-    const bool paused = runner_.runToDef(target);
-    CASTED_CHECK(paused) << "injection ordinal " << target
-                         << " beyond the golden run";
-    runner_.saveCheckpoint(checkpoint_);
-    started_ = true;
-  } else if (target > ordinal_) {
-    // Roll the snapshot forward along the golden prefix: resume from the
-    // old checkpoint (undoing whatever the previous faulty suffix touched)
-    // and re-snapshot at the new ordinal.
-    runner_.restoreCheckpoint(checkpoint_);
-    const bool paused = runner_.runToDef(target);
-    CASTED_CHECK(paused) << "injection ordinal " << target
-                         << " beyond the golden run";
-    runner_.saveCheckpoint(checkpoint_);
+  CASTED_CHECK(!started_ || target >= ordinal_)
+      << "injection ordinals must be non-decreasing (got " << target
+      << " after " << ordinal_ << ")";
+  if (started_) {
+    // Undo whatever the previous faulty suffix touched.
+    runner_->restoreCheckpoint(checkpoint_);
   } else {
-    CASTED_CHECK(target == ordinal_)
-        << "sweep ordinals must be non-decreasing (got " << target
-        << " after " << ordinal_ << ")";
-    runner_.restoreCheckpoint(checkpoint_);
+    runner_->begin(options_);
   }
-  ordinal_ = target;
-  runner_.injectAtPause(plan);
-  return runner_.finish();
+  if (!started_ || target > ordinal_) {
+    // Advance along the golden prefix, from program start or from the old
+    // snapshot, and re-snapshot at the new ordinal.
+    const bool paused = runner_->runToDef(target);
+    CASTED_CHECK(paused) << "injection ordinal " << target
+                         << " beyond the golden run";
+    runner_->saveCheckpoint(checkpoint_);
+    started_ = true;
+    ordinal_ = target;
+  }
+  runner_->injectAtPause(plan);
+  return runner_->finish();
+}
+
+FaultSiteLoop::FaultSiteLoop(std::string_view driver,
+                             const ir::Program& program,
+                             const sched::ProgramSchedule& schedule,
+                             const arch::MachineConfig& config,
+                             const sim::SimOptions& simOptions,
+                             InjectionMode mode, std::uint64_t timeoutFactor,
+                             std::uint32_t threads,
+                             const sim::DecodedProgram* decoded,
+                             std::vector<sim::DefSite>* defTrace)
+    : driver_(driver),
+      scope_(traceName("")),
+      program_(program),
+      schedule_(schedule),
+      config_(config),
+      mode_(mode),
+      threads_(threads) {
+  // A caller-supplied decode (e.g. core::CompiledProgram's) is reused
+  // as-is; the reference engine never touches a decode.
+  if (simOptions.engine == sim::Engine::kDecoded) {
+    if (decoded == nullptr) {
+      decoded = &ownedDecode_.emplace(
+          sim::DecodedProgram::build(program, schedule, config));
+    }
+    decoded_ = decoded;
+  }
+  {
+    const trace::Scope scope(traceName(".golden"));
+    golden_ = toProfile(
+        runGolden(program, schedule, config, simOptions, decoded_, defTrace));
+  }
+  armedOptions_ = simOptions;
+  armedOptions_.maxCycles = golden_.cycles * timeoutFactor;
+  armedOptions_.faultPlan = nullptr;
+  armedOptions_.defTrace = nullptr;
+}
+
+std::string FaultSiteLoop::traceName(std::string_view suffix) const {
+  return trace::enabled() ? "fault." + driver_ + std::string(suffix)
+                          : std::string();
+}
+
+void FaultSiteLoop::runItems(std::uint64_t items, std::string_view unit,
+                             std::uint32_t threads, const ItemVisit& visit) {
+  std::atomic<std::uint64_t> cursor{0};
+  ProgressMeter meter(driver_ + " " + std::string(unit), items);
+  runWorkerPool(threads, [&](std::uint32_t w) {
+    const trace::Scope workerScope(traceName(".worker"));
+    SiteExecutor executor(program_, schedule_, config_, decoded_, mode_,
+                          armedOptions_);
+    std::uint64_t done = 0;
+    for (std::uint64_t item = cursor.fetch_add(1, std::memory_order_relaxed);
+         item < items;
+         item = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      visit(w, item, executor);
+      ++done;
+      meter.add();
+    }
+    // Per-worker totals alongside the worker's duration scope: the pair
+    // gives a per-worker rate in the trace viewer.
+    if (trace::enabled()) {
+      const std::string suffix = "." + std::string(unit);
+      trace::counterAdd(traceName(suffix), static_cast<std::int64_t>(done));
+      trace::counterAdd(traceName(".worker" + std::to_string(w) + suffix),
+                        static_cast<std::int64_t>(done));
+    }
+  });
 }
 
 }  // namespace casted::fault::detail

@@ -1,51 +1,34 @@
 // Shared plumbing of the two injection drivers (campaign.cpp and
-// exhaustive.cpp): engine selection, golden profiling, worker-pool
-// scaffolding, and the checkpoint-and-diverge sweep that both drivers run
-// their faulty executions through in InjectionMode::kCheckpointed.
+// exhaustive.cpp): the golden run, the per-worker executor every faulty run
+// goes through, and the one worker loop over fault sites.
 //
 // Everything here is an implementation detail of the fault library —
 // callers use runCampaign / enumerateFaultSpace.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "fault/campaign.h"
 #include "sim/decoded.h"
 #include "sim/simulator.h"
+#include "support/trace.h"
 
 namespace casted::fault::detail {
 
-// The per-driver engine decision: with the decoded engine, reuse the
-// caller's decode or build (and own) one; with the reference engine, run
-// without a decode.  `decoded` is null exactly when the reference engine
-// was requested.
-struct EngineChoice {
-  std::optional<sim::DecodedProgram> owned;
-  const sim::DecodedProgram* decoded = nullptr;
-};
-
-EngineChoice chooseEngine(const ir::Program& program,
-                          const sched::ProgramSchedule& schedule,
-                          const arch::MachineConfig& config,
-                          const sim::SimOptions& simOptions,
-                          const sim::DecodedProgram* decoded);
-
-// One fault-free run under `simOptions` with the plan stripped, on whichever
-// engine `choice` selected; `trace`, when non-null, receives the def-site
-// trace (golden runs are the only place a trace is legal).
+// One fault-free run under `simOptions` with the plan stripped, on the
+// decoded engine when `decoded` is non-null and on the reference engine
+// otherwise; `trace`, when non-null, receives the def-site trace (golden
+// runs are the only place a trace is legal).
 sim::RunResult runGolden(const ir::Program& program,
                          const sched::ProgramSchedule& schedule,
                          const arch::MachineConfig& config,
                          const sim::SimOptions& simOptions,
-                         const EngineChoice& choice,
+                         const sim::DecodedProgram* decoded,
                          std::vector<sim::DefSite>* trace = nullptr);
 
 // Wraps a fault-free run into a GoldenProfile, checking it halted cleanly
@@ -56,87 +39,123 @@ GoldenProfile toProfile(sim::RunResult result);
 // no driver spawns more workers than it has work items.
 std::uint32_t resolveThreads(std::uint32_t requested, std::uint64_t workItems);
 
-// Progress heartbeat for the injection drivers.  Workers tick add() once
-// per completed work item; while the pool runs, a monitor thread prints a
-// heartbeat line with completion, rate and ETA to stderr every interval:
-//
-//   [casted] campaign trials: 4500/30000 (15.0%) | 1234.5/s | ETA 20.7s
-//
-// Activation: the driver option (CampaignOptions::progress /
-// ExhaustiveOptions::progress) turns it on at the default interval; the
-// CASTED_PROGRESS env var overrides both ways (0 forces it off, N > 0
-// forces it on with an N-second interval).  stderr only — the meter never
-// feeds back into a report, so determinism is untouched.
-class ProgressMeter {
- public:
-  // `label` names the work unit in the heartbeat line (e.g. "campaign
-  // trials"); `total` is the work-item count ETA is computed against.
-  ProgressMeter(std::string label, std::uint64_t total, bool enabledOption);
-
-  ProgressMeter(const ProgressMeter&) = delete;
-  ProgressMeter& operator=(const ProgressMeter&) = delete;
-
-  // One relaxed atomic add — cheap enough to tick unconditionally from the
-  // trial loop.
-  void add(std::uint64_t n = 1) {
-    done_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  bool active() const { return active_; }
-
- private:
-  friend class PoolMonitor;
-
-  std::string label_;
-  std::uint64_t total_ = 0;
-  std::uint32_t intervalSeconds_ = 0;
-  bool active_ = false;
-  std::atomic<std::uint64_t> done_{0};
-};
-
 // Runs `body(workerIndex)` on `threads` workers.  threads <= 1 runs inline
 // on the calling thread (exceptions propagate naturally); otherwise each
 // worker's first exception is captured and the first one rethrown after the
-// join, exactly like the historical per-driver pools.  When `progress` is
-// non-null and active, a monitor thread prints its heartbeat for the
-// duration of the pool (including the inline threads <= 1 path, where long
-// serial sweeps need the heartbeat most).
+// join.
 void runWorkerPool(std::uint32_t threads,
-                   const std::function<void(std::uint32_t)>& body,
-                   ProgressMeter* progress = nullptr);
+                   const std::function<void(std::uint32_t)>& body);
 
-// The checkpoint-and-diverge execution strategy, shared by both drivers.
-//
-// A sweep owns one DecodedRunner and drives it stepwise: the first run()
-// replays the golden prefix up to the plan's injection ordinal and
-// snapshots there; subsequent runs at the SAME ordinal restore the
-// snapshot (O(state the faulty suffix touched)) instead of re-executing
-// the prefix, and a LARGER ordinal rolls the snapshot forward.  Ordinals
-// must therefore be non-decreasing across run() calls — both drivers
-// arrange their work streams that way (enumeration is ordinal-major by
-// construction; the campaign sorts each worker's trial stream).  Every
-// faulty suffix runs to its natural end.
+// The one way a driver executes a faulty run.  Each worker owns one, and
+// it is exactly one of three strategies, fixed at construction:
+//   * decoded engine, InjectionMode::kCheckpointed — checkpoint-and-diverge
+//     over a stepwise DecodedRunner.  The first run() replays the golden
+//     prefix up to the plan's injection ordinal and snapshots there; later
+//     runs at the SAME ordinal restore the snapshot (O(state the faulty
+//     suffix touched)) instead of re-executing the prefix, and a LARGER
+//     ordinal rolls the snapshot forward.  Ordinals must therefore be
+//     non-decreasing across run() calls.  Every faulty suffix runs to its
+//     natural end;
+//   * decoded engine, InjectionMode::kFull — a whole DecodedRunner::run;
+//   * reference engine (either mode) — a whole sim::simulate.
 //
 // Bit-identity contract: run(plan) returns a RunResult field-for-field
 // identical to a fresh full run under `armedOptions` with `plan` attached.
-class CheckpointSweep {
+class SiteExecutor {
  public:
   // `armedOptions` is the worker's ready-to-run configuration (watchdog
-  // applied, faultPlan and defTrace null); `decoded` must outlive the
-  // sweep.
-  CheckpointSweep(const sim::DecodedProgram& decoded,
-                  const sim::SimOptions& armedOptions);
+  // applied, faultPlan and defTrace null).  The program, schedule, config
+  // and `decoded` (null for the reference engine) must outlive the
+  // executor.
+  SiteExecutor(const ir::Program& program,
+               const sched::ProgramSchedule& schedule,
+               const arch::MachineConfig& config,
+               const sim::DecodedProgram* decoded, InjectionMode mode,
+               const sim::SimOptions& armedOptions);
 
   // Executes one faulty run for `plan` (points[0] is the injection point;
   // later points fire downstream).  `plan` only needs to live for the call.
   sim::RunResult run(const sim::FaultPlan& plan);
 
  private:
-  sim::DecodedRunner runner_;
-  sim::ArchCheckpoint checkpoint_;
+  sim::RunResult resume(const sim::FaultPlan& plan);
+
+  const ir::Program& program_;
+  const sched::ProgramSchedule& schedule_;
+  const arch::MachineConfig& config_;
   sim::SimOptions options_;
+  std::optional<sim::DecodedRunner> runner_;  // empty: reference engine
+  bool checkpointed_ = false;
+  sim::ArchCheckpoint checkpoint_;
   bool started_ = false;
   std::uint64_t ordinal_ = 0;  // ordinal of the live checkpoint
+};
+
+// The fault-site loop both drivers run through.  Construction does the
+// shared preamble inside a "fault.<driver>" trace scope that lives as long
+// as the loop: engine selection (decode once, shared read-only by every
+// worker), the golden run ("fault.<driver>.golden"), and the armed worker
+// options (watchdog at golden.cycles * timeoutFactor).  run() then hands N
+// work items to a pool of workers over an atomic cursor, each worker with
+// its own SiteExecutor and accumulator.
+class FaultSiteLoop {
+ public:
+  // `driver` names the trace scopes, counters and heartbeat ("campaign",
+  // "exhaustive").  `defTrace`, when non-null, receives the golden run's
+  // def-site trace.  `decoded`, when given, must have been built from
+  // exactly (program, schedule, config) and outlive the loop.
+  FaultSiteLoop(std::string_view driver, const ir::Program& program,
+                const sched::ProgramSchedule& schedule,
+                const arch::MachineConfig& config,
+                const sim::SimOptions& simOptions, InjectionMode mode,
+                std::uint64_t timeoutFactor, std::uint32_t threads,
+                const sim::DecodedProgram* decoded,
+                std::vector<sim::DefSite>* defTrace = nullptr);
+
+  FaultSiteLoop(const FaultSiteLoop&) = delete;
+  FaultSiteLoop& operator=(const FaultSiteLoop&) = delete;
+
+  const GoldenProfile& golden() const { return golden_; }
+
+  // Calls visit(accumulator, item, executor) once for every item in
+  // [0, items) and returns the per-worker accumulators, each started from
+  // `init`.  A worker claims items in ascending order, so a stream sorted
+  // by injection ordinal reaches every executor non-decreasing.  Items
+  // completed per worker are counted as "fault.<driver>.<unit>" and
+  // "fault.<driver>.worker<w>.<unit>", and CASTED_PROGRESS=N prints a
+  // heartbeat every N seconds.  Which worker ran which item varies from run
+  // to run, so the caller's merge must not depend on it.
+  template <typename Accumulator, typename Visit>
+  std::vector<Accumulator> run(std::uint64_t items, std::string_view unit,
+                               const Accumulator& init, Visit visit) {
+    std::vector<Accumulator> partial(resolveThreads(threads_, items), init);
+    runItems(items, unit, static_cast<std::uint32_t>(partial.size()),
+             [&](std::uint32_t w, std::uint64_t item, SiteExecutor& executor) {
+               visit(partial[w], item, executor);
+             });
+    return partial;
+  }
+
+ private:
+  using ItemVisit =
+      std::function<void(std::uint32_t, std::uint64_t, SiteExecutor&)>;
+  void runItems(std::uint64_t items, std::string_view unit,
+                std::uint32_t threads, const ItemVisit& visit);
+  // "fault.<driver><suffix>" while a trace session is active, else empty:
+  // the disabled path builds no names (an inactive Scope ignores its name).
+  std::string traceName(std::string_view suffix) const;
+
+  std::string driver_;
+  trace::Scope scope_;  // "fault.<driver>", open for the loop's lifetime
+  const ir::Program& program_;
+  const sched::ProgramSchedule& schedule_;
+  const arch::MachineConfig& config_;
+  InjectionMode mode_;
+  std::uint32_t threads_;
+  std::optional<sim::DecodedProgram> ownedDecode_;
+  const sim::DecodedProgram* decoded_ = nullptr;  // null: reference engine
+  GoldenProfile golden_;
+  sim::SimOptions armedOptions_;
 };
 
 }  // namespace casted::fault::detail

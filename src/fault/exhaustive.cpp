@@ -1,9 +1,7 @@
 #include "fault/exhaustive.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -98,19 +96,13 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
                                       const arch::MachineConfig& config,
                                       const ExhaustiveOptions& options,
                                       const sim::DecodedProgram* decoded) {
-  const trace::Scope enumScope("fault.exhaustive", options.trace);
-  // Engine selection mirrors runCampaign: decode once, share read-only.
-  const detail::EngineChoice choice = detail::chooseEngine(
-      program, schedule, config, options.simOptions, decoded);
-
   // Golden run with the def-site trace attached: one DefSite per ordinal.
   std::vector<sim::DefSite> defTrace;
-  GoldenProfile golden;
-  {
-    const trace::Scope scope("fault.exhaustive.golden", options.trace);
-    golden = detail::toProfile(detail::runGolden(
-        program, schedule, config, options.simOptions, choice, &defTrace));
-  }
+  detail::FaultSiteLoop loop("exhaustive", program, schedule, config,
+                             options.simOptions, options.mode,
+                             options.timeoutFactor, options.threads, decoded,
+                             &defTrace);
+  const GoldenProfile& golden = loop.golden();
   CASTED_CHECK(defTrace.size() == golden.defInsns)
       << "def trace length " << defTrace.size() << " != def count "
       << golden.defInsns;
@@ -156,98 +148,36 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
       << "fault space has " << totalSites << " sites, over the maxSites cap "
       << options.maxSites;
 
-  const std::uint32_t threads =
-      detail::resolveThreads(options.threads, defTrace.size());
-
-  sim::SimOptions armedOptions = options.simOptions;
-  armedOptions.maxCycles = golden.cycles * options.timeoutFactor;
-  armedOptions.faultPlan = nullptr;
-  armedOptions.defTrace = nullptr;
-
-  const bool checkpointed =
-      options.mode == InjectionMode::kCheckpointed && choice.decoded != nullptr;
-
-  // Classifies every site of one dynamic ordinal into `tallies`.  The plan
-  // IS the site — no randomness — so the merged result is independent of
-  // how ordinals are distributed over workers.  Enumeration is the perfect
-  // checkpoint customer: the (def x bit) loop visits up to 256 sites at the
-  // SAME ordinal, so the sweep replays the golden prefix once and restores
-  // the snapshot for every site after the first.
-  const auto classifyOrdinal = [&](std::uint64_t ordinal,
-                                   sim::SimOptions& simOptions,
-                                   sim::DecodedRunner* runner,
-                                   detail::CheckpointSweep* sweep,
-                                   std::vector<Tally>& tallies) {
-    const StaticSite& entry = statics[ordinalStatic[ordinal]];
-    Tally& tally = tallies[ordinalStatic[ordinal]];
-    sim::FaultPlan plan;
-    plan.points.resize(1);
-    simOptions.faultPlan = &plan;
-    for (std::uint32_t d = 0; d < entry.defCount; ++d) {
-      const std::uint64_t siteUnits =
-          entry.defQuarters[d] * (entry.bitsOf[d] == 1 ? 64u : 1u);
-      for (std::uint32_t bit = 0; bit < entry.bitsOf[d]; ++bit) {
-        plan.points[0] = {ordinal, d, bit};
-        sim::RunResult faulty;
-        if (sweep != nullptr) {
-          faulty = sweep->run(plan);
-        } else if (runner != nullptr) {
-          faulty = runner->run(simOptions);
-        } else {
-          faulty = sim::simulate(program, schedule, config, simOptions);
-        }
-        const Outcome outcome = classify(faulty, golden);
-        ++tally.counts[static_cast<int>(outcome)];
-        tally.massUnits[static_cast<int>(outcome)] += siteUnits;
-      }
-    }
-    simOptions.faultPlan = nullptr;
-  };
-
-  // Work-stealing over the ordinal cursor.  fetch_add hands each worker an
-  // ascending subsequence of ordinals — exactly the non-decreasing order
-  // the checkpointed sweep requires.
-  std::vector<std::vector<Tally>> partial(
-      threads, std::vector<Tally>(statics.size()));
-  std::atomic<std::uint64_t> nextOrdinal{0};
-  detail::ProgressMeter meter("exhaustive ordinals", defTrace.size(),
-                              options.progress);
-  if (options.trace && trace::enabled()) {
+  if (trace::enabled()) {
     trace::counterAdd("fault.exhaustive.sites",
                       static_cast<std::int64_t>(totalSites));
   }
-  detail::runWorkerPool(threads, [&](std::uint32_t w) {
-    const trace::Scope workerScope("fault.exhaustive.worker", options.trace);
-    std::optional<detail::CheckpointSweep> sweep;
-    std::optional<sim::DecodedRunner> runner;
-    if (checkpointed) {
-      sweep.emplace(*choice.decoded, armedOptions);
-    } else if (choice.decoded != nullptr) {
-      runner.emplace(*choice.decoded);
-    }
-    sim::SimOptions simOptions = armedOptions;
-    std::uint64_t workerOrdinals = 0;
-    while (true) {
-      const std::uint64_t ordinal =
-          nextOrdinal.fetch_add(1, std::memory_order_relaxed);
-      if (ordinal >= defTrace.size()) {
-        break;
-      }
-      classifyOrdinal(ordinal, simOptions,
-                      runner.has_value() ? &*runner : nullptr,
-                      sweep.has_value() ? &*sweep : nullptr, partial[w]);
-      ++workerOrdinals;
-      meter.add();
-    }
-    // Per-worker ordinal totals alongside the worker's duration scope: the
-    // pair gives a per-worker enumeration rate in the trace viewer.
-    if (options.trace && trace::enabled()) {
-      trace::counterAdd("fault.exhaustive.ordinals", workerOrdinals);
-      trace::counterAdd("fault.exhaustive.worker" + std::to_string(w) +
-                            ".ordinals",
-                        workerOrdinals);
-    }
-  }, &meter);
+
+  // Classifies every site of one dynamic ordinal.  The plan IS the site —
+  // no randomness — so the merged result is independent of how ordinals
+  // are distributed over workers.  Enumeration is the perfect checkpoint
+  // customer: the (def x bit) loop visits up to 256 sites at the SAME
+  // ordinal, so a checkpointed executor replays the golden prefix once and
+  // restores the snapshot for every site after the first.
+  const std::vector<std::vector<Tally>> partial = loop.run(
+      defTrace.size(), "ordinals", std::vector<Tally>(statics.size()),
+      [&](std::vector<Tally>& tallies, std::uint64_t ordinal,
+          detail::SiteExecutor& executor) {
+        const StaticSite& entry = statics[ordinalStatic[ordinal]];
+        Tally& tally = tallies[ordinalStatic[ordinal]];
+        sim::FaultPlan plan;
+        plan.points.resize(1);
+        for (std::uint32_t d = 0; d < entry.defCount; ++d) {
+          const std::uint64_t siteUnits =
+              entry.defQuarters[d] * (entry.bitsOf[d] == 1 ? 64u : 1u);
+          for (std::uint32_t bit = 0; bit < entry.bitsOf[d]; ++bit) {
+            plan.points[0] = {ordinal, d, bit};
+            const Outcome outcome = classify(executor.run(plan), golden);
+            ++tally.counts[static_cast<int>(outcome)];
+            tally.massUnits[static_cast<int>(outcome)] += siteUnits;
+          }
+        }
+      });
 
   GroundTruthReport report;
   report.defInsns = golden.defInsns;
@@ -266,10 +196,10 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
     outcome.executions = entry.executions;
     outcome.sites = entry.executions * entry.sitesPerExecution;
     std::array<std::uint64_t, kOutcomeCount> units = {};
-    for (std::uint32_t w = 0; w < threads; ++w) {
+    for (const std::vector<Tally>& tallies : partial) {
       for (std::size_t i = 0; i < kOutcomeCount; ++i) {
-        outcome.counts[i] += partial[w][s].counts[i];
-        units[i] += partial[w][s].massUnits[i];
+        outcome.counts[i] += tallies[s].counts[i];
+        units[i] += tallies[s].massUnits[i];
       }
     }
     for (std::size_t i = 0; i < kOutcomeCount; ++i) {

@@ -20,11 +20,11 @@
 //     cross-validation (tests/exhaustive_ground_truth_test.cpp) checks the
 //     static classification against.
 //
-// Enumeration reuses the campaign's machinery: the shared read-only
-// DecodedProgram, one reusable DecodedRunner per worker, and a work-stealing
-// pool over an atomic cursor.  Classification is deterministic (no RNG —
-// the plan IS the site), so the report is bit-identical for every thread
-// count and engine.
+// Enumeration runs through the campaign's fault-site loop
+// (detail::FaultSiteLoop): the shared read-only DecodedProgram, one site
+// executor per worker, and a work-stealing pool over an atomic cursor.
+// Classification is deterministic (no RNG — the plan IS the site), so the
+// report is bit-identical for every thread count and engine.
 #pragma once
 
 #include <array>
@@ -54,16 +54,6 @@ struct ExhaustiveOptions {
   // customer: one golden-prefix snapshot at dynamic def d serves all
   // (register x bit) sites at d.
   InjectionMode mode = InjectionMode::kCheckpointed;
-  // Observability (support/trace.h): when the global trace session is
-  // active, enumeration emits scoped duration events (fault.exhaustive,
-  // fault.exhaustive.golden, per-worker scopes) and ordinal/site counters.
-  // Observation only — the GroundTruthReport is bit-identical either way.
-  bool trace = true;
-  // Periodic progress heartbeat with rate and ETA on stderr while the
-  // ordinal pool runs — a multi-million-site enumeration is no longer
-  // silent until it finishes.  CASTED_PROGRESS overrides both ways
-  // (0 = off, N = on every N seconds).
-  bool progress = false;
   sim::SimOptions simOptions;
 };
 

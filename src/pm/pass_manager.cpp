@@ -20,7 +20,7 @@ PipelineReport PassManager::run(ir::Program& program,
     {
       // Build the event name only when it will be recorded: the disabled
       // path must not allocate.
-      const bool traced = options_.trace && trace::enabled();
+      const bool traced = trace::enabled();
       const trace::Scope scope(
           traced ? "pm." + std::string(pass->name()) : std::string(), traced);
       result = pass->run(program, am);
@@ -40,7 +40,7 @@ PipelineReport PassManager::run(ir::Program& program,
                       static_cast<std::int64_t>(before);
     // The gate comes first so the disabled path never pays the name
     // concatenation.
-    if (options_.trace && trace::enabled()) {
+    if (trace::enabled()) {
       trace::counterAdd("pm." + entry.pass + ".insn_delta", entry.insnDelta);
       trace::counterAdd("pm." + entry.pass + ".runs");
     }

@@ -24,11 +24,6 @@ class PassManager {
     // Verify the IR after each pass (cheap; keep on outside the inner loops
     // of big sweeps).  Verification failure throws FatalError.
     bool verifyAfterEachPass = true;
-    // Emit one scoped duration event ("pm.<pass>") plus an instruction-delta
-    // counter per executed pass when the global trace session
-    // (support/trace.h) is active.  Observation only — the PipelineReport
-    // is identical either way.
-    bool trace = true;
   };
 
   PassManager() = default;

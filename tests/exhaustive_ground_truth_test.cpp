@@ -28,6 +28,7 @@
 #include "core/pipeline.h"
 #include "fault/exhaustive.h"
 #include "passes/protection_lint.h"
+#include "support/check.h"
 #include "support/statistics.h"
 #include "test_util.h"
 
@@ -133,6 +134,22 @@ TEST(ExhaustiveGroundTruthTest, ReportAccountingIsConsistent) {
   EXPECT_EQ(executionTotal, truth.defInsns);
   EXPECT_EQ(truth.find(0, ir::kInvalidInsn), nullptr);
   EXPECT_FALSE(truth.toString().empty());
+}
+
+TEST(ExhaustiveGroundTruthTest, MaxSitesRefusesOnlyAnOversizedSpace) {
+  // The cap refuses rather than truncates: one site over it throws, a cap
+  // of exactly the site count enumerates the whole space.
+  const core::CompiledProgram bin =
+      compileFor(testutil::makeTinyProgram(), passes::Scheme::kCasted);
+  const std::uint64_t sites =
+      core::groundTruth(bin, exhaustiveOptions()).sites;
+  ASSERT_GT(sites, 1u);
+
+  fault::ExhaustiveOptions capped = exhaustiveOptions();
+  capped.maxSites = sites - 1;
+  EXPECT_THROW(core::groundTruth(bin, capped), FatalError);
+  capped.maxSites = sites;
+  EXPECT_EQ(core::groundTruth(bin, capped).sites, sites);
 }
 
 TEST(ExhaustiveGroundTruthTest, ThreadCountEngineAndModeAreInvariant) {

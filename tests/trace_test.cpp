@@ -5,7 +5,8 @@
 //   * the disabled mode is observationally silent: no file, no counter
 //     mutations, no events;
 //   * the CASTED_TRACE environment override activates a session lazily;
-//   * stepwise (checkpointed) runs are counted like whole runs.
+//   * stepwise (checkpointed) runs are counted like whole runs;
+//   * the enumerator's ordinal and site counters match its report.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -300,6 +301,36 @@ TEST_F(TraceTest, CheckpointedCampaignCountsEveryTrialRun) {
   EXPECT_EQ(trace::counterValue("fault.campaign.trials"), options.trials);
   EXPECT_EQ(trace::counterValue("sim.decoded.runs"), options.trials + 1);
   EXPECT_GT(trace::counterValue("sim.checkpoint.restores"), 0);
+}
+
+TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
+  // The enumerator's counters come from the shared fault-site loop: every
+  // ordinal is counted once, by the worker that claimed it.
+  const core::CompiledProgram bin =
+      core::compile(testutil::makeLoopProgram(4), testutil::machine(2, 1),
+                    passes::Scheme::kCasted);
+  for (const fault::InjectionMode mode :
+       {fault::InjectionMode::kCheckpointed, fault::InjectionMode::kFull}) {
+    trace::resetForTest();
+    fault::ExhaustiveOptions options;
+    options.threads = 2;
+    options.mode = mode;
+    trace::enable("");
+    const fault::GroundTruthReport report = core::groundTruth(bin, options);
+    const std::string label = fault::injectionModeName(mode);
+    const auto defInsns = static_cast<std::int64_t>(report.defInsns);
+    EXPECT_EQ(trace::counterValue("fault.exhaustive.ordinals"), defInsns)
+        << label;
+    EXPECT_EQ(trace::counterValue("fault.exhaustive.sites"),
+              static_cast<std::int64_t>(report.sites))
+        << label;
+    std::int64_t perWorker = 0;
+    for (std::uint32_t w = 0; w < options.threads; ++w) {
+      perWorker += trace::counterValue("fault.exhaustive.worker" +
+                                       std::to_string(w) + ".ordinals");
+    }
+    EXPECT_EQ(perWorker, defInsns) << label;
+  }
 }
 
 TEST_F(TraceTest, ReportIsValidChromeTraceJson) {
