@@ -28,25 +28,53 @@ void CacheLevel::reset() {
   // Opening a new epoch invalidates every way without touching the array;
   // clock_ keeps running, which is invisible (LRU is a total order on the
   // current epoch's lastUse values regardless of their absolute base).
-  ++epoch_;
+  if (++epoch_ == 0) {
+    wrapEpoch();
+  }
   stats_ = CacheLevelStats{};
+}
+
+void CacheLevel::wrapEpoch() {
+  // Epoch 0 is what every way held at construction; stamp the whole array
+  // back to it and restart at 1.  Under a live checkpoint this is a
+  // mutation of every way like any other, so it goes through the undo log.
+  for (Way& way : ways_) {
+    noteMutation(&way);
+    way.epoch = 0;
+  }
+  epoch_ = 1;
+}
+
+void CacheLevel::wrapMark() {
+  // The log is empty here (setCheckpoint cleared it), so the stamps can be
+  // rewritten freely: 0 is below every mark handed out from now on.
+  for (Way& way : ways_) {
+    way.mark = 0;
+  }
+  mark_ = 1;
 }
 
 void CacheLevel::setCheckpoint() {
   undoArmed_ = true;
   undo_.clear();
+  if (++mark_ == 0) {
+    wrapMark();
+  }
   saved_ = {clock_, epoch_, stats_};
 }
 
-void CacheLevel::rewindToCheckpoint() {
+std::size_t CacheLevel::rewindToCheckpoint() {
   CASTED_CHECK(undoArmed_) << config_.name << ": no live cache checkpoint";
-  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-    ways_[it->way] = it->old;
+  // Each way appears at most once, so the order of the write-backs is free.
+  for (const WayUndo& record : undo_) {
+    ways_[record.way] = record.old;
   }
+  const std::size_t rewound = undo_.size();
   undo_.clear();
   clock_ = saved_.clock;
   epoch_ = saved_.epoch;
   stats_ = saved_.stats;
+  return rewound;
 }
 
 void CacheLevel::dropCheckpoint() {
@@ -77,11 +105,13 @@ void CacheHierarchy::setCheckpoint() {
   savedMemoryAccesses_ = memoryAccesses_;
 }
 
-void CacheHierarchy::rewindToCheckpoint() {
+std::size_t CacheHierarchy::rewindToCheckpoint() {
+  std::size_t rewound = 0;
   for (CacheLevel& level : levels_) {
-    level.rewindToCheckpoint();
+    rewound += level.rewindToCheckpoint();
   }
   memoryAccesses_ = savedMemoryAccesses_;
+  return rewound;
 }
 
 void CacheHierarchy::dropCheckpoint() {

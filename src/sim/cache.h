@@ -11,6 +11,7 @@
 // which preserves the paper-relevant behaviour (miss stalls and MLP).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -75,49 +76,68 @@ class CacheLevel {
     victim->lastUse = clock_;
   }
 
-  // Invalidates every line and zeroes the stats.  O(1): validity is an
-  // epoch stamp per way, so a reset just opens a new epoch instead of
-  // touching the (potentially megabytes of) way array — that keeps the
-  // reusable decoded-engine contexts cheap.  Behaviour is identical to a
-  // freshly constructed level: stale-epoch ways read as invalid, and LRU
-  // only ever compares `lastUse` between ways of the current epoch.
+  // Invalidates every line and zeroes the stats.  O(1) (bar one pass over
+  // the array when the epoch wraps): validity is an epoch stamp per way, so
+  // a reset just opens a new epoch instead of touching the (potentially
+  // megabytes of) way array — that keeps the reusable decoded-engine
+  // contexts cheap.  Behaviour is identical to a freshly constructed level:
+  // stale-epoch ways read as invalid, and LRU only ever compares `lastUse`
+  // between ways of the current epoch.
   void reset();
 
   // Checkpoint support, mirroring Memory: between setCheckpoint() and
-  // rewindToCheckpoint() every way mutation records its pre-image, and the
-  // rewind replays them backwards plus restores the scalar state (clock,
-  // epoch, stats) by value — O(accesses since the mark), never O(way
-  // array).  Cache metadata is timing state (it decides stall cycles and
-  // the per-level hit/miss counts), so it must rewind bit-exactly with the
-  // architectural state.
+  // rewindToCheckpoint() the first mutation of each way records its
+  // pre-image (a per-way mark stamp says whether it already has), and the
+  // rewind writes them back plus restores the scalar state (clock, epoch,
+  // stats) by value — O(ways first touched since the mark), never
+  // O(accesses) or O(way array).  The log is bounded by the way count, and
+  // an L1 hit on an already-recorded way costs one compare.  Cache metadata
+  // is timing state (it decides stall cycles and the per-level hit/miss
+  // counts), so it must rewind bit-exactly with the architectural state.
+  // rewindToCheckpoint() returns the number of ways it wrote back.
   void setCheckpoint();
-  void rewindToCheckpoint();
+  std::size_t rewindToCheckpoint();
   void dropCheckpoint();
 
   const CacheLevelStats& stats() const { return stats_; }
   const arch::CacheLevelConfig& config() const { return config_; }
 
  private:
+  // Lets tests/cache_test.cpp start the 32-bit stamps next to their wrap.
+  friend struct CacheLevelTestAccess;
+
+  // 24 bytes: every runner owns ~27k ways (the Table I hierarchy), so a
+  // wider way shows up in the peak memory of anything that builds runners.
+  // The 32-bit stamps wrap after 2^32 resets or marks; wrapEpoch() and
+  // wrapMark() handle that with one pass over the array.
   struct Way {
     std::uint64_t tag = 0;
     std::uint64_t lastUse = 0;
-    std::uint64_t epoch = 0;  // valid iff equal to the level's epoch_
+    std::uint32_t epoch = 0;  // valid iff equal to the level's epoch_
+    std::uint32_t mark = 0;   // pre-image recorded iff equal to mark_
   };
+  static_assert(sizeof(Way) == 24);
   struct WayUndo {
     std::size_t way = 0;  // index into ways_
     Way old;
   };
   struct SavedScalars {
     std::uint64_t clock = 0;
-    std::uint64_t epoch = 0;
+    std::uint32_t epoch = 0;
     CacheLevelStats stats;
   };
 
-  void noteMutation(const Way* way) {
-    if (undoArmed_) {
+  // Records `way`'s pre-image on its first mutation since the mark.  The
+  // pre-image keeps the old stamp, so after a rewind the way records again.
+  void noteMutation(Way* way) {
+    if (undoArmed_ && way->mark != mark_) {
       undo_.push_back({static_cast<std::size_t>(way - ways_.data()), *way});
+      way->mark = mark_;
     }
   }
+
+  void wrapEpoch();
+  void wrapMark();
 
   // Block size and set count are powers of two (checked in the
   // constructor), so the per-access index/tag math is two shifts and a
@@ -135,7 +155,8 @@ class CacheLevel {
   std::uint32_t setShift_ = 0;
   std::vector<Way> ways_;  // setCount_ * associativity
   std::uint64_t clock_ = 0;
-  std::uint64_t epoch_ = 1;  // ways start at 0, i.e. all invalid
+  std::uint32_t epoch_ = 1;  // ways start at 0, i.e. all invalid
+  std::uint32_t mark_ = 0;   // bumped by setCheckpoint(); ways start at 0
   CacheLevelStats stats_;
   std::vector<WayUndo> undo_;
   SavedScalars saved_;
@@ -170,8 +191,9 @@ class CacheHierarchy {
 
   // Checkpoint the whole hierarchy (per-level undo logs + the main-memory
   // access counter).  See CacheLevel::setCheckpoint.
+  // rewindToCheckpoint() returns the number of ways written back.
   void setCheckpoint();
-  void rewindToCheckpoint();
+  std::size_t rewindToCheckpoint();
   void dropCheckpoint();
 
   const CacheLevelStats& levelStats(std::size_t level) const;

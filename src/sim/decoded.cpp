@@ -1051,8 +1051,12 @@ struct Interp {
     CASTED_CHECK(stepMode) << "restore requires begin()";
     CASTED_CHECK(d.owner == this && d.generation == checkpointGen)
         << "checkpoint is stale or belongs to another runner";
-    memory.rewindToCheckpoint();
-    caches.rewindToCheckpoint();
+    const std::size_t memoryRecords = memory.rewindToCheckpoint();
+    const std::size_t cacheWays = caches.rewindToCheckpoint();
+    trace::counterAdd("sim.restore.memory_records",
+                      static_cast<std::int64_t>(memoryRecords));
+    trace::counterAdd("sim.restore.cache_ways",
+                      static_cast<std::int64_t>(cacheWays));
     gpStack = d.gp;
     fpStack = d.fp;
     prStack = d.pr;

@@ -1,5 +1,6 @@
 #include "sim/memory.h"
 
+#include <cstddef>
 #include <cstring>
 
 #include "support/check.h"
@@ -56,13 +57,15 @@ void Memory::setCheckpoint() {
   logMark_ = log_.size();
 }
 
-void Memory::rewindToCheckpoint() {
+std::size_t Memory::rewindToCheckpoint() {
   CASTED_CHECK(undoArmed_) << "no live memory checkpoint";
   for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
     std::memcpy(bytes_.data() + it->offset, &it->oldBits, it->width);
   }
+  const std::size_t rewound = undo_.size();
   undo_.clear();
   log_.resize(logMark_);
+  return rewound;
 }
 
 void Memory::dropCheckpoint() {
@@ -73,11 +76,22 @@ void Memory::dropCheckpoint() {
 
 std::vector<std::uint8_t> Memory::snapshot(std::uint64_t address,
                                            std::uint64_t size) const {
-  std::vector<std::uint8_t> copy(size);
-  for (std::uint64_t i = 0; i < size; ++i) {
-    copy[i] = bytes_[checkRange(address + i, 1)];
+  if (size == 0) {
+    return {};
   }
-  return copy;
+  // One check for the whole range.  The trap names the first byte outside
+  // the arena, as a byte-by-byte copy would.
+  if (address < ir::Program::kGlobalBase || address >= arenaEnd()) {
+    throw TrapError{TrapKind::kBadAddress, address};
+  }
+  if (size > arenaEnd() - address) {
+    throw TrapError{TrapKind::kBadAddress, arenaEnd()};
+  }
+  const auto first = bytes_.begin() +
+                     static_cast<std::ptrdiff_t>(
+                         address - ir::Program::kGlobalBase);
+  return std::vector<std::uint8_t>(first,
+                                   first + static_cast<std::ptrdiff_t>(size));
 }
 
 }  // namespace casted::sim

@@ -7,6 +7,7 @@
 // 64-bit accesses must be 8-byte aligned; violations raise kMisaligned.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -82,8 +83,9 @@ class Memory {
     std::memcpy(bytes_.data() + offset, &value, 8);
   }
 
-  // Snapshot of `size` bytes at `address` (bounds-checked) — used to capture
-  // the output region for golden comparison.
+  // Snapshot of `size` bytes at `address` — used to capture the output
+  // region for golden comparison.  Throws kBadAddress naming the first byte
+  // of the range that lies outside the arena.
   std::vector<std::uint8_t> snapshot(std::uint64_t address,
                                      std::uint64_t size) const;
 
@@ -101,7 +103,8 @@ class Memory {
   // (sim/decoded.h).  setCheckpoint() marks the current contents as the
   // rewind target and starts recording each write's pre-image;
   // rewindToCheckpoint() undoes every write since the mark in reverse order,
-  // so restore cost is O(bytes written since the mark), not O(arena).  One
+  // so restore cost is O(bytes written since the mark), not O(arena), and
+  // returns the number of undo records it replayed.  One
   // checkpoint is live at a time; a new setCheckpoint() replaces the mark,
   // and rewinding can be repeated (the undo log re-accumulates after each
   // rewind).  Requires the write log: rewinding also truncates `log_` back
@@ -109,7 +112,7 @@ class Memory {
   // restores holds its checkpoint-time value, and any such byte that differs
   // from pristine was already covered by a pre-mark log entry.
   void setCheckpoint();
-  void rewindToCheckpoint();
+  std::size_t rewindToCheckpoint();
   void dropCheckpoint();
 
  private:

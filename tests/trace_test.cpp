@@ -6,6 +6,8 @@
 //     mutations, no events;
 //   * the CASTED_TRACE environment override activates a session lazily;
 //   * stepwise (checkpointed) runs are counted like whole runs;
+//   * restores count the cache ways and memory records they rewound, and
+//     one restore never rewinds more ways than the hierarchy has;
 //   * the enumerator's ordinal and site counters match its report.
 #include <gtest/gtest.h>
 
@@ -301,6 +303,90 @@ TEST_F(TraceTest, CheckpointedCampaignCountsEveryTrialRun) {
   EXPECT_EQ(trace::counterValue("fault.campaign.trials"), options.trials);
   EXPECT_EQ(trace::counterValue("sim.decoded.runs"), options.trials + 1);
   EXPECT_GT(trace::counterValue("sim.checkpoint.restores"), 0);
+}
+
+// Reads, bumps and writes back one word per iteration: after the first
+// iteration every access is an L1 hit on the same line.
+ir::Program makeHitHeavyProgram(std::int64_t n) {
+  ir::Program prog;
+  const std::uint64_t outAddr = prog.allocateGlobal("output", 8);
+  ir::Function& main = prog.addFunction("main");
+  ir::IrBuilder b(main);
+  ir::BasicBlock& entry = b.createBlock("entry");
+  ir::BasicBlock& loop = b.createBlock("loop");
+  ir::BasicBlock& done = b.createBlock("done");
+  b.setBlock(entry);
+  const ir::Reg base = b.movImm(static_cast<std::int64_t>(outAddr));
+  const ir::Reg i = b.movImm(0);
+  b.br(loop);
+  b.setBlock(loop);
+  b.store(base, 0, b.add(b.load(base, 0), i));
+  b.addImmTo(i, i, 1);
+  b.brCond(b.cmpLtImm(i, n), loop, done);
+  b.setBlock(done);
+  b.halt(b.movImm(0));
+  return prog;
+}
+
+std::int64_t totalCacheWays(const core::CompiledProgram& bin) {
+  std::int64_t ways = 0;
+  for (const arch::CacheLevelConfig& level :
+       bin.decoded->cacheConfig().levels) {
+    ways += static_cast<std::int64_t>(level.sizeBytes / level.blockBytes);
+  }
+  return ways;
+}
+
+TEST_F(TraceTest, CheckpointedCampaignCountsRewoundRecords) {
+  // Each restore adds the cache ways and memory undo records it rewound.
+  // NOED, so faulty suffixes run on to the loop's loads and stores instead
+  // of stopping at a check.
+  const core::CompiledProgram bin =
+      core::compile(makeHitHeavyProgram(200), testutil::machine(2, 1),
+                    passes::Scheme::kNoed);
+  fault::CampaignOptions options;
+  options.trials = 40;
+  options.threads = 2;
+  options.mode = fault::InjectionMode::kCheckpointed;
+  trace::enable("");
+  core::campaign(bin, options);
+  const std::int64_t restores =
+      trace::counterValue("sim.checkpoint.restores");
+  const std::int64_t ways = trace::counterValue("sim.restore.cache_ways");
+  EXPECT_GT(restores, 0);
+  EXPECT_GT(ways, 0);
+  EXPECT_LE(ways, restores * totalCacheWays(bin));
+  EXPECT_GT(trace::counterValue("sim.restore.memory_records"), 0);
+}
+
+TEST_F(TraceTest, RestoreRewindsEachCacheWayAtMostOnce) {
+  // The cache undo log records a way on its first change since the mark,
+  // so one restore never rewinds more ways than the hierarchy has, even
+  // after a suffix of tens of thousands of L1 hits.
+  const core::CompiledProgram bin =
+      core::compile(makeHitHeavyProgram(20000), testutil::machine(2, 1),
+                    passes::Scheme::kCasted);
+  const std::int64_t totalWays = totalCacheWays(bin);
+  trace::enable("");
+  sim::DecodedRunner runner(*bin.decoded);
+  runner.begin(sim::SimOptions{});
+  ASSERT_TRUE(runner.runToDef(10));
+  sim::ArchCheckpoint checkpoint;
+  runner.saveCheckpoint(checkpoint);
+  for (int suffix = 0; suffix < 3; ++suffix) {
+    const sim::RunResult result = runner.finish();
+    ASSERT_GT(static_cast<std::int64_t>(result.stats.memAccesses), totalWays);
+    const std::int64_t ways = trace::counterValue("sim.restore.cache_ways");
+    const std::int64_t records =
+        trace::counterValue("sim.restore.memory_records");
+    runner.restoreCheckpoint(checkpoint);
+    const std::int64_t rewoundWays =
+        trace::counterValue("sim.restore.cache_ways") - ways;
+    EXPECT_GT(rewoundWays, 0) << suffix;
+    EXPECT_LE(rewoundWays, totalWays) << suffix;
+    EXPECT_GT(trace::counterValue("sim.restore.memory_records"), records)
+        << suffix;
+  }
 }
 
 TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
