@@ -5,10 +5,56 @@
 // the ORIGINAL binary's error rate (one error per N_orig dynamic
 // instructions, i.e. ~2.4 expected flips for a 2.4x binary).  Outcomes are
 // the paper's five classes.  Paper default is 300 trials (CASTED_TRIALS).
+//
+// With a trace session active (CASTED_TRACE=<path>), each point also prints
+// how its lockstep lanes ended (DESIGN.md §10): decided by decision, fallen
+// back by reason, and the lane ops they cost.  The trace file carries the
+// same split per point as fig9.<benchmark>.<scheme>.lockstep.* counters.
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "fault/campaign.h"
+#include "support/trace.h"
+
+namespace {
+
+using Counters = std::vector<std::pair<std::string, std::int64_t>>;
+
+constexpr std::string_view kLockstepPrefix = "fault.campaign.lockstep.";
+
+// The fault.campaign.lockstep.* counters, without the prefix.
+Counters lockstepCounters() {
+  Counters out;
+  for (const auto& [name, value] : casted::trace::counterSnapshot()) {
+    if (name.starts_with(kLockstepPrefix)) {
+      out.emplace_back(name.substr(kLockstepPrefix.size()), value);
+    }
+  }
+  return out;
+}
+
+// Prints, and records as fig9.<point>.lockstep.* counters, what one
+// campaign added to the lockstep counters since `before`.
+void reportLockstep(const std::string& point, const Counters& before) {
+  std::string line;
+  for (const auto& [name, value] : lockstepCounters()) {
+    std::int64_t delta = value;
+    for (const auto& [key, old] : before) {
+      if (key == name) {
+        delta -= old;
+      }
+    }
+    casted::trace::counterAdd("fig9." + point + ".lockstep." + name, delta);
+    if (delta != 0) {
+      line += " " + name + "=" + std::to_string(delta);
+    }
+  }
+  std::printf("lockstep %s:%s\n", point.c_str(), line.c_str());
+}
+
+}  // namespace
 
 int main() {
   using namespace casted;
@@ -48,7 +94,12 @@ int main() {
       options.threads = threads;
       options.seed = 0xCA57ED + static_cast<std::uint64_t>(scheme);
       options.originalDefInsns = originalDefInsns;
+      const Counters lockstepBefore =
+          trace::enabled() ? lockstepCounters() : Counters{};
       const fault::CoverageReport report = core::campaign(bin, options);
+      if (trace::enabled()) {
+        reportLockstep(wl.name + "." + schemeName(scheme), lockstepBefore);
+      }
       table.addRow(
           {schemeName(scheme),
            formatPercent(report.fraction(fault::Outcome::kBenign)),
@@ -72,5 +123,10 @@ int main() {
       "exceptions; encoders (cjpeg, h263enc) mask more errors.\n");
   csv.writeFile("fig9.csv");
   std::printf("wrote fig9.csv\n");
+  trace::setMetadata("bench", "fig9_fault_coverage");
+  trace::setMetadata("trials", std::to_string(trials));
+  if (trace::writeReport()) {
+    std::printf("wrote trace %s\n", trace::outputPath().c_str());
+  }
   return 0;
 }

@@ -125,13 +125,22 @@ CoverageReport runCampaign(const ir::Program& program,
                      return a.points[0].ordinal < b.points[0].ordinal;
                    });
 
+  // Workers claim windows of consecutive plans: each window is decided by
+  // one lockstep golden stream in checkpointed mode (DESIGN.md §10), so
+  // windows may be as large as the lanes allow.  A verdict depends on its
+  // plan alone, never on its window.
   const std::vector<CoverageReport> partial = loop.run(
-      plans.size(), "trials", CoverageReport{},
-      [&](CoverageReport& part, std::uint64_t trial,
+      plans.size(), sim::DecodedRunner::kMaxLanes, "trials", CoverageReport{},
+      [&](CoverageReport& part, std::uint64_t first, std::uint64_t last,
           detail::SiteExecutor& executor) {
-        const sim::RunResult faulty = executor.run(plans[trial]);
-        ++part.counts[static_cast<int>(classify(faulty, golden))];
-        part.dynamicInsns += faulty.stats.dynamicInsns;
+        std::vector<detail::TrialVerdict> verdicts;
+        executor.runWindow(
+            std::span<const sim::FaultPlan>(plans).subspan(first, last - first),
+            golden, verdicts);
+        for (const detail::TrialVerdict& verdict : verdicts) {
+          ++part.counts[static_cast<int>(verdict.outcome)];
+          part.dynamicInsns += verdict.dynamicInsns;
+        }
       });
 
   // Outcome counts and instruction totals commute, so the merged report

@@ -44,9 +44,12 @@ enum class InjectionMode : std::uint8_t {
   // Checkpoint-and-diverge (DESIGN.md §10): replay the golden prefix once
   // per injection ordinal, snapshot at the def pause, and restore the
   // snapshot for every site at that ordinal; each faulty suffix runs to its
-  // natural end.  Reports are bit-identical to kFull — the driver oracle
-  // tests enforce it.  Requires the decoded engine; silently falls back to
-  // kFull under the reference engine (which has no stepwise API).
+  // natural end.  The campaign first decides its trials as lockstep lanes
+  // of one golden stream per window and runs only the lanes lockstep
+  // cannot decide exactly that way.  Reports are bit-identical to kFull —
+  // the driver oracle tests enforce it.  Requires the decoded engine;
+  // silently falls back to kFull under the reference engine (which has no
+  // stepwise API).
   kCheckpointed,
 };
 

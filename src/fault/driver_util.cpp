@@ -1,6 +1,7 @@
 #include "fault/driver_util.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -93,8 +94,10 @@ class ProgressMeter {
   ProgressMeter& operator=(const ProgressMeter&) = delete;
 
   // One relaxed atomic add — cheap enough to tick unconditionally from the
-  // worker loop.
-  void add() { done_.fetch_add(1, std::memory_order_relaxed); }
+  // worker loop, once per chunk.
+  void add(std::uint64_t items) {
+    done_.fetch_add(items, std::memory_order_relaxed);
+  }
 
  private:
   void loop() {
@@ -203,6 +206,68 @@ sim::RunResult SiteExecutor::run(const sim::FaultPlan& plan) {
   return result;
 }
 
+void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
+                             const GoldenProfile& golden,
+                             std::vector<TrialVerdict>& out) {
+  out.resize(window.size());
+  const auto runWhole = [&](std::size_t i) {
+    const sim::RunResult faulty = run(window[i]);
+    out[i] = {classify(faulty, golden), faulty.stats.dynamicInsns};
+  };
+  if (!checkpointed_) {
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      runWhole(i);
+    }
+    return;
+  }
+  lanePlans_.clear();
+  for (const sim::FaultPlan& plan : window) {
+    lanePlans_.push_back(&plan);
+  }
+  runner_->runLockstep(options_, lanePlans_, laneVerdicts_);
+  started_ = false;  // the golden stream ended the stepwise run
+  std::uint64_t laneOps = 0;
+  std::array<std::int64_t, sim::kLaneEndCount> ends = {};
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    const sim::LaneVerdict& lane = laneVerdicts_[i];
+    laneOps += lane.laneOps;
+    ++ends[static_cast<std::size_t>(lane.end)];
+    switch (lane.end) {
+      case sim::LaneEnd::kDetected:
+        out[i] = {Outcome::kDetected, lane.dynamicInsns};
+        break;
+      case sim::LaneEnd::kException:
+        out[i] = {Outcome::kException, lane.dynamicInsns};
+        break;
+      case sim::LaneEnd::kTimeout:
+        out[i] = {Outcome::kTimeout, lane.dynamicInsns};
+        break;
+      case sim::LaneEnd::kHalted:
+      case sim::LaneEnd::kReconverged:
+        out[i] = {lane.corrupt ? Outcome::kDataCorrupt : Outcome::kBenign,
+                  lane.dynamicInsns};
+        break;
+      default:
+        runWhole(i);  // a fallback, in ordinal order
+        break;
+    }
+  }
+  if (trace::enabled()) {
+    const std::string prefix = "fault.campaign.lockstep.";
+    trace::counterAdd(prefix + "windows");
+    trace::counterAdd(prefix + "lanes",
+                      static_cast<std::int64_t>(window.size()));
+    trace::counterAdd(prefix + "lane_ops", static_cast<std::int64_t>(laneOps));
+    for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
+      const auto end = static_cast<sim::LaneEnd>(e);
+      trace::counterAdd(prefix +
+                            (sim::isFallback(end) ? "fallback." : "decided.") +
+                            sim::laneEndName(end),
+                        ends[e]);
+    }
+  }
+}
+
 sim::RunResult SiteExecutor::resume(const sim::FaultPlan& plan) {
   CASTED_CHECK(!plan.points.empty()) << "empty fault plan";
   const std::uint64_t target = plan.points[0].ordinal;
@@ -270,8 +335,21 @@ std::string FaultSiteLoop::traceName(std::string_view suffix) const {
                           : std::string();
 }
 
-void FaultSiteLoop::runItems(std::uint64_t items, std::string_view unit,
-                             std::uint32_t threads, const ItemVisit& visit) {
+std::uint64_t FaultSiteLoop::evenChunk(std::uint64_t items,
+                                       std::uint64_t maxChunk) const {
+  CASTED_CHECK(maxChunk > 0) << "empty chunks";
+  const std::uint64_t workers = resolveThreads(threads_, items);
+  const std::uint64_t perWorker = std::clamp<std::uint64_t>(
+      (items + workers - 1) / workers, 1, maxChunk);
+  const std::uint64_t chunks = std::max<std::uint64_t>(
+      (items + perWorker - 1) / perWorker, 1);
+  return std::max<std::uint64_t>((items + chunks - 1) / chunks, 1);
+}
+
+void FaultSiteLoop::runChunks(std::uint64_t items, std::uint64_t chunk,
+                              std::string_view unit, std::uint32_t threads,
+                              const ChunkVisit& visit) {
+  CASTED_CHECK(chunk > 0) << "empty chunks";
   std::atomic<std::uint64_t> cursor{0};
   ProgressMeter meter(driver_ + " " + std::string(unit), items);
   runWorkerPool(threads, [&](std::uint32_t w) {
@@ -279,12 +357,14 @@ void FaultSiteLoop::runItems(std::uint64_t items, std::string_view unit,
     SiteExecutor executor(program_, schedule_, config_, decoded_, mode_,
                           armedOptions_);
     std::uint64_t done = 0;
-    for (std::uint64_t item = cursor.fetch_add(1, std::memory_order_relaxed);
-         item < items;
-         item = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      visit(w, item, executor);
-      ++done;
-      meter.add();
+    for (std::uint64_t first =
+             cursor.fetch_add(chunk, std::memory_order_relaxed);
+         first < items;
+         first = cursor.fetch_add(chunk, std::memory_order_relaxed)) {
+      const std::uint64_t last = std::min(items, first + chunk);
+      visit(w, first, last, executor);
+      done += last - first;
+      meter.add(last - first);
     }
     // Per-worker totals alongside the worker's duration scope: the pair
     // gives a per-worker rate in the trace viewer.

@@ -160,8 +160,8 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
   // ordinal, so a checkpointed executor replays the golden prefix once and
   // restores the snapshot for every site after the first.
   const std::vector<std::vector<Tally>> partial = loop.run(
-      defTrace.size(), "ordinals", std::vector<Tally>(statics.size()),
-      [&](std::vector<Tally>& tallies, std::uint64_t ordinal,
+      defTrace.size(), 1, "ordinals", std::vector<Tally>(statics.size()),
+      [&](std::vector<Tally>& tallies, std::uint64_t ordinal, std::uint64_t,
           detail::SiteExecutor& executor) {
         const StaticSite& entry = statics[ordinalStatic[ordinal]];
         Tally& tally = tallies[ordinalStatic[ordinal]];

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
-#include <limits>
+#include <functional>
+#include <optional>
+#include <utility>
 
+#include "sim/op_kernel.h"
 #include "sim/simulator.h"
 #include "support/check.h"
 #include "support/trace.h"
@@ -18,36 +20,41 @@ using ir::Opcode;
 using ir::Reg;
 using ir::RegClass;
 
-// Mirrors of the reference engine's unwind signals.
-struct DetectedSignal {};
-struct TimeoutSignal {};
-struct HaltSignal {
-  std::int64_t exitCode = 0;
-};
-
-std::int64_t wrapAdd(std::int64_t a, std::int64_t b) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
-                                   static_cast<std::uint64_t>(b));
-}
-
-std::int64_t wrapSub(std::int64_t a, std::int64_t b) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
-                                   static_cast<std::uint64_t>(b));
-}
-
-std::int64_t wrapMul(std::int64_t a, std::int64_t b) {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
-                                   static_cast<std::uint64_t>(b));
-}
-
-std::int64_t wrapNeg(std::int64_t a) {
-  return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a));
-}
-
 constexpr std::uint32_t kDiscardReturns = 0xffffffffu;
 constexpr std::uint64_t kNoFault = ~0ULL;
 
+// The largest latency CacheHierarchy::access can return.
+std::uint32_t worstAccessLatency(const arch::CacheConfig& cache) {
+  std::uint32_t worst = cache.memoryLatency;
+  for (const arch::CacheLevelConfig& level : cache.levels) {
+    worst = std::max(worst, level.latency);
+  }
+  return worst;
+}
+
 }  // namespace
+
+const char* laneEndName(LaneEnd end) {
+  switch (end) {
+    case LaneEnd::kDetected:
+      return "detected";
+    case LaneEnd::kException:
+      return "exception";
+    case LaneEnd::kHalted:
+      return "halt";
+    case LaneEnd::kReconverged:
+      return "reconverged";
+    case LaneEnd::kTimeout:
+      return "timeout";
+    case LaneEnd::kFallbackControl:
+      return "control";
+    case LaneEnd::kFallbackTiming:
+      return "timing";
+    case LaneEnd::kFallbackBudget:
+      return "budget";
+  }
+  CASTED_UNREACHABLE("bad LaneEnd");
+}
 
 DecodedProgram DecodedProgram::build(const ir::Program& program,
                                      const sched::ProgramSchedule& schedule,
@@ -60,6 +67,10 @@ DecodedProgram DecodedProgram::build(const ir::Program& program,
   decoded.globalImage_ = program.globalImage();
   decoded.cacheConfig_ = config.cache;
   decoded.memBaseLatency_ = config.latencies.mem;
+  const std::uint32_t worstExtra =
+      worstAccessLatency(config.cache) > config.latencies.mem
+          ? worstAccessLatency(config.cache) - config.latencies.mem
+          : 0;
 
   decoded.funcs_.resize(program.functionCount());
   for (ir::FuncId f = 0; f < program.functionCount(); ++f) {
@@ -123,6 +134,7 @@ DecodedProgram DecodedProgram::build(const ir::Program& program,
         dfn.bundleSizes.push_back(size);
         ++dbk.bundleCount;
       }
+      dbk.worstCycles = dbk.schedLength + dbk.bundleCount * worstExtra;
 
       for (const ir::Instruction& insn : insns) {
         MicroOp u;
@@ -141,6 +153,7 @@ DecodedProgram DecodedProgram::build(const ir::Program& program,
             break;
           case Opcode::kBrCond:
             u.a = insn.uses[0].index;
+            u.useClass[0] = static_cast<std::uint8_t>(RegClass::kPr);
             u.t1 = insn.target;
             u.t2 = insn.target2;
             break;
@@ -169,14 +182,12 @@ DecodedProgram DecodedProgram::build(const ir::Program& program,
             break;
           }
           default: {
-            if (insn.uses.size() > 0) {
-              u.a = insn.uses[0].index;
-            }
-            if (insn.uses.size() > 1) {
-              u.b = insn.uses[1].index;
-            }
-            if (insn.uses.size() > 2) {
-              u.c = insn.uses[2].index;
+            std::uint32_t* fields[3] = {&u.a, &u.b, &u.c};
+            for (std::size_t i = 0; i < insn.uses.size() && i < 3; ++i) {
+              *fields[i] = insn.uses[i].index;
+              if (insn.op != Opcode::kHalt) {
+                u.useClass[i] = static_cast<std::uint8_t>(insn.uses[i].cls);
+              }
             }
             break;
           }
@@ -237,11 +248,291 @@ ArchCheckpoint& ArchCheckpoint::operator=(ArchCheckpoint&&) noexcept =
 
 namespace {
 
-// What stopped the resumable core loop.
+// What stopped the resumable core loop.  Every end of a run is a value,
+// never an unwind: the lockstep golden stream keeps running while its lanes
+// end, and a trap or a check is just one more way for exec() to return.
 enum class Flow : std::uint8_t {
-  kContinue,  // nothing did (internal: keep executing)
-  kFinished,  // the entry function returned
-  kPause,     // reached the runToDef() target ordinal
+  kContinue,   // nothing did (internal: keep executing)
+  kPause,      // reached the runToDef() target ordinal
+  kFinished,   // the entry function returned (a clean exit, code 0)
+  kHalted,     // kHalt executed; Interp::exitCode holds the code
+  kDetected,   // a check fired
+  kTrapped,    // a hardware trap; Interp::trap holds its kind
+  kTimeout,    // the watchdog expired
+  kLanesDone,  // lockstep: every lane of the window is decided
+};
+
+std::uint32_t slotBase(const InterpFrameBase& base, std::uint32_t cls) {
+  return cls == 0 ? base.gp : cls == 1 ? base.fp : base.pr;
+}
+
+bool isMemOp(Opcode op) {
+  return op >= Opcode::kLoad && op <= Opcode::kFStore;
+}
+
+// The golden stream's per-op test for lane work, over one frame: does `u`
+// read a register, write a register or touch a memory word where some lane
+// differs from the golden run?  Plain loads, no lane state walked.
+struct LaneView {
+  const std::uint8_t* regAny[3] = {};  // Lanes::regAny[c] + the frame base
+  const std::uint64_t* memAny = nullptr;
+  std::uint64_t memWords = 0;
+
+  bool touches(const MicroOp& u, const std::int64_t* gp) const {
+    const std::uint32_t field[3] = {u.a, u.b, u.c};
+    for (int i = 0; i < 3; ++i) {
+      if (u.useClass[i] != MicroOp::kNoUse &&
+          regAny[u.useClass[i]][field[i]] != 0) {
+        return true;
+      }
+    }
+    if (u.defCount == 1 && u.op != Opcode::kCall &&
+        regAny[u.defClass][u.def] != 0) {
+      return true;
+    }
+    if (isMemOp(u.op)) {
+      const std::uint64_t word =
+          (kernel::address(gp[u.a], u.imm) - ir::Program::kGlobalBase) >> 3;
+      return word < memWords && ((memAny[word >> 6] >> (word & 63)) & 1) != 0;
+    }
+    return false;
+  }
+};
+
+// A set of lanes of one window, one bit per lane.
+struct LaneSet {
+  static constexpr std::size_t kWords = DecodedRunner::kMaxLanes / 64;
+  std::uint64_t w[kWords] = {};
+
+  bool any() const {
+    std::uint64_t bits = 0;
+    for (const std::uint64_t word : w) {
+      bits |= word;
+    }
+    return bits != 0;
+  }
+  bool test(std::uint32_t lane) const {
+    return ((w[lane >> 6] >> (lane & 63)) & 1) != 0;
+  }
+  void set(std::uint32_t lane) { w[lane >> 6] |= 1ULL << (lane & 63); }
+  void reset(std::uint32_t lane) { w[lane >> 6] &= ~(1ULL << (lane & 63)); }
+  LaneSet& operator|=(const LaneSet& other) {
+    for (std::size_t i = 0; i < kWords; ++i) {
+      w[i] |= other.w[i];
+    }
+    return *this;
+  }
+  template <class F>
+  void forEach(F f) const {
+    for (std::size_t i = 0; i < kWords; ++i) {
+      for (std::uint64_t bits = w[i]; bits != 0; bits &= bits - 1) {
+        f(static_cast<std::uint32_t>(i * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
+};
+
+// One lane's differing values: key -> the lane's value, open addressing
+// with linear probing.  A key is a register (class << 60 | absolute arena
+// slot) or an aligned memory word (3 << 60 | word address).
+class DiffMap {
+ public:
+  static std::uint64_t regKey(std::uint32_t cls, std::uint32_t slot) {
+    return (static_cast<std::uint64_t>(cls) << 60) | slot;
+  }
+  static std::uint64_t wordKey(std::uint64_t word) {
+    return (3ULL << 60) | word;
+  }
+  static bool isWordKey(std::uint64_t key) { return (key >> 60) == 3; }
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+
+  // The value at `key`, which must be present.
+  std::uint64_t at(std::uint64_t key) const {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if (slots_[i].key == key) {
+        return slots_[i].value;
+      }
+      CASTED_CHECK(slots_[i].key != kEmpty) << "lane diff has no such key";
+    }
+  }
+
+  // Returns whether `key` is new.
+  bool put(std::uint64_t key, std::uint64_t value) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      grow();
+    }
+    std::size_t i = home(key);
+    while (slots_[i].key != kEmpty && slots_[i].key != key) {
+      i = (i + 1) & mask_;
+    }
+    const bool added = slots_[i].key == kEmpty;
+    size_ += added ? 1 : 0;
+    slots_[i] = {key, value};
+    return added;
+  }
+
+  // Backward-shift deletion: no tombstones, so lookups stay short.
+  void erase(std::uint64_t key) {
+    std::size_t i = home(key);
+    while (slots_[i].key != key) {
+      CASTED_CHECK(slots_[i].key != kEmpty) << "lane diff has no such key";
+      i = (i + 1) & mask_;
+    }
+    for (std::size_t j = (i + 1) & mask_; slots_[j].key != kEmpty;
+         j = (j + 1) & mask_) {
+      const std::size_t h = home(slots_[j].key);
+      // Move j's entry into the hole at i unless its home lies in (i, j].
+      if (((j - h) & mask_) >= ((j - i) & mask_)) {
+        slots_[i] = slots_[j];
+        i = j;
+      }
+    }
+    slots_[i].key = kEmpty;
+    --size_;
+  }
+
+  void clear() {
+    drain([](std::uint64_t, std::uint64_t) {});
+  }
+
+  // Calls f(key, value) for every entry, then empties the map.
+  template <class F>
+  void drain(F f) {
+    if (size_ == 0) {
+      return;
+    }
+    for (Slot& slot : slots_) {
+      if (slot.key != kEmpty) {
+        f(slot.key, slot.value);
+        slot.key = kEmpty;
+      }
+    }
+    size_ = 0;
+  }
+
+  template <class F>
+  void forEach(F f) const {
+    for (const Slot& slot : slots_) {
+      if (slot.key != kEmpty) {
+        f(slot.key, slot.value);
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~0ULL;
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::uint64_t value = 0;
+  };
+
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) &
+           mask_;
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 8 : old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.key != kEmpty) {
+        put(slot.key, slot.value);
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
+struct Interp;
+
+// The lockstep state of one window (DecodedRunner::runLockstep): the lanes,
+// and for every register slot and memory word the set of lanes that differ
+// there.  The golden stream (Interp::exec<true>) calls step() before each
+// op the LaneView flags, and the other hooks at defs, calls, returns, frame
+// pops and block charges.  One Lanes lives as long as its Interp and serves window after
+// window: a window ends with every lane decided and so every set empty,
+// and begin() keeps the allocations.  Methods are defined after Interp.
+struct Lanes {
+  enum class State : std::uint8_t { kDormant, kLive, kReconverged, kDone };
+
+  struct Lane {
+    const FaultPlan* plan = nullptr;
+    std::size_t cursor = 0;  // next point of `plan` to fire
+    State state = State::kDormant;
+    bool diverged = false;   // an in-range address differed: bound live
+    DiffMap diff;
+    std::uint64_t injectedAt = 0;   // golden instructions at the first flip
+    std::uint64_t laneOps = 0;
+    std::uint64_t boundStart = 0;   // golden cycles at the first such address
+    std::uint64_t worstBefore = 0;  // `worst` at that point
+  };
+
+  explicit Lanes(Interp& interp) : in(interp) {}
+
+  // Starts a window of `plans`, whose verdicts go to `out`.
+  void begin(const std::vector<const FaultPlan*>& plans,
+             std::vector<LaneVerdict>& out);
+  LaneView view(const InterpFrameBase& base) const;
+  std::uint64_t nextOrdinal() const;
+  void syncArenas();
+
+  // Hooks of the golden stream; `insns` is its instruction count so far.
+  bool step(const MicroOp& u, std::uint32_t node, const InterpFrameBase& base,
+            std::uint64_t insns);
+  void onDef(const MicroOp& u, const InterpFrameBase& base,
+             std::uint64_t insns);
+  void onCall(const MicroOp& call, const InterpFrameBase& caller,
+              const InterpFrameBase& callee, std::uint64_t insns);
+  void onRet(const MicroOp& ret, const InterpFrame& callee,
+             const InterpFrameBase& caller, std::uint64_t insns);
+  void onPop(const InterpFrameBase& base);
+  // The end of the golden stream: every open lane is decided.
+  void finish(std::optional<std::uint32_t> exitSlot, std::int64_t exitCode,
+              std::uint64_t insns);
+  void timeout(std::uint64_t insns);
+
+  std::uint64_t laneBits(std::uint32_t lane, std::uint32_t cls,
+                         std::uint32_t slot) const;
+  std::uint64_t goldenBits(std::uint32_t cls, std::uint32_t slot) const;
+  std::uint64_t laneWord(std::uint32_t lane, std::uint64_t word) const;
+  const LaneSet* wordLanes(std::uint64_t word) const;
+  bool hasWord(std::uint32_t lane, std::uint64_t word) const;
+  void markWord(std::uint32_t lane, std::uint64_t word, bool differs);
+  void setReg(std::uint32_t lane, std::uint32_t cls, std::uint32_t slot,
+              std::uint64_t bits, std::uint64_t golden);
+  void setWord(std::uint32_t lane, std::uint64_t word, std::uint64_t bits,
+               std::uint64_t golden);
+  bool chargeLaneOp(std::uint32_t lane, std::uint64_t insns);
+  void decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
+              bool corrupt = false);
+  void noteReconverged(std::uint32_t lane);
+  void markDiverged(std::uint32_t lane);
+  bool outputDiffers(std::uint32_t lane) const;
+
+  Interp& in;
+  std::vector<Lane> lanes;
+  std::vector<LaneVerdict>* verdicts = nullptr;
+  std::vector<LaneSet> regMask[3];          // by absolute arena slot
+  std::vector<std::uint8_t> regAny[3];      // regMask[c][s].any()
+  // The lanes of a memory word: memSets[memIndex[word]], for the words
+  // whose memAny bit (one per arena word) is set.
+  DiffMap memIndex;
+  std::vector<LaneSet> memSets;
+  std::vector<std::uint32_t> freeSets;
+  std::vector<std::uint64_t> memAny;
+  std::uint64_t memWords = 0;
+  // Pending flips as a min-heap on the ordinal: (ordinal, lane).
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> events;
+  std::uint64_t worst = 0;  // sum of worstCycles over the charged blocks
+  std::size_t diffs = 0;    // entries over all lanes' DiffMaps
+  std::size_t open = 0;     // lanes not yet decided
 };
 
 // The decoded interpreter.  Frames live in three per-class arenas (one
@@ -282,6 +573,16 @@ struct Interp {
   // makes a normal def one compare (noteDef); updateNextEvent() recomputes
   // it wherever one of its inputs changes.
   std::uint64_t nextEvent = kNoFault;
+
+  // How the last run ended, for the Flows that carry a value.
+  std::int64_t exitCode = 0;
+  TrapKind trap = TrapKind::kNone;
+
+  // The lockstep window the golden stream serves (runLanes only; null
+  // otherwise).  Its lanes take the fault-plan cursor's place:
+  // nextFaultOrdinal is their next flip.
+  Lanes* lanes = nullptr;
+  Lanes laneState{*this};
 
   using FrameBase = InterpFrameBase;
 
@@ -339,6 +640,7 @@ struct Interp {
     if (opts.defTrace != nullptr) {
       opts.defTrace->clear();
     }
+    lanes = nullptr;
     frames.clear();
     pauseAt = kNoFault;
     stepMode = false;
@@ -385,6 +687,15 @@ struct Interp {
     }
   }
 
+  // The register a fault point at op `u` flips: the call's chosen return
+  // def, else the op's one def.
+  DecodedReg faultTarget(const MicroOp& u, const FaultPoint& point) const {
+    if (u.op == Opcode::kCall) {
+      return prog.pool()[u.c + point.whichDef % u.defCount];
+    }
+    return {u.defClass, u.def};
+  }
+
   // Applies the pending fault point to one def of `target` (the op whose
   // defOrdinal just matched), then advances the plan cursor.
   void injectFault(const MicroOp& u, const FrameBase& frame) {
@@ -393,12 +704,7 @@ struct Interp {
     nextFaultOrdinal = faultCursor < options->faultPlan->points.size()
                            ? options->faultPlan->points[faultCursor].ordinal
                            : kNoFault;
-    DecodedReg target;
-    if (u.op == Opcode::kCall) {
-      target = prog.pool()[u.c + point.whichDef % u.defCount];
-    } else {
-      target = {u.defClass, u.def};
-    }
+    const DecodedReg target = faultTarget(u, point);
     switch (static_cast<RegClass>(target.cls)) {
       case RegClass::kGp:
         gpStack[frame.gp + target.slot] ^=
@@ -448,11 +754,12 @@ struct Interp {
   // Ordering matches the recursive interpreter this replaced bit for bit:
   // depth check, argument-count check, arena push, argument copy, then the
   // timeout check that used to sit at the head of the callee's run loop.
-  void pushFrame(std::uint32_t funcIdx, std::uint32_t argPool,
+  Flow pushFrame(std::uint32_t funcIdx, std::uint32_t argPool,
                  std::uint32_t argCount, FrameBase caller,
                  std::uint32_t retPool, std::uint32_t retCount) {
     if (frames.size() > options->maxCallDepth) {
-      throw TrapError{TrapKind::kStackOverflow, 0};
+      trap = TrapKind::kStackOverflow;
+      return Flow::kTrapped;
     }
     const DecodedFunction& fn = prog.functions()[funcIdx];
     CASTED_CHECK(argCount == fn.params.size())
@@ -473,53 +780,106 @@ struct Interp {
                 readBits(caller, prog.pool()[argPool + i]));
     }
     frames.push_back(f);
-    if (stats.cycles > options->maxCycles) {
-      throw TimeoutSignal{};
-    }
+    return stats.cycles > options->maxCycles ? Flow::kTimeout
+                                             : Flow::kContinue;
   }
 
   // Def bookkeeping, shared by every def-producing op including calls
   // (invoked after the callee's returns were written back).  A def that is
   // no event costs one compare; defEvent handles the rest.
-  Flow noteDef(const MicroOp& u, const InterpFrame& f, std::uint32_t node) {
+  [[gnu::always_inline]] Flow noteDef(const MicroOp& u, const InterpFrame& f,
+                                      std::uint32_t node,
+                                      std::uint64_t insns) {
     ++stats.dynamicDefInsns;
     if (defOrdinal != nextEvent) [[likely]] {
       ++defOrdinal;
       return Flow::kContinue;
     }
-    return defEvent(u, f, node);
+    return defEvent(u, f, node, insns);
   }
 
   // The trace record and the runToDef pause run before finishDef, the part
   // a pause defers until the run resumes.
-  Flow defEvent(const MicroOp& u, const InterpFrame& f, std::uint32_t node) {
+  Flow defEvent(const MicroOp& u, const InterpFrame& f, std::uint32_t node,
+                std::uint64_t insns) {
     if (options->defTrace != nullptr) {
       options->defTrace->push_back({f.func, f.block, node});
     }
     if (defOrdinal == pauseAt) {
       return Flow::kPause;
     }
-    finishDef(u, f.base);
+    finishDef(u, f.base, insns);
     return Flow::kContinue;
   }
 
-  // Fault check and ordinal advance.
-  void finishDef(const MicroOp& u, const FrameBase& base) {
+  // Fault check (a lane flip in the golden stream) and ordinal advance.
+  void finishDef(const MicroOp& u, const FrameBase& base,
+                 std::uint64_t insns) {
     if (defOrdinal == nextFaultOrdinal) {
-      injectFault(u, base);
+      if (lanes != nullptr) {
+        lanes->onDef(u, base, insns);
+      } else {
+        injectFault(u, base);
+      }
     }
     ++defOrdinal;
     updateNextEvent();
   }
 
-  // The core loop: executes frames.back() until the entry function returns
-  // or a runToDef pause ordinal is reached.  Signals (halt/detect/trap/
-  // timeout) unwind as exceptions into drive().
+  // evalOp's operand access for the executing frame: the arenas and the
+  // memory model, with the scratch address and access count every memory
+  // op records.
+  struct FrameAccess {
+    Interp& in;
+    std::int64_t* gp;
+    double* fp;
+    std::uint8_t* pr;
+
+    std::int64_t g(std::uint32_t slot) const { return gp[slot]; }
+    double f(std::uint32_t slot) const { return fp[slot]; }
+    std::uint8_t p(std::uint32_t slot) const { return pr[slot]; }
+    void setG(std::uint32_t slot, std::int64_t value) { gp[slot] = value; }
+    void setF(std::uint32_t slot, double value) { fp[slot] = value; }
+    void setP(std::uint32_t slot, std::uint8_t value) { pr[slot] = value; }
+
+    TrapKind load(std::uint32_t node, std::uint64_t address,
+                  std::uint32_t width, std::uint64_t& value) {
+      in.addr[node] = address;
+      ++in.stats.memAccesses;
+      const TrapKind trap = in.memory.accessTrap(address, width);
+      if (trap == TrapKind::kNone) {
+        value = width == 8 ? in.memory.rawReadU64(address)
+                           : in.memory.rawReadU8(address);
+      }
+      return trap;
+    }
+    TrapKind store(std::uint32_t node, std::uint64_t address,
+                   std::uint32_t width, std::uint64_t value) {
+      in.addr[node] = address;
+      ++in.stats.memAccesses;
+      const TrapKind trap = in.memory.accessTrap(address, width);
+      if (trap == TrapKind::kNone) {
+        if (width == 8) {
+          in.memory.rawWriteU64(address, value);
+        } else {
+          in.memory.rawWriteU8(address, static_cast<std::uint8_t>(value));
+        }
+      }
+      return trap;
+    }
+  };
+
+  // The core loop: executes frames.back() until the run ends, a runToDef
+  // pause ordinal is reached, or (kLanes) the lockstep window is decided.
+  // exec<false> is the plain interpreter every whole and stepwise run uses;
+  // exec<true> is the lockstep golden stream, the same loop plus the lane
+  // hooks, which compile away in exec<false>.
+  template <bool kLanes>
   Flow exec() {
     // The per-op instruction count lives in a local: the arena stores below
     // (int64_t, uint8_t) may alias the uint64_t members of `this`, so a
     // member counter would be reloaded and stored on every op.  The
-    // destructor writes it back on every exit, the signal unwinds included.
+    // destructor writes it back on every return.
     struct InsnCount {
       std::uint64_t& out;
       std::uint64_t n;
@@ -533,9 +893,12 @@ struct Interp {
       // Raw pointers are safe within the op loop: the arenas only grow at a
       // call, and a call breaks out to re-derive everything (including `f`,
       // which frames.push_back invalidates).
-      std::int64_t* gp = gpStack.data() + f.base.gp;
-      double* fp = fpStack.data() + f.base.fp;
-      std::uint8_t* pr = prStack.data() + f.base.pr;
+      FrameAccess regs{*this, gpStack.data() + f.base.gp,
+                       fpStack.data() + f.base.fp, prStack.data() + f.base.pr};
+      [[maybe_unused]] LaneView view;
+      if constexpr (kLanes) {
+        view = lanes->view(f.base);
+      }
       std::uint32_t next = f.nextBlock;
       bool returned = f.returned;
       bool pushed = false;
@@ -543,343 +906,79 @@ struct Interp {
       for (; node < blk.opCount; ++node) {
         const MicroOp& u = ops[node];
         ++insns.n;
-        switch (u.op) {
-          case Opcode::kNop:
-            break;
-          case Opcode::kMovImm:
-            gp[u.def] = u.imm;
-            break;
-          case Opcode::kMov:
-            gp[u.def] = gp[u.a];
-            break;
-          case Opcode::kAdd:
-            gp[u.def] = wrapAdd(gp[u.a], gp[u.b]);
-            break;
-          case Opcode::kSub:
-            gp[u.def] = wrapSub(gp[u.a], gp[u.b]);
-            break;
-          case Opcode::kMul:
-            gp[u.def] = wrapMul(gp[u.a], gp[u.b]);
-            break;
-          case Opcode::kDiv: {
-            const std::int64_t divisor = gp[u.b];
-            if (divisor == 0) {
-              throw TrapError{TrapKind::kDivByZero, 0};
-            }
-            const std::int64_t dividend = gp[u.a];
-            if (dividend == std::numeric_limits<std::int64_t>::min() &&
-                divisor == -1) {
-              gp[u.def] = dividend;  // hardware-defined wrap
-            } else {
-              gp[u.def] = dividend / divisor;
-            }
-            break;
+        if constexpr (kLanes) {
+          if (lanes->diffs != 0 && view.touches(u, regs.gp) &&
+              lanes->step(u, node, f.base, insns.n)) {
+            return Flow::kLanesDone;
           }
-          case Opcode::kRem: {
-            const std::int64_t divisor = gp[u.b];
-            if (divisor == 0) {
-              throw TrapError{TrapKind::kDivByZero, 0};
-            }
-            const std::int64_t dividend = gp[u.a];
-            if (dividend == std::numeric_limits<std::int64_t>::min() &&
-                divisor == -1) {
-              gp[u.def] = 0;
-            } else {
-              gp[u.def] = dividend % divisor;
-            }
-            break;
-          }
-          case Opcode::kAnd:
-            gp[u.def] = gp[u.a] & gp[u.b];
-            break;
-          case Opcode::kOr:
-            gp[u.def] = gp[u.a] | gp[u.b];
-            break;
-          case Opcode::kXor:
-            gp[u.def] = gp[u.a] ^ gp[u.b];
-            break;
-          case Opcode::kShl:
-            gp[u.def] = static_cast<std::int64_t>(
-                static_cast<std::uint64_t>(gp[u.a]) << (gp[u.b] & 63));
-            break;
-          case Opcode::kShr:
-            gp[u.def] = static_cast<std::int64_t>(
-                static_cast<std::uint64_t>(gp[u.a]) >> (gp[u.b] & 63));
-            break;
-          case Opcode::kSra:
-            gp[u.def] = gp[u.a] >> (gp[u.b] & 63);
-            break;
-          case Opcode::kMin:
-            gp[u.def] = std::min(gp[u.a], gp[u.b]);
-            break;
-          case Opcode::kMax:
-            gp[u.def] = std::max(gp[u.a], gp[u.b]);
-            break;
-          case Opcode::kAddImm:
-            gp[u.def] = wrapAdd(gp[u.a], u.imm);
-            break;
-          case Opcode::kMulImm:
-            gp[u.def] = wrapMul(gp[u.a], u.imm);
-            break;
-          case Opcode::kAndImm:
-            gp[u.def] = gp[u.a] & u.imm;
-            break;
-          case Opcode::kShlImm:
-            gp[u.def] = static_cast<std::int64_t>(
-                static_cast<std::uint64_t>(gp[u.a]) << (u.imm & 63));
-            break;
-          case Opcode::kShrImm:
-            gp[u.def] = static_cast<std::int64_t>(
-                static_cast<std::uint64_t>(gp[u.a]) >> (u.imm & 63));
-            break;
-          case Opcode::kSraImm:
-            gp[u.def] = gp[u.a] >> (u.imm & 63);
-            break;
-          case Opcode::kNeg:
-            gp[u.def] = wrapNeg(gp[u.a]);
-            break;
-          case Opcode::kAbs: {
-            const std::int64_t value = gp[u.a];
-            gp[u.def] = value < 0 ? wrapNeg(value) : value;
-            break;
-          }
-          case Opcode::kNot:
-            gp[u.def] = ~gp[u.a];
-            break;
-          case Opcode::kSelect:
-            gp[u.def] = pr[u.a] != 0 ? gp[u.b] : gp[u.c];
-            break;
-          case Opcode::kCmpEq:
-            pr[u.def] = gp[u.a] == gp[u.b] ? 1 : 0;
-            break;
-          case Opcode::kCmpNe:
-            pr[u.def] = gp[u.a] != gp[u.b] ? 1 : 0;
-            break;
-          case Opcode::kCmpLt:
-            pr[u.def] = gp[u.a] < gp[u.b] ? 1 : 0;
-            break;
-          case Opcode::kCmpLe:
-            pr[u.def] = gp[u.a] <= gp[u.b] ? 1 : 0;
-            break;
-          case Opcode::kCmpGt:
-            pr[u.def] = gp[u.a] > gp[u.b] ? 1 : 0;
-            break;
-          case Opcode::kCmpGe:
-            pr[u.def] = gp[u.a] >= gp[u.b] ? 1 : 0;
-            break;
-          case Opcode::kCmpEqImm:
-            pr[u.def] = gp[u.a] == u.imm ? 1 : 0;
-            break;
-          case Opcode::kCmpNeImm:
-            pr[u.def] = gp[u.a] != u.imm ? 1 : 0;
-            break;
-          case Opcode::kCmpLtImm:
-            pr[u.def] = gp[u.a] < u.imm ? 1 : 0;
-            break;
-          case Opcode::kCmpLeImm:
-            pr[u.def] = gp[u.a] <= u.imm ? 1 : 0;
-            break;
-          case Opcode::kCmpGtImm:
-            pr[u.def] = gp[u.a] > u.imm ? 1 : 0;
-            break;
-          case Opcode::kCmpGeImm:
-            pr[u.def] = gp[u.a] >= u.imm ? 1 : 0;
-            break;
-          case Opcode::kPMov:
-            pr[u.def] = pr[u.a];
-            break;
-          case Opcode::kPNot:
-            pr[u.def] = pr[u.a] != 0 ? 0 : 1;
-            break;
-          case Opcode::kPAnd:
-            pr[u.def] = (pr[u.a] != 0 && pr[u.b] != 0) ? 1 : 0;
-            break;
-          case Opcode::kPOr:
-            pr[u.def] = (pr[u.a] != 0 || pr[u.b] != 0) ? 1 : 0;
-            break;
-          case Opcode::kPXor:
-            pr[u.def] = ((pr[u.a] != 0) != (pr[u.b] != 0)) ? 1 : 0;
-            break;
-          case Opcode::kPSetImm:
-            pr[u.def] = u.imm != 0 ? 1 : 0;
-            break;
-          case Opcode::kFMovImm:
-            fp[u.def] = std::bit_cast<double>(u.imm);
-            break;
-          case Opcode::kFMov:
-            fp[u.def] = fp[u.a];
-            break;
-          case Opcode::kFAdd:
-            fp[u.def] = fp[u.a] + fp[u.b];
-            break;
-          case Opcode::kFSub:
-            fp[u.def] = fp[u.a] - fp[u.b];
-            break;
-          case Opcode::kFMul:
-            fp[u.def] = fp[u.a] * fp[u.b];
-            break;
-          case Opcode::kFDiv:
-            fp[u.def] = fp[u.a] / fp[u.b];
-            break;
-          case Opcode::kFMin:
-            fp[u.def] = std::fmin(fp[u.a], fp[u.b]);
-            break;
-          case Opcode::kFMax:
-            fp[u.def] = std::fmax(fp[u.a], fp[u.b]);
-            break;
-          case Opcode::kFNeg:
-            fp[u.def] = -fp[u.a];
-            break;
-          case Opcode::kFAbs:
-            fp[u.def] = std::fabs(fp[u.a]);
-            break;
-          case Opcode::kFSqrt:
-            fp[u.def] = std::sqrt(fp[u.a]);
-            break;
-          case Opcode::kFCmpEq:
-            pr[u.def] = fp[u.a] == fp[u.b] ? 1 : 0;
-            break;
-          case Opcode::kFCmpLt:
-            pr[u.def] = fp[u.a] < fp[u.b] ? 1 : 0;
-            break;
-          case Opcode::kFCmpLe:
-            pr[u.def] = fp[u.a] <= fp[u.b] ? 1 : 0;
-            break;
-          case Opcode::kI2F:
-            fp[u.def] = static_cast<double>(gp[u.a]);
-            break;
-          case Opcode::kF2I: {
-            const double value = fp[u.a];
-            if (!std::isfinite(value) || value >= 9.2233720368547758e18 ||
-                value < -9.2233720368547758e18) {
-              throw TrapError{TrapKind::kBadConversion, 0};
-            }
-            gp[u.def] = static_cast<std::int64_t>(value);
-            break;
-          }
-          case Opcode::kLoad: {
-            const std::uint64_t address =
-                static_cast<std::uint64_t>(gp[u.a]) +
-                static_cast<std::uint64_t>(u.imm);
-            addr[node] = address;
-            ++stats.memAccesses;
-            gp[u.def] = static_cast<std::int64_t>(memory.readU64(address));
-            break;
-          }
-          case Opcode::kLoadB: {
-            const std::uint64_t address =
-                static_cast<std::uint64_t>(gp[u.a]) +
-                static_cast<std::uint64_t>(u.imm);
-            addr[node] = address;
-            ++stats.memAccesses;
-            gp[u.def] = memory.readU8(address);
-            break;
-          }
-          case Opcode::kStore: {
-            const std::uint64_t address =
-                static_cast<std::uint64_t>(gp[u.a]) +
-                static_cast<std::uint64_t>(u.imm);
-            addr[node] = address;
-            ++stats.memAccesses;
-            memory.writeU64(address, static_cast<std::uint64_t>(gp[u.b]));
-            break;
-          }
-          case Opcode::kStoreB: {
-            const std::uint64_t address =
-                static_cast<std::uint64_t>(gp[u.a]) +
-                static_cast<std::uint64_t>(u.imm);
-            addr[node] = address;
-            ++stats.memAccesses;
-            memory.writeU8(address, static_cast<std::uint8_t>(gp[u.b]));
-            break;
-          }
-          case Opcode::kFLoad: {
-            const std::uint64_t address =
-                static_cast<std::uint64_t>(gp[u.a]) +
-                static_cast<std::uint64_t>(u.imm);
-            addr[node] = address;
-            ++stats.memAccesses;
-            fp[u.def] = memory.readF64(address);
-            break;
-          }
-          case Opcode::kFStore: {
-            const std::uint64_t address =
-                static_cast<std::uint64_t>(gp[u.a]) +
-                static_cast<std::uint64_t>(u.imm);
-            addr[node] = address;
-            ++stats.memAccesses;
-            memory.writeF64(address, fp[u.b]);
-            break;
-          }
-          case Opcode::kCheckG:
-            if (gp[u.a] != gp[u.b]) {
-              throw DetectedSignal{};
-            }
-            break;
-          case Opcode::kCheckF:
-            // Bit-pattern compare: NaN-safe, sensitive to every flipped bit.
-            if (std::bit_cast<std::uint64_t>(fp[u.a]) !=
-                std::bit_cast<std::uint64_t>(fp[u.b])) {
-              throw DetectedSignal{};
-            }
-            break;
-          case Opcode::kCheckP:
-            if (pr[u.a] != pr[u.b]) {
-              throw DetectedSignal{};
-            }
-            break;
-          case Opcode::kFCmpNeBits:
-            pr[u.def] = std::bit_cast<std::uint64_t>(fp[u.a]) !=
-                                std::bit_cast<std::uint64_t>(fp[u.b])
-                            ? 1
-                            : 0;
-            break;
-          case Opcode::kTrapIf:
-            if (pr[u.a] != 0) {
-              throw DetectedSignal{};
-            }
-            break;
-          case Opcode::kBr:
-            next = u.t1;
-            break;
-          case Opcode::kBrCond:
-            next = pr[u.a] != 0 ? u.t1 : u.t2;
-            break;
-          case Opcode::kCall: {
-            // Flush the cursor and push the callee; the call op's own def
-            // bookkeeping runs when the callee's frame pops.
-            f.node = node;
-            f.nextBlock = next;
-            f.returned = returned;
-            pushFrame(u.t1, u.a, u.b, f.base, u.c, u.defCount);
-            pushed = true;  // `f` is dangling now (frames reallocated)
-            break;
-          }
-          case Opcode::kRet: {
-            if (f.retCount != kDiscardReturns) {
-              CASTED_CHECK(u.b == f.retCount)
-                  << "@" << fn.name << " returned " << u.b
-                  << " values, caller expects " << f.retCount;
-              const FrameBase caller = frames[frames.size() - 2].base;
-              for (std::uint32_t i = 0; i < u.b; ++i) {
-                writeBits(caller, prog.pool()[f.retPool + i],
-                          readBits(f.base, prog.pool()[u.a + i]));
-              }
-            }
-            returned = true;
-            break;
-          }
-          case Opcode::kHalt:
-            chargeBlockTiming(fn, blk);
-            throw HaltSignal{gp[u.a]};
-          case Opcode::kOpcodeCount:
-            CASTED_UNREACHABLE("bad opcode");
         }
-        if (pushed) {
-          break;  // enter the callee frame
+        if (u.op < Opcode::kBr || u.op > Opcode::kHalt) [[likely]] {
+          const OpEval eval = evalOp(u, node, regs);
+          if (eval.status == OpStatus::kDetect) [[unlikely]] {
+            return Flow::kDetected;
+          }
+          if (eval.status == OpStatus::kTrap) [[unlikely]] {
+            trap = eval.trap;
+            return Flow::kTrapped;
+          }
+        } else {
+          switch (u.op) {
+            case Opcode::kBr:
+              next = u.t1;
+              break;
+            case Opcode::kBrCond:
+              next = regs.pr[u.a] != 0 ? u.t1 : u.t2;
+              break;
+            case Opcode::kCall: {
+              // Flush the cursor and push the callee; the call op's own def
+              // bookkeeping runs when the callee's frame pops.
+              f.node = node;
+              f.nextBlock = next;
+              f.returned = returned;
+              const FrameBase caller = f.base;
+              const Flow flow =
+                  pushFrame(u.t1, u.a, u.b, caller, u.c, u.defCount);
+              if (flow != Flow::kContinue) {
+                return flow;
+              }
+              if constexpr (kLanes) {
+                lanes->onCall(u, caller, frames.back().base, insns.n);
+              }
+              pushed = true;  // `f` is dangling now (frames reallocated)
+              break;
+            }
+            case Opcode::kRet: {
+              if (f.retCount != kDiscardReturns) {
+                CASTED_CHECK(u.b == f.retCount)
+                    << "@" << fn.name << " returned " << u.b
+                    << " values, caller expects " << f.retCount;
+                const FrameBase caller = frames[frames.size() - 2].base;
+                for (std::uint32_t i = 0; i < u.b; ++i) {
+                  writeBits(caller, prog.pool()[f.retPool + i],
+                            readBits(f.base, prog.pool()[u.a + i]));
+                }
+                if constexpr (kLanes) {
+                  lanes->onRet(u, f, caller, insns.n);
+                }
+              }
+              returned = true;
+              break;
+            }
+            default:  // kHalt
+              chargeBlockTiming(fn, blk);
+              exitCode = regs.gp[u.a];
+              if constexpr (kLanes) {
+                lanes->worst += blk.worstCycles;
+                lanes->finish(f.base.gp + u.a, exitCode, insns.n);
+              }
+              return Flow::kHalted;
+          }
+          if (pushed) {
+            break;  // enter the callee frame
+          }
         }
         if (u.defCount != 0) {
-          const Flow flow = noteDef(u, f, node);
+          const Flow flow = noteDef(u, f, node, insns.n);
           if (flow != Flow::kContinue) {
             f.node = node;
             f.nextBlock = next;
@@ -892,10 +991,16 @@ struct Interp {
         continue;  // run the callee; the call op completes at its pop
       }
       chargeBlockTiming(fn, blk);
+      if constexpr (kLanes) {
+        lanes->worst += blk.worstCycles;
+      }
       if (returned) {
         // Pop the frame, then complete the caller's pending call op (its
         // defs were written back by the kRet above).
         const FrameBase base = f.base;
+        if constexpr (kLanes) {
+          lanes->onPop(base);
+        }
         gpStack.resize(base.gp);
         fpStack.resize(base.fp);
         prStack.resize(base.pr);
@@ -908,7 +1013,7 @@ struct Interp {
         const MicroOp& call =
             cfn.ops[cfn.blocks[caller.block].firstOp + caller.node];
         if (call.defCount != 0) {
-          const Flow flow = noteDef(call, caller, caller.node);
+          const Flow flow = noteDef(call, caller, caller.node, insns.n);
           if (flow != Flow::kContinue) {
             return flow;  // caller.node still points at the call op
           }
@@ -924,7 +1029,7 @@ struct Interp {
       f.nextBlock = ir::kInvalidBlock;
       f.returned = false;
       if (stats.cycles > options->maxCycles) {
-        throw TimeoutSignal{};
+        return Flow::kTimeout;
       }
     }
   }
@@ -935,7 +1040,8 @@ struct Interp {
   void finishPausedDef() {
     InterpFrame& f = frames.back();
     const DecodedFunction& fn = prog.functions()[f.func];
-    finishDef(fn.ops[fn.blocks[f.block].firstOp + f.node], f.base);
+    finishDef(fn.ops[fn.blocks[f.block].firstOp + f.node], f.base,
+              stats.dynamicInsns);
     ++f.node;
   }
 
@@ -943,38 +1049,42 @@ struct Interp {
   // at a def; otherwise `result` is final and `finished` set.
   bool drive() {
     CASTED_CHECK(!finished) << "run already complete";
-    try {
-      if (!started) {
-        started = true;
-        pushFrame(prog.entryFunction(), 0, 0, FrameBase{}, 0,
-                  kDiscardReturns);
-      }
+    Flow flow = Flow::kContinue;
+    if (!started) {
+      started = true;
+      flow = pushFrame(prog.entryFunction(), 0, 0, FrameBase{}, 0,
+                       kDiscardReturns);
+    }
+    if (flow == Flow::kContinue) {
       if (pausedAtDef) {
         pausedAtDef = false;
         finishPausedDef();
       }
-      if (exec() == Flow::kPause) {
+      flow = exec<false>();
+      if (flow == Flow::kPause) {
         pausedAtDef = true;
         return true;
       }
-      // The entry function returned without halting: clean exit, code 0.
-      result = RunResult{};
-      result.exit = ExitKind::kHalted;
-      result.exitCode = 0;
-    } catch (const HaltSignal& halt) {
-      result = RunResult{};
-      result.exit = ExitKind::kHalted;
-      result.exitCode = halt.exitCode;
-    } catch (const DetectedSignal&) {
-      result = RunResult{};
-      result.exit = ExitKind::kDetected;
-    } catch (const TrapError& trap) {
-      result = RunResult{};
-      result.exit = ExitKind::kException;
-      result.trap = trap.kind;
-    } catch (const TimeoutSignal&) {
-      result = RunResult{};
-      result.exit = ExitKind::kTimeout;
+    }
+    result = RunResult{};
+    switch (flow) {
+      case Flow::kFinished:  // the entry function returned: clean exit
+      case Flow::kHalted:
+        result.exit = ExitKind::kHalted;
+        result.exitCode = flow == Flow::kHalted ? exitCode : 0;
+        break;
+      case Flow::kDetected:
+        result.exit = ExitKind::kDetected;
+        break;
+      case Flow::kTrapped:
+        result.exit = ExitKind::kException;
+        result.trap = trap;
+        break;
+      case Flow::kTimeout:
+        result.exit = ExitKind::kTimeout;
+        break;
+      default:
+        CASTED_UNREACHABLE("run ended without an outcome");
     }
     for (int level = 0; level < 3; ++level) {
       stats.cacheLevel[level] = caches.levelStats(level);
@@ -1002,6 +1112,47 @@ struct Interp {
     const bool paused = drive();
     CASTED_CHECK(!paused);
     return result;
+  }
+
+  // ---- Lockstep lanes (see DecodedRunner::runLockstep) ----
+
+  void runLanes(const SimOptions& opts,
+                const std::vector<const FaultPlan*>& plans,
+                std::vector<LaneVerdict>& verdicts) {
+    CASTED_CHECK(opts.faultPlan == nullptr && opts.defTrace == nullptr)
+        << "the golden stream runs without a plan or a def trace";
+    CASTED_CHECK(plans.size() <= DecodedRunner::kMaxLanes)
+        << plans.size() << " lanes exceed the window of "
+        << DecodedRunner::kMaxLanes;
+    stepOptions = opts;
+    reset(stepOptions);
+    verdicts.assign(plans.size(), LaneVerdict{});
+    if (plans.empty()) {
+      return;
+    }
+    Lanes& window = laneState;
+    window.begin(plans, verdicts);
+    lanes = &window;
+    nextFaultOrdinal = window.nextOrdinal();
+    updateNextEvent();
+    started = true;
+    Flow flow = pushFrame(prog.entryFunction(), 0, 0, FrameBase{}, 0,
+                          kDiscardReturns);
+    if (flow == Flow::kContinue) {
+      window.syncArenas();
+      flow = exec<true>();
+    }
+    // kHalted already decided the lanes inside exec (the exit code's
+    // register is only known there).
+    if (flow == Flow::kFinished) {
+      window.finish(std::nullopt, 0, stats.dynamicInsns);
+    } else if (flow == Flow::kTimeout) {
+      window.timeout(stats.dynamicInsns);
+    }
+    lanes = nullptr;
+    CASTED_CHECK(flow != Flow::kDetected && flow != Flow::kTrapped &&
+                 window.open == 0 && window.diffs == 0)
+        << "the golden stream ended without deciding its lanes";
   }
 
   // ---- Stepwise API (see DecodedRunner) ----
@@ -1101,6 +1252,621 @@ struct Interp {
   }
 };
 
+// ---------------------------------------------------------------------------
+// Lockstep lanes.
+//
+// Invariant: a live lane's architectural state is the golden stream's state
+// overlaid with the lane's DiffMap (registers by absolute arena slot, memory
+// by aligned 8-byte word), and its control flow and def ordinals are the
+// golden stream's.  Every hook below preserves it, or ends the lane.
+
+// A lane op whose cost exceeds this many plain ops makes the rerun cheaper:
+// the measured cost of a lane op over a plain golden op (EXPERIMENTS.md,
+// "Lockstep lanes").  kLaneOpGrace lane ops are free of the budget, so a
+// short-lived lane (a flip that a check catches a few ops later) is never
+// sent back for its first dense burst.  Without the grace, 63% of the
+// Fig. 9 lanes fell back and the campaign ran 23% slower; 64 to 1024
+// measured alike (EXPERIMENTS.md, "The budget's grace").
+constexpr std::uint64_t kLaneOpCost = 3;
+constexpr std::uint64_t kLaneOpGrace = 256;
+
+// evalOp's access that only observes the golden stream: golden operands,
+// golden memory, and the address and value of its one memory access.
+struct GoldenPeek {
+  const Interp& in;
+  InterpFrameBase base;
+  std::uint64_t def = 0;      // bits of the op's result
+  std::uint64_t address = 0;  // of a load or store
+  std::uint64_t stored = 0;   // value of a store
+
+  std::int64_t g(std::uint32_t slot) const {
+    return in.gpStack[base.gp + slot];
+  }
+  double f(std::uint32_t slot) const { return in.fpStack[base.fp + slot]; }
+  std::uint8_t p(std::uint32_t slot) const {
+    return in.prStack[base.pr + slot];
+  }
+  void setG(std::uint32_t, std::int64_t value) {
+    def = static_cast<std::uint64_t>(value);
+  }
+  void setF(std::uint32_t, double value) {
+    def = std::bit_cast<std::uint64_t>(value);
+  }
+  void setP(std::uint32_t, std::uint8_t value) { def = value; }
+  TrapKind load(std::uint32_t, std::uint64_t at, std::uint32_t width,
+                std::uint64_t& value) {
+    address = at;
+    const TrapKind trap = in.memory.accessTrap(at, width);
+    if (trap == TrapKind::kNone) {
+      value = width == 8 ? in.memory.rawReadU64(at) : in.memory.rawReadU8(at);
+    }
+    return trap;
+  }
+  TrapKind store(std::uint32_t, std::uint64_t at, std::uint32_t width,
+                 std::uint64_t value) {
+    address = at;
+    stored = value;
+    return in.memory.accessTrap(at, width);
+  }
+};
+
+// evalOp's access for one lane: the lane's values (its diffs over golden's)
+// and its view of memory; results are captured for Lanes::step to commit.
+struct LaneAccess {
+  const Lanes& lanes;
+  std::uint32_t lane;
+  InterpFrameBase base;
+  std::uint64_t def = 0;
+  std::uint64_t address = 0;
+  std::uint64_t stored = 0;
+
+  std::int64_t g(std::uint32_t slot) const {
+    return static_cast<std::int64_t>(lanes.laneBits(lane, 0, base.gp + slot));
+  }
+  double f(std::uint32_t slot) const {
+    return std::bit_cast<double>(lanes.laneBits(lane, 1, base.fp + slot));
+  }
+  std::uint8_t p(std::uint32_t slot) const {
+    return static_cast<std::uint8_t>(lanes.laneBits(lane, 2, base.pr + slot));
+  }
+  void setG(std::uint32_t, std::int64_t value) {
+    def = static_cast<std::uint64_t>(value);
+  }
+  void setF(std::uint32_t, double value) {
+    def = std::bit_cast<std::uint64_t>(value);
+  }
+  void setP(std::uint32_t, std::uint8_t value) { def = value; }
+  TrapKind load(std::uint32_t, std::uint64_t at, std::uint32_t width,
+                std::uint64_t& value) {
+    address = at;
+    const TrapKind trap = lanes.in.memory.accessTrap(at, width);
+    if (trap == TrapKind::kNone) {
+      // The lane's view: golden's current memory overlaid with its words.
+      const std::uint64_t bits = lanes.laneWord(lane, at & ~7ULL);
+      value = width == 8 ? bits : (bits >> (8 * (at & 7))) & 0xFF;
+    }
+    return trap;
+  }
+  TrapKind store(std::uint32_t, std::uint64_t at, std::uint32_t width,
+                 std::uint64_t value) {
+    address = at;
+    stored = value;
+    return lanes.in.memory.accessTrap(at, width);
+  }
+};
+
+// Lanes address the bytes of a memory word by shifting, which matches
+// memory order only on a little-endian host.
+static_assert(std::endian::native == std::endian::little);
+
+// `word` after a store of `width` bytes of `value` at `at` (inside it).
+std::uint64_t storedWord(std::uint64_t word, std::uint64_t at,
+                         std::uint32_t width, std::uint64_t value) {
+  if (width == 8) {
+    return value;
+  }
+  const std::uint32_t shift = 8 * static_cast<std::uint32_t>(at & 7);
+  return (word & ~(0xFFULL << shift)) | ((value & 0xFF) << shift);
+}
+
+void Lanes::begin(const std::vector<const FaultPlan*>& plans,
+                  std::vector<LaneVerdict>& out) {
+  if (open != 0) {
+    // The last window was abandoned midway: its sets are not empty.
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      std::fill(regMask[c].begin(), regMask[c].end(), LaneSet{});
+      std::fill(regAny[c].begin(), regAny[c].end(), 0);
+    }
+    memIndex.clear();
+    memSets.clear();
+    freeSets.clear();
+    std::fill(memAny.begin(), memAny.end(), 0);
+    diffs = 0;
+  }
+  verdicts = &out;
+  lanes.resize(plans.size());
+  events.clear();
+  for (std::uint32_t i = 0; i < plans.size(); ++i) {
+    CASTED_CHECK(!plans[i]->points.empty()) << "empty fault plan";
+    DiffMap diff = std::move(lanes[i].diff);  // keeps its allocation
+    diff.clear();
+    lanes[i] = Lane{};
+    lanes[i].plan = plans[i];
+    lanes[i].diff = std::move(diff);
+    events.emplace_back(plans[i]->points[0].ordinal, i);
+  }
+  std::make_heap(events.begin(), events.end(), std::greater<>());
+  open = plans.size();
+  worst = 0;
+  const std::uint64_t words =
+      (in.memory.arenaEnd() - ir::Program::kGlobalBase + 7) / 8;
+  if (words != memWords) {
+    memWords = words;
+    memAny.assign((memWords + 63) / 64, 0);
+  }
+}
+
+LaneView Lanes::view(const InterpFrameBase& base) const {
+  LaneView v;
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    v.regAny[c] = regAny[c].data() + slotBase(base, c);
+  }
+  v.memAny = memAny.data();
+  v.memWords = memWords;
+  return v;
+}
+
+std::uint64_t Lanes::nextOrdinal() const {
+  return events.empty() ? kNoFault : events.front().first;
+}
+
+void Lanes::syncArenas() {
+  const std::size_t sizes[3] = {in.gpStack.size(), in.fpStack.size(),
+                                in.prStack.size()};
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    if (regMask[c].size() < sizes[c]) {
+      regMask[c].resize(sizes[c]);
+      regAny[c].resize(sizes[c], 0);
+    }
+  }
+}
+
+inline std::uint64_t Lanes::goldenBits(std::uint32_t cls,
+                                       std::uint32_t slot) const {
+  switch (cls) {
+    case 0:
+      return static_cast<std::uint64_t>(in.gpStack[slot]);
+    case 1:
+      return std::bit_cast<std::uint64_t>(in.fpStack[slot]);
+    default:
+      return in.prStack[slot];
+  }
+}
+
+inline std::uint64_t Lanes::laneBits(std::uint32_t lane, std::uint32_t cls,
+                              std::uint32_t slot) const {
+  return regMask[cls][slot].test(lane)
+             ? lanes[lane].diff.at(DiffMap::regKey(cls, slot))
+             : goldenBits(cls, slot);
+}
+
+const LaneSet* Lanes::wordLanes(std::uint64_t word) const {
+  const std::uint64_t index = (word - ir::Program::kGlobalBase) >> 3;
+  if (((memAny[index >> 6] >> (index & 63)) & 1) == 0) {
+    return nullptr;
+  }
+  return &memSets[memIndex.at(word)];
+}
+
+bool Lanes::hasWord(std::uint32_t lane, std::uint64_t word) const {
+  const LaneSet* set = wordLanes(word);
+  return set != nullptr && set->test(lane);
+}
+
+// Adds or removes `lane` from the lanes of `word`.
+void Lanes::markWord(std::uint32_t lane, std::uint64_t word, bool differs) {
+  const std::uint64_t index = (word - ir::Program::kGlobalBase) >> 3;
+  std::uint64_t& bits = memAny[index >> 6];
+  const std::uint64_t bit = 1ULL << (index & 63);
+  if (differs) {
+    if ((bits & bit) == 0) {
+      std::uint32_t set = static_cast<std::uint32_t>(memSets.size());
+      if (freeSets.empty()) {
+        memSets.emplace_back();
+      } else {
+        set = freeSets.back();
+        freeSets.pop_back();
+      }
+      memIndex.put(word, set);
+      bits |= bit;
+    }
+    memSets[memIndex.at(word)].set(lane);
+  } else if ((bits & bit) != 0) {
+    const std::uint32_t set = static_cast<std::uint32_t>(memIndex.at(word));
+    memSets[set].reset(lane);
+    if (!memSets[set].any()) {
+      memIndex.erase(word);
+      freeSets.push_back(set);
+      bits &= ~bit;
+    }
+  }
+}
+
+std::uint64_t Lanes::laneWord(std::uint32_t lane, std::uint64_t word) const {
+  return hasWord(lane, word) ? lanes[lane].diff.at(DiffMap::wordKey(word))
+                             : in.memory.peekWord(word);
+}
+
+// Records the lane's value of a register, as a diff iff it differs from
+// the golden stream's value there, `golden`.
+inline void Lanes::setReg(std::uint32_t lane, std::uint32_t cls,
+                          std::uint32_t slot, std::uint64_t bits,
+                          std::uint64_t golden) {
+  LaneSet& mask = regMask[cls][slot];
+  const std::uint64_t key = DiffMap::regKey(cls, slot);
+  if (bits != golden) {
+    diffs += lanes[lane].diff.put(key, bits) ? 1 : 0;
+    mask.set(lane);
+    regAny[cls][slot] = 1;
+  } else if (mask.test(lane)) {
+    lanes[lane].diff.erase(key);
+    --diffs;
+    mask.reset(lane);
+    regAny[cls][slot] = mask.any() ? 1 : 0;
+  }
+}
+
+// The same for an aligned memory word.
+void Lanes::setWord(std::uint32_t lane, std::uint64_t word,
+                    std::uint64_t bits, std::uint64_t golden) {
+  const std::uint64_t key = DiffMap::wordKey(word);
+  if (bits != golden) {
+    diffs += lanes[lane].diff.put(key, bits) ? 1 : 0;
+    markWord(lane, word, true);
+  } else if (hasWord(lane, word)) {
+    lanes[lane].diff.erase(key);
+    --diffs;
+    markWord(lane, word, false);
+  }
+}
+
+// Counts one op of lane work; false when the lane ran out of budget (and
+// was sent back).
+inline bool Lanes::chargeLaneOp(std::uint32_t lane, std::uint64_t insns) {
+  Lane& l = lanes[lane];
+  ++l.laneOps;
+  if (l.laneOps > kLaneOpGrace &&
+      l.laneOps * kLaneOpCost > insns - l.injectedAt) {
+    decide(lane, LaneEnd::kFallbackBudget, insns);
+    return false;
+  }
+  return true;
+}
+
+void Lanes::markDiverged(std::uint32_t lane) {
+  Lane& l = lanes[lane];
+  if (!l.diverged) {
+    l.diverged = true;
+    l.boundStart = in.stats.cycles;
+    l.worstBefore = worst;
+  }
+}
+
+// Ends a lane.  An exact decision of a lane whose address once differed
+// stands only if its cycle bound kept it under the watchdog until now.
+void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
+                   bool corrupt) {
+  Lane& l = lanes[lane];
+  if (!isFallback(end) && l.diverged &&
+      l.boundStart + (worst - l.worstBefore) > in.options->maxCycles) {
+    end = LaneEnd::kFallbackTiming;
+  }
+  LaneVerdict& v = (*verdicts)[lane];
+  v.end = end;
+  v.corrupt = corrupt;
+  v.dynamicInsns = insns;
+  v.laneOps = l.laneOps;
+  diffs -= l.diff.size();
+  l.diff.drain([&](std::uint64_t key, std::uint64_t) {
+    if (DiffMap::isWordKey(key)) {
+      markWord(lane, key & ((1ULL << 60) - 1), false);
+    } else {
+      const std::uint32_t cls = static_cast<std::uint32_t>(key >> 60);
+      const std::uint32_t slot = static_cast<std::uint32_t>(key);
+      regMask[cls][slot].reset(lane);
+      regAny[cls][slot] = regMask[cls][slot].any() ? 1 : 0;
+    }
+  });
+  l.state = State::kDone;
+  --open;
+}
+
+// A live lane whose diffs all died with no flip pending is the golden run
+// from here on; it waits for the stream's end, which decides it.
+inline void Lanes::noteReconverged(std::uint32_t lane) {
+  Lane& l = lanes[lane];
+  if (l.state == State::kLive && l.diff.empty() &&
+      l.cursor == l.plan->points.size()) {
+    l.state = State::kReconverged;
+  }
+}
+
+bool Lanes::step(const MicroOp& u, std::uint32_t node,
+                 const InterpFrameBase& base, std::uint64_t insns) {
+  LaneSet touched;
+  const std::uint32_t field[3] = {u.a, u.b, u.c};
+  for (int i = 0; i < 3; ++i) {
+    const std::uint32_t cls = u.useClass[i];
+    if (cls != MicroOp::kNoUse) {
+      touched |= regMask[cls][slotBase(base, cls) + field[i]];
+    }
+  }
+  if (u.op == Opcode::kBrCond) {
+    // Golden predicates are 0/1, so a differing one takes the other edge.
+    touched.forEach([&](std::uint32_t lane) {
+      decide(lane, LaneEnd::kFallbackControl, insns);
+    });
+    return open == 0;
+  }
+  const bool hasDef = u.defCount == 1 && u.op != Opcode::kCall;
+  const std::uint32_t defSlot = slotBase(base, u.defClass) + u.def;
+  if (hasDef) {
+    touched |= regMask[u.defClass][defSlot];
+  }
+  GoldenPeek golden{in, base};
+  const OpEval goldenEval = evalOp(u, node, golden);
+  CASTED_CHECK(goldenEval.status == OpStatus::kOk)
+      << "the golden stream cannot trap, detect or branch in a lane step";
+  const bool memoryOp = isMemOp(u.op);
+  const bool storeOp = memoryOp && (u.op == Opcode::kStore ||
+                                    u.op == Opcode::kStoreB ||
+                                    u.op == Opcode::kFStore);
+  const std::uint32_t width = u.op == Opcode::kLoadB || u.op == Opcode::kStoreB
+                                  ? 1
+                                  : 8;
+  const std::uint64_t goldenWord = golden.address & ~7ULL;
+  if (memoryOp) {
+    if (const LaneSet* set = wordLanes(goldenWord)) {
+      touched |= *set;
+    }
+  }
+
+  touched.forEach([&](std::uint32_t lane) {
+    if (!chargeLaneOp(lane, insns)) {
+      return;
+    }
+    LaneAccess access{*this, lane, base};
+    const OpEval eval = evalOp(u, node, access);
+    if (eval.status == OpStatus::kDetect) {
+      decide(lane, LaneEnd::kDetected, insns);
+      return;
+    }
+    if (eval.status == OpStatus::kTrap) {
+      decide(lane, LaneEnd::kException, insns);
+      return;
+    }
+    if (memoryOp && access.address != golden.address) {
+      markDiverged(lane);  // its cache sees another line from here on
+    }
+    // The golden stream writes after this step, so the lane's results are
+    // compared against golden's results of this op, not its memory.
+    if (hasDef) {
+      setReg(lane, u.defClass, defSlot, access.def, golden.def);
+    }
+    if (storeOp) {
+      // After both stores, the lane keeps its own bytes at golden's address
+      // (unless it wrote there too), and its word at its own address holds
+      // what it wrote.
+      const std::uint64_t laneWordAddr = access.address & ~7ULL;
+      const std::uint64_t words[2] = {laneWordAddr, goldenWord};
+      for (int k = 0; k < (laneWordAddr == goldenWord ? 1 : 2); ++k) {
+        const std::uint64_t word = words[k];
+        std::uint64_t laneValue = laneWord(lane, word);
+        if (word == laneWordAddr) {
+          laneValue = storedWord(laneValue, access.address, width,
+                                 access.stored);
+        }
+        std::uint64_t goldenValue = in.memory.peekWord(word);
+        if (word == goldenWord) {
+          goldenValue = storedWord(goldenValue, golden.address, width,
+                                   golden.stored);
+        }
+        setWord(lane, word, laneValue, goldenValue);
+      }
+    }
+    noteReconverged(lane);
+  });
+  return open == 0;
+}
+
+void Lanes::onDef(const MicroOp& u, const InterpFrameBase& base,
+                  std::uint64_t insns) {
+  while (!events.empty() && events.front().first == in.defOrdinal) {
+    const std::uint32_t lane = events.front().second;
+    std::pop_heap(events.begin(), events.end(), std::greater<>());
+    events.pop_back();
+    Lane& l = lanes[lane];
+    const FaultPoint& point = l.plan->points[l.cursor++];
+    if (l.state == State::kDone) {
+      continue;
+    }
+    if (l.state == State::kDormant) {
+      l.state = State::kLive;
+      l.injectedAt = insns;
+    }
+    if (l.cursor < l.plan->points.size()) {
+      events.emplace_back(l.plan->points[l.cursor].ordinal, lane);
+      std::push_heap(events.begin(), events.end(), std::greater<>());
+    }
+    const DecodedReg target = in.faultTarget(u, point);
+    const std::uint32_t slot = slotBase(base, target.cls) + target.slot;
+    const std::uint64_t bits = laneBits(lane, target.cls, slot);
+    setReg(lane, target.cls, slot,
+           target.cls == static_cast<std::uint8_t>(RegClass::kPr)
+               ? bits ^ 1
+               : bits ^ (1ULL << (point.bit & 63)),
+           goldenBits(target.cls, slot));
+    noteReconverged(lane);
+  }
+  in.nextFaultOrdinal = nextOrdinal();
+}
+
+// The value a call argument or returned value takes in a register of class
+// `cls` (Interp::writeBits's conversion).
+std::uint64_t asClass(std::uint32_t cls, std::uint64_t bits) {
+  return cls == static_cast<std::uint32_t>(RegClass::kPr) ? (bits != 0 ? 1 : 0)
+                                                          : bits;
+}
+
+void Lanes::onCall(const MicroOp& call, const InterpFrameBase& caller,
+                   const InterpFrameBase& callee, std::uint64_t insns) {
+  syncArenas();
+  const DecodedReg* args = in.prog.pool().data() + call.a;
+  LaneSet touched;
+  for (std::uint32_t i = 0; i < call.b; ++i) {
+    const std::uint32_t slot = slotBase(caller, args[i].cls) + args[i].slot;
+    if (regAny[args[i].cls][slot] != 0) {
+      touched |= regMask[args[i].cls][slot];
+    }
+  }
+  const DecodedFunction& fn = in.prog.functions()[call.t1];
+  touched.forEach([&](std::uint32_t lane) {
+    if (!chargeLaneOp(lane, insns)) {
+      return;
+    }
+    for (std::uint32_t i = 0; i < call.b; ++i) {
+      const DecodedReg& param = fn.params[i];
+      const std::uint32_t slot = slotBase(callee, param.cls) + param.slot;
+      setReg(lane, param.cls, slot,
+             asClass(param.cls,
+                     laneBits(lane, args[i].cls,
+                              slotBase(caller, args[i].cls) + args[i].slot)),
+             goldenBits(param.cls, slot));
+    }
+  });
+}
+
+void Lanes::onRet(const MicroOp& ret, const InterpFrame& callee,
+                  const InterpFrameBase& caller, std::uint64_t insns) {
+  const DecodedReg* values = in.prog.pool().data() + ret.a;
+  const DecodedReg* defs = in.prog.pool().data() + callee.retPool;
+  LaneSet touched;
+  for (std::uint32_t i = 0; i < ret.b; ++i) {
+    touched |= regMask[values[i].cls]
+                      [slotBase(callee.base, values[i].cls) + values[i].slot];
+    touched |=
+        regMask[defs[i].cls][slotBase(caller, defs[i].cls) + defs[i].slot];
+  }
+  touched.forEach([&](std::uint32_t lane) {
+    if (!chargeLaneOp(lane, insns)) {
+      return;
+    }
+    for (std::uint32_t i = 0; i < ret.b; ++i) {
+      const std::uint32_t slot =
+          slotBase(caller, defs[i].cls) + defs[i].slot;
+      setReg(lane, defs[i].cls, slot,
+             asClass(defs[i].cls,
+                     laneBits(lane, values[i].cls,
+                              slotBase(callee.base, values[i].cls) +
+                                  values[i].slot)),
+             goldenBits(defs[i].cls, slot));
+    }
+    noteReconverged(lane);
+  });
+}
+
+// The popped frame's slots are dead (the next push zeroes them), so no lane
+// keeps a diff there: a new frame never inherits one.
+void Lanes::onPop(const InterpFrameBase& base) {
+  if (diffs == 0) {
+    return;
+  }
+  const std::size_t tops[3] = {in.gpStack.size(), in.fpStack.size(),
+                               in.prStack.size()};
+  LaneSet touched;
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    for (std::size_t slot = slotBase(base, c); slot < tops[c]; ++slot) {
+      if (regAny[c][slot] == 0) {
+        continue;
+      }
+      const std::uint64_t key =
+          DiffMap::regKey(c, static_cast<std::uint32_t>(slot));
+      regMask[c][slot].forEach(
+          [&](std::uint32_t lane) {
+            lanes[lane].diff.erase(key);
+            --diffs;
+          });
+      touched |= regMask[c][slot];
+      regMask[c][slot] = LaneSet{};
+      regAny[c][slot] = 0;
+    }
+  }
+  touched.forEach([&](std::uint32_t lane) { noteReconverged(lane); });
+}
+
+// Whether the lane's output symbol, golden's overlaid with its words,
+// differs from golden's.
+bool Lanes::outputDiffers(std::uint32_t lane) const {
+  const ir::GlobalSymbol* output = nullptr;
+  for (const ir::GlobalSymbol& sym : in.prog.symbols()) {
+    if (sym.name == in.options->outputSymbol) {
+      output = &sym;
+      break;
+    }
+  }
+  if (output == nullptr) {
+    return false;
+  }
+  bool differs = false;
+  lanes[lane].diff.forEach([&](std::uint64_t key, std::uint64_t bits) {
+    if (!DiffMap::isWordKey(key)) {
+      return;
+    }
+    const std::uint64_t word = key & ((1ULL << 60) - 1);
+    const std::uint64_t golden = in.memory.peekWord(word);
+    for (std::uint64_t byte = 0; byte < 8; ++byte) {
+      const std::uint64_t at = word + byte;
+      if (at >= output->address && at < output->address + output->size &&
+          ((bits ^ golden) >> (8 * byte) & 0xFF) != 0) {
+        differs = true;
+      }
+    }
+  });
+  return differs;
+}
+
+void Lanes::finish(std::optional<std::uint32_t> exitSlot,
+                   std::int64_t exitCode, std::uint64_t insns) {
+  for (std::uint32_t lane = 0; lane < lanes.size(); ++lane) {
+    const Lane& l = lanes[lane];
+    if (l.state == State::kDone) {
+      continue;
+    }
+    if (l.state == State::kReconverged) {
+      decide(lane, LaneEnd::kReconverged, insns);
+      continue;
+    }
+    const bool exitDiffers =
+        exitSlot.has_value() &&
+        static_cast<std::int64_t>(laneBits(lane, 0, *exitSlot)) != exitCode;
+    decide(lane, LaneEnd::kHalted, insns, exitDiffers || outputDiffers(lane));
+  }
+}
+
+// The golden stream's watchdog expired.  A lane on golden's addresses has
+// golden's cycles, so it times out here too; any other lane's cycles are
+// unknown.
+void Lanes::timeout(std::uint64_t insns) {
+  for (std::uint32_t lane = 0; lane < lanes.size(); ++lane) {
+    if (lanes[lane].state != State::kDone) {
+      decide(lane,
+             lanes[lane].diverged ? LaneEnd::kFallbackTiming
+                                  : LaneEnd::kTimeout,
+             insns);
+    }
+  }
+}
+
 }  // namespace
 
 struct DecodedRunner::Impl {
@@ -1155,6 +1921,12 @@ RunResult DecodedRunner::finish() {
   RunResult result = impl_->interp.finishRun();
   traceRunStats("decoded", result.stats);
   return result;
+}
+
+void DecodedRunner::runLockstep(const SimOptions& options,
+                                const std::vector<const FaultPlan*>& plans,
+                                std::vector<LaneVerdict>& verdicts) {
+  impl_->interp.runLanes(options, plans, verdicts);
 }
 
 RunResult runDecoded(const DecodedProgram& program, const SimOptions& options) {

@@ -26,6 +26,7 @@
 // the oracle and the decoded engine is wrong.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -57,7 +58,14 @@ struct DecodedReg {
 //     list, b = argument count, c = pool offset of the return-def list,
 //     defCount = return-def count;
 //   * kRet: a = pool offset of the returned-value list, b = its count.
+// useClass[i] is the raw ir::RegClass of a/b/c when that field is a
+// register the op reads, else kNoUse (immediates, targets, pool fields,
+// and kHalt's exit code, which the lockstep lanes read at the halt).  Only
+// the lockstep lanes look at it, to find the ops that read a differing
+// register; it fills what was padding.
 struct MicroOp {
+  static constexpr std::uint8_t kNoUse = 3;
+
   ir::Opcode op = ir::Opcode::kNop;
   std::uint8_t defClass = 0;   // raw ir::RegClass of defs[0] (defCount == 1)
   std::uint16_t defCount = 0;
@@ -67,12 +75,16 @@ struct MicroOp {
   std::uint32_t c = 0;
   std::uint32_t t1 = 0;
   std::uint32_t t2 = 0;
+  std::uint8_t useClass[3] = {kNoUse, kNoUse, kNoUse};
   std::int64_t imm = 0;
 };
+static_assert(sizeof(MicroOp) == 40, "MicroOp grew past its padding");
 
 // Static per-block data: the micro-op range plus the precomputed timing
 // summary (schedule length, cycle-sorted memory plan and its same-cycle
-// bundle partition).
+// bundle partition).  worstCycles bounds what one execution of the block
+// can cost whatever the cache state: schedLength + bundleCount x (the
+// largest latency CacheHierarchy::access can return - the base latency).
 struct DecodedBlock {
   std::uint32_t firstOp = 0;
   std::uint32_t opCount = 0;
@@ -81,6 +93,7 @@ struct DecodedBlock {
   std::uint32_t planCount = 0;
   std::uint32_t bundleFirst = 0;   // into DecodedFunction::bundleSizes
   std::uint32_t bundleCount = 0;
+  std::uint32_t worstCycles = 0;
 };
 
 struct DecodedFunction {
@@ -154,6 +167,37 @@ class ArchCheckpoint {
   std::unique_ptr<Data> data_;
 };
 
+// How a lockstep lane ended (DecodedRunner::runLockstep).  The first five
+// are exact decisions; the fallbacks leave the plan to a stepwise run.
+enum class LaneEnd : std::uint8_t {
+  kDetected,         // a check read a differing operand and fired
+  kException,        // the lane trapped on its own values
+  kHalted,           // the run ended with the lane's diffs still live
+  kReconverged,      // every diff died and no flip was pending
+  kTimeout,          // the golden stream's watchdog expired
+  kFallbackControl,  // a branch predicate differed
+  kFallbackTiming,   // the lane's cycle bound exceeded the watchdog
+  kFallbackBudget,   // the lane cost more lane ops than its budget
+};
+inline constexpr std::size_t kLaneEndCount = 8;
+
+const char* laneEndName(LaneEnd end);
+
+inline bool isFallback(LaneEnd end) {
+  return end >= LaneEnd::kFallbackControl;
+}
+
+// One lane's verdict.  For a decided lane, the faulty run of its plan would
+// have ended as `end` says after exactly `dynamicInsns` instructions, with
+// an exit code or output different from the golden run's iff `corrupt`
+// (kHalted only; a reconverged lane ends as the golden run did).
+struct LaneVerdict {
+  LaneEnd end = LaneEnd::kReconverged;
+  bool corrupt = false;
+  std::uint64_t dynamicInsns = 0;
+  std::uint64_t laneOps = 0;  // ops this lane evaluated on its own values
+};
+
 // A reusable execution context over one DecodedProgram: the memory image,
 // cache hierarchy and register arenas are allocated once and recycled
 // between runs in O(state the previous run touched) — epoch-invalidated
@@ -223,6 +267,22 @@ class DecodedRunner {
   // returns its result.  Each call adds the run to the trace's
   // sim.decoded.* counters, as run() does.
   RunResult finish();
+
+  // ---- Lockstep lanes (DESIGN.md §10, "Lockstep lanes") ----
+  //
+  // Decides up to kMaxLanes fault plans against ONE golden stream: the
+  // fault-free run under `options` (faultPlan and defTrace null; maxCycles
+  // is the watchdog every plan runs under).  Each plan is a lane that holds
+  // only its pending flips and the registers and aligned memory words where
+  // its values differ from the golden run's; an op costs lane work only
+  // when it reads a differing value.  verdicts[i] receives plans[i]'s
+  // verdict; a decided verdict matches a whole run(options-with-plan) in
+  // exit kind, instruction count and output/exit-code agreement.  Ends the
+  // runner's stepwise run (begin() again before runToDef).
+  static constexpr std::size_t kMaxLanes = 256;
+  void runLockstep(const SimOptions& options,
+                   const std::vector<const FaultPlan*>& plans,
+                   std::vector<LaneVerdict>& verdicts);
 
  private:
   struct Impl;

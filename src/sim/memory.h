@@ -7,6 +7,7 @@
 // 64-bit accesses must be 8-byte aligned; violations raise kMisaligned.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -50,37 +51,80 @@ class Memory {
     return ir::Program::kGlobalBase + bytes_.size();
   }
 
+  // The memory rule: the trap an access of `width` bytes (1 or 8) at
+  // `address` raises, or kNone.  Addresses outside [kGlobalBase, arenaEnd)
+  // are bad; a 64-bit access must also be 8-byte aligned.  The throwing
+  // accessors, the decoded engine and its lockstep lanes all decide traps
+  // here, so none of them can disagree with the model about what traps.
+  TrapKind accessTrap(std::uint64_t address, std::uint32_t width) const {
+    if (address < ir::Program::kGlobalBase || address + width > arenaEnd() ||
+        address + width < address) {
+      return TrapKind::kBadAddress;
+    }
+    if (width == 8 && (address & 7) != 0) {
+      return TrapKind::kMisaligned;
+    }
+    return TrapKind::kNone;
+  }
+
   // Accessors are header-inline: they are the single hottest call sites of
-  // both simulator engines (one per simulated load/store).
+  // both simulator engines (one per simulated load/store).  These throw
+  // TrapError on a trap.
   std::uint64_t readU64(std::uint64_t address) const {
-    const std::size_t offset = checkRange(address, 8);
-    std::uint64_t value;
-    std::memcpy(&value, bytes_.data() + offset, 8);
-    return value;
+    checkRange(address, 8);
+    return rawReadU64(address);
   }
   std::uint8_t readU8(std::uint64_t address) const {
-    return bytes_[checkRange(address, 1)];
+    checkRange(address, 1);
+    return rawReadU8(address);
   }
   double readF64(std::uint64_t address) const {
-    const std::size_t offset = checkRange(address, 8);
+    checkRange(address, 8);
     double value;
-    std::memcpy(&value, bytes_.data() + offset, 8);
+    std::memcpy(&value, at(address), 8);
     return value;
   }
   void writeU64(std::uint64_t address, std::uint64_t value) {
-    const std::size_t offset = checkRange(address, 8);
-    noteWrite(offset, 8);
-    std::memcpy(bytes_.data() + offset, &value, 8);
+    checkRange(address, 8);
+    rawWriteU64(address, value);
   }
   void writeU8(std::uint64_t address, std::uint8_t value) {
-    const std::size_t offset = checkRange(address, 1);
-    noteWrite(offset, 1);
-    bytes_[offset] = value;
+    checkRange(address, 1);
+    rawWriteU8(address, value);
   }
   void writeF64(std::uint64_t address, double value) {
-    const std::size_t offset = checkRange(address, 8);
-    noteWrite(offset, 8);
-    std::memcpy(bytes_.data() + offset, &value, 8);
+    checkRange(address, 8);
+    noteWrite(offsetOf(address), 8);
+    std::memcpy(at(address), &value, 8);
+  }
+
+  // Unchecked accessors, for a caller that has applied accessTrap() (the
+  // decoded engine, which reports traps without unwinding).
+  std::uint64_t rawReadU64(std::uint64_t address) const {
+    std::uint64_t value;
+    std::memcpy(&value, at(address), 8);
+    return value;
+  }
+  std::uint8_t rawReadU8(std::uint64_t address) const {
+    return *at(address);
+  }
+  void rawWriteU64(std::uint64_t address, std::uint64_t value) {
+    noteWrite(offsetOf(address), 8);
+    std::memcpy(at(address), &value, 8);
+  }
+  void rawWriteU8(std::uint64_t address, std::uint8_t value) {
+    noteWrite(offsetOf(address), 1);
+    *at(address) = value;
+  }
+
+  // The aligned 8-byte word at `wordAddress` (which must lie in the
+  // arena), as rawReadU64 would return it; bytes past arenaEnd() read as
+  // zero.
+  std::uint64_t peekWord(std::uint64_t wordAddress) const {
+    std::uint64_t value = 0;
+    std::memcpy(&value, at(wordAddress),
+                std::min<std::uint64_t>(8, arenaEnd() - wordAddress));
+    return value;
   }
 
   // Snapshot of `size` bytes at `address` — used to capture the output
@@ -137,15 +181,20 @@ class Memory {
     }
   }
 
-  std::size_t checkRange(std::uint64_t address, std::uint32_t width) const {
-    if (address < ir::Program::kGlobalBase || address + width > arenaEnd() ||
-        address + width < address) {
-      throw TrapError{TrapKind::kBadAddress, address};
+  void checkRange(std::uint64_t address, std::uint32_t width) const {
+    const TrapKind trap = accessTrap(address, width);
+    if (trap != TrapKind::kNone) {
+      throw TrapError{trap, address};
     }
-    if (width == 8 && (address & 7) != 0) {
-      throw TrapError{TrapKind::kMisaligned, address};
-    }
+  }
+  static std::size_t offsetOf(std::uint64_t address) {
     return static_cast<std::size_t>(address - ir::Program::kGlobalBase);
+  }
+  std::uint8_t* at(std::uint64_t address) {
+    return bytes_.data() + offsetOf(address);
+  }
+  const std::uint8_t* at(std::uint64_t address) const {
+    return bytes_.data() + offsetOf(address);
   }
 
   std::vector<std::uint8_t> bytes_;  // starts at kGlobalBase

@@ -120,6 +120,43 @@ TEST(CampaignOracleTest, ReportBitIdenticalAcrossThreadsEnginesAndModes) {
   }
 }
 
+TEST(CampaignOracleTest, LockstepEqualsFullOnMcfAndParserAtFig9Settings) {
+  // 181.mcf and 197.parser at the Fig. 9 point (issue 2 / delay 2, 300
+  // trials, NOED's fixed error rate, the bench's per-scheme seeds) have the
+  // most lockstep lanes whose addresses or branches leave the golden run's,
+  // which the h263dec and parser samples above rarely reach.  The
+  // checkpointed (lockstep) report must equal the kFull oracle's at one and
+  // at four workers.
+  for (const char* name : {"mcf", "parser"}) {
+    const workloads::Workload wl = workloads::makeWorkload(name, 1);
+    std::uint64_t originalDefInsns = 0;
+    for (const Scheme scheme : passes::kAllSchemes) {
+      const core::CompiledProgram bin =
+          core::compile(wl.program, testutil::machine(2, 2), scheme);
+      if (scheme == Scheme::kNoed) {
+        originalDefInsns = core::run(bin).stats.dynamicDefInsns;
+      }
+      CampaignOptions options;
+      options.trials = 300;
+      options.seed = 0xCA57ED + static_cast<std::uint64_t>(scheme);
+      options.originalDefInsns = originalDefInsns;
+      options.threads = 4;
+      options.mode = InjectionMode::kFull;
+      const CoverageReport full = core::campaign(bin, options);
+      options.mode = InjectionMode::kCheckpointed;
+      for (const std::uint32_t threads : {1u, 4u}) {
+        options.threads = threads;
+        const CoverageReport lockstep = core::campaign(bin, options);
+        const std::string context = wl.name + " " +
+                                    passes::schemeName(scheme) + " x" +
+                                    std::to_string(threads);
+        EXPECT_EQ(lockstep.counts, full.counts) << context;
+        EXPECT_EQ(lockstep.dynamicInsns, full.dynamicInsns) << context;
+      }
+    }
+  }
+}
+
 TEST(CampaignOracleTest, ReportBitIdenticalWithTracingOnAndOff) {
   // The trace subsystem's determinism contract (DESIGN.md §11): an active
   // session observes the campaign but never feeds back into it, so the

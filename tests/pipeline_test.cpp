@@ -78,6 +78,49 @@ TEST(PipelineTest, ErrorDetectionPreservesSemanticsUnderAllConfigs) {
   }
 }
 
+TEST(PipelineTest, ProtectedSchemesDifferOnlyInClusters) {
+  // SCED, DCED and CASTED run the same passes up to the cluster assignment,
+  // so their binaries hold the same instruction stream, (op, defs, uses,
+  // imm) for (op, defs, uses, imm), and differ only in `cluster`.  Their
+  // faulty runs are therefore functionally identical; only cycle counts,
+  // and through them the timeout verdict, can differ (EXPERIMENTS.md,
+  // Figs. 9 and 10).  Every workload at issue 1-4 x delay 1-4.
+  for (const workloads::Workload& wl : workloads::makeAllWorkloads(1)) {
+    for (std::uint32_t issue = 1; issue <= 4; ++issue) {
+      for (std::uint32_t delay = 1; delay <= 4; ++delay) {
+        const arch::MachineConfig config = testutil::machine(issue, delay);
+        const CompiledProgram sced =
+            compile(wl.program, config, Scheme::kSced);
+        for (const Scheme scheme : {Scheme::kDced, Scheme::kCasted}) {
+          const CompiledProgram other = compile(wl.program, config, scheme);
+          const std::string context =
+              wl.name + " " + passes::schemeName(scheme) + " issue " +
+              std::to_string(issue) + " delay " + std::to_string(delay);
+          ASSERT_EQ(other.program.functionCount(),
+                    sced.program.functionCount())
+              << context;
+          for (ir::FuncId f = 0; f < sced.program.functionCount(); ++f) {
+            const ir::Function& a = sced.program.function(f);
+            const ir::Function& b = other.program.function(f);
+            ASSERT_EQ(a.blockCount(), b.blockCount()) << context;
+            for (ir::BlockId blk = 0; blk < a.blockCount(); ++blk) {
+              const auto& x = a.block(blk).insns();
+              const auto& y = b.block(blk).insns();
+              ASSERT_EQ(x.size(), y.size()) << context << " @" << a.name();
+              for (std::size_t i = 0; i < x.size(); ++i) {
+                ASSERT_TRUE(x[i].op == y[i].op && x[i].defs == y[i].defs &&
+                            x[i].uses == y[i].uses && x[i].imm == y[i].imm)
+                    << context << " @" << a.name() << " bb" << blk
+                    << " insn " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(PipelineTest, VerifyCanBeDisabledForSpeed) {
   PipelineOptions options;
   options.verifyAfterPasses = false;

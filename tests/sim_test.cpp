@@ -5,6 +5,7 @@
 
 #include "ir/builder.h"
 #include "sched/list_scheduler.h"
+#include "sim/memory.h"
 #include "sim/simulator.h"
 #include "support/check.h"
 #include "test_util.h"
@@ -384,6 +385,61 @@ TEST(SimulatorTest, MisalignedWordAccessTraps) {
   const RunResult result = runProgram(prog);
   EXPECT_EQ(result.exit, ExitKind::kException);
   EXPECT_EQ(result.trap, TrapKind::kMisaligned);
+}
+
+// The throwing accessor's trap, or kNone.
+TrapKind thrownTrap(const Memory& memory, std::uint64_t address,
+                    std::uint32_t width) {
+  try {
+    if (width == 8) {
+      memory.readU64(address);
+    } else {
+      memory.readU8(address);
+    }
+  } catch (const TrapError& trap) {
+    return trap.kind;
+  }
+  return TrapKind::kNone;
+}
+
+TEST(MemoryTest, OneRuleDecidesEveryTrap) {
+  // Memory::accessTrap is the one memory rule: the throwing accessors, the
+  // decoded engine and its lockstep lanes all ask it what traps.
+  Program prog;
+  prog.allocateGlobal("g", 16);
+  const Memory memory(prog, 64);
+  const std::uint64_t base = Program::kGlobalBase;
+  const std::uint64_t end = memory.arenaEnd();
+  ASSERT_EQ(end % 8, 0u);
+  struct Access {
+    std::uint64_t address;
+    std::uint32_t width;
+    TrapKind trap;
+  };
+  const Access accesses[] = {
+      // The guard region below the globals.
+      {0, 1, TrapKind::kBadAddress},
+      {base - 1, 1, TrapKind::kBadAddress},
+      {base - 8, 8, TrapKind::kBadAddress},
+      {base, 8, TrapKind::kNone},
+      // The arena end, and an access that wraps past 2^64.
+      {end - 1, 1, TrapKind::kNone},
+      {end, 1, TrapKind::kBadAddress},
+      {end - 8, 8, TrapKind::kNone},
+      {end, 8, TrapKind::kBadAddress},
+      {~0ULL - 3, 8, TrapKind::kBadAddress},
+      // A misaligned 8-byte access; bytes have no alignment.  Out of range
+      // wins over misaligned.
+      {base + 4, 8, TrapKind::kMisaligned},
+      {base + 4, 1, TrapKind::kNone},
+      {end - 4, 8, TrapKind::kBadAddress},
+  };
+  for (const Access& access : accesses) {
+    EXPECT_EQ(memory.accessTrap(access.address, access.width), access.trap)
+        << std::hex << access.address << " width " << access.width;
+    EXPECT_EQ(thrownTrap(memory, access.address, access.width), access.trap)
+        << std::hex << access.address << " width " << access.width;
+  }
 }
 
 TEST(SimulatorTest, BadFloatConversionTraps) {

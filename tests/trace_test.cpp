@@ -5,7 +5,11 @@
 //   * the disabled mode is observationally silent: no file, no counter
 //     mutations, no events;
 //   * the CASTED_TRACE environment override activates a session lazily;
-//   * stepwise (checkpointed) runs are counted like whole runs;
+//   * every finished stepwise run is counted like a whole run;
+//   * a checkpointed campaign counts every trial as one lockstep lane,
+//     decided or fallen back by reason, with the fallbacks' stepwise runs
+//     (restored from one checkpoint) counted like whole runs, and its
+//     report is the untraced one;
 //   * restores count the cache ways and memory records they rewound, and
 //     one restore never rewinds more ways than the hierarchy has;
 //   * the enumerator's ordinal and site counters match its report.
@@ -286,23 +290,96 @@ TEST_F(TraceTest, CountersMergeAcrossWorkerPoolThreads) {
   }
 }
 
+// The lockstep lane counters of the last campaign(s): decided lanes by
+// decision, fallen-back lanes by reason.
+std::int64_t lockstepDecided() {
+  std::int64_t sum = 0;
+  for (const char* end :
+       {"detected", "exception", "halt", "reconverged", "timeout"}) {
+    sum += trace::counterValue(std::string("fault.campaign.lockstep.decided.") +
+                               end);
+  }
+  return sum;
+}
+
+std::int64_t lockstepFallbacks() {
+  std::int64_t sum = 0;
+  for (const char* reason : {"control", "timing", "budget"}) {
+    sum += trace::counterValue(
+        std::string("fault.campaign.lockstep.fallback.") + reason);
+  }
+  return sum;
+}
+
 TEST_F(TraceTest, CheckpointedCampaignCountsEveryTrialRun) {
-  // Every faulty run of a checkpointed campaign ends in
+  // Every trial of a checkpointed campaign is a lockstep lane.  A lane that
+  // lockstep cannot decide re-runs from the worker's checkpoint through
   // DecodedRunner::finish(), which adds it to sim.decoded.* like a whole
-  // run; the golden profiling run is the one run more.
+  // run; the golden profiling run is the one run more.  NOED, so flips
+  // reach the loop's branch and lanes fall back; one worker, so the
+  // window's fallbacks share one checkpoint and restore it.
   const core::CompiledProgram bin =
-      core::compile(testutil::makeLoopProgram(8), testutil::machine(2, 1),
-                    passes::Scheme::kCasted);
+      core::compile(testutil::makeLoopProgram(64), testutil::machine(2, 1),
+                    passes::Scheme::kNoed);
   fault::CampaignOptions options;
   options.trials = 40;
-  options.threads = 2;
+  options.threads = 1;
   options.mode = fault::InjectionMode::kCheckpointed;
   trace::enable("");
   const fault::CoverageReport report = core::campaign(bin, options);
   ASSERT_EQ(report.trials, options.trials);
   EXPECT_EQ(trace::counterValue("fault.campaign.trials"), options.trials);
-  EXPECT_EQ(trace::counterValue("sim.decoded.runs"), options.trials + 1);
+  EXPECT_EQ(trace::counterValue("fault.campaign.lockstep.lanes"),
+            options.trials);
+  EXPECT_EQ(lockstepDecided() + lockstepFallbacks(), options.trials);
+  ASSERT_GE(lockstepFallbacks(), 2);
   EXPECT_GT(trace::counterValue("sim.checkpoint.restores"), 0);
+  EXPECT_EQ(trace::counterValue("sim.decoded.runs"), 1 + lockstepFallbacks());
+}
+
+TEST_F(TraceTest, EveryFinishedStepwiseRunIsCounted) {
+  // begin/runToDef/finish, then restore/finish twice: three finished
+  // suffixes, three runs in sim.decoded.runs.
+  const core::CompiledProgram bin =
+      core::compile(testutil::makeLoopProgram(8), testutil::machine(2, 1),
+                    passes::Scheme::kCasted);
+  trace::enable("");
+  sim::DecodedRunner runner(*bin.decoded);
+  runner.begin(sim::SimOptions{});
+  ASSERT_TRUE(runner.runToDef(5));
+  sim::ArchCheckpoint checkpoint;
+  runner.saveCheckpoint(checkpoint);
+  for (std::int64_t suffix = 1; suffix <= 3; ++suffix) {
+    if (suffix > 1) {
+      runner.restoreCheckpoint(checkpoint);
+    }
+    ASSERT_EQ(runner.finish().exit, sim::ExitKind::kHalted);
+    EXPECT_EQ(trace::counterValue("sim.decoded.runs"), suffix);
+  }
+}
+
+TEST_F(TraceTest, LockstepLanesAreDecidedOrFallBackAndTracingOnlyObserves) {
+  // NOED, so flips reach the loop's branch and some lanes fall back.  Every
+  // lane is counted exactly once, by decision or by fallback reason, and
+  // the report is the one the untraced campaign gives.
+  const core::CompiledProgram bin =
+      core::compile(testutil::makeLoopProgram(64), testutil::machine(2, 1),
+                    passes::Scheme::kNoed);
+  fault::CampaignOptions options;
+  options.trials = 120;
+  options.threads = 2;
+  const fault::CoverageReport untraced = core::campaign(bin, options);
+  trace::enable("");
+  const fault::CoverageReport traced = core::campaign(bin, options);
+  EXPECT_EQ(traced.counts, untraced.counts);
+  EXPECT_EQ(traced.dynamicInsns, untraced.dynamicInsns);
+  EXPECT_EQ(trace::counterValue("fault.campaign.lockstep.lanes"),
+            options.trials);
+  EXPECT_EQ(lockstepDecided() + lockstepFallbacks(), options.trials);
+  EXPECT_GT(trace::counterValue("fault.campaign.lockstep.fallback.control"),
+            0);
+  EXPECT_GT(trace::counterValue("fault.campaign.lockstep.lane_ops"), 0);
+  EXPECT_GE(trace::counterValue("fault.campaign.lockstep.windows"), 2);
 }
 
 // Reads, bumps and writes back one word per iteration: after the first
