@@ -5,13 +5,15 @@
 // workload TWICE — once re-running every site from program start
 // (InjectionMode::kFull, the oracle) and once with golden-prefix checkpoint
 // restore (kCheckpointed) — and reports wall time, sites/second and the
-// speedup, verifying the two reports agree site for site; the audit exits
-// non-zero when any scheme's reports differ.  Then the usual audit: the
-// exact SDC probability next to the sampled campaign's estimate and its 99%
-// Wilson interval, plus the static ProtectionLint's gap count.  The "in99"
-// column must read "yes" everywhere: it is the convergence contract
-// tests/exhaustive_ground_truth_test.cpp enforces, evaluated here on a full
-// workload instead of the test-sized ones.
+// speedup, verifying the two reports agree site for site.  Then the usual
+// audit: the exact SDC probability next to the sampled campaign's estimate
+// and its 99% Wilson interval, plus the static ProtectionLint's gap count.
+// The "in99" column must read "yes" everywhere: it is the convergence
+// contract tests/exhaustive_ground_truth_test.cpp enforces, evaluated here
+// on a full workload instead of the test-sized ones.  Lint soundness means
+// a scheme with no lint gaps has exact SDC 0.  The audit exits non-zero,
+// naming the scheme, when its two reports differ, its estimate falls
+// outside the interval, or the lint misses an SDC.
 //
 // Timing and identity results are written to BENCH_ground_truth.json
 // (override the path with CASTED_BENCH_JSON).
@@ -83,6 +85,8 @@ struct SchemeRow {
   ModeSample full;
   ModeSample checkpointed;
   bool identical = false;
+  bool in99 = false;
+  bool lintSound = false;
 };
 
 void writeJson(const std::string& path, const std::string& workload,
@@ -198,12 +202,14 @@ int main(int argc, char** argv) {
 
     const passes::ProtectionLintResult lint =
         passes::lintProtection(bin.program, scheme);
+    row.in99 = interval.contains(exact);
+    row.lintSound = lint.gaps() > 0 || exact == 0.0;
     table.addRow({row.scheme, std::to_string(truth.sites),
                   formatPercent(exact), std::to_string(lint.gaps()),
                   formatPercent(report.fraction(fault::Outcome::kDataCorrupt)),
                   "[" + formatPercent(interval.low) + ", " +
                       formatPercent(interval.high) + "]",
-                  interval.contains(exact) ? "yes" : "NO"});
+                  row.in99 ? "yes" : "NO"});
     rows.push_back(std::move(row));
   }
   std::printf("%s\n", timing.render().c_str());
@@ -215,8 +221,9 @@ int main(int argc, char** argv) {
       "set contributes zero to exact-sdc by the soundness contract.\n"
       "The timing table compares full re-execution per site against\n"
       "checkpoint-and-diverge (golden-prefix restore); 'identical'\n"
-      "certifies the two enumerations agree site for site, and the audit\n"
-      "exits non-zero when they do not.\n",
+      "certifies the two enumerations agree site for site.  The audit\n"
+      "exits non-zero when they differ, when in99 reads NO, or when a\n"
+      "scheme without lint gaps has nonzero exact-sdc.\n",
       trials);
   writeJson(jsonPath, wl.name, scale, threads, rows);
 
@@ -232,14 +239,23 @@ int main(int argc, char** argv) {
   if (trace::writeReport()) {
     std::printf("wrote trace %s\n", trace::outputPath().c_str());
   }
+  int status = 0;
+  auto fail = [&status](const SchemeRow& row, const char* what) {
+    std::fprintf(stderr, "ground_truth_audit: %s %s\n", row.scheme.c_str(),
+                 what);
+    status = 1;
+  };
   for (const SchemeRow& row : rows) {
     if (!row.identical) {
-      std::fprintf(stderr,
-                   "ground_truth_audit: %s full and checkpointed reports "
-                   "differ\n",
-                   row.scheme.c_str());
-      return 1;
+      fail(row, "full and checkpointed reports differ");
+    }
+    if (!row.in99) {
+      fail(row, "Monte Carlo SDC estimate lies outside the 99% Wilson "
+                "interval around exact SDC");
+    }
+    if (!row.lintSound) {
+      fail(row, "has nonzero exact SDC but no lint gaps");
     }
   }
-  return 0;
+  return status;
 }

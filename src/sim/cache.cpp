@@ -24,62 +24,37 @@ CacheLevel::CacheLevel(const arch::CacheLevelConfig& config)
       std::countr_zero(static_cast<std::uint64_t>(setCount_)));
 }
 
+std::size_t CacheLevel::undoTo(std::size_t size) {
+  // Below a checkpoint a way can have one record per roll-forward segment,
+  // so only newest-first leaves it with its oldest pre-image.
+  const std::size_t replayed = undo_.size() - size;
+  while (undo_.size() > size) {
+    const WayUndo& record = undo_.back();
+    ways_[record.way] = record.old;
+    undo_.pop_back();
+  }
+  return replayed;
+}
+
 void CacheLevel::reset() {
-  // Opening a new epoch invalidates every way without touching the array;
-  // clock_ keeps running, which is invisible (LRU is a total order on the
-  // current epoch's lastUse values regardless of their absolute base).
-  if (++epoch_ == 0) {
-    wrapEpoch();
-  }
+  undoTo(0);
+  clock_ = 0;
   stats_ = CacheLevelStats{};
-}
-
-void CacheLevel::wrapEpoch() {
-  // Epoch 0 is what every way held at construction; stamp the whole array
-  // back to it and restart at 1.  Under a live checkpoint this is a
-  // mutation of every way like any other, so it goes through the undo log.
-  for (Way& way : ways_) {
-    noteMutation(&way);
-    way.epoch = 0;
-  }
-  epoch_ = 1;
-}
-
-void CacheLevel::wrapMark() {
-  // The log is empty here (setCheckpoint cleared it), so the stamps can be
-  // rewritten freely: 0 is below every mark handed out from now on.
-  for (Way& way : ways_) {
-    way.mark = 0;
-  }
-  mark_ = 1;
+  checkpoint_.reset();
 }
 
 void CacheLevel::setCheckpoint() {
-  undoArmed_ = true;
-  undo_.clear();
-  if (++mark_ == 0) {
-    wrapMark();
-  }
-  saved_ = {clock_, epoch_, stats_};
+  ++mark_;
+  checkpoint_ = Checkpoint{undo_.size(), clock_, stats_};
 }
 
 std::size_t CacheLevel::rewindToCheckpoint() {
-  CASTED_CHECK(undoArmed_) << config_.name << ": no live cache checkpoint";
-  // Each way appears at most once, so the order of the write-backs is free.
-  for (const WayUndo& record : undo_) {
-    ways_[record.way] = record.old;
-  }
-  const std::size_t rewound = undo_.size();
-  undo_.clear();
-  clock_ = saved_.clock;
-  epoch_ = saved_.epoch;
-  stats_ = saved_.stats;
+  CASTED_CHECK(checkpoint_.has_value())
+      << config_.name << ": no live cache checkpoint";
+  const std::size_t rewound = undoTo(checkpoint_->logSize);
+  clock_ = checkpoint_->clock;
+  stats_ = checkpoint_->stats;
   return rewound;
-}
-
-void CacheLevel::dropCheckpoint() {
-  undoArmed_ = false;
-  undo_.clear();
 }
 
 CacheHierarchy::CacheHierarchy(const arch::CacheConfig& config)
@@ -112,12 +87,6 @@ std::size_t CacheHierarchy::rewindToCheckpoint() {
   }
   memoryAccesses_ = savedMemoryAccesses_;
   return rewound;
-}
-
-void CacheHierarchy::dropCheckpoint() {
-  for (CacheLevel& level : levels_) {
-    level.dropCheckpoint();
-  }
 }
 
 const CacheLevelStats& CacheHierarchy::levelStats(std::size_t level) const {

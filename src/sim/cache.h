@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "arch/machine_config.h"
@@ -43,7 +44,7 @@ class CacheLevel {
     const std::uint64_t tag = tagOf(address);
     Way* base = &ways_[set * config_.associativity];
     for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-      if (base[w].epoch == epoch_ && base[w].tag == tag) {
+      if (base[w].lastUse != 0 && base[w].tag == tag) {
         noteMutation(&base[w]);
         base[w].lastUse = clock_;
         ++stats_.hits;
@@ -54,90 +55,82 @@ class CacheLevel {
     return false;
   }
 
-  // Inserts the line holding `address`, evicting the LRU way.
+  // Inserts the line holding `address`, evicting the LRU way.  A
+  // never-filled way has lastUse 0, below every valid way's, so it is the
+  // victim whenever the set has one.
   void fill(std::uint64_t address) {
     ++clock_;
     const std::uint64_t set = setIndex(address);
     const std::uint64_t tag = tagOf(address);
     Way* base = &ways_[set * config_.associativity];
     Way* victim = &base[0];
-    for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-      if (base[w].epoch != epoch_) {
-        victim = &base[w];
-        break;
-      }
+    for (std::uint32_t w = 1; w < config_.associativity; ++w) {
       if (base[w].lastUse < victim->lastUse) {
         victim = &base[w];
       }
     }
     noteMutation(victim);
-    victim->epoch = epoch_;
     victim->tag = tag;
     victim->lastUse = clock_;
   }
 
-  // Invalidates every line and zeroes the stats.  O(1) (bar one pass over
-  // the array when the epoch wraps): validity is an epoch stamp per way, so
-  // a reset just opens a new epoch instead of touching the (potentially
-  // megabytes of) way array — that keeps the reusable decoded-engine
-  // contexts cheap.  Behaviour is identical to a freshly constructed level:
-  // stale-epoch ways read as invalid, and LRU only ever compares `lastUse`
-  // between ways of the current epoch.
-  void reset();
-
-  // Checkpoint support, mirroring Memory: between setCheckpoint() and
-  // rewindToCheckpoint() the first mutation of each way records its
-  // pre-image (a per-way mark stamp says whether it already has), and the
-  // rewind writes them back plus restores the scalar state (clock, epoch,
-  // stats) by value — O(ways first touched since the mark), never
-  // O(accesses) or O(way array).  The log is bounded by the way count, and
-  // an L1 hit on an already-recorded way costs one compare.  Cache metadata
-  // is timing state (it decides stall cycles and the per-level hit/miss
+  // Undo log, always on, mirroring Memory: the first mutation of a way
+  // since the latest mark records its pre-image (a per-way mark stamp says
+  // whether it already has), so an L1 hit on a recorded way costs one
+  // compare.  reset() undoes the whole log, newest first — the level then
+  // equals a freshly constructed one: every way invalid, clock and stats
+  // zero — and drops the checkpoint.  setCheckpoint() records the log
+  // position, the clock and the stats, and opens a new mark;
+  // rewindToCheckpoint() undoes back to that position and restores the
+  // clock and stats — O(ways first touched since the mark), never
+  // O(accesses) or O(way array) — and returns the number of ways it wrote
+  // back.  Above the checkpoint the log holds each way at most once; below
+  // it, each roll-forward segment's first touches.  Cache metadata is
+  // timing state (it decides stall cycles and the per-level hit/miss
   // counts), so it must rewind bit-exactly with the architectural state.
-  // rewindToCheckpoint() returns the number of ways it wrote back.
+  void reset();
   void setCheckpoint();
   std::size_t rewindToCheckpoint();
-  void dropCheckpoint();
+
+  // The LRU clock: lookups plus fills since the last reset, less those a
+  // rewind undid.  Hits and latencies depend only on the order of the
+  // stamps it hands out, so tests read it here to see that a rewind
+  // restores it.
+  std::uint64_t clock() const { return clock_; }
 
   const CacheLevelStats& stats() const { return stats_; }
   const arch::CacheLevelConfig& config() const { return config_; }
 
  private:
-  // Lets tests/cache_test.cpp start the 32-bit stamps next to their wrap.
-  friend struct CacheLevelTestAccess;
-
   // 24 bytes: every runner owns ~27k ways (the Table I hierarchy), so a
   // wider way shows up in the peak memory of anything that builds runners.
-  // The 32-bit stamps wrap after 2^32 resets or marks; wrapEpoch() and
-  // wrapMark() handle that with one pass over the array.
   struct Way {
     std::uint64_t tag = 0;
-    std::uint64_t lastUse = 0;
-    std::uint32_t epoch = 0;  // valid iff equal to the level's epoch_
-    std::uint32_t mark = 0;   // pre-image recorded iff equal to mark_
+    std::uint64_t lastUse = 0;  // valid iff nonzero: ++clock_ precedes it
+    std::uint64_t mark = 0;     // pre-image recorded iff equal to mark_
   };
   static_assert(sizeof(Way) == 24);
   struct WayUndo {
     std::size_t way = 0;  // index into ways_
     Way old;
   };
-  struct SavedScalars {
+  struct Checkpoint {
+    std::size_t logSize = 0;  // undo_.size() at setCheckpoint()
     std::uint64_t clock = 0;
-    std::uint32_t epoch = 0;
     CacheLevelStats stats;
   };
 
   // Records `way`'s pre-image on its first mutation since the mark.  The
-  // pre-image keeps the old stamp, so after a rewind the way records again.
+  // pre-image keeps the old stamp, so after an undo the way records again.
   void noteMutation(Way* way) {
-    if (undoArmed_ && way->mark != mark_) {
+    if (way->mark != mark_) {
       undo_.push_back({static_cast<std::size_t>(way - ways_.data()), *way});
       way->mark = mark_;
     }
   }
 
-  void wrapEpoch();
-  void wrapMark();
+  // Undoes records, newest first, until `size` remain; returns how many.
+  std::size_t undoTo(std::size_t size);
 
   // Block size and set count are powers of two (checked in the
   // constructor), so the per-access index/tag math is two shifts and a
@@ -155,12 +148,10 @@ class CacheLevel {
   std::uint32_t setShift_ = 0;
   std::vector<Way> ways_;  // setCount_ * associativity
   std::uint64_t clock_ = 0;
-  std::uint32_t epoch_ = 1;  // ways start at 0, i.e. all invalid
-  std::uint32_t mark_ = 0;   // bumped by setCheckpoint(); ways start at 0
+  std::uint64_t mark_ = 1;  // bumped by setCheckpoint(); ways start at 0
   CacheLevelStats stats_;
   std::vector<WayUndo> undo_;
-  SavedScalars saved_;
-  bool undoArmed_ = false;
+  std::optional<Checkpoint> checkpoint_;
 };
 
 // The full hierarchy.
@@ -187,14 +178,12 @@ class CacheHierarchy {
     return memoryLatency_;
   }
 
+  // The per-level undo logs plus the main-memory access counter; see
+  // CacheLevel::reset.  rewindToCheckpoint() returns the number of ways
+  // written back.
   void reset();
-
-  // Checkpoint the whole hierarchy (per-level undo logs + the main-memory
-  // access counter).  See CacheLevel::setCheckpoint.
-  // rewindToCheckpoint() returns the number of ways written back.
   void setCheckpoint();
   std::size_t rewindToCheckpoint();
-  void dropCheckpoint();
 
   const CacheLevelStats& levelStats(std::size_t level) const;
   std::uint64_t memoryAccesses() const { return memoryAccesses_; }

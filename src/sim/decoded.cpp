@@ -545,7 +545,7 @@ struct Lanes {
 //
 // One Interp is a reusable context: reset() restores the fresh-construction
 // architectural state in time proportional to what the previous run touched
-// (write-logged memory, epoch-invalidated caches, cleared arenas), so a
+// (the memory and cache undo logs, cleared arenas), so a
 // campaign worker pays the megabyte-scale allocations once, not per trial.
 struct Interp {
   const DecodedProgram& prog;
@@ -606,7 +606,6 @@ struct Interp {
         memory(program.globalImage(), SimOptions{}.heapBytes),
         heapBytes(SimOptions{}.heapBytes),
         caches(program.cacheConfig()) {
-    memory.enableWriteLog();
     addr.assign(prog.maxBlockInsns(), 0);
   }
 
@@ -616,14 +615,11 @@ struct Interp {
         << "SimOptions::defTrace must stay null in injection runs (the trace "
            "belongs to the golden profiling run)";
     options = &opts;
-    memory.dropCheckpoint();
-    caches.dropCheckpoint();
     if (opts.heapBytes != heapBytes) {
       memory = Memory(prog.globalImage(), opts.heapBytes);
-      memory.enableWriteLog();
       heapBytes = opts.heapBytes;
     } else {
-      memory.resetLogged(prog.globalImage());
+      memory.reset();
     }
     caches.reset();
     stats = RunStats{};

@@ -200,8 +200,8 @@ struct LaneVerdict {
 
 // A reusable execution context over one DecodedProgram: the memory image,
 // cache hierarchy and register arenas are allocated once and recycled
-// between runs in O(state the previous run touched) — epoch-invalidated
-// caches, write-log-restored memory — rather than O(arena size).  This is
+// between runs in O(state the previous run touched) — the memory and cache
+// undo logs rewound to run start — rather than O(arena size).  This is
 // what makes the campaign's trial loop fast: a Monte Carlo trial executes
 // ~10^4 instructions, while rebuilding megabytes of image and way arrays
 // per trial costs as much as running them.  Each campaign worker owns one

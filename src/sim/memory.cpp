@@ -34,44 +34,26 @@ Memory::Memory(const std::vector<std::uint8_t>& globalImage,
   bytes_.resize(bytes_.size() + heapBytes, 0);
 }
 
-void Memory::enableWriteLog() {
-  logging_ = true;
-  log_.clear();
-}
-
-void Memory::resetLogged(const std::vector<std::uint8_t>& pristine) {
-  for (const WriteRecord& record : log_) {
-    for (std::uint32_t i = 0; i < record.width; ++i) {
-      const std::size_t offset = record.offset + i;
-      bytes_[offset] = offset < pristine.size() ? pristine[offset] : 0;
-    }
+std::size_t Memory::undoTo(std::size_t size) {
+  const std::size_t replayed = undo_.size() - size;
+  while (undo_.size() > size) {
+    const UndoRecord& record = undo_.back();
+    std::memcpy(bytes_.data() + record.offset, &record.oldBits, record.width);
+    undo_.pop_back();
   }
-  log_.clear();
-  logMark_ = 0;
+  return replayed;
 }
 
-void Memory::setCheckpoint() {
-  CASTED_CHECK(logging_) << "memory checkpoints require the write log";
-  undoArmed_ = true;
-  undo_.clear();
-  logMark_ = log_.size();
+void Memory::reset() {
+  undoTo(0);
+  checkpoint_.reset();
 }
+
+void Memory::setCheckpoint() { checkpoint_ = undo_.size(); }
 
 std::size_t Memory::rewindToCheckpoint() {
-  CASTED_CHECK(undoArmed_) << "no live memory checkpoint";
-  for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
-    std::memcpy(bytes_.data() + it->offset, &it->oldBits, it->width);
-  }
-  const std::size_t rewound = undo_.size();
-  undo_.clear();
-  log_.resize(logMark_);
-  return rewound;
-}
-
-void Memory::dropCheckpoint() {
-  undoArmed_ = false;
-  undo_.clear();
-  logMark_ = 0;
+  CASTED_CHECK(checkpoint_.has_value()) << "no live memory checkpoint";
+  return undoTo(*checkpoint_);
 }
 
 std::vector<std::uint8_t> Memory::snapshot(std::uint64_t address,

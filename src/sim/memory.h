@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "ir/function.h"
@@ -133,37 +134,21 @@ class Memory {
   std::vector<std::uint8_t> snapshot(std::uint64_t address,
                                      std::uint64_t size) const;
 
-  // Write logging, for contexts that run many programs against the same
-  // image (the decoded engine's per-campaign runners).  With the log on,
-  // every successful write records its (offset, width); resetLogged()
-  // restores exactly those bytes from `pristine` (the global image; bytes
-  // past it are heap and revert to zero) instead of rebuilding the whole
-  // multi-megabyte arena.  Cost is proportional to bytes written by the
-  // run, not to arena size.
-  void enableWriteLog();
-  void resetLogged(const std::vector<std::uint8_t>& pristine);
-
-  // Checkpoint support for the decoded engine's golden-prefix restore
-  // (sim/decoded.h).  setCheckpoint() marks the current contents as the
-  // rewind target and starts recording each write's pre-image;
-  // rewindToCheckpoint() undoes every write since the mark in reverse order,
-  // so restore cost is O(bytes written since the mark), not O(arena), and
-  // returns the number of undo records it replayed.  One
-  // checkpoint is live at a time; a new setCheckpoint() replaces the mark,
-  // and rewinding can be repeated (the undo log re-accumulates after each
-  // rewind).  Requires the write log: rewinding also truncates `log_` back
-  // to the mark, which keeps resetLogged() exact — every byte the rewind
-  // restores holds its checkpoint-time value, and any such byte that differs
-  // from pristine was already covered by a pre-mark log entry.
+  // Undo log, always on: every write records its pre-image, so the arena
+  // goes back to an earlier state in time proportional to the writes since
+  // then, not to the (multi-megabyte) arena.  reset() undoes every write
+  // since construction, newest first — the arena then equals a freshly
+  // built one — and drops the checkpoint; that is how the decoded engine's
+  // reusable runners start each run.  setCheckpoint() records the log
+  // position as the rewind target, replacing any earlier one, and
+  // rewindToCheckpoint() undoes the writes since it, newest first, and
+  // returns the number of records it replayed.  Rewinding can be repeated;
+  // the writes before the mark stay logged for the next reset().
+  void reset();
   void setCheckpoint();
   std::size_t rewindToCheckpoint();
-  void dropCheckpoint();
 
  private:
-  struct WriteRecord {
-    std::size_t offset = 0;
-    std::uint32_t width = 0;
-  };
   struct UndoRecord {
     std::size_t offset = 0;
     std::uint64_t oldBits = 0;  // pre-image, low `width` bytes
@@ -171,15 +156,13 @@ class Memory {
   };
 
   void noteWrite(std::size_t offset, std::uint32_t width) {
-    if (logging_) {
-      log_.push_back({offset, width});
-    }
-    if (undoArmed_) {
-      std::uint64_t old = 0;
-      std::memcpy(&old, bytes_.data() + offset, width);
-      undo_.push_back({offset, old, width});
-    }
+    std::uint64_t old = 0;
+    std::memcpy(&old, bytes_.data() + offset, width);
+    undo_.push_back({offset, old, width});
   }
+
+  // Undoes records until `size` remain; returns how many it replayed.
+  std::size_t undoTo(std::size_t size);
 
   void checkRange(std::uint64_t address, std::uint32_t width) const {
     const TrapKind trap = accessTrap(address, width);
@@ -198,11 +181,8 @@ class Memory {
   }
 
   std::vector<std::uint8_t> bytes_;  // starts at kGlobalBase
-  std::vector<WriteRecord> log_;
   std::vector<UndoRecord> undo_;
-  std::size_t logMark_ = 0;  // log_.size() at setCheckpoint()
-  bool logging_ = false;
-  bool undoArmed_ = false;
+  std::optional<std::size_t> checkpoint_;  // undo_.size() at setCheckpoint()
 };
 
 }  // namespace casted::sim

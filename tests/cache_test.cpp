@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,14 +11,6 @@
 #include "test_util.h"
 
 namespace casted::sim {
-
-struct CacheLevelTestAccess {
-  static void setStamps(CacheLevel& level, std::uint32_t epoch,
-                        std::uint32_t mark) {
-    level.epoch_ = epoch;
-    level.mark_ = mark;
-  }
-};
 
 namespace {
 
@@ -156,6 +148,7 @@ std::vector<std::uint64_t> levelStream(std::uint64_t seed,
 
 void expectSameLevel(CacheLevel& rewound, CacheLevel& twin,
                      const std::string& label) {
+  EXPECT_EQ(rewound.clock(), twin.clock()) << label;
   const std::vector<std::uint64_t> probe = levelStream(99, 400);
   EXPECT_EQ(drive(rewound, probe), drive(twin, probe)) << label;
   EXPECT_EQ(rewound.stats().hits, twin.stats().hits) << label;
@@ -235,65 +228,18 @@ TEST(CacheCheckpointTest, ResetBetweenMarks) {
   drive(level, prefix2);
   drive(twin, prefix2);
   level.setCheckpoint();
-  // A reset inside the suffix is rewound like any other mutation.
   drive(level, levelStream(13, 100));
-  level.reset();
-  drive(level, levelStream(14, 100));
   level.rewindToCheckpoint();
-  expectSameLevel(level, twin, "reset between marks");
-}
+  CacheLevel rewound = level;  // probe copies: the run goes on below
+  CacheLevel golden = twin;
+  expectSameLevel(rewound, golden, "reset between marks");
 
-TEST(CacheCheckpointTest, EpochWrapActsLikeReset) {
-  // Epoch 0 is what never-filled ways hold, so the wrap must not reuse it:
-  // the probe's tag-0 lines would hit those ways.
-  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
-  CacheLevel level(smallLevel());
-  CacheLevelTestAccess::setStamps(level, kMax - 1, 0);
-  CacheLevel twin(smallLevel());
-  for (const std::uint64_t address : {0x1000, 0x1040}) {  // epoch max-1
-    level.fill(address);
-    twin.fill(address);
-  }
-  for (int round = 0; round < 2; ++round) {  // epochs max, then 1
-    level.reset();
-    twin.reset();
-  }
-  expectSameLevel(level, twin, "after the epoch wrap");
-}
-
-TEST(CacheCheckpointTest, EpochWrapInsideSuffixRewinds) {
-  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
-  CacheLevel level(smallLevel());
-  CacheLevelTestAccess::setStamps(level, kMax, 0);
-  CacheLevel twin(smallLevel());
-  const std::vector<std::uint64_t> prefix = levelStream(30, 64);
-  drive(level, prefix);
-  drive(twin, prefix);
-
-  level.setCheckpoint();
-  level.reset();  // wraps the epoch
-  drive(level, levelStream(31, 100));
-  EXPECT_LE(level.rewindToCheckpoint(), 8u);
-  expectSameLevel(level, twin, "epoch wrap inside a suffix");
-}
-
-TEST(CacheCheckpointTest, MarkWrapRecordsAgain) {
-  // Mark 0 is what never-logged ways hold, so the wrap must not reuse it:
-  // nothing would be logged under it.
-  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
-  CacheLevel level(smallLevel());
-  CacheLevelTestAccess::setStamps(level, 1, kMax - 1);
-  CacheLevel twin(smallLevel());
-  const std::vector<std::uint64_t> prefix = levelStream(40, 64);
-  drive(level, prefix);
-  drive(twin, prefix);
-  // The first rewind hands every way its stamp 0 back.
-  for (std::uint64_t round = 0; round < 2; ++round) {  // marks max, then 1
-    level.setCheckpoint();
-    drive(level, levelStream(50 + round, 300));
-    level.rewindToCheckpoint();
-  }
-  expectSameLevel(level, twin, "after the mark wrap");
+  // A reset inside a suffix drops the checkpoint: the level is fresh.
+  drive(level, levelStream(14, 100));
+  level.reset();
+  EXPECT_THROW(level.rewindToCheckpoint(), FatalError);
+  CacheLevel fresh(smallLevel());
+  expectSameLevel(level, fresh, "reset inside a suffix");
 }
 
 TEST(CacheCheckpointTest, HierarchyRewindsToTwin) {
@@ -330,6 +276,127 @@ TEST(CacheCheckpointTest, HierarchyRewindsToTwin) {
         << level;
     EXPECT_EQ(caches.levelStats(level).misses, twin.levelStats(level).misses)
         << level;
+  }
+}
+
+// --- Randomized schedules ------------------------------------------------------
+//
+// The injection drivers' whole vocabulary in random order: golden bursts
+// (roll-forwards once a mark exists), marks, diverging suffixes, rewinds and
+// resets.  A rewind must land on the golden run at the mark, and a reset on
+// a freshly built twin; below the mark the log holds one record per way per
+// roll-forward segment, which only a newest-first reset undoes correctly.
+
+void access(CacheLevel& level, const std::vector<std::uint64_t>& stream) {
+  drive(level, stream);
+}
+void access(CacheHierarchy& caches, const std::vector<std::uint64_t>& stream) {
+  for (const std::uint64_t address : stream) {
+    caches.access(address);
+  }
+}
+
+// What a probe stream sees of a copy of `level`: the hit pattern, the stats
+// and the clock.
+std::vector<std::uint64_t> observe(CacheLevel level) {
+  std::vector<std::uint64_t> seen = {level.clock()};
+  for (const bool hit : drive(level, levelStream(99, 400))) {
+    seen.push_back(hit);
+  }
+  seen.push_back(level.stats().hits);
+  seen.push_back(level.stats().misses);
+  return seen;
+}
+
+// What a probe stream sees of a copy of `caches`: latencies, per-level
+// stats and main-memory accesses.
+std::vector<std::uint64_t> observe(CacheHierarchy caches) {
+  std::vector<std::uint64_t> seen;
+  for (const std::uint64_t address : addressStream(99, 2000, 256, 64)) {
+    seen.push_back(caches.access(address));
+  }
+  for (std::size_t level = 0; level < 3; ++level) {
+    seen.push_back(caches.levelStats(level).hits);
+    seen.push_back(caches.levelStats(level).misses);
+  }
+  seen.push_back(caches.memoryAccesses());
+  return seen;
+}
+
+template <typename Cache>
+void randomSchedule(const Cache& fresh, std::uint64_t lines,
+                    std::uint64_t seed) {
+  Rng rng(seed);
+  Cache cache = fresh;
+  Cache golden = fresh;         // the same run without its suffixes
+  std::optional<Cache> atMark;  // `golden` when the checkpoint was set
+  bool inSuffix = false;
+  int rewinds = 0;
+  int resets = 0;
+  for (std::uint64_t step = 0; step < 600; ++step) {
+    const std::vector<std::uint64_t> burst =
+        addressStream(seed * 1000 + step, 1 + rng.nextBelow(48), lines, 64);
+    switch (rng.nextBelow(6)) {
+      case 0:
+      case 1:  // golden progress, or more of the suffix
+        access(cache, burst);
+        if (!inSuffix) {
+          access(golden, burst);
+        }
+        break;
+      case 2:  // a faulty suffix diverges from the golden run
+        if (atMark) {
+          access(cache, burst);
+          inSuffix = true;
+        }
+        break;
+      case 3:
+        if (!inSuffix) {
+          cache.setCheckpoint();
+          atMark = golden;
+        }
+        break;
+      case 4:
+        if (atMark) {
+          cache.rewindToCheckpoint();
+          golden = *atMark;
+          inSuffix = false;
+          ++rewinds;
+          ASSERT_EQ(observe(cache), observe(golden)) << "rewind, step " << step;
+        }
+        break;
+      default:
+        if (rng.nextBool(0.25)) {
+          cache.reset();
+          ++resets;
+          ASSERT_EQ(observe(cache), observe(fresh)) << "reset, step " << step;
+          EXPECT_THROW(cache.rewindToCheckpoint(), FatalError);
+          golden = fresh;
+          atMark.reset();
+          inSuffix = false;
+        }
+        break;
+    }
+  }
+  EXPECT_GE(rewinds, 20);
+  EXPECT_GE(resets, 5);
+}
+
+TEST(CacheScheduleTest, LevelRewindsToGoldenAndResetsToFresh) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    randomSchedule(CacheLevel(smallLevel()), 16, seed);
+  }
+}
+
+TEST(CacheScheduleTest, HierarchyRewindsToGoldenAndResetsToFresh) {
+  // 4/8/16 sets: the schedule's 256 lines (16 KiB) miss in every level.
+  arch::CacheConfig config;
+  config.levels = {arch::CacheLevelConfig{"L1", 512, 64, 2, 1},
+                   arch::CacheLevelConfig{"L2", 2048, 64, 4, 5},
+                   arch::CacheLevelConfig{"L3", 8192, 128, 4, 12}};
+  config.memoryLatency = 50;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    randomSchedule(CacheHierarchy(config), 256, seed);
   }
 }
 
@@ -432,6 +499,62 @@ TEST(MemoryTest, SnapshotOutOfRangeTrapsAtFirstBadByte) {
   EXPECT_EQ(trapAddress(addr - 1, 2), addr - 1);  // starts in the guard
   EXPECT_EQ(trapAddress(addr, ~0ULL), end);    // wraps the address space
   EXPECT_TRUE(memory.snapshot(0, 0).empty());  // empty ranges never trap
+}
+
+// --- Memory undo log ------------------------------------------------------------
+
+std::vector<std::uint8_t> image(const Memory& memory) {
+  return memory.snapshot(ir::Program::kGlobalBase,
+                         memory.arenaEnd() - ir::Program::kGlobalBase);
+}
+
+TEST(MemoryUndoTest, SuffixesRewindAndResetRestoresFresh) {
+  ir::Program prog;
+  const std::uint64_t data = prog.allocateGlobal(
+      "data", std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                        12, 13, 14, 15, 16});
+  Memory memory(prog, 16);
+  const Memory fresh(prog, 16);
+  const std::uint64_t last = memory.arenaEnd() - 1;  // a heap byte
+
+  // The prefix writes the word and the byte every later segment rewrites,
+  // so an oldest-first undo would leave prefix values behind.
+  memory.writeU64(data, 0x1111);
+  memory.writeU8(last, 0xaa);
+  memory.setCheckpoint();
+  const std::vector<std::uint8_t> atMark = image(memory);
+
+  memory.writeU64(data, 0x2222);
+  memory.writeU8(data + 3, 0x33);
+  memory.writeU64(data, 0x4444);
+  memory.writeF64(data + 8, 1.5);
+  memory.writeU8(last, 0xbb);
+  EXPECT_EQ(memory.rewindToCheckpoint(), 5u);
+  EXPECT_EQ(image(memory), atMark);
+
+  memory.rawWriteU64(data + 8, 0x5555);
+  memory.rawWriteU8(last, 0xcc);
+  EXPECT_EQ(memory.rewindToCheckpoint(), 2u);
+  EXPECT_EQ(image(memory), atMark);
+
+  // Roll forward past the mark, set the next one, and reset inside its
+  // suffix: every write since construction is undone and the mark dropped.
+  memory.writeU64(data, 0x6666);
+  memory.writeU8(last, 0xdd);
+  memory.setCheckpoint();
+  memory.writeU64(data, 0x7777);
+  memory.writeU8(last, 0xee);
+  memory.reset();
+  EXPECT_EQ(image(memory), image(fresh));
+  EXPECT_THROW(memory.rewindToCheckpoint(), FatalError);
+}
+
+TEST(MemoryUndoTest, RewindWithoutMarkThrows) {
+  ir::Program prog;
+  const std::uint64_t data = prog.allocateGlobal("data", 8);
+  Memory memory(prog, 0);
+  memory.writeU64(data, 1);
+  EXPECT_THROW(memory.rewindToCheckpoint(), FatalError);
 }
 
 }  // namespace
