@@ -1,17 +1,21 @@
 // Micro-bench: engine and thread scaling of the Monte Carlo fault campaign.
 //
-// Axis 1 — engine: the same single-threaded campaign runs on the reference
-// IR-walking interpreter and on the decoded micro-op engine; reports wall
-// time, dynamic instructions per second, the decoded/reference speedup, and
-// — the correctness half of the claim — that the outcome counts are
-// bit-identical between engines.  The result is written to
-// BENCH_sim_engine.json (override the path with CASTED_BENCH_JSON).
+// Axis 1 — engine: the same single-threaded campaign runs kEngineRuns times
+// on the reference IR-walking interpreter and on the decoded micro-op
+// engine; reports the median wall time and its sample stddev, dynamic
+// instructions per second at the median, and the decoded/reference
+// speedup of the medians.  The result is written to BENCH_sim_engine.json
+// (override the path with CASTED_BENCH_JSON).
 //
-// Axis 2 — threads: the decoded-engine campaign at 1, 2, 4, ... workers
-// with bit-identical counts at every width (each trial's randomness derives
-// only from deriveStreamSeed(seed, trialIndex)).
+// Axis 2 — threads: the decoded-engine campaign at 1, 2, 4, ... workers.
+//
+// Both axes are gates: the bench exits non-zero when any campaign's report
+// (outcome counts and dynamic instructions) differs from the decoded
+// engine's first one — the report is defined by (seed, trials) alone,
+// never by the engine, the thread count or the repetition.
 //
 //   CASTED_SCALE / CASTED_TRIALS as usual; CASTED_MAX_THREADS caps the sweep.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -26,12 +30,28 @@ using namespace casted;
 
 namespace {
 
+// Timed campaigns per engine; each engine row is their median.
+constexpr int kEngineRuns = 5;
+
+bool sameReport(const fault::CoverageReport& a,
+                const fault::CoverageReport& b) {
+  return a.counts == b.counts && a.dynamicInsns == b.dynamicInsns;
+}
+
 struct EngineSample {
   sim::Engine engine = sim::Engine::kDecoded;
-  double wallMs = 0.0;
-  double insnsPerSec = 0.0;
-  fault::CoverageReport report;
+  double wallMs = 0.0;        // median of kEngineRuns
+  double wallMsStddev = 0.0;  // sample stddev of the same runs
+  double insnsPerSec = 0.0;   // at the median
+  fault::CoverageReport report;  // the first run's
+  bool repeatable = true;     // every run reported `report`
 };
+
+double elapsedMs(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
 
 EngineSample measure(const core::CompiledProgram& bin, sim::Engine engine,
                      std::uint32_t trials) {
@@ -39,13 +59,21 @@ EngineSample measure(const core::CompiledProgram& bin, sim::Engine engine,
   options.trials = trials;
   options.threads = 1;
   options.simOptions.engine = engine;
-  const auto start = std::chrono::steady_clock::now();
   EngineSample sample;
   sample.engine = engine;
-  sample.report = core::campaign(bin, options);
-  sample.wallMs = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
+  std::vector<double> wallMs;
+  for (int run = 0; run < kEngineRuns; ++run) {
+    const auto start = std::chrono::steady_clock::now();
+    const fault::CoverageReport report = core::campaign(bin, options);
+    wallMs.push_back(elapsedMs(start));
+    if (run == 0) {
+      sample.report = report;
+    }
+    sample.repeatable = sample.repeatable && sameReport(report, sample.report);
+  }
+  sample.wallMsStddev = summarize(wallMs).stddev;
+  std::sort(wallMs.begin(), wallMs.end());
+  sample.wallMs = wallMs[wallMs.size() / 2];
   sample.insnsPerSec = sample.wallMs <= 0.0
                            ? 0.0
                            : static_cast<double>(sample.report.dynamicInsns) /
@@ -55,7 +83,7 @@ EngineSample measure(const core::CompiledProgram& bin, sim::Engine engine,
 
 void writeJson(const std::string& path, const std::string& workload,
                std::uint32_t trials, const EngineSample& reference,
-               const EngineSample& decoded) {
+               const EngineSample& decoded, bool identical) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::printf("(could not write %s)\n", path.c_str());
@@ -69,12 +97,14 @@ void writeJson(const std::string& path, const std::string& workload,
   std::fprintf(out, "  \"scheme\": \"casted\",\n");
   std::fprintf(out, "  \"trials\": %u,\n", trials);
   std::fprintf(out, "  \"threads\": 1,\n");
+  std::fprintf(out, "  \"runs\": %d,\n", kEngineRuns);
   std::fprintf(out, "  \"engines\": {\n");
   const EngineSample* samples[2] = {&reference, &decoded};
   for (int i = 0; i < 2; ++i) {
     const EngineSample& s = *samples[i];
     std::fprintf(out, "    \"%s\": {\n", sim::engineName(s.engine));
     std::fprintf(out, "      \"wall_ms\": %.3f,\n", s.wallMs);
+    std::fprintf(out, "      \"wall_ms_stddev\": %.3f,\n", s.wallMsStddev);
     std::fprintf(out, "      \"dynamic_insns\": %llu,\n",
                  static_cast<unsigned long long>(s.report.dynamicInsns));
     std::fprintf(out, "      \"insns_per_sec\": %.0f\n", s.insnsPerSec);
@@ -83,11 +113,7 @@ void writeJson(const std::string& path, const std::string& workload,
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"decoded_speedup\": %.3f,\n", speedup);
   std::fprintf(out, "  \"counts_identical\": %s\n",
-               reference.report.counts == decoded.report.counts &&
-                       reference.report.dynamicInsns ==
-                           decoded.report.dynamicInsns
-                   ? "true"
-                   : "false");
+               identical ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("\nwrote %s\n", path.c_str());
@@ -126,17 +152,22 @@ int main() {
       measure(bin, sim::Engine::kReference, trials);
   const EngineSample decoded = measure(bin, sim::Engine::kDecoded, trials);
 
-  TextTable engineTable(
-      {"engine", "wall ms", "Minsns/s", "speedup", "counts identical"});
+  TextTable engineTable({"engine", "median wall ms", "stddev ms", "Minsns/s",
+                         "speedup", "counts identical"});
+  bool identical = true;
   for (const EngineSample* s : {&reference, &decoded}) {
+    const bool same = s->repeatable && sameReport(s->report, decoded.report);
+    identical = identical && same;
     engineTable.addRow(
         {sim::engineName(s->engine), formatFixed(s->wallMs, 1),
+         formatFixed(s->wallMsStddev, 1),
          formatFixed(s->insnsPerSec / 1e6, 1),
          formatFixed(reference.wallMs / std::max(s->wallMs, 1e-9), 2),
-         s->report.counts == reference.report.counts ? "yes" : "NO (bug!)"});
+         same ? "yes" : "NO (bug!)"});
   }
-  std::printf("%s\n", engineTable.render().c_str());
-  writeJson(jsonPath, wl.name, trials, reference, decoded);
+  std::printf("%d runs per engine\n%s\n", kEngineRuns,
+              engineTable.render().c_str());
+  writeJson(jsonPath, wl.name, trials, reference, decoded, identical);
 
   // ---- Axis 2: threads (decoded engine) ------------------------------
   std::printf("\n");
@@ -148,17 +179,14 @@ int main() {
     options.threads = threads;
     const auto start = std::chrono::steady_clock::now();
     const fault::CoverageReport report = core::campaign(bin, options);
-    const double ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
+    const double ms = elapsedMs(start);
     if (threads == 1) {
       serialMs = ms;
     }
+    const bool same = sameReport(report, decoded.report);
+    identical = identical && same;
     table.addRow({std::to_string(threads), formatFixed(ms, 1),
-                  formatFixed(serialMs / ms, 2),
-                  report.counts == decoded.report.counts ? "yes"
-                                                         : "NO (bug!)"});
+                  formatFixed(serialMs / ms, 2), same ? "yes" : "NO (bug!)"});
   }
   std::printf("%s", table.render().c_str());
   std::printf(
@@ -180,6 +208,11 @@ int main() {
                      fault::injectionModeName(fault::CampaignOptions{}.mode));
   if (trace::writeReport()) {
     std::printf("wrote trace %s\n", trace::outputPath().c_str());
+  }
+  if (!identical) {
+    std::printf("FAIL: a campaign report differs across engines, threads "
+                "or runs\n");
+    return 1;
   }
   return 0;
 }

@@ -20,9 +20,9 @@ PipelineReport PassManager::run(ir::Program& program,
     {
       // Build the event name only when it will be recorded: the disabled
       // path must not allocate.
-      const bool traced = trace::enabled();
-      const trace::Scope scope(
-          traced ? "pm." + std::string(pass->name()) : std::string(), traced);
+      const trace::Scope scope(trace::enabled()
+                                   ? "pm." + std::string(pass->name())
+                                   : std::string());
       result = pass->run(program, am);
     }
     const auto end = std::chrono::steady_clock::now();

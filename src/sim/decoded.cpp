@@ -233,9 +233,6 @@ struct ArchCheckpoint::Data {
   std::vector<InterpFrame> frames;
   RunStats stats;
   std::uint64_t defOrdinal = 0;
-  std::size_t faultCursor = 0;
-  std::uint64_t nextFaultOrdinal = 0;
-  const FaultPlan* faultPlan = nullptr;
   std::uint64_t generation = 0;  // must match the owner's live generation
   const void* owner = nullptr;   // the interpreter that saved it
 };
@@ -254,8 +251,7 @@ namespace {
 enum class Flow : std::uint8_t {
   kContinue,   // nothing did (internal: keep executing)
   kPause,      // reached the runToDef() target ordinal
-  kFinished,   // the entry function returned (a clean exit, code 0)
-  kHalted,     // kHalt executed; Interp::exitCode holds the code
+  kHalted,     // kHalt or an entry return; Interp::exitCode holds the code
   kDetected,   // a check fired
   kTrapped,    // a hardware trap; Interp::trap holds its kind
   kTimeout,    // the watchdog expired
@@ -450,15 +446,17 @@ class DiffMap {
   std::size_t size_ = 0;
 };
 
-struct Interp;
+// The decoded interpreter (defined below).
+using Interp = DecodedRunner::Impl;
 
 // The lockstep state of one window (DecodedRunner::runLockstep): the lanes,
 // and for every register slot and memory word the set of lanes that differ
 // there.  The golden stream (Interp::exec<true>) calls step() before each
-// op the LaneView flags, and the other hooks at defs, calls, returns, frame
-// pops and block charges.  One Lanes lives as long as its Interp and serves window after
-// window: a window ends with every lane decided and so every set empty,
-// and begin() keeps the allocations.  Methods are defined after Interp.
+// op the LaneView flags, and the other hooks at defs (onDef), moves of
+// call arguments and returned values (onMove), frame pops (onPop) and
+// block charges (`worst`).  One Lanes lives as long as its Interp and
+// serves window after window: a window ends with every lane decided and so
+// every set empty, and begin() keeps the allocations.
 struct Lanes {
   enum class State : std::uint8_t { kDormant, kLive, kReconverged, kDone };
 
@@ -476,7 +474,7 @@ struct Lanes {
 
   explicit Lanes(Interp& interp) : in(interp) {}
 
-  // Starts a window of `plans`, whose verdicts go to `out`.
+  // Starts a window of `plans` on the run reset() armed; verdicts to `out`.
   void begin(const std::vector<const FaultPlan*>& plans,
              std::vector<LaneVerdict>& out);
   LaneView view(const InterpFrameBase& base) const;
@@ -488,10 +486,9 @@ struct Lanes {
             std::uint64_t insns);
   void onDef(const MicroOp& u, const InterpFrameBase& base,
              std::uint64_t insns);
-  void onCall(const MicroOp& call, const InterpFrameBase& caller,
-              const InterpFrameBase& callee, std::uint64_t insns);
-  void onRet(const MicroOp& ret, const InterpFrame& callee,
-             const InterpFrameBase& caller, std::uint64_t insns);
+  void onMove(const DecodedReg* from, const InterpFrameBase& src,
+              const DecodedReg* to, const InterpFrameBase& dst,
+              std::uint32_t count, std::uint64_t insns);
   void onPop(const InterpFrameBase& base);
   // The end of the golden stream: every open lane is decided.
   void finish(std::optional<std::uint32_t> exitSlot, std::int64_t exitCode,
@@ -535,23 +532,38 @@ struct Lanes {
   std::size_t open = 0;     // lanes not yet decided
 };
 
-// The decoded interpreter.  Frames live in three per-class arenas (one
-// contiguous slab per register class) instead of per-call heap vectors; a
-// call pushes `regCount` zeroed slots per class and pops them on return.
-// Control state lives in an explicit InterpFrame stack, so execution can
-// pause at any dynamic def ordinal, be snapshotted/restored through
-// ArchCheckpoint, and resume — the machinery behind checkpoint-and-diverge
-// fault injection (sim/decoded.h).
+// `bits` of a register of class `cls` with a fault point's `bit` flipped; a
+// predicate flips its one bit whatever `bit` says.
+std::uint64_t flipBits(std::uint32_t cls, std::uint64_t bits,
+                       std::uint32_t bit) {
+  return cls == static_cast<std::uint32_t>(RegClass::kPr)
+             ? bits ^ 1
+             : bits ^ (1ULL << (bit & 63));
+}
+
+}  // namespace
+
+// The decoded interpreter behind every DecodedRunner.  Frames live in three
+// per-class arenas (one contiguous slab per register class) instead of
+// per-call heap vectors; a call pushes `regCount` zeroed slots per class and
+// pops them on return.  Control state lives in an explicit InterpFrame
+// stack, so execution can pause at any dynamic def ordinal, be
+// snapshotted/restored through ArchCheckpoint, and resume — the machinery
+// behind checkpoint-and-diverge fault injection (sim/decoded.h).
 //
-// One Interp is a reusable context: reset() restores the fresh-construction
-// architectural state in time proportional to what the previous run touched
-// (the memory and cache undo logs, cleared arenas), so a
-// campaign worker pays the megabyte-scale allocations once, not per trial.
-struct Interp {
+// Every kind of run — a whole run, a stepwise run, a lockstep golden
+// stream — has one lifecycle: reset() arms it and pushes the entry frame,
+// exec() runs it until a Flow stops it, and a run ends as one of the Flows
+// that carry an outcome (kHalted, kDetected, kTrapped, kTimeout).
+//
+// reset() restores the fresh-construction architectural state in time
+// proportional to what the previous run touched (the memory and cache undo
+// logs, cleared arenas), so a campaign worker pays the megabyte-scale
+// allocations once, not per trial.
+struct DecodedRunner::Impl {
   const DecodedProgram& prog;
-  const SimOptions* options = nullptr;  // set by reset() before each run
+  SimOptions options;  // the run's, copied by reset()
   Memory memory;
-  std::uint64_t heapBytes;
   CacheHierarchy caches;
   RunStats stats;
 
@@ -565,7 +577,7 @@ struct Interp {
   // across nested calls is bit-identical too.
   std::vector<std::uint64_t> addr;
 
-  std::size_t faultCursor = 0;
+  std::size_t faultCursor = 0;  // next point of options.faultPlan
   std::uint64_t defOrdinal = 0;
   std::uint64_t nextFaultOrdinal = kNoFault;
   // The next def ordinal that needs more than counting: min(pauseAt,
@@ -574,8 +586,10 @@ struct Interp {
   // it wherever one of its inputs changes.
   std::uint64_t nextEvent = kNoFault;
 
-  // How the last run ended, for the Flows that carry a value.
+  // How the last run ended, for the Flows that carry a value.  exitSlot is
+  // the gp arena slot kHalt read its code from; an entry return has none.
   std::int64_t exitCode = 0;
+  std::optional<std::uint32_t> exitSlot;
   TrapKind trap = TrapKind::kNone;
 
   // The lockstep window the golden stream serves (runLanes only; null
@@ -592,35 +606,32 @@ struct Interp {
   std::vector<InterpFrame> frames;
 
   // Stepwise-run state (begin/runToDef/injectAtPause/finish).
-  SimOptions stepOptions;  // storage backing `options` in stepwise mode
   std::uint64_t pauseAt = kNoFault;  // runToDef target ordinal
   bool stepMode = false;
-  bool started = false;
   bool pausedAtDef = false;
   bool finished = false;
   RunResult result;
   std::uint64_t checkpointGen = 0;  // invalidates outstanding checkpoints
 
-  explicit Interp(const DecodedProgram& program)
+  explicit Impl(const DecodedProgram& program)
       : prog(program),
-        memory(program.globalImage(), SimOptions{}.heapBytes),
-        heapBytes(SimOptions{}.heapBytes),
+        memory(program.globalImage(), options.heapBytes),
         caches(program.cacheConfig()) {
     addr.assign(prog.maxBlockInsns(), 0);
   }
 
-  // Restores fresh-context state and arms the run with `opts`.
+  // Restores fresh-context state, arms the run with `opts` and pushes the
+  // entry frame.
   void reset(const SimOptions& opts) {
     CASTED_CHECK(opts.faultPlan == nullptr || opts.defTrace == nullptr)
         << "SimOptions::defTrace must stay null in injection runs (the trace "
            "belongs to the golden profiling run)";
-    options = &opts;
-    if (opts.heapBytes != heapBytes) {
+    if (opts.heapBytes != options.heapBytes) {
       memory = Memory(prog.globalImage(), opts.heapBytes);
-      heapBytes = opts.heapBytes;
     } else {
       memory.reset();
     }
+    options = opts;
     caches.reset();
     stats = RunStats{};
     gpStack.clear();
@@ -636,26 +647,32 @@ struct Interp {
     if (opts.defTrace != nullptr) {
       opts.defTrace->clear();
     }
+    exitCode = 0;
+    exitSlot.reset();
     lanes = nullptr;
     frames.clear();
     pauseAt = kNoFault;
     stepMode = false;
-    started = false;
     pausedAtDef = false;
     finished = false;
     result = RunResult{};
     ++checkpointGen;  // outstanding checkpoints are now stale
     updateNextEvent();
+    // At depth 0 and cycle 0 the entry push can neither overflow the stack
+    // nor time out.
+    pushFrame(prog.entryFunction(), nullptr, 0, FrameBase{}, 0,
+              kDiscardReturns);
   }
 
   void updateNextEvent() {
-    nextEvent = options->defTrace != nullptr
+    nextEvent = options.defTrace != nullptr
                     ? defOrdinal
                     : std::min(pauseAt, nextFaultOrdinal);
   }
 
-  // Reads one register as raw bits; the marshalling used for call arguments
-  // and returned values (identical to the reference's RawValue round trip).
+  // Reads one register as raw bits; the marshalling used for call arguments,
+  // returned values and fault flips (identical to the reference's RawValue
+  // round trip).
   std::uint64_t readBits(const FrameBase& frame, const DecodedReg& reg) const {
     switch (static_cast<RegClass>(reg.cls)) {
       case RegClass::kGp:
@@ -683,6 +700,16 @@ struct Interp {
     }
   }
 
+  // Copies the `count` registers listed at `from` in frame `src` to those
+  // listed at `to` in frame `dst`: call arguments and returned values.
+  void copyRegs(const DecodedReg* from, const FrameBase& src,
+                const DecodedReg* to, const FrameBase& dst,
+                std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      writeBits(dst, to[i], readBits(src, from[i]));
+    }
+  }
+
   // The register a fault point at op `u` flips: the call's chosen return
   // def, else the op's one def.
   DecodedReg faultTarget(const MicroOp& u, const FaultPoint& point) const {
@@ -695,30 +722,17 @@ struct Interp {
   // Applies the pending fault point to one def of `target` (the op whose
   // defOrdinal just matched), then advances the plan cursor.
   void injectFault(const MicroOp& u, const FrameBase& frame) {
-    const FaultPoint& point = options->faultPlan->points[faultCursor];
+    const FaultPoint& point = options.faultPlan->points[faultCursor];
     ++faultCursor;
-    nextFaultOrdinal = faultCursor < options->faultPlan->points.size()
-                           ? options->faultPlan->points[faultCursor].ordinal
+    nextFaultOrdinal = faultCursor < options.faultPlan->points.size()
+                           ? options.faultPlan->points[faultCursor].ordinal
                            : kNoFault;
     const DecodedReg target = faultTarget(u, point);
-    switch (static_cast<RegClass>(target.cls)) {
-      case RegClass::kGp:
-        gpStack[frame.gp + target.slot] ^=
-            static_cast<std::int64_t>(1ULL << (point.bit & 63));
-        break;
-      case RegClass::kFp: {
-        std::uint64_t bits =
-            std::bit_cast<std::uint64_t>(fpStack[frame.fp + target.slot]);
-        bits ^= 1ULL << (point.bit & 63);
-        fpStack[frame.fp + target.slot] = std::bit_cast<double>(bits);
-        break;
-      }
-      case RegClass::kPr:
-        prStack[frame.pr + target.slot] ^= 1;
-        break;
-    }
+    writeBits(frame, target,
+              flipBits(target.cls, readBits(frame, target), point.bit));
   }
 
+  template <bool kLanes>
   void chargeBlockTiming(const DecodedFunction& fn, const DecodedBlock& blk) {
     std::uint64_t stalls = 0;
     const std::uint32_t* plan = fn.memPlan.data() + blk.planFirst;
@@ -741,19 +755,22 @@ struct Interp {
     stats.cycles += blk.schedLength + stalls;
     stats.stallCycles += stalls;
     ++stats.blockExecutions;
+    if constexpr (kLanes) {
+      lanes->worst += blk.worstCycles;
+    }
   }
 
-  // Pushes a frame for `funcIdx` and marshals its arguments from the caller
-  // frame via the pool list at [argPool, argPool+argCount); returned values
-  // will be written back to the caller's call-def list at retPool — or
-  // discarded for the entry invocation (retCount == kDiscardReturns).
-  // Ordering matches the recursive interpreter this replaced bit for bit:
-  // depth check, argument-count check, arena push, argument copy, then the
-  // timeout check that used to sit at the head of the callee's run loop.
-  Flow pushFrame(std::uint32_t funcIdx, std::uint32_t argPool,
+  // Pushes a frame for `funcIdx` and copies its arguments from the caller
+  // frame's registers listed at `args`; returned values will be written
+  // back to the caller's call-def list at retPool — or discarded for the
+  // entry invocation (retCount == kDiscardReturns).  Ordering matches the
+  // recursive interpreter this replaced bit for bit: depth check,
+  // argument-count check, arena push, argument copy, then the timeout check
+  // that used to sit at the head of the callee's run loop.
+  Flow pushFrame(std::uint32_t funcIdx, const DecodedReg* args,
                  std::uint32_t argCount, FrameBase caller,
                  std::uint32_t retPool, std::uint32_t retCount) {
-    if (frames.size() > options->maxCallDepth) {
+    if (frames.size() > options.maxCallDepth) {
       trap = TrapKind::kStackOverflow;
       return Flow::kTrapped;
     }
@@ -771,13 +788,10 @@ struct Interp {
     gpStack.resize(f.base.gp + fn.regCount[0], 0);
     fpStack.resize(f.base.fp + fn.regCount[1], 0.0);
     prStack.resize(f.base.pr + fn.regCount[2], 0);
-    for (std::uint32_t i = 0; i < argCount; ++i) {
-      writeBits(f.base, fn.params[i],
-                readBits(caller, prog.pool()[argPool + i]));
-    }
+    copyRegs(args, caller, fn.params.data(), f.base, argCount);
     frames.push_back(f);
-    return stats.cycles > options->maxCycles ? Flow::kTimeout
-                                             : Flow::kContinue;
+    return stats.cycles > options.maxCycles ? Flow::kTimeout
+                                            : Flow::kContinue;
   }
 
   // Def bookkeeping, shared by every def-producing op including calls
@@ -798,8 +812,8 @@ struct Interp {
   // a pause defers until the run resumes.
   Flow defEvent(const MicroOp& u, const InterpFrame& f, std::uint32_t node,
                 std::uint64_t insns) {
-    if (options->defTrace != nullptr) {
-      options->defTrace->push_back({f.func, f.block, node});
+    if (options.defTrace != nullptr) {
+      options.defTrace->push_back({f.func, f.block, node});
     }
     if (defOrdinal == pauseAt) {
       return Flow::kPause;
@@ -881,6 +895,7 @@ struct Interp {
       std::uint64_t n;
       ~InsnCount() { out = n; }
     } insns{stats.dynamicInsns, stats.dynamicInsns};
+    const DecodedReg* pool = prog.pool().data();
     while (true) {
       InterpFrame& f = frames.back();
       const DecodedFunction& fn = prog.functions()[f.func];
@@ -933,12 +948,15 @@ struct Interp {
               f.returned = returned;
               const FrameBase caller = f.base;
               const Flow flow =
-                  pushFrame(u.t1, u.a, u.b, caller, u.c, u.defCount);
+                  pushFrame(u.t1, pool + u.a, u.b, caller, u.c, u.defCount);
               if (flow != Flow::kContinue) {
                 return flow;
               }
               if constexpr (kLanes) {
-                lanes->onCall(u, caller, frames.back().base, insns.n);
+                lanes->syncArenas();
+                lanes->onMove(pool + u.a, caller,
+                              prog.functions()[u.t1].params.data(),
+                              frames.back().base, u.b, insns.n);
               }
               pushed = true;  // `f` is dangling now (frames reallocated)
               break;
@@ -949,24 +967,19 @@ struct Interp {
                     << "@" << fn.name << " returned " << u.b
                     << " values, caller expects " << f.retCount;
                 const FrameBase caller = frames[frames.size() - 2].base;
-                for (std::uint32_t i = 0; i < u.b; ++i) {
-                  writeBits(caller, prog.pool()[f.retPool + i],
-                            readBits(f.base, prog.pool()[u.a + i]));
-                }
+                copyRegs(pool + u.a, f.base, pool + f.retPool, caller, u.b);
                 if constexpr (kLanes) {
-                  lanes->onRet(u, f, caller, insns.n);
+                  lanes->onMove(pool + u.a, f.base, pool + f.retPool, caller,
+                                u.b, insns.n);
                 }
               }
               returned = true;
               break;
             }
             default:  // kHalt
-              chargeBlockTiming(fn, blk);
+              chargeBlockTiming<kLanes>(fn, blk);
               exitCode = regs.gp[u.a];
-              if constexpr (kLanes) {
-                lanes->worst += blk.worstCycles;
-                lanes->finish(f.base.gp + u.a, exitCode, insns.n);
-              }
+              exitSlot = f.base.gp + u.a;
               return Flow::kHalted;
           }
           if (pushed) {
@@ -986,10 +999,7 @@ struct Interp {
       if (pushed) {
         continue;  // run the callee; the call op completes at its pop
       }
-      chargeBlockTiming(fn, blk);
-      if constexpr (kLanes) {
-        lanes->worst += blk.worstCycles;
-      }
+      chargeBlockTiming<kLanes>(fn, blk);
       if (returned) {
         // Pop the frame, then complete the caller's pending call op (its
         // defs were written back by the kRet above).
@@ -1002,7 +1012,10 @@ struct Interp {
         prStack.resize(base.pr);
         frames.pop_back();
         if (frames.empty()) {
-          return Flow::kFinished;  // the entry function returned
+          // The entry function returned: a clean exit with code 0.
+          exitCode = 0;
+          exitSlot.reset();
+          return Flow::kHalted;
         }
         InterpFrame& caller = frames.back();
         const DecodedFunction& cfn = prog.functions()[caller.func];
@@ -1024,50 +1037,40 @@ struct Interp {
       f.node = 0;
       f.nextBlock = ir::kInvalidBlock;
       f.returned = false;
-      if (stats.cycles > options->maxCycles) {
+      if (stats.cycles > options.maxCycles) {
         return Flow::kTimeout;
       }
     }
   }
 
-  // Completes the def bookkeeping a pause interrupted — the paused op's
-  // counting already ran, so only the fault check and ordinal advance
-  // remain — then steps past the op.
-  void finishPausedDef() {
-    InterpFrame& f = frames.back();
+  // The op the run is paused on.
+  const MicroOp& pausedOp() const {
+    const InterpFrame& f = frames.back();
     const DecodedFunction& fn = prog.functions()[f.func];
-    finishDef(fn.ops[fn.blocks[f.block].firstOp + f.node], f.base,
-              stats.dynamicInsns);
-    ++f.node;
+    return fn.ops[fn.blocks[f.block].firstOp + f.node];
   }
 
-  // Runs or resumes until a pause or completion.  Returns true while paused
-  // at a def; otherwise `result` is final and `finished` set.
+  // Runs or resumes until a pause or the end of the run.  Returns true while
+  // paused at a def; otherwise `result` is final and `finished` set.
   bool drive() {
     CASTED_CHECK(!finished) << "run already complete";
-    Flow flow = Flow::kContinue;
-    if (!started) {
-      started = true;
-      flow = pushFrame(prog.entryFunction(), 0, 0, FrameBase{}, 0,
-                       kDiscardReturns);
+    if (pausedAtDef) {
+      // Complete the def bookkeeping the pause interrupted (the paused op's
+      // counting already ran), then step past the op.
+      pausedAtDef = false;
+      finishDef(pausedOp(), frames.back().base, stats.dynamicInsns);
+      ++frames.back().node;
     }
-    if (flow == Flow::kContinue) {
-      if (pausedAtDef) {
-        pausedAtDef = false;
-        finishPausedDef();
-      }
-      flow = exec<false>();
-      if (flow == Flow::kPause) {
-        pausedAtDef = true;
-        return true;
-      }
+    const Flow flow = exec<false>();
+    if (flow == Flow::kPause) {
+      pausedAtDef = true;
+      return true;
     }
     result = RunResult{};
     switch (flow) {
-      case Flow::kFinished:  // the entry function returned: clean exit
       case Flow::kHalted:
         result.exit = ExitKind::kHalted;
-        result.exitCode = flow == Flow::kHalted ? exitCode : 0;
+        result.exitCode = exitCode;
         break;
       case Flow::kDetected:
         result.exit = ExitKind::kDetected;
@@ -1088,7 +1091,7 @@ struct Interp {
     stats.memoryAccesses = caches.memoryAccesses();
     result.stats = stats;
     for (const ir::GlobalSymbol& sym : prog.symbols()) {
-      if (sym.name == options->outputSymbol) {
+      if (sym.name == options.outputSymbol) {
         result.output = memory.snapshot(sym.address, sym.size);
         break;
       }
@@ -1097,16 +1100,14 @@ struct Interp {
     return false;
   }
 
-  void setPause(std::uint64_t ordinal) {
-    pauseAt = ordinal;
-    updateNextEvent();
-  }
-
-  // Whole-run execution; reset() must have armed `options` first.
-  RunResult run() {
-    setPause(kNoFault);
-    const bool paused = drive();
-    CASTED_CHECK(!paused);
+  // Runs to the end, unless the run is already there, and returns its
+  // result.  Each call adds the run to the trace's sim.decoded.* counters.
+  RunResult finish() {
+    if (!finished) {
+      const bool paused = drive();
+      CASTED_CHECK(!paused);
+    }
+    traceRunStats("decoded", result.stats);
     return result;
   }
 
@@ -1117,37 +1118,26 @@ struct Interp {
                 std::vector<LaneVerdict>& verdicts) {
     CASTED_CHECK(opts.faultPlan == nullptr && opts.defTrace == nullptr)
         << "the golden stream runs without a plan or a def trace";
-    CASTED_CHECK(plans.size() <= DecodedRunner::kMaxLanes)
-        << plans.size() << " lanes exceed the window of "
-        << DecodedRunner::kMaxLanes;
-    stepOptions = opts;
-    reset(stepOptions);
+    CASTED_CHECK(plans.size() <= kMaxLanes)
+        << plans.size() << " lanes exceed the window of " << kMaxLanes;
+    reset(opts);
     verdicts.assign(plans.size(), LaneVerdict{});
     if (plans.empty()) {
       return;
     }
-    Lanes& window = laneState;
-    window.begin(plans, verdicts);
-    lanes = &window;
-    nextFaultOrdinal = window.nextOrdinal();
+    laneState.begin(plans, verdicts);
+    lanes = &laneState;
+    nextFaultOrdinal = laneState.nextOrdinal();
     updateNextEvent();
-    started = true;
-    Flow flow = pushFrame(prog.entryFunction(), 0, 0, FrameBase{}, 0,
-                          kDiscardReturns);
-    if (flow == Flow::kContinue) {
-      window.syncArenas();
-      flow = exec<true>();
-    }
-    // kHalted already decided the lanes inside exec (the exit code's
-    // register is only known there).
-    if (flow == Flow::kFinished) {
-      window.finish(std::nullopt, 0, stats.dynamicInsns);
+    const Flow flow = exec<true>();
+    if (flow == Flow::kHalted) {
+      laneState.finish(exitSlot, exitCode, stats.dynamicInsns);
     } else if (flow == Flow::kTimeout) {
-      window.timeout(stats.dynamicInsns);
+      laneState.timeout(stats.dynamicInsns);
     }
     lanes = nullptr;
     CASTED_CHECK(flow != Flow::kDetected && flow != Flow::kTrapped &&
-                 window.open == 0 && window.diffs == 0)
+                 laneState.open == 0 && laneState.diffs == 0)
         << "the golden stream ended without deciding its lanes";
   }
 
@@ -1158,8 +1148,7 @@ struct Interp {
         << "stepwise runs inject via injectAtPause, not SimOptions";
     CASTED_CHECK(opts.defTrace == nullptr)
         << "a def trace cannot be rewound across checkpoint restores";
-    stepOptions = opts;
-    reset(stepOptions);
+    reset(opts);
     stepMode = true;
   }
 
@@ -1169,15 +1158,21 @@ struct Interp {
     CASTED_CHECK(pausedAtDef ? ordinal > defOrdinal : ordinal >= defOrdinal)
         << "cannot rewind to def " << ordinal << " (at " << defOrdinal
         << "); restore a checkpoint instead";
-    setPause(ordinal);
+    pauseAt = ordinal;
+    updateNextEvent();
     const bool paused = drive();
-    setPause(kNoFault);
+    pauseAt = kNoFault;
+    updateNextEvent();
     return paused;
   }
 
+  // A checkpoint holds a golden state: no fault plan is armed when it is
+  // saved, and restoring it disarms the plan injectAtPause armed.
   void saveCheckpoint(ArchCheckpoint::Data& d) {
     CASTED_CHECK(stepMode && pausedAtDef)
         << "checkpoints are taken while paused at a def";
+    CASTED_CHECK(options.faultPlan == nullptr)
+        << "checkpoints are taken before injectAtPause";
     d.gp = gpStack;
     d.fp = fpStack;
     d.pr = prStack;
@@ -1185,9 +1180,6 @@ struct Interp {
     d.frames = frames;
     d.stats = stats;
     d.defOrdinal = defOrdinal;
-    d.faultCursor = faultCursor;
-    d.nextFaultOrdinal = nextFaultOrdinal;
-    d.faultPlan = stepOptions.faultPlan;
     d.generation = ++checkpointGen;
     d.owner = this;
     memory.setCheckpoint();
@@ -1211,9 +1203,9 @@ struct Interp {
     frames = d.frames;
     stats = d.stats;
     defOrdinal = d.defOrdinal;
-    faultCursor = d.faultCursor;
-    nextFaultOrdinal = d.nextFaultOrdinal;
-    stepOptions.faultPlan = d.faultPlan;
+    options.faultPlan = nullptr;
+    faultCursor = 0;
+    nextFaultOrdinal = kNoFault;
     pausedAtDef = true;
     finished = false;
     updateNextEvent();
@@ -1225,28 +1217,16 @@ struct Interp {
     CASTED_CHECK(!plan.points.empty() &&
                  plan.points[0].ordinal == defOrdinal)
         << "plan must start at the paused ordinal";
-    stepOptions.faultPlan = &plan;
+    options.faultPlan = &plan;
     faultCursor = 0;
-    nextFaultOrdinal = plan.points[0].ordinal;
     // Apply point 0 to the op we are paused on (injectFault advances the
     // cursor to any later points, which fire during finish()).
-    InterpFrame& f = frames.back();
-    const DecodedFunction& fn = prog.functions()[f.func];
-    const MicroOp& u = fn.ops[fn.blocks[f.block].firstOp + f.node];
-    injectFault(u, f.base);
+    injectFault(pausedOp(), frames.back().base);
     updateNextEvent();
   }
-
-  RunResult finishRun() {
-    CASTED_CHECK(stepMode) << "finish requires begin()";
-    if (!finished) {
-      setPause(kNoFault);
-      const bool paused = drive();
-      CASTED_CHECK(!paused);
-    }
-    return result;
-  }
 };
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Lockstep lanes.
@@ -1400,6 +1380,7 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
     memWords = words;
     memAny.assign((memWords + 63) / 64, 0);
   }
+  syncArenas();  // the entry frame
 }
 
 LaneView Lanes::view(const InterpFrameBase& base) const {
@@ -1554,7 +1535,7 @@ void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
                    bool corrupt) {
   Lane& l = lanes[lane];
   if (!isFallback(end) && l.diverged &&
-      l.boundStart + (worst - l.worstBefore) > in.options->maxCycles) {
+      l.boundStart + (worst - l.worstBefore) > in.options.maxCycles) {
     end = LaneEnd::kFallbackTiming;
   }
   LaneVerdict& v = (*verdicts)[lane];
@@ -1696,11 +1677,8 @@ void Lanes::onDef(const MicroOp& u, const InterpFrameBase& base,
     }
     const DecodedReg target = in.faultTarget(u, point);
     const std::uint32_t slot = slotBase(base, target.cls) + target.slot;
-    const std::uint64_t bits = laneBits(lane, target.cls, slot);
     setReg(lane, target.cls, slot,
-           target.cls == static_cast<std::uint8_t>(RegClass::kPr)
-               ? bits ^ 1
-               : bits ^ (1ULL << (point.bit & 63)),
+           flipBits(target.cls, laneBits(lane, target.cls, slot), point.bit),
            goldenBits(target.cls, slot));
     noteReconverged(lane);
   }
@@ -1714,58 +1692,31 @@ std::uint64_t asClass(std::uint32_t cls, std::uint64_t bits) {
                                                           : bits;
 }
 
-void Lanes::onCall(const MicroOp& call, const InterpFrameBase& caller,
-                   const InterpFrameBase& callee, std::uint64_t insns) {
-  syncArenas();
-  const DecodedReg* args = in.prog.pool().data() + call.a;
-  LaneSet touched;
-  for (std::uint32_t i = 0; i < call.b; ++i) {
-    const std::uint32_t slot = slotBase(caller, args[i].cls) + args[i].slot;
-    if (regAny[args[i].cls][slot] != 0) {
-      touched |= regMask[args[i].cls][slot];
-    }
+// A call's arguments or a return's values: the registers listed at `from`
+// in frame `src` are copied to those listed at `to` in frame `dst`.  A lane
+// that differs at either end takes its own value across.
+void Lanes::onMove(const DecodedReg* from, const InterpFrameBase& src,
+                   const DecodedReg* to, const InterpFrameBase& dst,
+                   std::uint32_t count, std::uint64_t insns) {
+  if (diffs == 0) {
+    return;
   }
-  const DecodedFunction& fn = in.prog.functions()[call.t1];
-  touched.forEach([&](std::uint32_t lane) {
-    if (!chargeLaneOp(lane, insns)) {
-      return;
-    }
-    for (std::uint32_t i = 0; i < call.b; ++i) {
-      const DecodedReg& param = fn.params[i];
-      const std::uint32_t slot = slotBase(callee, param.cls) + param.slot;
-      setReg(lane, param.cls, slot,
-             asClass(param.cls,
-                     laneBits(lane, args[i].cls,
-                              slotBase(caller, args[i].cls) + args[i].slot)),
-             goldenBits(param.cls, slot));
-    }
-  });
-}
-
-void Lanes::onRet(const MicroOp& ret, const InterpFrame& callee,
-                  const InterpFrameBase& caller, std::uint64_t insns) {
-  const DecodedReg* values = in.prog.pool().data() + ret.a;
-  const DecodedReg* defs = in.prog.pool().data() + callee.retPool;
   LaneSet touched;
-  for (std::uint32_t i = 0; i < ret.b; ++i) {
-    touched |= regMask[values[i].cls]
-                      [slotBase(callee.base, values[i].cls) + values[i].slot];
-    touched |=
-        regMask[defs[i].cls][slotBase(caller, defs[i].cls) + defs[i].slot];
+  for (std::uint32_t i = 0; i < count; ++i) {
+    touched |= regMask[from[i].cls][slotBase(src, from[i].cls) + from[i].slot];
+    touched |= regMask[to[i].cls][slotBase(dst, to[i].cls) + to[i].slot];
   }
   touched.forEach([&](std::uint32_t lane) {
     if (!chargeLaneOp(lane, insns)) {
       return;
     }
-    for (std::uint32_t i = 0; i < ret.b; ++i) {
-      const std::uint32_t slot =
-          slotBase(caller, defs[i].cls) + defs[i].slot;
-      setReg(lane, defs[i].cls, slot,
-             asClass(defs[i].cls,
-                     laneBits(lane, values[i].cls,
-                              slotBase(callee.base, values[i].cls) +
-                                  values[i].slot)),
-             goldenBits(defs[i].cls, slot));
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t slot = slotBase(dst, to[i].cls) + to[i].slot;
+      setReg(lane, to[i].cls, slot,
+             asClass(to[i].cls,
+                     laneBits(lane, from[i].cls,
+                              slotBase(src, from[i].cls) + from[i].slot)),
+             goldenBits(to[i].cls, slot));
     }
     noteReconverged(lane);
   });
@@ -1805,7 +1756,7 @@ void Lanes::onPop(const InterpFrameBase& base) {
 bool Lanes::outputDiffers(std::uint32_t lane) const {
   const ir::GlobalSymbol* output = nullptr;
   for (const ir::GlobalSymbol& sym : in.prog.symbols()) {
-    if (sym.name == in.options->outputSymbol) {
+    if (sym.name == in.options.outputSymbol) {
       output = &sym;
       break;
     }
@@ -1865,34 +1816,25 @@ void Lanes::timeout(std::uint64_t insns) {
 
 }  // namespace
 
-struct DecodedRunner::Impl {
-  Interp interp;
-  explicit Impl(const DecodedProgram& program) : interp(program) {}
-};
-
 DecodedRunner::DecodedRunner(const DecodedProgram& program)
     : impl_(std::make_unique<Impl>(program)) {}
 
 DecodedRunner::~DecodedRunner() = default;
 
 RunResult DecodedRunner::run(const SimOptions& options) {
-  impl_->interp.reset(options);
-  RunResult result = impl_->interp.run();
-  traceRunStats("decoded", result.stats);
-  return result;
+  impl_->reset(options);
+  return impl_->finish();
 }
 
-void DecodedRunner::begin(const SimOptions& options) {
-  impl_->interp.begin(options);
-}
+void DecodedRunner::begin(const SimOptions& options) { impl_->begin(options); }
 
 bool DecodedRunner::runToDef(std::uint64_t ordinal) {
-  return impl_->interp.runToDef(ordinal);
+  return impl_->runToDef(ordinal);
 }
 
 std::uint64_t DecodedRunner::pausedOrdinal() const {
-  CASTED_CHECK(impl_->interp.pausedAtDef) << "runner is not paused";
-  return impl_->interp.defOrdinal;
+  CASTED_CHECK(impl_->pausedAtDef) << "runner is not paused";
+  return impl_->defOrdinal;
 }
 
 void DecodedRunner::saveCheckpoint(ArchCheckpoint& out) {
@@ -1900,37 +1842,32 @@ void DecodedRunner::saveCheckpoint(ArchCheckpoint& out) {
     out.data_ = std::make_unique<ArchCheckpoint::Data>();
   }
   trace::counterAdd("sim.checkpoint.saves");
-  impl_->interp.saveCheckpoint(*out.data_);
+  impl_->saveCheckpoint(*out.data_);
 }
 
 void DecodedRunner::restoreCheckpoint(const ArchCheckpoint& checkpoint) {
   CASTED_CHECK(checkpoint.data_ != nullptr) << "checkpoint was never saved";
   trace::counterAdd("sim.checkpoint.restores");
-  impl_->interp.restoreCheckpoint(*checkpoint.data_);
+  impl_->restoreCheckpoint(*checkpoint.data_);
 }
 
 void DecodedRunner::injectAtPause(const FaultPlan& plan) {
-  impl_->interp.injectAtPause(plan);
+  impl_->injectAtPause(plan);
 }
 
 RunResult DecodedRunner::finish() {
-  RunResult result = impl_->interp.finishRun();
-  traceRunStats("decoded", result.stats);
-  return result;
+  CASTED_CHECK(impl_->stepMode) << "finish requires begin()";
+  return impl_->finish();
 }
 
 void DecodedRunner::runLockstep(const SimOptions& options,
                                 const std::vector<const FaultPlan*>& plans,
                                 std::vector<LaneVerdict>& verdicts) {
-  impl_->interp.runLanes(options, plans, verdicts);
+  impl_->runLanes(options, plans, verdicts);
 }
 
 RunResult runDecoded(const DecodedProgram& program, const SimOptions& options) {
-  Interp engine(program);
-  engine.reset(options);
-  RunResult result = engine.run();
-  traceRunStats("decoded", result.stats);
-  return result;
+  return DecodedRunner(program).run(options);
 }
 
 }  // namespace casted::sim

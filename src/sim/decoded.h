@@ -114,7 +114,7 @@ struct DecodedFunction {
 class DecodedProgram {
  public:
   // `schedule` must have been produced from `program` with `config`, exactly
-  // as for the reference Simulator.
+  // as for sim::simulate.
   static DecodedProgram build(const ir::Program& program,
                               const sched::ProgramSchedule& schedule,
                               const arch::MachineConfig& config);
@@ -141,14 +141,15 @@ class DecodedProgram {
   std::size_t maxBlockInsns_ = 0;
 };
 
-// An opaque snapshot of a DecodedRunner's complete mid-run state: register
-// arenas, call-stack frames, per-block scratch, run statistics, fault-plan
-// cursor — plus a mark in the runner's undo-logged memory and cache model.
-// Saved while the runner is paused at a dynamic def ordinal
-// (DecodedRunner::runToDef) and restored any number of times; restore cost
-// is O(state touched since the save), not O(heap).  A checkpoint is bound
-// to the runner that saved it and is invalidated by the runner's next
-// saveCheckpoint()/begin()/run() (enforced with a generation check).
+// An opaque snapshot of a DecodedRunner's complete golden mid-run state:
+// register arenas, call-stack frames, per-block scratch and run statistics,
+// plus a mark in the runner's undo-logged memory and cache model.  Saved
+// while the runner is paused at a dynamic def ordinal
+// (DecodedRunner::runToDef) with no fault plan armed, and restored any
+// number of times; restore cost is O(state touched since the save), not
+// O(heap).  A checkpoint is bound to the runner that saved it and is
+// invalidated by the runner's next saveCheckpoint(), begin(), run() or
+// runLockstep() (enforced with a generation check).
 class ArchCheckpoint {
  public:
   ArchCheckpoint();
@@ -206,6 +207,11 @@ struct LaneVerdict {
 // ~10^4 instructions, while rebuilding megabytes of image and way arrays
 // per trial costs as much as running them.  Each campaign worker owns one
 // runner; a runner is single-threaded, the shared DecodedProgram read-only.
+//
+// A runner has three kinds of run — whole (run), stepwise (begin ...
+// finish) and lockstep (runLockstep) — with one lifecycle: each starts by
+// resetting the context and pushing the entry frame, and ends when a halt,
+// an entry return (exit code 0), a check, a trap or the watchdog stops it.
 class DecodedRunner {
  public:
   explicit DecodedRunner(const DecodedProgram& program);
@@ -253,8 +259,10 @@ class DecodedRunner {
   std::uint64_t pausedOrdinal() const;
 
   // Snapshot / restore of the paused state.  save overwrites `out` (and
-  // invalidates any previous checkpoint of this runner); restore requires
-  // the runner's latest checkpoint.
+  // invalidates any previous checkpoint of this runner) and throws
+  // FatalError once injectAtPause armed a plan: a checkpoint is a golden
+  // state.  restore requires the runner's latest checkpoint and disarms
+  // the plan.
   void saveCheckpoint(ArchCheckpoint& out);
   void restoreCheckpoint(const ArchCheckpoint& checkpoint);
 
@@ -284,12 +292,14 @@ class DecodedRunner {
                    const std::vector<const FaultPlan*>& plans,
                    std::vector<LaneVerdict>& verdicts);
 
- private:
+  // The decoded interpreter itself (decoded.cpp).
   struct Impl;
+
+ private:
   std::unique_ptr<Impl> impl_;
 };
 
-// Executes a decoded program to completion in a fresh context.
+// DecodedRunner(program).run(options): one run in a fresh context.
 // `options.faultPlan`, `maxCycles`, `heapBytes`, `maxCallDepth` and
 // `outputSymbol` behave exactly as in the reference engine;
 // `options.engine` is ignored (this IS the decoded engine).

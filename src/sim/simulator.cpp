@@ -108,9 +108,9 @@ std::int64_t wrapNeg(std::int64_t a) {
   return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a));
 }
 
-}  // namespace
-
-struct Simulator::Impl {
+// The reference engine: walks the IR of `program` in program order, one
+// run per instance.
+struct ReferenceWalk {
   const ir::Program& program;
   const sched::ProgramSchedule& schedule;
   const arch::MachineConfig& config;
@@ -134,8 +134,8 @@ struct Simulator::Impl {
   std::uint64_t defOrdinal = 0;
   std::vector<RawValue> returnScratch;
 
-  Impl(const ir::Program& prog, const sched::ProgramSchedule& sched,
-       const arch::MachineConfig& cfg, SimOptions opts)
+  ReferenceWalk(const ir::Program& prog, const sched::ProgramSchedule& sched,
+                const arch::MachineConfig& cfg, SimOptions opts)
       : program(prog),
         schedule(sched),
         config(cfg),
@@ -779,33 +779,19 @@ struct Simulator::Impl {
   }
 };
 
-Simulator::Simulator(const ir::Program& program,
-                     const sched::ProgramSchedule& schedule,
-                     const arch::MachineConfig& config, SimOptions options)
-    : program_(program),
-      schedule_(schedule),
-      config_(config),
-      options_(std::move(options)) {}
-
-Simulator::~Simulator() = default;
-
-RunResult Simulator::run() {
-  if (options_.engine == Engine::kDecoded) {
-    const DecodedProgram decoded =
-        DecodedProgram::build(program_, schedule_, config_);
-    return runDecoded(decoded, options_);
-  }
-  Impl impl(program_, schedule_, config_, options_);
-  RunResult result = impl.run();
-  traceRunStats("reference", result.stats);
-  return result;
-}
+}  // namespace
 
 RunResult simulate(const ir::Program& program,
                    const sched::ProgramSchedule& schedule,
                    const arch::MachineConfig& config, SimOptions options) {
-  Simulator simulator(program, schedule, config, std::move(options));
-  return simulator.run();
+  if (options.engine == Engine::kDecoded) {
+    return runDecoded(DecodedProgram::build(program, schedule, config),
+                      options);
+  }
+  ReferenceWalk walk(program, schedule, config, std::move(options));
+  RunResult result = walk.run();
+  traceRunStats("reference", result.stats);
+  return result;
 }
 
 }  // namespace casted::sim

@@ -4,9 +4,9 @@
 //   * kDecoded (default) — runs the flat pre-decoded micro-op arrays of
 //     sim::DecodedProgram (see decoded.h), the fast path the Monte Carlo
 //     campaigns use;
-//   * kReference — the original IR-walking interpreter below, kept as the
-//     behavioural oracle the decoded engine is differentially tested
-//     against (tests/engine_differential_test.cpp).
+//   * kReference — the original IR-walking interpreter (simulator.cpp),
+//     kept as the behavioural oracle the decoded engine is differentially
+//     tested against (tests/engine_differential_test.cpp).
 // Both engines are required to produce field-for-field identical RunResults
 // for every program, schedule, machine and fault plan.
 //
@@ -60,30 +60,11 @@ struct SimOptions {
   std::vector<DefSite>* defTrace = nullptr;
 };
 
-class Simulator {
- public:
-  // `schedule` must have been produced from `program` with `config` (same
-  // block/function shapes).
-  Simulator(const ir::Program& program, const sched::ProgramSchedule& schedule,
-            const arch::MachineConfig& config, SimOptions options = {});
-  ~Simulator();
-
-  Simulator(const Simulator&) = delete;
-  Simulator& operator=(const Simulator&) = delete;
-
-  // Executes the program from its entry function to completion with the
-  // engine selected by `options.engine`.
-  RunResult run();
-
- private:
-  struct Impl;
-  const ir::Program& program_;
-  const sched::ProgramSchedule& schedule_;
-  const arch::MachineConfig& config_;
-  SimOptions options_;
-};
-
-// Convenience wrapper: schedule + simulate in one call.
+// Executes `program` from its entry function to completion with the engine
+// `options.engine` selects.  `schedule` must have been produced from
+// `program` with `config` (same block/function shapes).  The decoded engine
+// decodes the program for this one run; callers that run a program many
+// times build a DecodedProgram once and use a DecodedRunner.
 RunResult simulate(const ir::Program& program,
                    const sched::ProgramSchedule& schedule,
                    const arch::MachineConfig& config, SimOptions options = {});

@@ -40,6 +40,7 @@ struct Registry {
   std::map<std::string, std::int64_t, std::less<>> retiredCounters;
   std::map<std::string, std::string, std::less<>> metadata;
   std::uint32_t nextTid = 1;
+  bool fromEnv = false;  // the session was activated by CASTED_TRACE
 };
 
 Registry& registry() {
@@ -165,6 +166,24 @@ std::uint64_t nowNs() {
   return now - processStartNs();
 }
 
+namespace {
+
+// The exit hook initFromEnv() registers: writes the report of a session
+// CASTED_TRACE activated, if it is still active.
+void writeAtExit() {
+  bool fromEnv = false;
+  {
+    Registry& reg = registry();
+    std::lock_guard<std::mutex> lock(reg.mu);
+    fromEnv = reg.fromEnv;
+  }
+  if (fromEnv) {
+    writeReport();
+  }
+}
+
+}  // namespace
+
 bool initFromEnv() {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
@@ -175,6 +194,10 @@ bool initFromEnv() {
   const char* env = std::getenv("CASTED_TRACE");
   if (env != nullptr && *env != '\0') {
     reg.path = env;
+    reg.fromEnv = true;
+    // Export at normal process exit, so no binary needs to call
+    // writeReport() itself.
+    [[maybe_unused]] static const int registered = std::atexit(writeAtExit);
     state = 2;
   } else {
     state = 1;
@@ -214,6 +237,7 @@ void enable(std::string path) {
   detail::Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
   reg.path = std::move(path);
+  reg.fromEnv = false;
   detail::gState.store(2, std::memory_order_relaxed);
 }
 
@@ -357,6 +381,7 @@ void resetForTest() {
     reg.retiredCounters.clear();
     reg.metadata.clear();
     reg.path.clear();
+    reg.fromEnv = false;
   }
   detail::gState.store(0, std::memory_order_relaxed);
 }

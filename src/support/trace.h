@@ -8,10 +8,12 @@
 //     in memory only, e.g. for tests);
 //   * by environment override — CASTED_TRACE=<path>, resolved lazily on the
 //     first enabled() query, so library users get tracing without any
-//     main() plumbing.
-// Exporters (the bench/example binaries) finish with trace::writeReport(),
-// which emits the JSON to the session path and returns whether a file was
-// written.
+//     main() plumbing: a session activated this way writes its report to
+//     <path> at normal process exit (std::atexit), if it is still active.
+// trace::writeReport() emits the JSON to the session path at any time and
+// returns whether a file was written (the bench/example binaries call it
+// to print where the trace went; the exit export then rewrites the file
+// with everything collected until exit).
 //
 // Cost contract.  Every instrumentation entry point is an inline guard
 // around a single relaxed atomic load: when the session is inactive, a
@@ -98,13 +100,12 @@ inline void instant(std::string_view name) {
 }
 
 // RAII duration event: construction stamps the start, destruction emits one
-// complete ("ph":"X") Chrome event.  `gate` lets callers thread a
-// per-operation opt-out (e.g. PipelineOptions::trace) through without
-// branching at every use site.  Inactive-session cost: the enabled() load.
+// complete ("ph":"X") Chrome event.  Inactive-session cost: the enabled()
+// load.
 class Scope {
  public:
-  explicit Scope(std::string_view name, bool gate = true) {
-    if (gate && enabled()) {
+  explicit Scope(std::string_view name) {
+    if (enabled()) {
       name_.assign(name);
       startNs_ = detail::nowNs();
       armed_ = true;

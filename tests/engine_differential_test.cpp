@@ -23,6 +23,7 @@
 #include "core/pipeline.h"
 #include "fault/campaign.h"
 #include "sim/simulator.h"
+#include "support/check.h"
 #include "support/rng.h"
 #include "test_util.h"
 #include "workloads/workloads.h"
@@ -169,8 +170,8 @@ TEST(EngineDifferentialTest, CheckpointRoundTripMatchesFullRuns) {
     plan.points.push_back(first);
     if (seed % 2 == 1 &&
         first.ordinal + 1 < golden.stats.dynamicDefInsns) {
-      // A second flip downstream, so checkpoints also round-trip the
-      // fault-plan cursor state.
+      // A second flip downstream, so a restore that disarms the plan and
+      // a re-injection that re-arms it must also fire the later point.
       FaultPoint second;
       second.ordinal =
           first.ordinal + 1 +
@@ -201,6 +202,34 @@ TEST(EngineDifferentialTest, CheckpointRoundTripMatchesFullRuns) {
     runner.restoreCheckpoint(checkpoint);
     expectIdentical(golden, runner.finish(), label + " restored golden");
   }
+}
+
+TEST(EngineDifferentialTest, CheckpointsAreTakenBeforeInjection) {
+  // A checkpoint holds a golden state: a save while a plan is armed is
+  // refused, and leaves both the faulty run and the last checkpoint intact.
+  const core::CompiledProgram bin = core::compile(
+      testutil::makeRandomCfgProgram(0), testutil::machine(2, 1),
+      Scheme::kCasted);
+  SimOptions options;
+  const RunResult golden = runDecoded(*bin.decoded, options);
+  ASSERT_GT(golden.stats.dynamicDefInsns, 1u);
+  options.maxCycles = golden.stats.cycles * 20;
+  const FaultPlan plan{{{golden.stats.dynamicDefInsns / 2, 0, 3}}};
+  SimOptions faulty = options;
+  faulty.faultPlan = &plan;
+  const RunResult oracle = runDecoded(*bin.decoded, faulty);
+
+  DecodedRunner runner(*bin.decoded);
+  runner.begin(options);
+  ASSERT_TRUE(runner.runToDef(plan.points[0].ordinal));
+  ArchCheckpoint checkpoint;
+  runner.saveCheckpoint(checkpoint);
+  runner.injectAtPause(plan);
+  ArchCheckpoint armed;
+  EXPECT_THROW(runner.saveCheckpoint(armed), FatalError);
+  expectIdentical(oracle, runner.finish(), "after the refused save");
+  runner.restoreCheckpoint(checkpoint);
+  expectIdentical(golden, runner.finish(), "restored golden");
 }
 
 // Stepwise injection: begin, pause at the plan's first ordinal, inject,

@@ -81,9 +81,11 @@ ExitKind exitOf(LaneEnd end) {
   }
 }
 
-// Runs `plans` as the lanes of one golden stream and checks every decided
-// lane against a whole run of its plan under the same watchdog.
-std::vector<LaneVerdict> lanesAgainstRuns(const DecodedProgram& decoded,
+// Runs `plans` as the lanes of one golden stream on `runner` and checks
+// every decided lane against a whole run of its plan under the same
+// watchdog.
+std::vector<LaneVerdict> lanesAgainstRuns(DecodedRunner& runner,
+                                          const DecodedProgram& decoded,
                                           const RunResult& golden,
                                           const std::vector<FaultPlan>& plans,
                                           std::uint64_t timeoutFactor,
@@ -94,7 +96,6 @@ std::vector<LaneVerdict> lanesAgainstRuns(const DecodedProgram& decoded,
   for (const FaultPlan& plan : plans) {
     lanes.push_back(&plan);
   }
-  DecodedRunner runner(decoded);
   std::vector<LaneVerdict> verdicts;
   runner.runLockstep(options, lanes, verdicts);
   EXPECT_EQ(verdicts.size(), plans.size()) << context;
@@ -117,6 +118,17 @@ std::vector<LaneVerdict> lanesAgainstRuns(const DecodedProgram& decoded,
     }
   }
   return verdicts;
+}
+
+// The same on a fresh runner.
+std::vector<LaneVerdict> lanesAgainstRuns(const DecodedProgram& decoded,
+                                          const RunResult& golden,
+                                          const std::vector<FaultPlan>& plans,
+                                          std::uint64_t timeoutFactor,
+                                          const std::string& context) {
+  DecodedRunner runner(decoded);
+  return lanesAgainstRuns(runner, decoded, golden, plans, timeoutFactor,
+                          context);
 }
 
 // One plan as one lane: it must end as `expected` (and agree with its
@@ -358,6 +370,66 @@ TEST(LockstepTest, EveryFallbackAndTheGoldenTimeout) {
   expectLane(line, {{{line.ordinal(line.storeBase), 0, 3}}},
              LaneEnd::kFallbackTiming, 1);
   expectCampaignMatchesFull(line, 1);
+}
+
+// An entry function that returns instead of halting.  A flipped predicate
+// takes it to `halt r` instead, with r = 7; r is also kept in `scratch`,
+// so a lane that differs in r still differs when the entry frame pops.
+struct EntryReturns : Crafted {
+  DefSite outValue, exitValue, predicate;
+
+  EntryReturns() {
+    const std::uint64_t out = program.allocateGlobal("output", 8);
+    const std::uint64_t scratch = program.allocateGlobal("scratch", 8);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& halt = b.createBlock("halt");
+    ir::BasicBlock& ret = b.createBlock("ret");
+    b.setBlock(entry);
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    const Reg scratchBase = b.movImm(static_cast<std::int64_t>(scratch));
+    outValue = nextSite(b);
+    b.store(outBase, 0, b.movImm(1234));
+    exitValue = nextSite(b);  // bit 1 turns 7 into 5: same predicate
+    const Reg r = b.movImm(7);
+    b.store(scratchBase, 0, r);
+    predicate = nextSite(b);
+    b.brCond(b.cmpLtImm(r, 0), halt, ret);
+    b.setBlock(halt);
+    b.halt(r);
+    b.setBlock(ret);
+    b.ret();
+    finish();
+  }
+};
+
+TEST(LockstepTest, AnEntryReturnDecidesLanesWithoutAnExitCode) {
+  const EntryReturns c;
+  ASSERT_EQ(c.golden.exitCode, 0);
+  // The runner's last run ends at `halt r`, so an exit slot that outlived
+  // it would make the lanes below compare r's golden 7 with exit code 0.
+  DecodedRunner runner(*c.decoded);
+  const FaultPlan toHalt{{{c.ordinal(c.predicate), 0, 0}}};
+  SimOptions faulty;
+  faulty.maxCycles = c.golden.stats.cycles * 20;
+  faulty.faultPlan = &toHalt;
+  const RunResult halted = runner.run(faulty);
+  ASSERT_EQ(halted.exit, ExitKind::kHalted);
+  ASSERT_EQ(halted.exitCode, 7);
+
+  const std::vector<FaultPlan> plans = {
+      {{{c.ordinal(c.outValue), 0, 9}}},   // the output differs
+      {{{c.ordinal(c.exitValue), 0, 1}}},  // only r (and scratch) differ
+  };
+  const std::vector<LaneVerdict> verdicts = lanesAgainstRuns(
+      runner, *c.decoded, c.golden, plans, 20, "entry return");
+  ASSERT_EQ(verdicts.size(), 2u);
+  EXPECT_EQ(verdicts[0].end, LaneEnd::kHalted);
+  EXPECT_TRUE(verdicts[0].corrupt);
+  EXPECT_EQ(verdicts[1].end, LaneEnd::kHalted);
+  EXPECT_FALSE(verdicts[1].corrupt);
+  expectCampaignMatchesFull(c, 20);
 }
 
 TEST(LockstepTest, RandomProgramsWithMultiFlipPlansMatchWholeRuns) {

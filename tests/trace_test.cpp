@@ -4,7 +4,8 @@
 //     here by a small recursive-descent JSON reader — no external parser);
 //   * the disabled mode is observationally silent: no file, no counter
 //     mutations, no events;
-//   * the CASTED_TRACE environment override activates a session lazily;
+//   * the CASTED_TRACE environment override activates a session lazily,
+//     and that session writes its report at process exit;
 //   * every finished stepwise run is counted like a whole run;
 //   * a checkpointed campaign counts every trial as one lockstep lane,
 //     decided or fallen back by reason, with the fallbacks' stepwise runs
@@ -594,6 +595,33 @@ TEST_F(TraceTest, EnvOverrideActivatesLazily) {
   ::unsetenv("CASTED_TRACE");
   trace::resetForTest();
   EXPECT_FALSE(trace::enabled());
+}
+
+TEST_F(TraceTest, EnvSessionWritesItsReportAtExit) {
+  // A binary that never calls writeReport() still gets its CASTED_TRACE
+  // file: the session exports at normal process exit.
+  const std::string path = ::testing::TempDir() + "casted_trace_atexit.json";
+  std::remove(path.c_str());
+  EXPECT_EXIT(
+      {
+        ::setenv("CASTED_TRACE", path.c_str(), 1);
+        trace::resetForTest();
+        trace::counterAdd("atexit.counter", 5);
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "no report at " << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const JsonValue root = JsonReader(buffer.str()).parse();
+  const JsonValue* counters = root.find("counters");
+  ASSERT_NE(counters, nullptr);
+  const JsonValue* counter = counters->find("atexit.counter");
+  ASSERT_NE(counter, nullptr);
+  EXPECT_DOUBLE_EQ(counter->number, 5.0);
+  std::remove(path.c_str());
 }
 
 TEST_F(TraceTest, DisableKeepsCollectedDataUntilReset) {
