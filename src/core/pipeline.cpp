@@ -9,9 +9,7 @@ namespace casted::core {
 pm::PassManager buildPipeline(passes::Scheme scheme,
                               const PipelineOptions& options) {
   pm::PassManager manager({.verifyAfterEachPass = options.verifyAfterPasses});
-  if (options.runEarlyOptimisations) {
-    manager.emplacePass<passes::EarlyOptsPass>();
-  }
+  manager.emplacePass<passes::EarlyOptsPass>();
   if (scheme != passes::Scheme::kNoed) {
     manager.emplacePass<passes::ErrorDetectionPass>(options.errorDetection);
   }
@@ -23,9 +21,7 @@ pm::PassManager buildPipeline(passes::Scheme scheme,
     manager.emplacePass<passes::DcePass>(options.lateOpts);
   }
   manager.emplacePass<passes::AssignmentPass>(scheme);
-  if (options.runProtectionLint) {
-    manager.emplacePass<passes::ProtectionLintPass>(scheme);
-  }
+  manager.emplacePass<passes::ProtectionLintPass>(scheme);
   return manager;
 }
 

@@ -36,10 +36,12 @@
 
 namespace casted::core {
 
+// The pipeline always starts with the early optimisations (constant folding
+// + copy propagation, standing in for the paper's "-O1, optimizations
+// enabled" input code) and ends with the ProtectionLint analysis, whose
+// protected / sphere-exit / unprotected counts land in the PipelineReport
+// (e.g. report.stat("protection-lint", "unprotected")).
 struct PipelineOptions {
-  // Pre-protection optimisations (constant folding + copy propagation),
-  // standing in for the paper's "-O1, optimizations enabled" input code.
-  bool runEarlyOptimisations = true;
   passes::ErrorDetectionOptions errorDetection;
   // Late CSE/DCE.  The paper runs them for NOED and disables them for the
   // replicated code of the protected binaries (§IV-A); `protectRedundant`
@@ -55,11 +57,6 @@ struct PipelineOptions {
   // Verify the IR after each transformation (cheap; keep on outside of the
   // inner loops of big sweeps).
   bool verifyAfterPasses = true;
-  // Run the ProtectionLint analysis as the final pipeline stage and surface
-  // its protected / sphere-exit / unprotected counts in the PipelineReport
-  // (e.g. report.stat("protection-lint", "unprotected")).  Analysis-only;
-  // flip off in inner loops of big sweeps.
-  bool runProtectionLint = true;
 };
 
 // A scheduled binary for one (machine, scheme) point.
@@ -90,8 +87,8 @@ struct CompiledProgram {
 
 // Builds the pass pipeline `compile` runs for (scheme, options): early opts,
 // error detection (skipped for NOED), spilling (if modelled), local CSE +
-// DCE, cluster assignment.  Exposed so tests and tools can inspect or rerun
-// the exact pipeline.
+// DCE, cluster assignment, protection lint.  Exposed so tests and tools can
+// inspect or rerun the exact pipeline.
 pm::PassManager buildPipeline(passes::Scheme scheme,
                               const PipelineOptions& options = {});
 

@@ -94,6 +94,8 @@ LateOptStats applyLocalCse(ir::Program& program,
         return fresh;
       };
       // Available expressions: key -> (value number, register holding it).
+      // An entry is live only while its register still holds the entry's
+      // value number, which the lookup checks.
       std::map<ExprKey, std::pair<std::uint64_t, Reg>> available;
 
       for (Instruction& insn : fn.block(b).insns()) {
@@ -114,53 +116,36 @@ LateOptStats applyLocalCse(ir::Program& program,
           key.fimm = insn.info().hasFpImm ? insn.fimm : 0.0;
           key.memEpoch = insn.isLoad() ? memEpoch : 0;
 
+          const Reg def = insn.defs[0];
           const auto hit = available.find(key);
-          if (hit != available.end()) {
+          if (hit != available.end() &&
+              vnOf[hit->second.second] == hit->second.first) {
             // Rewrite into a copy from the register holding the value; the
             // def keeps the *same* value number as the original result.
             const Reg source = hit->second.second;
-            const Reg def = insn.defs[0];
             insn.op = copyOpcodeFor(def.cls);
             insn.uses = {source};
             insn.imm = 0;
             insn.fimm = 0.0;
             vnOf[def] = hit->second.first;
-            // Invalidate expressions computed from the old value of def.
-            for (auto it = available.begin(); it != available.end();) {
-              if (it->second.second == def) {
-                it = available.erase(it);
-              } else {
-                ++it;
-              }
+            if (source == def) {
+              // `r = op ...` recomputed r's own value: the entry counts as
+              // redefined, so a later recomputation stays as it is.
+              available.erase(hit);
             }
             ++stats.cseReplaced;
             continue;
           }
-          const Reg def = insn.defs[0];
           const std::uint64_t resultVn = nextVn++;
           vnOf[def] = resultVn;
-          // Drop stale entries held in def.
-          for (auto it = available.begin(); it != available.end();) {
-            if (it->second.second == def) {
-              it = available.erase(it);
-            } else {
-              ++it;
-            }
-          }
-          available.emplace(std::move(key), std::make_pair(resultVn, def));
+          available.insert_or_assign(std::move(key),
+                                     std::make_pair(resultVn, def));
           continue;
         }
 
         // Not a candidate (or excluded): just update value numbers.
         for (const Reg& def : insn.defs) {
           vnOf[def] = nextVn++;
-          for (auto it = available.begin(); it != available.end();) {
-            if (it->second.second == def) {
-              it = available.erase(it);
-            } else {
-              ++it;
-            }
-          }
         }
       }
     }
@@ -189,6 +174,7 @@ LateOptStats applyDce(ir::Program& program, const LateOptOptions& options,
         // caught in one sweep.
         std::unordered_set<Reg> live = liveness.liveOut[b];
         std::vector<bool> keep(insns.size(), true);
+        bool removed = false;
         for (std::size_t i = insns.size(); i-- > 0;) {
           Instruction& insn = insns[i];
           const bool excluded = options.protectRedundant &&
@@ -202,7 +188,7 @@ LateOptStats applyDce(ir::Program& program, const LateOptOptions& options,
           if (!anyLive && !excluded && isPureRemovable(insn)) {
             keep[i] = false;
             ++stats.dceRemoved;
-            changed = true;
+            removed = true;
             continue;  // its uses do not become live
           }
           for (const Reg& def : insn.defs) {
@@ -212,7 +198,8 @@ LateOptStats applyDce(ir::Program& program, const LateOptOptions& options,
             live.insert(use);
           }
         }
-        if (changed) {
+        if (removed) {
+          changed = true;
           std::vector<Instruction> rebuilt;
           rebuilt.reserve(insns.size());
           for (std::size_t i = 0; i < insns.size(); ++i) {

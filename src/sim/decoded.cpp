@@ -63,7 +63,11 @@ DecodedProgram DecodedProgram::build(const ir::Program& program,
   CASTED_CHECK(schedule.functions.size() == program.functionCount())
       << "schedule/program function count mismatch";
   decoded.entry_ = program.entryFunction();
-  decoded.symbols_ = program.symbols();
+  if (program.hasSymbol(kOutputSymbol)) {
+    const ir::GlobalSymbol& output = program.symbol(kOutputSymbol);
+    decoded.outputAddress_ = output.address;
+    decoded.outputSize_ = output.size;
+  }
   decoded.globalImage_ = program.globalImage();
   decoded.cacheConfig_ = config.cache;
   decoded.memBaseLatency_ = config.latencies.mem;
@@ -615,7 +619,7 @@ struct DecodedRunner::Impl {
 
   explicit Impl(const DecodedProgram& program)
       : prog(program),
-        memory(program.globalImage(), options.heapBytes),
+        memory(program.globalImage(), kHeapBytes),
         caches(program.cacheConfig()) {
     addr.assign(prog.maxBlockInsns(), 0);
   }
@@ -626,11 +630,7 @@ struct DecodedRunner::Impl {
     CASTED_CHECK(opts.faultPlan == nullptr || opts.defTrace == nullptr)
         << "SimOptions::defTrace must stay null in injection runs (the trace "
            "belongs to the golden profiling run)";
-    if (opts.heapBytes != options.heapBytes) {
-      memory = Memory(prog.globalImage(), opts.heapBytes);
-    } else {
-      memory.reset();
-    }
+    memory.reset();
     options = opts;
     caches.reset();
     stats = RunStats{};
@@ -770,7 +770,7 @@ struct DecodedRunner::Impl {
   Flow pushFrame(std::uint32_t funcIdx, const DecodedReg* args,
                  std::uint32_t argCount, FrameBase caller,
                  std::uint32_t retPool, std::uint32_t retCount) {
-    if (frames.size() > options.maxCallDepth) {
+    if (frames.size() > kMaxCallDepth) {
       trap = TrapKind::kStackOverflow;
       return Flow::kTrapped;
     }
@@ -1090,12 +1090,7 @@ struct DecodedRunner::Impl {
     }
     stats.memoryAccesses = caches.memoryAccesses();
     result.stats = stats;
-    for (const ir::GlobalSymbol& sym : prog.symbols()) {
-      if (sym.name == options.outputSymbol) {
-        result.output = memory.snapshot(sym.address, sym.size);
-        break;
-      }
-    }
+    result.output = memory.snapshot(prog.outputAddress(), prog.outputSize());
     finished = true;
     return false;
   }
@@ -1754,16 +1749,8 @@ void Lanes::onPop(const InterpFrameBase& base) {
 // Whether the lane's output symbol, golden's overlaid with its words,
 // differs from golden's.
 bool Lanes::outputDiffers(std::uint32_t lane) const {
-  const ir::GlobalSymbol* output = nullptr;
-  for (const ir::GlobalSymbol& sym : in.prog.symbols()) {
-    if (sym.name == in.options.outputSymbol) {
-      output = &sym;
-      break;
-    }
-  }
-  if (output == nullptr) {
-    return false;
-  }
+  const std::uint64_t begin = in.prog.outputAddress();
+  const std::uint64_t end = begin + in.prog.outputSize();
   bool differs = false;
   lanes[lane].diff.forEach([&](std::uint64_t key, std::uint64_t bits) {
     if (!DiffMap::isWordKey(key)) {
@@ -1773,7 +1760,7 @@ bool Lanes::outputDiffers(std::uint32_t lane) const {
     const std::uint64_t golden = in.memory.peekWord(word);
     for (std::uint64_t byte = 0; byte < 8; ++byte) {
       const std::uint64_t at = word + byte;
-      if (at >= output->address && at < output->address + output->size &&
+      if (at >= begin && at < end &&
           ((bits ^ golden) >> (8 * byte) & 0xFF) != 0) {
         differs = true;
       }

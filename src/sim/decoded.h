@@ -14,8 +14,9 @@
 //     call copies register bits caller→callee frame without RawValue boxing.
 //
 // A DecodedProgram is immutable and self-contained (it copies the global
-// image, symbol table and cache geometry), so fault::runCampaign builds it
-// once and shares it read-only across all worker threads.
+// image, the output symbol's range and the cache geometry), so
+// fault::runCampaign builds it once and shares it read-only across all
+// worker threads.
 //
 // Equivalence contract: for every program, schedule, machine and fault plan,
 // runDecoded() must produce a RunResult field-for-field identical to the
@@ -122,7 +123,10 @@ class DecodedProgram {
   const std::vector<DecodedFunction>& functions() const { return funcs_; }
   const std::vector<DecodedReg>& pool() const { return pool_; }
   std::uint32_t entryFunction() const { return entry_; }
-  const std::vector<ir::GlobalSymbol>& symbols() const { return symbols_; }
+  // The range of the sim::kOutputSymbol global a run snapshots (size 0
+  // when the program has none).
+  std::uint64_t outputAddress() const { return outputAddress_; }
+  std::uint64_t outputSize() const { return outputSize_; }
   const std::vector<std::uint8_t>& globalImage() const { return globalImage_; }
   const arch::CacheConfig& cacheConfig() const { return cacheConfig_; }
   std::uint32_t memBaseLatency() const { return memBaseLatency_; }
@@ -134,7 +138,8 @@ class DecodedProgram {
   std::vector<DecodedFunction> funcs_;
   std::vector<DecodedReg> pool_;
   std::uint32_t entry_ = 0;
-  std::vector<ir::GlobalSymbol> symbols_;
+  std::uint64_t outputAddress_ = 0;
+  std::uint64_t outputSize_ = 0;
   std::vector<std::uint8_t> globalImage_;
   arch::CacheConfig cacheConfig_;
   std::uint32_t memBaseLatency_ = 1;
@@ -300,9 +305,9 @@ class DecodedRunner {
 };
 
 // DecodedRunner(program).run(options): one run in a fresh context.
-// `options.faultPlan`, `maxCycles`, `heapBytes`, `maxCallDepth` and
-// `outputSymbol` behave exactly as in the reference engine;
-// `options.engine` is ignored (this IS the decoded engine).
+// `options.faultPlan`, `maxCycles` and `defTrace` behave exactly as in the
+// reference engine; `options.engine` is ignored (this IS the decoded
+// engine).
 RunResult runDecoded(const DecodedProgram& program, const SimOptions& options);
 
 }  // namespace casted::sim

@@ -140,7 +140,7 @@ struct ReferenceWalk {
         schedule(sched),
         config(cfg),
         options(std::move(opts)),
-        memory(prog, options.heapBytes),
+        memory(prog, kHeapBytes),
         caches(cfg.cache) {
     CASTED_CHECK(schedule.functions.size() == program.functionCount())
         << "schedule/program function count mismatch";
@@ -609,7 +609,7 @@ struct ReferenceWalk {
   // Executes `fn` until it returns; return values land in returnScratch.
   void runFunction(const ir::Function& fn, const std::vector<RawValue>& args,
                    std::uint32_t depth) {
-    if (depth > options.maxCallDepth) {
+    if (depth > kMaxCallDepth) {
       throw TrapError{TrapKind::kStackOverflow, 0};
     }
     Frame frame(fn);
@@ -771,8 +771,8 @@ struct ReferenceWalk {
     }
     stats.memoryAccesses = caches.memoryAccesses();
     result.stats = stats;
-    if (program.hasSymbol(options.outputSymbol)) {
-      const ir::GlobalSymbol& sym = program.symbol(options.outputSymbol);
+    if (program.hasSymbol(kOutputSymbol)) {
+      const ir::GlobalSymbol& sym = program.symbol(kOutputSymbol);
       result.output = memory.snapshot(sym.address, sym.size);
     }
     return result;

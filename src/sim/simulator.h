@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "arch/machine_config.h"
 #include "ir/function.h"
@@ -43,11 +42,16 @@ enum class Engine : std::uint8_t {
 
 const char* engineName(Engine engine);
 
+// The machine both engines model: the zeroed scratch after the globals, the
+// call depth past which a call traps kStackOverflow, and the global symbol
+// whose bytes a run snapshots for classification (every workload writes
+// it; a program without it yields an empty snapshot).
+inline constexpr std::uint64_t kHeapBytes = 1 << 20;
+inline constexpr std::uint32_t kMaxCallDepth = 256;
+inline constexpr char kOutputSymbol[] = "output";
+
 struct SimOptions {
-  std::uint64_t heapBytes = 1 << 20;   // zeroed scratch after the globals
-  std::uint64_t maxCycles = ~0ULL;     // watchdog (timeout outcome)
-  std::uint32_t maxCallDepth = 256;
-  std::string outputSymbol = "output"; // snapshot target for classification
+  std::uint64_t maxCycles = ~0ULL;  // watchdog (timeout outcome)
   const FaultPlan* faultPlan = nullptr;
   Engine engine = Engine::kDecoded;
   // When non-null, the engine clears the vector at run start and appends the

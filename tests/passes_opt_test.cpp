@@ -108,6 +108,63 @@ TEST(LocalCseTest, RedefinedOperandBlocksFolding) {
   EXPECT_EQ(stats.cseReplaced, 0u);
 }
 
+// The redefinition cases: an expression is available only while the
+// register holding it still holds its value.
+
+TEST(LocalCseTest, RedefinedHolderBlocksFolding) {
+  Program prog;
+  Function& fn = prog.addFunction("main");
+  IrBuilder b(fn);
+  b.setBlock(b.createBlock("entry"));
+  const Reg x = b.movImm(21);
+  const Reg a = b.add(x, x);
+  b.movImmTo(a, 5);           // a no longer holds x + x
+  const Reg c = b.add(x, x);  // must recompute
+  b.halt(b.add(a, c));
+  const LateOptStats stats = applyLocalCse(prog);
+  EXPECT_EQ(stats.cseReplaced, 0u);
+  EXPECT_EQ(prog.function(0).block(0).insns()[3].op, Opcode::kAdd);
+}
+
+TEST(LocalCseTest, SelfRecomputationCountsAsRedefinition) {
+  Program prog;
+  Function& fn = prog.addFunction("main");
+  IrBuilder b(fn);
+  b.setBlock(b.createBlock("entry"));
+  const Reg x = b.movImm(21);
+  const Reg a = b.add(x, x);
+  b.binaryTo(Opcode::kAdd, a, x, x);  // folds to `mov a, a`
+  const Reg c = b.add(x, x);          // stays as it is
+  b.halt(b.add(a, c));
+  const LateOptStats stats = applyLocalCse(prog);
+  EXPECT_EQ(stats.cseReplaced, 1u);
+  const auto& insns = prog.function(0).block(0).insns();
+  EXPECT_EQ(insns[2].op, Opcode::kMov);
+  EXPECT_EQ(insns[2].uses, std::vector<Reg>{a});
+  EXPECT_EQ(insns[3].op, Opcode::kAdd);
+  EXPECT_TRUE(ir::verify(prog).empty());
+}
+
+TEST(LocalCseTest, RecomputationAfterRedefinitionBecomesTheHolder) {
+  Program prog;
+  Function& fn = prog.addFunction("main");
+  IrBuilder b(fn);
+  b.setBlock(b.createBlock("entry"));
+  const Reg x = b.movImm(21);
+  const Reg a = b.add(x, x);
+  b.movImmTo(a, 5);
+  const Reg c = b.add(x, x);  // recomputed into c ...
+  const Reg d = b.add(x, x);  // ... which d now copies
+  b.halt(b.add(a, b.add(c, d)));
+  const LateOptStats stats = applyLocalCse(prog);
+  EXPECT_EQ(stats.cseReplaced, 1u);
+  const auto& insns = prog.function(0).block(0).insns();
+  EXPECT_EQ(insns[3].op, Opcode::kAdd);
+  EXPECT_EQ(insns[4].op, Opcode::kMov);
+  EXPECT_EQ(insns[4].uses, std::vector<Reg>{c});
+  EXPECT_TRUE(ir::verify(prog).empty());
+}
+
 TEST(LocalCseTest, LoadsFoldUntilStoreIntervenes) {
   Program prog;
   prog.allocateGlobal("data", 16);

@@ -46,13 +46,13 @@ TEST(BuildPipelineTest, NoedSkipsErrorDetection) {
 
 TEST(BuildPipelineTest, OptionsToggleStages) {
   core::PipelineOptions options;
-  options.runEarlyOptimisations = false;
   options.runLateOptimisations = false;
   options.modelRegisterPressure = true;
   const PassManager manager = core::buildPipeline(Scheme::kSced, options);
   EXPECT_EQ(passNames(manager),
-            (std::vector<std::string>{"error-detection", "spill",
-                                      "assignment", "protection-lint"}));
+            (std::vector<std::string>{"early-opts", "error-detection",
+                                      "spill", "assignment",
+                                      "protection-lint"}));
 }
 
 // --- analysis caching -------------------------------------------------------

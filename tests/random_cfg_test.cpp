@@ -67,7 +67,6 @@ TEST_P(RandomCfgTest, FullPipelineWithEveryFeaturePreservesOutput) {
   core::PipelineOptions options;
   options.errorDetection.splitChecks = true;
   options.modelRegisterPressure = true;
-  options.runEarlyOptimisations = true;
   options.runLateOptimisations = true;
   const core::CompiledProgram bin =
       core::compile(prog, machine, Scheme::kCasted, options);

@@ -365,9 +365,7 @@ TEST(SimulatorTest, OutOfArenaAccessTraps) {
   b.setBlock(b.createBlock("entry"));
   b.load(b.movImm(1 << 30), 0);
   b.halt(b.movImm(0));
-  SimOptions options;
-  options.heapBytes = 4096;
-  const RunResult result = runProgram(prog, options);
+  const RunResult result = runProgram(prog);
   EXPECT_EQ(result.exit, ExitKind::kException);
   EXPECT_EQ(result.trap, TrapKind::kBadAddress);
 }
