@@ -1,16 +1,17 @@
 // Ground-truth audit: how much does Monte Carlo sampling error matter, and
-// how much does checkpoint-and-diverge injection cost to answer exactly?
+// how much does lockstep injection cost to answer exactly?
 //
 // For every scheme, enumerates the complete fault-site space of one
 // workload TWICE — once re-running every site from program start
-// (InjectionMode::kFull, the oracle) and once with golden-prefix checkpoint
-// restore (kCheckpointed) — and reports wall time, sites/second and the
-// speedup, verifying the two reports agree site for site.  Then the usual
-// audit: the exact SDC probability next to the sampled campaign's estimate
-// and its 99% Wilson interval, plus the static ProtectionLint's gap count.
-// The "in99" column must read "yes" everywhere: it is the convergence
-// contract tests/exhaustive_ground_truth_test.cpp enforces, evaluated here
-// on a full workload instead of the test-sized ones.  Lint soundness means
+// (InjectionMode::kFull, the oracle) and once with each def's sites as one
+// window of lockstep lanes whose fallbacks restore a golden-prefix
+// checkpoint (kCheckpointed) — and reports wall time, sites/second and the
+// speedup, verifying the two reports are equal field for field.  Then the
+// usual audit: the exact SDC probability next to the sampled campaign's
+// estimate and its 99% Wilson interval, plus the static ProtectionLint's
+// gap count.  The "in99" column must read "yes" everywhere: it is the
+// convergence contract tests/exhaustive_ground_truth_test.cpp enforces,
+// evaluated here on a full workload instead of the test-sized ones.  Lint soundness means
 // a scheme with no lint gaps has exact SDC 0.  The audit exits non-zero,
 // naming the scheme, when its two reports differ, its estimate falls
 // outside the interval, or the lint misses an SDC.
@@ -59,25 +60,6 @@ ModeSample measure(const core::CompiledProgram& bin, fault::InjectionMode mode,
           ? 0.0
           : static_cast<double>(sample.report.sites) / (sample.wallMs / 1000.0);
   return sample;
-}
-
-// Site-for-site agreement between the two modes: counts, the SDC ranking
-// and the Monte Carlo masses, which are exact and so must match bit for bit.
-bool reportsIdentical(const fault::GroundTruthReport& a,
-                      const fault::GroundTruthReport& b) {
-  if (a.defInsns != b.defInsns || a.sites != b.sites || a.counts != b.counts ||
-      a.mcProbability != b.mcProbability ||
-      a.perInsn.size() != b.perInsn.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.perInsn.size(); ++i) {
-    if (a.perInsn[i].insn != b.perInsn[i].insn ||
-        a.perInsn[i].counts != b.perInsn[i].counts ||
-        a.perInsn[i].mcMass != b.perInsn[i].mcMass) {
-      return false;
-    }
-  }
-  return true;
 }
 
 struct SchemeRow {
@@ -177,7 +159,7 @@ int main(int argc, char** argv) {
     row.full = measure(bin, fault::InjectionMode::kFull, threads);
     row.checkpointed =
         measure(bin, fault::InjectionMode::kCheckpointed, threads);
-    row.identical = reportsIdentical(row.full.report, row.checkpointed.report);
+    row.identical = row.full.report == row.checkpointed.report;
     timing.addRow(
         {row.scheme, std::to_string(row.full.report.sites),
          formatFixed(row.full.wallMs, 1), formatFixed(row.checkpointed.wallMs, 1),
@@ -220,10 +202,10 @@ int main(int argc, char** argv) {
       "the static analysis cannot prove protected — every site outside that\n"
       "set contributes zero to exact-sdc by the soundness contract.\n"
       "The timing table compares full re-execution per site against\n"
-      "checkpoint-and-diverge (golden-prefix restore); 'identical'\n"
-      "certifies the two enumerations agree site for site.  The audit\n"
-      "exits non-zero when they differ, when in99 reads NO, or when a\n"
-      "scheme without lint gaps has nonzero exact-sdc.\n",
+      "lockstep windows (one per def, fallbacks from a golden-prefix\n"
+      "checkpoint); 'identical' certifies the two reports are equal field\n"
+      "for field.  The audit exits non-zero when they differ, when in99\n"
+      "reads NO, or when a scheme without lint gaps has nonzero exact-sdc.\n",
       trials);
   writeJson(jsonPath, wl.name, scale, threads, rows);
 
@@ -235,7 +217,7 @@ int main(int argc, char** argv) {
   trace::setMetadata("threads", std::to_string(threads));
   trace::setMetadata("engine",
                      sim::engineName(sim::SimOptions{}.engine));
-  trace::setMetadata("injection_mode", "full+checkpointed");
+  trace::setMetadata("injection_mode", "full+checkpointed(lockstep)");
   if (trace::writeReport()) {
     std::printf("wrote trace %s\n", trace::outputPath().c_str());
   }

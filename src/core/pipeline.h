@@ -112,10 +112,10 @@ fault::CoverageReport campaign(const CompiledProgram& compiled,
 
 // Exhaustively enumerates and classifies the complete fault-site space of a
 // compiled program (the ground truth the campaign samples) — see
-// fault/exhaustive.h.  Enumeration is ordinal-major, so the default
-// checkpointed injection mode restores one golden-prefix snapshot per
-// dynamic def instead of re-running the program per site.  Still only
-// tractable for small workloads; use `options.maxSites` as a guard.
+// fault/exhaustive.h.  In the default checkpointed injection mode the
+// sites of each dynamic def are one window of lockstep lanes instead of a
+// re-run of the program per site.  Still only tractable for small and
+// mid-sized workloads; use `options.maxSites` as a guard.
 fault::GroundTruthReport groundTruth(
     const CompiledProgram& compiled,
     const fault::ExhaustiveOptions& options = {});

@@ -111,9 +111,9 @@ CoverageReport runCampaign(const ir::Program& program,
 
   // Every trial's plan is derived up front from (seed, trialIndex) alone, so
   // a trial's outcome does not depend on which worker runs it or when.  The
-  // plans are visited in (injection ordinal, trialIndex) order: a
-  // checkpointed executor needs non-decreasing ordinals and profits when
-  // trials at nearby ordinals run back to back.
+  // plans are visited in (injection ordinal, trialIndex) order: the
+  // executor needs each window sorted by ordinal, and its fallbacks profit
+  // when trials at nearby ordinals share a window.
   std::vector<sim::FaultPlan> plans(options.trials);
   for (std::uint32_t trial = 0; trial < options.trials; ++trial) {
     Rng trialRng(deriveStreamSeed(options.seed, trial));

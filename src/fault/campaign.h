@@ -41,15 +41,15 @@ enum class InjectionMode : std::uint8_t {
   // Re-execute every faulty run from program start.  The oracle path: dead
   // simple, no shared state between runs.
   kFull,
-  // Checkpoint-and-diverge (DESIGN.md §10): replay the golden prefix once
-  // per injection ordinal, snapshot at the def pause, and restore the
-  // snapshot for every site at that ordinal; each faulty suffix runs to its
-  // natural end.  The campaign first decides its trials as lockstep lanes
-  // of one golden stream per window and runs only the lanes lockstep
-  // cannot decide exactly that way.  Reports are bit-identical to kFull —
-  // the driver oracle tests enforce it.  Requires the decoded engine;
-  // silently falls back to kFull under the reference engine (which has no
-  // stepwise API).
+  // Lockstep and checkpoint-and-diverge (DESIGN.md §10): both drivers
+  // decide a window of plans (the campaign's ordinal-sorted trials, or the
+  // sites of one enumerated def) as lockstep lanes of one golden stream.
+  // The lanes lockstep cannot decide exactly re-run from a golden-prefix
+  // snapshot at their injection ordinal, restored for every fallback at
+  // that ordinal; each faulty suffix runs to its natural end.  Reports are
+  // bit-identical to kFull — the driver oracle tests enforce it.  Requires
+  // the decoded engine; silently falls back to kFull under the reference
+  // engine (which has no stepwise API).
   kCheckpointed,
 };
 

@@ -179,13 +179,15 @@ SiteExecutor::SiteExecutor(const ir::Program& program,
                            const arch::MachineConfig& config,
                            const sim::DecodedProgram* decoded,
                            InjectionMode mode,
-                           const sim::SimOptions& armedOptions)
+                           const sim::SimOptions& armedOptions,
+                           std::string lockstepCounters)
     : program_(program),
       schedule_(schedule),
       config_(config),
       options_(armedOptions),
       checkpointed_(decoded != nullptr &&
-                    mode == InjectionMode::kCheckpointed) {
+                    mode == InjectionMode::kCheckpointed),
+      lockstepCounters_(std::move(lockstepCounters)) {
   CASTED_CHECK(options_.faultPlan == nullptr && options_.defTrace == nullptr)
       << "executor options must arrive with no plan and no trace";
   if (decoded != nullptr) {
@@ -193,31 +195,22 @@ SiteExecutor::SiteExecutor(const ir::Program& program,
   }
 }
 
-sim::RunResult SiteExecutor::run(const sim::FaultPlan& plan) {
-  if (checkpointed_) {
-    return resume(plan);
-  }
-  options_.faultPlan = &plan;
-  sim::RunResult result =
-      runner_.has_value()
-          ? runner_->run(options_)
-          : sim::simulate(program_, schedule_, config_, options_);
-  options_.faultPlan = nullptr;
-  return result;
-}
-
 void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
                              const GoldenProfile& golden,
                              std::vector<TrialVerdict>& out) {
   out.resize(window.size());
-  const auto runWhole = [&](std::size_t i) {
-    const sim::RunResult faulty = run(window[i]);
-    out[i] = {classify(faulty, golden), faulty.stats.dynamicInsns};
+  const auto verdictOf = [&](const sim::RunResult& faulty) {
+    return TrialVerdict{classify(faulty, golden), faulty.stats.dynamicInsns};
   };
   if (!checkpointed_) {
     for (std::size_t i = 0; i < window.size(); ++i) {
-      runWhole(i);
+      options_.faultPlan = &window[i];
+      out[i] = verdictOf(
+          runner_.has_value()
+              ? runner_->run(options_)
+              : sim::simulate(program_, schedule_, config_, options_));
     }
+    options_.faultPlan = nullptr;
     return;
   }
   lanePlans_.clear();
@@ -225,7 +218,7 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
     lanePlans_.push_back(&plan);
   }
   runner_->runLockstep(options_, lanePlans_, laneVerdicts_);
-  started_ = false;  // the golden stream ended the stepwise run
+  std::optional<std::uint64_t> checkpointAt;  // none until a fallback
   std::uint64_t laneOps = 0;
   std::array<std::int64_t, sim::kLaneEndCount> ends = {};
   for (std::size_t i = 0; i < window.size(); ++i) {
@@ -248,12 +241,12 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
                   lane.dynamicInsns};
         break;
       default:
-        runWhole(i);  // a fallback, in ordinal order
+        out[i] = verdictOf(resume(window[i], checkpointAt));
         break;
     }
   }
   if (trace::enabled()) {
-    const std::string prefix = "fault.campaign.lockstep.";
+    const std::string& prefix = lockstepCounters_;
     trace::counterAdd(prefix + "windows");
     trace::counterAdd(prefix + "lanes",
                       static_cast<std::int64_t>(window.size()));
@@ -268,27 +261,26 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   }
 }
 
-sim::RunResult SiteExecutor::resume(const sim::FaultPlan& plan) {
-  CASTED_CHECK(!plan.points.empty()) << "empty fault plan";
+sim::RunResult SiteExecutor::resume(
+    const sim::FaultPlan& plan, std::optional<std::uint64_t>& checkpointAt) {
   const std::uint64_t target = plan.points[0].ordinal;
-  CASTED_CHECK(!started_ || target >= ordinal_)
-      << "injection ordinals must be non-decreasing (got " << target
-      << " after " << ordinal_ << ")";
-  if (started_) {
+  if (checkpointAt.has_value()) {
+    CASTED_CHECK(target >= *checkpointAt)
+        << "window plans must be sorted by injection ordinal (got " << target
+        << " after " << *checkpointAt << ")";
     // Undo whatever the previous faulty suffix touched.
     runner_->restoreCheckpoint(checkpoint_);
   } else {
     runner_->begin(options_);
   }
-  if (!started_ || target > ordinal_) {
+  if (checkpointAt != target) {
     // Advance along the golden prefix, from program start or from the old
     // snapshot, and re-snapshot at the new ordinal.
     const bool paused = runner_->runToDef(target);
     CASTED_CHECK(paused) << "injection ordinal " << target
                          << " beyond the golden run";
     runner_->saveCheckpoint(checkpoint_);
-    started_ = true;
-    ordinal_ = target;
+    checkpointAt = target;
   }
   runner_->injectAtPause(plan);
   return runner_->finish();
@@ -355,7 +347,7 @@ void FaultSiteLoop::runChunks(std::uint64_t items, std::uint64_t chunk,
   runWorkerPool(threads, [&](std::uint32_t w) {
     const trace::Scope workerScope(traceName(".worker"));
     SiteExecutor executor(program_, schedule_, config_, decoded_, mode_,
-                          armedOptions_);
+                          armedOptions_, "fault." + driver_ + ".lockstep.");
     std::uint64_t done = 0;
     for (std::uint64_t first =
              cursor.fetch_add(chunk, std::memory_order_relaxed);

@@ -53,52 +53,50 @@ struct TrialVerdict {
   std::uint64_t dynamicInsns = 0;
 };
 
-// The one way a driver executes a faulty run.  Each worker owns one, and
-// it is exactly one of three strategies, fixed at construction:
-//   * decoded engine, InjectionMode::kCheckpointed — checkpoint-and-diverge
-//     over a stepwise DecodedRunner.  The first run() replays the golden
-//     prefix up to the plan's injection ordinal and snapshots there; later
-//     runs at the SAME ordinal restore the snapshot (O(state the faulty
-//     suffix touched)) instead of re-executing the prefix, and a LARGER
-//     ordinal rolls the snapshot forward.  Ordinals must therefore be
-//     non-decreasing across run() calls.  Every faulty suffix runs to its
-//     natural end.  runWindow() decides a window of plans as lockstep lanes
-//     of one golden stream on the same runner;
-//   * decoded engine, InjectionMode::kFull — a whole DecodedRunner::run;
-//   * reference engine (either mode) — a whole sim::simulate.
+// The one way a driver decides fault sites: a window of plans at a time.
+// Each worker owns one executor, and it is exactly one of three strategies,
+// fixed at construction:
+//   * decoded engine, InjectionMode::kCheckpointed — the window runs as
+//     lockstep lanes of one golden stream (DecodedRunner::runLockstep); the
+//     lanes lockstep cannot decide exactly re-run stepwise, in window order,
+//     from one golden-prefix checkpoint that is rolled forward to each
+//     fallback's injection ordinal and restored (O(state the previous suffix
+//     touched)) for fallbacks at the same ordinal.  Every faulty suffix runs
+//     to its natural end;
+//   * decoded engine, InjectionMode::kFull — a whole DecodedRunner::run per
+//     plan;
+//   * reference engine (either mode) — a whole sim::simulate per plan.
 //
-// Bit-identity contract: run(plan) returns a RunResult field-for-field
-// identical to a fresh full run under `armedOptions` with `plan` attached,
-// and runWindow() the classification and instruction count of such runs.
+// Bit-identity contract: runWindow() yields the classification and
+// instruction count of a fresh full run under `armedOptions` with each plan
+// attached.
 class SiteExecutor {
  public:
   // `armedOptions` is the worker's ready-to-run configuration (watchdog
-  // applied, faultPlan and defTrace null).  The program, schedule, config
-  // and `decoded` (null for the reference engine) must outlive the
-  // executor.
+  // applied, faultPlan and defTrace null).  The lockstep lanes are counted
+  // as "<lockstepCounters><name>", e.g. "fault.campaign.lockstep.lanes".
+  // The program, schedule, config and `decoded` (null for the reference
+  // engine) must outlive the executor.
   SiteExecutor(const ir::Program& program,
                const sched::ProgramSchedule& schedule,
                const arch::MachineConfig& config,
                const sim::DecodedProgram* decoded, InjectionMode mode,
-               const sim::SimOptions& armedOptions);
-
-  // Executes one faulty run for `plan` (points[0] is the injection point;
-  // later points fire downstream).  `plan` only needs to live for the call.
-  sim::RunResult run(const sim::FaultPlan& plan);
+               const sim::SimOptions& armedOptions,
+               std::string lockstepCounters);
 
   // Decides every plan of `window` (sorted by injection ordinal, at most
-  // sim::DecodedRunner::kMaxLanes plans) into out[i], classified against
-  // `golden`.  The checkpointed strategy runs the window as lockstep lanes
-  // (DecodedRunner::runLockstep) and re-runs the lanes lockstep cannot
-  // decide exactly through run(), in ordinal order, after the stream; it
-  // counts the lanes as "fault.campaign.lockstep.*".  The others run each
-  // plan whole.  Must not be interleaved with run() calls that expect the
-  // previous checkpoint.
+  // sim::DecodedRunner::kMaxLanes plans; points[0] is each plan's injection
+  // point, later points fire downstream) into out[i], classified against
+  // `golden`.  No state carries over from one call to the next.
   void runWindow(std::span<const sim::FaultPlan> window,
                  const GoldenProfile& golden, std::vector<TrialVerdict>& out);
 
  private:
-  sim::RunResult resume(const sim::FaultPlan& plan);
+  // A fallback's faulty run from the checkpoint at `*checkpointAt`, which
+  // it takes (from program start) or rolls forward first when the plan
+  // injects later.
+  sim::RunResult resume(const sim::FaultPlan& plan,
+                        std::optional<std::uint64_t>& checkpointAt);
 
   const ir::Program& program_;
   const sched::ProgramSchedule& schedule_;
@@ -106,10 +104,10 @@ class SiteExecutor {
   sim::SimOptions options_;
   std::optional<sim::DecodedRunner> runner_;  // empty: reference engine
   bool checkpointed_ = false;
+  std::string lockstepCounters_;
+  // runWindow scratch, reused for its allocations only.
   sim::ArchCheckpoint checkpoint_;
-  bool started_ = false;
-  std::uint64_t ordinal_ = 0;  // ordinal of the live checkpoint
-  std::vector<const sim::FaultPlan*> lanePlans_;  // runWindow scratch
+  std::vector<const sim::FaultPlan*> lanePlans_;
   std::vector<sim::LaneVerdict> laneVerdicts_;
 };
 
@@ -143,9 +141,7 @@ class FaultSiteLoop {
   // [first, last) of consecutive items in [0, items) and returns the
   // per-worker accumulators, each started from `init`.  Chunks are as even
   // as possible, at most `maxChunk` items, and as few as lets every worker
-  // claim one (300 items, 1 worker, maxChunk 256: two chunks of 150).  A
-  // worker claims chunks in ascending order, so a stream sorted by
-  // injection ordinal reaches every executor non-decreasing.  Items
+  // claim one (300 items, 1 worker, maxChunk 256: two chunks of 150).  Items
   // completed per worker are counted as "fault.<driver>.<unit>" and
   // "fault.<driver>.worker<w>.<unit>", and CASTED_PROGRESS=N prints a
   // heartbeat every N seconds.  Which worker ran which chunk varies from

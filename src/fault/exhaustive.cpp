@@ -153,29 +153,33 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
                       static_cast<std::int64_t>(totalSites));
   }
 
-  // Classifies every site of one dynamic ordinal.  The plan IS the site —
-  // no randomness — so the merged result is independent of how ordinals
-  // are distributed over workers.  Enumeration is the perfect checkpoint
-  // customer: the (def x bit) loop visits up to 256 sites at the SAME
-  // ordinal, so a checkpointed executor replays the golden prefix once and
-  // restores the snapshot for every site after the first.
+  // The sites of one dynamic ordinal are one window of plans, decided
+  // together by the executor (DESIGN.md §10).  The plan IS the site — no
+  // randomness — so the merged result is independent of how ordinals are
+  // distributed over workers.
+  static_assert(4 * 64 <= sim::DecodedRunner::kMaxLanes,
+                "every site of an ordinal (4 defs x 64 bits) fits one window");
   const std::vector<std::vector<Tally>> partial = loop.run(
       defTrace.size(), 1, "ordinals", std::vector<Tally>(statics.size()),
       [&](std::vector<Tally>& tallies, std::uint64_t ordinal, std::uint64_t,
           detail::SiteExecutor& executor) {
         const StaticSite& entry = statics[ordinalStatic[ordinal]];
         Tally& tally = tallies[ordinalStatic[ordinal]];
-        sim::FaultPlan plan;
-        plan.points.resize(1);
+        std::vector<sim::FaultPlan> window;
+        window.reserve(entry.sitesPerExecution);
         for (std::uint32_t d = 0; d < entry.defCount; ++d) {
-          const std::uint64_t siteUnits =
-              entry.defQuarters[d] * (entry.bitsOf[d] == 1 ? 64u : 1u);
           for (std::uint32_t bit = 0; bit < entry.bitsOf[d]; ++bit) {
-            plan.points[0] = {ordinal, d, bit};
-            const Outcome outcome = classify(executor.run(plan), golden);
-            ++tally.counts[static_cast<int>(outcome)];
-            tally.massUnits[static_cast<int>(outcome)] += siteUnits;
+            window.push_back({{{ordinal, d, bit}}});
           }
+        }
+        std::vector<detail::TrialVerdict> verdicts;
+        executor.runWindow(window, golden, verdicts);
+        for (std::size_t i = 0; i < window.size(); ++i) {
+          const std::uint32_t d = window[i].points[0].whichDef;
+          const auto outcome = static_cast<int>(verdicts[i].outcome);
+          ++tally.counts[outcome];
+          tally.massUnits[outcome] +=
+              entry.defQuarters[d] * (entry.bitsOf[d] == 1 ? 64u : 1u);
         }
       });
 

@@ -22,7 +22,9 @@
 //
 // Enumeration runs through the campaign's fault-site loop
 // (detail::FaultSiteLoop): the shared read-only DecodedProgram, one site
-// executor per worker, and a work-stealing pool over an atomic cursor.
+// executor per worker, and a work-stealing pool over an atomic cursor.  The
+// sites of one dynamic ordinal are one window of that executor, decided as
+// the campaign decides its trials.
 // Classification is deterministic (no RNG — the plan IS the site), so the
 // report is bit-identical for every thread count and engine.
 #pragma once
@@ -49,10 +51,10 @@ struct ExhaustiveOptions {
   // Safety valve for accidental use on big workloads: enumeration refuses
   // (throws) if the site space exceeds this.  0 = unlimited.
   std::uint64_t maxSites = 0;
-  // Execution strategy for the faulty runs (see InjectionMode).  The
-  // ordinal-major site order makes enumeration the ideal checkpoint
-  // customer: one golden-prefix snapshot at dynamic def d serves all
-  // (register x bit) sites at d.
+  // Execution strategy for the faulty runs (see InjectionMode).  In
+  // kCheckpointed mode the (register x bit) sites of dynamic def d are one
+  // window of lockstep lanes, and the lanes that fall back share one
+  // golden-prefix snapshot at d.
   InjectionMode mode = InjectionMode::kCheckpointed;
   sim::SimOptions simOptions;
 };
@@ -79,6 +81,9 @@ struct SiteOutcome {
   double sdcMass() const {
     return mcMass[static_cast<int>(Outcome::kDataCorrupt)];
   }
+
+  // Field for field: the identity every deterministic report must keep.
+  bool operator==(const SiteOutcome&) const = default;
 };
 
 // Per-static-instruction ground truth, sorted worst offender (largest SDC
@@ -119,6 +124,9 @@ struct GroundTruthReport {
   // Human-readable summary: the outcome table plus the `topInsns` worst
   // offending static instructions.
   std::string toString(std::size_t topInsns = 10) const;
+
+  // Field for field, the per-instruction ranking and its doubles included.
+  bool operator==(const GroundTruthReport&) const = default;
 };
 
 // Enumerates and classifies the complete fault-site space of one run.

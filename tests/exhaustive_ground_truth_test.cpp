@@ -182,6 +182,7 @@ TEST(ExhaustiveGroundTruthTest, ThreadCountEngineAndModeAreInvariant) {
 
   for (const auto& [label, options] : variants) {
     const fault::GroundTruthReport other = core::groundTruth(bin, options);
+    EXPECT_TRUE(baseline == other) << label;
     EXPECT_EQ(baseline.defInsns, other.defInsns) << label;
     EXPECT_EQ(baseline.sites, other.sites) << label;
     EXPECT_EQ(baseline.counts, other.counts) << label;

@@ -16,6 +16,7 @@
 
 #include "core/pipeline.h"
 #include "fault/campaign.h"
+#include "fault/exhaustive.h"
 #include "ir/builder.h"
 #include "sched/list_scheduler.h"
 #include "sim/decoded.h"
@@ -430,6 +431,95 @@ TEST(LockstepTest, AnEntryReturnDecidesLanesWithoutAnExitCode) {
   EXPECT_EQ(verdicts[1].end, LaneEnd::kHalted);
   EXPECT_FALSE(verdicts[1].corrupt);
   expectCampaignMatchesFull(c, 20);
+}
+
+// Every site of one def ordinal, as exhaustive enumeration windows them:
+// a gp def whose low 16 bits reach the output, whose sign bit is a
+// select's predicate and whose other bits are masked away; a predicate
+// def; and a call that returns two values, the first stored, the second
+// masked.
+struct OneOrdinal : Crafted {
+  DefSite word, predicate, pairCall;
+
+  OneOrdinal() {
+    const std::uint64_t out = program.allocateGlobal("output", 32);
+    ir::Function& pair = program.addFunction("pair");
+    {
+      const Reg x = pair.newReg(RegClass::kGp);
+      pair.params() = {x};
+      pair.returnClasses() = {RegClass::kGp, RegClass::kGp};
+      IrBuilder b(pair);
+      b.setBlock(b.createBlock("body"));
+      const Reg kept = b.andImm(x, 0xFF00);
+      b.ret({kept, b.addImm(x, 1)});
+    }
+    ir::Function& main = program.addFunction("main");
+    program.setEntryFunction(main.id());
+    IrBuilder b(main);
+    b.setBlock(b.createBlock("entry"));
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    word = nextSite(b);
+    const Reg v = b.movImm(0x0123456789ABCDEF);
+    b.store(outBase, 0, b.andImm(v, 0xFFFF));
+    predicate = nextSite(b);
+    const Reg negative = b.cmpLtImm(v, 0);
+    const Reg one = b.movImm(1);
+    const Reg two = b.movImm(2);
+    b.store(outBase, 8, b.select(negative, one, two));
+    pairCall = nextSite(b);
+    const std::vector<Reg> pairOut = b.call(pair, {v});
+    b.store(outBase, 16, pairOut[0]);
+    b.store(outBase, 24, b.andImm(pairOut[1], 0));
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, EverySiteOfOneOrdinalSharesAWindow) {
+  const OneOrdinal c;
+  // One window per ordinal, with the output each lane must corrupt.
+  struct Window {
+    std::vector<FaultPlan> plans;
+    std::vector<bool> corrupt;
+  };
+  std::vector<Window> windows(3);
+  for (std::uint32_t bit = 0; bit < 64; ++bit) {
+    windows[0].plans.push_back({{{c.ordinal(c.word), 0, bit}}});
+    windows[0].corrupt.push_back(bit < 16 || bit == 63);
+  }
+  windows[1].plans.push_back({{{c.ordinal(c.predicate), 0, 0}}});
+  windows[1].corrupt.push_back(true);
+  // The sampler draws whichDef in [0, 4); a two-value call takes it
+  // modulo 2.
+  for (std::uint32_t whichDef = 0; whichDef < 4; ++whichDef) {
+    for (const std::uint32_t bit : {8u, 63u}) {
+      windows[2].plans.push_back({{{c.ordinal(c.pairCall), whichDef, bit}}});
+      windows[2].corrupt.push_back(whichDef % 2 == 0);
+    }
+  }
+  DecodedRunner runner(*c.decoded);
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    const std::vector<LaneVerdict> verdicts =
+        lanesAgainstRuns(runner, *c.decoded, c.golden, windows[w].plans, 20,
+                         "window " + std::to_string(w));
+    ASSERT_EQ(verdicts.size(), windows[w].plans.size());
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
+      // No branch follows a flip, so every lane is decided.
+      EXPECT_FALSE(isFallback(verdicts[i].end)) << w << " lane " << i;
+      EXPECT_EQ(verdicts[i].corrupt, windows[w].corrupt[i])
+          << w << " lane " << i;
+    }
+  }
+
+  fault::ExhaustiveOptions options;
+  options.mode = fault::InjectionMode::kFull;
+  const fault::GroundTruthReport full =
+      fault::enumerateFaultSpace(c.program, c.schedule, c.config, options);
+  options.mode = fault::InjectionMode::kCheckpointed;
+  EXPECT_TRUE(full == fault::enumerateFaultSpace(c.program, c.schedule,
+                                                 c.config, options));
+  // 64 sites per gp def, one for the predicate and 2 x 64 for the call.
+  EXPECT_EQ(full.sites, (c.golden.stats.dynamicDefInsns - 2) * 64 + 1 + 128);
 }
 
 TEST(LockstepTest, RandomProgramsWithMultiFlipPlansMatchWholeRuns) {

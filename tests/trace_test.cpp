@@ -291,23 +291,24 @@ TEST_F(TraceTest, CountersMergeAcrossWorkerPoolThreads) {
   }
 }
 
-// The lockstep lane counters of the last campaign(s): decided lanes by
-// decision, fallen-back lanes by reason.
-std::int64_t lockstepDecided() {
+// The lockstep lane counters of the last campaign(s) (or, with the
+// enumerator's prefix, enumerations): decided lanes by decision,
+// fallen-back lanes by reason.
+std::int64_t lockstepDecided(
+    const std::string& prefix = "fault.campaign.lockstep.") {
   std::int64_t sum = 0;
   for (const char* end :
        {"detected", "exception", "halt", "reconverged", "timeout"}) {
-    sum += trace::counterValue(std::string("fault.campaign.lockstep.decided.") +
-                               end);
+    sum += trace::counterValue(prefix + "decided." + end);
   }
   return sum;
 }
 
-std::int64_t lockstepFallbacks() {
+std::int64_t lockstepFallbacks(
+    const std::string& prefix = "fault.campaign.lockstep.") {
   std::int64_t sum = 0;
   for (const char* reason : {"control", "timing", "budget"}) {
-    sum += trace::counterValue(
-        std::string("fault.campaign.lockstep.fallback.") + reason);
+    sum += trace::counterValue(prefix + "fallback." + reason);
   }
   return sum;
 }
@@ -469,7 +470,9 @@ TEST_F(TraceTest, RestoreRewindsEachCacheWayAtMostOnce) {
 
 TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
   // The enumerator's counters come from the shared fault-site loop: every
-  // ordinal is counted once, by the worker that claimed it.
+  // ordinal is counted once, by the worker that claimed it.  In
+  // checkpointed mode each ordinal's sites are one lockstep window, counted
+  // under the enumerator's own prefix and never as campaign lanes.
   const core::CompiledProgram bin =
       core::compile(testutil::makeLoopProgram(4), testutil::machine(2, 1),
                     passes::Scheme::kCasted);
@@ -494,6 +497,20 @@ TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
                                        std::to_string(w) + ".ordinals");
     }
     EXPECT_EQ(perWorker, defInsns) << label;
+
+    const std::string lockstep = "fault.exhaustive.lockstep.";
+    const std::int64_t lanes = trace::counterValue(lockstep + "lanes");
+    if (mode == fault::InjectionMode::kCheckpointed) {
+      EXPECT_EQ(lanes, static_cast<std::int64_t>(report.sites)) << label;
+      EXPECT_EQ(trace::counterValue(lockstep + "windows"), defInsns) << label;
+      EXPECT_EQ(lockstepDecided(lockstep) + lockstepFallbacks(lockstep), lanes)
+          << label;
+    } else {
+      EXPECT_EQ(lanes, 0) << label;
+    }
+    for (const auto& [name, value] : trace::counterSnapshot()) {
+      EXPECT_FALSE(name.starts_with("fault.campaign.")) << label << " " << name;
+    }
   }
 }
 
