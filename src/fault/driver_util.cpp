@@ -217,10 +217,14 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   for (const sim::FaultPlan& plan : window) {
     lanePlans_.push_back(&plan);
   }
-  runner_->runLockstep(options_, lanePlans_, laneVerdicts_);
+  const std::uint64_t streamInsns =
+      runner_->runLockstep(options_, lanePlans_, laneVerdicts_);
   std::optional<std::uint64_t> checkpointAt;  // none until a fallback
   std::uint64_t laneOps = 0;
   std::array<std::int64_t, sim::kLaneEndCount> ends = {};
+  // Per fallback reason, the instructions the fallbacks ran past their
+  // injection point.
+  std::array<std::int64_t, sim::kLaneEndCount> fallbackInsns = {};
   for (std::size_t i = 0; i < window.size(); ++i) {
     const sim::LaneVerdict& lane = laneVerdicts_[i];
     laneOps += lane.laneOps;
@@ -240,9 +244,14 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
         out[i] = {lane.corrupt ? Outcome::kDataCorrupt : Outcome::kBenign,
                   lane.dynamicInsns};
         break;
-      default:
-        out[i] = verdictOf(resume(window[i], checkpointAt));
+      default: {
+        const sim::RunResult faulty = resume(window[i], checkpointAt);
+        fallbackInsns[static_cast<std::size_t>(lane.end)] +=
+            static_cast<std::int64_t>(faulty.stats.dynamicInsns -
+                                      lane.injectedAt);
+        out[i] = verdictOf(faulty);
         break;
+      }
     }
   }
   if (trace::enabled()) {
@@ -251,12 +260,17 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
     trace::counterAdd(prefix + "lanes",
                       static_cast<std::int64_t>(window.size()));
     trace::counterAdd(prefix + "lane_ops", static_cast<std::int64_t>(laneOps));
+    trace::counterAdd(prefix + "stream_insns",
+                      static_cast<std::int64_t>(streamInsns));
     for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
       const auto end = static_cast<sim::LaneEnd>(e);
-      trace::counterAdd(prefix +
-                            (sim::isFallback(end) ? "fallback." : "decided.") +
-                            sim::laneEndName(end),
-                        ends[e]);
+      const std::string name = sim::laneEndName(end);
+      if (sim::isFallback(end)) {
+        trace::counterAdd(prefix + "fallback." + name, ends[e]);
+        trace::counterAdd(prefix + "fallback_insns." + name, fallbackInsns[e]);
+      } else {
+        trace::counterAdd(prefix + "decided." + name, ends[e]);
+      }
     }
   }
 }

@@ -74,7 +74,10 @@ class SiteExecutor {
  public:
   // `armedOptions` is the worker's ready-to-run configuration (watchdog
   // applied, faultPlan and defTrace null).  The lockstep lanes are counted
-  // as "<lockstepCounters><name>", e.g. "fault.campaign.lockstep.lanes".
+  // as "<lockstepCounters><name>", e.g. "fault.campaign.lockstep.lanes";
+  // "stream_insns" adds the golden streams' instructions and
+  // "fallback_insns.<reason>" what those fallbacks ran past their
+  // injection point.
   // The program, schedule, config and `decoded` (null for the reference
   // engine) must outlive the executor.
   SiteExecutor(const ir::Program& program,

@@ -11,6 +11,7 @@
 // which preserves the paper-relevant behaviour (miss stalls and MLP).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -30,127 +31,120 @@ struct CacheLevelStats {
   }
 };
 
-// One set-associative LRU level.  The lookup/fill path is header-inline:
-// every simulated memory access goes through it (millions of calls per
-// campaign), and the call overhead is measurable for both engines.
+// One set-associative LRU level.  A set is a value: its `associativity`
+// tags in recency order, most recent first, with kEmpty in the slots no
+// line has filled yet (they are always at the back).  LRU needs nothing
+// else — which lines are resident and their order decide every later hit,
+// miss and victim — so two sets with equal tags behave alike from then on.
+// The lookup/fill path is header-inline: every simulated memory access goes
+// through it (millions of calls per campaign), and the call overhead is
+// measurable for both engines.
 class CacheLevel {
  public:
   explicit CacheLevel(const arch::CacheLevelConfig& config);
 
-  // True when the line holding `address` is resident; updates LRU on hit.
+  // True when the line holding `address` is resident; a hit moves it to
+  // the front of its set.  A hit on the front tag writes nothing.
   bool lookup(std::uint64_t address) {
-    ++clock_;
-    const std::uint64_t set = setIndex(address);
     const std::uint64_t tag = tagOf(address);
-    Way* base = &ways_[set * config_.associativity];
-    for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-      if (base[w].lastUse != 0 && base[w].tag == tag) {
-        noteMutation(&base[w]);
-        base[w].lastUse = clock_;
-        ++stats_.hits;
-        return true;
+    std::uint64_t* set = setOf(address);
+    if (set[0] != tag) {
+      std::uint32_t w = 1;
+      while (w < ways_ && set[w] != tag) {
+        ++w;
       }
+      if (w == ways_) {
+        ++stats_.misses;
+        return false;
+      }
+      noteMutation(set);
+      std::copy_backward(set, set + w, set + w + 1);
+      set[0] = tag;
     }
-    ++stats_.misses;
-    return false;
+    ++stats_.hits;
+    return true;
   }
 
-  // Inserts the line holding `address`, evicting the LRU way.  A
-  // never-filled way has lastUse 0, below every valid way's, so it is the
-  // victim whenever the set has one.
+  // Inserts the line holding `address`, which must not be resident, at the
+  // front of its set.  The last entry drops out: the LRU line, or an empty
+  // slot while the set has one.
   void fill(std::uint64_t address) {
-    ++clock_;
-    const std::uint64_t set = setIndex(address);
-    const std::uint64_t tag = tagOf(address);
-    Way* base = &ways_[set * config_.associativity];
-    Way* victim = &base[0];
-    for (std::uint32_t w = 1; w < config_.associativity; ++w) {
-      if (base[w].lastUse < victim->lastUse) {
-        victim = &base[w];
-      }
-    }
-    noteMutation(victim);
-    victim->tag = tag;
-    victim->lastUse = clock_;
+    std::uint64_t* set = setOf(address);
+    noteMutation(set);
+    std::copy_backward(set, set + ways_ - 1, set + ways_);
+    set[0] = tagOf(address);
   }
 
-  // Undo log, always on, mirroring Memory: the first mutation of a way
-  // since the latest mark records its pre-image (a per-way mark stamp says
-  // whether it already has), so an L1 hit on a recorded way costs one
-  // compare.  reset() undoes the whole log, newest first — the level then
-  // equals a freshly constructed one: every way invalid, clock and stats
+  // Undo log, always on, mirroring Memory: the first change to a set since
+  // the latest mark records the set's pre-image — its tags and its mark
+  // stamp, which says whether the set has been recorded already — so a hit
+  // that reorders a recorded set costs one compare more, and a hit on the
+  // front tag records nothing.  reset() undoes the whole log, newest first — the
+  // level then equals a freshly constructed one: every slot empty, stats
   // zero — and drops the checkpoint.  setCheckpoint() records the log
-  // position, the clock and the stats, and opens a new mark;
-  // rewindToCheckpoint() undoes back to that position and restores the
-  // clock and stats — O(ways first touched since the mark), never
-  // O(accesses) or O(way array) — and returns the number of ways it wrote
-  // back.  Above the checkpoint the log holds each way at most once; below
-  // it, each roll-forward segment's first touches.  Cache metadata is
-  // timing state (it decides stall cycles and the per-level hit/miss
-  // counts), so it must rewind bit-exactly with the architectural state.
+  // position and the stats, and opens a new mark; rewindToCheckpoint()
+  // undoes back to that position and restores the stats — O(sets first
+  // changed since the mark), never O(accesses) or O(set array) — and
+  // returns the number of sets it wrote back.  Above the checkpoint the log
+  // holds each set at most once; below it, each roll-forward segment's
+  // first changes.  Cache metadata is timing state (it decides stall
+  // cycles and the per-level hit/miss counts), so it must rewind
+  // bit-exactly with the architectural state.
   void reset();
   void setCheckpoint();
   std::size_t rewindToCheckpoint();
-
-  // The LRU clock: lookups plus fills since the last reset, less those a
-  // rewind undid.  Hits and latencies depend only on the order of the
-  // stamps it hands out, so tests read it here to see that a rewind
-  // restores it.
-  std::uint64_t clock() const { return clock_; }
 
   const CacheLevelStats& stats() const { return stats_; }
   const arch::CacheLevelConfig& config() const { return config_; }
 
  private:
-  // 24 bytes: every runner owns ~27k ways (the Table I hierarchy), so a
-  // wider way shows up in the peak memory of anything that builds runners.
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lastUse = 0;  // valid iff nonzero: ++clock_ precedes it
-    std::uint64_t mark = 0;     // pre-image recorded iff equal to mark_
-  };
-  static_assert(sizeof(Way) == 24);
-  struct WayUndo {
-    std::size_t way = 0;  // index into ways_
-    Way old;
-  };
+  // Real tags are `address >> (blockShift_ + setShift_)` with a nonzero
+  // shift (checked in the constructor), so they never reach all ones.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
   struct Checkpoint {
     std::size_t logSize = 0;  // undo_.size() at setCheckpoint()
-    std::uint64_t clock = 0;
     CacheLevelStats stats;
   };
 
-  // Records `way`'s pre-image on its first mutation since the mark.  The
-  // pre-image keeps the old stamp, so after an undo the way records again.
-  void noteMutation(Way* way) {
-    if (way->mark != mark_) {
-      undo_.push_back({static_cast<std::size_t>(way - ways_.data()), *way});
-      way->mark = mark_;
+  // Records `set`'s pre-image on its first change since the mark.  The
+  // pre-image keeps the old mark stamp, so after an undo the set records
+  // again.
+  void noteMutation(std::uint64_t* set) {
+    if (set[ways_] != mark_) {
+      undo_.push_back(static_cast<std::uint64_t>(set - sets_.data()));
+      undo_.insert(undo_.end(), set, set + ways_ + 1);
+      set[ways_] = mark_;
     }
   }
 
-  // Undoes records, newest first, until `size` remain; returns how many.
+  // Undoes records, newest first, until `size` words remain; returns how
+  // many records.
   std::size_t undoTo(std::size_t size);
 
   // Block size and set count are powers of two (checked in the
   // constructor), so the per-access index/tag math is two shifts and a
   // mask — no integer division on the hottest path in the simulator.
-  std::uint64_t setIndex(std::uint64_t address) const {
-    return (address >> blockShift_) & (setCount_ - 1);
+  std::uint64_t* setOf(std::uint64_t address) {
+    return &sets_[((address >> blockShift_) & (setCount_ - 1)) * (ways_ + 1)];
   }
   std::uint64_t tagOf(std::uint64_t address) const {
     return address >> (blockShift_ + setShift_);
   }
 
   arch::CacheLevelConfig config_;
+  std::uint32_t ways_;
   std::uint32_t setCount_;
   std::uint32_t blockShift_ = 0;
   std::uint32_t setShift_ = 0;
-  std::vector<Way> ways_;  // setCount_ * associativity
-  std::uint64_t clock_ = 0;
-  std::uint64_t mark_ = 1;  // bumped by setCheckpoint(); ways start at 0
+  // setCount_ sets of ways_ + 1 words: the tags, then the set's mark stamp
+  // (its pre-image is recorded iff the stamp equals mark_).  A runner's
+  // Table I hierarchy is 2,368 sets, ~229 KiB.
+  std::vector<std::uint64_t> sets_;
+  std::uint64_t mark_ = 0;  // bumped by setCheckpoint(); sets start at kEmpty
   CacheLevelStats stats_;
-  std::vector<WayUndo> undo_;
+  // Records of ways_ + 2 words: the set's offset in sets_, then its words.
+  std::vector<std::uint64_t> undo_;
   std::optional<Checkpoint> checkpoint_;
 };
 
@@ -179,7 +173,7 @@ class CacheHierarchy {
   }
 
   // The per-level undo logs plus the main-memory access counter; see
-  // CacheLevel::reset.  rewindToCheckpoint() returns the number of ways
+  // CacheLevel::reset.  rewindToCheckpoint() returns the number of sets
   // written back.
   void reset();
   void setCheckpoint();

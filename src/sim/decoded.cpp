@@ -1108,9 +1108,9 @@ struct DecodedRunner::Impl {
 
   // ---- Lockstep lanes (see DecodedRunner::runLockstep) ----
 
-  void runLanes(const SimOptions& opts,
-                const std::vector<const FaultPlan*>& plans,
-                std::vector<LaneVerdict>& verdicts) {
+  std::uint64_t runLanes(const SimOptions& opts,
+                         const std::vector<const FaultPlan*>& plans,
+                         std::vector<LaneVerdict>& verdicts) {
     CASTED_CHECK(opts.faultPlan == nullptr && opts.defTrace == nullptr)
         << "the golden stream runs without a plan or a def trace";
     CASTED_CHECK(plans.size() <= kMaxLanes)
@@ -1118,7 +1118,7 @@ struct DecodedRunner::Impl {
     reset(opts);
     verdicts.assign(plans.size(), LaneVerdict{});
     if (plans.empty()) {
-      return;
+      return 0;
     }
     laneState.begin(plans, verdicts);
     lanes = &laneState;
@@ -1134,6 +1134,7 @@ struct DecodedRunner::Impl {
     CASTED_CHECK(flow != Flow::kDetected && flow != Flow::kTrapped &&
                  laneState.open == 0 && laneState.diffs == 0)
         << "the golden stream ended without deciding its lanes";
+    return stats.dynamicInsns;
   }
 
   // ---- Stepwise API (see DecodedRunner) ----
@@ -1186,11 +1187,11 @@ struct DecodedRunner::Impl {
     CASTED_CHECK(d.owner == this && d.generation == checkpointGen)
         << "checkpoint is stale or belongs to another runner";
     const std::size_t memoryRecords = memory.rewindToCheckpoint();
-    const std::size_t cacheWays = caches.rewindToCheckpoint();
+    const std::size_t cacheSets = caches.rewindToCheckpoint();
     trace::counterAdd("sim.restore.memory_records",
                       static_cast<std::int64_t>(memoryRecords));
-    trace::counterAdd("sim.restore.cache_ways",
-                      static_cast<std::int64_t>(cacheWays));
+    trace::counterAdd("sim.restore.cache_sets",
+                      static_cast<std::int64_t>(cacheSets));
     gpStack = d.gp;
     fpStack = d.fp;
     prStack = d.pr;
@@ -1538,6 +1539,7 @@ void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
   v.corrupt = corrupt;
   v.dynamicInsns = insns;
   v.laneOps = l.laneOps;
+  v.injectedAt = l.injectedAt;
   diffs -= l.diff.size();
   l.diff.drain([&](std::uint64_t key, std::uint64_t) {
     if (DiffMap::isWordKey(key)) {
@@ -1847,10 +1849,10 @@ RunResult DecodedRunner::finish() {
   return impl_->finish();
 }
 
-void DecodedRunner::runLockstep(const SimOptions& options,
-                                const std::vector<const FaultPlan*>& plans,
-                                std::vector<LaneVerdict>& verdicts) {
-  impl_->runLanes(options, plans, verdicts);
+std::uint64_t DecodedRunner::runLockstep(
+    const SimOptions& options, const std::vector<const FaultPlan*>& plans,
+    std::vector<LaneVerdict>& verdicts) {
+  return impl_->runLanes(options, plans, verdicts);
 }
 
 RunResult runDecoded(const DecodedProgram& program, const SimOptions& options) {

@@ -196,12 +196,14 @@ inline bool isFallback(LaneEnd end) {
 // One lane's verdict.  For a decided lane, the faulty run of its plan would
 // have ended as `end` says after exactly `dynamicInsns` instructions, with
 // an exit code or output different from the golden run's iff `corrupt`
-// (kHalted only; a reconverged lane ends as the golden run did).
+// (kHalted only; a reconverged lane ends as the golden run did).  A
+// fallen-back lane's `dynamicInsns` is the stream's count when it gave up.
 struct LaneVerdict {
   LaneEnd end = LaneEnd::kReconverged;
   bool corrupt = false;
   std::uint64_t dynamicInsns = 0;
-  std::uint64_t laneOps = 0;  // ops this lane evaluated on its own values
+  std::uint64_t laneOps = 0;     // ops this lane evaluated on its own values
+  std::uint64_t injectedAt = 0;  // golden instructions at its first flip
 };
 
 // A reusable execution context over one DecodedProgram: the memory image,
@@ -209,7 +211,7 @@ struct LaneVerdict {
 // between runs in O(state the previous run touched) — the memory and cache
 // undo logs rewound to run start — rather than O(arena size).  This is
 // what makes the campaign's trial loop fast: a Monte Carlo trial executes
-// ~10^4 instructions, while rebuilding megabytes of image and way arrays
+// ~10^4 instructions, while rebuilding megabytes of image and cache sets
 // per trial costs as much as running them.  Each campaign worker owns one
 // runner; a runner is single-threaded, the shared DecodedProgram read-only.
 //
@@ -290,12 +292,14 @@ class DecodedRunner {
   // its values differ from the golden run's; an op costs lane work only
   // when it reads a differing value.  verdicts[i] receives plans[i]'s
   // verdict; a decided verdict matches a whole run(options-with-plan) in
-  // exit kind, instruction count and output/exit-code agreement.  Ends the
-  // runner's stepwise run (begin() again before runToDef).
+  // exit kind, instruction count and output/exit-code agreement.  Returns
+  // the instructions the golden stream ran: it stops once every lane is
+  // decided.  Ends the runner's stepwise run (begin() again before
+  // runToDef).
   static constexpr std::size_t kMaxLanes = 256;
-  void runLockstep(const SimOptions& options,
-                   const std::vector<const FaultPlan*>& plans,
-                   std::vector<LaneVerdict>& verdicts);
+  std::uint64_t runLockstep(const SimOptions& options,
+                            const std::vector<const FaultPlan*>& plans,
+                            std::vector<LaneVerdict>& verdicts);
 
   // The decoded interpreter itself (decoded.cpp).
   struct Impl;

@@ -102,6 +102,10 @@ TEST(CacheHierarchyTest, InvalidGeometryRejected) {
   arch::CacheConfig config3;
   config3.memoryLatency = 5;  // below L3
   EXPECT_THROW(CacheHierarchy{config3}, FatalError);
+
+  // One set of 1-byte blocks: a tag is the whole address, so no tag value
+  // is left over to mark an empty slot.
+  EXPECT_THROW(CacheLevel({"T", 4, 1, 4, 1}), FatalError);
 }
 
 // --- Checkpoints -------------------------------------------------------------
@@ -140,15 +144,32 @@ std::vector<bool> drive(CacheLevel& level,
 }
 
 // 16 lines over the 4 sets x 2 ways of smallLevel(): lines 0-3 have tag 0,
-// which is what a never-filled way holds.
+// a real tag like any other.
 std::vector<std::uint64_t> levelStream(std::uint64_t seed,
                                        std::size_t count) {
   return addressStream(seed, count, 16, 64);
 }
 
+// Which of levelStream's 16 lines a copy of `level` holds, before and after
+// one more line is filled into every set: the fill evicts each set's LRU
+// line, so the second half also shows each 2-way set's recency order.
+std::vector<bool> residency(CacheLevel level) {
+  std::vector<bool> resident;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::uint64_t line = 0; line < 16; ++line) {
+      CacheLevel probe = level;
+      resident.push_back(probe.lookup(line * 64));
+    }
+    for (std::uint64_t line = 16; line < 20; ++line) {
+      level.fill(line * 64);
+    }
+  }
+  return resident;
+}
+
 void expectSameLevel(CacheLevel& rewound, CacheLevel& twin,
                      const std::string& label) {
-  EXPECT_EQ(rewound.clock(), twin.clock()) << label;
+  EXPECT_EQ(residency(rewound), residency(twin)) << label;
   const std::vector<std::uint64_t> probe = levelStream(99, 400);
   EXPECT_EQ(drive(rewound, probe), drive(twin, probe)) << label;
   EXPECT_EQ(rewound.stats().hits, twin.stats().hits) << label;
@@ -164,13 +185,44 @@ TEST(CacheCheckpointTest, HitHeavySuffixRewindsToTwin) {
 
   level.setCheckpoint();
   // Hits reorder LRU without changing residency; a rewind that lost a
-  // hit's lastUse would evict a different way during the probe.
+  // hit's reordering would evict a different line during the probe.
   const std::vector<std::uint64_t> suffix = levelStream(2, 5000);
   drive(level, suffix);
   EXPECT_GT(level.stats().hits, 2000u);
-  // First-touch logging: at most one record per way, however many hits.
-  EXPECT_LE(level.rewindToCheckpoint(), 8u);
+  // First-touch logging: at most one record per set, however many hits.
+  EXPECT_LE(level.rewindToCheckpoint(), 4u);
   expectSameLevel(level, twin, "hit-heavy suffix");
+}
+
+TEST(CacheCheckpointTest, FrontOfSetHitsRewindNoSets) {
+  // A hit on the most recent line of its set writes nothing, so a suffix of
+  // such hits leaves nothing to rewind; a hit that reorders a set is one
+  // record.
+  CacheLevel level(smallLevel());
+  level.fill(0x1000);
+  level.setCheckpoint();
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(level.lookup(0x1000 + i % 64));
+  }
+  EXPECT_EQ(level.rewindToCheckpoint(), 0u);
+
+  const arch::CacheConfig config;
+  CacheHierarchy caches(config);
+  // a and b share an L1 set (64 sets of 64-byte lines); c has its own.
+  const std::uint64_t a = 0x10000;
+  const std::uint64_t b = a + 64 * 64;
+  const std::uint64_t c = a + 64;
+  for (const std::uint64_t address : {a, b, c}) {
+    caches.access(address);
+  }
+  caches.setCheckpoint();
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(caches.access(b), config.levels[0].latency);
+    EXPECT_EQ(caches.access(c), config.levels[0].latency);
+  }
+  EXPECT_EQ(caches.rewindToCheckpoint(), 0u);
+  EXPECT_EQ(caches.access(a), config.levels[0].latency);  // a moves to front
+  EXPECT_EQ(caches.rewindToCheckpoint(), 1u);
 }
 
 TEST(CacheCheckpointTest, TwoSuffixesAtOneMark) {
@@ -264,9 +316,9 @@ TEST(CacheCheckpointTest, HierarchyRewindsToTwin) {
   caches.setCheckpoint();
   for (std::uint64_t suffix = 0; suffix < 2; ++suffix) {
     access(caches, stream(61 + suffix, 20000));
-    // L1 256 + L2 2048 + L3 24576 ways bound the log, however long the
+    // L1 64 + L2 256 + L3 2048 sets bound the log, however long the
     // suffix.
-    EXPECT_LE(caches.rewindToCheckpoint(), 256u + 2048u + 24576u);
+    EXPECT_LE(caches.rewindToCheckpoint(), 64u + 256u + 2048u);
   }
   const std::vector<std::uint64_t> probe = stream(63, 4000);
   EXPECT_EQ(access(caches, probe), access(twin, probe));
@@ -296,10 +348,10 @@ void access(CacheHierarchy& caches, const std::vector<std::uint64_t>& stream) {
   }
 }
 
-// What a probe stream sees of a copy of `level`: the hit pattern, the stats
-// and the clock.
+// What a probe stream sees of a copy of `level`: the hit pattern and the
+// stats.
 std::vector<std::uint64_t> observe(CacheLevel level) {
-  std::vector<std::uint64_t> seen = {level.clock()};
+  std::vector<std::uint64_t> seen;
   for (const bool hit : drive(level, levelStream(99, 400))) {
     seen.push_back(hit);
   }
@@ -397,6 +449,178 @@ TEST(CacheScheduleTest, HierarchyRewindsToGoldenAndResetsToFresh) {
   config.memoryLatency = 50;
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     randomSchedule(CacheHierarchy(config), 256, seed);
+  }
+}
+
+// --- The stamp-based LRU oracle -------------------------------------------------
+//
+// The LRU model that recency-ordered sets replaced, kept as an oracle: each
+// way holds the level clock's value at its last use, a way is valid iff
+// that stamp is nonzero (the clock ticks before every stamp), and a fill
+// evicts the first way with the smallest stamp.  It has no undo log: a
+// checkpoint of the oracle is a copy of it.
+
+class StampLevel {
+ public:
+  explicit StampLevel(const arch::CacheLevelConfig& config)
+      : config_(config),
+        setCount_(config.sizeBytes / config.blockBytes / config.associativity),
+        ways_(setCount_ * config.associativity) {}
+
+  bool lookup(std::uint64_t address) {
+    ++clock_;
+    Way* base = &ways_[setIndex(address) * config_.associativity];
+    for (std::uint32_t w = 0; w < config_.associativity; ++w) {
+      if (base[w].lastUse != 0 && base[w].tag == tagOf(address)) {
+        base[w].lastUse = clock_;
+        ++stats_.hits;
+        return true;
+      }
+    }
+    ++stats_.misses;
+    return false;
+  }
+
+  void fill(std::uint64_t address) {
+    ++clock_;
+    Way* base = &ways_[setIndex(address) * config_.associativity];
+    Way* victim = &base[0];
+    for (std::uint32_t w = 1; w < config_.associativity; ++w) {
+      if (base[w].lastUse < victim->lastUse) {
+        victim = &base[w];
+      }
+    }
+    victim->tag = tagOf(address);
+    victim->lastUse = clock_;
+  }
+
+  const CacheLevelStats& stats() const { return stats_; }
+  std::uint32_t latency() const { return config_.latency; }
+
+ private:
+  struct Way {
+    std::uint64_t tag = 0;
+    std::uint64_t lastUse = 0;
+  };
+  std::uint64_t setIndex(std::uint64_t address) const {
+    return address / config_.blockBytes % setCount_;
+  }
+  std::uint64_t tagOf(std::uint64_t address) const {
+    return address / config_.blockBytes / setCount_;
+  }
+
+  arch::CacheLevelConfig config_;
+  std::uint64_t setCount_;
+  std::vector<Way> ways_;
+  std::uint64_t clock_ = 0;
+  CacheLevelStats stats_;
+};
+
+struct StampHierarchy {
+  explicit StampHierarchy(const arch::CacheConfig& config)
+      : memoryLatency(config.memoryLatency) {
+    for (const arch::CacheLevelConfig& level : config.levels) {
+      levels.emplace_back(level);
+    }
+  }
+
+  std::uint32_t access(std::uint64_t address) {
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      if (levels[i].lookup(address)) {
+        for (std::size_t j = 0; j < i; ++j) {
+          levels[j].fill(address);
+        }
+        return levels[i].latency();
+      }
+    }
+    ++memoryAccesses;
+    for (StampLevel& level : levels) {
+      level.fill(address);
+    }
+    return memoryLatency;
+  }
+
+  std::vector<StampLevel> levels;
+  std::uint32_t memoryLatency;
+  std::uint64_t memoryAccesses = 0;
+};
+
+// Random bursts of accesses over `lines` 64-byte lines, with checkpoints,
+// rewinds and resets in between: the hierarchy must match the oracle in
+// every latency, per-level hit/miss count and main-memory access count.
+void expectMatchesStampOracle(const arch::CacheConfig& config,
+                              std::uint64_t lines, std::uint64_t seed) {
+  Rng rng(seed);
+  CacheHierarchy caches(config);
+  const StampHierarchy fresh(config);
+  StampHierarchy oracle = fresh;
+  std::optional<StampHierarchy> atMark;
+  int accesses = 0;
+  int rewinds = 0;
+  int resets = 0;
+  for (std::uint64_t step = 0; step < 400; ++step) {
+    switch (rng.nextBelow(8)) {
+      case 0:
+        caches.setCheckpoint();
+        atMark = oracle;
+        break;
+      case 1:
+        if (atMark) {
+          caches.rewindToCheckpoint();
+          oracle = *atMark;
+          ++rewinds;
+        }
+        break;
+      case 2:
+        if (rng.nextBool(0.3)) {
+          caches.reset();
+          oracle = fresh;
+          atMark.reset();
+          ++resets;
+        }
+        break;
+      default:
+        for (const std::uint64_t address : addressStream(
+                 seed * 1000 + step, 1 + rng.nextBelow(200), lines, 64)) {
+          ASSERT_EQ(caches.access(address), oracle.access(address))
+              << "step " << step << ", address " << address;
+          ++accesses;
+        }
+        break;
+    }
+    for (std::size_t level = 0; level < config.levels.size(); ++level) {
+      ASSERT_EQ(caches.levelStats(level).hits,
+                oracle.levels[level].stats().hits)
+          << "step " << step << ", level " << level;
+      ASSERT_EQ(caches.levelStats(level).misses,
+                oracle.levels[level].stats().misses)
+          << "step " << step << ", level " << level;
+    }
+    ASSERT_EQ(caches.memoryAccesses(), oracle.memoryAccesses) << step;
+  }
+  EXPECT_GE(accesses, 10000);
+  EXPECT_GE(rewinds, 10);
+  EXPECT_GE(resets, 3);
+}
+
+TEST(CacheOracleTest, TableOneHierarchyMatchesStampLru) {
+  // 4 MiB of lines, a quarter of them hot: L1 and L2 miss often, and L3
+  // (3 MiB, 12 ways) both hits and evicts.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expectMatchesStampOracle(arch::CacheConfig{}, 1 << 16, seed);
+  }
+}
+
+TEST(CacheOracleTest, SmallHierarchiesMatchStampLru) {
+  // Direct-mapped, 4-way and 3-way levels of 4/8/8 sets under 16 KiB of
+  // lines: every level evicts constantly.
+  arch::CacheConfig config;
+  config.levels = {arch::CacheLevelConfig{"L1", 256, 64, 1, 1},
+                   arch::CacheLevelConfig{"L2", 2048, 64, 4, 5},
+                   arch::CacheLevelConfig{"L3", 3072, 128, 3, 12}};
+  config.memoryLatency = 50;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    expectMatchesStampOracle(config, 256, seed);
   }
 }
 

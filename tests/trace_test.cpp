@@ -11,8 +11,11 @@
 //     decided or fallen back by reason, with the fallbacks' stepwise runs
 //     (restored from one checkpoint) counted like whole runs, and its
 //     report is the untraced one;
-//   * restores count the cache ways and memory records they rewound, and
-//     one restore never rewinds more ways than the hierarchy has;
+//   * each driver counts its golden streams' instructions and, per
+//     fallback reason, what the fallbacks ran;
+//   * restores count the cache sets and memory records they rewound, one
+//     restore never rewinds more sets than the hierarchy has, and a suffix
+//     of hits on each set's most recent line rewinds none;
 //   * the enumerator's ordinal and site counters match its report.
 #include <gtest/gtest.h>
 
@@ -31,6 +34,7 @@
 #include "support/check.h"
 #include "support/trace.h"
 #include "test_util.h"
+#include "workloads/workloads.h"
 
 namespace casted {
 namespace {
@@ -384,11 +388,16 @@ TEST_F(TraceTest, LockstepLanesAreDecidedOrFallBackAndTracingOnlyObserves) {
   EXPECT_GE(trace::counterValue("fault.campaign.lockstep.windows"), 2);
 }
 
-// Reads, bumps and writes back one word per iteration: after the first
-// iteration every access is an L1 hit on the same line.
-ir::Program makeHitHeavyProgram(std::int64_t n) {
+// Adds table[(i * stride) mod 64 KiB] into one output word per iteration.
+// At stride 0, after the first iteration every access is an L1 hit on the
+// most recent line of its set, which changes no cache set.  At stride 64
+// the walk covers four times the L1 size in 64-byte lines, so every table
+// load misses L1 and fills it.
+ir::Program makeTableWalkProgram(std::int64_t n, std::int64_t stride) {
+  constexpr std::int64_t kTableBytes = 64 * 1024;
   ir::Program prog;
   const std::uint64_t outAddr = prog.allocateGlobal("output", 8);
+  const std::uint64_t tableAddr = prog.allocateGlobal("table", kTableBytes);
   ir::Function& main = prog.addFunction("main");
   ir::IrBuilder b(main);
   ir::BasicBlock& entry = b.createBlock("entry");
@@ -396,10 +405,13 @@ ir::Program makeHitHeavyProgram(std::int64_t n) {
   ir::BasicBlock& done = b.createBlock("done");
   b.setBlock(entry);
   const ir::Reg base = b.movImm(static_cast<std::int64_t>(outAddr));
+  const ir::Reg table = b.movImm(static_cast<std::int64_t>(tableAddr));
   const ir::Reg i = b.movImm(0);
   b.br(loop);
   b.setBlock(loop);
-  b.store(base, 0, b.add(b.load(base, 0), i));
+  const ir::Reg offset = b.andImm(b.mulImm(i, stride), kTableBytes - 1);
+  const ir::Reg word = b.load(b.add(table, offset), 0);
+  b.store(base, 0, b.add(b.load(base, 0), word));
   b.addImmTo(i, i, 1);
   b.brCond(b.cmpLtImm(i, n), loop, done);
   b.setBlock(done);
@@ -407,21 +419,22 @@ ir::Program makeHitHeavyProgram(std::int64_t n) {
   return prog;
 }
 
-std::int64_t totalCacheWays(const core::CompiledProgram& bin) {
-  std::int64_t ways = 0;
+std::int64_t totalCacheSets(const core::CompiledProgram& bin) {
+  std::int64_t sets = 0;
   for (const arch::CacheLevelConfig& level :
        bin.decoded->cacheConfig().levels) {
-    ways += static_cast<std::int64_t>(level.sizeBytes / level.blockBytes);
+    sets += static_cast<std::int64_t>(level.sizeBytes / level.blockBytes /
+                                      level.associativity);
   }
-  return ways;
+  return sets;
 }
 
 TEST_F(TraceTest, CheckpointedCampaignCountsRewoundRecords) {
-  // Each restore adds the cache ways and memory undo records it rewound.
+  // Each restore adds the cache sets and memory undo records it rewound.
   // NOED, so faulty suffixes run on to the loop's loads and stores instead
-  // of stopping at a check.
+  // of stopping at a check; every iteration's table load changes L1 sets.
   const core::CompiledProgram bin =
-      core::compile(makeHitHeavyProgram(200), testutil::machine(2, 1),
+      core::compile(makeTableWalkProgram(200, 64), testutil::machine(2, 1),
                     passes::Scheme::kNoed);
   fault::CampaignOptions options;
   options.trials = 40;
@@ -431,40 +444,50 @@ TEST_F(TraceTest, CheckpointedCampaignCountsRewoundRecords) {
   core::campaign(bin, options);
   const std::int64_t restores =
       trace::counterValue("sim.checkpoint.restores");
-  const std::int64_t ways = trace::counterValue("sim.restore.cache_ways");
+  const std::int64_t sets = trace::counterValue("sim.restore.cache_sets");
   EXPECT_GT(restores, 0);
-  EXPECT_GT(ways, 0);
-  EXPECT_LE(ways, restores * totalCacheWays(bin));
+  EXPECT_GT(sets, 0);
+  EXPECT_LE(sets, restores * totalCacheSets(bin));
   EXPECT_GT(trace::counterValue("sim.restore.memory_records"), 0);
 }
 
-TEST_F(TraceTest, RestoreRewindsEachCacheWayAtMostOnce) {
-  // The cache undo log records a way on its first change since the mark,
-  // so one restore never rewinds more ways than the hierarchy has, even
-  // after a suffix of tens of thousands of L1 hits.
-  const core::CompiledProgram bin =
-      core::compile(makeHitHeavyProgram(20000), testutil::machine(2, 1),
-                    passes::Scheme::kCasted);
-  const std::int64_t totalWays = totalCacheWays(bin);
-  trace::enable("");
-  sim::DecodedRunner runner(*bin.decoded);
-  runner.begin(sim::SimOptions{});
-  ASSERT_TRUE(runner.runToDef(10));
-  sim::ArchCheckpoint checkpoint;
-  runner.saveCheckpoint(checkpoint);
-  for (int suffix = 0; suffix < 3; ++suffix) {
-    const sim::RunResult result = runner.finish();
-    ASSERT_GT(static_cast<std::int64_t>(result.stats.memAccesses), totalWays);
-    const std::int64_t ways = trace::counterValue("sim.restore.cache_ways");
-    const std::int64_t records =
-        trace::counterValue("sim.restore.memory_records");
-    runner.restoreCheckpoint(checkpoint);
-    const std::int64_t rewoundWays =
-        trace::counterValue("sim.restore.cache_ways") - ways;
-    EXPECT_GT(rewoundWays, 0) << suffix;
-    EXPECT_LE(rewoundWays, totalWays) << suffix;
-    EXPECT_GT(trace::counterValue("sim.restore.memory_records"), records)
-        << suffix;
+TEST_F(TraceTest, RestoreRewindsEachCacheSetAtMostOnce) {
+  // The cache undo log records a set on its first change since the mark,
+  // so one restore never rewinds more sets than the hierarchy has, even
+  // after a suffix of tens of thousands of accesses; a suffix of hits on
+  // each set's most recent line changes no set at all.
+  for (const bool hitHeavy : {true, false}) {
+    const core::CompiledProgram bin =
+        core::compile(makeTableWalkProgram(20000, hitHeavy ? 0 : 64),
+                      testutil::machine(2, 1), passes::Scheme::kCasted);
+    const std::int64_t totalSets = totalCacheSets(bin);
+    trace::resetForTest();
+    trace::enable("");
+    sim::DecodedRunner runner(*bin.decoded);
+    runner.begin(sim::SimOptions{});
+    // Some iterations in: the first one's cold misses are golden prefix.
+    ASSERT_TRUE(runner.runToDef(100));
+    sim::ArchCheckpoint checkpoint;
+    runner.saveCheckpoint(checkpoint);
+    for (int suffix = 0; suffix < 3; ++suffix) {
+      const sim::RunResult result = runner.finish();
+      ASSERT_GT(static_cast<std::int64_t>(result.stats.memAccesses),
+                totalSets);
+      const std::int64_t sets = trace::counterValue("sim.restore.cache_sets");
+      const std::int64_t records =
+          trace::counterValue("sim.restore.memory_records");
+      runner.restoreCheckpoint(checkpoint);
+      const std::int64_t rewoundSets =
+          trace::counterValue("sim.restore.cache_sets") - sets;
+      if (hitHeavy) {
+        EXPECT_EQ(rewoundSets, 0) << suffix;
+      } else {
+        EXPECT_GT(rewoundSets, 0) << suffix;
+        EXPECT_LE(rewoundSets, totalSets) << suffix;
+      }
+      EXPECT_GT(trace::counterValue("sim.restore.memory_records"), records)
+          << hitHeavy << " " << suffix;
+    }
   }
 }
 
@@ -512,6 +535,47 @@ TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
       EXPECT_FALSE(name.starts_with("fault.campaign.")) << label << " " << name;
     }
   }
+}
+
+TEST_F(TraceTest, LockstepCountsStreamAndFallbackInstructionsPerDriver) {
+  // Each driver counts the instructions its golden streams ran and, per
+  // fallback reason, the instructions its fallbacks ran past their
+  // injection point: at least one per fallback, so a reason's count is
+  // positive exactly when it has fallbacks.  NOED 175.vpr with the watchdog
+  // at twice the golden cycles gives both drivers control and timing
+  // fallbacks, and the enumeration budget ones too.
+  const core::CompiledProgram bin =
+      core::compile(workloads::makeWorkload("175.vpr").program,
+                    testutil::machine(2, 1), passes::Scheme::kNoed);
+  fault::CampaignOptions campaign;
+  campaign.trials = 600;
+  campaign.threads = 2;
+  campaign.timeoutFactor = 2;
+  fault::ExhaustiveOptions exhaustive;
+  exhaustive.threads = 2;
+  exhaustive.timeoutFactor = 2;
+  trace::enable("");
+  core::campaign(bin, campaign);
+  core::groundTruth(bin, exhaustive);
+  for (const std::string driver : {"campaign", "exhaustive"}) {
+    const std::string prefix = "fault." + driver + ".lockstep.";
+    EXPECT_GE(trace::counterValue(prefix + "stream_insns"),
+              trace::counterValue(prefix + "windows"))
+        << driver;
+    EXPECT_GT(trace::counterValue(prefix + "windows"), 0) << driver;
+    for (const char* reason : {"control", "timing", "budget"}) {
+      const std::int64_t fallbacks =
+          trace::counterValue(prefix + "fallback." + reason);
+      const std::int64_t insns =
+          trace::counterValue(prefix + "fallback_insns." + reason);
+      EXPECT_EQ(insns > 0, fallbacks > 0) << driver << " " << reason;
+      EXPECT_GE(insns, fallbacks) << driver << " " << reason;
+    }
+    EXPECT_GT(trace::counterValue(prefix + "fallback.control"), 0) << driver;
+    EXPECT_GT(trace::counterValue(prefix + "fallback.timing"), 0) << driver;
+  }
+  EXPECT_GT(trace::counterValue("fault.exhaustive.lockstep.fallback.budget"),
+            0);
 }
 
 TEST_F(TraceTest, ReportIsValidChromeTraceJson) {
