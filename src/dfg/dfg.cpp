@@ -1,8 +1,7 @@
 #include "dfg/dfg.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <array>
 
 #include "support/check.h"
 
@@ -108,10 +107,34 @@ void DataFlowGraph::addEdge(std::uint32_t from, std::uint32_t to,
 
 void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
   const std::vector<Instruction>& insns = *insns_;
-  // Per-register bookkeeping since block entry.
-  std::unordered_map<Reg, std::uint32_t> lastDef;       // node index
-  std::unordered_map<Reg, std::uint32_t> defVersion;    // bumped per def
-  std::unordered_map<Reg, std::vector<std::uint32_t>> usesSinceDef;
+  constexpr std::uint32_t kNone = 0xffffffffu;
+
+  // Per-register bookkeeping since block entry, indexed by a slot numbering
+  // that covers every register index the block names.
+  std::array<std::uint32_t, 3> regCount = {0, 0, 0};
+  for (const Instruction& insn : insns) {
+    for (const std::vector<Reg>* regs : {&insn.uses, &insn.defs}) {
+      for (const Reg& reg : *regs) {
+        std::uint32_t& count = regCount[static_cast<int>(reg.cls)];
+        count = std::max(count, reg.index + 1);
+      }
+    }
+  }
+  const ir::RegSlots slots(regCount[0], regCount[1], regCount[2]);
+  // The reads of a register since its last def, oldest first, are a chain
+  // through useLinks from firstUse to lastUse.
+  struct RegState {
+    std::uint32_t lastDef = kNone;  // node index
+    std::uint32_t version = 0;      // bumped per def
+    std::uint32_t firstUse = kNone;
+    std::uint32_t lastUse = kNone;
+  };
+  struct UseLink {
+    std::uint32_t node = 0;
+    std::uint32_t next = kNone;
+  };
+  std::vector<RegState> regs(slots.count());
+  std::vector<UseLink> useLinks;
   std::vector<MemRef> memRefs;
   std::vector<std::uint32_t> calls;
   std::vector<std::uint32_t> checksSinceCall;
@@ -139,11 +162,18 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
 
     // RAW edges.
     for (const Reg& use : insn.uses) {
-      const auto def = lastDef.find(use);
-      if (def != lastDef.end()) {
-        addEdge(def->second, i, DepKind::kData, latencyOf(def->second));
+      RegState& reg = regs[slots.slot(use)];
+      if (reg.lastDef != kNone) {
+        addEdge(reg.lastDef, i, DepKind::kData, latencyOf(reg.lastDef));
       }
-      usesSinceDef[use].push_back(i);
+      const auto link = static_cast<std::uint32_t>(useLinks.size());
+      useLinks.push_back({i, kNone});
+      if (reg.lastUse == kNone) {
+        reg.firstUse = link;
+      } else {
+        useLinks[reg.lastUse].next = link;
+      }
+      reg.lastUse = link;
     }
 
     // Memory ordering (with base+offset disambiguation).
@@ -152,8 +182,7 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
       ref.node = i;
       ref.isStore = insn.isStore();
       const Reg base = insn.uses[0];
-      ref.base = BaseKey{base, defVersion.contains(base) ? defVersion[base]
-                                                         : 0};
+      ref.base = BaseKey{base, regs[slots.slot(base)].version};
       ref.offset = insn.imm;
       ref.width = accessWidth(insn.op);
       for (const MemRef& prior : memRefs) {
@@ -207,24 +236,25 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
 
     // WAR / WAW edges for defs.
     for (const Reg& def : insn.defs) {
-      const auto prevDef = lastDef.find(def);
-      if (prevDef != lastDef.end() && prevDef->second != i) {
+      RegState& reg = regs[slots.slot(def)];
+      if (reg.lastDef != kNone && reg.lastDef != i) {
         // Keep write times ordered: start_i + lat_i > start_prev + lat_prev.
         const std::int64_t needed =
-            static_cast<std::int64_t>(latencyOf(prevDef->second)) -
+            static_cast<std::int64_t>(latencyOf(reg.lastDef)) -
             static_cast<std::int64_t>(latencyOf(i)) + 1;
-        addEdge(prevDef->second, i, DepKind::kOutput,
+        addEdge(reg.lastDef, i, DepKind::kOutput,
                 static_cast<std::uint32_t>(std::max<std::int64_t>(0, needed)));
       }
-      auto& uses = usesSinceDef[def];
-      for (std::uint32_t use : uses) {
-        if (use != i) {
-          addEdge(use, i, DepKind::kAnti, 0);
+      for (std::uint32_t link = reg.firstUse; link != kNone;
+           link = useLinks[link].next) {
+        if (useLinks[link].node != i) {
+          addEdge(useLinks[link].node, i, DepKind::kAnti, 0);
         }
       }
-      uses.clear();
-      lastDef[def] = i;
-      ++defVersion[def];
+      reg.firstUse = kNone;
+      reg.lastUse = kNone;
+      reg.lastDef = i;
+      ++reg.version;
     }
   }
 }

@@ -9,58 +9,60 @@ namespace casted::dfg {
 LivenessInfo computeLiveness(const ir::Function& fn) {
   const std::size_t blocks = fn.blockCount();
   LivenessInfo info;
-  info.liveIn.resize(blocks);
-  info.liveOut.resize(blocks);
+  info.slots = fn.regSlots();
+  const ir::RegSlots& slots = info.slots;
+  const ir::SlotSet none(slots.count());
+  info.liveIn.assign(blocks, none);
+  info.liveOut.assign(blocks, none);
 
   // Per-block use (upward-exposed) and def sets.
-  std::vector<std::unordered_set<ir::Reg>> uses(blocks);
-  std::vector<std::unordered_set<ir::Reg>> defs(blocks);
+  std::vector<ir::SlotSet> uses(blocks, none);
+  std::vector<ir::SlotSet> defs(blocks, none);
   for (ir::BlockId b = 0; b < blocks; ++b) {
     for (const ir::Instruction& insn : fn.block(b).insns()) {
       for (const ir::Reg& use : insn.uses) {
-        if (!defs[b].contains(use)) {
-          uses[b].insert(use);
+        if (!defs[b].contains(slots.slot(use))) {
+          uses[b].insert(slots.slot(use));
         }
       }
       for (const ir::Reg& def : insn.defs) {
-        defs[b].insert(def);
+        defs[b].insert(slots.slot(def));
       }
     }
   }
 
-  // Backward fixpoint.
+  // Backward fixpoint: out = union of successors' in, in = uses | (out - defs).
+  ir::SlotSet out = none;
+  ir::SlotSet in = none;
   bool changed = true;
   while (changed) {
     changed = false;
     for (ir::BlockId b = blocks; b-- > 0;) {
-      std::unordered_set<ir::Reg> out;
+      out.clear();
       for (ir::BlockId succ : fn.block(b).successors()) {
-        for (const ir::Reg& reg : info.liveIn[succ]) {
-          out.insert(reg);
-        }
+        out |= info.liveIn[succ];
       }
-      std::unordered_set<ir::Reg> in = uses[b];
-      for (const ir::Reg& reg : out) {
-        if (!defs[b].contains(reg)) {
-          in.insert(reg);
-        }
-      }
+      in = out;
+      in -= defs[b];
+      in |= uses[b];
       if (out != info.liveOut[b] || in != info.liveIn[b]) {
-        info.liveOut[b] = std::move(out);
-        info.liveIn[b] = std::move(in);
+        info.liveOut[b] = out;
+        info.liveIn[b] = in;
         changed = true;
       }
     }
   }
 
-  // Pressure: walk each block backwards from live-out.
+  // Pressure: walk each block backwards from live-out, keeping per-class
+  // counts of the live set.
+  ir::SlotSet live = none;
   for (ir::BlockId b = 0; b < blocks; ++b) {
-    std::unordered_set<ir::Reg> live = info.liveOut[b];
+    live = info.liveOut[b];
+    std::array<std::uint32_t, 3> counts = {0, 0, 0};
+    live.forEach([&](std::uint32_t slot) {
+      ++counts[static_cast<int>(slots.cls(slot))];
+    });
     auto recordPressure = [&] {
-      std::array<std::uint32_t, 3> counts = {0, 0, 0};
-      for (const ir::Reg& reg : live) {
-        ++counts[static_cast<int>(reg.cls)];
-      }
       for (int c = 0; c < 3; ++c) {
         info.maxPressure[c] = std::max(info.maxPressure[c], counts[c]);
       }
@@ -70,10 +72,14 @@ LivenessInfo computeLiveness(const ir::Function& fn) {
     for (std::size_t i = insns.size(); i-- > 0;) {
       const ir::Instruction& insn = insns[i];
       for (const ir::Reg& def : insn.defs) {
-        live.erase(def);
+        if (live.erase(slots.slot(def))) {
+          --counts[static_cast<int>(def.cls)];
+        }
       }
       for (const ir::Reg& use : insn.uses) {
-        live.insert(use);
+        if (live.insert(slots.slot(use))) {
+          ++counts[static_cast<int>(use.cls)];
+        }
       }
       recordPressure();
     }

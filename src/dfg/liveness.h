@@ -12,24 +12,27 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "ir/function.h"
+#include "ir/slot_set.h"
 
 namespace casted::dfg {
 
 struct LivenessInfo {
+  // The function's register numbering when the analysis ran; the sets below
+  // hold its slots.
+  ir::RegSlots slots;
   // Indexed by block id.
-  std::vector<std::unordered_set<ir::Reg>> liveIn;
-  std::vector<std::unordered_set<ir::Reg>> liveOut;
+  std::vector<ir::SlotSet> liveIn;
+  std::vector<ir::SlotSet> liveOut;
 
   // Maximum number of simultaneously live registers of each class at any
   // program point, indexed by RegClass.
   std::array<std::uint32_t, 3> maxPressure = {0, 0, 0};
 
   bool isLiveOut(ir::BlockId block, ir::Reg reg) const {
-    return liveOut[block].contains(reg);
+    return liveOut[block].contains(slots.slot(reg));
   }
 };
 

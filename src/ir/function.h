@@ -8,6 +8,7 @@
 // classifier diffs against the golden run.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -39,6 +40,35 @@ class BasicBlock {
   BlockId id_;
   std::string name_;
   std::vector<Instruction> insns_;
+};
+
+// Dense numbering of a function's registers: the gp registers take slots
+// [0, gp), the fp registers the next fp slots and the pr registers the last
+// pr slots.  Analyses that keep one fact per register (liveness, the
+// protection lint, definite assignment, the DFG builder's def tables) index
+// flat arrays and SlotSets by it instead of hashing Regs.  A RegSlots is a
+// snapshot of the class sizes: allocating a register moves the later
+// classes' slots, so take it after the last newReg().
+class RegSlots {
+ public:
+  RegSlots() = default;
+  RegSlots(std::uint32_t gp, std::uint32_t fp, std::uint32_t pr)
+      : base_{0, gp, gp + fp}, count_(gp + fp + pr) {}
+
+  std::uint32_t slot(Reg reg) const {
+    return base_[static_cast<int>(reg.cls)] + reg.index;
+  }
+  // Class of the register at `slot`.
+  RegClass cls(std::uint32_t slot) const {
+    return slot >= base_[2]   ? RegClass::kPr
+           : slot >= base_[1] ? RegClass::kFp
+                              : RegClass::kGp;
+  }
+  std::uint32_t count() const { return count_; }
+
+ private:
+  std::array<std::uint32_t, 3> base_ = {0, 0, 0};
+  std::uint32_t count_ = 0;
 };
 
 class Function {
@@ -76,6 +106,10 @@ class Function {
   std::uint32_t regCount(RegClass cls) const;
   // Raises the fresh-register floor so registers up to `count` are reserved.
   void reserveRegsAtLeast(RegClass cls, std::uint32_t count);
+  // Slot numbering of every register allocated so far.
+  RegSlots regSlots() const {
+    return RegSlots(nextReg_[0], nextReg_[1], nextReg_[2]);
+  }
 
   // Fresh instruction id (unique within the function).
   InsnId newInsnId() { return nextInsn_++; }

@@ -177,21 +177,8 @@ class FunctionVerifier {
   // Definite assignment: forward may-not-be-assigned analysis.  A register
   // use is legal only if every path from entry assigns it first.
   void verifyDefiniteAssignment() {
-    const std::size_t gpCount = fn_.regCount(RegClass::kGp);
-    const std::size_t fpCount = fn_.regCount(RegClass::kFp);
-    const std::size_t prCount = fn_.regCount(RegClass::kPr);
-    const std::size_t total = gpCount + fpCount + prCount;
-    auto slot = [&](Reg reg) -> std::size_t {
-      switch (reg.cls) {
-        case RegClass::kGp:
-          return reg.index;
-        case RegClass::kFp:
-          return gpCount + reg.index;
-        case RegClass::kPr:
-          return gpCount + fpCount + reg.index;
-      }
-      CASTED_UNREACHABLE("bad RegClass");
-    };
+    const RegSlots slots = fn_.regSlots();
+    const std::size_t total = slots.count();
 
     const std::size_t blocks = fn_.blockCount();
     // in[b] / out[b]: registers definitely assigned at block entry/exit.
@@ -202,14 +189,14 @@ class FunctionVerifier {
 
     // Entry: parameters are assigned.
     for (const Reg& param : fn_.params()) {
-      in[0][slot(param)] = true;
+      in[0][slots.slot(param)] = true;
     }
     reached[0] = true;
 
     auto transfer = [&](BlockId b, std::vector<bool> defined) {
       for (const Instruction& insn : fn_.block(b).insns()) {
         for (const Reg& def : insn.defs) {
-          defined[slot(def)] = true;
+          defined[slots.slot(def)] = true;
         }
       }
       return defined;
@@ -254,13 +241,13 @@ class FunctionVerifier {
       std::vector<bool> defined = in[b];
       for (const Instruction& insn : fn_.block(b).insns()) {
         for (const Reg& use : insn.uses) {
-          if (!defined[slot(use)]) {
+          if (!defined[slots.slot(use)]) {
             error(&insn, "register ", use.toString(),
                   " may be read before assignment");
           }
         }
         for (const Reg& def : insn.defs) {
-          defined[slot(def)] = true;
+          defined[slots.slot(def)] = true;
         }
       }
     }

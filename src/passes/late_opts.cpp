@@ -172,7 +172,8 @@ LateOptStats applyDce(ir::Program& program, const LateOptOptions& options,
         auto& insns = fn.block(b).insns();
         // Backward walk with a running live set so within-block deadness is
         // caught in one sweep.
-        std::unordered_set<Reg> live = liveness.liveOut[b];
+        const ir::RegSlots& slots = liveness.slots;
+        ir::SlotSet live = liveness.liveOut[b];
         std::vector<bool> keep(insns.size(), true);
         bool removed = false;
         for (std::size_t i = insns.size(); i-- > 0;) {
@@ -181,7 +182,7 @@ LateOptStats applyDce(ir::Program& program, const LateOptOptions& options,
                                 insn.origin != InsnOrigin::kOriginal;
           bool anyLive = insn.defs.empty();
           for (const Reg& def : insn.defs) {
-            if (live.contains(def)) {
+            if (live.contains(slots.slot(def))) {
               anyLive = true;
             }
           }
@@ -192,10 +193,10 @@ LateOptStats applyDce(ir::Program& program, const LateOptOptions& options,
             continue;  // its uses do not become live
           }
           for (const Reg& def : insn.defs) {
-            live.erase(def);
+            live.erase(slots.slot(def));
           }
           for (const Reg& use : insn.uses) {
-            live.insert(use);
+            live.insert(slots.slot(use));
           }
         }
         if (removed) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -34,64 +33,91 @@ struct Escape {
 // flow-insensitive: data flow is over-approximated, so every "protected"
 // verdict is sound (see the header contract) while "unprotected" may be
 // conservative.
+//
+// A def is unprotected by the first escape, in collection order, whose use
+// its value reaches (unguarded) or whose use and shadow it both reaches
+// (guarded).  Rather than close forward from every def, the lint closes
+// backward from every escape operand once: the defs an escape decides are
+// the backward closure of its use (intersected with its shadow's), less the
+// defs an earlier escape already decided.
 class FunctionLint {
  public:
-  explicit FunctionLint(const Function& fn) : fn_(fn) {
-    base_[0] = 0;
-    base_[1] = fn.regCount(RegClass::kGp);
-    base_[2] = base_[1] + fn.regCount(RegClass::kFp);
-    totalRegs_ = base_[2] + fn.regCount(RegClass::kPr);
-    adj_.resize(totalRegs_);
+  explicit FunctionLint(const Function& fn)
+      : fn_(fn),
+        slots_(fn.regSlots()),
+        sources_(slots_.count()),
+        closed_(slots_.count()),
+        closures_(slots_.count()),
+        decidedBy_(slots_.count(), kNone),
+        exits_(slots_.count()) {
     collect();
-    for (std::vector<std::uint32_t>& edges : adj_) {
+    for (std::vector<std::uint32_t>& edges : sources_) {
       std::sort(edges.begin(), edges.end());
       edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     }
+    classify();
   }
 
-  // Verdict for one register defined by `insn`.
-  std::pair<Protection, std::string> classifyDef(const Instruction& insn,
-                                                 Reg def) {
-    (void)insn;
-    const std::vector<std::uint64_t>& reach = reachOf(slot(def));
-    bool directExit = false;
-    for (const Escape& escape : escapes_) {
-      if (!test(reach, slot(escape.use))) {
-        continue;
-      }
-      const char* consumer = ir::opcodeInfo(escape.consumer).name;
-      if (!escape.guarded) {
-        return {Protection::kUnprotected,
-                std::string("reaches unchecked ") + escape.use.toString() +
-                    " read by " + consumer};
-      }
-      if (test(reach, slot(escape.shadow))) {
-        return {Protection::kUnprotected,
-                std::string("poisons both operands of the check before ") +
-                    consumer + " (" + escape.use.toString() + ", " +
-                    escape.shadow.toString() + ")"};
-      }
-      directExit |= escape.use == def;
+  // Verdict for one defined register, written into `site`.
+  void classifyDef(Reg def, LintSite& site) const {
+    const std::uint32_t slot = slots_.slot(def);
+    if (decidedBy_[slot] != kNone) {
+      const Escape& escape = escapes_[decidedBy_[slot]];
+      site.protection = Protection::kUnprotected;
+      site.why = escape.guarded ? LintReason::kPoisonsCheck
+                                : LintReason::kUncheckedEscape;
+      site.consumer = escape.consumer;
+      site.use = escape.use;
+      site.shadow = escape.shadow;
+    } else if (exits_.contains(slot)) {
+      site.protection = Protection::kSphereExit;
+      site.why = LintReason::kDirectExit;
+    } else {
+      site.protection = Protection::kProtected;
+      site.why = LintReason::kAllGuarded;
     }
-    if (directExit) {
-      return {Protection::kSphereExit,
-              "read directly by a checked non-replicated consumer"};
-    }
-    return {Protection::kProtected,
-            "every reachable sphere exit is check-guarded"};
   }
 
  private:
-  std::uint32_t slot(Reg reg) const {
-    return base_[static_cast<int>(reg.cls)] + reg.index;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  // Walks the escapes in order; each decides the defs that reach it and
+  // that no earlier escape decided.  A def no escape decides is a sphere
+  // exit when a guarded escape reads it directly.
+  void classify() {
+    ir::SlotSet decided(slots_.count());
+    for (std::uint32_t e = 0; e < escapes_.size(); ++e) {
+      const Escape& escape = escapes_[e];
+      ir::SlotSet hits = closure(slots_.slot(escape.use));
+      if (escape.guarded) {
+        hits &= closure(slots_.slot(escape.shadow));
+        exits_.insert(slots_.slot(escape.use));
+      }
+      hits -= decided;
+      hits.forEach([&](std::uint32_t slot) { decidedBy_[slot] = e; });
+      decided |= hits;
+    }
   }
 
-  static bool test(const std::vector<std::uint64_t>& bits,
-                   std::uint32_t index) {
-    return (bits[index >> 6] >> (index & 63)) & 1;
-  }
-  static void set(std::vector<std::uint64_t>& bits, std::uint32_t index) {
-    bits[index >> 6] |= 1ULL << (index & 63);
+  // Backward closure of {slot} over the flow edges: every register whose
+  // corruption can reach `slot`.  Memoised per slot.
+  const ir::SlotSet& closure(std::uint32_t slot) {
+    ir::SlotSet& bits = closures_[slot];
+    if (closed_.insert(slot)) {
+      bits = ir::SlotSet(slots_.count());
+      std::vector<std::uint32_t> stack{slot};
+      bits.insert(slot);
+      while (!stack.empty()) {
+        const std::uint32_t reg = stack.back();
+        stack.pop_back();
+        for (const std::uint32_t source : sources_[reg]) {
+          if (bits.insert(source)) {
+            stack.push_back(source);
+          }
+        }
+      }
+    }
+    return bits;
   }
 
   // One linear walk per block: track which checks are still "live" (emitted,
@@ -186,39 +212,19 @@ class FunctionLint {
         continue;
       }
       for (const Reg& def : insn.defs) {
-        adj_[slot(use)].push_back(slot(def));
+        sources_[slots_.slot(def)].push_back(slots_.slot(use));
       }
     }
-  }
-
-  // Forward closure of {start} over the flow edges, memoised per register.
-  const std::vector<std::uint64_t>& reachOf(std::uint32_t start) {
-    const auto it = memo_.find(start);
-    if (it != memo_.end()) {
-      return it->second;
-    }
-    std::vector<std::uint64_t> bits((totalRegs_ + 63) / 64, 0);
-    std::vector<std::uint32_t> stack{start};
-    set(bits, start);
-    while (!stack.empty()) {
-      const std::uint32_t reg = stack.back();
-      stack.pop_back();
-      for (const std::uint32_t next : adj_[reg]) {
-        if (!test(bits, next)) {
-          set(bits, next);
-          stack.push_back(next);
-        }
-      }
-    }
-    return memo_.emplace(start, std::move(bits)).first->second;
   }
 
   const Function& fn_;
-  std::uint32_t base_[3] = {0, 0, 0};
-  std::uint32_t totalRegs_ = 0;
-  std::vector<std::vector<std::uint32_t>> adj_;
+  const ir::RegSlots slots_;
+  std::vector<std::vector<std::uint32_t>> sources_;  // flow edges def <- use
   std::vector<Escape> escapes_;
-  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> memo_;
+  ir::SlotSet closed_;                  // slots whose closure is memoised
+  std::vector<ir::SlotSet> closures_;   // indexed by slot
+  std::vector<std::uint32_t> decidedBy_;  // deciding escape, or kNone
+  ir::SlotSet exits_;                   // uses of guarded escapes
 };
 
 }  // namespace
@@ -233,6 +239,27 @@ const char* protectionName(Protection protection) {
       return "unprotected";
   }
   CASTED_UNREACHABLE("bad Protection");
+}
+
+std::string LintSite::reason() const {
+  const char* name = ir::opcodeInfo(consumer).name;
+  switch (why) {
+    case LintReason::kNoDetection:
+      return "NOED: the scheme emits no detection";
+    case LintReason::kLibrary:
+      return "unprotected (library) function";
+    case LintReason::kUncheckedEscape:
+      return std::string("reaches unchecked ") + use.toString() +
+             " read by " + name;
+    case LintReason::kPoisonsCheck:
+      return std::string("poisons both operands of the check before ") +
+             name + " (" + use.toString() + ", " + shadow.toString() + ")";
+    case LintReason::kDirectExit:
+      return "read directly by a checked non-replicated consumer";
+    case LintReason::kAllGuarded:
+      return "every reachable sphere exit is check-guarded";
+  }
+  CASTED_UNREACHABLE("bad LintReason");
 }
 
 std::uint64_t ProtectionLintResult::count(Protection protection) const {
@@ -254,7 +281,7 @@ std::string ProtectionLintResult::toString(bool gapsOnly) const {
     }
     out << "  [" << protectionName(site.protection) << "] f" << site.func
         << " bb" << site.block << " #" << site.insn << " def "
-        << site.def.toString() << ": " << site.reason << "\n";
+        << site.def.toString() << ": " << site.reason() << "\n";
   }
   return out.str();
 }
@@ -282,12 +309,10 @@ ProtectionLintResult lintProtection(const ir::Program& program,
           site.def = def;
           if (noDetection) {
             site.protection = Protection::kUnprotected;
-            site.reason = scheme == Scheme::kNoed
-                              ? "NOED: the scheme emits no detection"
-                              : "unprotected (library) function";
+            site.why = scheme == Scheme::kNoed ? LintReason::kNoDetection
+                                               : LintReason::kLibrary;
           } else {
-            std::tie(site.protection, site.reason) =
-                lint->classifyDef(insn, def);
+            lint->classifyDef(def, site);
           }
           result.sites.push_back(std::move(site));
         }

@@ -44,6 +44,16 @@ enum class Protection : std::uint8_t {
 
 const char* protectionName(Protection protection);
 
+// Why a site got its classification.
+enum class LintReason : std::uint8_t {
+  kNoDetection,      // unprotected: the scheme is NOED
+  kLibrary,          // unprotected: the function is not protected
+  kUncheckedEscape,  // unprotected: reaches an unguarded escape
+  kPoisonsCheck,     // unprotected: reaches both operands of an escape's check
+  kDirectExit,       // sphere-exit
+  kAllGuarded,       // protected
+};
+
 // Classification of one register defined by one static instruction (calls
 // produce one site per returned register).
 struct LintSite {
@@ -53,7 +63,15 @@ struct LintSite {
   ir::InsnId insn = ir::kInvalidInsn;
   ir::Reg def;
   Protection protection = Protection::kUnprotected;
-  std::string reason;  // why this classification, human-readable
+  LintReason why = LintReason::kNoDetection;
+  // The escape that decided kUncheckedEscape / kPoisonsCheck: its consumer,
+  // the register it reads and (kPoisonsCheck) the check's shadow operand.
+  ir::Opcode consumer = ir::Opcode::kNop;
+  ir::Reg use;
+  ir::Reg shadow;
+
+  // Why this classification, human-readable.
+  std::string reason() const;
 };
 
 struct ProtectionLintResult {

@@ -9,6 +9,7 @@ const ReservationTable::CycleState ReservationTable::kEmpty = {};
 ReservationTable::ReservationTable(const arch::MachineConfig& config)
     : config_(&config),
       cycles_(config.clusterCount),
+      next_(config.clusterCount),
       used_(config.clusterCount, 0) {}
 
 const ReservationTable::CycleState& ReservationTable::state(
@@ -53,11 +54,38 @@ bool ReservationTable::canIssue(std::uint32_t cluster, std::uint32_t cycle,
 std::uint32_t ReservationTable::earliestIssue(std::uint32_t cluster,
                                               std::uint32_t fromCycle,
                                               ir::FuClass cls) const {
-  std::uint32_t cycle = fromCycle;
+  std::uint32_t cycle = nextOpen(cluster, fromCycle);
   while (!canIssue(cluster, cycle, cls)) {
-    ++cycle;
+    cycle = nextOpen(cluster, cycle + 1);  // a port limit, not a full cycle
   }
   return cycle;
+}
+
+std::uint32_t ReservationTable::nextOpen(std::uint32_t cluster,
+                                         std::uint32_t cycle) const {
+  std::vector<std::uint32_t>& next = next_[cluster];
+  std::uint32_t root = cycle;
+  while (root < next.size() && next[root] != root) {
+    root = next[root];
+  }
+  while (cycle < next.size() && next[cycle] != cycle) {
+    const std::uint32_t parent = next[cycle];
+    next[cycle] = root;
+    cycle = parent;
+  }
+  return root;
+}
+
+void ReservationTable::markFull(std::uint32_t cluster, std::uint32_t cycle) {
+  std::vector<std::uint32_t>& next = next_[cluster];
+  if (cycle >= next.size()) {
+    const auto old = static_cast<std::uint32_t>(next.size());
+    next.resize(cycle + 1);
+    for (std::uint32_t c = old; c < cycle; ++c) {
+      next[c] = c;
+    }
+  }
+  next[cycle] = cycle + 1;
 }
 
 std::uint32_t ReservationTable::reserve(std::uint32_t cluster,
@@ -74,6 +102,9 @@ std::uint32_t ReservationTable::reserve(std::uint32_t cluster,
   if (isFp(cls)) {
     ++s.fp;
   }
+  if (s.total == config_->issueWidth) {
+    markFull(cluster, cycle);
+  }
   if (cls == ir::FuClass::kBranch) {
     ++s.branch;
     if (config_->branchClosesBundle) {
@@ -81,6 +112,9 @@ std::uint32_t ReservationTable::reserve(std::uint32_t cluster,
         closedCycles_.resize(cycle + 1, false);
       }
       closedCycles_[cycle] = true;
+      for (std::uint32_t c = 0; c < next_.size(); ++c) {
+        markFull(c, cycle);
+      }
     }
   }
   ++used_[cluster];

@@ -22,6 +22,8 @@ class ReservationTable {
                 ir::FuClass cls) const;
 
   // Earliest cycle >= `fromCycle` at which `cls` can issue on `cluster`.
+  // Full cycles (every slot taken, or closed by a branch) are skipped in
+  // near-constant time; cycles only ever fill, so a full cycle stays full.
   std::uint32_t earliestIssue(std::uint32_t cluster, std::uint32_t fromCycle,
                               ir::FuClass cls) const;
 
@@ -45,6 +47,11 @@ class ReservationTable {
   const CycleState& state(std::uint32_t cluster, std::uint32_t cycle) const;
   CycleState& mutableState(std::uint32_t cluster, std::uint32_t cycle);
 
+  // First cycle >= `cycle` on `cluster` that is not full.
+  std::uint32_t nextOpen(std::uint32_t cluster, std::uint32_t cycle) const;
+  // Records that `cycle` on `cluster` can take no further instruction.
+  void markFull(std::uint32_t cluster, std::uint32_t cycle);
+
   static bool isFp(ir::FuClass cls) {
     return cls == ir::FuClass::kFpAlu || cls == ir::FuClass::kFpMul ||
            cls == ir::FuClass::kFpDiv;
@@ -53,6 +60,10 @@ class ReservationTable {
   const arch::MachineConfig* config_;
   std::vector<std::vector<CycleState>> cycles_;  // [cluster][cycle]
   std::vector<bool> closedCycles_;               // machine-wide group ends
+  // Union-find "next free slot" over cycles, per cluster: a full cycle links
+  // to a later one, an open cycle (or one past the end) to itself.
+  // nextOpen() compresses paths, hence mutable.
+  mutable std::vector<std::vector<std::uint32_t>> next_;  // [cluster][cycle]
   std::vector<std::uint32_t> used_;              // per cluster
   static const CycleState kEmpty;
 };

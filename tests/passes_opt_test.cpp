@@ -1,12 +1,20 @@
 // Tests for liveness analysis and the late CSE/DCE passes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include "core/pipeline.h"
 #include "dfg/liveness.h"
 #include "ir/builder.h"
 #include "ir/verifier.h"
 #include "passes/error_detection.h"
 #include "passes/late_opts.h"
 #include "test_util.h"
+#include "workloads/workloads.h"
 
 namespace casted::passes {
 namespace {
@@ -68,6 +76,137 @@ TEST(LivenessTest, DeadDefNotLive) {
   b.halt(b.movImm(0));
   const LivenessInfo info = computeLiveness(fn);
   EXPECT_TRUE(info.liveIn[0].empty());
+}
+
+// The hash-set liveness the bit-vector one replaced: the oracle for
+// the slot-set fixpoint and its incremental pressure counts.
+struct ReferenceLiveness {
+  std::vector<std::unordered_set<Reg>> liveIn;
+  std::vector<std::unordered_set<Reg>> liveOut;
+  std::array<std::uint32_t, 3> maxPressure = {0, 0, 0};
+};
+
+ReferenceLiveness referenceLiveness(const Function& fn) {
+  const std::size_t blocks = fn.blockCount();
+  ReferenceLiveness info;
+  info.liveIn.resize(blocks);
+  info.liveOut.resize(blocks);
+
+  std::vector<std::unordered_set<Reg>> uses(blocks);
+  std::vector<std::unordered_set<Reg>> defs(blocks);
+  for (ir::BlockId b = 0; b < blocks; ++b) {
+    for (const Instruction& insn : fn.block(b).insns()) {
+      for (const Reg& use : insn.uses) {
+        if (!defs[b].contains(use)) {
+          uses[b].insert(use);
+        }
+      }
+      for (const Reg& def : insn.defs) {
+        defs[b].insert(def);
+      }
+    }
+  }
+
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (ir::BlockId b = blocks; b-- > 0;) {
+      std::unordered_set<Reg> out;
+      for (ir::BlockId succ : fn.block(b).successors()) {
+        for (const Reg& reg : info.liveIn[succ]) {
+          out.insert(reg);
+        }
+      }
+      std::unordered_set<Reg> in = uses[b];
+      for (const Reg& reg : out) {
+        if (!defs[b].contains(reg)) {
+          in.insert(reg);
+        }
+      }
+      if (out != info.liveOut[b] || in != info.liveIn[b]) {
+        info.liveOut[b] = std::move(out);
+        info.liveIn[b] = std::move(in);
+        changed = true;
+      }
+    }
+  }
+
+  for (ir::BlockId b = 0; b < blocks; ++b) {
+    std::unordered_set<Reg> live = info.liveOut[b];
+    auto recordPressure = [&] {
+      std::array<std::uint32_t, 3> counts = {0, 0, 0};
+      for (const Reg& reg : live) {
+        ++counts[static_cast<int>(reg.cls)];
+      }
+      for (int c = 0; c < 3; ++c) {
+        info.maxPressure[c] = std::max(info.maxPressure[c], counts[c]);
+      }
+    };
+    recordPressure();
+    const auto& insns = fn.block(b).insns();
+    for (std::size_t i = insns.size(); i-- > 0;) {
+      const Instruction& insn = insns[i];
+      for (const Reg& def : insn.defs) {
+        live.erase(def);
+      }
+      for (const Reg& use : insn.uses) {
+        live.insert(use);
+      }
+      recordPressure();
+    }
+  }
+  return info;
+}
+
+void expectSameSet(const ir::SlotSet& actual,
+                   const std::unordered_set<Reg>& expected,
+                   const ir::RegSlots& slots, const std::string& what) {
+  EXPECT_EQ(actual.size(), expected.size()) << what;
+  for (const Reg& reg : expected) {
+    EXPECT_TRUE(actual.contains(slots.slot(reg)))
+        << what << " " << reg.toString();
+  }
+}
+
+void expectLivenessMatchesReference(const Program& prog,
+                                    const std::string& what) {
+  for (ir::FuncId f = 0; f < prog.functionCount(); ++f) {
+    const Function& fn = prog.function(f);
+    const LivenessInfo info = computeLiveness(fn);
+    const ReferenceLiveness expected = referenceLiveness(fn);
+    const std::string where = what + " @" + fn.name();
+    ASSERT_EQ(info.liveIn.size(), fn.blockCount()) << where;
+    for (ir::BlockId b = 0; b < fn.blockCount(); ++b) {
+      expectSameSet(info.liveIn[b], expected.liveIn[b], info.slots,
+                    where + " live-in bb" + std::to_string(b));
+      expectSameSet(info.liveOut[b], expected.liveOut[b], info.slots,
+                    where + " live-out bb" + std::to_string(b));
+    }
+    EXPECT_EQ(info.maxPressure, expected.maxPressure) << where;
+  }
+}
+
+TEST(LivenessTest, MatchesHashSetReferenceOnRandomCfgPrograms) {
+  for (std::uint64_t seed = 0; seed < testutil::testTrials(24); ++seed) {
+    const Program source = testutil::makeRandomCfgProgram(seed);
+    expectLivenessMatchesReference(source, "seed " + std::to_string(seed));
+    const core::CompiledProgram bin = core::compile(
+        source, testutil::machine(2, 2), Scheme::kCasted);
+    expectLivenessMatchesReference(
+        bin.program, "CASTED seed " + std::to_string(seed));
+  }
+}
+
+TEST(LivenessTest, MatchesHashSetReferenceOnCompiledWorkloads) {
+  const arch::MachineConfig machine = arch::makePaperMachine(2, 2);
+  for (const workloads::Workload& wl : workloads::makeAllWorkloads(1)) {
+    for (const Scheme scheme : kAllSchemes) {
+      const core::CompiledProgram bin =
+          core::compile(wl.program, machine, scheme);
+      expectLivenessMatchesReference(
+          bin.program, wl.name + " " + schemeName(scheme));
+    }
+  }
 }
 
 // --- local CSE --------------------------------------------------------------

@@ -15,10 +15,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "core/pipeline.h"
 #include "fault/exhaustive.h"
 #include "ir/builder.h"
 #include "ir/function.h"
@@ -26,6 +30,7 @@
 #include "passes/protection_lint.h"
 #include "sched/list_scheduler.h"
 #include "test_util.h"
+#include "workloads/workloads.h"
 
 namespace casted {
 namespace {
@@ -242,7 +247,7 @@ TEST(ProtectionLintTest, NoedMarksEveryDefUnprotected) {
       passes::lintProtection(snippet.prog, passes::Scheme::kNoed);
   ASSERT_FALSE(lint.sites.empty());
   for (const passes::LintSite& site : lint.sites) {
-    EXPECT_EQ(site.protection, Protection::kUnprotected) << site.reason;
+    EXPECT_EQ(site.protection, Protection::kUnprotected) << site.reason();
   }
   EXPECT_EQ(lint.gaps(), lint.sites.size());
 }
@@ -253,7 +258,289 @@ TEST(ProtectionLintTest, UnprotectedFunctionMarksEveryDefUnprotected) {
   const passes::ProtectionLintResult lint =
       passes::lintProtection(snippet.prog, passes::Scheme::kCasted);
   for (const passes::LintSite& site : lint.sites) {
-    EXPECT_EQ(site.protection, Protection::kUnprotected) << site.reason;
+    EXPECT_EQ(site.protection, Protection::kUnprotected) << site.reason();
+  }
+}
+
+// --- oracle: the forward-closure lint --------------------------------------
+
+namespace reference {
+
+using ir::Function;
+using ir::Instruction;
+using ir::InsnOrigin;
+using ir::Opcode;
+using ir::Reg;
+using ir::RegClass;
+using passes::Protection;
+
+// One read of a register by a non-replicated consumer — the only way a value
+// leaves the sphere of replication.  `guarded` records whether a live check
+// (fused, or split compare + trap) compares `use` against `shadow`
+// immediately before the consumer.
+struct Escape {
+  Opcode consumer = Opcode::kNop;
+  Reg use;
+  bool guarded = false;
+  Reg shadow;  // the check's second operand; valid only when guarded
+};
+
+// The classifier the backward closure replaced: one memoised forward
+// closure per def register, then a scan of every escape.
+class FunctionLint {
+ public:
+  explicit FunctionLint(const Function& fn) : fn_(fn) {
+    base_[0] = 0;
+    base_[1] = fn.regCount(RegClass::kGp);
+    base_[2] = base_[1] + fn.regCount(RegClass::kFp);
+    totalRegs_ = base_[2] + fn.regCount(RegClass::kPr);
+    adj_.resize(totalRegs_);
+    collect();
+    for (std::vector<std::uint32_t>& edges : adj_) {
+      std::sort(edges.begin(), edges.end());
+      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    }
+  }
+
+  // Verdict for one register defined by `insn`.
+  std::pair<Protection, std::string> classifyDef(const Instruction& insn,
+                                                 Reg def) {
+    (void)insn;
+    const std::vector<std::uint64_t>& reach = reachOf(slot(def));
+    bool directExit = false;
+    for (const Escape& escape : escapes_) {
+      if (!test(reach, slot(escape.use))) {
+        continue;
+      }
+      const char* consumer = ir::opcodeInfo(escape.consumer).name;
+      if (!escape.guarded) {
+        return {Protection::kUnprotected,
+                std::string("reaches unchecked ") + escape.use.toString() +
+                    " read by " + consumer};
+      }
+      if (test(reach, slot(escape.shadow))) {
+        return {Protection::kUnprotected,
+                std::string("poisons both operands of the check before ") +
+                    consumer + " (" + escape.use.toString() + ", " +
+                    escape.shadow.toString() + ")"};
+      }
+      directExit |= escape.use == def;
+    }
+    if (directExit) {
+      return {Protection::kSphereExit,
+              "read directly by a checked non-replicated consumer"};
+    }
+    return {Protection::kProtected,
+            "every reachable sphere exit is check-guarded"};
+  }
+
+ private:
+  std::uint32_t slot(Reg reg) const {
+    return base_[static_cast<int>(reg.cls)] + reg.index;
+  }
+
+  static bool test(const std::vector<std::uint64_t>& bits,
+                   std::uint32_t index) {
+    return (bits[index >> 6] >> (index & 63)) & 1;
+  }
+  static void set(std::vector<std::uint64_t>& bits, std::uint32_t index) {
+    bits[index >> 6] |= 1ULL << (index & 63);
+  }
+
+  // One linear walk per block: track which checks are still "live" (emitted,
+  // and neither operand redefined) when their guarded instruction executes,
+  // record every sphere exit, and build the register-flow edges.
+  void collect() {
+    struct ActiveCheck {
+      ir::InsnId guard;
+      Reg use;
+      Reg shadow;
+    };
+    struct PendingCmp {  // split-check compare awaiting its kTrapIf
+      Reg pred;
+      Reg use;
+      Reg shadow;
+    };
+    for (ir::BlockId b = 0; b < fn_.blockCount(); ++b) {
+      std::vector<ActiveCheck> active;
+      std::vector<PendingCmp> pending;
+      const auto invalidate = [&](const std::vector<Reg>& defs) {
+        for (const Reg& def : defs) {
+          std::erase_if(active, [&](const ActiveCheck& check) {
+            return check.use == def || check.shadow == def;
+          });
+          std::erase_if(pending, [&](const PendingCmp& cmp) {
+            return cmp.pred == def || cmp.use == def || cmp.shadow == def;
+          });
+        }
+      };
+      for (const Instruction& insn : fn_.block(b).insns()) {
+        if (insn.origin == InsnOrigin::kCheck) {
+          invalidate(insn.defs);
+          if (insn.isCheck() && insn.op != Opcode::kTrapIf &&
+              insn.uses.size() == 2 && insn.guard != ir::kInvalidInsn) {
+            active.push_back({insn.guard, insn.uses[0], insn.uses[1]});
+          } else if (insn.op == Opcode::kTrapIf && insn.uses.size() == 1 &&
+                     insn.guard != ir::kInvalidInsn) {
+            for (const PendingCmp& cmp : pending) {
+              if (cmp.pred == insn.uses[0]) {
+                active.push_back({insn.guard, cmp.use, cmp.shadow});
+                break;
+              }
+            }
+          } else if (!insn.defs.empty() && insn.uses.size() == 2) {
+            pending.push_back({insn.defs[0], insn.uses[0], insn.uses[1]});
+          }
+          addEdges(insn, /*skipGuarded=*/nullptr);
+          continue;
+        }
+
+        // Which of this instruction's reads have a live check.
+        std::unordered_map<Reg, Reg> guarded;
+        for (const ActiveCheck& check : active) {
+          if (check.guard == insn.id) {
+            guarded.emplace(check.use, check.shadow);
+          }
+        }
+        if (insn.isNonReplicated()) {
+          std::unordered_set<Reg> seen;
+          for (const Reg& use : insn.uses) {
+            if (!seen.insert(use).second) {
+              continue;
+            }
+            Escape escape;
+            escape.consumer = insn.op;
+            escape.use = use;
+            const auto it = guarded.find(use);
+            if (it != guarded.end()) {
+              escape.guarded = true;
+              escape.shadow = it->second;
+            }
+            escapes_.push_back(escape);
+          }
+        }
+        addEdges(insn, guarded.empty() ? nullptr : &guarded);
+        invalidate(insn.defs);
+      }
+    }
+  }
+
+  // Register-flow edges use -> def.  A guarded read contributes no edge: its
+  // check fires before the consumer executes, so corruption on that operand
+  // alone cannot flow through (corruption on BOTH operands is caught by the
+  // poisons-both-operands rule at the escape instead).
+  void addEdges(const Instruction& insn,
+                const std::unordered_map<Reg, Reg>* guarded) {
+    if (insn.defs.empty()) {
+      return;
+    }
+    for (const Reg& use : insn.uses) {
+      if (guarded != nullptr && guarded->contains(use)) {
+        continue;
+      }
+      for (const Reg& def : insn.defs) {
+        adj_[slot(use)].push_back(slot(def));
+      }
+    }
+  }
+
+  // Forward closure of {start} over the flow edges, memoised per register.
+  const std::vector<std::uint64_t>& reachOf(std::uint32_t start) {
+    const auto it = memo_.find(start);
+    if (it != memo_.end()) {
+      return it->second;
+    }
+    std::vector<std::uint64_t> bits((totalRegs_ + 63) / 64, 0);
+    std::vector<std::uint32_t> stack{start};
+    set(bits, start);
+    while (!stack.empty()) {
+      const std::uint32_t reg = stack.back();
+      stack.pop_back();
+      for (const std::uint32_t next : adj_[reg]) {
+        if (!test(bits, next)) {
+          set(bits, next);
+          stack.push_back(next);
+        }
+      }
+    }
+    return memo_.emplace(start, std::move(bits)).first->second;
+  }
+
+  const Function& fn_;
+  std::uint32_t base_[3] = {0, 0, 0};
+  std::uint32_t totalRegs_ = 0;
+  std::vector<std::vector<std::uint32_t>> adj_;
+  std::vector<Escape> escapes_;
+  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> memo_;
+};
+
+// (protection, reason) per def site, in lintProtection's site order.
+std::vector<std::pair<Protection, std::string>> lint(
+    const ir::Program& program, passes::Scheme scheme) {
+  std::vector<std::pair<Protection, std::string>> sites;
+  for (ir::FuncId f = 0; f < program.functionCount(); ++f) {
+    const Function& fn = program.function(f);
+    const bool noDetection =
+        scheme == passes::Scheme::kNoed || !fn.isProtected();
+    std::optional<FunctionLint> lint;
+    if (!noDetection) {
+      lint.emplace(fn);
+    }
+    for (ir::BlockId b = 0; b < fn.blockCount(); ++b) {
+      for (const Instruction& insn : fn.block(b).insns()) {
+        for (const Reg& def : insn.defs) {
+          if (noDetection) {
+            sites.emplace_back(Protection::kUnprotected,
+                               scheme == passes::Scheme::kNoed
+                                   ? "NOED: the scheme emits no detection"
+                                   : "unprotected (library) function");
+          } else {
+            sites.push_back(lint->classifyDef(insn, def));
+          }
+        }
+      }
+    }
+  }
+  return sites;
+}
+
+}  // namespace reference
+
+void expectLintMatchesReference(const ir::Program& prog,
+                                passes::Scheme scheme,
+                                const std::string& what) {
+  const passes::ProtectionLintResult lint =
+      passes::lintProtection(prog, scheme);
+  const auto expected = reference::lint(prog, scheme);
+  ASSERT_EQ(lint.sites.size(), expected.size()) << what;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const passes::LintSite& site = lint.sites[i];
+    EXPECT_EQ(site.protection, expected[i].first)
+        << what << " site " << i << " def " << site.def.toString();
+    EXPECT_EQ(site.reason(), expected[i].second)
+        << what << " site " << i << " def " << site.def.toString();
+  }
+}
+
+TEST(ProtectionLintTest, MatchesForwardClosureReferenceOnGapPrograms) {
+  for (const auto make : snippets()) {
+    const Snippet snippet = make();
+    for (const passes::Scheme scheme : passes::kAllSchemes) {
+      expectLintMatchesReference(snippet.prog, scheme,
+                                 passes::schemeName(scheme));
+    }
+  }
+}
+
+TEST(ProtectionLintTest, MatchesForwardClosureReferenceOnWorkloads) {
+  const arch::MachineConfig machine = arch::makePaperMachine(2, 2);
+  for (const workloads::Workload& wl : workloads::makeAllWorkloads(1)) {
+    for (const passes::Scheme scheme : passes::kAllSchemes) {
+      const core::CompiledProgram bin =
+          core::compile(wl.program, machine, scheme);
+      expectLintMatchesReference(bin.program, scheme,
+                                 wl.name + " " + passes::schemeName(scheme));
+    }
   }
 }
 

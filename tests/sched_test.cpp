@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 
@@ -10,6 +12,7 @@
 #include "sched/list_scheduler.h"
 #include "sched/reservation_table.h"
 #include "support/check.h"
+#include "support/rng.h"
 #include "test_util.h"
 
 namespace casted::sched {
@@ -79,6 +82,51 @@ TEST(ReservationTableTest, ReserveUnavailableThrows) {
   ReservationTable table(config);
   table.reserve(0, 0, ir::FuClass::kIntAlu);
   EXPECT_THROW(table.reserve(0, 0, ir::FuClass::kIntAlu), FatalError);
+}
+
+// The earliestIssue the full-cycle skip replaced: a linear probe of
+// canIssue from `fromCycle`, kept as its oracle.
+std::uint32_t linearEarliestIssue(const ReservationTable& table,
+                                  std::uint32_t cluster,
+                                  std::uint32_t fromCycle, ir::FuClass cls) {
+  std::uint32_t cycle = fromCycle;
+  while (!table.canIssue(cluster, cycle, cls)) {
+    ++cycle;
+  }
+  return cycle;
+}
+
+TEST(ReservationTableTest, EarliestIssueMatchesLinearProbeOnRandomReserves) {
+  const ir::FuClass classes[] = {
+      ir::FuClass::kIntAlu, ir::FuClass::kIntMul, ir::FuClass::kFpAlu,
+      ir::FuClass::kFpDiv,  ir::FuClass::kMem,    ir::FuClass::kBranch};
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    arch::MachineConfig config = testutil::machine(
+        1 + static_cast<std::uint32_t>(rng.nextBelow(4)), 1);
+    config.clusterCount = 1 + static_cast<std::uint32_t>(rng.nextBelow(3));
+    config.memPortsPerCluster = static_cast<std::uint32_t>(rng.nextBelow(3));
+    config.fpPortsPerCluster = static_cast<std::uint32_t>(rng.nextBelow(3));
+    config.branchPortsPerCluster =
+        static_cast<std::uint32_t>(rng.nextBelow(3));
+    config.branchClosesBundle = rng.nextBool(0.75);
+    ReservationTable table(config);
+    std::uint32_t horizon = 0;
+    for (int step = 0; step < 300; ++step) {
+      const auto cluster =
+          static_cast<std::uint32_t>(rng.nextBelow(config.clusterCount));
+      const ir::FuClass cls = classes[rng.nextBelow(std::size(classes))];
+      // Mostly probe the crowded prefix, sometimes past everything reserved.
+      const auto from =
+          static_cast<std::uint32_t>(rng.nextBelow(horizon / 2 + 4));
+      const std::uint32_t expected =
+          linearEarliestIssue(table, cluster, from, cls);
+      ASSERT_EQ(table.earliestIssue(cluster, from, cls), expected)
+          << "trial " << trial << " step " << step << " " << config.toString();
+      table.reserve(cluster, expected, cls);
+      horizon = std::max(horizon, expected + 1);
+    }
+  }
 }
 
 // --- ListScheduler: validity invariants -----------------------------------------
