@@ -103,10 +103,11 @@ CompiledProgram compile(const ir::Program& source,
 sim::RunResult run(const CompiledProgram& compiled,
                    sim::SimOptions options = {});
 
-// Runs the Monte Carlo fault campaign on a compiled program.  Faulty runs
-// execute checkpoint-and-diverge by default (options.mode; DESIGN.md §10)
-// over the cached decode — the report is bit-identical to the full-rerun
-// oracle mode either way.
+// Runs the Monte Carlo fault campaign on a compiled program.  By default
+// (options.mode; DESIGN.md §10) each window of trials runs as lockstep
+// lanes of one golden stream over the cached decode, and the lanes it
+// cannot decide exactly re-run from golden-prefix checkpoints; the report
+// is bit-identical to the full-rerun oracle mode either way.
 fault::CoverageReport campaign(const CompiledProgram& compiled,
                                const fault::CampaignOptions& options = {});
 

@@ -54,24 +54,6 @@ bool mayAlias(const MemRef& a, const MemRef& b) {
 
 }  // namespace
 
-const char* depKindName(DepKind kind) {
-  switch (kind) {
-    case DepKind::kData:
-      return "data";
-    case DepKind::kAnti:
-      return "anti";
-    case DepKind::kOutput:
-      return "output";
-    case DepKind::kMemory:
-      return "memory";
-    case DepKind::kBarrier:
-      return "barrier";
-    case DepKind::kGuard:
-      return "guard";
-  }
-  CASTED_UNREACHABLE("bad DepKind");
-}
-
 DataFlowGraph::DataFlowGraph(const ir::BasicBlock& block,
                              const arch::MachineConfig& config)
     : insns_(&block.insns()),
@@ -102,7 +84,6 @@ void DataFlowGraph::addEdge(std::uint32_t from, std::uint32_t to,
   }
   succs_[from].push_back({from, to, kind, latency});
   preds_[to].push_back({from, to, kind, latency});
-  ++edgeCount_;
 }
 
 void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {

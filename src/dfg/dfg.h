@@ -35,8 +35,6 @@ enum class DepKind : std::uint8_t {
   kGuard,
 };
 
-const char* depKindName(DepKind kind);
-
 struct Edge {
   std::uint32_t from = 0;  // node index (position in block)
   std::uint32_t to = 0;
@@ -74,8 +72,6 @@ class DataFlowGraph {
   // list priority.
   std::vector<std::uint32_t> priorityOrder() const;
 
-  std::size_t edgeCount() const { return edgeCount_; }
-
  private:
   void addEdge(std::uint32_t from, std::uint32_t to, DepKind kind,
                std::uint32_t latency);
@@ -86,7 +82,6 @@ class DataFlowGraph {
   std::vector<std::vector<Edge>> preds_;
   std::vector<std::vector<Edge>> succs_;
   std::vector<std::uint32_t> heights_;
-  std::size_t edgeCount_ = 0;
 };
 
 }  // namespace casted::dfg

@@ -34,14 +34,6 @@ const char* injectionModeName(InjectionMode mode) {
   CASTED_UNREACHABLE("bad InjectionMode");
 }
 
-GoldenProfile profileGolden(const ir::Program& program,
-                            const sched::ProgramSchedule& schedule,
-                            const arch::MachineConfig& config,
-                            const sim::SimOptions& simOptions) {
-  return detail::toProfile(
-      detail::runGolden(program, schedule, config, simOptions, nullptr));
-}
-
 Outcome classify(const sim::RunResult& faulty, const GoldenProfile& golden) {
   switch (faulty.exit) {
     case sim::ExitKind::kDetected:

@@ -91,13 +91,17 @@ struct CampaignOptions {
   // count" (exactly one expected error per run).
   std::uint64_t originalDefInsns = 0;
   // Watchdog: a faulty run is declared a timeout after
-  // goldenCycles * timeoutFactor cycles.
+  // goldenCycles * timeoutFactor cycles.  The watchdog must admit the
+  // golden run: a factor of 0, or one whose product with goldenCycles
+  // overflows, throws FatalError.
   std::uint64_t timeoutFactor = 20;
   // Execution strategy for the faulty runs; kFull is the oracle.  Trials
-  // are visited in injection-ordinal order in every mode, so a checkpointed
-  // worker replays each golden prefix once; outcome counts and instruction
-  // totals commute, so the report stays bit-identical to kFull at every
-  // thread count.
+  // are visited in injection-ordinal order in every mode.  A checkpointed
+  // worker decides each window of trials as lockstep lanes of one golden
+  // stream, which replays the golden prefix from program start, and its
+  // fallbacks replay that prefix again up to their injection ordinals.
+  // Outcome counts and instruction totals commute, so the report stays
+  // bit-identical to kFull at every thread count.
   InjectionMode mode = InjectionMode::kCheckpointed;
   sim::SimOptions simOptions;
 };
@@ -108,12 +112,6 @@ struct GoldenProfile {
   std::uint64_t defInsns = 0;  // fault-target population
   std::uint64_t cycles = 0;
 };
-
-// Runs the golden execution once.
-GoldenProfile profileGolden(const ir::Program& program,
-                            const sched::ProgramSchedule& schedule,
-                            const arch::MachineConfig& config,
-                            const sim::SimOptions& simOptions);
 
 // Classifies one faulty run against the golden profile.  Precedence (the
 // run's ExitKind dominates any output comparison):

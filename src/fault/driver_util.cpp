@@ -236,9 +236,6 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
       case sim::LaneEnd::kException:
         out[i] = {Outcome::kException, lane.dynamicInsns};
         break;
-      case sim::LaneEnd::kTimeout:
-        out[i] = {Outcome::kTimeout, lane.dynamicInsns};
-        break;
       case sim::LaneEnd::kHalted:
       case sim::LaneEnd::kReconverged:
         out[i] = {lane.corrupt ? Outcome::kDataCorrupt : Outcome::kBenign,
@@ -330,6 +327,11 @@ FaultSiteLoop::FaultSiteLoop(std::string_view driver,
     golden_ = toProfile(
         runGolden(program, schedule, config, simOptions, decoded_, defTrace));
   }
+  // The watchdog must admit the golden run, so that a faulty run on
+  // golden's addresses never times out (the lockstep lanes rely on it).
+  CASTED_CHECK(timeoutFactor > 0 && golden_.cycles <= ~0ULL / timeoutFactor)
+      << "timeoutFactor " << timeoutFactor << " times the golden run's "
+      << golden_.cycles << " cycles is no watchdog";
   armedOptions_ = simOptions;
   armedOptions_.maxCycles = golden_.cycles * timeoutFactor;
   armedOptions_.faultPlan = nullptr;

@@ -118,9 +118,10 @@ class SiteExecutor {
 // shared preamble inside a "fault.<driver>" trace scope that lives as long
 // as the loop: engine selection (decode once, shared read-only by every
 // worker), the golden run ("fault.<driver>.golden"), and the armed worker
-// options (watchdog at golden.cycles * timeoutFactor).  run() then hands N
-// work items, in chunks, to a pool of workers over an atomic cursor, each
-// worker with its own SiteExecutor and accumulator.
+// options (watchdog at golden.cycles * timeoutFactor, which must admit the
+// golden run: a factor of 0 or an overflowing product throws FatalError).
+// run() then hands N work items, in chunks, to a pool of workers over an
+// atomic cursor, each worker with its own SiteExecutor and accumulator.
 class FaultSiteLoop {
  public:
   // `driver` names the trace scopes, counters and heartbeat ("campaign",

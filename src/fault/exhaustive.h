@@ -47,6 +47,8 @@ struct ExhaustiveOptions {
   // Worker threads for the site loop.  0 = one per hardware thread.
   std::uint32_t threads = 1;
   // Watchdog: a faulty run times out after goldenCycles * timeoutFactor.
+  // A factor of 0, or one whose product with goldenCycles overflows,
+  // throws FatalError: the watchdog must admit the golden run.
   std::uint64_t timeoutFactor = 20;
   // Safety valve for accidental use on big workloads: enumeration refuses
   // (throws) if the site space exceeds this.  0 = unlimited.

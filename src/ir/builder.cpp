@@ -31,17 +31,7 @@ Instruction& IrBuilder::emit(Opcode op, std::vector<Reg> defs,
 
 void IrBuilder::movTo(Reg dst, Reg src) {
   CASTED_CHECK(dst.cls == src.cls) << "movTo class mismatch";
-  switch (dst.cls) {
-    case RegClass::kGp:
-      emit(Opcode::kMov, {dst}, {src});
-      break;
-    case RegClass::kFp:
-      emit(Opcode::kFMov, {dst}, {src});
-      break;
-    case RegClass::kPr:
-      emit(Opcode::kPMov, {dst}, {src});
-      break;
-  }
+  emit(copyOpcodeFor(dst.cls), {dst}, {src});
 }
 
 void IrBuilder::movImmTo(Reg dst, std::int64_t imm) {

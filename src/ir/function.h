@@ -170,7 +170,6 @@ class Program {
 
   // The full initial memory image starting at kGlobalBase.
   const std::vector<std::uint8_t>& globalImage() const { return image_; }
-  std::vector<std::uint8_t>& mutableGlobalImage() { return image_; }
   // One-past-the-end address of allocated globals.
   std::uint64_t globalEnd() const { return kGlobalBase + image_.size(); }
 

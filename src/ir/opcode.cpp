@@ -265,14 +265,16 @@ const OpcodeInfo& opcodeInfo(Opcode op) {
   return row.info;
 }
 
-bool isMemoryOp(Opcode op) {
-  const OpcodeInfo& info = opcodeInfo(op);
-  return info.isLoad || info.isStore;
-}
-
-bool isControlFlow(Opcode op) {
-  const OpcodeInfo& info = opcodeInfo(op);
-  return info.isTerminator || op == Opcode::kCall;
+Opcode copyOpcodeFor(RegClass cls) {
+  switch (cls) {
+    case RegClass::kGp:
+      return Opcode::kMov;
+    case RegClass::kFp:
+      return Opcode::kFMov;
+    case RegClass::kPr:
+      return Opcode::kPMov;
+  }
+  CASTED_UNREACHABLE("bad RegClass");
 }
 
 bool isReplicableOpcode(Opcode op) {

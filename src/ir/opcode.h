@@ -143,9 +143,8 @@ struct OpcodeInfo {
 // Metadata accessor; total over all opcodes.
 const OpcodeInfo& opcodeInfo(Opcode op);
 
-// Convenience predicates used throughout the passes.
-bool isMemoryOp(Opcode op);
-bool isControlFlow(Opcode op);  // branches, call, ret, halt
+// The register-to-register copy of class `cls`: kMov, kFMov or kPMov.
+Opcode copyOpcodeFor(RegClass cls);
 
 // Replication policy of Algorithm 1: control flow and stores are never
 // replicated (checks/copies are compiler-generated and also excluded, but

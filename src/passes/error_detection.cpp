@@ -16,18 +16,6 @@ using ir::Opcode;
 using ir::Reg;
 using ir::RegClass;
 
-Opcode copyOpcodeFor(RegClass cls) {
-  switch (cls) {
-    case RegClass::kGp:
-      return Opcode::kMov;
-    case RegClass::kFp:
-      return Opcode::kFMov;
-    case RegClass::kPr:
-      return Opcode::kPMov;
-  }
-  CASTED_UNREACHABLE("bad RegClass");
-}
-
 Opcode checkOpcodeFor(RegClass cls) {
   switch (cls) {
     case RegClass::kGp:
@@ -189,7 +177,7 @@ class FunctionTransform {
   Instruction makeCopy(Reg original) {
     const Reg shadowReg = ensureShadow(original);
     Instruction copy;
-    copy.op = copyOpcodeFor(original.cls);
+    copy.op = ir::copyOpcodeFor(original.cls);
     copy.id = fn_.newInsnId();
     copy.defs = {shadowReg};
     copy.uses = {original};

@@ -14,19 +14,6 @@ using ir::Instruction;
 using ir::InsnOrigin;
 using ir::Opcode;
 using ir::Reg;
-using ir::RegClass;
-
-Opcode copyOpcodeFor(RegClass cls) {
-  switch (cls) {
-    case RegClass::kGp:
-      return Opcode::kMov;
-    case RegClass::kFp:
-      return Opcode::kFMov;
-    case RegClass::kPr:
-      return Opcode::kPMov;
-  }
-  CASTED_UNREACHABLE("bad RegClass");
-}
 
 // An instruction is a CSE candidate when it is pure-by-value: exactly one
 // def, no side effects, and its value depends only on register operands and
@@ -123,7 +110,7 @@ LateOptStats applyLocalCse(ir::Program& program,
             // Rewrite into a copy from the register holding the value; the
             // def keeps the *same* value number as the original result.
             const Reg source = hit->second.second;
-            insn.op = copyOpcodeFor(def.cls);
+            insn.op = ir::copyOpcodeFor(def.cls);
             insn.uses = {source};
             insn.imm = 0;
             insn.fimm = 0.0;

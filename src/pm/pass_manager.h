@@ -32,10 +32,6 @@ class PassManager {
   PassManager(PassManager&&) = default;
   PassManager& operator=(PassManager&&) = default;
 
-  void addPass(std::unique_ptr<Pass> pass) {
-    passes_.push_back(std::move(pass));
-  }
-
   template <typename PassT, typename... Args>
   void emplacePass(Args&&... args) {
     passes_.push_back(std::make_unique<PassT>(std::forward<Args>(args)...));

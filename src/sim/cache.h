@@ -24,11 +24,6 @@ namespace casted::sim {
 struct CacheLevelStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-
-  double hitRate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-  }
 };
 
 // One set-associative LRU level.  A set is a value: its `associativity`

@@ -44,8 +44,6 @@ const char* laneEndName(LaneEnd end) {
       return "halt";
     case LaneEnd::kReconverged:
       return "reconverged";
-    case LaneEnd::kTimeout:
-      return "timeout";
     case LaneEnd::kFallbackControl:
       return "control";
     case LaneEnd::kFallbackTiming:
@@ -497,7 +495,6 @@ struct Lanes {
   // The end of the golden stream: every open lane is decided.
   void finish(std::optional<std::uint32_t> exitSlot, std::int64_t exitCode,
               std::uint64_t insns);
-  void timeout(std::uint64_t insns);
 
   std::uint64_t laneBits(std::uint32_t lane, std::uint32_t cls,
                          std::uint32_t slot) const;
@@ -1125,12 +1122,13 @@ struct DecodedRunner::Impl {
     nextFaultOrdinal = laneState.nextOrdinal();
     updateNextEvent();
     const Flow flow = exec<true>();
+    lanes = nullptr;
+    CASTED_CHECK(flow != Flow::kTimeout)
+        << "the golden stream timed out: the watchdog (" << opts.maxCycles
+        << " cycles) must admit the fault-free run";
     if (flow == Flow::kHalted) {
       laneState.finish(exitSlot, exitCode, stats.dynamicInsns);
-    } else if (flow == Flow::kTimeout) {
-      laneState.timeout(stats.dynamicInsns);
     }
-    lanes = nullptr;
     CASTED_CHECK(flow != Flow::kDetected && flow != Flow::kTrapped &&
                  laneState.open == 0 && laneState.diffs == 0)
         << "the golden stream ended without deciding its lanes";
@@ -1786,20 +1784,6 @@ void Lanes::finish(std::optional<std::uint32_t> exitSlot,
         exitSlot.has_value() &&
         static_cast<std::int64_t>(laneBits(lane, 0, *exitSlot)) != exitCode;
     decide(lane, LaneEnd::kHalted, insns, exitDiffers || outputDiffers(lane));
-  }
-}
-
-// The golden stream's watchdog expired.  A lane on golden's addresses has
-// golden's cycles, so it times out here too; any other lane's cycles are
-// unknown.
-void Lanes::timeout(std::uint64_t insns) {
-  for (std::uint32_t lane = 0; lane < lanes.size(); ++lane) {
-    if (lanes[lane].state != State::kDone) {
-      decide(lane,
-             lanes[lane].diverged ? LaneEnd::kFallbackTiming
-                                  : LaneEnd::kTimeout,
-             insns);
-    }
   }
 }
 

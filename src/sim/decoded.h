@@ -173,19 +173,20 @@ class ArchCheckpoint {
   std::unique_ptr<Data> data_;
 };
 
-// How a lockstep lane ended (DecodedRunner::runLockstep).  The first five
-// are exact decisions; the fallbacks leave the plan to a stepwise run.
+// How a lockstep lane ended (DecodedRunner::runLockstep).  The first four
+// are exact decisions; the fallbacks leave the plan to a stepwise run.  A
+// lane never times out on golden's addresses, because the watchdog admits
+// the golden run.
 enum class LaneEnd : std::uint8_t {
   kDetected,         // a check read a differing operand and fired
   kException,        // the lane trapped on its own values
   kHalted,           // the run ended with the lane's diffs still live
   kReconverged,      // every diff died and no flip was pending
-  kTimeout,          // the golden stream's watchdog expired
   kFallbackControl,  // a branch predicate differed
   kFallbackTiming,   // the lane's cycle bound exceeded the watchdog
   kFallbackBudget,   // the lane cost more lane ops than its budget
 };
-inline constexpr std::size_t kLaneEndCount = 8;
+inline constexpr std::size_t kLaneEndCount = 7;
 
 const char* laneEndName(LaneEnd end);
 
@@ -287,7 +288,8 @@ class DecodedRunner {
   //
   // Decides up to kMaxLanes fault plans against ONE golden stream: the
   // fault-free run under `options` (faultPlan and defTrace null; maxCycles
-  // is the watchdog every plan runs under).  Each plan is a lane that holds
+  // is the watchdog every plan runs under, and must admit the fault-free
+  // run: a golden stream that times out throws FatalError).  Each plan is a lane that holds
   // only its pending flips and the registers and aligned memory words where
   // its values differ from the golden run's; an op costs lane work only
   // when it reads a differing value.  verdicts[i] receives plans[i]'s

@@ -7,24 +7,6 @@
 
 namespace casted::sim {
 
-const char* trapKindName(TrapKind kind) {
-  switch (kind) {
-    case TrapKind::kNone:
-      return "none";
-    case TrapKind::kBadAddress:
-      return "bad-address";
-    case TrapKind::kMisaligned:
-      return "misaligned";
-    case TrapKind::kDivByZero:
-      return "div-by-zero";
-    case TrapKind::kBadConversion:
-      return "bad-conversion";
-    case TrapKind::kStackOverflow:
-      return "stack-overflow";
-  }
-  CASTED_UNREACHABLE("bad TrapKind");
-}
-
 Memory::Memory(const ir::Program& program, std::uint64_t heapBytes)
     : Memory(program.globalImage(), heapBytes) {}
 

@@ -28,8 +28,6 @@ enum class TrapKind : std::uint8_t {
   kStackOverflow,
 };
 
-const char* trapKindName(TrapKind kind);
-
 // Raised by Memory/Executor on a trap; caught by the simulator run loop and
 // classified as an Exception outcome.
 struct TrapError {

@@ -50,25 +50,12 @@ std::uint64_t Rng::nextBelow(std::uint64_t bound) {
   return draw % bound;
 }
 
-std::int64_t Rng::nextInRange(std::int64_t lo, std::int64_t hi) {
-  CASTED_CHECK(lo <= hi) << "empty range [" << lo << ", " << hi << "]";
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) {  // full 64-bit range
-    return static_cast<std::int64_t>(next());
-  }
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
-                                   nextBelow(span));
-}
-
 double Rng::nextDouble() {
   // 53 significant bits, uniform in [0, 1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 bool Rng::nextBool(double p) { return nextDouble() < p; }
-
-Rng Rng::fork() { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
 
 std::uint64_t deriveStreamSeed(std::uint64_t seed, std::uint64_t stream) {
   // SplitMix64 step: advance the state by (stream + 1) golden-ratio strides,

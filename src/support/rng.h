@@ -2,9 +2,10 @@
 // Monte Carlo fault-injection campaigns.
 //
 // We implement xoshiro256** (Blackman & Vigna) instead of relying on
-// std::mt19937 so that streams are cheap to fork (one generator per Monte
-// Carlo trial) and the sequence is stable across standard libraries — the
-// fault-injection experiments must be reproducible bit-for-bit.
+// std::mt19937 so that the sequence is stable across standard libraries —
+// the fault-injection experiments must be reproducible bit-for-bit — and a
+// generator is 32 bytes, cheap to seed once per Monte Carlo trial (from
+// deriveStreamSeed).
 #pragma once
 
 #include <array>
@@ -26,19 +27,11 @@ class Rng {
   // (unbiased).
   std::uint64_t nextBelow(std::uint64_t bound);
 
-  // Uniform in [lo, hi] inclusive.  Requires lo <= hi.
-  std::int64_t nextInRange(std::int64_t lo, std::int64_t hi);
-
   // Uniform double in [0, 1).
   double nextDouble();
 
   // Bernoulli draw with probability p in [0, 1].
   bool nextBool(double p = 0.5);
-
-  // Forks a child generator whose stream is independent of this one; used to
-  // give each Monte Carlo trial its own stream regardless of how many draws
-  // other trials consume.
-  Rng fork();
 
  private:
   std::array<std::uint64_t, 4> state_;

@@ -27,8 +27,6 @@ class TextTable {
   // cells.
   std::string render() const;
 
-  std::size_t rowCount() const { return rows_.size(); }
-
  private:
   struct Row {
     bool separator = false;

@@ -18,13 +18,11 @@ std::atomic<int> gState{0};
 
 namespace {
 
-// One buffered event.  `dur == kInstant` marks an instant event.
-constexpr std::uint64_t kInstant = ~0ULL;
-
+// One buffered complete event.
 struct Event {
   std::string name;
   std::uint64_t startNs = 0;
-  std::uint64_t durNs = kInstant;
+  std::uint64_t durNs = 0;
   std::uint32_t tid = 0;
 };
 
@@ -210,15 +208,6 @@ void counterAddSlow(std::string_view name, std::int64_t delta) {
   threadBuffer().addCounter(name, delta);
 }
 
-void instantSlow(std::string_view name) {
-  ThreadBuffer& buffer = threadBuffer();
-  Event event;
-  event.name.assign(name);
-  event.startNs = nowNs();
-  event.tid = buffer.tid;
-  buffer.addEvent(std::move(event));
-}
-
 void scopeEndSlow(const std::string& name, std::uint64_t startNs) {
   ThreadBuffer& buffer = threadBuffer();
   Event event;
@@ -319,12 +308,8 @@ std::string reportJson() {
     out += std::to_string(event.tid);
     out += ", \"ts\": ";
     detail::appendMicros(out, event.startNs);
-    if (event.durNs == ~0ULL) {
-      out += ", \"ph\": \"i\", \"s\": \"t\"";
-    } else {
-      out += ", \"ph\": \"X\", \"dur\": ";
-      detail::appendMicros(out, event.durNs);
-    }
+    out += ", \"ph\": \"X\", \"dur\": ";
+    detail::appendMicros(out, event.durNs);
     out += '}';
   }
   out += "\n  ],\n  \"metadata\": {";

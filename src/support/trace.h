@@ -1,6 +1,6 @@
 // support/trace — the library's observability subsystem: thread-safe named
-// counters, scoped duration events and instant events, buffered per thread
-// and exported as Chrome `chrome://tracing` JSON plus a flat counter summary.
+// counters and scoped duration events, buffered per thread and exported as
+// Chrome `chrome://tracing` JSON plus a flat counter summary.
 //
 // Lifecycle.  A single process-wide trace session is either active or
 // inactive.  It activates in one of two ways:
@@ -17,7 +17,7 @@
 //
 // Cost contract.  Every instrumentation entry point is an inline guard
 // around a single relaxed atomic load: when the session is inactive, a
-// counter add, instant event or Scope construction performs NO work beyond
+// counter add or Scope construction performs NO work beyond
 // that load — no thread-local access, no allocation, no string copy.  The
 // campaign-throughput acceptance bound (<= 2% with tracing disabled,
 // DESIGN.md §11) leans on exactly this property.
@@ -54,7 +54,6 @@ extern std::atomic<int> gState;
 bool initFromEnv();
 
 void counterAddSlow(std::string_view name, std::int64_t delta);
-void instantSlow(std::string_view name);
 void scopeEndSlow(const std::string& name, std::uint64_t startNs);
 std::uint64_t nowNs();
 
@@ -89,13 +88,6 @@ std::string outputPath();
 inline void counterAdd(std::string_view name, std::int64_t delta = 1) {
   if (enabled()) {
     detail::counterAddSlow(name, delta);
-  }
-}
-
-// Records an instant event at the current timestamp.  No-op while inactive.
-inline void instant(std::string_view name) {
-  if (enabled()) {
-    detail::instantSlow(name);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include "core/pipeline.h"
 #include "fault/campaign.h"
-#include "sched/list_scheduler.h"
 #include "support/check.h"
 #include "test_util.h"
 #include "workloads/workloads.h"
@@ -130,17 +129,6 @@ TEST(TrialPlanTest, ZeroOriginalDefaultsToOwnLength) {
 TEST(TrialPlanTest, EmptyRunRejected) {
   Rng rng(5);
   EXPECT_THROW(makeTrialPlan(rng, 0, 0), FatalError);
-}
-
-TEST(GoldenProfileTest, ProfilesCleanRun) {
-  const ir::Program prog = testutil::makeLoopProgram(20);
-  const arch::MachineConfig config = testutil::machine(2, 1);
-  const sched::ProgramSchedule schedule =
-      sched::scheduleProgram(prog, config);
-  const GoldenProfile golden = profileGolden(prog, schedule, config, {});
-  EXPECT_EQ(golden.result.exit, sim::ExitKind::kHalted);
-  EXPECT_GT(golden.defInsns, 0u);
-  EXPECT_GT(golden.cycles, 0u);
 }
 
 TEST(CampaignTest, DeterministicForSameSeed) {

@@ -21,6 +21,7 @@
 #include "sched/list_scheduler.h"
 #include "sim/decoded.h"
 #include "sim/simulator.h"
+#include "support/check.h"
 #include "support/rng.h"
 #include "test_util.h"
 
@@ -75,8 +76,6 @@ ExitKind exitOf(LaneEnd end) {
       return ExitKind::kDetected;
     case LaneEnd::kException:
       return ExitKind::kException;
-    case LaneEnd::kTimeout:
-      return ExitKind::kTimeout;
     default:
       return ExitKind::kHalted;
   }
@@ -357,12 +356,41 @@ TEST(LockstepTest, EveryFallbackAndTheGoldenTimeout) {
   // The accumulator differs in 4 of every 7 ops: over the budget.
   expectLane(loop, {{{loop.ordinal(loop.acc), 0, 7}}},
              LaneEnd::kFallbackBudget);
-  // With the watchdog at 0 the golden stream itself times out at its first
-  // block boundary, before the lane's flip: the lane times out with it.
-  expectLane(loop, {{{loop.ordinal(loop.counter, 200), 0, 1}}},
-             LaneEnd::kTimeout, 0);
   expectCampaignMatchesFull(loop, 20);
-  expectCampaignMatchesFull(loop, 0);
+
+  // A watchdog below golden's own cycle count is no watchdog: a golden
+  // stream that runs into it throws, and both drivers refuse a factor of 0
+  // (or an overflowing one) in every mode and engine.
+  {
+    DecodedRunner runner(*loop.decoded);
+    SimOptions options;
+    options.maxCycles = loop.golden.stats.cycles / 2;
+    // The lane's flip lies past the watchdog, so the stream runs into it.
+    const FaultPlan plan{{{loop.ordinal(loop.counter, 290), 0, 1}}};
+    std::vector<LaneVerdict> verdicts;
+    EXPECT_THROW(runner.runLockstep(options, {&plan}, verdicts), FatalError);
+  }
+  const core::CompiledProgram bin =
+      core::compile(loop.program, loop.config, passes::Scheme::kNoed);
+  for (const fault::InjectionMode mode :
+       {fault::InjectionMode::kFull, fault::InjectionMode::kCheckpointed}) {
+    for (const Engine engine : {Engine::kDecoded, Engine::kReference}) {
+      fault::CampaignOptions campaign;
+      campaign.trials = 10;
+      campaign.timeoutFactor = 0;
+      campaign.mode = mode;
+      campaign.simOptions.engine = engine;
+      EXPECT_THROW(core::campaign(bin, campaign), FatalError);
+      fault::ExhaustiveOptions exhaustive;
+      exhaustive.timeoutFactor = 0;
+      exhaustive.mode = mode;
+      exhaustive.simOptions.engine = engine;
+      EXPECT_THROW(core::groundTruth(bin, exhaustive), FatalError);
+      // golden.cycles times this factor overflows 64 bits.
+      campaign.timeoutFactor = ~0ULL / 2;
+      EXPECT_THROW(core::campaign(bin, campaign), FatalError);
+    }
+  }
 
   // At timeoutFactor 1 the watchdog is the golden run's own cycle count,
   // and a lane whose store went to another word has a cycle bound above

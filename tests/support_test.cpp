@@ -91,26 +91,6 @@ TEST(RngTest, NextBelowCoversAllResidues) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
-TEST(RngTest, NextInRangeInclusiveBounds) {
-  Rng rng(11);
-  bool sawLo = false;
-  bool sawHi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const std::int64_t v = rng.nextInRange(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    sawLo = sawLo || v == -3;
-    sawHi = sawHi || v == 3;
-  }
-  EXPECT_TRUE(sawLo);
-  EXPECT_TRUE(sawHi);
-}
-
-TEST(RngTest, NextInRangeEmptyThrows) {
-  Rng rng(11);
-  EXPECT_THROW(rng.nextInRange(3, 2), FatalError);
-}
-
 TEST(RngTest, NextDoubleInUnitInterval) {
   Rng rng(13);
   for (int i = 0; i < 1000; ++i) {
@@ -126,19 +106,6 @@ TEST(RngTest, NextBoolRespectsProbabilityExtremes) {
     EXPECT_FALSE(rng.nextBool(0.0));
     EXPECT_TRUE(rng.nextBool(1.0));
   }
-}
-
-TEST(RngTest, ForkedStreamsAreIndependent) {
-  Rng parent(5);
-  Rng childA = parent.fork();
-  Rng childB = parent.fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (childA.next() == childB.next()) {
-      ++same;
-    }
-  }
-  EXPECT_LT(same, 2);
 }
 
 // --- statistics ---------------------------------------------------------------

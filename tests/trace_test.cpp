@@ -245,7 +245,6 @@ class TraceTest : public ::testing::Test {
 TEST_F(TraceTest, DisabledByDefaultAndCountersAreNoOps) {
   EXPECT_FALSE(trace::enabled());
   trace::counterAdd("never", 5);
-  trace::instant("never");
   { const trace::Scope scope("never"); }
   EXPECT_EQ(trace::counterValue("never"), 0);
   EXPECT_TRUE(trace::counterSnapshot().empty());
@@ -301,8 +300,7 @@ TEST_F(TraceTest, CountersMergeAcrossWorkerPoolThreads) {
 std::int64_t lockstepDecided(
     const std::string& prefix = "fault.campaign.lockstep.") {
   std::int64_t sum = 0;
-  for (const char* end :
-       {"detected", "exception", "halt", "reconverged", "timeout"}) {
+  for (const char* end : {"detected", "exception", "halt", "reconverged"}) {
     sum += trace::counterValue(prefix + "decided." + end);
   }
   return sum;
@@ -583,7 +581,6 @@ TEST_F(TraceTest, ReportIsValidChromeTraceJson) {
   {
     const trace::Scope outer("outer");
     const trace::Scope inner("inner");
-    trace::instant("marker");
   }
   trace::counterAdd("events.count", 3);
   trace::setMetadata("threads", "4");
@@ -594,14 +591,14 @@ TEST_F(TraceTest, ReportIsValidChromeTraceJson) {
   const JsonValue root = JsonReader(json).parse();
   ASSERT_EQ(root.kind, JsonValue::Kind::kObject);
 
-  // traceEvents: every record is a complete ("X", with dur) or instant
-  // ("i") event carrying name/ts/pid/tid.
+  // traceEvents: every record is a complete ("X") event carrying
+  // name/ts/dur/pid/tid.
   const JsonValue* events = root.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_EQ(events->kind, JsonValue::Kind::kArray);
-  ASSERT_EQ(events->items.size(), 3u);
+  ASSERT_EQ(events->items.size(), 2u);
   bool sawOuter = false;
-  bool sawMarker = false;
+  bool sawInner = false;
   for (const JsonValue& event : events->items) {
     ASSERT_EQ(event.kind, JsonValue::Kind::kObject);
     const JsonValue* name = event.find("name");
@@ -611,16 +608,13 @@ TEST_F(TraceTest, ReportIsValidChromeTraceJson) {
     EXPECT_NE(event.find("ts"), nullptr);
     EXPECT_NE(event.find("pid"), nullptr);
     EXPECT_NE(event.find("tid"), nullptr);
-    if (ph->text == "X") {
-      EXPECT_NE(event.find("dur"), nullptr) << name->text;
-    } else {
-      EXPECT_EQ(ph->text, "i") << name->text;
-    }
-    sawOuter = sawOuter || (name->text == "outer" && ph->text == "X");
-    sawMarker = sawMarker || (name->text == "marker" && ph->text == "i");
+    EXPECT_EQ(ph->text, "X") << name->text;
+    EXPECT_NE(event.find("dur"), nullptr) << name->text;
+    sawOuter = sawOuter || name->text == "outer";
+    sawInner = sawInner || name->text == "inner";
   }
   EXPECT_TRUE(sawOuter);
-  EXPECT_TRUE(sawMarker);
+  EXPECT_TRUE(sawInner);
 
   // counters: the flat summary carries the merged values.
   const JsonValue* counters = root.find("counters");
