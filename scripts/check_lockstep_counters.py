@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Checks the lockstep counters of a CASTED_TRACE export.
+
+Usage:
+  scripts/check_lockstep_counters.py TRACE DRIVER [--lanes N]
+                                     [--sites-per-lane K]
+
+TRACE is the JSON a traced binary wrote, DRIVER the fault driver whose
+counters are checked ("campaign" or "exhaustive").  For every trace:
+
+  * the export carries trace events, the git_describe metadata and the
+    driver's per-worker counters;
+  * fault.<DRIVER>.lockstep.lanes and .lane_ops exist;
+  * every lane is decided or falls back exactly once;
+  * the golden streams ran instructions, and the part of them before each
+    window's first flip (prefix_insns) is at most all of them;
+  * per fallback reason, the re-runs' outcome counters sum to the reason's
+    fallbacks.
+
+--lanes N demands exactly N lanes; --sites-per-lane K demands
+K * lanes == fault.<DRIVER>.sites (an audit that enumerates every site
+once per injection mode, and only one mode as lanes, passes K = 2).
+
+Exits non-zero, naming the failed check, when any check fails.
+"""
+
+import argparse
+import json
+import sys
+
+DECISIONS = ('detected', 'exception', 'halt', 'reconverged')
+REASONS = ('control', 'timing', 'budget')
+OUTCOMES = ('benign', 'detected', 'exception', 'data-corrupt', 'timeout')
+
+
+def check(trace, driver, lanes_expected, sites_per_lane):
+    counters = trace['counters']
+    prefix = f'fault.{driver}.lockstep.'
+
+    assert trace['traceEvents'], 'no trace events recorded'
+    assert 'git_describe' in trace['metadata'], 'missing run metadata'
+    assert any(k.startswith(f'fault.{driver}.worker') for k in counters), (
+        'missing worker counters')
+    assert prefix + 'lanes' in counters, 'missing lockstep counters'
+    assert prefix + 'lane_ops' in counters, 'missing lane_ops counter'
+
+    lanes = counters[prefix + 'lanes']
+    if lanes_expected is not None:
+        assert lanes == lanes_expected, (lanes, lanes_expected)
+    if sites_per_lane is not None:
+        sites = counters[f'fault.{driver}.sites']
+        assert sites_per_lane * lanes == sites, (lanes, sites)
+
+    decided = sum(counters.get(prefix + 'decided.' + end, 0)
+                  for end in DECISIONS)
+    fallback = sum(counters.get(prefix + 'fallback.' + reason, 0)
+                   for reason in REASONS)
+    assert decided + fallback == lanes, (decided, fallback, lanes)
+
+    stream = counters.get(prefix + 'stream_insns', 0)
+    assert stream > 0, 'missing golden-stream instructions'
+    assert prefix + 'prefix_insns' in counters, 'missing prefix instructions'
+    assert counters[prefix + 'prefix_insns'] <= stream, (
+        counters[prefix + 'prefix_insns'], stream)
+
+    for reason in REASONS:
+        outcomes = sum(
+            counters.get(f'{prefix}fallback_outcome.{reason}.{outcome}', 0)
+            for outcome in OUTCOMES)
+        fallbacks = counters.get(prefix + 'fallback.' + reason, 0)
+        assert outcomes == fallbacks, (reason, outcomes, fallbacks)
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description='Check the lockstep counters of a CASTED_TRACE export.')
+    parser.add_argument('trace')
+    parser.add_argument('driver', choices=('campaign', 'exhaustive'))
+    parser.add_argument('--lanes', type=int)
+    parser.add_argument('--sites-per-lane', type=int)
+    args = parser.parse_args()
+    with open(args.trace) as f:
+        trace = json.load(f)
+    try:
+        check(trace, args.driver, args.lanes, args.sites_per_lane)
+    except (AssertionError, KeyError) as error:
+        sys.exit(f'{args.trace}: {args.driver} lockstep check failed: '
+                 f'{error!r}')
+    print(f'{args.trace}: {args.driver} lockstep counters ok')
+
+
+if __name__ == '__main__':
+    main()

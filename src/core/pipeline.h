@@ -106,8 +106,9 @@ sim::RunResult run(const CompiledProgram& compiled,
 // Runs the Monte Carlo fault campaign on a compiled program.  By default
 // (options.mode; DESIGN.md §10) each window of trials runs as lockstep
 // lanes of one golden stream over the cached decode, and the lanes it
-// cannot decide exactly re-run from golden-prefix checkpoints; the report
-// is bit-identical to the full-rerun oracle mode either way.
+// cannot decide exactly re-run from the checkpoint the stream saved at the
+// window's first flip; the report is bit-identical to the full-rerun
+// oracle mode either way.
 fault::CoverageReport campaign(const CompiledProgram& compiled,
                                const fault::CampaignOptions& options = {});
 

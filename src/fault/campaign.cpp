@@ -103,9 +103,10 @@ CoverageReport runCampaign(const ir::Program& program,
 
   // Every trial's plan is derived up front from (seed, trialIndex) alone, so
   // a trial's outcome does not depend on which worker runs it or when.  The
-  // plans are visited in (injection ordinal, trialIndex) order: the
-  // executor needs each window sorted by ordinal, and its fallbacks profit
-  // when trials at nearby ordinals share a window.
+  // plans are visited in (injection ordinal, trialIndex) order, so that a
+  // window holds nearby ordinals: its golden stream runs the prefix up to
+  // the window's first flip on the plain interpreter, and its fallbacks
+  // roll one checkpoint forward over a short range.
   std::vector<sim::FaultPlan> plans(options.trials);
   for (std::uint32_t trial = 0; trial < options.trials; ++trial) {
     Rng trialRng(deriveStreamSeed(options.seed, trial));

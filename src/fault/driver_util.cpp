@@ -217,18 +217,20 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   for (const sim::FaultPlan& plan : window) {
     lanePlans_.push_back(&plan);
   }
-  const std::uint64_t streamInsns =
+  const sim::LockstepStream stream =
       runner_->runLockstep(options_, lanePlans_, laneVerdicts_);
-  std::optional<std::uint64_t> checkpointAt;  // none until a fallback
   std::uint64_t laneOps = 0;
   std::array<std::int64_t, sim::kLaneEndCount> ends = {};
   // Per fallback reason, the instructions the fallbacks ran past their
-  // injection point.
+  // injection point, and how they ended.
   std::array<std::int64_t, sim::kLaneEndCount> fallbackInsns = {};
+  std::array<std::array<std::int64_t, kOutcomeCount>, sim::kLaneEndCount>
+      fallbackOutcomes = {};
   for (std::size_t i = 0; i < window.size(); ++i) {
     const sim::LaneVerdict& lane = laneVerdicts_[i];
+    const auto e = static_cast<std::size_t>(lane.end);
     laneOps += lane.laneOps;
-    ++ends[static_cast<std::size_t>(lane.end)];
+    ++ends[e];
     switch (lane.end) {
       case sim::LaneEnd::kDetected:
         out[i] = {Outcome::kDetected, lane.dynamicInsns};
@@ -241,14 +243,12 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
         out[i] = {lane.corrupt ? Outcome::kDataCorrupt : Outcome::kBenign,
                   lane.dynamicInsns};
         break;
-      default: {
-        const sim::RunResult faulty = resume(window[i], checkpointAt);
-        fallbackInsns[static_cast<std::size_t>(lane.end)] +=
-            static_cast<std::int64_t>(faulty.stats.dynamicInsns -
-                                      lane.injectedAt);
-        out[i] = verdictOf(faulty);
+      default:
+        out[i] = verdictOf(lane.rerun);
+        fallbackInsns[e] += static_cast<std::int64_t>(
+            lane.rerun.stats.dynamicInsns - lane.injectedAt);
+        ++fallbackOutcomes[e][static_cast<std::size_t>(out[i].outcome)];
         break;
-      }
     }
   }
   if (trace::enabled()) {
@@ -258,43 +258,25 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
                       static_cast<std::int64_t>(window.size()));
     trace::counterAdd(prefix + "lane_ops", static_cast<std::int64_t>(laneOps));
     trace::counterAdd(prefix + "stream_insns",
-                      static_cast<std::int64_t>(streamInsns));
+                      static_cast<std::int64_t>(stream.insns));
+    trace::counterAdd(prefix + "prefix_insns",
+                      static_cast<std::int64_t>(stream.prefixInsns));
     for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
       const auto end = static_cast<sim::LaneEnd>(e);
       const std::string name = sim::laneEndName(end);
-      if (sim::isFallback(end)) {
-        trace::counterAdd(prefix + "fallback." + name, ends[e]);
-        trace::counterAdd(prefix + "fallback_insns." + name, fallbackInsns[e]);
-      } else {
+      if (!sim::isFallback(end)) {
         trace::counterAdd(prefix + "decided." + name, ends[e]);
+        continue;
+      }
+      trace::counterAdd(prefix + "fallback." + name, ends[e]);
+      trace::counterAdd(prefix + "fallback_insns." + name, fallbackInsns[e]);
+      for (std::size_t o = 0; o < kOutcomeCount; ++o) {
+        trace::counterAdd(prefix + "fallback_outcome." + name + "." +
+                              outcomeName(static_cast<Outcome>(o)),
+                          fallbackOutcomes[e][o]);
       }
     }
   }
-}
-
-sim::RunResult SiteExecutor::resume(
-    const sim::FaultPlan& plan, std::optional<std::uint64_t>& checkpointAt) {
-  const std::uint64_t target = plan.points[0].ordinal;
-  if (checkpointAt.has_value()) {
-    CASTED_CHECK(target >= *checkpointAt)
-        << "window plans must be sorted by injection ordinal (got " << target
-        << " after " << *checkpointAt << ")";
-    // Undo whatever the previous faulty suffix touched.
-    runner_->restoreCheckpoint(checkpoint_);
-  } else {
-    runner_->begin(options_);
-  }
-  if (checkpointAt != target) {
-    // Advance along the golden prefix, from program start or from the old
-    // snapshot, and re-snapshot at the new ordinal.
-    const bool paused = runner_->runToDef(target);
-    CASTED_CHECK(paused) << "injection ordinal " << target
-                         << " beyond the golden run";
-    runner_->saveCheckpoint(checkpoint_);
-    checkpointAt = target;
-  }
-  runner_->injectAtPause(plan);
-  return runner_->finish();
 }
 
 FaultSiteLoop::FaultSiteLoop(std::string_view driver,

@@ -57,12 +57,9 @@ struct TrialVerdict {
 // Each worker owns one executor, and it is exactly one of three strategies,
 // fixed at construction:
 //   * decoded engine, InjectionMode::kCheckpointed — the window runs as
-//     lockstep lanes of one golden stream (DecodedRunner::runLockstep); the
-//     lanes lockstep cannot decide exactly re-run stepwise, in window order,
-//     from one golden-prefix checkpoint that is rolled forward to each
-//     fallback's injection ordinal and restored (O(state the previous suffix
-//     touched)) for fallbacks at the same ordinal.  Every faulty suffix runs
-//     to its natural end;
+//     lockstep lanes of one golden stream (DecodedRunner::runLockstep),
+//     which also re-runs the lanes it cannot decide exactly from its
+//     golden-prefix checkpoint; the executor classifies each verdict;
 //   * decoded engine, InjectionMode::kFull — a whole DecodedRunner::run per
 //     plan;
 //   * reference engine (either mode) — a whole sim::simulate per plan.
@@ -75,9 +72,10 @@ class SiteExecutor {
   // `armedOptions` is the worker's ready-to-run configuration (watchdog
   // applied, faultPlan and defTrace null).  The lockstep lanes are counted
   // as "<lockstepCounters><name>", e.g. "fault.campaign.lockstep.lanes";
-  // "stream_insns" adds the golden streams' instructions and
-  // "fallback_insns.<reason>" what those fallbacks ran past their
-  // injection point.
+  // "stream_insns" adds the golden streams' instructions, "prefix_insns"
+  // the part before each window's first flip, "fallback_insns.<reason>"
+  // what those fallbacks ran past their injection point and
+  // "fallback_outcome.<reason>.<outcome>" how they ended.
   // The program, schedule, config and `decoded` (null for the reference
   // engine) must outlive the executor.
   SiteExecutor(const ir::Program& program,
@@ -87,7 +85,7 @@ class SiteExecutor {
                const sim::SimOptions& armedOptions,
                std::string lockstepCounters);
 
-  // Decides every plan of `window` (sorted by injection ordinal, at most
+  // Decides every plan of `window` (in any order, at most
   // sim::DecodedRunner::kMaxLanes plans; points[0] is each plan's injection
   // point, later points fire downstream) into out[i], classified against
   // `golden`.  No state carries over from one call to the next.
@@ -95,12 +93,6 @@ class SiteExecutor {
                  const GoldenProfile& golden, std::vector<TrialVerdict>& out);
 
  private:
-  // A fallback's faulty run from the checkpoint at `*checkpointAt`, which
-  // it takes (from program start) or rolls forward first when the plan
-  // injects later.
-  sim::RunResult resume(const sim::FaultPlan& plan,
-                        std::optional<std::uint64_t>& checkpointAt);
-
   const ir::Program& program_;
   const sched::ProgramSchedule& schedule_;
   const arch::MachineConfig& config_;
@@ -109,7 +101,6 @@ class SiteExecutor {
   bool checkpointed_ = false;
   std::string lockstepCounters_;
   // runWindow scratch, reused for its allocations only.
-  sim::ArchCheckpoint checkpoint_;
   std::vector<const sim::FaultPlan*> lanePlans_;
   std::vector<sim::LaneVerdict> laneVerdicts_;
 };

@@ -55,8 +55,8 @@ struct ExhaustiveOptions {
   std::uint64_t maxSites = 0;
   // Execution strategy for the faulty runs (see InjectionMode).  In
   // kCheckpointed mode the (register x bit) sites of dynamic def d are one
-  // window of lockstep lanes, and the lanes that fall back share one
-  // golden-prefix snapshot at d.
+  // window of lockstep lanes, whose golden stream saves a checkpoint at d;
+  // the lanes that fall back re-run from it.
   InjectionMode mode = InjectionMode::kCheckpointed;
   sim::SimOptions simOptions;
 };

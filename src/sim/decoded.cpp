@@ -252,7 +252,7 @@ namespace {
 // end, and a trap or a check is just one more way for exec() to return.
 enum class Flow : std::uint8_t {
   kContinue,   // nothing did (internal: keep executing)
-  kPause,      // reached the runToDef() target ordinal
+  kPause,      // reached the pause target (runToDef, the lockstep prefix)
   kHalted,     // kHalt or an entry return; Interp::exitCode holds the code
   kDetected,   // a check fired
   kTrapped,    // a hardware trap; Interp::trap holds its kind
@@ -553,9 +553,10 @@ std::uint64_t flipBits(std::uint32_t cls, std::uint64_t bits,
 // behind checkpoint-and-diverge fault injection (sim/decoded.h).
 //
 // Every kind of run — a whole run, a stepwise run, a lockstep golden
-// stream — has one lifecycle: reset() arms it and pushes the entry frame,
-// exec() runs it until a Flow stops it, and a run ends as one of the Flows
-// that carry an outcome (kHalted, kDetected, kTrapped, kTimeout).
+// stream and its stepwise fallbacks — has one lifecycle: reset() arms it
+// and pushes the entry frame, exec() runs it until a Flow stops it, and a
+// run ends as one of the Flows that carry an outcome (kHalted, kDetected,
+// kTrapped, kTimeout).
 //
 // reset() restores the fresh-construction architectural state in time
 // proportional to what the previous run touched (the memory and cache undo
@@ -607,12 +608,17 @@ struct DecodedRunner::Impl {
   std::vector<InterpFrame> frames;
 
   // Stepwise-run state (begin/runToDef/injectAtPause/finish).
-  std::uint64_t pauseAt = kNoFault;  // runToDef target ordinal
+  std::uint64_t pauseAt = kNoFault;  // runToDef's or the lockstep prefix's
   bool stepMode = false;
   bool pausedAtDef = false;
   bool finished = false;
   RunResult result;
   std::uint64_t checkpointGen = 0;  // invalidates outstanding checkpoints
+
+  // runLanes scratch, reused for its allocations only: the window's
+  // checkpoint and its fallbacks in injection order.
+  ArchCheckpoint::Data windowCheckpoint;
+  std::vector<std::uint32_t> fallbacks;
 
   explicit Impl(const DecodedProgram& program)
       : prog(program),
@@ -1047,16 +1053,20 @@ struct DecodedRunner::Impl {
     return fn.ops[fn.blocks[f.block].firstOp + f.node];
   }
 
+  // Completes the def bookkeeping the pause interrupted (the paused op's
+  // counting already ran), then steps past the op.
+  void completePausedDef() {
+    pausedAtDef = false;
+    finishDef(pausedOp(), frames.back().base, stats.dynamicInsns);
+    ++frames.back().node;
+  }
+
   // Runs or resumes until a pause or the end of the run.  Returns true while
   // paused at a def; otherwise `result` is final and `finished` set.
   bool drive() {
     CASTED_CHECK(!finished) << "run already complete";
     if (pausedAtDef) {
-      // Complete the def bookkeeping the pause interrupted (the paused op's
-      // counting already ran), then step past the op.
-      pausedAtDef = false;
-      finishDef(pausedOp(), frames.back().base, stats.dynamicInsns);
-      ++frames.back().node;
+      completePausedDef();
     }
     const Flow flow = exec<false>();
     if (flow == Flow::kPause) {
@@ -1105,24 +1115,48 @@ struct DecodedRunner::Impl {
 
   // ---- Lockstep lanes (see DecodedRunner::runLockstep) ----
 
-  std::uint64_t runLanes(const SimOptions& opts,
-                         const std::vector<const FaultPlan*>& plans,
-                         std::vector<LaneVerdict>& verdicts) {
-    CASTED_CHECK(opts.faultPlan == nullptr && opts.defTrace == nullptr)
-        << "the golden stream runs without a plan or a def trace";
+  LockstepStream runLanes(const SimOptions& opts,
+                          const std::vector<const FaultPlan*>& plans,
+                          std::vector<LaneVerdict>& verdicts) {
     CASTED_CHECK(plans.size() <= kMaxLanes)
         << plans.size() << " lanes exceed the window of " << kMaxLanes;
-    reset(opts);
+    begin(opts);
+    // The fallbacks below drive the stepwise run; it ends with this call.
+    struct EndStepwise {
+      bool& mode;
+      ~EndStepwise() { mode = false; }
+    } endStepwise{stepMode};
     verdicts.assign(plans.size(), LaneVerdict{});
     if (plans.empty()) {
-      return 0;
+      return {};
     }
-    laneState.begin(plans, verdicts);
-    lanes = &laneState;
-    nextFaultOrdinal = laneState.nextOrdinal();
+    std::uint64_t first = kNoFault;
+    for (const FaultPlan* plan : plans) {
+      CASTED_CHECK(!plan->points.empty()) << "empty fault plan";
+      first = std::min(first, plan->points[0].ordinal);
+    }
+    // The prefix runs on the plain interpreter and pauses at the window's
+    // first flip, where the fallbacks' checkpoint is saved before any lane
+    // arms.  A first flip past the run's last def leaves no pause: every
+    // lane is then decided at the golden stream's end.
+    pauseAt = first;
     updateNextEvent();
-    const Flow flow = exec<true>();
-    lanes = nullptr;
+    Flow flow = exec<false>();
+    pauseAt = kNoFault;
+    LockstepStream stream;
+    stream.prefixInsns = stats.dynamicInsns;
+    laneState.begin(plans, verdicts);  // sizes the lane masks to the arenas
+    if (flow == Flow::kPause) {
+      pausedAtDef = true;
+      saveCheckpoint(windowCheckpoint);
+      // The paused def completes with the lanes armed, so their flips at
+      // `first` apply there, and the stream goes on from it.
+      lanes = &laneState;
+      nextFaultOrdinal = first;
+      completePausedDef();
+      flow = exec<true>();
+      lanes = nullptr;
+    }
     CASTED_CHECK(flow != Flow::kTimeout)
         << "the golden stream timed out: the watchdog (" << opts.maxCycles
         << " cycles) must admit the fault-free run";
@@ -1132,7 +1166,40 @@ struct DecodedRunner::Impl {
     CASTED_CHECK(flow != Flow::kDetected && flow != Flow::kTrapped &&
                  laneState.open == 0 && laneState.diffs == 0)
         << "the golden stream ended without deciding its lanes";
-    return stats.dynamicInsns;
+    stream.insns = stats.dynamicInsns;
+    rerunFallbacks(plans, verdicts);
+    return stream;
+  }
+
+  // Re-runs the window's fallbacks from its checkpoint, in injection order
+  // (ties by index): each restores the checkpoint, rolls it forward when
+  // its plan injects later, and runs its suffix to the natural end.
+  void rerunFallbacks(const std::vector<const FaultPlan*>& plans,
+                      std::vector<LaneVerdict>& verdicts) {
+    fallbacks.clear();
+    for (std::uint32_t i = 0; i < plans.size(); ++i) {
+      if (isFallback(verdicts[i].end)) {
+        fallbacks.push_back(i);
+      }
+    }
+    std::stable_sort(fallbacks.begin(), fallbacks.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return plans[a]->points[0].ordinal <
+                              plans[b]->points[0].ordinal;
+                     });
+    for (const std::uint32_t i : fallbacks) {
+      // Undo the stream, or whatever the previous suffix touched.
+      restoreCheckpoint(windowCheckpoint);
+      const std::uint64_t target = plans[i]->points[0].ordinal;
+      if (target != defOrdinal) {
+        const bool paused = runToDef(target);
+        CASTED_CHECK(paused) << "injection ordinal " << target
+                             << " beyond the golden run";
+        saveCheckpoint(windowCheckpoint);
+      }
+      injectAtPause(*plans[i]);
+      verdicts[i].rerun = finish();
+    }
   }
 
   // ---- Stepwise API (see DecodedRunner) ----
@@ -1178,6 +1245,7 @@ struct DecodedRunner::Impl {
     d.owner = this;
     memory.setCheckpoint();
     caches.setCheckpoint();
+    trace::counterAdd("sim.checkpoint.saves");
   }
 
   void restoreCheckpoint(const ArchCheckpoint::Data& d) {
@@ -1186,6 +1254,7 @@ struct DecodedRunner::Impl {
         << "checkpoint is stale or belongs to another runner";
     const std::size_t memoryRecords = memory.rewindToCheckpoint();
     const std::size_t cacheSets = caches.rewindToCheckpoint();
+    trace::counterAdd("sim.checkpoint.restores");
     trace::counterAdd("sim.restore.memory_records",
                       static_cast<std::int64_t>(memoryRecords));
     trace::counterAdd("sim.restore.cache_sets",
@@ -1357,7 +1426,6 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
   lanes.resize(plans.size());
   events.clear();
   for (std::uint32_t i = 0; i < plans.size(); ++i) {
-    CASTED_CHECK(!plans[i]->points.empty()) << "empty fault plan";
     DiffMap diff = std::move(lanes[i].diff);  // keeps its allocation
     diff.clear();
     lanes[i] = Lane{};
@@ -1374,7 +1442,7 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
     memWords = words;
     memAny.assign((memWords + 63) / 64, 0);
   }
-  syncArenas();  // the entry frame
+  syncArenas();  // the frames the prefix left
 }
 
 LaneView Lanes::view(const InterpFrameBase& base) const {
@@ -1814,13 +1882,11 @@ void DecodedRunner::saveCheckpoint(ArchCheckpoint& out) {
   if (out.data_ == nullptr) {
     out.data_ = std::make_unique<ArchCheckpoint::Data>();
   }
-  trace::counterAdd("sim.checkpoint.saves");
   impl_->saveCheckpoint(*out.data_);
 }
 
 void DecodedRunner::restoreCheckpoint(const ArchCheckpoint& checkpoint) {
   CASTED_CHECK(checkpoint.data_ != nullptr) << "checkpoint was never saved";
-  trace::counterAdd("sim.checkpoint.restores");
   impl_->restoreCheckpoint(*checkpoint.data_);
 }
 
@@ -1833,7 +1899,7 @@ RunResult DecodedRunner::finish() {
   return impl_->finish();
 }
 
-std::uint64_t DecodedRunner::runLockstep(
+LockstepStream DecodedRunner::runLockstep(
     const SimOptions& options, const std::vector<const FaultPlan*>& plans,
     std::vector<LaneVerdict>& verdicts) {
   return impl_->runLanes(options, plans, verdicts);

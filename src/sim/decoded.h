@@ -174,9 +174,9 @@ class ArchCheckpoint {
 };
 
 // How a lockstep lane ended (DecodedRunner::runLockstep).  The first four
-// are exact decisions; the fallbacks leave the plan to a stepwise run.  A
-// lane never times out on golden's addresses, because the watchdog admits
-// the golden run.
+// are exact decisions; the fallbacks leave the plan to a re-run from the
+// window's golden-prefix checkpoint.  A lane never times out on golden's
+// addresses, because the watchdog admits the golden run.
 enum class LaneEnd : std::uint8_t {
   kDetected,         // a check read a differing operand and fired
   kException,        // the lane trapped on its own values
@@ -198,13 +198,24 @@ inline bool isFallback(LaneEnd end) {
 // have ended as `end` says after exactly `dynamicInsns` instructions, with
 // an exit code or output different from the golden run's iff `corrupt`
 // (kHalted only; a reconverged lane ends as the golden run did).  A
-// fallen-back lane's `dynamicInsns` is the stream's count when it gave up.
+// fallen-back lane's `dynamicInsns` is the stream's count when it gave up,
+// and `rerun` is its plan's faulty run, field for field the whole
+// run(options-with-plan).
 struct LaneVerdict {
   LaneEnd end = LaneEnd::kReconverged;
   bool corrupt = false;
   std::uint64_t dynamicInsns = 0;
   std::uint64_t laneOps = 0;     // ops this lane evaluated on its own values
   std::uint64_t injectedAt = 0;  // golden instructions at its first flip
+  RunResult rerun;               // fallbacks only
+};
+
+// The golden instructions one lockstep window's stream ran: in all, and
+// before the window's first flip (the whole run when that flip lies past
+// the run's last def).
+struct LockstepStream {
+  std::uint64_t insns = 0;
+  std::uint64_t prefixInsns = 0;
 };
 
 // A reusable execution context over one DecodedProgram: the memory image,
@@ -235,7 +246,8 @@ class DecodedRunner {
 
   // ---- Stepwise execution (checkpoint-and-diverge injection) ----
   //
-  // The injection drivers drive a run in pieces instead of whole:
+  // A run driven in pieces instead of whole (runLockstep re-runs its
+  // fallbacks this way):
   //
   //   runner.begin(options);                 // options.faultPlan must be null
   //   runner.runToDef(d);                    // golden prefix, once per def
@@ -286,22 +298,27 @@ class DecodedRunner {
 
   // ---- Lockstep lanes (DESIGN.md §10, "Lockstep lanes") ----
   //
-  // Decides up to kMaxLanes fault plans against ONE golden stream: the
-  // fault-free run under `options` (faultPlan and defTrace null; maxCycles
-  // is the watchdog every plan runs under, and must admit the fault-free
-  // run: a golden stream that times out throws FatalError).  Each plan is a lane that holds
-  // only its pending flips and the registers and aligned memory words where
-  // its values differ from the golden run's; an op costs lane work only
-  // when it reads a differing value.  verdicts[i] receives plans[i]'s
-  // verdict; a decided verdict matches a whole run(options-with-plan) in
-  // exit kind, instruction count and output/exit-code agreement.  Returns
-  // the instructions the golden stream ran: it stops once every lane is
-  // decided.  Ends the runner's stepwise run (begin() again before
-  // runToDef).
+  // Decides up to kMaxLanes fault plans, in any order, against ONE golden
+  // stream: the fault-free run under `options` (faultPlan and defTrace
+  // null; maxCycles is the watchdog every plan runs under, and must admit
+  // the fault-free run: a golden stream that times out throws FatalError).
+  // The stream runs the prefix with the plain interpreter up to the
+  // window's first flip and saves a checkpoint there.  From there each
+  // plan is a lane that holds only its pending flips and the registers and
+  // aligned memory words where its values differ from the golden run's; an
+  // op costs lane work only when it reads a differing value, and the
+  // stream stops once every lane is decided.  verdicts[i] receives
+  // plans[i]'s verdict; a decided verdict matches a whole
+  // run(options-with-plan) in exit kind, instruction count and
+  // output/exit-code agreement.  The runner then re-runs each fallen-back
+  // lane from the checkpoint, in injection order (ties by index), rolling
+  // the checkpoint forward to a later ordinal first; each re-run runs to
+  // its natural end and counts in sim.decoded.* like a whole run.  Ends the
+  // runner's stepwise run (begin() again before runToDef).
   static constexpr std::size_t kMaxLanes = 256;
-  std::uint64_t runLockstep(const SimOptions& options,
-                            const std::vector<const FaultPlan*>& plans,
-                            std::vector<LaneVerdict>& verdicts);
+  LockstepStream runLockstep(const SimOptions& options,
+                             const std::vector<const FaultPlan*>& plans,
+                             std::vector<LaneVerdict>& verdicts);
 
   // The decoded interpreter itself (decoded.cpp).
   struct Impl;

@@ -188,9 +188,25 @@ TEST(CampaignOracleTest, ReportBitIdenticalWithTracingOnAndOff) {
     EXPECT_EQ(traced.dynamicInsns, untraced.dynamicInsns) << context;
   }
   // The session did observe the runs: per-worker trial counters merged to
-  // the exact trial total per campaign.
+  // the exact trial total per campaign, and the lockstep campaign's
+  // counters — its windows' prefixes inside their streams, and per
+  // fallback reason one outcome per fallback.
   EXPECT_EQ(trace::counterValue("fault.campaign.trials"),
             static_cast<std::int64_t>(trials) * 2);
+  const std::string lockstep = "fault.campaign.lockstep.";
+  EXPECT_GT(trace::counterValue(lockstep + "prefix_insns"), 0);
+  EXPECT_LE(trace::counterValue(lockstep + "prefix_insns"),
+            trace::counterValue(lockstep + "stream_insns"));
+  for (const char* reason : {"control", "timing", "budget"}) {
+    std::int64_t outcomes = 0;
+    for (std::size_t o = 0; o < kOutcomeCount; ++o) {
+      outcomes += trace::counterValue(lockstep + "fallback_outcome." + reason +
+                                      "." +
+                                      outcomeName(static_cast<Outcome>(o)));
+    }
+    EXPECT_EQ(outcomes, trace::counterValue(lockstep + "fallback." + reason))
+        << reason;
+  }
   trace::resetForTest();
 }
 

@@ -33,30 +33,7 @@ namespace {
 
 using passes::Scheme;
 
-// Compares every observable field of two RunResults.  Any mismatch is an
-// equivalence-contract violation; `context` says which program/plan failed.
-void expectIdentical(const RunResult& ref, const RunResult& dec,
-                     const std::string& context) {
-  EXPECT_EQ(static_cast<int>(ref.exit), static_cast<int>(dec.exit)) << context;
-  EXPECT_EQ(static_cast<int>(ref.trap), static_cast<int>(dec.trap)) << context;
-  EXPECT_EQ(ref.exitCode, dec.exitCode) << context;
-  EXPECT_EQ(ref.output, dec.output) << context;
-  EXPECT_EQ(ref.stats.cycles, dec.stats.cycles) << context;
-  EXPECT_EQ(ref.stats.stallCycles, dec.stats.stallCycles) << context;
-  EXPECT_EQ(ref.stats.dynamicInsns, dec.stats.dynamicInsns) << context;
-  EXPECT_EQ(ref.stats.dynamicDefInsns, dec.stats.dynamicDefInsns) << context;
-  EXPECT_EQ(ref.stats.blockExecutions, dec.stats.blockExecutions) << context;
-  EXPECT_EQ(ref.stats.memAccesses, dec.stats.memAccesses) << context;
-  EXPECT_EQ(ref.stats.memoryAccesses, dec.stats.memoryAccesses) << context;
-  for (int level = 0; level < 3; ++level) {
-    EXPECT_EQ(ref.stats.cacheLevel[level].hits,
-              dec.stats.cacheLevel[level].hits)
-        << context << " L" << (level + 1);
-    EXPECT_EQ(ref.stats.cacheLevel[level].misses,
-              dec.stats.cacheLevel[level].misses)
-        << context << " L" << (level + 1);
-  }
-}
+using testutil::expectIdentical;
 
 // Runs one compiled binary through both engines, fault-free and under
 // `faultTrials` random fault plans, demanding identical results each time.

@@ -1,10 +1,10 @@
 // Edge cases of the lockstep lanes (DecodedRunner::runLockstep, DESIGN.md
 // §10 "Lockstep lanes").  Each crafted program aims a plan at one way a
 // lane ends — every exact decision and every fallback — and checks two
-// things: the lane ends that way, and a decided lane agrees with a whole
-// faulty run of its plan (exit kind, instruction count, output and exit
-// code).  The campaign over each program must also report exactly what
-// the kFull oracle reports.
+// things: the lane ends that way, and it agrees with a whole faulty run of
+// its plan — a decided lane in exit kind, instruction count, output and
+// exit code, a fallback's re-run field for field.  The campaign over each
+// program must also report exactly what the kFull oracle reports.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -82,8 +82,7 @@ ExitKind exitOf(LaneEnd end) {
 }
 
 // Runs `plans` as the lanes of one golden stream on `runner` and checks
-// every decided lane against a whole run of its plan under the same
-// watchdog.
+// every lane against a whole run of its plan under the same watchdog.
 std::vector<LaneVerdict> lanesAgainstRuns(DecodedRunner& runner,
                                           const DecodedProgram& decoded,
                                           const RunResult& golden,
@@ -101,14 +100,15 @@ std::vector<LaneVerdict> lanesAgainstRuns(DecodedRunner& runner,
   EXPECT_EQ(verdicts.size(), plans.size()) << context;
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     const LaneVerdict& lane = verdicts[i];
-    if (isFallback(lane.end)) {
-      continue;
-    }
     SimOptions whole = options;
     whole.faultPlan = &plans[i];
     const RunResult run = runDecoded(decoded, whole);
     const std::string what = context + " lane " + std::to_string(i) + " (" +
                              laneEndName(lane.end) + ")";
+    if (isFallback(lane.end)) {
+      testutil::expectIdentical(run, lane.rerun, what);
+      continue;
+    }
     EXPECT_EQ(exitOf(lane.end), run.exit) << what;
     EXPECT_EQ(lane.dynamicInsns, run.stats.dynamicInsns) << what;
     if (run.exit == ExitKind::kHalted) {
@@ -318,7 +318,7 @@ TEST(LockstepTest, DiffsCrossCallArgumentsAndReturns) {
 
 // A counted loop whose accumulator chain does most of the body's work.
 struct Loop : Crafted {
-  DefSite acc, counter;
+  DefSite outBase, acc, counter;
 
   Loop() {
     const std::uint64_t out = program.allocateGlobal("output", 8);
@@ -328,7 +328,8 @@ struct Loop : Crafted {
     ir::BasicBlock& loop = b.createBlock("loop");
     ir::BasicBlock& done = b.createBlock("done");
     b.setBlock(entry);
-    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    outBase = nextSite(b);  // read only by the final store
+    const Reg base = b.movImm(static_cast<std::int64_t>(out));
     const Reg i = b.movImm(0);
     acc = nextSite(b);
     const Reg a = b.movImm(1);
@@ -342,7 +343,7 @@ struct Loop : Crafted {
     b.addImmTo(i, i, 1);
     b.brCond(b.cmpLtImm(i, 300), loop, done);
     b.setBlock(done);
-    b.store(outBase, 0, a);
+    b.store(base, 0, a);
     b.halt(b.movImm(0));
     finish();
   }
@@ -399,6 +400,49 @@ TEST(LockstepTest, EveryFallbackAndTheGoldenTimeout) {
   expectLane(line, {{{line.ordinal(line.storeBase), 0, 3}}},
              LaneEnd::kFallbackTiming, 1);
   expectCampaignMatchesFull(line, 1);
+}
+
+TEST(LockstepTest, FallbacksAtLaterOrdinalsRollTheCheckpointForward) {
+  // A campaign-shaped window: lanes at four distinct first ordinals.  The
+  // lane at the smallest one is decided, so the stream's checkpoint sits
+  // below every fallback, and the fallbacks (two at one ordinal, and a
+  // multi-flip plan) each re-run from it rolled forward.  Handed over in
+  // reverse, the same window must give the same verdicts.
+  const Loop loop;
+  const std::uint64_t early = loop.ordinal(loop.counter, 10);
+  const std::uint64_t late = loop.ordinal(loop.counter, 200);
+  const std::vector<FaultPlan> plans = {
+      {{{loop.ordinal(loop.outBase), 0, 40}}},  // the final store traps
+      {{{loop.ordinal(loop.acc), 0, 7}}},
+      {{{early, 0, 40}}},
+      {{{late, 0, 40}}},
+      {{{early, 0, 41}, {late + 1, 0, 3}}},
+  };
+  const std::vector<LaneEnd> expected = {
+      LaneEnd::kException, LaneEnd::kFallbackBudget,
+      LaneEnd::kFallbackControl, LaneEnd::kFallbackControl,
+      LaneEnd::kFallbackControl};
+  DecodedRunner runner(*loop.decoded);
+  const std::vector<LaneVerdict> forward = lanesAgainstRuns(
+      runner, *loop.decoded, loop.golden, plans, 20, "forward");
+  const std::vector<FaultPlan> reversed(plans.rbegin(), plans.rend());
+  const std::vector<LaneVerdict> backward = lanesAgainstRuns(
+      runner, *loop.decoded, loop.golden, reversed, 20, "reversed");
+  ASSERT_EQ(forward.size(), plans.size());
+  ASSERT_EQ(backward.size(), plans.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const LaneVerdict& f = forward[i];
+    const LaneVerdict& b = backward[plans.size() - 1 - i];
+    const std::string what = "lane " + std::to_string(i);
+    EXPECT_EQ(f.end, expected[i]) << what << " ended as "
+                                  << laneEndName(f.end);
+    EXPECT_EQ(f.end, b.end) << what;
+    EXPECT_EQ(f.corrupt, b.corrupt) << what;
+    EXPECT_EQ(f.dynamicInsns, b.dynamicInsns) << what;
+    EXPECT_EQ(f.laneOps, b.laneOps) << what;
+    EXPECT_EQ(f.injectedAt, b.injectedAt) << what;
+    testutil::expectIdentical(f.rerun, b.rerun, what);
+  }
 }
 
 // An entry function that returns instead of halting.  A flipped predicate

@@ -1,14 +1,18 @@
 // Shared helpers for the CASTED test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "arch/machine_config.h"
 #include "ir/builder.h"
 #include "ir/function.h"
+#include "sim/run_result.h"
 #include "support/rng.h"
 
 namespace casted::testutil {
@@ -25,6 +29,32 @@ inline std::size_t testTrials(std::size_t full) {
     }
   }
   return full;
+}
+
+// Compares every observable field of two RunResults.  Any mismatch is an
+// equivalence-contract violation; `context` says which program/plan failed.
+inline void expectIdentical(const sim::RunResult& ref,
+                            const sim::RunResult& dec,
+                            const std::string& context) {
+  EXPECT_EQ(static_cast<int>(ref.exit), static_cast<int>(dec.exit)) << context;
+  EXPECT_EQ(static_cast<int>(ref.trap), static_cast<int>(dec.trap)) << context;
+  EXPECT_EQ(ref.exitCode, dec.exitCode) << context;
+  EXPECT_EQ(ref.output, dec.output) << context;
+  EXPECT_EQ(ref.stats.cycles, dec.stats.cycles) << context;
+  EXPECT_EQ(ref.stats.stallCycles, dec.stats.stallCycles) << context;
+  EXPECT_EQ(ref.stats.dynamicInsns, dec.stats.dynamicInsns) << context;
+  EXPECT_EQ(ref.stats.dynamicDefInsns, dec.stats.dynamicDefInsns) << context;
+  EXPECT_EQ(ref.stats.blockExecutions, dec.stats.blockExecutions) << context;
+  EXPECT_EQ(ref.stats.memAccesses, dec.stats.memAccesses) << context;
+  EXPECT_EQ(ref.stats.memoryAccesses, dec.stats.memoryAccesses) << context;
+  for (int level = 0; level < 3; ++level) {
+    EXPECT_EQ(ref.stats.cacheLevel[level].hits,
+              dec.stats.cacheLevel[level].hits)
+        << context << " L" << (level + 1);
+    EXPECT_EQ(ref.stats.cacheLevel[level].misses,
+              dec.stats.cacheLevel[level].misses)
+        << context << " L" << (level + 1);
+  }
 }
 
 // A minimal program:

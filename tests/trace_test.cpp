@@ -9,10 +9,11 @@
 //   * every finished stepwise run is counted like a whole run;
 //   * a checkpointed campaign counts every trial as one lockstep lane,
 //     decided or fallen back by reason, with the fallbacks' stepwise runs
-//     (restored from one checkpoint) counted like whole runs, and its
-//     report is the untraced one;
-//   * each driver counts its golden streams' instructions and, per
-//     fallback reason, what the fallbacks ran;
+//     (each restored from its window's checkpoint) counted like whole runs,
+//     and its report is the untraced one;
+//   * each driver counts its golden streams' instructions, the part before
+//     each window's first flip and, per fallback reason, what the
+//     fallbacks ran and how they ended;
 //   * restores count the cache sets and memory records they rewound, one
 //     restore never rewinds more sets than the hierarchy has, and a suffix
 //     of hits on each set's most recent line rewinds none;
@@ -315,13 +316,33 @@ std::int64_t lockstepFallbacks(
   return sum;
 }
 
+// Per fallback reason, the outcome counters of the re-runs sum to the
+// reason's fallbacks, and the windows' prefixes lie inside their streams.
+void expectFallbackOutcomesAndPrefix(const std::string& prefix) {
+  for (const char* reason : {"control", "timing", "budget"}) {
+    std::int64_t outcomes = 0;
+    for (std::size_t o = 0; o < fault::kOutcomeCount; ++o) {
+      outcomes += trace::counterValue(
+          prefix + "fallback_outcome." + reason + "." +
+          fault::outcomeName(static_cast<fault::Outcome>(o)));
+    }
+    EXPECT_EQ(outcomes, trace::counterValue(prefix + "fallback." + reason))
+        << prefix << reason;
+  }
+  EXPECT_GT(trace::counterValue(prefix + "prefix_insns"), 0) << prefix;
+  EXPECT_LE(trace::counterValue(prefix + "prefix_insns"),
+            trace::counterValue(prefix + "stream_insns"))
+      << prefix;
+}
+
 TEST_F(TraceTest, CheckpointedCampaignCountsEveryTrialRun) {
   // Every trial of a checkpointed campaign is a lockstep lane.  A lane that
-  // lockstep cannot decide re-runs from the worker's checkpoint through
+  // lockstep cannot decide re-runs from its window's checkpoint through
   // DecodedRunner::finish(), which adds it to sim.decoded.* like a whole
-  // run; the golden profiling run is the one run more.  NOED, so flips
-  // reach the loop's branch and lanes fall back; one worker, so the
-  // window's fallbacks share one checkpoint and restore it.
+  // run; the golden profiling run is the one run more.  Each re-run
+  // restores the checkpoint once.  NOED, so flips reach the loop's branch
+  // and lanes fall back; one worker, so the window's fallbacks share one
+  // checkpoint.
   const core::CompiledProgram bin =
       core::compile(testutil::makeLoopProgram(64), testutil::machine(2, 1),
                     passes::Scheme::kNoed);
@@ -337,8 +358,10 @@ TEST_F(TraceTest, CheckpointedCampaignCountsEveryTrialRun) {
             options.trials);
   EXPECT_EQ(lockstepDecided() + lockstepFallbacks(), options.trials);
   ASSERT_GE(lockstepFallbacks(), 2);
-  EXPECT_GT(trace::counterValue("sim.checkpoint.restores"), 0);
+  EXPECT_EQ(trace::counterValue("sim.checkpoint.restores"),
+            lockstepFallbacks());
   EXPECT_EQ(trace::counterValue("sim.decoded.runs"), 1 + lockstepFallbacks());
+  expectFallbackOutcomesAndPrefix("fault.campaign.lockstep.");
 }
 
 TEST_F(TraceTest, EveryFinishedStepwiseRunIsCounted) {
@@ -384,6 +407,7 @@ TEST_F(TraceTest, LockstepLanesAreDecidedOrFallBackAndTracingOnlyObserves) {
             0);
   EXPECT_GT(trace::counterValue("fault.campaign.lockstep.lane_ops"), 0);
   EXPECT_GE(trace::counterValue("fault.campaign.lockstep.windows"), 2);
+  expectFallbackOutcomesAndPrefix("fault.campaign.lockstep.");
 }
 
 // Adds table[(i * stride) mod 64 KiB] into one output word per iteration.
@@ -526,6 +550,7 @@ TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
       EXPECT_EQ(trace::counterValue(lockstep + "windows"), defInsns) << label;
       EXPECT_EQ(lockstepDecided(lockstep) + lockstepFallbacks(lockstep), lanes)
           << label;
+      expectFallbackOutcomesAndPrefix(lockstep);
     } else {
       EXPECT_EQ(lanes, 0) << label;
     }
@@ -536,10 +561,11 @@ TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
 }
 
 TEST_F(TraceTest, LockstepCountsStreamAndFallbackInstructionsPerDriver) {
-  // Each driver counts the instructions its golden streams ran and, per
-  // fallback reason, the instructions its fallbacks ran past their
-  // injection point: at least one per fallback, so a reason's count is
-  // positive exactly when it has fallbacks.  NOED 175.vpr with the watchdog
+  // Each driver counts the instructions its golden streams ran, the part
+  // before each window's first flip and, per fallback reason, the
+  // instructions its fallbacks ran past their injection point (at least
+  // one per fallback, so a reason's count is positive exactly when it has
+  // fallbacks) and how they ended.  NOED 175.vpr with the watchdog
   // at twice the golden cycles gives both drivers control and timing
   // fallbacks, and the enumeration budget ones too.
   const core::CompiledProgram bin =
@@ -571,6 +597,7 @@ TEST_F(TraceTest, LockstepCountsStreamAndFallbackInstructionsPerDriver) {
     }
     EXPECT_GT(trace::counterValue(prefix + "fallback.control"), 0) << driver;
     EXPECT_GT(trace::counterValue(prefix + "fallback.timing"), 0) << driver;
+    expectFallbackOutcomesAndPrefix(prefix);
   }
   EXPECT_GT(trace::counterValue("fault.exhaustive.lockstep.fallback.budget"),
             0);
