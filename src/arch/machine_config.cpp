@@ -79,13 +79,8 @@ std::uint32_t MachineConfig::portLimit(ir::FuClass cls) const {
   if (cls == ir::FuClass::kMem && memPortsPerCluster > 0) {
     return memPortsPerCluster;
   }
-  if (cls == ir::FuClass::kBranch && branchPortsPerCluster > 0) {
-    return branchPortsPerCluster;
-  }
-  if ((cls == ir::FuClass::kFpAlu || cls == ir::FuClass::kFpMul ||
-       cls == ir::FuClass::kFpDiv) &&
-      fpPortsPerCluster > 0) {
-    return fpPortsPerCluster;
+  if (cls == ir::FuClass::kBranch) {
+    return 1;
   }
   return issueWidth;
 }

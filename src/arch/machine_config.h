@@ -66,23 +66,16 @@ struct MachineConfig {
   std::uint32_t issueWidth = 2;        // per cluster
   std::uint32_t interClusterDelay = 1; // extra cycles to read a remote register
 
-  // Optional per-cluster issue-port limits; 0 means "no limit beyond the
+  // Optional per-cluster memory-port limit; 0 means "no limit beyond the
   // issue width".  The paper's evaluation uses unconstrained slots; the
-  // ablation benches restrict memory ports.
-  std::uint32_t memPortsPerCluster = 0;
-  std::uint32_t fpPortsPerCluster = 0;
-  // Branch units per cluster (default 1, as on real VLIWs).  Ordinary
-  // blocks end in a single terminator, so this only binds when the split
-  // check mode emits explicit trap-jumps — the mechanism behind the
-  // paper's "frequent checking makes the code sequential" observation for
-  // h263enc (§IV-B2).
-  std::uint32_t branchPortsPerCluster = 1;
-  // When true (default), a branch closes its issue cycle for the whole
-  // lockstep machine — the IA-64 "branch ends the instruction group" rule.
-  // With fused checks this only touches block terminators; with split
-  // checks every trap-jump becomes a group boundary, which is what makes
+  // ablation bench restricts memory ports.  The other rules are fixed:
+  // every other class may fill the issue width, each cluster has one branch
+  // unit, and a branch closes its issue cycle for the whole lockstep
+  // machine (the IA-64 "branch ends the instruction group" rule).  With
+  // fused checks that only touches block terminators; with split checks
+  // every trap-jump becomes a group boundary, which is what makes
   // check-dense code sequential (the paper's h263enc argument, §IV-B2).
-  bool branchClosesBundle = true;
+  std::uint32_t memPortsPerCluster = 0;
 
   // BUG anticipated-communication penalty, as a percentage of the
   // inter-cluster delay beyond its first cycle.  A bottom-up greedy

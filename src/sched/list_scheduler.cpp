@@ -59,6 +59,10 @@ BlockSchedule scheduleBlock(const dfg::DataFlowGraph& graph,
   }
 
   // Ready list ordered by priority: larger height first, then program order.
+  // The block's last node, its terminator, never enters it: it is placed
+  // after every other node, no earlier than the latest issue cycle so far,
+  // so nothing issues after the branch that ends the block.
+  const std::uint32_t terminator = static_cast<std::uint32_t>(n - 1);
   std::vector<std::uint32_t> ready;
   auto priorityLess = [&](std::uint32_t a, std::uint32_t b) {
     if (graph.height(a) != graph.height(b)) {
@@ -66,7 +70,7 @@ BlockSchedule scheduleBlock(const dfg::DataFlowGraph& graph,
     }
     return a < b;
   };
-  for (std::uint32_t i = 0; i < n; ++i) {
+  for (std::uint32_t i = 0; i < terminator; ++i) {
     if (remainingPreds[i] == 0) {
       ready.push_back(i);
     }
@@ -74,18 +78,13 @@ BlockSchedule scheduleBlock(const dfg::DataFlowGraph& graph,
   std::sort(ready.begin(), ready.end(), priorityLess);
 
   std::uint32_t maxCompletion = 0;
-  std::size_t done = 0;
-  while (done < n) {
-    CASTED_CHECK(!ready.empty()) << "scheduler stalled: DFG has a cycle?";
-    // Pop the highest-priority ready node.
-    const std::uint32_t node = ready.front();
-    ready.erase(ready.begin());
-
+  std::uint32_t lastIssue = 0;
+  auto place = [&](std::uint32_t node, std::uint32_t floor) {
     const std::uint32_t cluster = clusterOf[node];
     const ir::FuClass fuClass = graph.insn(node).info().fuClass;
-    const std::uint32_t earliest = operandReadyCycle(
-        graph, node, cluster, schedule.issueCycle, clusterOf,
-        config.interClusterDelay);
+    const std::uint32_t earliest = std::max(
+        floor, operandReadyCycle(graph, node, cluster, schedule.issueCycle,
+                                 clusterOf, config.interClusterDelay));
     const std::uint32_t cycle = table.earliestIssue(cluster, earliest,
                                                     fuClass);
     const std::uint32_t slot = table.reserve(cluster, cycle, fuClass);
@@ -94,10 +93,16 @@ BlockSchedule scheduleBlock(const dfg::DataFlowGraph& graph,
     schedule.issueCycle[node] = cycle;
     schedule.insns.push_back({node, cycle, cluster, slot, latency});
     maxCompletion = std::max(maxCompletion, cycle + latency);
-    ++done;
-
+    lastIssue = std::max(lastIssue, cycle);
+  };
+  for (std::size_t done = 0; done < terminator; ++done) {
+    CASTED_CHECK(!ready.empty()) << "scheduler stalled: DFG has a cycle?";
+    // Pop the highest-priority ready node.
+    const std::uint32_t node = ready.front();
+    ready.erase(ready.begin());
+    place(node, 0);
     for (const dfg::Edge& edge : graph.succs(node)) {
-      if (--remainingPreds[edge.to] == 0) {
+      if (--remainingPreds[edge.to] == 0 && edge.to != terminator) {
         // Insert keeping the priority order.
         const auto pos = std::lower_bound(ready.begin(), ready.end(),
                                           edge.to, priorityLess);
@@ -105,6 +110,7 @@ BlockSchedule scheduleBlock(const dfg::DataFlowGraph& graph,
       }
     }
   }
+  place(terminator, lastIssue);
 
   schedule.length = std::max<std::uint32_t>(maxCompletion, 1);
   std::sort(schedule.insns.begin(), schedule.insns.end(),

@@ -17,7 +17,8 @@
 namespace casted::sched {
 
 // Schedules one block.  Every instruction's `cluster` field must be a valid
-// cluster index in `config`.
+// cluster index in `config`.  The block's last instruction, its terminator,
+// is placed after all others and issues in the block's last issue cycle.
 BlockSchedule scheduleBlock(const dfg::DataFlowGraph& graph,
                             const arch::MachineConfig& config);
 

@@ -9,8 +9,7 @@ const ReservationTable::CycleState ReservationTable::kEmpty = {};
 ReservationTable::ReservationTable(const arch::MachineConfig& config)
     : config_(&config),
       cycles_(config.clusterCount),
-      next_(config.clusterCount),
-      used_(config.clusterCount, 0) {}
+      next_(config.clusterCount) {}
 
 const ReservationTable::CycleState& ReservationTable::state(
     std::uint32_t cluster, std::uint32_t cycle) const {
@@ -40,9 +39,6 @@ bool ReservationTable::canIssue(std::uint32_t cluster, std::uint32_t cycle,
     return false;
   }
   if (cls == ir::FuClass::kMem && s.mem >= config_->portLimit(cls)) {
-    return false;
-  }
-  if (isFp(cls) && s.fp >= config_->portLimit(cls)) {
     return false;
   }
   if (cls == ir::FuClass::kBranch && s.branch >= config_->portLimit(cls)) {
@@ -99,31 +95,20 @@ std::uint32_t ReservationTable::reserve(std::uint32_t cluster,
   if (cls == ir::FuClass::kMem) {
     ++s.mem;
   }
-  if (isFp(cls)) {
-    ++s.fp;
-  }
   if (s.total == config_->issueWidth) {
     markFull(cluster, cycle);
   }
   if (cls == ir::FuClass::kBranch) {
     ++s.branch;
-    if (config_->branchClosesBundle) {
-      if (cycle >= closedCycles_.size()) {
-        closedCycles_.resize(cycle + 1, false);
-      }
-      closedCycles_[cycle] = true;
-      for (std::uint32_t c = 0; c < next_.size(); ++c) {
-        markFull(c, cycle);
-      }
+    if (cycle >= closedCycles_.size()) {
+      closedCycles_.resize(cycle + 1, false);
+    }
+    closedCycles_[cycle] = true;
+    for (std::uint32_t c = 0; c < next_.size(); ++c) {
+      markFull(c, cycle);
     }
   }
-  ++used_[cluster];
   return slot;
-}
-
-std::uint32_t ReservationTable::usedSlots(std::uint32_t cluster) const {
-  CASTED_CHECK(cluster < used_.size()) << "bad cluster " << cluster;
-  return used_[cluster];
 }
 
 }  // namespace casted::sched

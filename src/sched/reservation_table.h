@@ -2,8 +2,9 @@
 //
 // Shared by the list scheduler and BUG (Algorithm 2 line 17, "Reserve issue
 // slots in reservation table").  Tracks, per cluster and cycle, how many of
-// the issue slots are taken, plus per-functional-unit-class counts so
-// optional port limits (e.g. one memory port per cluster) can be enforced.
+// the issue slots are taken, plus the memory and branch counts behind the
+// port limits (MachineConfig::portLimit); a branch closes its cycle on every
+// cluster.
 #pragma once
 
 #include <cstdint>
@@ -31,16 +32,10 @@ class ReservationTable {
   std::uint32_t reserve(std::uint32_t cluster, std::uint32_t cycle,
                         ir::FuClass cls);
 
-  // Total slots reserved so far on `cluster` (used for tie-breaking).
-  std::uint32_t usedSlots(std::uint32_t cluster) const;
-
-  const arch::MachineConfig& config() const { return *config_; }
-
  private:
   struct CycleState {
     std::uint32_t total = 0;
     std::uint32_t mem = 0;
-    std::uint32_t fp = 0;
     std::uint32_t branch = 0;
   };
 
@@ -52,11 +47,6 @@ class ReservationTable {
   // Records that `cycle` on `cluster` can take no further instruction.
   void markFull(std::uint32_t cluster, std::uint32_t cycle);
 
-  static bool isFp(ir::FuClass cls) {
-    return cls == ir::FuClass::kFpAlu || cls == ir::FuClass::kFpMul ||
-           cls == ir::FuClass::kFpDiv;
-  }
-
   const arch::MachineConfig* config_;
   std::vector<std::vector<CycleState>> cycles_;  // [cluster][cycle]
   std::vector<bool> closedCycles_;               // machine-wide group ends
@@ -64,7 +54,6 @@ class ReservationTable {
   // to a later one, an open cycle (or one past the end) to itself.
   // nextOpen() compresses paths, hence mutable.
   mutable std::vector<std::vector<std::uint32_t>> next_;  // [cluster][cycle]
-  std::vector<std::uint32_t> used_;              // per cluster
   static const CycleState kEmpty;
 };
 

@@ -59,6 +59,34 @@ std::string BlockSchedule::render(const ir::BasicBlock& block,
   return out.str();
 }
 
+MemoryPlan memoryPlan(const ir::BasicBlock& block,
+                      const BlockSchedule& schedule) {
+  struct MemOp {
+    std::uint32_t cycle = 0;
+    std::uint32_t node = 0;
+  };
+  const auto& insns = block.insns();
+  std::vector<MemOp> ops;
+  for (std::uint32_t node = 0; node < insns.size(); ++node) {
+    if (insns[node].isMemory()) {
+      ops.push_back({schedule.issueCycle[node], node});
+    }
+  }
+  std::sort(ops.begin(), ops.end(), [](const MemOp& a, const MemOp& b) {
+    return a.cycle < b.cycle;
+  });
+  MemoryPlan plan;
+  plan.nodes.reserve(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    plan.nodes.push_back(ops[i].node);
+    if (i == 0 || ops[i].cycle != ops[i - 1].cycle) {
+      plan.bundleSizes.push_back(0);
+    }
+    ++plan.bundleSizes.back();
+  }
+  return plan;
+}
+
 std::uint64_t FunctionSchedule::totalLength() const {
   std::uint64_t total = 0;
   for (const BlockSchedule& block : blocks) {

@@ -36,6 +36,22 @@ struct BlockSchedule {
                      std::uint32_t issueWidth) const;
 };
 
+// The cache-access plan of one block: the order in which the timing walk at
+// the block's end replays its memory ops through the cache, and the
+// same-cycle bundles whose misses overlap (each bundle pays its worst miss).
+// Order within a bundle decides LRU state, so both simulator engines charge
+// a block from this one plan.
+struct MemoryPlan {
+  std::vector<std::uint32_t> nodes;        // memory-op nodes, access order
+  std::vector<std::uint32_t> bundleSizes;  // consecutive runs of `nodes`
+};
+
+// `block`'s memory ops sorted by issue cycle (std::sort over the ops in node
+// order, so ties keep whatever order that sort leaves) and partitioned into
+// same-cycle bundles.
+MemoryPlan memoryPlan(const ir::BasicBlock& block,
+                      const BlockSchedule& schedule);
+
 // Static schedule of a function (one BlockSchedule per block, same order).
 struct FunctionSchedule {
   std::vector<BlockSchedule> blocks;

@@ -92,7 +92,8 @@ DecodedProgram DecodedProgram::build(const ir::Program& program,
     dfn.blocks.resize(fn.blockCount());
     for (ir::BlockId b = 0; b < fn.blockCount(); ++b) {
       const auto& insns = fn.block(b).insns();
-      decoded.maxBlockInsns_ = std::max(decoded.maxBlockInsns_, insns.size());
+      dfn.addrSlots = std::max<std::uint32_t>(
+          dfn.addrSlots, static_cast<std::uint32_t>(insns.size()));
       const sched::BlockSchedule& blockSched =
           schedule.functions[f].blocks[b];
       CASTED_CHECK(blockSched.issueCycle.size() == insns.size())
@@ -103,40 +104,10 @@ DecodedProgram DecodedProgram::build(const ir::Program& program,
       dbk.firstOp = static_cast<std::uint32_t>(dfn.ops.size());
       dbk.opCount = static_cast<std::uint32_t>(insns.size());
       dbk.schedLength = blockSched.length;
-
-      // The memory plan must replay the reference walk's cache-access order
-      // exactly (LRU state and hit/miss counts depend on it), so it is
-      // built with the identical input sequence, comparator and sort.
-      struct MemOp {
-        std::uint32_t cycle = 0;
-        std::uint32_t node = 0;
-      };
-      std::vector<MemOp> plan;
-      for (std::uint32_t node = 0; node < insns.size(); ++node) {
-        if (insns[node].isMemory()) {
-          plan.push_back({blockSched.issueCycle[node], node});
-        }
-      }
-      std::sort(plan.begin(), plan.end(),
-                [](const MemOp& a, const MemOp& b) {
-                  return a.cycle < b.cycle;
-                });
-      dbk.planFirst = static_cast<std::uint32_t>(dfn.memPlan.size());
-      dbk.planCount = static_cast<std::uint32_t>(plan.size());
-      dbk.bundleFirst = static_cast<std::uint32_t>(dfn.bundleSizes.size());
-      std::size_t i = 0;
-      while (i < plan.size()) {
-        const std::uint32_t cycle = plan[i].cycle;
-        std::uint32_t size = 0;
-        while (i < plan.size() && plan[i].cycle == cycle) {
-          dfn.memPlan.push_back(plan[i].node);
-          ++size;
-          ++i;
-        }
-        dfn.bundleSizes.push_back(size);
-        ++dbk.bundleCount;
-      }
-      dbk.worstCycles = dbk.schedLength + dbk.bundleCount * worstExtra;
+      dbk.plan = sched::memoryPlan(fn.block(b), blockSched);
+      dbk.worstCycles =
+          dbk.schedLength +
+          static_cast<std::uint32_t>(dbk.plan.bundleSizes.size()) * worstExtra;
 
       for (const ir::Instruction& insn : insns) {
         MicroOp u;
@@ -206,6 +177,7 @@ struct InterpFrameBase {
   std::uint32_t gp = 0;
   std::uint32_t fp = 0;
   std::uint32_t pr = 0;
+  std::uint32_t addr = 0;
 };
 
 // One explicit call-stack frame of the iterative interpreter.  The recursive
@@ -572,12 +544,10 @@ struct DecodedRunner::Impl {
   std::vector<std::int64_t> gpStack;
   std::vector<double> fpStack;
   std::vector<std::uint8_t> prStack;
-
-  // Address computed for each memory op of the current block, indexed by the
-  // op's node position — the same indexing the reference walk uses, so the
-  // (harmless, never observed for completed blocks) aliasing of the scratch
-  // across nested calls is bit-identical too.
-  std::vector<std::uint64_t> addr;
+  // Per frame, the address of each memory op of its executing block, by
+  // node (DecodedFunction::addrSlots of them): the block's timing walk reads
+  // them when it ends, after any call it made has returned.
+  std::vector<std::uint64_t> addrStack;
 
   std::size_t faultCursor = 0;  // next point of options.faultPlan
   std::uint64_t defOrdinal = 0;
@@ -614,6 +584,9 @@ struct DecodedRunner::Impl {
   bool finished = false;
   RunResult result;
   std::uint64_t checkpointGen = 0;  // invalidates outstanding checkpoints
+  // The statistics the run started from: zero, or a restored checkpoint's.
+  // finish() traces only what the run executed past them.
+  RunStats traceFrom;
 
   // runLanes scratch, reused for its allocations only: the window's
   // checkpoint and its fallbacks in injection order.
@@ -623,9 +596,7 @@ struct DecodedRunner::Impl {
   explicit Impl(const DecodedProgram& program)
       : prog(program),
         memory(program.globalImage(), kHeapBytes),
-        caches(program.cacheConfig()) {
-    addr.assign(prog.maxBlockInsns(), 0);
-  }
+        caches(program.cacheConfig()) {}
 
   // Restores fresh-context state, arms the run with `opts` and pushes the
   // entry frame.
@@ -637,10 +608,11 @@ struct DecodedRunner::Impl {
     options = opts;
     caches.reset();
     stats = RunStats{};
+    traceFrom = RunStats{};
     gpStack.clear();
     fpStack.clear();
     prStack.clear();
-    std::fill(addr.begin(), addr.end(), 0);
+    addrStack.clear();
     faultCursor = 0;
     defOrdinal = 0;
     nextFaultOrdinal =
@@ -735,23 +707,21 @@ struct DecodedRunner::Impl {
               flipBits(target.cls, readBits(frame, target), point.bit));
   }
 
+  // `addr` is the executing frame's address slots.
   template <bool kLanes>
-  void chargeBlockTiming(const DecodedFunction& fn, const DecodedBlock& blk) {
-    std::uint64_t stalls = 0;
-    const std::uint32_t* plan = fn.memPlan.data() + blk.planFirst;
-    const std::uint32_t* bundles = fn.bundleSizes.data() + blk.bundleFirst;
+  void chargeBlockTiming(const DecodedBlock& blk, const std::uint64_t* addr) {
     const std::uint32_t baseLatency = prog.memBaseLatency();
-    std::uint32_t cursor = 0;
-    for (std::uint32_t bundle = 0; bundle < blk.bundleCount; ++bundle) {
+    std::uint64_t stalls = 0;
+    const std::uint32_t* node = blk.plan.nodes.data();
+    for (const std::uint32_t size : blk.plan.bundleSizes) {
       // All memory ops issued in the same cycle overlap their misses; the
       // bundle pays only the worst extra latency.
       std::uint32_t worstExtra = 0;
-      for (std::uint32_t n = 0; n < bundles[bundle]; ++n) {
-        const std::uint32_t latency = caches.access(addr[plan[cursor]]);
+      for (std::uint32_t n = 0; n < size; ++n, ++node) {
+        const std::uint32_t latency = caches.access(addr[*node]);
         if (latency > baseLatency) {
           worstExtra = std::max(worstExtra, latency - baseLatency);
         }
-        ++cursor;
       }
       stalls += worstExtra;
     }
@@ -787,10 +757,12 @@ struct DecodedRunner::Impl {
     f.retCount = retCount;
     f.base = FrameBase{static_cast<std::uint32_t>(gpStack.size()),
                        static_cast<std::uint32_t>(fpStack.size()),
-                       static_cast<std::uint32_t>(prStack.size())};
+                       static_cast<std::uint32_t>(prStack.size()),
+                       static_cast<std::uint32_t>(addrStack.size())};
     gpStack.resize(f.base.gp + fn.regCount[0], 0);
     fpStack.resize(f.base.fp + fn.regCount[1], 0.0);
     prStack.resize(f.base.pr + fn.regCount[2], 0);
+    addrStack.resize(f.base.addr + fn.addrSlots, 0);
     copyRegs(args, caller, fn.params.data(), f.base, argCount);
     frames.push_back(f);
     return stats.cycles > options.maxCycles ? Flow::kTimeout
@@ -840,13 +812,14 @@ struct DecodedRunner::Impl {
   }
 
   // evalOp's operand access for the executing frame: the arenas and the
-  // memory model, with the scratch address and access count every memory
-  // op records.
+  // memory model, with the address and access count every memory op
+  // records.
   struct FrameAccess {
     Interp& in;
     std::int64_t* gp;
     double* fp;
     std::uint8_t* pr;
+    std::uint64_t* addr;
 
     std::int64_t g(std::uint32_t slot) const { return gp[slot]; }
     double f(std::uint32_t slot) const { return fp[slot]; }
@@ -857,7 +830,7 @@ struct DecodedRunner::Impl {
 
     TrapKind load(std::uint32_t node, std::uint64_t address,
                   std::uint32_t width, std::uint64_t& value) {
-      in.addr[node] = address;
+      addr[node] = address;
       ++in.stats.memAccesses;
       const TrapKind trap = in.memory.accessTrap(address, width);
       if (trap == TrapKind::kNone) {
@@ -868,7 +841,7 @@ struct DecodedRunner::Impl {
     }
     TrapKind store(std::uint32_t node, std::uint64_t address,
                    std::uint32_t width, std::uint64_t value) {
-      in.addr[node] = address;
+      addr[node] = address;
       ++in.stats.memAccesses;
       const TrapKind trap = in.memory.accessTrap(address, width);
       if (trap == TrapKind::kNone) {
@@ -908,7 +881,8 @@ struct DecodedRunner::Impl {
       // call, and a call breaks out to re-derive everything (including `f`,
       // which frames.push_back invalidates).
       FrameAccess regs{*this, gpStack.data() + f.base.gp,
-                       fpStack.data() + f.base.fp, prStack.data() + f.base.pr};
+                       fpStack.data() + f.base.fp, prStack.data() + f.base.pr,
+                       addrStack.data() + f.base.addr};
       [[maybe_unused]] LaneView view;
       if constexpr (kLanes) {
         view = lanes->view(f.base);
@@ -980,7 +954,7 @@ struct DecodedRunner::Impl {
               break;
             }
             default:  // kHalt
-              chargeBlockTiming<kLanes>(fn, blk);
+              chargeBlockTiming<kLanes>(blk, regs.addr);
               exitCode = regs.gp[u.a];
               exitSlot = f.base.gp + u.a;
               return Flow::kHalted;
@@ -1002,7 +976,7 @@ struct DecodedRunner::Impl {
       if (pushed) {
         continue;  // run the callee; the call op completes at its pop
       }
-      chargeBlockTiming<kLanes>(fn, blk);
+      chargeBlockTiming<kLanes>(blk, regs.addr);
       if (returned) {
         // Pop the frame, then complete the caller's pending call op (its
         // defs were written back by the kRet above).
@@ -1013,6 +987,7 @@ struct DecodedRunner::Impl {
         gpStack.resize(base.gp);
         fpStack.resize(base.fp);
         prStack.resize(base.pr);
+        addrStack.resize(base.addr);
         frames.pop_back();
         if (frames.empty()) {
           // The entry function returned: a clean exit with code 0.
@@ -1092,24 +1067,31 @@ struct DecodedRunner::Impl {
       default:
         CASTED_UNREACHABLE("run ended without an outcome");
     }
-    for (int level = 0; level < 3; ++level) {
-      stats.cacheLevel[level] = caches.levelStats(level);
-    }
-    stats.memoryAccesses = caches.memoryAccesses();
-    result.stats = stats;
+    result.stats = statsNow();
     result.output = memory.snapshot(prog.outputAddress(), prog.outputSize());
     finished = true;
     return false;
   }
 
+  // The run's statistics so far, the cache model's counts included.
+  RunStats statsNow() const {
+    RunStats now = stats;
+    for (int level = 0; level < 3; ++level) {
+      now.cacheLevel[level] = caches.levelStats(level);
+    }
+    now.memoryAccesses = caches.memoryAccesses();
+    return now;
+  }
+
   // Runs to the end, unless the run is already there, and returns its
-  // result.  Each call adds the run to the trace's sim.decoded.* counters.
+  // result.  Each call adds to the trace's sim.decoded.* counters what the
+  // run executed since it started or was last restored (traceFrom).
   RunResult finish() {
     if (!finished) {
       const bool paused = drive();
       CASTED_CHECK(!paused);
     }
-    traceRunStats("decoded", result.stats);
+    traceRunStats("decoded", result.stats, traceFrom);
     return result;
   }
 
@@ -1237,7 +1219,7 @@ struct DecodedRunner::Impl {
     d.gp = gpStack;
     d.fp = fpStack;
     d.pr = prStack;
-    d.addr = addr;
+    d.addr = addrStack;
     d.frames = frames;
     d.stats = stats;
     d.defOrdinal = defOrdinal;
@@ -1262,9 +1244,10 @@ struct DecodedRunner::Impl {
     gpStack = d.gp;
     fpStack = d.fp;
     prStack = d.pr;
-    addr = d.addr;
+    addrStack = d.addr;
     frames = d.frames;
     stats = d.stats;
+    traceFrom = statsNow();
     defOrdinal = d.defOrdinal;
     options.faultPlan = nullptr;
     faultCursor = 0;

@@ -7,9 +7,9 @@
 //   * operands — frame-slot offsets held inline in the micro-op (the IR
 //     stores defs/uses in per-instruction heap vectors);
 //   * branch targets — block indices, ready to index the block array;
-//   * per-block timing — the schedule length plus the cycle-sorted memory
-//     bundle plan (which memory ops overlap their misses), precomputed from
-//     the static VLIW schedule;
+//   * per-block timing — the schedule length plus the block's
+//     sched::memoryPlan (which memory ops overlap their misses), the same
+//     plan the reference walk charges from;
 //   * call/ret marshalling — operand lists resolved into a shared pool so a
 //     call copies register bits caller→callee frame without RawValue boxing.
 //
@@ -81,33 +81,28 @@ struct MicroOp {
 };
 static_assert(sizeof(MicroOp) == 40, "MicroOp grew past its padding");
 
-// Static per-block data: the micro-op range plus the precomputed timing
-// summary (schedule length, cycle-sorted memory plan and its same-cycle
-// bundle partition).  worstCycles bounds what one execution of the block
-// can cost whatever the cache state: schedLength + bundleCount x (the
-// largest latency CacheHierarchy::access can return - the base latency).
+// Static per-block data: the micro-op range plus the timing summary, the
+// schedule length and the block's cache-access plan (sched::memoryPlan).
+// worstCycles bounds what one execution of the block can cost whatever the
+// cache state: schedLength + bundles x (the largest latency
+// CacheHierarchy::access can return - the base latency).
 struct DecodedBlock {
   std::uint32_t firstOp = 0;
   std::uint32_t opCount = 0;
   std::uint32_t schedLength = 0;   // BlockSchedule::length
-  std::uint32_t planFirst = 0;     // into DecodedFunction::memPlan
-  std::uint32_t planCount = 0;
-  std::uint32_t bundleFirst = 0;   // into DecodedFunction::bundleSizes
-  std::uint32_t bundleCount = 0;
   std::uint32_t worstCycles = 0;
+  sched::MemoryPlan plan;
 };
 
 struct DecodedFunction {
   std::string name;
   std::vector<MicroOp> ops;           // blocks flattened back to back
   std::vector<DecodedBlock> blocks;
-  // Memory-op node indices in the exact cache-access order of the reference
-  // walk (sorted by issue cycle with the reference's own comparator), and
-  // the sizes of the same-cycle bundles partitioning that order.
-  std::vector<std::uint32_t> memPlan;
-  std::vector<std::uint32_t> bundleSizes;
   std::vector<DecodedReg> params;
   std::uint32_t regCount[3] = {0, 0, 0};  // frame slots per register class
+  // Memory-op address slots per frame: the largest block's op count, so
+  // a memory op records its address at its node.
+  std::uint32_t addrSlots = 0;
 };
 
 // The immutable product of the decode pass.  Build once, run many times,
@@ -130,7 +125,6 @@ class DecodedProgram {
   const std::vector<std::uint8_t>& globalImage() const { return globalImage_; }
   const arch::CacheConfig& cacheConfig() const { return cacheConfig_; }
   std::uint32_t memBaseLatency() const { return memBaseLatency_; }
-  std::size_t maxBlockInsns() const { return maxBlockInsns_; }
 
  private:
   DecodedProgram() = default;
@@ -143,7 +137,6 @@ class DecodedProgram {
   std::vector<std::uint8_t> globalImage_;
   arch::CacheConfig cacheConfig_;
   std::uint32_t memBaseLatency_ = 1;
-  std::size_t maxBlockInsns_ = 0;
 };
 
 // An opaque snapshot of a DecodedRunner's complete golden mid-run state:
@@ -292,8 +285,10 @@ class DecodedRunner {
   void injectAtPause(const FaultPlan& plan);
 
   // Runs the paused (or already finished) stepwise run to completion and
-  // returns its result.  Each call adds the run to the trace's
-  // sim.decoded.* counters, as run() does.
+  // returns its result.  Each call adds one run to the trace's
+  // sim.decoded.* counters, and what it executed since begin() or the last
+  // restoreCheckpoint(): a restored run's checkpointed prefix counts once,
+  // where it ran, not again in every run restored from it.
   RunResult finish();
 
   // ---- Lockstep lanes (DESIGN.md §10, "Lockstep lanes") ----
@@ -313,8 +308,9 @@ class DecodedRunner {
   // output/exit-code agreement.  The runner then re-runs each fallen-back
   // lane from the checkpoint, in injection order (ties by index), rolling
   // the checkpoint forward to a later ordinal first; each re-run runs to
-  // its natural end and counts in sim.decoded.* like a whole run.  Ends the
-  // runner's stepwise run (begin() again before runToDef).
+  // its natural end and counts in sim.decoded.* what it ran past the
+  // checkpoint it restored.  Ends the runner's stepwise run (begin() again
+  // before runToDef).
   static constexpr std::size_t kMaxLanes = 256;
   LockstepStream runLockstep(const SimOptions& options,
                              const std::vector<const FaultPlan*>& plans,

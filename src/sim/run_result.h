@@ -40,11 +40,14 @@ struct RunResult {
   std::vector<std::uint8_t> output;
 };
 
-// Surfaces one completed run's RunStats into the trace session's counters
-// (sim.<engine>.runs / .insns / .cycles / .l<k>.hits|misses / ...).  Shared
-// by both engines; a no-op beyond one atomic load while tracing is
+// Surfaces one completed run into the trace session's counters
+// (sim.<engine>.runs / .insns / .cycles / .l<k>.hits|misses / ...): what
+// it executed, `stats` minus `from`, the statistics it started from (zero
+// for a run from program start, a checkpoint's for a restored run).
+// Shared by both engines; a no-op beyond one atomic load while tracing is
 // inactive.  Defined in simulator.cpp.
-void traceRunStats(const char* engine, const RunStats& stats);
+void traceRunStats(const char* engine, const RunStats& stats,
+                   const RunStats& from = {});
 
 // Static identity of one dynamically executed def-producing instruction:
 // the function, the block, and the instruction's position within the block.

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -10,25 +11,26 @@
 
 namespace casted::sim {
 
-void traceRunStats(const char* engine, const RunStats& stats) {
+void traceRunStats(const char* engine, const RunStats& stats,
+                   const RunStats& from) {
   if (!trace::enabled()) {
     return;
   }
   const std::string prefix = std::string("sim.") + engine;
+  auto add = [](const std::string& name, std::uint64_t value,
+                std::uint64_t base) {
+    trace::counterAdd(name, static_cast<std::int64_t>(value - base));
+  };
   trace::counterAdd(prefix + ".runs");
-  trace::counterAdd(prefix + ".insns",
-                    static_cast<std::int64_t>(stats.dynamicInsns));
-  trace::counterAdd(prefix + ".cycles",
-                    static_cast<std::int64_t>(stats.cycles));
-  trace::counterAdd(prefix + ".mem_accesses",
-                    static_cast<std::int64_t>(stats.memoryAccesses));
+  add(prefix + ".insns", stats.dynamicInsns, from.dynamicInsns);
+  add(prefix + ".cycles", stats.cycles, from.cycles);
+  add(prefix + ".mem_accesses", stats.memoryAccesses, from.memoryAccesses);
   for (int level = 0; level < 3; ++level) {
     const std::string levelPrefix = prefix + ".l" + std::to_string(level + 1);
-    trace::counterAdd(levelPrefix + ".hits",
-                      static_cast<std::int64_t>(stats.cacheLevel[level].hits));
-    trace::counterAdd(
-        levelPrefix + ".misses",
-        static_cast<std::int64_t>(stats.cacheLevel[level].misses));
+    add(levelPrefix + ".hits", stats.cacheLevel[level].hits,
+        from.cacheLevel[level].hits);
+    add(levelPrefix + ".misses", stats.cacheLevel[level].misses,
+        from.cacheLevel[level].misses);
   }
 }
 
@@ -75,11 +77,19 @@ struct Frame {
   std::vector<std::int64_t> gp;
   std::vector<double> fp;
   std::vector<std::uint8_t> pr;
+  // Address of each memory op of the executing block, by node; the block's
+  // timing walk reads them when it ends (after any call it made returns).
+  std::vector<std::uint64_t> addr;
 
   explicit Frame(const ir::Function& function) : fn(&function) {
     gp.assign(function.regCount(RegClass::kGp), 0);
     fp.assign(function.regCount(RegClass::kFp), 0.0);
     pr.assign(function.regCount(RegClass::kPr), 0);
+    std::size_t nodes = 0;
+    for (ir::BlockId b = 0; b < function.blockCount(); ++b) {
+      nodes = std::max(nodes, function.block(b).insns().size());
+    }
+    addr.assign(nodes, 0);
   }
 };
 
@@ -119,16 +129,8 @@ struct ReferenceWalk {
   CacheHierarchy caches;
   RunStats stats;
 
-  // Per function/block: memory-op nodes sorted by issue cycle, used by the
-  // timing walk to model per-bundle miss overlap.
-  struct MemOp {
-    std::uint32_t cycle = 0;
-    std::uint32_t node = 0;
-  };
-  std::vector<std::vector<std::vector<MemOp>>> memPlans;
-
-  // Scratch: address computed for each memory node of the current block.
-  std::vector<std::uint64_t> addrScratch;
+  // Per function/block: the cache-access plan of the block's timing walk.
+  std::vector<std::vector<sched::MemoryPlan>> memPlans;
 
   std::size_t faultCursor = 0;
   std::uint64_t defOrdinal = 0;
@@ -144,34 +146,21 @@ struct ReferenceWalk {
         caches(cfg.cache) {
     CASTED_CHECK(schedule.functions.size() == program.functionCount())
         << "schedule/program function count mismatch";
-    std::size_t maxBlockSize = 0;
     memPlans.resize(program.functionCount());
     for (ir::FuncId f = 0; f < program.functionCount(); ++f) {
       const ir::Function& fn = program.function(f);
       CASTED_CHECK(schedule.functions[f].blocks.size() == fn.blockCount())
           << "schedule/program block count mismatch in @" << fn.name();
-      memPlans[f].resize(fn.blockCount());
       for (ir::BlockId b = 0; b < fn.blockCount(); ++b) {
-        const auto& insns = fn.block(b).insns();
-        maxBlockSize = std::max(maxBlockSize, insns.size());
         const sched::BlockSchedule& blockSched =
             schedule.functions[f].blocks[b];
-        CASTED_CHECK(blockSched.issueCycle.size() == insns.size())
+        CASTED_CHECK(blockSched.issueCycle.size() ==
+                     fn.block(b).insns().size())
             << "schedule built from a different program shape (@"
             << fn.name() << " bb" << b << ")";
-        auto& plan = memPlans[f][b];
-        for (std::uint32_t node = 0; node < insns.size(); ++node) {
-          if (insns[node].isMemory()) {
-            plan.push_back({blockSched.issueCycle[node], node});
-          }
-        }
-        std::sort(plan.begin(), plan.end(),
-                  [](const MemOp& a, const MemOp& b) {
-                    return a.cycle < b.cycle;
-                  });
+        memPlans[f].push_back(sched::memoryPlan(fn.block(b), blockSched));
       }
     }
-    addrScratch.assign(maxBlockSize, 0);
   }
 
   // --- register access -----------------------------------------------------
@@ -227,8 +216,8 @@ struct ReferenceWalk {
   }
 
   // --- functional semantics ---------------------------------------------------
-  // Executes one non-control-flow instruction.  Returns the address used for
-  // memory ops (stored into addrScratch by the caller).
+  // Executes one non-control-flow instruction; a memory op records its
+  // address in the frame for the block's timing walk.
   void execute(Frame& frame, const Instruction& insn, std::uint32_t node) {
     switch (insn.op) {
       case Opcode::kNop:
@@ -487,7 +476,7 @@ struct ReferenceWalk {
       case Opcode::kLoad: {
         const std::uint64_t address =
             addressOf(frame, insn);
-        addrScratch[node] = address;
+        frame.addr[node] = address;
         ++stats.memAccesses;
         gp(frame, insn.defs[0]) =
             static_cast<std::int64_t>(memory.readU64(address));
@@ -496,7 +485,7 @@ struct ReferenceWalk {
       case Opcode::kLoadB: {
         const std::uint64_t address =
             addressOf(frame, insn);
-        addrScratch[node] = address;
+        frame.addr[node] = address;
         ++stats.memAccesses;
         gp(frame, insn.defs[0]) = memory.readU8(address);
         break;
@@ -504,7 +493,7 @@ struct ReferenceWalk {
       case Opcode::kStore: {
         const std::uint64_t address =
             addressOf(frame, insn);
-        addrScratch[node] = address;
+        frame.addr[node] = address;
         ++stats.memAccesses;
         memory.writeU64(address,
                         static_cast<std::uint64_t>(gp(frame, insn.uses[1])));
@@ -513,7 +502,7 @@ struct ReferenceWalk {
       case Opcode::kStoreB: {
         const std::uint64_t address =
             addressOf(frame, insn);
-        addrScratch[node] = address;
+        frame.addr[node] = address;
         ++stats.memAccesses;
         memory.writeU8(address,
                        static_cast<std::uint8_t>(gp(frame, insn.uses[1])));
@@ -522,7 +511,7 @@ struct ReferenceWalk {
       case Opcode::kFLoad: {
         const std::uint64_t address =
             addressOf(frame, insn);
-        addrScratch[node] = address;
+        frame.addr[node] = address;
         ++stats.memAccesses;
         fp(frame, insn.defs[0]) = memory.readF64(address);
         break;
@@ -530,7 +519,7 @@ struct ReferenceWalk {
       case Opcode::kFStore: {
         const std::uint64_t address =
             addressOf(frame, insn);
-        addrScratch[node] = address;
+        frame.addr[node] = address;
         ++stats.memAccesses;
         memory.writeF64(address, fp(frame, insn.uses[1]));
         break;
@@ -580,28 +569,25 @@ struct ReferenceWalk {
     }
   }
 
-  void chargeBlockTiming(ir::FuncId func, ir::BlockId blockId) {
-    const sched::BlockSchedule& blockSched =
-        schedule.functions[func].blocks[blockId];
-    std::uint64_t stalls = 0;
-    const auto& plan = memPlans[func][blockId];
+  void chargeBlockTiming(const Frame& frame, ir::BlockId blockId) {
+    const ir::FuncId func = frame.fn->id();
+    const sched::MemoryPlan& plan = memPlans[func][blockId];
     const std::uint32_t baseLatency = config.latencies.mem;
+    std::uint64_t stalls = 0;
     std::size_t i = 0;
-    while (i < plan.size()) {
+    for (const std::uint32_t size : plan.bundleSizes) {
       // One bundle: all memory ops issued in the same cycle overlap their
       // misses (non-blocking caches); the bundle pays the worst extra.
-      const std::uint32_t cycle = plan[i].cycle;
       std::uint32_t worstExtra = 0;
-      while (i < plan.size() && plan[i].cycle == cycle) {
-        const std::uint32_t latency = caches.access(addrScratch[plan[i].node]);
+      for (std::uint32_t n = 0; n < size; ++n, ++i) {
+        const std::uint32_t latency = caches.access(frame.addr[plan.nodes[i]]);
         if (latency > baseLatency) {
           worstExtra = std::max(worstExtra, latency - baseLatency);
         }
-        ++i;
       }
       stalls += worstExtra;
     }
-    stats.cycles += blockSched.length + stalls;
+    stats.cycles += schedule.functions[func].blocks[blockId].length + stalls;
     stats.stallCycles += stalls;
     ++stats.blockExecutions;
   }
@@ -718,7 +704,7 @@ struct ReferenceWalk {
             break;
           }
           case Opcode::kHalt:
-            chargeBlockTiming(fn.id(), current);
+            chargeBlockTiming(frame, current);
             throw HaltSignal{gp(frame, insn.uses[0])};
           default:
             execute(frame, insn, node);
@@ -730,7 +716,7 @@ struct ReferenceWalk {
             break;
         }
       }
-      chargeBlockTiming(fn.id(), current);
+      chargeBlockTiming(frame, current);
       if (returned) {
         return;
       }

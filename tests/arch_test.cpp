@@ -52,9 +52,8 @@ TEST(MachineConfigTest, PortLimitsDefaultToIssueWidth) {
   // Branches default to a single unit.
   EXPECT_EQ(machine.portLimit(ir::FuClass::kBranch), 1u);
   machine.memPortsPerCluster = 2;
-  machine.fpPortsPerCluster = 1;
   EXPECT_EQ(machine.portLimit(ir::FuClass::kMem), 2u);
-  EXPECT_EQ(machine.portLimit(ir::FuClass::kFpMul), 1u);
+  EXPECT_EQ(machine.portLimit(ir::FuClass::kFpMul), 4u);
   EXPECT_EQ(machine.portLimit(ir::FuClass::kIntAlu), 4u);
 }
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 
+#include "core/pipeline.h"
 #include "dfg/dfg.h"
 #include "ir/builder.h"
 #include "passes/assignment.h"
@@ -14,6 +15,7 @@
 #include "support/check.h"
 #include "support/rng.h"
 #include "test_util.h"
+#include "workloads/workloads.h"
 
 namespace casted::sched {
 namespace {
@@ -56,27 +58,6 @@ TEST(ReservationTableTest, MemPortLimitEnforced) {
   EXPECT_TRUE(table.canIssue(0, 0, ir::FuClass::kIntAlu));
 }
 
-TEST(ReservationTableTest, FpPortLimitEnforced) {
-  arch::MachineConfig config = testutil::machine(4, 1);
-  config.fpPortsPerCluster = 2;
-  ReservationTable table(config);
-  table.reserve(0, 0, ir::FuClass::kFpAlu);
-  table.reserve(0, 0, ir::FuClass::kFpMul);
-  EXPECT_FALSE(table.canIssue(0, 0, ir::FuClass::kFpDiv));
-  EXPECT_TRUE(table.canIssue(0, 0, ir::FuClass::kIntAlu));
-}
-
-TEST(ReservationTableTest, UsedSlotsTracksPerCluster) {
-  // Named config: ReservationTable keeps a reference to it.
-  const arch::MachineConfig config = testutil::machine(2, 1);
-  ReservationTable table(config);
-  table.reserve(0, 0, ir::FuClass::kIntAlu);
-  table.reserve(1, 3, ir::FuClass::kMem);
-  table.reserve(1, 4, ir::FuClass::kMem);
-  EXPECT_EQ(table.usedSlots(0), 1u);
-  EXPECT_EQ(table.usedSlots(1), 2u);
-}
-
 TEST(ReservationTableTest, ReserveUnavailableThrows) {
   const arch::MachineConfig config = testutil::machine(1, 1);
   ReservationTable table(config);
@@ -106,10 +87,6 @@ TEST(ReservationTableTest, EarliestIssueMatchesLinearProbeOnRandomReserves) {
         1 + static_cast<std::uint32_t>(rng.nextBelow(4)), 1);
     config.clusterCount = 1 + static_cast<std::uint32_t>(rng.nextBelow(3));
     config.memPortsPerCluster = static_cast<std::uint32_t>(rng.nextBelow(3));
-    config.fpPortsPerCluster = static_cast<std::uint32_t>(rng.nextBelow(3));
-    config.branchPortsPerCluster =
-        static_cast<std::uint32_t>(rng.nextBelow(3));
-    config.branchClosesBundle = rng.nextBool(0.75);
     ReservationTable table(config);
     std::uint32_t horizon = 0;
     for (int step = 0; step < 300; ++step) {
@@ -278,6 +255,117 @@ TEST(ListSchedulerTest, RenderShowsBundles) {
   EXPECT_NE(rendered.find("cluster0"), std::string::npos);
   EXPECT_NE(rendered.find("cluster1"), std::string::npos);
   EXPECT_NE(rendered.find("length:"), std::string::npos);
+}
+
+// No instruction of a block issues after the block's terminator (its last
+// node), over every block of every function of `bin`.
+void expectTerminatorIssuesLast(const core::CompiledProgram& bin,
+                                const std::string& label) {
+  for (const FunctionSchedule& fn : bin.schedule.functions) {
+    for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+      const std::vector<std::uint32_t>& cycles = fn.blocks[b].issueCycle;
+      ASSERT_FALSE(cycles.empty());
+      EXPECT_EQ(cycles.back(),
+                *std::max_element(cycles.begin(), cycles.end()))
+          << label << " bb" << b;
+    }
+  }
+}
+
+TEST(ListSchedulerTest, TerminatorIssuesLastOnRandomProgramsAndTheFig67Grid) {
+  for (std::uint32_t issue = 1; issue <= 4; ++issue) {
+    for (std::uint32_t delay = 1; delay <= 4; ++delay) {
+      const arch::MachineConfig machine = arch::makePaperMachine(issue, delay);
+      for (const passes::Scheme scheme : passes::kAllSchemes) {
+        const std::string point = std::to_string(issue) + " " +
+                                  std::to_string(delay) + " " +
+                                  passes::schemeName(scheme);
+        for (std::uint64_t seed = 0; seed < 4; ++seed) {
+          expectTerminatorIssuesLast(
+              core::compile(testutil::makeRandomCfgProgram(seed), machine,
+                            scheme),
+              "cfg seed " + std::to_string(seed) + " " + point);
+        }
+        for (const workloads::Workload& wl : workloads::makeAllWorkloads(1)) {
+          expectTerminatorIssuesLast(
+              core::compile(wl.program, machine, scheme),
+              wl.name + " " + point);
+        }
+      }
+    }
+  }
+}
+
+// --- memoryPlan --------------------------------------------------------------
+
+// The cache-access plan as both simulator engines built it before
+// memoryPlan: memory ops in node order, std::sort by issue cycle, then the
+// same-cycle runs.  Kept as memoryPlan's oracle.
+MemoryPlan enginePlanOracle(const ir::BasicBlock& block,
+                            const BlockSchedule& blockSched) {
+  struct MemOp {
+    std::uint32_t cycle = 0;
+    std::uint32_t node = 0;
+  };
+  const auto& insns = block.insns();
+  std::vector<MemOp> plan;
+  for (std::uint32_t node = 0; node < insns.size(); ++node) {
+    if (insns[node].isMemory()) {
+      plan.push_back({blockSched.issueCycle[node], node});
+    }
+  }
+  std::sort(plan.begin(), plan.end(), [](const MemOp& a, const MemOp& b) {
+    return a.cycle < b.cycle;
+  });
+  MemoryPlan out;
+  std::size_t i = 0;
+  while (i < plan.size()) {
+    const std::uint32_t cycle = plan[i].cycle;
+    std::uint32_t size = 0;
+    while (i < plan.size() && plan[i].cycle == cycle) {
+      out.nodes.push_back(plan[i].node);
+      ++size;
+      ++i;
+    }
+    out.bundleSizes.push_back(size);
+  }
+  return out;
+}
+
+TEST(MemoryPlanTest, MatchesTheEnginesFormerConstructionOnRandomCfgPrograms) {
+  std::size_t plans = 0;
+  std::size_t bigBundles = 0;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    // Long blocks, so some bundles outgrow std::sort's insertion-sort runs.
+    const Program source = testutil::makeRandomCfgProgram(seed, 3, 40);
+    for (std::uint32_t issue = 1; issue <= 4; ++issue) {
+      const arch::MachineConfig config = testutil::machine(issue, 2);
+      for (const passes::Scheme scheme : passes::kAllSchemes) {
+        const core::CompiledProgram bin =
+            core::compile(source, config, scheme);
+        const ir::Function& fn = bin.program.function(0);
+        for (ir::BlockId b = 0; b < fn.blockCount(); ++b) {
+          const BlockSchedule& blockSched =
+              bin.schedule.functions[0].blocks[b];
+          const MemoryPlan expected =
+              enginePlanOracle(fn.block(b), blockSched);
+          const MemoryPlan actual = memoryPlan(fn.block(b), blockSched);
+          ASSERT_EQ(actual.nodes, expected.nodes)
+              << "seed " << seed << " issue " << issue << " "
+              << passes::schemeName(scheme) << " bb" << b;
+          ASSERT_EQ(actual.bundleSizes, expected.bundleSizes)
+              << "seed " << seed << " issue " << issue << " "
+              << passes::schemeName(scheme) << " bb" << b;
+          ++plans;
+          bigBundles += std::count_if(
+              actual.bundleSizes.begin(), actual.bundleSizes.end(),
+              [](std::uint32_t size) { return size > 1; });
+        }
+      }
+    }
+  }
+  EXPECT_GT(plans, 0u);
+  EXPECT_GT(bigBundles, 0u);  // some bundles hold several memory ops
 }
 
 // Property sweep: for random ED programs over all (issue, delay, scheme)

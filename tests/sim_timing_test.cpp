@@ -1,15 +1,15 @@
-// Focused timing-model tests: the per-bundle miss overlap (MLP), the
-// branch-ends-bundle rule, zero-delay interconnects, and multi-point fault
-// plans.
+// Focused timing-model tests: the per-bundle miss overlap (MLP), per-frame
+// memory-op addresses across a call, the branch-ends-bundle rule,
+// zero-delay interconnects, and multi-point fault plans.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
-#include "dfg/dfg.h"
 #include "passes/assignment.h"
 #include "passes/error_detection.h"
 #include "ir/builder.h"
 #include "sched/list_scheduler.h"
+#include "sched/reservation_table.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
@@ -74,32 +74,61 @@ TEST(MlpTest, SpreadingAcrossClustersBuysOverlap) {
   EXPECT_EQ(spread.stats.stallCycles, missExtra);
 }
 
-TEST(BundleCloseTest, BranchEndsTheMachineWord) {
-  // With branchClosesBundle, nothing shares a cycle after the terminator's
-  // slot is taken; the effect is visible as a schedule-length difference
-  // for a block whose last cycle would otherwise be shared.
+// The caller's block loads from A and then calls a callee whose block loads
+// from B; both loads sit at node 1 of their blocks.  Each block is charged
+// with its own frame's addresses, so the caller's load misses on A after
+// the callee's miss on B.
+TEST(BlockTimingTest, CallerBlockChargesItsOwnAddressesAfterACall) {
   Program prog;
   prog.allocateGlobal("output", 8);
-  ir::Function& fn = prog.addFunction("main");
-  IrBuilder b(fn);
-  ir::BasicBlock& entry = b.createBlock("entry");
-  b.setBlock(entry);
-  const Reg v = b.movImm(1);
-  for (int i = 0; i < 3; ++i) {
-    b.add(v, v);
+  prog.allocateGlobal("data", 4096);
+  const std::int64_t data =
+      static_cast<std::int64_t>(prog.symbol("data").address);
+  ir::Function& callee = prog.addFunction("f");
+  const Reg base = callee.newReg(ir::RegClass::kGp);
+  callee.params().push_back(base);
+  {
+    IrBuilder b(callee);
+    b.setBlock(b.createBlock("body"));
+    b.load(b.addImm(base, 0), 0);
+    b.ret({});
   }
-  b.halt(v);
+  ir::Function& main = prog.addFunction("main");
+  prog.setEntryFunction(main.id());
+  IrBuilder b(main);
+  b.setBlock(b.createBlock("entry"));
+  const Reg a = b.load(b.movImm(data), 0);
+  b.call(callee, {b.movImm(data + 2048)});  // a different L1/L2/L3 line
+  b.halt(a);
 
-  arch::MachineConfig open = testutil::machine(4, 1);
-  open.branchClosesBundle = false;
-  arch::MachineConfig closed = testutil::machine(4, 1);
-  closed.branchClosesBundle = true;
+  const arch::MachineConfig config = testutil::machine(2, 1);
+  const std::uint32_t missExtra =
+      config.cache.memoryLatency - config.latencies.mem;
+  for (const Engine engine : {Engine::kDecoded, Engine::kReference}) {
+    SCOPED_TRACE(engineName(engine));
+    SimOptions options;
+    options.engine = engine;
+    const RunResult result = simulate(
+        prog, sched::scheduleProgram(prog, config), config, options);
+    ASSERT_EQ(result.exit, ExitKind::kHalted);
+    EXPECT_EQ(result.stats.memoryAccesses, 2u);
+    EXPECT_EQ(result.stats.cacheLevel[0].misses, 2u);
+    EXPECT_EQ(result.stats.cacheLevel[0].hits, 0u);
+    EXPECT_EQ(result.stats.stallCycles, 2u * missExtra);
+  }
+}
 
-  const dfg::DataFlowGraph graphOpen(entry, open);
-  const auto scheduleOpen = sched::scheduleBlock(graphOpen, open);
-  const dfg::DataFlowGraph graphClosed(entry, closed);
-  const auto scheduleClosed = sched::scheduleBlock(graphClosed, closed);
-  EXPECT_LE(scheduleOpen.length, scheduleClosed.length);
+TEST(BundleCloseTest, BranchEndsTheMachineWord) {
+  // A branch closes its issue cycle on every cluster: once the terminator's
+  // slot is taken, nothing else issues in that cycle.
+  const arch::MachineConfig closed = testutil::machine(4, 1);
+  sched::ReservationTable table(closed);
+  table.reserve(0, 2, ir::FuClass::kIntAlu);
+  table.reserve(0, 2, ir::FuClass::kBranch);
+  for (std::uint32_t cluster = 0; cluster < closed.clusterCount; ++cluster) {
+    EXPECT_FALSE(table.canIssue(cluster, 2, ir::FuClass::kIntAlu));
+    EXPECT_EQ(table.earliestIssue(cluster, 2, ir::FuClass::kIntAlu), 3u);
+  }
 }
 
 TEST(ZeroDelayTest, FreeInterconnectMakesSpreadingFree) {

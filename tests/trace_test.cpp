@@ -603,6 +603,32 @@ TEST_F(TraceTest, LockstepCountsStreamAndFallbackInstructionsPerDriver) {
             0);
 }
 
+TEST_F(TraceTest, DecodedCountersHoldOnlyExecutedInstructions) {
+  // sim.decoded.* counts what each run executed: a fallback re-run restored
+  // from its window's checkpoint adds only its suffix, not the golden
+  // prefix it restored.  An enumeration window holds one ordinal, so no
+  // fallback rolls its checkpoint forward, and the counter is the golden
+  // run plus what the fallbacks ran past their injection point.
+  const core::CompiledProgram bin =
+      core::compile(testutil::makeLoopProgram(64), testutil::machine(2, 1),
+                    passes::Scheme::kNoed);
+  const auto golden =
+      static_cast<std::int64_t>(core::run(bin).stats.dynamicInsns);
+  fault::ExhaustiveOptions options;
+  options.threads = 2;
+  trace::enable("");
+  core::groundTruth(bin, options);
+  const std::string prefix = "fault.exhaustive.lockstep.";
+  std::int64_t fallbackInsns = 0;
+  for (const char* reason : {"control", "timing", "budget"}) {
+    fallbackInsns += trace::counterValue(prefix + "fallback_insns." + reason);
+  }
+  ASSERT_GT(lockstepFallbacks(prefix), 0);
+  EXPECT_EQ(trace::counterValue("sim.decoded.runs"),
+            1 + lockstepFallbacks(prefix));
+  EXPECT_EQ(trace::counterValue("sim.decoded.insns"), golden + fallbackInsns);
+}
+
 TEST_F(TraceTest, ReportIsValidChromeTraceJson) {
   trace::enable("");
   {
