@@ -79,9 +79,6 @@ std::uint32_t MachineConfig::portLimit(ir::FuClass cls) const {
   if (cls == ir::FuClass::kMem && memPortsPerCluster > 0) {
     return memPortsPerCluster;
   }
-  if (cls == ir::FuClass::kBranch) {
-    return 1;
-  }
   return issueWidth;
 }
 

@@ -69,9 +69,9 @@ struct MachineConfig {
   // Optional per-cluster memory-port limit; 0 means "no limit beyond the
   // issue width".  The paper's evaluation uses unconstrained slots; the
   // ablation bench restricts memory ports.  The other rules are fixed:
-  // every other class may fill the issue width, each cluster has one branch
-  // unit, and a branch closes its issue cycle for the whole lockstep
-  // machine (the IA-64 "branch ends the instruction group" rule).  With
+  // every other class may fill the issue width, and a branch closes its
+  // issue cycle for the whole lockstep machine (the IA-64 "branch ends the
+  // instruction group" rule), so a cycle holds at most one branch.  With
   // fused checks that only touches block terminators; with split checks
   // every trap-jump becomes a group boundary, which is what makes
   // check-dense code sequential (the paper's h263enc argument, §IV-B2).

@@ -41,9 +41,6 @@ bool ReservationTable::canIssue(std::uint32_t cluster, std::uint32_t cycle,
   if (cls == ir::FuClass::kMem && s.mem >= config_->portLimit(cls)) {
     return false;
   }
-  if (cls == ir::FuClass::kBranch && s.branch >= config_->portLimit(cls)) {
-    return false;
-  }
   return true;
 }
 
@@ -99,7 +96,6 @@ std::uint32_t ReservationTable::reserve(std::uint32_t cluster,
     markFull(cluster, cycle);
   }
   if (cls == ir::FuClass::kBranch) {
-    ++s.branch;
     if (cycle >= closedCycles_.size()) {
       closedCycles_.resize(cycle + 1, false);
     }

@@ -2,9 +2,9 @@
 //
 // Shared by the list scheduler and BUG (Algorithm 2 line 17, "Reserve issue
 // slots in reservation table").  Tracks, per cluster and cycle, how many of
-// the issue slots are taken, plus the memory and branch counts behind the
-// port limits (MachineConfig::portLimit); a branch closes its cycle on every
-// cluster.
+// the issue slots are taken, plus the memory count behind the memory-port
+// limit (MachineConfig::portLimit); a branch closes its cycle on every
+// cluster, so no second branch can join it.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,6 @@ class ReservationTable {
   struct CycleState {
     std::uint32_t total = 0;
     std::uint32_t mem = 0;
-    std::uint32_t branch = 0;
   };
 
   const CycleState& state(std::uint32_t cluster, std::uint32_t cycle) const;

@@ -125,6 +125,9 @@ class DecodedProgram {
   const std::vector<std::uint8_t>& globalImage() const { return globalImage_; }
   const arch::CacheConfig& cacheConfig() const { return cacheConfig_; }
   std::uint32_t memBaseLatency() const { return memBaseLatency_; }
+  // log2 of the smallest line size in the hierarchy: two addresses that
+  // agree above it touch the same line at every level.
+  std::uint32_t lineShift() const { return lineShift_; }
 
  private:
   DecodedProgram() = default;
@@ -137,6 +140,7 @@ class DecodedProgram {
   std::vector<std::uint8_t> globalImage_;
   arch::CacheConfig cacheConfig_;
   std::uint32_t memBaseLatency_ = 1;
+  std::uint32_t lineShift_ = 0;
 };
 
 // An opaque snapshot of a DecodedRunner's complete golden mid-run state:

@@ -1,0 +1,391 @@
+// The lockstep lanes (DESIGN.md §10): concurrent fault simulation (Ulrich &
+// Baker) of up to DecodedRunner::kMaxLanes fault plans over one golden
+// stream.  A lane holds only its pending flips and the registers and aligned
+// memory words where its values differ from the golden run's; the golden
+// stream (the decoded interpreter's exec<true>, decoded.cpp) raises the
+// events below, and the lanes read golden's state only through a GoldenView.
+//
+// Invariant: a live lane's architectural state is the golden stream's state
+// overlaid with the lane's DiffMap (registers by absolute arena slot, memory
+// by aligned 8-byte word), and its control flow and def ordinals are the
+// golden stream's.  Every event preserves it, or ends the lane.
+//
+// The per-op test (LaneView::touches), the "any diffs" guards and the
+// per-block charge are inline here, so the stream pays no call per op.
+#pragma once
+
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "sim/decoded.h"
+#include "sim/memory.h"
+#include "sim/op_kernel.h"
+#include "support/check.h"
+
+namespace casted::sim {
+
+inline constexpr std::uint64_t kNoFault = ~0ULL;
+
+// Arena bases of one call frame (slots below these belong to callers).
+struct FrameBase {
+  std::uint32_t gp = 0;
+  std::uint32_t fp = 0;
+  std::uint32_t pr = 0;
+  std::uint32_t addr = 0;
+};
+
+inline std::uint32_t slotBase(const FrameBase& base, std::uint32_t cls) {
+  return cls == 0 ? base.gp : cls == 1 ? base.fp : base.pr;
+}
+
+inline bool isMemOp(ir::Opcode op) {
+  return op >= ir::Opcode::kLoad && op <= ir::Opcode::kFStore;
+}
+
+// The fault semantics the plain interpreter's injectFault and the lanes
+// share.  The register a fault point at op `u` flips: the call's chosen
+// return def (from the operand pool), else the op's one def.
+inline DecodedReg faultTarget(const MicroOp& u, const FaultPoint& point,
+                              const DecodedReg* pool) {
+  if (u.op == ir::Opcode::kCall) {
+    return pool[u.c + point.whichDef % u.defCount];
+  }
+  return {u.defClass, u.def};
+}
+
+// `bits` of a register of class `cls` with a fault point's `bit` flipped; a
+// predicate flips its one bit whatever `bit` says.
+inline std::uint64_t flipBits(std::uint32_t cls, std::uint64_t bits,
+                              std::uint32_t bit) {
+  return cls == static_cast<std::uint32_t>(ir::RegClass::kPr)
+             ? bits ^ 1
+             : bits ^ (1ULL << (bit & 63));
+}
+
+// The golden stream's state as the lanes see it, read-only: the register
+// arenas, memory, cycle count and watchdog of the run, and the program
+// (output range, operand pool, line size).  It refers to the interpreter's
+// own members, so it stays valid for the interpreter's lifetime.
+struct GoldenView {
+  const std::vector<std::int64_t>& gp;
+  const std::vector<double>& fp;
+  const std::vector<std::uint8_t>& pr;
+  const Memory& memory;
+  const std::uint64_t& cycles;
+  const std::uint64_t& maxCycles;  // the watchdog
+  const DecodedProgram& prog;
+};
+
+// The golden stream's per-op test for lane work, over one frame: does `u`
+// read a register, write a register or touch a memory word where some lane
+// differs from the golden run?  Plain loads, no lane state walked.
+struct LaneView {
+  const std::uint8_t* regAny[3] = {};  // Lanes::regAny[c] + the frame base
+  const std::uint64_t* memAny = nullptr;
+  std::uint64_t memWords = 0;
+
+  bool touches(const MicroOp& u, const std::int64_t* gp) const {
+    const std::uint32_t field[3] = {u.a, u.b, u.c};
+    for (int i = 0; i < 3; ++i) {
+      if (u.useClass[i] != MicroOp::kNoUse &&
+          regAny[u.useClass[i]][field[i]] != 0) {
+        return true;
+      }
+    }
+    if (u.defCount == 1 && u.op != ir::Opcode::kCall &&
+        regAny[u.defClass][u.def] != 0) {
+      return true;
+    }
+    if (isMemOp(u.op)) {
+      const std::uint64_t word =
+          (kernel::address(gp[u.a], u.imm) - ir::Program::kGlobalBase) >> 3;
+      return word < memWords && ((memAny[word >> 6] >> (word & 63)) & 1) != 0;
+    }
+    return false;
+  }
+};
+
+// A set of lanes of one window, one bit per lane.
+struct LaneSet {
+  static constexpr std::size_t kWords = DecodedRunner::kMaxLanes / 64;
+  std::uint64_t w[kWords] = {};
+
+  bool any() const {
+    std::uint64_t bits = 0;
+    for (const std::uint64_t word : w) {
+      bits |= word;
+    }
+    return bits != 0;
+  }
+  bool test(std::uint32_t lane) const {
+    return ((w[lane >> 6] >> (lane & 63)) & 1) != 0;
+  }
+  void set(std::uint32_t lane) { w[lane >> 6] |= 1ULL << (lane & 63); }
+  void reset(std::uint32_t lane) { w[lane >> 6] &= ~(1ULL << (lane & 63)); }
+  LaneSet& operator|=(const LaneSet& other) {
+    for (std::size_t i = 0; i < kWords; ++i) {
+      w[i] |= other.w[i];
+    }
+    return *this;
+  }
+  template <class F>
+  void forEach(F f) const {
+    for (std::size_t i = 0; i < kWords; ++i) {
+      for (std::uint64_t bits = w[i]; bits != 0; bits &= bits - 1) {
+        f(static_cast<std::uint32_t>(i * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
+};
+
+// One lane's differing values: key -> the lane's value, open addressing
+// with linear probing.  A key is a register (class << 60 | absolute arena
+// slot) or an aligned memory word (3 << 60 | word address).
+class DiffMap {
+ public:
+  static std::uint64_t regKey(std::uint32_t cls, std::uint32_t slot) {
+    return (static_cast<std::uint64_t>(cls) << 60) | slot;
+  }
+  static std::uint64_t wordKey(std::uint64_t word) {
+    return (3ULL << 60) | word;
+  }
+  static bool isWordKey(std::uint64_t key) { return (key >> 60) == 3; }
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+
+  // The value at `key`, which must be present.
+  std::uint64_t at(std::uint64_t key) const {
+    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+      if (slots_[i].key == key) {
+        return slots_[i].value;
+      }
+      CASTED_CHECK(slots_[i].key != kEmpty) << "lane diff has no such key";
+    }
+  }
+
+  // Returns whether `key` is new.
+  bool put(std::uint64_t key, std::uint64_t value) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      grow();
+    }
+    std::size_t i = home(key);
+    while (slots_[i].key != kEmpty && slots_[i].key != key) {
+      i = (i + 1) & mask_;
+    }
+    const bool added = slots_[i].key == kEmpty;
+    size_ += added ? 1 : 0;
+    slots_[i] = {key, value};
+    return added;
+  }
+
+  // Backward-shift deletion: no tombstones, so lookups stay short.
+  void erase(std::uint64_t key) {
+    std::size_t i = home(key);
+    while (slots_[i].key != key) {
+      CASTED_CHECK(slots_[i].key != kEmpty) << "lane diff has no such key";
+      i = (i + 1) & mask_;
+    }
+    for (std::size_t j = (i + 1) & mask_; slots_[j].key != kEmpty;
+         j = (j + 1) & mask_) {
+      const std::size_t h = home(slots_[j].key);
+      // Move j's entry into the hole at i unless its home lies in (i, j].
+      if (((j - h) & mask_) >= ((j - i) & mask_)) {
+        slots_[i] = slots_[j];
+        i = j;
+      }
+    }
+    slots_[i].key = kEmpty;
+    --size_;
+  }
+
+  void clear() {
+    drain([](std::uint64_t, std::uint64_t) {});
+  }
+
+  // Calls f(key, value) for every entry, then empties the map.
+  template <class F>
+  void drain(F f) {
+    if (size_ == 0) {
+      return;
+    }
+    for (Slot& slot : slots_) {
+      if (slot.key != kEmpty) {
+        f(slot.key, slot.value);
+        slot.key = kEmpty;
+      }
+    }
+    size_ = 0;
+  }
+
+  template <class F>
+  void forEach(F f) const {
+    for (const Slot& slot : slots_) {
+      if (slot.key != kEmpty) {
+        f(slot.key, slot.value);
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~0ULL;
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    std::uint64_t value = 0;
+  };
+
+  std::size_t home(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) &
+           mask_;
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 8 : old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.key != kEmpty) {
+        put(slot.key, slot.value);
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
+// The lockstep state of one window (DecodedRunner::runLockstep): the lanes,
+// and for every register slot and memory word the set of lanes that differ
+// there.  The golden stream calls step() before each op the LaneView flags,
+// and the other events at defs (onDef), moves of call arguments and
+// returned values (onMove), frame pops (onPop), block charges
+// (chargeBlock) and its end (finish).  One Lanes lives as long as its
+// interpreter and serves window after window: a window ends with every
+// lane decided and so every set empty, and begin() keeps the allocations.
+class Lanes {
+ public:
+  explicit Lanes(const GoldenView& golden) : golden_(golden) {}
+
+  // Starts a window of `plans` on the golden run, whose frames the prefix
+  // left; verdicts to `out`.
+  void begin(const std::vector<const FaultPlan*>& plans,
+             std::vector<LaneVerdict>& out);
+
+  LaneView view(const FrameBase& base) const {
+    return {{regAny_[0].data() + base.gp, regAny_[1].data() + base.fp,
+             regAny_[2].data() + base.pr},
+            memAny_.data(),
+            memWords_};
+  }
+
+  // Grows the lane masks to golden's arenas (after a frame push).
+  void syncArenas() {
+    const std::size_t sizes[3] = {golden_.gp.size(), golden_.fp.size(),
+                                  golden_.pr.size()};
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      if (regMask_[c].size() < sizes[c]) {
+        regMask_[c].resize(sizes[c]);
+        regAny_[c].resize(sizes[c], 0);
+      }
+    }
+  }
+
+  bool hasDiffs() const { return diffs_ != 0; }
+  bool allDecided() const { return open_ == 0 && diffs_ == 0; }
+
+  // Events of the golden stream; `insns` is its instruction count so far.
+  // step() runs before the golden op `u` and returns whether every lane is
+  // now decided.
+  bool step(const MicroOp& u, std::uint32_t node, const FrameBase& base,
+            std::uint64_t insns);
+  // Def ordinal `ordinal` is a flip of some lane; returns the next one.
+  std::uint64_t onDef(const MicroOp& u, const FrameBase& base,
+                      std::uint64_t ordinal, std::uint64_t insns);
+  // Golden copied the registers listed at `from` in frame `src` to those
+  // at `to` in frame `dst`: call arguments or returned values.
+  void onMove(const DecodedReg* from, const FrameBase& src,
+              const DecodedReg* to, const FrameBase& dst,
+              std::uint32_t count, std::uint64_t insns) {
+    if (diffs_ != 0) {
+      moveDiffs(from, src, to, dst, count, insns);
+    }
+  }
+  // Golden pops the frame at `base`.
+  void onPop(const FrameBase& base) {
+    if (diffs_ != 0) {
+      dropFrame(base);
+    }
+  }
+  void chargeBlock(const DecodedBlock& blk) { worst_ += blk.worstCycles; }
+  // The golden run halted (exitSlot: the gp slot kHalt read its code from;
+  // none for an entry return): every open lane is decided.
+  void finish(std::optional<std::uint32_t> exitSlot, std::int64_t exitCode,
+              std::uint64_t insns);
+
+ private:
+  enum class State : std::uint8_t { kDormant, kLive, kReconverged, kDone };
+
+  struct Lane {
+    const FaultPlan* plan = nullptr;
+    std::size_t cursor = 0;  // next point of `plan` to fire
+    State state = State::kDormant;
+    bool diverged = false;   // an access left golden's line: bound live
+    DiffMap diff;
+    std::uint64_t injectedAt = 0;   // golden instructions at the first flip
+    std::uint64_t laneOps = 0;
+    std::uint64_t boundStart = 0;   // golden cycles at the first such access
+    std::uint64_t worstBefore = 0;  // `worst_` at that point
+  };
+
+  // evalOp's access (lanes.cpp), for a lane or, as kGolden, for golden's
+  // own values; laneBits and laneWord read golden's for kGolden.
+  struct Access;
+  static constexpr std::uint32_t kGolden = DecodedRunner::kMaxLanes;
+
+  void moveDiffs(const DecodedReg* from, const FrameBase& src,
+                 const DecodedReg* to, const FrameBase& dst,
+                 std::uint32_t count, std::uint64_t insns);
+  void dropFrame(const FrameBase& base);
+
+  std::uint64_t laneBits(std::uint32_t lane, std::uint32_t cls,
+                         std::uint32_t slot) const;
+  std::uint64_t goldenBits(std::uint32_t cls, std::uint32_t slot) const;
+  std::uint64_t laneWord(std::uint32_t lane, std::uint64_t word) const;
+  const LaneSet* wordLanes(std::uint64_t word) const;
+  bool hasWord(std::uint32_t lane, std::uint64_t word) const;
+  void markWord(std::uint32_t lane, std::uint64_t word, bool differs);
+  void setReg(std::uint32_t lane, std::uint32_t cls, std::uint32_t slot,
+              std::uint64_t bits, std::uint64_t golden);
+  void setWord(std::uint32_t lane, std::uint64_t word, std::uint64_t bits,
+               std::uint64_t golden);
+  bool chargeLaneOp(std::uint32_t lane, std::uint64_t insns);
+  void decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
+              bool corrupt = false);
+  void noteReconverged(std::uint32_t lane);
+
+  const GoldenView golden_;
+  std::vector<Lane> lanes_;
+  std::vector<LaneVerdict>* verdicts_ = nullptr;
+  std::vector<LaneSet> regMask_[3];      // by absolute arena slot
+  std::vector<std::uint8_t> regAny_[3];  // regMask_[c][s].any()
+  // The lanes of a memory word: memSets_[memIndex_[word]], for the words
+  // whose memAny_ bit (one per arena word) is set.
+  DiffMap memIndex_;
+  std::vector<LaneSet> memSets_;
+  std::vector<std::uint32_t> freeSets_;
+  std::vector<std::uint64_t> memAny_;
+  std::uint64_t memWords_ = 0;
+  // Pending flips as a min-heap on the ordinal: (ordinal, lane).
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> events_;
+  std::uint64_t worst_ = 0;  // sum of worstCycles over the charged blocks
+  std::size_t diffs_ = 0;    // entries over all lanes' DiffMaps
+  std::size_t open_ = 0;     // lanes not yet decided
+};
+
+}  // namespace casted::sim

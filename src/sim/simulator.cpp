@@ -24,7 +24,7 @@ void traceRunStats(const char* engine, const RunStats& stats,
   trace::counterAdd(prefix + ".runs");
   add(prefix + ".insns", stats.dynamicInsns, from.dynamicInsns);
   add(prefix + ".cycles", stats.cycles, from.cycles);
-  add(prefix + ".mem_accesses", stats.memoryAccesses, from.memoryAccesses);
+  add(prefix + ".mem_ops", stats.memAccesses, from.memAccesses);
   for (int level = 0; level < 3; ++level) {
     const std::string levelPrefix = prefix + ".l" + std::to_string(level + 1);
     add(levelPrefix + ".hits", stats.cacheLevel[level].hits,

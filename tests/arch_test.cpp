@@ -49,8 +49,6 @@ TEST(MachineConfigTest, PortLimitsDefaultToIssueWidth) {
   MachineConfig machine = makePaperMachine(4, 1);
   EXPECT_EQ(machine.portLimit(ir::FuClass::kIntAlu), 4u);
   EXPECT_EQ(machine.portLimit(ir::FuClass::kMem), 4u);
-  // Branches default to a single unit.
-  EXPECT_EQ(machine.portLimit(ir::FuClass::kBranch), 1u);
   machine.memPortsPerCluster = 2;
   EXPECT_EQ(machine.portLimit(ir::FuClass::kMem), 2u);
   EXPECT_EQ(machine.portLimit(ir::FuClass::kFpMul), 4u);

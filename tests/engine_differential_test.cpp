@@ -77,20 +77,25 @@ void runDifferential(const core::CompiledProgram& bin,
 }
 
 TEST(EngineDifferentialTest, RandomCfgProgramsAllSchemes) {
-  // 50 seeds x 4 schemes = 200 compiled programs by default; each also runs
-  // 3 fault trials, so the contract is checked on ~800 executions.
+  // 50 seeds x 4 schemes = 200 compiled programs by default, and as many
+  // that call; each also runs 3 fault trials, so the contract is checked
+  // on ~1600 executions.
   const std::size_t seeds = testutil::testTrials(50);
-  for (std::size_t seed = 0; seed < seeds; ++seed) {
-    const ir::Program source = testutil::makeRandomCfgProgram(seed);
-    const arch::MachineConfig config =
-        testutil::machine(2, seed % 2 == 0 ? 1 : 2);
-    for (const Scheme scheme : passes::kAllSchemes) {
-      const core::CompiledProgram bin =
-          core::compile(source, config, scheme);
-      std::ostringstream label;
-      label << "cfg seed " << seed << " " << passes::schemeName(scheme);
-      runDifferential(bin, label.str(), /*faultSeed=*/seed * 977 + 13,
-                      /*faultTrials=*/3);
+  for (const bool calls : {false, true}) {
+    for (std::size_t seed = 0; seed < seeds; ++seed) {
+      const ir::Program source =
+          testutil::makeRandomCfgProgram(seed, 4, 8, calls);
+      const arch::MachineConfig config =
+          testutil::machine(2, seed % 2 == 0 ? 1 : 2);
+      for (const Scheme scheme : passes::kAllSchemes) {
+        const core::CompiledProgram bin =
+            core::compile(source, config, scheme);
+        std::ostringstream label;
+        label << (calls ? "calling " : "") << "cfg seed " << seed << " "
+              << passes::schemeName(scheme);
+        runDifferential(bin, label.str(), /*faultSeed=*/seed * 977 + 13,
+                        /*faultTrials=*/3);
+      }
     }
   }
 }
@@ -119,65 +124,68 @@ TEST(EngineDifferentialTest, StraightLineAndLoopPrograms) {
 // same result bit for bit (and, with no injection, the golden result).
 TEST(EngineDifferentialTest, CheckpointRoundTripMatchesFullRuns) {
   const std::size_t seeds = testutil::testTrials(100);
-  for (std::size_t seed = 0; seed < seeds; ++seed) {
-    const ir::Program source = testutil::makeRandomCfgProgram(seed);
-    const arch::MachineConfig config =
-        testutil::machine(2, seed % 2 == 0 ? 2 : 1);
-    const Scheme scheme =
-        passes::kAllSchemes[seed % std::size(passes::kAllSchemes)];
-    const core::CompiledProgram bin = core::compile(source, config, scheme);
-    const std::string label =
-        "checkpoint seed " + std::to_string(seed) + " " +
-        passes::schemeName(scheme);
+  for (const bool calls : {false, true}) {
+    for (std::size_t seed = 0; seed < seeds; ++seed) {
+      const ir::Program source =
+          testutil::makeRandomCfgProgram(seed, 4, 8, calls);
+      const arch::MachineConfig config =
+          testutil::machine(2, seed % 2 == 0 ? 2 : 1);
+      const Scheme scheme =
+          passes::kAllSchemes[seed % std::size(passes::kAllSchemes)];
+      const core::CompiledProgram bin = core::compile(source, config, scheme);
+      const std::string label = std::string(calls ? "calling " : "") +
+                                "checkpoint seed " + std::to_string(seed) +
+                                " " + passes::schemeName(scheme);
 
-    SimOptions options;
-    const RunResult golden = runDecoded(*bin.decoded, options);
-    if (golden.exit != ExitKind::kHalted ||
-        golden.stats.dynamicDefInsns == 0) {
-      continue;
+      SimOptions options;
+      const RunResult golden = runDecoded(*bin.decoded, options);
+      if (golden.exit != ExitKind::kHalted ||
+          golden.stats.dynamicDefInsns == 0) {
+        continue;
+      }
+      options.maxCycles = golden.stats.cycles * 20;
+
+      Rng rng(deriveStreamSeed(0xC4EC9017u, seed));
+      FaultPlan plan;
+      FaultPoint first;
+      first.ordinal = rng.nextBelow(golden.stats.dynamicDefInsns);
+      first.whichDef = static_cast<std::uint32_t>(rng.nextBelow(4));
+      first.bit = static_cast<std::uint32_t>(rng.nextBelow(64));
+      plan.points.push_back(first);
+      if (seed % 2 == 1 &&
+          first.ordinal + 1 < golden.stats.dynamicDefInsns) {
+        // A second flip downstream, so a restore that disarms the plan and
+        // a re-injection that re-arms it must also fire the later point.
+        FaultPoint second;
+        second.ordinal =
+            first.ordinal + 1 +
+            rng.nextBelow(golden.stats.dynamicDefInsns - first.ordinal - 1);
+        second.whichDef = static_cast<std::uint32_t>(rng.nextBelow(4));
+        second.bit = static_cast<std::uint32_t>(rng.nextBelow(64));
+        plan.points.push_back(second);
+      }
+
+      SimOptions fullOptions = options;
+      fullOptions.faultPlan = &plan;
+      const RunResult oracle = runDecoded(*bin.decoded, fullOptions);
+
+      DecodedRunner runner(*bin.decoded);
+      runner.begin(options);
+      ASSERT_TRUE(runner.runToDef(first.ordinal)) << label;
+      EXPECT_EQ(runner.pausedOrdinal(), first.ordinal) << label;
+      ArchCheckpoint checkpoint;
+      runner.saveCheckpoint(checkpoint);
+
+      runner.injectAtPause(plan);
+      expectIdentical(oracle, runner.finish(), label + " first injection");
+
+      runner.restoreCheckpoint(checkpoint);
+      runner.injectAtPause(plan);
+      expectIdentical(oracle, runner.finish(), label + " after restore");
+
+      runner.restoreCheckpoint(checkpoint);
+      expectIdentical(golden, runner.finish(), label + " restored golden");
     }
-    options.maxCycles = golden.stats.cycles * 20;
-
-    Rng rng(deriveStreamSeed(0xC4EC9017u, seed));
-    FaultPlan plan;
-    FaultPoint first;
-    first.ordinal = rng.nextBelow(golden.stats.dynamicDefInsns);
-    first.whichDef = static_cast<std::uint32_t>(rng.nextBelow(4));
-    first.bit = static_cast<std::uint32_t>(rng.nextBelow(64));
-    plan.points.push_back(first);
-    if (seed % 2 == 1 &&
-        first.ordinal + 1 < golden.stats.dynamicDefInsns) {
-      // A second flip downstream, so a restore that disarms the plan and
-      // a re-injection that re-arms it must also fire the later point.
-      FaultPoint second;
-      second.ordinal =
-          first.ordinal + 1 +
-          rng.nextBelow(golden.stats.dynamicDefInsns - first.ordinal - 1);
-      second.whichDef = static_cast<std::uint32_t>(rng.nextBelow(4));
-      second.bit = static_cast<std::uint32_t>(rng.nextBelow(64));
-      plan.points.push_back(second);
-    }
-
-    SimOptions fullOptions = options;
-    fullOptions.faultPlan = &plan;
-    const RunResult oracle = runDecoded(*bin.decoded, fullOptions);
-
-    DecodedRunner runner(*bin.decoded);
-    runner.begin(options);
-    ASSERT_TRUE(runner.runToDef(first.ordinal)) << label;
-    EXPECT_EQ(runner.pausedOrdinal(), first.ordinal) << label;
-    ArchCheckpoint checkpoint;
-    runner.saveCheckpoint(checkpoint);
-
-    runner.injectAtPause(plan);
-    expectIdentical(oracle, runner.finish(), label + " first injection");
-
-    runner.restoreCheckpoint(checkpoint);
-    runner.injectAtPause(plan);
-    expectIdentical(oracle, runner.finish(), label + " after restore");
-
-    runner.restoreCheckpoint(checkpoint);
-    expectIdentical(golden, runner.finish(), label + " restored golden");
   }
 }
 

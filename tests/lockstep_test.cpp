@@ -200,7 +200,7 @@ struct StraightLine : Crafted {
     const Reg q = b.movImm(static_cast<std::int64_t>(scratch));
     b.store(scratchBase, 24, b.load(q, 8));
 
-    storeBase = nextSite(b);  // bit 3 moves the store one word on
+    storeBase = nextSite(b);  // bit 3: one word on, bit 6: one line on
     const Reg s = b.movImm(static_cast<std::int64_t>(scratch));
     b.store(s, 32, b.movImm(7));
     b.store(outBase, 0, b.load(scratchBase, 32));
@@ -394,11 +394,15 @@ TEST(LockstepTest, EveryFallbackAndTheGoldenTimeout) {
   }
 
   // At timeoutFactor 1 the watchdog is the golden run's own cycle count,
-  // and a lane whose store went to another word has a cycle bound above
-  // it.
+  // and a lane whose store went to another 64-byte line (still in the
+  // arena) has a cycle bound above it.  A store to another word of
+  // golden's line leaves every cache level as golden's, so that lane is
+  // decided exactly.
   const StraightLine line;
-  expectLane(line, {{{line.ordinal(line.storeBase), 0, 3}}},
+  expectLane(line, {{{line.ordinal(line.storeBase), 0, 6}}},
              LaneEnd::kFallbackTiming, 1);
+  expectLane(line, {{{line.ordinal(line.storeBase), 0, 3}}},
+             LaneEnd::kHalted, 1);
   expectCampaignMatchesFull(line, 1);
 }
 
@@ -595,39 +599,62 @@ TEST(LockstepTest, EverySiteOfOneOrdinalSharesAWindow) {
 }
 
 TEST(LockstepTest, RandomProgramsWithMultiFlipPlansMatchWholeRuns) {
-  // The engine differential test's random CFG programs under every scheme,
-  // with about three flips per plan.
+  // The engine differential test's random CFG programs, with and without
+  // calls, under every scheme, with about three flips per plan.  The
+  // reference engine is the oracle of the golden run and of every
+  // fallback's re-run, field for field, so the stream's and the re-runs'
+  // timing are checked against the other engine too.
   const std::size_t seeds = testutil::testTrials(30);
-  for (std::size_t seed = 0; seed < seeds; ++seed) {
-    const ir::Program source = testutil::makeRandomCfgProgram(seed);
-    for (const passes::Scheme scheme : passes::kAllSchemes) {
-      const core::CompiledProgram bin =
-          core::compile(source, testutil::machine(2, 1 + seed % 2), scheme);
-      const RunResult golden = runDecoded(*bin.decoded, {});
-      const std::uint64_t defs = golden.stats.dynamicDefInsns;
-      std::vector<FaultPlan> plans;
-      for (std::uint32_t trial = 0; trial < 40; ++trial) {
-        Rng rng(deriveStreamSeed(0x10C5u + seed, trial));
-        plans.push_back(fault::makeTrialPlan(rng, defs, defs / 3 + 1));
-      }
-      std::stable_sort(plans.begin(), plans.end(),
-                       [](const FaultPlan& x, const FaultPlan& y) {
-                         return x.points[0].ordinal < y.points[0].ordinal;
-                       });
-      const std::string context = "cfg seed " + std::to_string(seed) + " " +
-                                  passes::schemeName(scheme);
-      lanesAgainstRuns(*bin.decoded, golden, plans, 20, context);
+  for (const bool calls : {false, true}) {
+    for (std::size_t seed = 0; seed < seeds; ++seed) {
+      const ir::Program source =
+          testutil::makeRandomCfgProgram(seed, 4, 8, calls);
+      for (const passes::Scheme scheme : passes::kAllSchemes) {
+        const core::CompiledProgram bin =
+            core::compile(source, testutil::machine(2, 1 + seed % 2), scheme);
+        const std::string context = std::string(calls ? "calling " : "") +
+                                    "cfg seed " + std::to_string(seed) + " " +
+                                    passes::schemeName(scheme);
+        SimOptions reference;
+        reference.engine = Engine::kReference;
+        const RunResult golden = runDecoded(*bin.decoded, {});
+        testutil::expectIdentical(
+            simulate(bin.program, bin.schedule, bin.machine, reference),
+            golden, context + " golden");
+        const std::uint64_t defs = golden.stats.dynamicDefInsns;
+        std::vector<FaultPlan> plans;
+        for (std::uint32_t trial = 0; trial < 40; ++trial) {
+          Rng rng(deriveStreamSeed(0x10C5u + seed, trial));
+          plans.push_back(fault::makeTrialPlan(rng, defs, defs / 3 + 1));
+        }
+        std::stable_sort(plans.begin(), plans.end(),
+                         [](const FaultPlan& x, const FaultPlan& y) {
+                           return x.points[0].ordinal < y.points[0].ordinal;
+                         });
+        const std::vector<LaneVerdict> verdicts =
+            lanesAgainstRuns(*bin.decoded, golden, plans, 20, context);
+        reference.maxCycles = golden.stats.cycles * 20;
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+          if (isFallback(verdicts[i].end)) {
+            reference.faultPlan = &plans[i];
+            testutil::expectIdentical(
+                simulate(bin.program, bin.schedule, bin.machine, reference),
+                verdicts[i].rerun,
+                context + " reference lane " + std::to_string(i));
+          }
+        }
 
-      fault::CampaignOptions options;
-      options.trials = 60;
-      options.threads = 2;
-      options.originalDefInsns = defs / 3 + 1;
-      options.mode = fault::InjectionMode::kFull;
-      const fault::CoverageReport full = core::campaign(bin, options);
-      options.mode = fault::InjectionMode::kCheckpointed;
-      const fault::CoverageReport lockstep = core::campaign(bin, options);
-      EXPECT_EQ(lockstep.counts, full.counts) << context;
-      EXPECT_EQ(lockstep.dynamicInsns, full.dynamicInsns) << context;
+        fault::CampaignOptions options;
+        options.trials = 60;
+        options.threads = 2;
+        options.originalDefInsns = defs / 3 + 1;
+        options.mode = fault::InjectionMode::kFull;
+        const fault::CoverageReport full = core::campaign(bin, options);
+        options.mode = fault::InjectionMode::kCheckpointed;
+        const fault::CoverageReport lockstep = core::campaign(bin, options);
+        EXPECT_EQ(lockstep.counts, full.counts) << context;
+        EXPECT_EQ(lockstep.dynamicInsns, full.dynamicInsns) << context;
+      }
     }
   }
 }

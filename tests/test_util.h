@@ -169,19 +169,128 @@ inline arch::MachineConfig machine(std::uint32_t issueWidth,
   return arch::makePaperMachine(issueWidth, delay);
 }
 
+// One to three callees for a calling random program, each taking the base
+// of the caller's table array, two gp values, an fp value and a predicate,
+// and returning one to three values of random classes.  Callee k loads and
+// stores lines 8 + 4k to 11 + 4k of the table at scattered nodes of its
+// entry block (the caller stores lines 0-7), may call an earlier callee
+// between them, and may branch on its predicate; a callee calls only
+// callees built before it, so the call graph is acyclic.
+inline std::vector<const ir::Function*> addRandomCallees(ir::Program& prog,
+                                                         Rng& rng) {
+  using ir::Opcode;
+  using ir::RegClass;
+  std::vector<const ir::Function*> callees;
+  const std::size_t count = 1 + rng.nextBelow(3);
+  for (std::size_t k = 0; k < count; ++k) {
+    ir::Function& fn = prog.addFunction("callee" + std::to_string(k));
+    const ir::Reg base = fn.newReg(RegClass::kGp);
+    const ir::Reg x = fn.newReg(RegClass::kGp);
+    const ir::Reg y = fn.newReg(RegClass::kGp);
+    const ir::Reg f = fn.newReg(RegClass::kFp);
+    const ir::Reg p = fn.newReg(RegClass::kPr);
+    fn.params() = {base, x, y, f, p};
+    const std::size_t returns = 1 + rng.nextBelow(3);
+    for (std::size_t i = 0; i < returns; ++i) {
+      fn.returnClasses().push_back(static_cast<RegClass>(rng.nextBelow(3)));
+    }
+    auto at = [&] {
+      return static_cast<std::int64_t>(64 * (8 + 4 * k + rng.nextBelow(4)) +
+                                       8 * rng.nextBelow(8));
+    };
+
+    ir::IrBuilder b(fn);
+    b.setBlock(b.createBlock("entry"));
+    const ir::Reg g = b.add(x, y);
+    const std::size_t ops = 4 + rng.nextBelow(12);
+    for (std::size_t i = 0; i < ops; ++i) {
+      switch (rng.nextBelow(3)) {
+        case 0:
+          b.binaryTo(Opcode::kAdd, g, g, b.load(base, at()));
+          break;
+        case 1:
+          b.store(base, at(), g);
+          break;
+        default:
+          b.binaryTo(Opcode::kXor, g, g, y);
+          break;
+      }
+    }
+    const ir::Reg ff = b.fAdd(f, b.i2f(y));
+    const ir::Reg q = b.pXor(p, b.cmpLt(g, y));
+    if (!callees.empty() && rng.nextBelow(2) == 0) {
+      const ir::Function& inner = *callees[rng.nextBelow(callees.size())];
+      for (const ir::Reg r : b.call(inner, {base, g, y, ff, q})) {
+        const Opcode fold[3] = {Opcode::kAdd, Opcode::kFAdd, Opcode::kPXor};
+        const ir::Reg into[3] = {g, ff, q};
+        const auto cls = static_cast<std::size_t>(r.cls);
+        b.binaryTo(fold[cls], into[cls], into[cls], r);
+      }
+      b.store(base, at(), g);
+    }
+    if (rng.nextBelow(2) == 0) {
+      ir::BasicBlock& left = b.createBlock("left");
+      ir::BasicBlock& right = b.createBlock("right");
+      ir::BasicBlock& join = b.createBlock("join");
+      b.brCond(q, left, right);
+      b.setBlock(left);
+      b.binaryTo(Opcode::kAdd, g, g, x);
+      b.br(join);
+      b.setBlock(right);
+      b.binaryTo(Opcode::kXor, g, g, b.load(base, at()));
+      b.br(join);
+      b.setBlock(join);
+      b.store(base, at(), g);
+    }
+    std::vector<ir::Reg> values;
+    for (const RegClass cls : fn.returnClasses()) {
+      const bool first = std::none_of(
+          values.begin(), values.end(),
+          [&](const ir::Reg& v) { return v.cls == cls; });
+      switch (cls) {
+        case RegClass::kGp:
+          values.push_back(first ? g : b.xor_(g, y));
+          break;
+        case RegClass::kFp:
+          values.push_back(first ? ff : b.fAdd(ff, ff));
+          break;
+        case RegClass::kPr:
+          values.push_back(first ? q : b.pNot(q));
+          break;
+      }
+    }
+    b.ret(values);
+    callees.push_back(&fn);
+  }
+  return callees;
+}
+
 // Random structured-control-flow program generator: a sequence of segments,
 // each either a straight block, an if/else diamond, or a bounded counted
 // loop, mutating a small pool of live registers and finally storing a
 // digest.  Always verifier-clean, always terminates — the stronger
-// workhorse for cross-pass property tests.
+// workhorse for cross-pass property tests.  With `calls`, main also calls
+// the callees of addRandomCallees, each call between a store to a line of
+// its own in the table array (one of lines 0-7, by call site) and a load
+// of the data array, so inside loops too; it passes values of all three
+// register classes and folds every returned value into its state.
 inline ir::Program makeRandomCfgProgram(std::uint64_t seed,
                                         std::size_t segments = 4,
-                                        std::size_t opsPerBlock = 8) {
+                                        std::size_t opsPerBlock = 8,
+                                        bool calls = false) {
   Rng rng(seed ^ 0xCF6);
   ir::Program prog;
   const std::uint64_t dataAddr = prog.allocateGlobal("data", 64);
   const std::uint64_t outAddr = prog.allocateGlobal("output", 16);
+  std::vector<const ir::Function*> callees;
+  std::uint64_t tableAddr = 0;
+  if (calls) {
+    tableAddr = prog.allocateGlobal("table", 64 * 20);
+    Rng calleeRng(seed ^ 0xCA11);
+    callees = addRandomCallees(prog, calleeRng);
+  }
   ir::Function& fn = prog.addFunction("main");
+  prog.setEntryFunction(fn.id());
   ir::IrBuilder b(fn);
 
   ir::BasicBlock* current = &b.createBlock("entry");
@@ -194,6 +303,9 @@ inline ir::Program makeRandomCfgProgram(std::uint64_t seed,
     pool.push_back(b.movImm(static_cast<std::int64_t>(rng.nextBelow(500))));
   }
   auto anyReg = [&] { return pool[rng.nextBelow(pool.size())]; };
+  const ir::Reg tableBase =
+      calls ? b.movImm(static_cast<std::int64_t>(tableAddr)) : ir::Reg{};
+  std::size_t callSites = 0;
 
   // Emits a few random pool mutations into the current block.
   auto emitOps = [&](std::size_t count) {
@@ -201,7 +313,7 @@ inline ir::Program makeRandomCfgProgram(std::uint64_t seed,
       const ir::Reg dst = anyReg();
       const ir::Reg a = anyReg();
       const ir::Reg c = anyReg();
-      switch (rng.nextBelow(7)) {
+      switch (rng.nextBelow(calls ? 8 : 7)) {
         case 0:
           b.binaryTo(ir::Opcode::kAdd, dst, a, c);
           break;
@@ -224,6 +336,27 @@ inline ir::Program makeRandomCfgProgram(std::uint64_t seed,
               static_cast<std::int64_t>(rng.nextBelow(7)) * 8;
           b.store(dataBase, offset, a);
           b.emit(ir::Opcode::kLoad, {dst}, {dataBase}).imm = offset;
+          break;
+        }
+        case 7: {
+          // An fp result goes to the data array's last word, which the
+          // digest reads.
+          const ir::Function& callee =
+              *callees[rng.nextBelow(callees.size())];
+          b.store(tableBase, static_cast<std::int64_t>(64 * (callSites++ % 8)),
+                  a);
+          const ir::Reg f = b.i2f(anyReg());
+          const ir::Reg p = b.cmpLt(a, c);
+          for (const ir::Reg r : b.call(callee, {tableBase, a, c, f, p})) {
+            if (r.cls == ir::RegClass::kFp) {
+              b.fStore(dataBase, 56, r);
+            } else {
+              b.binaryTo(ir::Opcode::kAdd, dst, dst,
+                         r.cls == ir::RegClass::kGp ? r : b.select(r, a, c));
+            }
+          }
+          b.emit(ir::Opcode::kLoad, {anyReg()}, {dataBase}).imm =
+              static_cast<std::int64_t>(rng.nextBelow(8)) * 8;
           break;
         }
         default:
@@ -277,7 +410,7 @@ inline ir::Program makeRandomCfgProgram(std::uint64_t seed,
   }
 
   const ir::Reg outBase = b.movImm(static_cast<std::int64_t>(outAddr));
-  ir::Reg digest = pool[0];
+  ir::Reg digest = calls ? b.add(pool[0], b.load(dataBase, 56)) : pool[0];
   for (std::size_t i = 1; i < pool.size(); ++i) {
     digest = b.add(digest, b.mulImm(pool[i], static_cast<std::int64_t>(i)));
   }

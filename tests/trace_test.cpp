@@ -6,7 +6,8 @@
 //     mutations, no events;
 //   * the CASTED_TRACE environment override activates a session lazily,
 //     and that session writes its report at process exit;
-//   * every finished stepwise run is counted like a whole run;
+//   * every finished stepwise run is counted like a whole run, and each
+//     engine's sim.<engine>.mem_ops is its runs' memory-op count;
 //   * a checkpointed campaign counts every trial as one lockstep lane,
 //     decided or fallen back by reason, with the fallbacks' stepwise runs
 //     (each restored from its window's checkpoint) counted like whole runs,
@@ -627,6 +628,27 @@ TEST_F(TraceTest, DecodedCountersHoldOnlyExecutedInstructions) {
   EXPECT_EQ(trace::counterValue("sim.decoded.runs"),
             1 + lockstepFallbacks(prefix));
   EXPECT_EQ(trace::counterValue("sim.decoded.insns"), golden + fallbackInsns);
+}
+
+TEST_F(TraceTest, MemOpsCountsTheRunsMemoryOpsOnBothEngines) {
+  // sim.<engine>.mem_ops is RunStats::memAccesses, every executed load and
+  // store, not the accesses that reached memory (the L3 misses).
+  const core::CompiledProgram bin =
+      core::compile(workloads::makeWorkload("cjpeg").program,
+                    testutil::machine(2, 1), passes::Scheme::kCasted);
+  for (const sim::Engine engine :
+       {sim::Engine::kDecoded, sim::Engine::kReference}) {
+    trace::resetForTest();
+    trace::enable("");
+    sim::SimOptions options;
+    options.engine = engine;
+    const sim::RunResult result = core::run(bin, options);
+    const std::string prefix = std::string("sim.") + sim::engineName(engine);
+    EXPECT_EQ(trace::counterValue(prefix + ".mem_ops"),
+              static_cast<std::int64_t>(result.stats.memAccesses))
+        << prefix;
+    EXPECT_GT(result.stats.memAccesses, result.stats.memoryAccesses) << prefix;
+  }
 }
 
 TEST_F(TraceTest, ReportIsValidChromeTraceJson) {
