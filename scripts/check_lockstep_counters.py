@@ -10,8 +10,10 @@ counters are checked ("campaign" or "exhaustive").  For every trace:
 
   * the export carries trace events, the git_describe metadata and the
     driver's per-worker counters;
-  * fault.<DRIVER>.lockstep.lanes and .lane_ops exist;
+  * fault.<DRIVER>.lockstep.lanes, .lane_ops and .lane_steps exist;
   * every lane is decided or falls back exactly once;
+  * the lane ops split by lane end (lane_ops.<end>) sum to lane_ops, and
+    no lane step (a golden op that evaluated some lane) is without one;
   * the golden streams ran instructions, and the part of them before each
     window's first flip (prefix_insns) is at most all of them;
   * per fallback reason, the re-runs' outcome counters sum to the reason's
@@ -29,7 +31,8 @@ import json
 import sys
 
 DECISIONS = ('detected', 'exception', 'halt', 'reconverged')
-REASONS = ('control', 'timing', 'budget')
+REASONS = ('control', 'timing')
+ENDS = DECISIONS + REASONS
 OUTCOMES = ('benign', 'detected', 'exception', 'data-corrupt', 'timeout')
 
 
@@ -43,6 +46,7 @@ def check(trace, driver, lanes_expected, sites_per_lane):
         'missing worker counters')
     assert prefix + 'lanes' in counters, 'missing lockstep counters'
     assert prefix + 'lane_ops' in counters, 'missing lane_ops counter'
+    assert prefix + 'lane_steps' in counters, 'missing lane_steps counter'
 
     lanes = counters[prefix + 'lanes']
     if lanes_expected is not None:
@@ -56,6 +60,12 @@ def check(trace, driver, lanes_expected, sites_per_lane):
     fallback = sum(counters.get(prefix + 'fallback.' + reason, 0)
                    for reason in REASONS)
     assert decided + fallback == lanes, (decided, fallback, lanes)
+
+    lane_ops = counters[prefix + 'lane_ops']
+    by_end = sum(counters.get(prefix + 'lane_ops.' + end, 0) for end in ENDS)
+    assert by_end == lane_ops, (by_end, lane_ops)
+    lane_steps = counters[prefix + 'lane_steps']
+    assert lane_steps <= lane_ops, (lane_steps, lane_ops)
 
     stream = counters.get(prefix + 'stream_insns', 0)
     assert stream > 0, 'missing golden-stream instructions'

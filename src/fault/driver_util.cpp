@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -219,8 +220,8 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   }
   const sim::LockstepStream stream =
       runner_->runLockstep(options_, lanePlans_, laneVerdicts_);
-  std::uint64_t laneOps = 0;
   std::array<std::int64_t, sim::kLaneEndCount> ends = {};
+  std::array<std::int64_t, sim::kLaneEndCount> laneOps = {};
   // Per fallback reason, the instructions the fallbacks ran past their
   // injection point, and how they ended.
   std::array<std::int64_t, sim::kLaneEndCount> fallbackInsns = {};
@@ -229,7 +230,7 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   for (std::size_t i = 0; i < window.size(); ++i) {
     const sim::LaneVerdict& lane = laneVerdicts_[i];
     const auto e = static_cast<std::size_t>(lane.end);
-    laneOps += lane.laneOps;
+    laneOps[e] += static_cast<std::int64_t>(lane.laneOps);
     ++ends[e];
     switch (lane.end) {
       case sim::LaneEnd::kDetected:
@@ -256,7 +257,11 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
     trace::counterAdd(prefix + "windows");
     trace::counterAdd(prefix + "lanes",
                       static_cast<std::int64_t>(window.size()));
-    trace::counterAdd(prefix + "lane_ops", static_cast<std::int64_t>(laneOps));
+    trace::counterAdd(prefix + "lane_ops",
+                      std::accumulate(laneOps.begin(), laneOps.end(),
+                                      std::int64_t{0}));
+    trace::counterAdd(prefix + "lane_steps",
+                      static_cast<std::int64_t>(stream.laneSteps));
     trace::counterAdd(prefix + "stream_insns",
                       static_cast<std::int64_t>(stream.insns));
     trace::counterAdd(prefix + "prefix_insns",
@@ -264,6 +269,7 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
     for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
       const auto end = static_cast<sim::LaneEnd>(e);
       const std::string name = sim::laneEndName(end);
+      trace::counterAdd(prefix + "lane_ops." + name, laneOps[e]);
       if (!sim::isFallback(end)) {
         trace::counterAdd(prefix + "decided." + name, ends[e]);
         continue;

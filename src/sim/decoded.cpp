@@ -260,7 +260,7 @@ struct DecodedRunner::Impl {
   // The lockstep window the golden stream serves (runLanes).  While it is
   // armed (exec<true>), its lanes take the fault-plan cursor's place:
   // nextFaultOrdinal is their next flip.
-  Lanes lanes{{gpStack, fpStack, prStack, memory, stats.cycles,
+  Lanes lanes{{gpStack, fpStack, prStack, addrStack, memory, stats.cycles,
                options.maxCycles, prog}};
 
   // The explicit call stack.  frames.back() is the executing frame; its
@@ -578,10 +578,11 @@ struct DecodedRunner::Impl {
       for (; node < blk.opCount; ++node) {
         const MicroOp& u = ops[node];
         ++insns.n;
+        [[maybe_unused]] bool laneOp = false;
         if constexpr (kLanes) {
-          if (lanes.hasDiffs() && view.touches(u, regs.gp) &&
-              lanes.step(u, node, f.base, insns.n)) {
-            return Flow::kLanesDone;
+          laneOp = lanes.hasDiffs() && view.touches(u, regs.gp);
+          if (laneOp) {
+            lanes.capture(u, f.base);
           }
         }
         if (u.op < Opcode::kBr || u.op > Opcode::kHalt) [[likely]] {
@@ -616,8 +617,8 @@ struct DecodedRunner::Impl {
               if constexpr (kLanes) {
                 lanes.syncArenas();
                 lanes.onMove(pool + u.a, caller,
-                              prog.functions()[u.t1].params.data(),
-                              frames.back().base, u.b, insns.n);
+                             prog.functions()[u.t1].params.data(),
+                             frames.back().base, u.b);
               }
               pushed = true;  // `f` is dangling now (frames reallocated)
               break;
@@ -631,7 +632,7 @@ struct DecodedRunner::Impl {
                 copyRegs(pool + u.a, f.base, pool + f.retPool, caller, u.b);
                 if constexpr (kLanes) {
                   lanes.onMove(pool + u.a, f.base, pool + f.retPool, caller,
-                               u.b, insns.n);
+                               u.b);
                 }
               }
               returned = true;
@@ -645,6 +646,11 @@ struct DecodedRunner::Impl {
           }
           if (pushed) {
             break;  // enter the callee frame
+          }
+        }
+        if constexpr (kLanes) {
+          if (laneOp && lanes.step(u, node, f.base, insns.n)) {
+            return Flow::kLanesDone;
           }
         }
         if (u.defCount != 0) {
@@ -833,6 +839,7 @@ struct DecodedRunner::Impl {
                  lanes.allDecided())
         << "the golden stream ended without deciding its lanes";
     stream.insns = stats.dynamicInsns;
+    stream.laneSteps = lanes.laneSteps();
     rerunFallbacks(plans, verdicts);
     return stream;
   }

@@ -181,9 +181,8 @@ enum class LaneEnd : std::uint8_t {
   kReconverged,      // every diff died and no flip was pending
   kFallbackControl,  // a branch predicate differed
   kFallbackTiming,   // the lane's cycle bound exceeded the watchdog
-  kFallbackBudget,   // the lane cost more lane ops than its budget
 };
-inline constexpr std::size_t kLaneEndCount = 7;
+inline constexpr std::size_t kLaneEndCount = 6;
 
 const char* laneEndName(LaneEnd end);
 
@@ -209,10 +208,12 @@ struct LaneVerdict {
 
 // The golden instructions one lockstep window's stream ran: in all, and
 // before the window's first flip (the whole run when that flip lies past
-// the run's last def).
+// the run's last def); and its lane steps, the golden ops (a flagged op, or
+// a move of call arguments or returned values) that evaluated some lane.
 struct LockstepStream {
   std::uint64_t insns = 0;
   std::uint64_t prefixInsns = 0;
+  std::uint64_t laneSteps = 0;
 };
 
 // A reusable execution context over one DecodedProgram: the memory image,

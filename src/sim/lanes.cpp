@@ -9,16 +9,6 @@ namespace {
 
 using ir::Opcode;
 
-// A lane op whose cost exceeds this many plain ops makes the rerun cheaper:
-// the measured cost of a lane op over a plain golden op (EXPERIMENTS.md,
-// "Lockstep lanes").  kLaneOpGrace lane ops are free of the budget, so a
-// short-lived lane (a flip that a check catches a few ops later) is never
-// sent back for its first dense burst.  Without the grace, 63% of the
-// Fig. 9 lanes fell back and the campaign ran 23% slower; 64 to 1024
-// measured alike (EXPERIMENTS.md, "The budget's grace").
-constexpr std::uint64_t kLaneOpCost = 3;
-constexpr std::uint64_t kLaneOpGrace = 256;
-
 // `word` after a store of `width` bytes of `value` at `at` (inside it).
 std::uint64_t storedWord(std::uint64_t word, std::uint64_t at,
                          std::uint32_t width, std::uint64_t value) {
@@ -37,30 +27,38 @@ static_assert(std::endian::native == std::endian::little);
 
 const char* laneEndName(LaneEnd end) {
   static constexpr const char* kNames[kLaneEndCount] = {
-      "detected", "exception", "halt",  "reconverged",
-      "control",  "timing",    "budget"};
+      "detected", "exception", "halt", "reconverged", "control", "timing"};
   return kNames[static_cast<std::size_t>(end)];
 }
 
-// evalOp's access for one lane, or for golden itself (kGolden): the lane's
-// values, golden's overlaid with its diffs, and its view of memory.  It
-// writes nothing; step() commits what it captured.
+// evalOp's access for one lane: the op's register operands, gathered
+// before the call, and the lane's view of memory, golden's overlaid with
+// its words.  It writes nothing; step() commits what it captured.
 struct Lanes::Access {
   const Lanes& lanes;
+  const MicroOp& u;
   std::uint32_t lane;
-  FrameBase base;
+  std::uint64_t use[3] = {};  // bits of the register operands a, b, c
   std::uint64_t def = 0;      // bits of the op's result
   std::uint64_t address = 0;  // of a load or store
   std::uint64_t stored = 0;   // value of a store
 
+  // evalOp reads a register only as one of the op's declared uses a, b, c
+  // (MicroOp::useClass), so class and slot name the operand.
+  std::uint64_t operand(std::uint32_t cls, std::uint32_t slot) const {
+    if (u.useClass[0] == cls && u.a == slot) {
+      return use[0];
+    }
+    return u.useClass[1] == cls && u.b == slot ? use[1] : use[2];
+  }
   std::int64_t g(std::uint32_t slot) const {
-    return static_cast<std::int64_t>(lanes.laneBits(lane, 0, base.gp + slot));
+    return static_cast<std::int64_t>(operand(0, slot));
   }
   double f(std::uint32_t slot) const {
-    return std::bit_cast<double>(lanes.laneBits(lane, 1, base.fp + slot));
+    return std::bit_cast<double>(operand(1, slot));
   }
   std::uint8_t p(std::uint32_t slot) const {
-    return static_cast<std::uint8_t>(lanes.laneBits(lane, 2, base.pr + slot));
+    return static_cast<std::uint8_t>(operand(2, slot));
   }
   void setG(std::uint32_t, std::int64_t value) {
     def = static_cast<std::uint64_t>(value);
@@ -92,8 +90,13 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
   if (open_ != 0) {
     // The last window was abandoned midway: its sets are not empty.
     for (std::uint32_t c = 0; c < 3; ++c) {
-      std::fill(regMask_[c].begin(), regMask_[c].end(), LaneSet{});
-      std::fill(regAny_[c].begin(), regAny_[c].end(), 0);
+      std::fill(regIndex_[c].begin(), regIndex_[c].end(), 0);
+    }
+    freeSlots_.clear();
+    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+      slots_[i].lanes = LaneSet{};
+      slots_[i].values.clear();
+      freeSlots_.push_back(i);
     }
     memIndex_.clear();
     memSets_.clear();
@@ -103,18 +106,27 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
   }
   verdicts_ = &out;
   lanes_.resize(plans.size());
+  words_ = (plans.size() + 63) / 64;
   events_.clear();
   for (std::uint32_t i = 0; i < plans.size(); ++i) {
-    DiffMap diff = std::move(lanes_[i].diff);  // keeps its allocation
-    diff.clear();
-    lanes_[i] = Lane{};
-    lanes_[i].plan = plans[i];
-    lanes_[i].diff = std::move(diff);
+    Lane& l = lanes_[i];  // keeps the allocations of `regs` and `words`
+    l.plan = plans[i];
+    l.cursor = 0;
+    l.diverged = false;
+    l.boundStart = 0;
+    l.worstBefore = 0;
+    l.regs.clear();
+    l.words.clear();
+    state_[i] = State::kDormant;
+    laneOps_[i] = 0;
+    injectedAt_[i] = 0;
+    diffCount_[i] = 0;
     events_.emplace_back(plans[i]->points[0].ordinal, i);
   }
   std::make_heap(events_.begin(), events_.end(), std::greater<>());
   open_ = plans.size();
   worst_ = 0;
+  laneSteps_ = 0;
   const std::uint64_t words =
       (golden_.memory.arenaEnd() - ir::Program::kGlobalBase + 7) / 8;
   if (words != memWords_) {
@@ -124,18 +136,69 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
   syncArenas();  // the frames the prefix left
 }
 
-inline std::uint64_t Lanes::goldenBits(std::uint32_t cls,
-                                       std::uint32_t slot) const {
-  return cls == 0   ? static_cast<std::uint64_t>(golden_.gp[slot])
-         : cls == 1 ? std::bit_cast<std::uint64_t>(golden_.fp[slot])
-                    : golden_.pr[slot];
-}
-
 inline std::uint64_t Lanes::laneBits(std::uint32_t lane, std::uint32_t cls,
                                      std::uint32_t slot) const {
-  return lane != kGolden && regMask_[cls][slot].test(lane)
-             ? lanes_[lane].diff.at(DiffMap::regKey(cls, slot))
-             : goldenBits(cls, slot);
+  const std::uint32_t index = regIndex_[cls][slot];
+  if (index != 0) {
+    const SlotDiffs& d = slots_[index - 1];
+    if (d.lanes.test(lane)) {
+      return d.values[d.lanes.rank(lane)];
+    }
+  }
+  return goldenBits(cls, slot);
+}
+
+// Gives `slot` a SlotDiffs, recycled if one is free; returns its index + 1.
+std::uint32_t Lanes::newSlotDiffs(std::uint32_t cls, std::uint32_t slot) {
+  std::uint32_t index = 0;
+  if (freeSlots_.empty()) {
+    slots_.emplace_back();
+    index = static_cast<std::uint32_t>(slots_.size());
+  } else {
+    index = freeSlots_.back() + 1;
+    freeSlots_.pop_back();
+  }
+  regIndex_[cls][slot] = index;
+  return index;
+}
+
+void Lanes::freeSlotDiffs(std::uint32_t cls, std::uint32_t slot) {
+  const std::uint32_t index = regIndex_[cls][slot];
+  slots_[index - 1].lanes = LaneSet{};
+  slots_[index - 1].values.clear();
+  freeSlots_.push_back(index - 1);
+  regIndex_[cls][slot] = 0;
+}
+
+// Takes `lane`'s value out of the slot's packed values, and frees the
+// slot's SlotDiffs with its last lane.
+void Lanes::eraseRegValue(std::uint32_t lane, std::uint32_t cls,
+                          std::uint32_t slot) {
+  SlotDiffs& d = slots_[regIndex_[cls][slot] - 1];
+  d.values.erase(d.values.begin() + d.lanes.rank(lane));
+  d.lanes.reset(lane);
+  if (!d.lanes.any()) {
+    freeSlotDiffs(cls, slot);
+  }
+}
+
+// A register diff of `lane` appeared or died: its list and counts follow.
+inline void Lanes::addRegDiff(std::uint32_t lane, std::uint32_t cls,
+                              std::uint32_t slot) {
+  lanes_[lane].regs.push_back(regKey(cls, slot));
+  ++diffCount_[lane];
+  ++diffs_;
+}
+
+void Lanes::dropRegDiff(std::uint32_t lane, std::uint32_t cls,
+                        std::uint32_t slot) {
+  std::vector<std::uint64_t>& regs = lanes_[lane].regs;
+  const auto it = std::find(regs.begin(), regs.end(), regKey(cls, slot));
+  CASTED_CHECK(it != regs.end()) << "lane diff has no such register";
+  *it = regs.back();
+  regs.pop_back();
+  --diffCount_[lane];
+  --diffs_;
 }
 
 const LaneSet* Lanes::wordLanes(std::uint64_t word) const {
@@ -181,55 +244,50 @@ void Lanes::markWord(std::uint32_t lane, std::uint64_t word, bool differs) {
 }
 
 std::uint64_t Lanes::laneWord(std::uint32_t lane, std::uint64_t word) const {
-  return lane != kGolden && hasWord(lane, word)
-             ? lanes_[lane].diff.at(DiffMap::wordKey(word))
+  return hasWord(lane, word)
+             ? lanes_[lane].words.at(word)
              : golden_.memory.peekWord(word);
 }
 
-// Records the lane's value of a register, as a diff iff it differs from
+// Records one lane's value of a register, as a diff iff it differs from
 // the golden stream's value there, `golden`.
-inline void Lanes::setReg(std::uint32_t lane, std::uint32_t cls,
-                          std::uint32_t slot, std::uint64_t bits,
-                          std::uint64_t golden) {
-  LaneSet& mask = regMask_[cls][slot];
-  const std::uint64_t key = DiffMap::regKey(cls, slot);
+void Lanes::setReg(std::uint32_t lane, std::uint32_t cls, std::uint32_t slot,
+                   std::uint64_t bits, std::uint64_t golden) {
+  std::uint32_t index = regIndex_[cls][slot];
   if (bits != golden) {
-    diffs_ += lanes_[lane].diff.put(key, bits) ? 1 : 0;
-    mask.set(lane);
-    regAny_[cls][slot] = 1;
-  } else if (mask.test(lane)) {
-    lanes_[lane].diff.erase(key);
-    --diffs_;
-    mask.reset(lane);
-    regAny_[cls][slot] = mask.any() ? 1 : 0;
+    if (index == 0) {
+      index = newSlotDiffs(cls, slot);
+    }
+    SlotDiffs& d = slots_[index - 1];
+    const std::uint32_t at = d.lanes.rank(lane);
+    if (d.lanes.test(lane)) {
+      d.values[at] = bits;
+      return;
+    }
+    d.values.insert(d.values.begin() + at, bits);
+    d.lanes.set(lane);
+    addRegDiff(lane, cls, slot);
+  } else if (index != 0 && slots_[index - 1].lanes.test(lane)) {
+    eraseRegValue(lane, cls, slot);
+    dropRegDiff(lane, cls, slot);
   }
 }
 
 // The same for an aligned memory word.
 void Lanes::setWord(std::uint32_t lane, std::uint64_t word,
                     std::uint64_t bits, std::uint64_t golden) {
-  const std::uint64_t key = DiffMap::wordKey(word);
   if (bits != golden) {
-    diffs_ += lanes_[lane].diff.put(key, bits) ? 1 : 0;
+    if (lanes_[lane].words.put(word, bits)) {
+      ++diffCount_[lane];
+      ++diffs_;
+    }
     markWord(lane, word, true);
   } else if (hasWord(lane, word)) {
-    lanes_[lane].diff.erase(key);
+    lanes_[lane].words.erase(word);
+    --diffCount_[lane];
     --diffs_;
     markWord(lane, word, false);
   }
-}
-
-// Counts one op of lane work; false when the lane ran out of budget (and
-// was sent back).
-inline bool Lanes::chargeLaneOp(std::uint32_t lane, std::uint64_t insns) {
-  Lane& l = lanes_[lane];
-  ++l.laneOps;
-  if (l.laneOps > kLaneOpGrace &&
-      l.laneOps * kLaneOpCost > insns - l.injectedAt) {
-    decide(lane, LaneEnd::kFallbackBudget, insns);
-    return false;
-  }
-  return true;
 }
 
 // Ends a lane.  An exact decision of a lane whose address once differed
@@ -245,41 +303,83 @@ void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
   v.end = end;
   v.corrupt = corrupt;
   v.dynamicInsns = insns;
-  v.laneOps = l.laneOps;
-  v.injectedAt = l.injectedAt;
-  diffs_ -= l.diff.size();
-  l.diff.drain([&](std::uint64_t key, std::uint64_t) {
-    if (DiffMap::isWordKey(key)) {
-      markWord(lane, key & ((1ULL << 60) - 1), false);
-    } else {
-      const std::uint32_t cls = static_cast<std::uint32_t>(key >> 60);
-      const std::uint32_t slot = static_cast<std::uint32_t>(key);
-      regMask_[cls][slot].reset(lane);
-      regAny_[cls][slot] = regMask_[cls][slot].any() ? 1 : 0;
-    }
+  v.laneOps = laneOps_[lane];
+  v.injectedAt = injectedAt_[lane];
+  for (const std::uint64_t key : l.regs) {
+    eraseRegValue(lane, static_cast<std::uint32_t>(key >> 32),
+                  static_cast<std::uint32_t>(key));
+  }
+  diffs_ -= l.regs.size() + l.words.size();
+  l.regs.clear();
+  l.words.drain([&](std::uint64_t word, std::uint64_t) {
+    markWord(lane, word, false);
   });
-  l.state = State::kDone;
+  diffCount_[lane] = 0;
+  state_[lane] = State::kDone;
   --open_;
 }
 
 // A live lane whose diffs all died with no flip pending is the golden run
 // from here on; it waits for the stream's end, which decides it.
 inline void Lanes::noteReconverged(std::uint32_t lane) {
-  Lane& l = lanes_[lane];
-  if (l.state == State::kLive && l.diff.empty() &&
-      l.cursor == l.plan->points.size()) {
-    l.state = State::kReconverged;
+  if (state_[lane] == State::kLive && diffCount_[lane] == 0 &&
+      lanes_[lane].cursor == lanes_[lane].plan->points.size()) {
+    state_[lane] = State::kReconverged;
   }
 }
 
+// The def of a step's op: `after` names the evaluated lanes whose result
+// differs from golden's, and defValues_ holds their results in lane order.
+// It becomes the slot's packed values, and the lanes that no longer
+// differ leave the slot.
+[[gnu::always_inline]] inline void Lanes::writeDef(std::uint32_t cls,
+                                                   std::uint32_t slot,
+                                                   const LaneSet& after) {
+  std::uint32_t index = regIndex_[cls][slot];
+  const LaneSet before = index == 0 ? LaneSet{} : slots_[index - 1].lanes;
+  if (!defValues_.empty()) {
+    if (index == 0) {
+      index = newSlotDiffs(cls, slot);
+    }
+    slots_[index - 1].lanes = after;
+    slots_[index - 1].values.swap(defValues_);
+  } else if (index != 0) {
+    freeSlotDiffs(cls, slot);
+  }
+  if (after == before) {
+    return;  // values changed, no diff appeared or died
+  }
+  after.minus(before).forEach(
+      [&](std::uint32_t lane) { addRegDiff(lane, cls, slot); });
+  before.minus(after).forEach([&](std::uint32_t lane) {
+    dropRegDiff(lane, cls, slot);
+    noteReconverged(lane);
+  });
+}
+
+// One batch per touched op, after golden ran it: golden's operands (from
+// capture()) and its result once, then one pass over the touched lanes in
+// lane order that counts each lane's op, gathers its operands by rank from
+// the slots' packed values, evaluates it through evalOp and packs its def;
+// then the decisions, the def and (for memory ops) the addresses and
+// stored words are committed.
 bool Lanes::step(const MicroOp& u, std::uint32_t node,
                  const FrameBase& base, std::uint64_t insns) {
-  LaneSet touched;
+  static const LaneSet kNone;
   const std::uint32_t field[3] = {u.a, u.b, u.c};
+  const LaneSet* useLanes[3] = {&kNone, &kNone, &kNone};
+  const std::uint64_t* useValues[3] = {};
+  LaneSet touched;
   for (int i = 0; i < 3; ++i) {
     const std::uint32_t cls = u.useClass[i];
-    if (cls != MicroOp::kNoUse) {
-      touched |= regMask_[cls][slotBase(base, cls) + field[i]];
+    if (cls == MicroOp::kNoUse) {
+      continue;
+    }
+    const std::uint32_t slot = slotBase(base, cls) + field[i];
+    if (const std::uint32_t index = regIndex_[cls][slot]; index != 0) {
+      useLanes[i] = &slots_[index - 1].lanes;
+      useValues[i] = slots_[index - 1].values.data();
+      touched |= *useLanes[i];
     }
   }
   if (u.op == Opcode::kBrCond) {
@@ -292,79 +392,126 @@ bool Lanes::step(const MicroOp& u, std::uint32_t node,
   const bool hasDef = u.defCount == 1 && u.op != Opcode::kCall;
   const std::uint32_t defSlot = slotBase(base, u.defClass) + u.def;
   if (hasDef) {
-    touched |= regMask_[u.defClass][defSlot];
+    if (const std::uint32_t index = regIndex_[u.defClass][defSlot]) {
+      touched |= slots_[index - 1].lanes;
+    }
   }
-  Access golden{*this, kGolden, base};
-  const OpEval goldenEval = evalOp(u, node, golden);
-  CASTED_CHECK(goldenEval.status == OpStatus::kOk)
-      << "the golden stream cannot trap, detect or branch in a lane step";
+  // Golden has run the op: its result is in its def slot, its address in
+  // the frame's address slot of the op.
+  const std::uint64_t goldenDef = hasDef ? goldenBits(u.defClass, defSlot) : 0;
   const bool memoryOp = isMemOp(u.op);
-  const bool storeOp = memoryOp && (u.op == Opcode::kStore ||
-                                    u.op == Opcode::kStoreB ||
-                                    u.op == Opcode::kFStore);
-  const std::uint32_t width = u.op == Opcode::kLoadB || u.op == Opcode::kStoreB
-                                  ? 1
-                                  : 8;
-  const std::uint64_t goldenWord = golden.address & ~7ULL;
-  // Every level's line holds the smallest one, so an access inside golden's
-  // smallest line touches golden's line at every level.
-  const std::uint32_t lineShift = golden_.prog.lineShift();
+  const std::uint64_t goldenAddress =
+      memoryOp ? golden_.addr[base.addr + node] : 0;
+  const std::uint64_t goldenWord = goldenAddress & ~7ULL;
   if (memoryOp) {
     if (const LaneSet* set = wordLanes(goldenWord)) {
       touched |= *set;
     }
   }
 
-  touched.forEach([&](std::uint32_t lane) {
-    if (!chargeLaneOp(lane, insns)) {
-      return;
+  // Every use slot's lanes are touched, so walking the touched lanes in
+  // order walks each slot's packed values in order too: a lane's operand
+  // is at its rank, the slot's cursor.
+  std::uint32_t cursor[3] = {};
+  LaneSet detected, trapped, differs;
+  bool ends = false;  // some lane detected or trapped
+  std::size_t accesses = 0;
+  defValues_.clear();
+  for (std::size_t w = 0; w < words_; ++w) {
+    if (touched.w[w] == 0) {
+      continue;
     }
-    Access access{*this, lane, base};
-    const OpEval eval = evalOp(u, node, access);
-    if (eval.status == OpStatus::kDetect) {
+    const std::uint64_t useWord[3] = {useLanes[0]->w[w], useLanes[1]->w[w],
+                                      useLanes[2]->w[w]};
+    std::uint64_t detectedBits = 0;
+    std::uint64_t trappedBits = 0;
+    std::uint64_t differsBits = 0;
+    for (std::uint64_t bits = touched.w[w]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t mask = bits & (0 - bits);
+      const auto lane =
+          static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+      std::uint64_t use[3] = {};
+#pragma GCC unroll 3
+      for (int i = 0; i < 3; ++i) {
+        const bool laneDiffers = (useWord[i] & mask) != 0;
+        use[i] = laneDiffers ? useValues[i][cursor[i]] : goldenUse_[i];
+        cursor[i] += laneDiffers ? 1 : 0;
+      }
+      ++laneOps_[lane];
+      Access access{*this, u, lane, {use[0], use[1], use[2]}};
+      const OpEval eval = evalOp(u, node, access);
+      if (eval.status != OpStatus::kOk) [[unlikely]] {
+        (eval.status == OpStatus::kDetect ? detectedBits : trappedBits) |=
+            mask;
+        continue;
+      }
+      if (hasDef && access.def != goldenDef) {
+        differsBits |= mask;
+        defValues_.push_back(access.def);
+      }
+      if (memoryOp) {
+        accesses_[accesses++] = {lane, access.address, access.stored};
+      }
+    }
+    detected.w[w] = detectedBits;
+    trapped.w[w] = trappedBits;
+    differs.w[w] = differsBits;
+    ends |= (detectedBits | trappedBits) != 0;
+  }
+  ++laneSteps_;
+  if (ends) [[unlikely]] {
+    detected.forEach([&](std::uint32_t lane) {
       decide(lane, LaneEnd::kDetected, insns);
-      return;
-    }
-    if (eval.status == OpStatus::kTrap) {
+    });
+    trapped.forEach([&](std::uint32_t lane) {
       decide(lane, LaneEnd::kException, insns);
-      return;
-    }
-    Lane& l = lanes_[lane];
-    if (memoryOp && !l.diverged &&
-        (access.address >> lineShift) != (golden.address >> lineShift)) {
+    });
+  }
+  if (hasDef) {
+    writeDef(u.defClass, defSlot, differs);
+  }
+  if (!memoryOp) {
+    return open_ == 0;
+  }
+  // Every level's line holds the smallest one, so an access inside golden's
+  // smallest line touches golden's line at every level.
+  const std::uint32_t lineShift = golden_.prog.lineShift();
+  const bool storeOp = isStoreOp(u.op);
+  const std::uint32_t width = u.op == Opcode::kLoadB || u.op == Opcode::kStoreB
+                                  ? 1
+                                  : 8;
+  for (std::size_t k = 0; k < accesses; ++k) {
+    const LaneAccess& r = accesses_[k];
+    Lane& l = lanes_[r.lane];
+    if (!l.diverged &&
+        (r.address >> lineShift) != (goldenAddress >> lineShift)) {
       // Its cache sees another line from here on: its cycles get a bound.
       l.diverged = true;
       l.boundStart = golden_.cycles;
       l.worstBefore = worst_;
     }
-    // The golden stream writes after this step, so the lane's results are
-    // compared against golden's results of this op, not its memory.
-    if (hasDef) {
-      setReg(lane, u.defClass, defSlot, access.def, golden.def);
+    if (!storeOp) {
+      continue;
     }
-    if (storeOp) {
-      // After both stores, the lane keeps its own bytes at golden's address
-      // (unless it wrote there too), and its word at its own address holds
-      // what it wrote.
-      const std::uint64_t laneWordAddr = access.address & ~7ULL;
-      const std::uint64_t words[2] = {laneWordAddr, goldenWord};
-      for (int k = 0; k < (laneWordAddr == goldenWord ? 1 : 2); ++k) {
-        const std::uint64_t word = words[k];
-        std::uint64_t laneValue = laneWord(lane, word);
-        if (word == laneWordAddr) {
-          laneValue = storedWord(laneValue, access.address, width,
-                                 access.stored);
-        }
-        std::uint64_t goldenValue = golden_.memory.peekWord(word);
-        if (word == goldenWord) {
-          goldenValue = storedWord(goldenValue, golden.address, width,
-                                   golden.stored);
-        }
-        setWord(lane, word, laneValue, goldenValue);
+    // Golden memory holds golden's store already.  After both stores, the
+    // lane keeps its own bytes at golden's address (golden's word before
+    // the store, unless the lane differs there or wrote there too), and
+    // its word at its own address holds what it wrote.
+    const std::uint64_t laneWordAddr = r.address & ~7ULL;
+    const std::uint64_t words[2] = {laneWordAddr, goldenWord};
+    for (int w = 0; w < (laneWordAddr == goldenWord ? 1 : 2); ++w) {
+      const std::uint64_t word = words[w];
+      std::uint64_t laneValue =
+          hasWord(r.lane, word) ? lanes_[r.lane].words.at(word)
+          : word == goldenWord  ? goldenStoreWord_
+                                : golden_.memory.peekWord(word);
+      if (word == laneWordAddr) {
+        laneValue = storedWord(laneValue, r.address, width, r.stored);
       }
+      setWord(r.lane, word, laneValue, golden_.memory.peekWord(word));
     }
-    noteReconverged(lane);
-  });
+    noteReconverged(r.lane);
+  }
   return open_ == 0;
 }
 
@@ -376,12 +523,12 @@ std::uint64_t Lanes::onDef(const MicroOp& u, const FrameBase& base,
     events_.pop_back();
     Lane& l = lanes_[lane];
     const FaultPoint& point = l.plan->points[l.cursor++];
-    if (l.state == State::kDone) {
+    if (state_[lane] == State::kDone) {
       continue;
     }
-    if (l.state == State::kDormant) {
-      l.state = State::kLive;
-      l.injectedAt = insns;
+    if (state_[lane] == State::kDormant) {
+      state_[lane] = State::kLive;
+      injectedAt_[lane] = insns;
     }
     if (l.cursor < l.plan->points.size()) {
       events_.emplace_back(l.plan->points[l.cursor].ordinal, lane);
@@ -401,17 +548,18 @@ std::uint64_t Lanes::onDef(const MicroOp& u, const FrameBase& base,
 // A lane that differs at either end of a move takes its own value across.
 void Lanes::moveDiffs(const DecodedReg* from, const FrameBase& src,
                       const DecodedReg* to, const FrameBase& dst,
-                      std::uint32_t count, std::uint64_t insns) {
+                      std::uint32_t count) {
   LaneSet touched;
   for (std::uint32_t i = 0; i < count; ++i) {
-    touched |=
-        regMask_[from[i].cls][slotBase(src, from[i].cls) + from[i].slot];
-    touched |= regMask_[to[i].cls][slotBase(dst, to[i].cls) + to[i].slot];
+    touched |= regLanes(from[i].cls, slotBase(src, from[i].cls) + from[i].slot);
+    touched |= regLanes(to[i].cls, slotBase(dst, to[i].cls) + to[i].slot);
   }
+  if (!touched.any()) {
+    return;
+  }
+  ++laneSteps_;
   touched.forEach([&](std::uint32_t lane) {
-    if (!chargeLaneOp(lane, insns)) {
-      return;
-    }
+    ++laneOps_[lane];
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t slot = slotBase(dst, to[i].cls) + to[i].slot;
       const std::uint64_t bits = laneBits(
@@ -431,19 +579,15 @@ void Lanes::dropFrame(const FrameBase& base) {
                                golden_.pr.size()};
   LaneSet touched;
   for (std::uint32_t c = 0; c < 3; ++c) {
-    for (std::size_t slot = slotBase(base, c); slot < tops[c]; ++slot) {
-      if (regAny_[c][slot] == 0) {
+    for (std::size_t s = slotBase(base, c); s < tops[c]; ++s) {
+      const auto slot = static_cast<std::uint32_t>(s);
+      if (regIndex_[c][slot] == 0) {
         continue;
       }
-      const std::uint64_t key =
-          DiffMap::regKey(c, static_cast<std::uint32_t>(slot));
-      regMask_[c][slot].forEach([&](std::uint32_t lane) {
-        lanes_[lane].diff.erase(key);
-        --diffs_;
-      });
-      touched |= regMask_[c][slot];
-      regMask_[c][slot] = LaneSet{};
-      regAny_[c][slot] = 0;
+      const LaneSet lanes = regLanes(c, slot);
+      lanes.forEach([&](std::uint32_t lane) { dropRegDiff(lane, c, slot); });
+      touched |= lanes;
+      freeSlotDiffs(c, slot);
     }
   }
   touched.forEach([&](std::uint32_t lane) { noteReconverged(lane); });
@@ -456,11 +600,10 @@ void Lanes::finish(std::optional<std::uint32_t> exitSlot,
   const std::uint64_t begin = golden_.prog.outputAddress();
   const std::uint64_t end = begin + golden_.prog.outputSize();
   for (std::uint32_t lane = 0; lane < lanes_.size(); ++lane) {
-    const Lane& l = lanes_[lane];
-    if (l.state == State::kDone) {
+    if (state_[lane] == State::kDone) {
       continue;
     }
-    if (l.state == State::kReconverged) {
+    if (state_[lane] == State::kReconverged) {
       decide(lane, LaneEnd::kReconverged, insns);
       continue;
     }
@@ -469,11 +612,7 @@ void Lanes::finish(std::optional<std::uint32_t> exitSlot,
     bool corrupt =
         exitSlot.has_value() &&
         static_cast<std::int64_t>(laneBits(lane, 0, *exitSlot)) != exitCode;
-    l.diff.forEach([&](std::uint64_t key, std::uint64_t bits) {
-      if (!DiffMap::isWordKey(key)) {
-        return;
-      }
-      const std::uint64_t word = key & ((1ULL << 60) - 1);
+    lanes_[lane].words.forEach([&](std::uint64_t word, std::uint64_t bits) {
       const std::uint64_t golden = golden_.memory.peekWord(word);
       for (std::uint64_t byte = 0; byte < 8; ++byte) {
         const std::uint64_t at = word + byte;

@@ -6,14 +6,16 @@
 // events below, and the lanes read golden's state only through a GoldenView.
 //
 // Invariant: a live lane's architectural state is the golden stream's state
-// overlaid with the lane's DiffMap (registers by absolute arena slot, memory
-// by aligned 8-byte word), and its control flow and def ordinals are the
-// golden stream's.  Every event preserves it, or ends the lane.
+// overlaid with its diffs: the register slots whose SlotDiffs name it (by
+// absolute arena slot) and its WordMap of aligned 8-byte memory words.  Its
+// control flow and def ordinals are the golden stream's.  Every event
+// preserves it, or ends the lane.
 //
 // The per-op test (LaneView::touches), the "any diffs" guards and the
 // per-block charge are inline here, so the stream pays no call per op.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -46,6 +48,11 @@ inline bool isMemOp(ir::Opcode op) {
   return op >= ir::Opcode::kLoad && op <= ir::Opcode::kFStore;
 }
 
+inline bool isStoreOp(ir::Opcode op) {
+  return op == ir::Opcode::kStore || op == ir::Opcode::kStoreB ||
+         op == ir::Opcode::kFStore;
+}
+
 // The fault semantics the plain interpreter's injectFault and the lanes
 // share.  The register a fault point at op `u` flips: the call's chosen
 // return def (from the operand pool), else the op's one def.
@@ -67,13 +74,15 @@ inline std::uint64_t flipBits(std::uint32_t cls, std::uint64_t bits,
 }
 
 // The golden stream's state as the lanes see it, read-only: the register
-// arenas, memory, cycle count and watchdog of the run, and the program
-// (output range, operand pool, line size).  It refers to the interpreter's
-// own members, so it stays valid for the interpreter's lifetime.
+// and address arenas, memory, cycle count and watchdog of the run, and the
+// program (output range, operand pool, line size).  It refers to the
+// interpreter's own members, so it stays valid for the interpreter's
+// lifetime.
 struct GoldenView {
   const std::vector<std::int64_t>& gp;
   const std::vector<double>& fp;
   const std::vector<std::uint8_t>& pr;
+  const std::vector<std::uint64_t>& addr;  // each frame's memory-op addresses
   const Memory& memory;
   const std::uint64_t& cycles;
   const std::uint64_t& maxCycles;  // the watchdog
@@ -84,7 +93,7 @@ struct GoldenView {
 // read a register, write a register or touch a memory word where some lane
 // differs from the golden run?  Plain loads, no lane state walked.
 struct LaneView {
-  const std::uint8_t* regAny[3] = {};  // Lanes::regAny[c] + the frame base
+  const std::uint32_t* regIndex[3] = {};  // Lanes::regIndex_[c] + frame base
   const std::uint64_t* memAny = nullptr;
   std::uint64_t memWords = 0;
 
@@ -92,12 +101,12 @@ struct LaneView {
     const std::uint32_t field[3] = {u.a, u.b, u.c};
     for (int i = 0; i < 3; ++i) {
       if (u.useClass[i] != MicroOp::kNoUse &&
-          regAny[u.useClass[i]][field[i]] != 0) {
+          regIndex[u.useClass[i]][field[i]] != 0) {
         return true;
       }
     }
     if (u.defCount == 1 && u.op != ir::Opcode::kCall &&
-        regAny[u.defClass][u.def] != 0) {
+        regIndex[u.defClass][u.def] != 0) {
       return true;
     }
     if (isMemOp(u.op)) {
@@ -126,11 +135,29 @@ struct LaneSet {
   }
   void set(std::uint32_t lane) { w[lane >> 6] |= 1ULL << (lane & 63); }
   void reset(std::uint32_t lane) { w[lane >> 6] &= ~(1ULL << (lane & 63)); }
+  // The number of lanes in the set below `lane`.
+  std::uint32_t rank(std::uint32_t lane) const {
+    std::uint32_t below = 0;
+    for (std::size_t i = 0; i < (lane >> 6); ++i) {
+      below += static_cast<std::uint32_t>(std::popcount(w[i]));
+    }
+    return below + static_cast<std::uint32_t>(std::popcount(
+                       w[lane >> 6] & ((1ULL << (lane & 63)) - 1)));
+  }
+  bool operator==(const LaneSet&) const = default;
   LaneSet& operator|=(const LaneSet& other) {
     for (std::size_t i = 0; i < kWords; ++i) {
       w[i] |= other.w[i];
     }
     return *this;
+  }
+  // The lanes of this set that `other` lacks.
+  LaneSet minus(const LaneSet& other) const {
+    LaneSet out;
+    for (std::size_t i = 0; i < kWords; ++i) {
+      out.w[i] = w[i] & ~other.w[i];
+    }
+    return out;
   }
   template <class F>
   void forEach(F f) const {
@@ -142,64 +169,62 @@ struct LaneSet {
   }
 };
 
-// One lane's differing values: key -> the lane's value, open addressing
-// with linear probing.  A key is a register (class << 60 | absolute arena
-// slot) or an aligned memory word (3 << 60 | word address).
-class DiffMap {
- public:
-  static std::uint64_t regKey(std::uint32_t cls, std::uint32_t slot) {
-    return (static_cast<std::uint64_t>(cls) << 60) | slot;
-  }
-  static std::uint64_t wordKey(std::uint64_t word) {
-    return (3ULL << 60) | word;
-  }
-  static bool isWordKey(std::uint64_t key) { return (key >> 60) == 3; }
+// The lanes that differ at one register slot, and their values there,
+// packed in lane order: a lane's value is values[lanes.rank(lane)].
+struct SlotDiffs {
+  LaneSet lanes;
+  std::vector<std::uint64_t> values;
+};
 
-  bool empty() const { return size_ == 0; }
+// Aligned memory word address -> value, open addressing with linear
+// probing: one lane's differing words, and the lane sets of the words some
+// lane differs at.
+class WordMap {
+ public:
   std::size_t size() const { return size_; }
 
-  // The value at `key`, which must be present.
-  std::uint64_t at(std::uint64_t key) const {
-    for (std::size_t i = home(key);; i = (i + 1) & mask_) {
-      if (slots_[i].key == key) {
+  // The value at `word`, which must be present.
+  std::uint64_t at(std::uint64_t word) const {
+    for (std::size_t i = home(word);; i = (i + 1) & mask_) {
+      if (slots_[i].word == word) {
         return slots_[i].value;
       }
-      CASTED_CHECK(slots_[i].key != kEmpty) << "lane diff has no such key";
+      CASTED_CHECK(slots_[i].word != kEmpty) << "lane diff has no such word";
     }
   }
 
-  // Returns whether `key` is new.
-  bool put(std::uint64_t key, std::uint64_t value) {
+  // Returns whether `word` is new.
+  bool put(std::uint64_t word, std::uint64_t value) {
     if (2 * (size_ + 1) > slots_.size()) {
       grow();
     }
-    std::size_t i = home(key);
-    while (slots_[i].key != kEmpty && slots_[i].key != key) {
+    std::size_t i = home(word);
+    while (slots_[i].word != kEmpty && slots_[i].word != word) {
       i = (i + 1) & mask_;
     }
-    const bool added = slots_[i].key == kEmpty;
+    const bool added = slots_[i].word == kEmpty;
     size_ += added ? 1 : 0;
-    slots_[i] = {key, value};
+    slots_[i] = {word, value};
     return added;
   }
 
   // Backward-shift deletion: no tombstones, so lookups stay short.
-  void erase(std::uint64_t key) {
-    std::size_t i = home(key);
-    while (slots_[i].key != key) {
-      CASTED_CHECK(slots_[i].key != kEmpty) << "lane diff has no such key";
+  void erase(std::uint64_t word) {
+    std::size_t i = home(word);
+    while (slots_[i].word != word) {
+      CASTED_CHECK(slots_[i].word != kEmpty) << "lane diff has no such word";
       i = (i + 1) & mask_;
     }
-    for (std::size_t j = (i + 1) & mask_; slots_[j].key != kEmpty;
+    for (std::size_t j = (i + 1) & mask_; slots_[j].word != kEmpty;
          j = (j + 1) & mask_) {
-      const std::size_t h = home(slots_[j].key);
+      const std::size_t h = home(slots_[j].word);
       // Move j's entry into the hole at i unless its home lies in (i, j].
       if (((j - h) & mask_) >= ((j - i) & mask_)) {
         slots_[i] = slots_[j];
         i = j;
       }
     }
-    slots_[i].key = kEmpty;
+    slots_[i].word = kEmpty;
     --size_;
   }
 
@@ -207,16 +232,16 @@ class DiffMap {
     drain([](std::uint64_t, std::uint64_t) {});
   }
 
-  // Calls f(key, value) for every entry, then empties the map.
+  // Calls f(word, value) for every entry, then empties the map.
   template <class F>
   void drain(F f) {
     if (size_ == 0) {
       return;
     }
     for (Slot& slot : slots_) {
-      if (slot.key != kEmpty) {
-        f(slot.key, slot.value);
-        slot.key = kEmpty;
+      if (slot.word != kEmpty) {
+        f(slot.word, slot.value);
+        slot.word = kEmpty;
       }
     }
     size_ = 0;
@@ -225,8 +250,8 @@ class DiffMap {
   template <class F>
   void forEach(F f) const {
     for (const Slot& slot : slots_) {
-      if (slot.key != kEmpty) {
-        f(slot.key, slot.value);
+      if (slot.word != kEmpty) {
+        f(slot.word, slot.value);
       }
     }
   }
@@ -234,12 +259,12 @@ class DiffMap {
  private:
   static constexpr std::uint64_t kEmpty = ~0ULL;
   struct Slot {
-    std::uint64_t key = kEmpty;
+    std::uint64_t word = kEmpty;
     std::uint64_t value = 0;
   };
 
-  std::size_t home(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) &
+  std::size_t home(std::uint64_t word) const {
+    return static_cast<std::size_t>((word * 0x9E3779B97F4A7C15ULL) >> 32) &
            mask_;
   }
 
@@ -249,8 +274,8 @@ class DiffMap {
     mask_ = slots_.size() - 1;
     size_ = 0;
     for (const Slot& slot : old) {
-      if (slot.key != kEmpty) {
-        put(slot.key, slot.value);
+      if (slot.word != kEmpty) {
+        put(slot.word, slot.value);
       }
     }
   }
@@ -261,13 +286,14 @@ class DiffMap {
 };
 
 // The lockstep state of one window (DecodedRunner::runLockstep): the lanes,
-// and for every register slot and memory word the set of lanes that differ
-// there.  The golden stream calls step() before each op the LaneView flags,
-// and the other events at defs (onDef), moves of call arguments and
-// returned values (onMove), frame pops (onPop), block charges
-// (chargeBlock) and its end (finish).  One Lanes lives as long as its
-// interpreter and serves window after window: a window ends with every
-// lane decided and so every set empty, and begin() keeps the allocations.
+// the SlotDiffs of every register slot some lane differs at, and for every
+// such memory word the set of lanes that differ there.  The golden stream
+// calls step() before each op the LaneView flags, and the other events at
+// defs (onDef), moves of call arguments and returned values (onMove), frame
+// pops (onPop), block charges (chargeBlock) and its end (finish).  One
+// Lanes lives as long as its interpreter and serves window after window: a
+// window ends with every lane decided and so every set empty, and begin()
+// keeps the allocations.
 class Lanes {
  public:
   explicit Lanes(const GoldenView& golden) : golden_(golden) {}
@@ -278,30 +304,50 @@ class Lanes {
              std::vector<LaneVerdict>& out);
 
   LaneView view(const FrameBase& base) const {
-    return {{regAny_[0].data() + base.gp, regAny_[1].data() + base.fp,
-             regAny_[2].data() + base.pr},
+    return {{regIndex_[0].data() + base.gp, regIndex_[1].data() + base.fp,
+             regIndex_[2].data() + base.pr},
             memAny_.data(),
             memWords_};
   }
 
-  // Grows the lane masks to golden's arenas (after a frame push).
+  // Grows the slot index to golden's arenas (after a frame push).
   void syncArenas() {
     const std::size_t sizes[3] = {golden_.gp.size(), golden_.fp.size(),
                                   golden_.pr.size()};
     for (std::uint32_t c = 0; c < 3; ++c) {
-      if (regMask_[c].size() < sizes[c]) {
-        regMask_[c].resize(sizes[c]);
-        regAny_[c].resize(sizes[c], 0);
+      if (regIndex_[c].size() < sizes[c]) {
+        regIndex_[c].resize(sizes[c], 0);
       }
     }
   }
 
   bool hasDiffs() const { return diffs_ != 0; }
   bool allDecided() const { return open_ == 0 && diffs_ == 0; }
+  // Golden ops (steps and moves) of this window that evaluated some lane.
+  std::uint64_t laneSteps() const { return laneSteps_; }
 
   // Events of the golden stream; `insns` is its instruction count so far.
-  // step() runs before the golden op `u` and returns whether every lane is
-  // now decided.
+  // An op the LaneView flags is bracketed: capture() runs before golden
+  // executes it and keeps golden's operands (and a store's word before the
+  // store); step() runs after, reads golden's result and address from the
+  // arenas, and returns whether every lane is now decided.
+  void capture(const MicroOp& u, const FrameBase& base) {
+    const std::uint32_t field[3] = {u.a, u.b, u.c};
+    for (int i = 0; i < 3; ++i) {
+      const std::uint32_t cls = u.useClass[i];
+      if (cls != MicroOp::kNoUse) {
+        goldenUse_[i] = goldenBits(cls, slotBase(base, cls) + field[i]);
+      }
+    }
+    if (isStoreOp(u.op)) {
+      const std::uint64_t word =
+          kernel::address(golden_.gp[base.gp + u.a], u.imm) & ~7ULL;
+      // A trapping golden store ends the stream before step() reads this.
+      if (golden_.memory.accessTrap(word, 1) == TrapKind::kNone) {
+        goldenStoreWord_ = golden_.memory.peekWord(word);
+      }
+    }
+  }
   bool step(const MicroOp& u, std::uint32_t node, const FrameBase& base,
             std::uint64_t insns);
   // Def ordinal `ordinal` is a flip of some lane; returns the next one.
@@ -311,9 +357,9 @@ class Lanes {
   // at `to` in frame `dst`: call arguments or returned values.
   void onMove(const DecodedReg* from, const FrameBase& src,
               const DecodedReg* to, const FrameBase& dst,
-              std::uint32_t count, std::uint64_t insns) {
+              std::uint32_t count) {
     if (diffs_ != 0) {
-      moveDiffs(from, src, to, dst, count, insns);
+      moveDiffs(from, src, to, dst, count);
     }
   }
   // Golden pops the frame at `base`.
@@ -329,33 +375,62 @@ class Lanes {
               std::uint64_t insns);
 
  private:
+  static constexpr std::size_t kMaxLanes = DecodedRunner::kMaxLanes;
   enum class State : std::uint8_t { kDormant, kLive, kReconverged, kDone };
 
+  // What step() reads of a lane only when it is decided, flipped or
+  // diverges; the per-op counters are the structure of arrays below.
   struct Lane {
     const FaultPlan* plan = nullptr;
     std::size_t cursor = 0;  // next point of `plan` to fire
-    State state = State::kDormant;
     bool diverged = false;   // an access left golden's line: bound live
-    DiffMap diff;
-    std::uint64_t injectedAt = 0;   // golden instructions at the first flip
-    std::uint64_t laneOps = 0;
     std::uint64_t boundStart = 0;   // golden cycles at the first such access
     std::uint64_t worstBefore = 0;  // `worst_` at that point
+    // The register slots the lane differs at (regKey), in no order: kept
+    // on a diff's appearance and death only, read when the lane ends.
+    std::vector<std::uint64_t> regs;
+    WordMap words;  // the memory words the lane differs at
   };
 
-  // evalOp's access (lanes.cpp), for a lane or, as kGolden, for golden's
-  // own values; laneBits and laneWord read golden's for kGolden.
+  // A lane's address (and stored value) at a step's memory op, committed
+  // after every touched lane was evaluated.
+  struct LaneAccess {
+    std::uint32_t lane = 0;
+    std::uint64_t address = 0;
+    std::uint64_t stored = 0;
+  };
+
+  // evalOp's access for one lane (lanes.cpp).
   struct Access;
-  static constexpr std::uint32_t kGolden = DecodedRunner::kMaxLanes;
+
+  static std::uint64_t regKey(std::uint32_t cls, std::uint32_t slot) {
+    return (static_cast<std::uint64_t>(cls) << 32) | slot;
+  }
 
   void moveDiffs(const DecodedReg* from, const FrameBase& src,
                  const DecodedReg* to, const FrameBase& dst,
-                 std::uint32_t count, std::uint64_t insns);
+                 std::uint32_t count);
   void dropFrame(const FrameBase& base);
+
+  LaneSet regLanes(std::uint32_t cls, std::uint32_t slot) const {
+    const std::uint32_t index = regIndex_[cls][slot];
+    return index == 0 ? LaneSet{} : slots_[index - 1].lanes;
+  }
+  std::uint32_t newSlotDiffs(std::uint32_t cls, std::uint32_t slot);
+  void freeSlotDiffs(std::uint32_t cls, std::uint32_t slot);
+  void eraseRegValue(std::uint32_t lane, std::uint32_t cls,
+                     std::uint32_t slot);
+  void addRegDiff(std::uint32_t lane, std::uint32_t cls, std::uint32_t slot);
+  void dropRegDiff(std::uint32_t lane, std::uint32_t cls, std::uint32_t slot);
+  void writeDef(std::uint32_t cls, std::uint32_t slot, const LaneSet& after);
 
   std::uint64_t laneBits(std::uint32_t lane, std::uint32_t cls,
                          std::uint32_t slot) const;
-  std::uint64_t goldenBits(std::uint32_t cls, std::uint32_t slot) const;
+  std::uint64_t goldenBits(std::uint32_t cls, std::uint32_t slot) const {
+    return cls == 0   ? static_cast<std::uint64_t>(golden_.gp[slot])
+           : cls == 1 ? std::bit_cast<std::uint64_t>(golden_.fp[slot])
+                      : golden_.pr[slot];
+  }
   std::uint64_t laneWord(std::uint32_t lane, std::uint64_t word) const;
   const LaneSet* wordLanes(std::uint64_t word) const;
   bool hasWord(std::uint32_t lane, std::uint64_t word) const;
@@ -364,27 +439,43 @@ class Lanes {
               std::uint64_t bits, std::uint64_t golden);
   void setWord(std::uint32_t lane, std::uint64_t word, std::uint64_t bits,
                std::uint64_t golden);
-  bool chargeLaneOp(std::uint32_t lane, std::uint64_t insns);
   void decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
               bool corrupt = false);
   void noteReconverged(std::uint32_t lane);
 
   const GoldenView golden_;
   std::vector<Lane> lanes_;
+  std::size_t words_ = 0;  // LaneSet words the window's lanes occupy
+  // Per lane: its state, lane ops, golden instructions at its first flip,
+  // and how many registers and words it differs at.
+  std::array<State, kMaxLanes> state_{};
+  std::array<std::uint64_t, kMaxLanes> laneOps_{};
+  std::array<std::uint64_t, kMaxLanes> injectedAt_{};
+  std::array<std::uint32_t, kMaxLanes> diffCount_{};
   std::vector<LaneVerdict>* verdicts_ = nullptr;
-  std::vector<LaneSet> regMask_[3];      // by absolute arena slot
-  std::vector<std::uint8_t> regAny_[3];  // regMask_[c][s].any()
-  // The lanes of a memory word: memSets_[memIndex_[word]], for the words
+  // By absolute arena slot: 0, or 1 + the index of the slot's SlotDiffs.
+  std::vector<std::uint32_t> regIndex_[3];
+  std::vector<SlotDiffs> slots_;
+  std::vector<std::uint32_t> freeSlots_;
+  // The lanes of a memory word: memSets_[memIndex_.at(word)], for the words
   // whose memAny_ bit (one per arena word) is set.
-  DiffMap memIndex_;
+  WordMap memIndex_;
   std::vector<LaneSet> memSets_;
   std::vector<std::uint32_t> freeSets_;
   std::vector<std::uint64_t> memAny_;
   std::uint64_t memWords_ = 0;
   // Pending flips as a min-heap on the ordinal: (ordinal, lane).
   std::vector<std::pair<std::uint64_t, std::uint32_t>> events_;
+  // step() scratch: the memory ops' accesses, and the def's packed values
+  // (swapped with the slot's, so both keep their allocations).
+  std::array<LaneAccess, kMaxLanes> accesses_;
+  std::vector<std::uint64_t> defValues_;
+  // What capture() kept of the golden op step() follows.
+  std::uint64_t goldenUse_[3] = {};
+  std::uint64_t goldenStoreWord_ = 0;
   std::uint64_t worst_ = 0;  // sum of worstCycles over the charged blocks
-  std::size_t diffs_ = 0;    // entries over all lanes' DiffMaps
+  std::uint64_t laneSteps_ = 0;
+  std::size_t diffs_ = 0;    // register and word diffs over all lanes
   std::size_t open_ = 0;     // lanes not yet decided
 };
 

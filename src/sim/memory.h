@@ -121,8 +121,11 @@ class Memory {
   // zero.
   std::uint64_t peekWord(std::uint64_t wordAddress) const {
     std::uint64_t value = 0;
-    std::memcpy(&value, at(wordAddress),
-                std::min<std::uint64_t>(8, arenaEnd() - wordAddress));
+    if (wordAddress + 8 <= arenaEnd()) [[likely]] {
+      std::memcpy(&value, at(wordAddress), 8);  // a fixed size: no call
+    } else {
+      std::memcpy(&value, at(wordAddress), arenaEnd() - wordAddress);
+    }
     return value;
   }
 

@@ -23,6 +23,7 @@
 
 #include "core/pipeline.h"
 #include "fault/campaign.h"
+#include "sim/decoded.h"
 #include "support/rng.h"
 #include "support/trace.h"
 #include "test_util.h"
@@ -189,15 +190,16 @@ TEST(CampaignOracleTest, ReportBitIdenticalWithTracingOnAndOff) {
   }
   // The session did observe the runs: per-worker trial counters merged to
   // the exact trial total per campaign, and the lockstep campaign's
-  // counters — its windows' prefixes inside their streams, and per
-  // fallback reason one outcome per fallback.
+  // counters — its windows' prefixes inside their streams, per fallback
+  // reason one outcome per fallback, and its lane ops split by lane end
+  // over at most as many lane steps.
   EXPECT_EQ(trace::counterValue("fault.campaign.trials"),
             static_cast<std::int64_t>(trials) * 2);
   const std::string lockstep = "fault.campaign.lockstep.";
   EXPECT_GT(trace::counterValue(lockstep + "prefix_insns"), 0);
   EXPECT_LE(trace::counterValue(lockstep + "prefix_insns"),
             trace::counterValue(lockstep + "stream_insns"));
-  for (const char* reason : {"control", "timing", "budget"}) {
+  for (const char* reason : {"control", "timing"}) {
     std::int64_t outcomes = 0;
     for (std::size_t o = 0; o < kOutcomeCount; ++o) {
       outcomes += trace::counterValue(lockstep + "fallback_outcome." + reason +
@@ -207,6 +209,17 @@ TEST(CampaignOracleTest, ReportBitIdenticalWithTracingOnAndOff) {
     EXPECT_EQ(outcomes, trace::counterValue(lockstep + "fallback." + reason))
         << reason;
   }
+  std::int64_t laneOpsByEnd = 0;
+  for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
+    const auto end = static_cast<sim::LaneEnd>(e);
+    laneOpsByEnd +=
+        trace::counterValue(lockstep + "lane_ops." + sim::laneEndName(end));
+  }
+  const std::int64_t laneOps = trace::counterValue(lockstep + "lane_ops");
+  EXPECT_GT(laneOps, 0);
+  EXPECT_EQ(laneOpsByEnd, laneOps);
+  EXPECT_GT(trace::counterValue(lockstep + "lane_steps"), 0);
+  EXPECT_LE(trace::counterValue(lockstep + "lane_steps"), laneOps);
   trace::resetForTest();
 }
 

@@ -117,11 +117,14 @@ TEST(EngineDifferentialTest, StraightLineAndLoopPrograms) {
 }
 
 // Property test for the stepwise checkpoint API (DESIGN.md §10): over random
-// programs under every scheme, a stepwise run that pauses at the injection
-// ordinal, snapshots, injects and finishes must equal the full-run oracle —
-// and after the faulty suffix has trampled registers, memory, caches and
-// statistics, restoring the snapshot and re-running must reproduce the very
-// same result bit for bit (and, with no injection, the golden result).
+// programs, with and without calls, under every scheme, a stepwise run that
+// pauses at the injection ordinal, snapshots, injects and finishes must
+// equal the full-run oracle — and after the faulty suffix has trampled
+// registers, memory, caches and statistics, restoring the snapshot and
+// re-running must reproduce the very same result bit for bit (and, with no
+// injection, the golden result).  The oracle is the reference engine's
+// whole run, so a defect the decoded engine's whole and stepwise runs share
+// does not pass.
 TEST(EngineDifferentialTest, CheckpointRoundTripMatchesFullRuns) {
   const std::size_t seeds = testutil::testTrials(100);
   for (const bool calls : {false, true}) {
@@ -138,12 +141,16 @@ TEST(EngineDifferentialTest, CheckpointRoundTripMatchesFullRuns) {
                                 " " + passes::schemeName(scheme);
 
       SimOptions options;
-      const RunResult golden = runDecoded(*bin.decoded, options);
+      SimOptions reference;
+      reference.engine = Engine::kReference;
+      const RunResult golden =
+          simulate(bin.program, bin.schedule, bin.machine, reference);
       if (golden.exit != ExitKind::kHalted ||
           golden.stats.dynamicDefInsns == 0) {
         continue;
       }
       options.maxCycles = golden.stats.cycles * 20;
+      reference.maxCycles = options.maxCycles;
 
       Rng rng(deriveStreamSeed(0xC4EC9017u, seed));
       FaultPlan plan;
@@ -165,9 +172,9 @@ TEST(EngineDifferentialTest, CheckpointRoundTripMatchesFullRuns) {
         plan.points.push_back(second);
       }
 
-      SimOptions fullOptions = options;
-      fullOptions.faultPlan = &plan;
-      const RunResult oracle = runDecoded(*bin.decoded, fullOptions);
+      reference.faultPlan = &plan;
+      const RunResult oracle =
+          simulate(bin.program, bin.schedule, bin.machine, reference);
 
       DecodedRunner runner(*bin.decoded);
       runner.begin(options);

@@ -7,7 +7,9 @@
 // program must also report exactly what the kFull oracle reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <iterator>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -82,9 +84,9 @@ ExitKind exitOf(LaneEnd end) {
 }
 
 // Runs `plans` as the lanes of one golden stream on `runner` and checks
-// every lane against a whole run of its plan under the same watchdog.
+// every lane against a whole run of its plan under the same watchdog (on
+// the same runner, which starts every run afresh).
 std::vector<LaneVerdict> lanesAgainstRuns(DecodedRunner& runner,
-                                          const DecodedProgram& decoded,
                                           const RunResult& golden,
                                           const std::vector<FaultPlan>& plans,
                                           std::uint64_t timeoutFactor,
@@ -102,7 +104,7 @@ std::vector<LaneVerdict> lanesAgainstRuns(DecodedRunner& runner,
     const LaneVerdict& lane = verdicts[i];
     SimOptions whole = options;
     whole.faultPlan = &plans[i];
-    const RunResult run = runDecoded(decoded, whole);
+    const RunResult run = runner.run(whole);
     const std::string what = context + " lane " + std::to_string(i) + " (" +
                              laneEndName(lane.end) + ")";
     if (isFallback(lane.end)) {
@@ -127,8 +129,7 @@ std::vector<LaneVerdict> lanesAgainstRuns(const DecodedProgram& decoded,
                                           std::uint64_t timeoutFactor,
                                           const std::string& context) {
   DecodedRunner runner(decoded);
-  return lanesAgainstRuns(runner, decoded, golden, plans, timeoutFactor,
-                          context);
+  return lanesAgainstRuns(runner, golden, plans, timeoutFactor, context);
 }
 
 // One plan as one lane: it must end as `expected` (and agree with its
@@ -354,9 +355,9 @@ TEST(LockstepTest, EveryFallbackAndTheGoldenTimeout) {
   // The flipped counter takes the other edge of the loop branch.
   expectLane(loop, {{{loop.ordinal(loop.counter, 10), 0, 40}}},
              LaneEnd::kFallbackControl);
-  // The accumulator differs in 4 of every 7 ops: over the budget.
-  expectLane(loop, {{{loop.ordinal(loop.acc), 0, 7}}},
-             LaneEnd::kFallbackBudget);
+  // The accumulator differs in 4 of every 7 ops for 300 iterations: a lane
+  // is decided exactly however many lane ops it costs.
+  expectLane(loop, {{{loop.ordinal(loop.acc), 0, 7}}}, LaneEnd::kHalted);
   expectCampaignMatchesFull(loop, 20);
 
   // A watchdog below golden's own cycle count is no watchdog: a golden
@@ -423,15 +424,15 @@ TEST(LockstepTest, FallbacksAtLaterOrdinalsRollTheCheckpointForward) {
       {{{early, 0, 41}, {late + 1, 0, 3}}},
   };
   const std::vector<LaneEnd> expected = {
-      LaneEnd::kException, LaneEnd::kFallbackBudget,
+      LaneEnd::kException, LaneEnd::kHalted,
       LaneEnd::kFallbackControl, LaneEnd::kFallbackControl,
       LaneEnd::kFallbackControl};
   DecodedRunner runner(*loop.decoded);
-  const std::vector<LaneVerdict> forward = lanesAgainstRuns(
-      runner, *loop.decoded, loop.golden, plans, 20, "forward");
+  const std::vector<LaneVerdict> forward =
+      lanesAgainstRuns(runner, loop.golden, plans, 20, "forward");
   const std::vector<FaultPlan> reversed(plans.rbegin(), plans.rend());
-  const std::vector<LaneVerdict> backward = lanesAgainstRuns(
-      runner, *loop.decoded, loop.golden, reversed, 20, "reversed");
+  const std::vector<LaneVerdict> backward =
+      lanesAgainstRuns(runner, loop.golden, reversed, 20, "reversed");
   ASSERT_EQ(forward.size(), plans.size());
   ASSERT_EQ(backward.size(), plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
@@ -499,8 +500,8 @@ TEST(LockstepTest, AnEntryReturnDecidesLanesWithoutAnExitCode) {
       {{{c.ordinal(c.outValue), 0, 9}}},   // the output differs
       {{{c.ordinal(c.exitValue), 0, 1}}},  // only r (and scratch) differ
   };
-  const std::vector<LaneVerdict> verdicts = lanesAgainstRuns(
-      runner, *c.decoded, c.golden, plans, 20, "entry return");
+  const std::vector<LaneVerdict> verdicts =
+      lanesAgainstRuns(runner, c.golden, plans, 20, "entry return");
   ASSERT_EQ(verdicts.size(), 2u);
   EXPECT_EQ(verdicts[0].end, LaneEnd::kHalted);
   EXPECT_TRUE(verdicts[0].corrupt);
@@ -576,7 +577,7 @@ TEST(LockstepTest, EverySiteOfOneOrdinalSharesAWindow) {
   DecodedRunner runner(*c.decoded);
   for (std::size_t w = 0; w < windows.size(); ++w) {
     const std::vector<LaneVerdict> verdicts =
-        lanesAgainstRuns(runner, *c.decoded, c.golden, windows[w].plans, 20,
+        lanesAgainstRuns(runner, c.golden, windows[w].plans, 20,
                          "window " + std::to_string(w));
     ASSERT_EQ(verdicts.size(), windows[w].plans.size());
     for (std::size_t i = 0; i < verdicts.size(); ++i) {
@@ -596,6 +597,105 @@ TEST(LockstepTest, EverySiteOfOneOrdinalSharesAWindow) {
                                                  c.config, options));
   // 64 sites per gp def, one for the predicate and 2 x 64 for the call.
   EXPECT_EQ(full.sites, (c.golden.stats.dynamicDefInsns - 2) * 64 + 1 + 128);
+}
+
+// Every site of one def ordinal as one window, as enumeration runs them:
+// 64 lanes per gp or fp def and one per predicate, so 64 to 192 lanes for
+// a call that returns one to three values.
+std::vector<FaultPlan> ordinalWindow(const ir::Program& program,
+                                     const DefSite& site,
+                                     std::uint64_t ordinal) {
+  const ir::Instruction& insn =
+      program.function(site.func).block(site.block).insns()[site.node];
+  std::vector<FaultPlan> plans;
+  for (std::uint32_t d = 0; d < insn.defs.size(); ++d) {
+    const std::uint32_t bits = insn.defs[d].cls == RegClass::kPr ? 1 : 64;
+    for (std::uint32_t bit = 0; bit < bits; ++bit) {
+      plans.push_back({{{ordinal, d, bit}}});
+    }
+  }
+  return plans;
+}
+
+// A def that its own next op masks in place: the lanes that flipped one of
+// its low 8 bits still differ there and reach the output, and every other
+// lane now equals golden, so it leaves the slot and reconverges.
+struct MaskedInPlace : Crafted {
+  DefSite value;
+
+  MaskedInPlace() {
+    const std::uint64_t out = program.allocateGlobal("output", 8);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    b.setBlock(b.createBlock("entry"));
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    value = nextSite(b);
+    const Reg v = b.movImm(0x0123456789ABCDEF);
+    b.emit(Opcode::kAndImm, {v}, {v}).imm = 0xFF;
+    b.store(outBase, 0, v);
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, EnumerationWindowsBatchEveryOpOfRandomPrograms) {
+  // Wide batches: one op evaluated for every lane of a window that differs
+  // in one slot, each lane's value at its own rank of the slot's packed
+  // values.  First a window whose def write-back must drop the lanes that
+  // came out equal to golden's value.
+  const MaskedInPlace masked;
+  const std::vector<LaneVerdict> maskedVerdicts = lanesAgainstRuns(
+      *masked.decoded, masked.golden,
+      ordinalWindow(masked.program, masked.value,
+                    masked.ordinal(masked.value)),
+      20, "masked in place");
+  ASSERT_EQ(maskedVerdicts.size(), 64u);
+  for (std::uint32_t bit = 0; bit < 64; ++bit) {
+    EXPECT_EQ(maskedVerdicts[bit].end,
+              bit < 8 ? LaneEnd::kHalted : LaneEnd::kReconverged)
+        << "bit " << bit;
+    EXPECT_EQ(maskedVerdicts[bit].corrupt, bit < 8) << "bit " << bit;
+  }
+
+  // Then the random CFG programs, with and without calls, under every
+  // scheme: the window of the first execution of every static def site,
+  // so the lanes reach every op the generator and the schemes emit (ALU
+  // ops of all three classes, loads, stores, checks, selects, calls and
+  // returns, branches).  Each lane is checked against its whole run.
+  const std::size_t seeds = testutil::testTrials(8);
+  std::size_t widest = 0;
+  for (const bool calls : {false, true}) {
+    for (std::size_t seed = 0; seed < seeds; ++seed) {
+      const passes::Scheme scheme =
+          passes::kAllSchemes[seed % std::size(passes::kAllSchemes)];
+      const core::CompiledProgram bin =
+          core::compile(testutil::makeRandomCfgProgram(seed, 4, 8, calls),
+                        testutil::machine(2, 1 + seed % 2), scheme);
+      const std::string context = std::string(calls ? "calling " : "") +
+                                  "cfg seed " + std::to_string(seed) + " " +
+                                  passes::schemeName(scheme);
+      std::vector<DefSite> trace;
+      SimOptions traced;
+      traced.defTrace = &trace;
+      const RunResult golden = runDecoded(*bin.decoded, traced);
+      ASSERT_EQ(golden.exit, ExitKind::kHalted) << context;
+      DecodedRunner runner(*bin.decoded);
+      std::vector<DefSite> windowed;
+      for (std::uint64_t ordinal = 0; ordinal < trace.size(); ++ordinal) {
+        if (std::find(windowed.begin(), windowed.end(), trace[ordinal]) !=
+            windowed.end()) {
+          continue;
+        }
+        windowed.push_back(trace[ordinal]);
+        const std::vector<FaultPlan> plans =
+            ordinalWindow(bin.program, trace[ordinal], ordinal);
+        widest = std::max(widest, plans.size());
+        lanesAgainstRuns(runner, golden, plans, 20,
+                         context + " ordinal " + std::to_string(ordinal));
+      }
+    }
+  }
+  EXPECT_GE(widest, 128u) << "no call returned two gp or fp values";
 }
 
 TEST(LockstepTest, RandomProgramsWithMultiFlipPlansMatchWholeRuns) {

@@ -33,6 +33,7 @@
 
 #include "core/pipeline.h"
 #include "fault/driver_util.h"
+#include "sim/decoded.h"
 #include "support/check.h"
 #include "support/trace.h"
 #include "test_util.h"
@@ -311,7 +312,7 @@ std::int64_t lockstepDecided(
 std::int64_t lockstepFallbacks(
     const std::string& prefix = "fault.campaign.lockstep.") {
   std::int64_t sum = 0;
-  for (const char* reason : {"control", "timing", "budget"}) {
+  for (const char* reason : {"control", "timing"}) {
     sum += trace::counterValue(prefix + "fallback." + reason);
   }
   return sum;
@@ -320,7 +321,7 @@ std::int64_t lockstepFallbacks(
 // Per fallback reason, the outcome counters of the re-runs sum to the
 // reason's fallbacks, and the windows' prefixes lie inside their streams.
 void expectFallbackOutcomesAndPrefix(const std::string& prefix) {
-  for (const char* reason : {"control", "timing", "budget"}) {
+  for (const char* reason : {"control", "timing"}) {
     std::int64_t outcomes = 0;
     for (std::size_t o = 0; o < fault::kOutcomeCount; ++o) {
       outcomes += trace::counterValue(
@@ -334,6 +335,20 @@ void expectFallbackOutcomesAndPrefix(const std::string& prefix) {
   EXPECT_LE(trace::counterValue(prefix + "prefix_insns"),
             trace::counterValue(prefix + "stream_insns"))
       << prefix;
+}
+
+// The lane ops split by lane end sum to lane_ops, and each lane step (a
+// golden op that evaluated some lane) evaluated at least one lane op.
+void expectLaneOpsByEndAndSteps(const std::string& prefix) {
+  std::int64_t byEnd = 0;
+  for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
+    const auto end = static_cast<sim::LaneEnd>(e);
+    byEnd += trace::counterValue(prefix + "lane_ops." + sim::laneEndName(end));
+  }
+  const std::int64_t laneOps = trace::counterValue(prefix + "lane_ops");
+  EXPECT_EQ(byEnd, laneOps) << prefix;
+  EXPECT_GT(trace::counterValue(prefix + "lane_steps"), 0) << prefix;
+  EXPECT_LE(trace::counterValue(prefix + "lane_steps"), laneOps) << prefix;
 }
 
 TEST_F(TraceTest, CheckpointedCampaignCountsEveryTrialRun) {
@@ -409,6 +424,7 @@ TEST_F(TraceTest, LockstepLanesAreDecidedOrFallBackAndTracingOnlyObserves) {
   EXPECT_GT(trace::counterValue("fault.campaign.lockstep.lane_ops"), 0);
   EXPECT_GE(trace::counterValue("fault.campaign.lockstep.windows"), 2);
   expectFallbackOutcomesAndPrefix("fault.campaign.lockstep.");
+  expectLaneOpsByEndAndSteps("fault.campaign.lockstep.");
 }
 
 // Adds table[(i * stride) mod 64 KiB] into one output word per iteration.
@@ -552,6 +568,7 @@ TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
       EXPECT_EQ(lockstepDecided(lockstep) + lockstepFallbacks(lockstep), lanes)
           << label;
       expectFallbackOutcomesAndPrefix(lockstep);
+      expectLaneOpsByEndAndSteps(lockstep);
     } else {
       EXPECT_EQ(lanes, 0) << label;
     }
@@ -568,7 +585,7 @@ TEST_F(TraceTest, LockstepCountsStreamAndFallbackInstructionsPerDriver) {
   // one per fallback, so a reason's count is positive exactly when it has
   // fallbacks) and how they ended.  NOED 175.vpr with the watchdog
   // at twice the golden cycles gives both drivers control and timing
-  // fallbacks, and the enumeration budget ones too.
+  // fallbacks.
   const core::CompiledProgram bin =
       core::compile(workloads::makeWorkload("175.vpr").program,
                     testutil::machine(2, 1), passes::Scheme::kNoed);
@@ -588,7 +605,7 @@ TEST_F(TraceTest, LockstepCountsStreamAndFallbackInstructionsPerDriver) {
               trace::counterValue(prefix + "windows"))
         << driver;
     EXPECT_GT(trace::counterValue(prefix + "windows"), 0) << driver;
-    for (const char* reason : {"control", "timing", "budget"}) {
+    for (const char* reason : {"control", "timing"}) {
       const std::int64_t fallbacks =
           trace::counterValue(prefix + "fallback." + reason);
       const std::int64_t insns =
@@ -599,9 +616,8 @@ TEST_F(TraceTest, LockstepCountsStreamAndFallbackInstructionsPerDriver) {
     EXPECT_GT(trace::counterValue(prefix + "fallback.control"), 0) << driver;
     EXPECT_GT(trace::counterValue(prefix + "fallback.timing"), 0) << driver;
     expectFallbackOutcomesAndPrefix(prefix);
+    expectLaneOpsByEndAndSteps(prefix);
   }
-  EXPECT_GT(trace::counterValue("fault.exhaustive.lockstep.fallback.budget"),
-            0);
 }
 
 TEST_F(TraceTest, DecodedCountersHoldOnlyExecutedInstructions) {
@@ -621,7 +637,7 @@ TEST_F(TraceTest, DecodedCountersHoldOnlyExecutedInstructions) {
   core::groundTruth(bin, options);
   const std::string prefix = "fault.exhaustive.lockstep.";
   std::int64_t fallbackInsns = 0;
-  for (const char* reason : {"control", "timing", "budget"}) {
+  for (const char* reason : {"control", "timing"}) {
     fallbackInsns += trace::counterValue(prefix + "fallback_insns." + reason);
   }
   ASSERT_GT(lockstepFallbacks(prefix), 0);
