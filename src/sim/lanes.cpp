@@ -33,7 +33,7 @@ const char* laneEndName(LaneEnd end) {
 
 // evalOp's access for one lane: the op's register operands, gathered
 // before the call, and the lane's view of memory, golden's overlaid with
-// its words.  It writes nothing; step() commits what it captured.
+// its word diffs.  It writes nothing; step() commits what it captured.
 struct Lanes::Access {
   const Lanes& lanes;
   const MicroOp& u;
@@ -72,7 +72,9 @@ struct Lanes::Access {
     address = at;
     const TrapKind trap = lanes.golden_.memory.accessTrap(at, width);
     if (trap == TrapKind::kNone) {
-      const std::uint64_t word = lanes.laneWord(lane, at & ~7ULL);
+      const std::uint64_t word =
+          lanes.laneBits(lane, kWordClass, wordAt(at),
+                         lanes.golden_.memory.peekWord(at & ~7ULL));
       value = width == 8 ? word : (word >> (8 * (at & 7))) & 0xFF;
     }
     return trap;
@@ -99,8 +101,6 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
       freeSlots_.push_back(i);
     }
     memIndex_.clear();
-    memSets_.clear();
-    freeSets_.clear();
     std::fill(memAny_.begin(), memAny_.end(), 0);
     diffs_ = 0;
   }
@@ -109,18 +109,16 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
   words_ = (plans.size() + 63) / 64;
   events_.clear();
   for (std::uint32_t i = 0; i < plans.size(); ++i) {
-    Lane& l = lanes_[i];  // keeps the allocations of `regs` and `words`
+    Lane& l = lanes_[i];  // keeps the allocation of `keys`
     l.plan = plans[i];
     l.cursor = 0;
     l.diverged = false;
     l.boundStart = 0;
     l.worstBefore = 0;
-    l.regs.clear();
-    l.words.clear();
+    l.keys.clear();
     state_[i] = State::kDormant;
     laneOps_[i] = 0;
     injectedAt_[i] = 0;
-    diffCount_[i] = 0;
     events_.emplace_back(plans[i]->points[0].ordinal, i);
   }
   std::make_heap(events_.begin(), events_.end(), std::greater<>());
@@ -137,19 +135,36 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
 }
 
 inline std::uint64_t Lanes::laneBits(std::uint32_t lane, std::uint32_t cls,
-                                     std::uint32_t slot) const {
-  const std::uint32_t index = regIndex_[cls][slot];
-  if (index != 0) {
+                                     std::uint32_t at,
+                                     std::uint64_t golden) const {
+  if (const std::uint32_t index = indexOf(cls, at); index != 0) {
     const SlotDiffs& d = slots_[index - 1];
     if (d.lanes.test(lane)) {
       return d.values[d.lanes.rank(lane)];
     }
   }
-  return goldenBits(cls, slot);
+  return golden;
 }
 
-// Gives `slot` a SlotDiffs, recycled if one is free; returns its index + 1.
-std::uint32_t Lanes::newSlotDiffs(std::uint32_t cls, std::uint32_t slot) {
+void Lanes::setIndex(std::uint32_t cls, std::uint32_t at,
+                     std::uint32_t index) {
+  if (cls != kWordClass) {
+    regIndex_[cls][at] = index;
+    return;
+  }
+  const std::uint64_t bit = 1ULL << (at & 63);
+  if (index != 0) {
+    memIndex_.put(at, index);
+    memAny_[at >> 6] |= bit;
+  } else {
+    memIndex_.erase(at);
+    memAny_[at >> 6] &= ~bit;
+  }
+}
+
+// Gives a location a SlotDiffs, recycled if one is free; returns its
+// index + 1.
+std::uint32_t Lanes::newSlotDiffs(std::uint32_t cls, std::uint32_t at) {
   std::uint32_t index = 0;
   if (freeSlots_.empty()) {
     slots_.emplace_back();
@@ -158,135 +173,68 @@ std::uint32_t Lanes::newSlotDiffs(std::uint32_t cls, std::uint32_t slot) {
     index = freeSlots_.back() + 1;
     freeSlots_.pop_back();
   }
-  regIndex_[cls][slot] = index;
+  setIndex(cls, at, index);
   return index;
 }
 
-void Lanes::freeSlotDiffs(std::uint32_t cls, std::uint32_t slot) {
-  const std::uint32_t index = regIndex_[cls][slot];
+void Lanes::freeSlotDiffs(std::uint32_t cls, std::uint32_t at) {
+  const std::uint32_t index = indexOf(cls, at);
   slots_[index - 1].lanes = LaneSet{};
   slots_[index - 1].values.clear();
   freeSlots_.push_back(index - 1);
-  regIndex_[cls][slot] = 0;
+  setIndex(cls, at, 0);
 }
 
-// Takes `lane`'s value out of the slot's packed values, and frees the
-// slot's SlotDiffs with its last lane.
-void Lanes::eraseRegValue(std::uint32_t lane, std::uint32_t cls,
-                          std::uint32_t slot) {
-  SlotDiffs& d = slots_[regIndex_[cls][slot] - 1];
+// Takes `lane`'s value out of the location's packed values, and frees the
+// location's SlotDiffs with its last lane.
+void Lanes::eraseValue(std::uint32_t lane, std::uint32_t cls,
+                       std::uint32_t at) {
+  SlotDiffs& d = slots_[indexOf(cls, at) - 1];
   d.values.erase(d.values.begin() + d.lanes.rank(lane));
   d.lanes.reset(lane);
   if (!d.lanes.any()) {
-    freeSlotDiffs(cls, slot);
+    freeSlotDiffs(cls, at);
   }
 }
 
-// A register diff of `lane` appeared or died: its list and counts follow.
-inline void Lanes::addRegDiff(std::uint32_t lane, std::uint32_t cls,
-                              std::uint32_t slot) {
-  lanes_[lane].regs.push_back(regKey(cls, slot));
-  ++diffCount_[lane];
+// A diff of `lane` appeared or died: its key list and counts follow.
+inline void Lanes::addDiff(std::uint32_t lane, std::uint32_t cls,
+                           std::uint32_t at) {
+  lanes_[lane].keys.push_back(key(cls, at));
   ++diffs_;
 }
 
-void Lanes::dropRegDiff(std::uint32_t lane, std::uint32_t cls,
-                        std::uint32_t slot) {
-  std::vector<std::uint64_t>& regs = lanes_[lane].regs;
-  const auto it = std::find(regs.begin(), regs.end(), regKey(cls, slot));
-  CASTED_CHECK(it != regs.end()) << "lane diff has no such register";
-  *it = regs.back();
-  regs.pop_back();
-  --diffCount_[lane];
+void Lanes::dropDiff(std::uint32_t lane, std::uint32_t cls,
+                     std::uint32_t at) {
+  std::vector<std::uint64_t>& keys = lanes_[lane].keys;
+  const auto it = std::find(keys.begin(), keys.end(), key(cls, at));
+  CASTED_CHECK(it != keys.end()) << "lane diff has no such location";
+  *it = keys.back();
+  keys.pop_back();
   --diffs_;
 }
 
-const LaneSet* Lanes::wordLanes(std::uint64_t word) const {
-  const std::uint64_t index = (word - ir::Program::kGlobalBase) >> 3;
-  if (((memAny_[index >> 6] >> (index & 63)) & 1) == 0) {
-    return nullptr;
-  }
-  return &memSets_[memIndex_.at(word)];
-}
-
-bool Lanes::hasWord(std::uint32_t lane, std::uint64_t word) const {
-  const LaneSet* set = wordLanes(word);
-  return set != nullptr && set->test(lane);
-}
-
-// Adds or removes `lane` from the lanes of `word`.
-void Lanes::markWord(std::uint32_t lane, std::uint64_t word, bool differs) {
-  const std::uint64_t index = (word - ir::Program::kGlobalBase) >> 3;
-  std::uint64_t& bits = memAny_[index >> 6];
-  const std::uint64_t bit = 1ULL << (index & 63);
-  if (differs) {
-    if ((bits & bit) == 0) {
-      std::uint32_t set = static_cast<std::uint32_t>(memSets_.size());
-      if (freeSets_.empty()) {
-        memSets_.emplace_back();
-      } else {
-        set = freeSets_.back();
-        freeSets_.pop_back();
-      }
-      memIndex_.put(word, set);
-      bits |= bit;
-    }
-    memSets_[memIndex_.at(word)].set(lane);
-  } else if ((bits & bit) != 0) {
-    const std::uint32_t set = static_cast<std::uint32_t>(memIndex_.at(word));
-    memSets_[set].reset(lane);
-    if (!memSets_[set].any()) {
-      memIndex_.erase(word);
-      freeSets_.push_back(set);
-      bits &= ~bit;
-    }
-  }
-}
-
-std::uint64_t Lanes::laneWord(std::uint32_t lane, std::uint64_t word) const {
-  return hasWord(lane, word)
-             ? lanes_[lane].words.at(word)
-             : golden_.memory.peekWord(word);
-}
-
-// Records one lane's value of a register, as a diff iff it differs from
+// Records one lane's value at a location, as a diff iff it differs from
 // the golden stream's value there, `golden`.
-void Lanes::setReg(std::uint32_t lane, std::uint32_t cls, std::uint32_t slot,
-                   std::uint64_t bits, std::uint64_t golden) {
-  std::uint32_t index = regIndex_[cls][slot];
+void Lanes::setBits(std::uint32_t lane, std::uint32_t cls, std::uint32_t at,
+                    std::uint64_t bits, std::uint64_t golden) {
+  std::uint32_t index = indexOf(cls, at);
   if (bits != golden) {
     if (index == 0) {
-      index = newSlotDiffs(cls, slot);
+      index = newSlotDiffs(cls, at);
     }
     SlotDiffs& d = slots_[index - 1];
-    const std::uint32_t at = d.lanes.rank(lane);
+    const std::uint32_t rank = d.lanes.rank(lane);
     if (d.lanes.test(lane)) {
-      d.values[at] = bits;
+      d.values[rank] = bits;
       return;
     }
-    d.values.insert(d.values.begin() + at, bits);
+    d.values.insert(d.values.begin() + rank, bits);
     d.lanes.set(lane);
-    addRegDiff(lane, cls, slot);
+    addDiff(lane, cls, at);
   } else if (index != 0 && slots_[index - 1].lanes.test(lane)) {
-    eraseRegValue(lane, cls, slot);
-    dropRegDiff(lane, cls, slot);
-  }
-}
-
-// The same for an aligned memory word.
-void Lanes::setWord(std::uint32_t lane, std::uint64_t word,
-                    std::uint64_t bits, std::uint64_t golden) {
-  if (bits != golden) {
-    if (lanes_[lane].words.put(word, bits)) {
-      ++diffCount_[lane];
-      ++diffs_;
-    }
-    markWord(lane, word, true);
-  } else if (hasWord(lane, word)) {
-    lanes_[lane].words.erase(word);
-    --diffCount_[lane];
-    --diffs_;
-    markWord(lane, word, false);
+    eraseValue(lane, cls, at);
+    dropDiff(lane, cls, at);
   }
 }
 
@@ -305,16 +253,12 @@ void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
   v.dynamicInsns = insns;
   v.laneOps = laneOps_[lane];
   v.injectedAt = injectedAt_[lane];
-  for (const std::uint64_t key : l.regs) {
-    eraseRegValue(lane, static_cast<std::uint32_t>(key >> 32),
-                  static_cast<std::uint32_t>(key));
+  for (const std::uint64_t k : l.keys) {
+    eraseValue(lane, static_cast<std::uint32_t>(k >> 32),
+               static_cast<std::uint32_t>(k));
   }
-  diffs_ -= l.regs.size() + l.words.size();
-  l.regs.clear();
-  l.words.drain([&](std::uint64_t word, std::uint64_t) {
-    markWord(lane, word, false);
-  });
-  diffCount_[lane] = 0;
+  diffs_ -= l.keys.size();
+  l.keys.clear();
   state_[lane] = State::kDone;
   --open_;
 }
@@ -322,7 +266,7 @@ void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
 // A live lane whose diffs all died with no flip pending is the golden run
 // from here on; it waits for the stream's end, which decides it.
 inline void Lanes::noteReconverged(std::uint32_t lane) {
-  if (state_[lane] == State::kLive && diffCount_[lane] == 0 &&
+  if (state_[lane] == State::kLive && lanes_[lane].keys.empty() &&
       lanes_[lane].cursor == lanes_[lane].plan->points.size()) {
     state_[lane] = State::kReconverged;
   }
@@ -350,9 +294,9 @@ inline void Lanes::noteReconverged(std::uint32_t lane) {
     return;  // values changed, no diff appeared or died
   }
   after.minus(before).forEach(
-      [&](std::uint32_t lane) { addRegDiff(lane, cls, slot); });
+      [&](std::uint32_t lane) { addDiff(lane, cls, slot); });
   before.minus(after).forEach([&](std::uint32_t lane) {
-    dropRegDiff(lane, cls, slot);
+    dropDiff(lane, cls, slot);
     noteReconverged(lane);
   });
 }
@@ -404,9 +348,7 @@ bool Lanes::step(const MicroOp& u, std::uint32_t node,
       memoryOp ? golden_.addr[base.addr + node] : 0;
   const std::uint64_t goldenWord = goldenAddress & ~7ULL;
   if (memoryOp) {
-    if (const LaneSet* set = wordLanes(goldenWord)) {
-      touched |= *set;
-    }
+    touched |= lanesAt(kWordClass, wordAt(goldenWord));
   }
 
   // Every use slot's lanes are touched, so walking the touched lanes in
@@ -501,14 +443,15 @@ bool Lanes::step(const MicroOp& u, std::uint32_t node,
     const std::uint64_t words[2] = {laneWordAddr, goldenWord};
     for (int w = 0; w < (laneWordAddr == goldenWord ? 1 : 2); ++w) {
       const std::uint64_t word = words[w];
+      const std::uint32_t at = wordAt(word);
+      const std::uint64_t golden = golden_.memory.peekWord(word);
       std::uint64_t laneValue =
-          hasWord(r.lane, word) ? lanes_[r.lane].words.at(word)
-          : word == goldenWord  ? goldenStoreWord_
-                                : golden_.memory.peekWord(word);
+          laneBits(r.lane, kWordClass, at,
+                   word == goldenWord ? goldenStoreWord_ : golden);
       if (word == laneWordAddr) {
         laneValue = storedWord(laneValue, r.address, width, r.stored);
       }
-      setWord(r.lane, word, laneValue, golden_.memory.peekWord(word));
+      setBits(r.lane, kWordClass, at, laneValue, golden);
     }
     noteReconverged(r.lane);
   }
@@ -537,9 +480,11 @@ std::uint64_t Lanes::onDef(const MicroOp& u, const FrameBase& base,
     const DecodedReg target =
         faultTarget(u, point, golden_.prog.pool().data());
     const std::uint32_t slot = slotBase(base, target.cls) + target.slot;
-    setReg(lane, target.cls, slot,
-           flipBits(target.cls, laneBits(lane, target.cls, slot), point.bit),
-           goldenBits(target.cls, slot));
+    const std::uint64_t golden = goldenBits(target.cls, slot);
+    setBits(lane, target.cls, slot,
+            flipBits(target.cls, laneBits(lane, target.cls, slot, golden),
+                     point.bit),
+            golden);
     noteReconverged(lane);
   }
   return events_.empty() ? kNoFault : events_.front().first;
@@ -551,8 +496,8 @@ void Lanes::moveDiffs(const DecodedReg* from, const FrameBase& src,
                       std::uint32_t count) {
   LaneSet touched;
   for (std::uint32_t i = 0; i < count; ++i) {
-    touched |= regLanes(from[i].cls, slotBase(src, from[i].cls) + from[i].slot);
-    touched |= regLanes(to[i].cls, slotBase(dst, to[i].cls) + to[i].slot);
+    touched |= lanesAt(from[i].cls, slotBase(src, from[i].cls) + from[i].slot);
+    touched |= lanesAt(to[i].cls, slotBase(dst, to[i].cls) + to[i].slot);
   }
   if (!touched.any()) {
     return;
@@ -561,12 +506,13 @@ void Lanes::moveDiffs(const DecodedReg* from, const FrameBase& src,
   touched.forEach([&](std::uint32_t lane) {
     ++laneOps_[lane];
     for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint32_t source = slotBase(src, from[i].cls) + from[i].slot;
       const std::uint32_t slot = slotBase(dst, to[i].cls) + to[i].slot;
-      const std::uint64_t bits = laneBits(
-          lane, from[i].cls, slotBase(src, from[i].cls) + from[i].slot);
+      const std::uint64_t bits = laneBits(lane, from[i].cls, source,
+                                          goldenBits(from[i].cls, source));
       // As the interpreter's writeBits: a predicate register holds 0 or 1.
-      setReg(lane, to[i].cls, slot, to[i].cls == 2 && bits != 0 ? 1 : bits,
-             goldenBits(to[i].cls, slot));
+      setBits(lane, to[i].cls, slot, to[i].cls == 2 && bits != 0 ? 1 : bits,
+              goldenBits(to[i].cls, slot));
     }
     noteReconverged(lane);
   });
@@ -584,8 +530,8 @@ void Lanes::dropFrame(const FrameBase& base) {
       if (regIndex_[c][slot] == 0) {
         continue;
       }
-      const LaneSet lanes = regLanes(c, slot);
-      lanes.forEach([&](std::uint32_t lane) { dropRegDiff(lane, c, slot); });
+      const LaneSet lanes = lanesAt(c, slot);
+      lanes.forEach([&](std::uint32_t lane) { dropDiff(lane, c, slot); });
       touched |= lanes;
       freeSlotDiffs(c, slot);
     }
@@ -593,7 +539,7 @@ void Lanes::dropFrame(const FrameBase& base) {
   touched.forEach([&](std::uint32_t lane) { noteReconverged(lane); });
 }
 
-// Whether the lane's output symbol, golden's overlaid with its words,
+// Whether the lane's output symbol, golden's overlaid with its word diffs,
 // differs from golden's.
 void Lanes::finish(std::optional<std::uint32_t> exitSlot,
                    std::int64_t exitCode, std::uint64_t insns) {
@@ -608,18 +554,25 @@ void Lanes::finish(std::optional<std::uint32_t> exitSlot,
       continue;
     }
     // Corrupt iff the exit code, or the output symbol overlaid with the
-    // lane's words, differs from golden's.
-    bool corrupt =
-        exitSlot.has_value() &&
-        static_cast<std::int64_t>(laneBits(lane, 0, *exitSlot)) != exitCode;
-    lanes_[lane].words.forEach([&](std::uint64_t word, std::uint64_t bits) {
+    // lane's word diffs, differs from golden's.
+    bool corrupt = exitSlot.has_value() &&
+                   static_cast<std::int64_t>(laneBits(
+                       lane, 0, *exitSlot, goldenBits(0, *exitSlot))) !=
+                       exitCode;
+    for (const std::uint64_t k : lanes_[lane].keys) {
+      if ((k >> 32) != kWordClass) {
+        continue;
+      }
+      const auto at = static_cast<std::uint32_t>(k);
+      const std::uint64_t word = wordAddress(at);
       const std::uint64_t golden = golden_.memory.peekWord(word);
+      const std::uint64_t bits = laneBits(lane, kWordClass, at, golden);
       for (std::uint64_t byte = 0; byte < 8; ++byte) {
-        const std::uint64_t at = word + byte;
-        corrupt |= at >= begin && at < end &&
+        const std::uint64_t address = word + byte;
+        corrupt |= address >= begin && address < end &&
                    ((bits ^ golden) >> (8 * byte) & 0xFF) != 0;
       }
-    });
+    }
     decide(lane, LaneEnd::kHalted, insns, corrupt);
   }
 }

@@ -1,20 +1,22 @@
 // The lockstep lanes (DESIGN.md §10): concurrent fault simulation (Ulrich &
 // Baker) of up to DecodedRunner::kMaxLanes fault plans over one golden
-// stream.  A lane holds only its pending flips and the registers and aligned
-// memory words where its values differ from the golden run's; the golden
-// stream (the decoded interpreter's exec<true>, decoded.cpp) raises the
-// events below, and the lanes read golden's state only through a GoldenView.
+// stream.  A lane holds only its pending flips and the locations (register
+// slots and aligned memory words) where its values differ from the golden
+// run's; the golden stream (the decoded interpreter's exec<true>,
+// decoded.cpp) raises the events below, and the lanes read golden's state
+// only through a GoldenView.
 //
 // Invariant: a live lane's architectural state is the golden stream's state
-// overlaid with its diffs: the register slots whose SlotDiffs name it (by
-// absolute arena slot) and its WordMap of aligned 8-byte memory words.  Its
-// control flow and def ordinals are the golden stream's.  Every event
-// preserves it, or ends the lane.
+// overlaid with its diffs: the locations whose SlotDiffs name it, register
+// slots by absolute arena slot and memory words by their index in the
+// arena, one store for both.  Its control flow and def ordinals are the
+// golden stream's.  Every event preserves it, or ends the lane.
 //
 // The per-op test (LaneView::touches), the "any diffs" guards and the
 // per-block charge are inline here, so the stream pays no call per op.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -169,47 +171,43 @@ struct LaneSet {
   }
 };
 
-// The lanes that differ at one register slot, and their values there,
-// packed in lane order: a lane's value is values[lanes.rank(lane)].
+// The lanes that differ at one location, a register slot or a memory word,
+// and their values there, packed in lane order: a lane's value is
+// values[lanes.rank(lane)].
 struct SlotDiffs {
   LaneSet lanes;
   std::vector<std::uint64_t> values;
 };
 
-// Aligned memory word address -> value, open addressing with linear
-// probing: one lane's differing words, and the lane sets of the words some
-// lane differs at.
+// Memory word index -> 1 + the index of its SlotDiffs, for the words some
+// lane differs at: open addressing with linear probing.
 class WordMap {
  public:
-  std::size_t size() const { return size_; }
-
-  // The value at `word`, which must be present.
-  std::uint64_t at(std::uint64_t word) const {
+  // The entry of `word`, which must be present.
+  std::uint32_t at(std::uint32_t word) const {
     for (std::size_t i = home(word);; i = (i + 1) & mask_) {
       if (slots_[i].word == word) {
-        return slots_[i].value;
+        return slots_[i].index;
       }
       CASTED_CHECK(slots_[i].word != kEmpty) << "lane diff has no such word";
     }
   }
 
-  // Returns whether `word` is new.
-  bool put(std::uint64_t word, std::uint64_t value) {
+  // Enters `word`, which must be absent.
+  void put(std::uint32_t word, std::uint32_t index) {
     if (2 * (size_ + 1) > slots_.size()) {
       grow();
     }
     std::size_t i = home(word);
-    while (slots_[i].word != kEmpty && slots_[i].word != word) {
+    while (slots_[i].word != kEmpty) {
       i = (i + 1) & mask_;
     }
-    const bool added = slots_[i].word == kEmpty;
-    size_ += added ? 1 : 0;
-    slots_[i] = {word, value};
-    return added;
+    slots_[i] = {word, index};
+    ++size_;
   }
 
   // Backward-shift deletion: no tombstones, so lookups stay short.
-  void erase(std::uint64_t word) {
+  void erase(std::uint32_t word) {
     std::size_t i = home(word);
     while (slots_[i].word != word) {
       CASTED_CHECK(slots_[i].word != kEmpty) << "lane diff has no such word";
@@ -229,41 +227,18 @@ class WordMap {
   }
 
   void clear() {
-    drain([](std::uint64_t, std::uint64_t) {});
-  }
-
-  // Calls f(word, value) for every entry, then empties the map.
-  template <class F>
-  void drain(F f) {
-    if (size_ == 0) {
-      return;
-    }
-    for (Slot& slot : slots_) {
-      if (slot.word != kEmpty) {
-        f(slot.word, slot.value);
-        slot.word = kEmpty;
-      }
-    }
+    std::fill(slots_.begin(), slots_.end(), Slot{});
     size_ = 0;
   }
 
-  template <class F>
-  void forEach(F f) const {
-    for (const Slot& slot : slots_) {
-      if (slot.word != kEmpty) {
-        f(slot.word, slot.value);
-      }
-    }
-  }
-
  private:
-  static constexpr std::uint64_t kEmpty = ~0ULL;
+  static constexpr std::uint32_t kEmpty = ~0U;
   struct Slot {
-    std::uint64_t word = kEmpty;
-    std::uint64_t value = 0;
+    std::uint32_t word = kEmpty;
+    std::uint32_t index = 0;
   };
 
-  std::size_t home(std::uint64_t word) const {
+  std::size_t home(std::uint32_t word) const {
     return static_cast<std::size_t>((word * 0x9E3779B97F4A7C15ULL) >> 32) &
            mask_;
   }
@@ -275,7 +250,7 @@ class WordMap {
     size_ = 0;
     for (const Slot& slot : old) {
       if (slot.word != kEmpty) {
-        put(slot.word, slot.value);
+        put(slot.word, slot.index);
       }
     }
   }
@@ -286,14 +261,13 @@ class WordMap {
 };
 
 // The lockstep state of one window (DecodedRunner::runLockstep): the lanes,
-// the SlotDiffs of every register slot some lane differs at, and for every
-// such memory word the set of lanes that differ there.  The golden stream
-// calls step() before each op the LaneView flags, and the other events at
-// defs (onDef), moves of call arguments and returned values (onMove), frame
-// pops (onPop), block charges (chargeBlock) and its end (finish).  One
-// Lanes lives as long as its interpreter and serves window after window: a
-// window ends with every lane decided and so every set empty, and begin()
-// keeps the allocations.
+// and the SlotDiffs of every location some lane differs at.  The golden
+// stream calls step() before each op the LaneView flags, and the other
+// events at defs (onDef), moves of call arguments and returned values
+// (onMove), frame pops (onPop), block charges (chargeBlock) and its end
+// (finish).  One Lanes lives as long as its interpreter and serves window
+// after window: a window ends with every lane decided and so every set
+// empty, and begin() keeps the allocations.
 class Lanes {
  public:
   explicit Lanes(const GoldenView& golden) : golden_(golden) {}
@@ -378,18 +352,18 @@ class Lanes {
   static constexpr std::size_t kMaxLanes = DecodedRunner::kMaxLanes;
   enum class State : std::uint8_t { kDormant, kLive, kReconverged, kDone };
 
-  // What step() reads of a lane only when it is decided, flipped or
-  // diverges; the per-op counters are the structure of arrays below.
+  // What step() reads of a lane only when it is decided, flipped, diverges
+  // or gains or loses a diff; the per-op counters are the structure of
+  // arrays below.
   struct Lane {
     const FaultPlan* plan = nullptr;
     std::size_t cursor = 0;  // next point of `plan` to fire
     bool diverged = false;   // an access left golden's line: bound live
     std::uint64_t boundStart = 0;   // golden cycles at the first such access
     std::uint64_t worstBefore = 0;  // `worst_` at that point
-    // The register slots the lane differs at (regKey), in no order: kept
-    // on a diff's appearance and death only, read when the lane ends.
-    std::vector<std::uint64_t> regs;
-    WordMap words;  // the memory words the lane differs at
+    // The locations the lane differs at (key()), in no order: kept on a
+    // diff's appearance and death only, walked when the lane ends.
+    std::vector<std::uint64_t> keys;
   };
 
   // A lane's address (and stored value) at a step's memory op, committed
@@ -403,8 +377,18 @@ class Lanes {
   // evalOp's access for one lane (lanes.cpp).
   struct Access;
 
-  static std::uint64_t regKey(std::uint32_t cls, std::uint32_t slot) {
-    return (static_cast<std::uint64_t>(cls) << 32) | slot;
+  // A location is a register slot (class 0-2, absolute arena slot `at`)
+  // or an aligned memory word (kWordClass, `at` its index in the arena).
+  static constexpr std::uint32_t kWordClass = 3;
+  static std::uint32_t wordAt(std::uint64_t address) {
+    return static_cast<std::uint32_t>((address - ir::Program::kGlobalBase) >>
+                                      3);
+  }
+  static std::uint64_t wordAddress(std::uint32_t at) {
+    return ir::Program::kGlobalBase + (static_cast<std::uint64_t>(at) << 3);
+  }
+  static std::uint64_t key(std::uint32_t cls, std::uint32_t at) {
+    return (static_cast<std::uint64_t>(cls) << 32) | at;
   }
 
   void moveDiffs(const DecodedReg* from, const FrameBase& src,
@@ -412,33 +396,35 @@ class Lanes {
                  std::uint32_t count);
   void dropFrame(const FrameBase& base);
 
-  LaneSet regLanes(std::uint32_t cls, std::uint32_t slot) const {
-    const std::uint32_t index = regIndex_[cls][slot];
+  // 0, or 1 + the index of the location's SlotDiffs.
+  std::uint32_t indexOf(std::uint32_t cls, std::uint32_t at) const {
+    if (cls != kWordClass) {
+      return regIndex_[cls][at];
+    }
+    return ((memAny_[at >> 6] >> (at & 63)) & 1) != 0 ? memIndex_.at(at) : 0;
+  }
+  void setIndex(std::uint32_t cls, std::uint32_t at, std::uint32_t index);
+  LaneSet lanesAt(std::uint32_t cls, std::uint32_t at) const {
+    const std::uint32_t index = indexOf(cls, at);
     return index == 0 ? LaneSet{} : slots_[index - 1].lanes;
   }
-  std::uint32_t newSlotDiffs(std::uint32_t cls, std::uint32_t slot);
-  void freeSlotDiffs(std::uint32_t cls, std::uint32_t slot);
-  void eraseRegValue(std::uint32_t lane, std::uint32_t cls,
-                     std::uint32_t slot);
-  void addRegDiff(std::uint32_t lane, std::uint32_t cls, std::uint32_t slot);
-  void dropRegDiff(std::uint32_t lane, std::uint32_t cls, std::uint32_t slot);
+  std::uint32_t newSlotDiffs(std::uint32_t cls, std::uint32_t at);
+  void freeSlotDiffs(std::uint32_t cls, std::uint32_t at);
+  void eraseValue(std::uint32_t lane, std::uint32_t cls, std::uint32_t at);
+  void addDiff(std::uint32_t lane, std::uint32_t cls, std::uint32_t at);
+  void dropDiff(std::uint32_t lane, std::uint32_t cls, std::uint32_t at);
   void writeDef(std::uint32_t cls, std::uint32_t slot, const LaneSet& after);
 
+  // `lane`'s value at a location: its diff there, else `golden`.
   std::uint64_t laneBits(std::uint32_t lane, std::uint32_t cls,
-                         std::uint32_t slot) const;
+                         std::uint32_t at, std::uint64_t golden) const;
   std::uint64_t goldenBits(std::uint32_t cls, std::uint32_t slot) const {
     return cls == 0   ? static_cast<std::uint64_t>(golden_.gp[slot])
            : cls == 1 ? std::bit_cast<std::uint64_t>(golden_.fp[slot])
                       : golden_.pr[slot];
   }
-  std::uint64_t laneWord(std::uint32_t lane, std::uint64_t word) const;
-  const LaneSet* wordLanes(std::uint64_t word) const;
-  bool hasWord(std::uint32_t lane, std::uint64_t word) const;
-  void markWord(std::uint32_t lane, std::uint64_t word, bool differs);
-  void setReg(std::uint32_t lane, std::uint32_t cls, std::uint32_t slot,
-              std::uint64_t bits, std::uint64_t golden);
-  void setWord(std::uint32_t lane, std::uint64_t word, std::uint64_t bits,
-               std::uint64_t golden);
+  void setBits(std::uint32_t lane, std::uint32_t cls, std::uint32_t at,
+               std::uint64_t bits, std::uint64_t golden);
   void decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
               bool corrupt = false);
   void noteReconverged(std::uint32_t lane);
@@ -446,22 +432,19 @@ class Lanes {
   const GoldenView golden_;
   std::vector<Lane> lanes_;
   std::size_t words_ = 0;  // LaneSet words the window's lanes occupy
-  // Per lane: its state, lane ops, golden instructions at its first flip,
-  // and how many registers and words it differs at.
+  // Per lane: its state, lane ops and golden instructions at its first
+  // flip.
   std::array<State, kMaxLanes> state_{};
   std::array<std::uint64_t, kMaxLanes> laneOps_{};
   std::array<std::uint64_t, kMaxLanes> injectedAt_{};
-  std::array<std::uint32_t, kMaxLanes> diffCount_{};
   std::vector<LaneVerdict>* verdicts_ = nullptr;
   // By absolute arena slot: 0, or 1 + the index of the slot's SlotDiffs.
   std::vector<std::uint32_t> regIndex_[3];
   std::vector<SlotDiffs> slots_;
   std::vector<std::uint32_t> freeSlots_;
-  // The lanes of a memory word: memSets_[memIndex_.at(word)], for the words
-  // whose memAny_ bit (one per arena word) is set.
+  // By memory word index, the same for the words whose memAny_ bit (one per
+  // arena word) is set.
   WordMap memIndex_;
-  std::vector<LaneSet> memSets_;
-  std::vector<std::uint32_t> freeSets_;
   std::vector<std::uint64_t> memAny_;
   std::uint64_t memWords_ = 0;
   // Pending flips as a min-heap on the ordinal: (ordinal, lane).
@@ -475,7 +458,7 @@ class Lanes {
   std::uint64_t goldenStoreWord_ = 0;
   std::uint64_t worst_ = 0;  // sum of worstCycles over the charged blocks
   std::uint64_t laneSteps_ = 0;
-  std::size_t diffs_ = 0;    // register and word diffs over all lanes
+  std::size_t diffs_ = 0;    // diffs over all lanes
   std::size_t open_ = 0;     // lanes not yet decided
 };
 

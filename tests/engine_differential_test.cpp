@@ -196,6 +196,66 @@ TEST(EngineDifferentialTest, CheckpointRoundTripMatchesFullRuns) {
   }
 }
 
+// The calling random programs recurse (testutil::addRecursiveCallee), 1-4
+// frames deep in their golden runs.  Under NOED, whose calls carry no
+// checks, a flip of bit 20 of the depth a frame passes down drives the
+// recursion past kMaxCallDepth: both engines must trap kStackOverflow at
+// the same instruction, and so must a stepwise run injected at the flip,
+// before and after a restore.  Every def of the recursive callee is
+// flipped at that bit, not only the depth.
+TEST(EngineDifferentialTest, RecursionPastTheDepthLimitTrapsInBothEngines) {
+  const std::size_t seeds = testutil::testTrials(20);
+  std::size_t overflows = 0;
+  for (std::size_t seed = 0; seed < seeds; ++seed) {
+    const core::CompiledProgram bin =
+        core::compile(testutil::makeRandomCfgProgram(seed, 4, 8, true),
+                      testutil::machine(2, 1 + seed % 2), Scheme::kNoed);
+    std::uint32_t rec = 0;
+    while (bin.program.function(rec).name() != "rec") {
+      ++rec;
+    }
+    std::vector<DefSite> trace;
+    SimOptions options;
+    options.defTrace = &trace;
+    const RunResult golden =
+        simulate(bin.program, bin.schedule, bin.machine, options);
+    ASSERT_EQ(golden.exit, ExitKind::kHalted) << "seed " << seed;
+    options.defTrace = nullptr;
+    options.maxCycles = golden.stats.cycles * 20;
+    SimOptions reference = options;
+    reference.engine = Engine::kReference;
+    DecodedRunner runner(*bin.decoded);
+    for (std::uint64_t ordinal = 0; ordinal < trace.size(); ++ordinal) {
+      if (trace[ordinal].func != rec) {
+        continue;
+      }
+      const FaultPlan plan{{{ordinal, 0, 20}}};
+      const std::string context = "recursive seed " + std::to_string(seed) +
+                                  " ordinal " + std::to_string(ordinal);
+      reference.faultPlan = &plan;
+      options.faultPlan = &plan;
+      const RunResult oracle =
+          simulate(bin.program, bin.schedule, bin.machine, reference);
+      expectIdentical(
+          oracle, simulate(bin.program, bin.schedule, bin.machine, options),
+          context);
+      overflows += oracle.trap == TrapKind::kStackOverflow ? 1 : 0;
+
+      options.faultPlan = nullptr;
+      runner.begin(options);
+      ASSERT_TRUE(runner.runToDef(ordinal)) << context;
+      ArchCheckpoint checkpoint;
+      runner.saveCheckpoint(checkpoint);
+      runner.injectAtPause(plan);
+      expectIdentical(oracle, runner.finish(), context + " stepwise");
+      runner.restoreCheckpoint(checkpoint);
+      runner.injectAtPause(plan);
+      expectIdentical(oracle, runner.finish(), context + " after restore");
+    }
+  }
+  EXPECT_GT(overflows, 0u) << "no flip drove a recursion past the limit";
+}
+
 TEST(EngineDifferentialTest, CheckpointsAreTakenBeforeInjection) {
   // A checkpoint holds a golden state: a save while a plan is armed is
   // refused, and leaves both the faulty run and the last checkpoint intact.

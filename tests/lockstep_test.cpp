@@ -661,9 +661,13 @@ TEST(LockstepTest, EnumerationWindowsBatchEveryOpOfRandomPrograms) {
   // scheme: the window of the first execution of every static def site,
   // so the lanes reach every op the generator and the schemes emit (ALU
   // ops of all three classes, loads, stores, checks, selects, calls and
-  // returns, branches).  Each lane is checked against its whole run.
+  // returns, branches).  Each lane is checked against its whole run.  The
+  // calling programs recurse: in NOED, the lanes that flip a high bit of
+  // the depth a frame passes down fall back at the recursion's last
+  // branch, and their re-runs go past kMaxCallDepth.
   const std::size_t seeds = testutil::testTrials(8);
   std::size_t widest = 0;
+  std::size_t overflows = 0;
   for (const bool calls : {false, true}) {
     for (std::size_t seed = 0; seed < seeds; ++seed) {
       const passes::Scheme scheme =
@@ -690,12 +694,19 @@ TEST(LockstepTest, EnumerationWindowsBatchEveryOpOfRandomPrograms) {
         const std::vector<FaultPlan> plans =
             ordinalWindow(bin.program, trace[ordinal], ordinal);
         widest = std::max(widest, plans.size());
-        lanesAgainstRuns(runner, golden, plans, 20,
-                         context + " ordinal " + std::to_string(ordinal));
+        const std::vector<LaneVerdict> verdicts =
+            lanesAgainstRuns(runner, golden, plans, 20,
+                             context + " ordinal " + std::to_string(ordinal));
+        overflows += static_cast<std::size_t>(std::count_if(
+            verdicts.begin(), verdicts.end(), [](const LaneVerdict& lane) {
+              return isFallback(lane.end) &&
+                     lane.rerun.trap == TrapKind::kStackOverflow;
+            }));
       }
     }
   }
   EXPECT_GE(widest, 128u) << "no call returned two gp or fp values";
+  EXPECT_GT(overflows, 0u) << "no re-run went past the call-depth limit";
 }
 
 TEST(LockstepTest, RandomProgramsWithMultiFlipPlansMatchWholeRuns) {

@@ -265,6 +265,50 @@ inline std::vector<const ir::Function*> addRandomCallees(ir::Program& prog,
   return callees;
 }
 
+// A self-recursive callee with the callees' signature, returning one value
+// of each class: `rec(base, n, ...)` calls itself with n - 1 while n >= 1,
+// so its depth is its argument n, and it stores and loads lines 20-23 of
+// the table at every level.  A caller that bounds n keeps it far from
+// kMaxCallDepth; a flip of n's high bits drives it past.
+inline const ir::Function& addRecursiveCallee(ir::Program& prog, Rng& rng) {
+  using ir::Opcode;
+  using ir::RegClass;
+  ir::Function& fn = prog.addFunction("rec");
+  const ir::Reg base = fn.newReg(RegClass::kGp);
+  const ir::Reg n = fn.newReg(RegClass::kGp);
+  const ir::Reg y = fn.newReg(RegClass::kGp);
+  const ir::Reg f = fn.newReg(RegClass::kFp);
+  const ir::Reg p = fn.newReg(RegClass::kPr);
+  fn.params() = {base, n, y, f, p};
+  fn.returnClasses() = {RegClass::kGp, RegClass::kFp, RegClass::kPr};
+  auto at = [&] {
+    return static_cast<std::int64_t>(64 * (20 + rng.nextBelow(4)) +
+                                     8 * rng.nextBelow(8));
+  };
+
+  ir::IrBuilder b(fn);
+  ir::BasicBlock& entry = b.createBlock("entry");
+  ir::BasicBlock& deeper = b.createBlock("deeper");
+  ir::BasicBlock& done = b.createBlock("done");
+  b.setBlock(entry);
+  const ir::Reg g = b.add(n, y);
+  b.store(base, at(), g);
+  b.binaryTo(Opcode::kXor, g, g, b.load(base, at()));
+  const ir::Reg ff = b.fAdd(f, b.i2f(n));
+  const ir::Reg q = b.pXor(p, b.cmpLt(g, y));
+  b.brCond(b.cmpLtImm(n, 1), done, deeper);
+  b.setBlock(deeper);
+  const std::vector<ir::Reg> inner =
+      b.call(fn, {base, b.addImm(n, -1), g, ff, q});
+  b.binaryTo(Opcode::kAdd, g, g, inner[0]);
+  b.binaryTo(Opcode::kFAdd, ff, ff, inner[1]);
+  b.binaryTo(Opcode::kPXor, q, q, inner[2]);
+  b.br(done);
+  b.setBlock(done);
+  b.ret({g, ff, q});
+  return fn;
+}
+
 // Random structured-control-flow program generator: a sequence of segments,
 // each either a straight block, an if/else diamond, or a bounded counted
 // loop, mutating a small pool of live registers and finally storing a
@@ -273,7 +317,9 @@ inline std::vector<const ir::Function*> addRandomCallees(ir::Program& prog,
 // the callees of addRandomCallees, each call between a store to a line of
 // its own in the table array (one of lines 0-7, by call site) and a load
 // of the data array, so inside loops too; it passes values of all three
-// register classes and folds every returned value into its state.
+// register classes and folds every returned value into its state.  Before
+// the digest it calls addRecursiveCallee's callee at a depth of 1-4, taken
+// from a pool register, and folds its values in too.
 inline ir::Program makeRandomCfgProgram(std::uint64_t seed,
                                         std::size_t segments = 4,
                                         std::size_t opsPerBlock = 8,
@@ -283,11 +329,13 @@ inline ir::Program makeRandomCfgProgram(std::uint64_t seed,
   const std::uint64_t dataAddr = prog.allocateGlobal("data", 64);
   const std::uint64_t outAddr = prog.allocateGlobal("output", 16);
   std::vector<const ir::Function*> callees;
+  const ir::Function* rec = nullptr;
   std::uint64_t tableAddr = 0;
   if (calls) {
-    tableAddr = prog.allocateGlobal("table", 64 * 20);
+    tableAddr = prog.allocateGlobal("table", 64 * 24);
     Rng calleeRng(seed ^ 0xCA11);
     callees = addRandomCallees(prog, calleeRng);
+    rec = &addRecursiveCallee(prog, calleeRng);
   }
   ir::Function& fn = prog.addFunction("main");
   prog.setEntryFunction(fn.id());
@@ -409,6 +457,19 @@ inline ir::Program makeRandomCfgProgram(std::uint64_t seed,
     }
   }
 
+  if (calls) {
+    // The recursion's fp value reaches the pool through the data array's
+    // second-to-last word.
+    const ir::Reg depth = b.addImm(b.andImm(anyReg(), 3), 1);
+    const std::vector<ir::Reg> values =
+        b.call(*rec, {tableBase, depth, anyReg(), b.i2f(anyReg()),
+                      b.cmpLt(anyReg(), anyReg())});
+    b.binaryTo(ir::Opcode::kAdd, pool[0], pool[0], values[0]);
+    b.fStore(dataBase, 48, values[1]);
+    b.binaryTo(ir::Opcode::kAdd, pool[1], pool[1],
+               b.select(values[2], pool[2], pool[3]));
+    b.binaryTo(ir::Opcode::kAdd, pool[0], pool[0], b.load(dataBase, 48));
+  }
   const ir::Reg outBase = b.movImm(static_cast<std::int64_t>(outAddr));
   ir::Reg digest = calls ? b.add(pool[0], b.load(dataBase, 56)) : pool[0];
   for (std::size_t i = 1; i < pool.size(); ++i) {
