@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "support/check.h"
 
@@ -52,42 +53,74 @@ bool mayAlias(const MemRef& a, const MemRef& b) {
   return true;  // different/unknown bases: conservative
 }
 
-}  // namespace
+// The block's edges in the order they are added, each (from, to) pair
+// once: a repeat keeps the first edge's kind and the larger latency.  Every
+// edge but a guard edge targets the node being built, so the last target a
+// source was seen with finds a repeat in O(1); a guard edge (check ->
+// guarded, the only forward one) joins its target's list and becomes
+// findable that way when its target's turn comes.
+class EdgeList {
+ public:
+  explicit EdgeList(std::uint32_t nodes)
+      : seen_(nodes), guardHead_(nodes, kNone) {}
 
-DataFlowGraph::DataFlowGraph(const ir::BasicBlock& block,
-                             const arch::MachineConfig& config)
-    : insns_(&block.insns()),
-      preds_(insns_->size()),
-      succs_(insns_->size()),
-      heights_(insns_->size(), 0) {
-  buildEdges(config);
-  computeHeights();
-}
-
-void DataFlowGraph::addEdge(std::uint32_t from, std::uint32_t to,
-                            DepKind kind, std::uint32_t latency) {
-  CASTED_CHECK(from < to) << "DFG edges must point forward (" << from
-                          << " -> " << to << ")";
-  // Drop exact duplicates with lower or equal latency.
-  for (Edge& edge : succs_[from]) {
-    if (edge.to == to) {
-      if (latency > edge.latency) {
-        edge.latency = latency;
-        for (Edge& pred : preds_[to]) {
-          if (pred.from == from) {
-            pred.latency = latency;
-          }
-        }
-      }
-      return;
+  // Starts the edges into `node`.
+  void beginNode(std::uint32_t node) {
+    current_ = node;
+    for (std::uint32_t g = guardHead_[node]; g != kNone;
+         g = guards_[g].next) {
+      seen_[edges_[guards_[g].edge].from] = {node, guards_[g].edge};
     }
   }
-  succs_[from].push_back({from, to, kind, latency});
-  preds_[to].push_back({from, to, kind, latency});
-}
 
-void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
-  const std::vector<Instruction>& insns = *insns_;
+  // An edge into the node being built.
+  void add(std::uint32_t from, DepKind kind, std::uint32_t latency) {
+    CASTED_CHECK(from < current_) << "DFG edges must point forward (" << from
+                                  << " -> " << current_ << ")";
+    Seen& seen = seen_[from];
+    if (seen.target == current_) {
+      Edge& edge = edges_[seen.edge];
+      edge.latency = std::max(edge.latency, latency);
+      return;
+    }
+    seen = {current_, static_cast<std::uint32_t>(edges_.size())};
+    edges_.push_back({from, current_, kind, latency});
+  }
+
+  // A guard edge from the node being built to a later node.  A check
+  // guards one node and no earlier edge leaves the node being built, so a
+  // guard edge is never a repeat.
+  void addGuard(std::uint32_t to, std::uint32_t latency) {
+    CASTED_CHECK(current_ < to) << "DFG edges must point forward ("
+                                << current_ << " -> " << to << ")";
+    guards_.push_back({static_cast<std::uint32_t>(edges_.size()),
+                       guardHead_[to]});
+    guardHead_[to] = static_cast<std::uint32_t>(guards_.size() - 1);
+    edges_.push_back({current_, to, DepKind::kGuard, latency});
+  }
+
+  std::vector<Edge> release() { return std::move(edges_); }
+
+ private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  struct Seen {
+    std::uint32_t target = kNone;
+    std::uint32_t edge = 0;
+  };
+  struct GuardLink {
+    std::uint32_t edge = 0;
+    std::uint32_t next = kNone;
+  };
+
+  std::vector<Edge> edges_;
+  std::vector<Seen> seen_;  // by source: the last target, and that edge
+  std::vector<std::uint32_t> guardHead_;  // by target: into guards_
+  std::vector<GuardLink> guards_;
+  std::uint32_t current_ = 0;
+};
+
+std::vector<Edge> buildEdges(const std::vector<Instruction>& insns,
+                             const arch::MachineConfig& config) {
   constexpr std::uint32_t kNone = 0xffffffffu;
 
   // Per-register bookkeeping since block entry, indexed by a slot numbering
@@ -118,7 +151,7 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
   std::vector<UseLink> useLinks;
   std::vector<MemRef> memRefs;
   std::vector<std::uint32_t> calls;
-  std::vector<std::uint32_t> checksSinceCall;
+  EdgeList list(static_cast<std::uint32_t>(insns.size()));
 
   auto latencyOf = [&](std::uint32_t node) {
     return config.latencyFor(insns[node].op);
@@ -133,9 +166,10 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
 
   for (std::uint32_t i = 0; i < insns.size(); ++i) {
     const Instruction& insn = insns[i];
+    list.beginNode(i);
 
     if (lastSideExit != 0xffffffffu) {
-      addEdge(lastSideExit, i, DepKind::kBarrier, 1);
+      list.add(lastSideExit, DepKind::kBarrier, 1);
     }
     if (insn.op == Opcode::kTrapIf) {
       lastSideExit = i;
@@ -145,7 +179,7 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
     for (const Reg& use : insn.uses) {
       RegState& reg = regs[slots.slot(use)];
       if (reg.lastDef != kNone) {
-        addEdge(reg.lastDef, i, DepKind::kData, latencyOf(reg.lastDef));
+        list.add(reg.lastDef, DepKind::kData, latencyOf(reg.lastDef));
       }
       const auto link = static_cast<std::uint32_t>(useLinks.size());
       useLinks.push_back({i, kNone});
@@ -176,29 +210,23 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
         // store->load and store->store: the write must be visible (1 cycle);
         // load->store: same-cycle issue is fine (read-at-issue).
         const std::uint32_t latency = prior.isStore ? 1 : 0;
-        const DepKind kind = DepKind::kMemory;
-        if (latency == 0) {
-          addEdge(prior.node, i, kind, 0);
-        } else {
-          addEdge(prior.node, i, kind, latency);
-        }
+        list.add(prior.node, DepKind::kMemory, latency);
       }
       memRefs.push_back(ref);
       // Calls are barriers for memory.
       if (!calls.empty()) {
-        addEdge(calls.back(), i, DepKind::kBarrier,
-                config.latencies.call);
+        list.add(calls.back(), DepKind::kBarrier, config.latencies.call);
       }
     }
 
     if (insn.isCall()) {
       for (const MemRef& prior : memRefs) {
         if (prior.node != i) {
-          addEdge(prior.node, i, DepKind::kBarrier, 1);
+          list.add(prior.node, DepKind::kBarrier, 1);
         }
       }
       if (!calls.empty()) {
-        addEdge(calls.back(), i, DepKind::kBarrier, config.latencies.call);
+        list.add(calls.back(), DepKind::kBarrier, config.latencies.call);
       }
       calls.push_back(i);
     }
@@ -209,7 +237,7 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
     if (insn.isCheck() && insn.guard != ir::kInvalidInsn) {
       for (std::uint32_t j = i + 1; j < insns.size(); ++j) {
         if (insns[j].id == insn.guard) {
-          addEdge(i, j, DepKind::kGuard, latencyOf(i));
+          list.addGuard(j, latencyOf(i));
           break;
         }
       }
@@ -223,13 +251,13 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
         const std::int64_t needed =
             static_cast<std::int64_t>(latencyOf(reg.lastDef)) -
             static_cast<std::int64_t>(latencyOf(i)) + 1;
-        addEdge(reg.lastDef, i, DepKind::kOutput,
-                static_cast<std::uint32_t>(std::max<std::int64_t>(0, needed)));
+        list.add(reg.lastDef, DepKind::kOutput,
+                 static_cast<std::uint32_t>(std::max<std::int64_t>(0, needed)));
       }
       for (std::uint32_t link = reg.firstUse; link != kNone;
            link = useLinks[link].next) {
         if (useLinks[link].node != i) {
-          addEdge(useLinks[link].node, i, DepKind::kAnti, 0);
+          list.add(useLinks[link].node, DepKind::kAnti, 0);
         }
       }
       reg.firstUse = kNone;
@@ -238,14 +266,56 @@ void DataFlowGraph::buildEdges(const arch::MachineConfig& config) {
       ++reg.version;
     }
   }
+  return list.release();
+}
+
+}  // namespace
+
+DataFlowGraph::DataFlowGraph(const ir::BasicBlock& block,
+                             const arch::MachineConfig& config)
+    : insns_(&block.insns()) {
+  layOut(buildEdges(*insns_, config));
+  computeHeights();
+}
+
+// Stable counting sorts of `edges` by target and by source, so every
+// node's preds and succs keep the order the edges were added in.
+void DataFlowGraph::layOut(const std::vector<Edge>& edges) {
+  const std::size_t n = insns_->size();
+  const auto count = static_cast<std::uint32_t>(edges.size());
+  edges_ = std::make_unique_for_overwrite<Edge[]>(2 * std::size_t{count});
+  predBegin_.assign(n + 1, 0);
+  succBegin_.assign(n + 1, 0);
+  for (const Edge& edge : edges) {
+    ++predBegin_[edge.to + 1];
+    ++succBegin_[edge.from + 1];
+  }
+  succBegin_[0] = count;  // the succs follow the preds in edges_
+  for (std::size_t v = 0; v < n; ++v) {
+    predBegin_[v + 1] += predBegin_[v];
+    succBegin_[v + 1] += succBegin_[v];
+  }
+  // Each node's begin is its fill cursor, left at the next node's begin;
+  // the shift below restores it.
+  for (const Edge& edge : edges) {
+    edges_[predBegin_[edge.to]++] = edge;
+    edges_[succBegin_[edge.from]++] = edge;
+  }
+  for (std::size_t v = n; v > 0; --v) {
+    predBegin_[v] = predBegin_[v - 1];
+    succBegin_[v] = succBegin_[v - 1];
+  }
+  predBegin_[0] = 0;
+  succBegin_[0] = count;
 }
 
 void DataFlowGraph::computeHeights() {
+  heights_.assign(insns_->size(), 0);
   // Nodes are in topological (program) order; sweep backwards.
   for (std::uint32_t i = static_cast<std::uint32_t>(insns_->size()); i > 0;) {
     --i;
     std::uint32_t height = 1;  // occupies at least its own issue cycle
-    for (const Edge& edge : succs_[i]) {
+    for (const Edge& edge : succs(i)) {
       height = std::max(height, edge.latency + heights_[edge.to]);
     }
     heights_[i] = height;

@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "arch/machine_config.h"
@@ -35,11 +37,13 @@ enum class DepKind : std::uint8_t {
   kGuard,
 };
 
+// Trivially constructible, so the graph's edge arrays are allocated without
+// a fill that the build would overwrite at once.
 struct Edge {
-  std::uint32_t from = 0;  // node index (position in block)
-  std::uint32_t to = 0;
-  DepKind kind = DepKind::kData;
-  std::uint32_t latency = 0;
+  std::uint32_t from;  // node index (position in block)
+  std::uint32_t to;
+  DepKind kind;
+  std::uint32_t latency;
 };
 
 class DataFlowGraph {
@@ -53,11 +57,15 @@ class DataFlowGraph {
     return (*insns_)[node];
   }
 
-  const std::vector<Edge>& preds(std::uint32_t node) const {
-    return preds_[node];
+  // A node's edges in the order the build added them; each (from, to)
+  // pair appears once.
+  std::span<const Edge> preds(std::uint32_t node) const {
+    return {edges_.get() + predBegin_[node],
+            edges_.get() + predBegin_[node + 1]};
   }
-  const std::vector<Edge>& succs(std::uint32_t node) const {
-    return succs_[node];
+  std::span<const Edge> succs(std::uint32_t node) const {
+    return {edges_.get() + succBegin_[node],
+            edges_.get() + succBegin_[node + 1]};
   }
 
   // Longest-path distance (in cycles) from `node` to the end of the block,
@@ -73,14 +81,17 @@ class DataFlowGraph {
   std::vector<std::uint32_t> priorityOrder() const;
 
  private:
-  void addEdge(std::uint32_t from, std::uint32_t to, DepKind kind,
-               std::uint32_t latency);
-  void buildEdges(const arch::MachineConfig& config);
+  void layOut(const std::vector<Edge>& edges);
   void computeHeights();
 
   const std::vector<ir::Instruction>* insns_;
-  std::vector<std::vector<Edge>> preds_;
-  std::vector<std::vector<Edge>> succs_;
+  // Compressed sparse rows: every edge twice, grouped by target (the preds)
+  // and then by source (the succs).  A node's preds are
+  // edges_[predBegin_[node], predBegin_[node + 1]), its succs likewise
+  // through succBegin_; both offset arrays hold size() + 1 entries.
+  std::unique_ptr<Edge[]> edges_;
+  std::vector<std::uint32_t> predBegin_;
+  std::vector<std::uint32_t> succBegin_;
   std::vector<std::uint32_t> heights_;
 };
 

@@ -1,8 +1,9 @@
 #include "passes/late_opts.h"
 
-#include <map>
-#include <tuple>
-#include <unordered_map>
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <vector>
 
 #include "dfg/liveness.h"
 #include "support/check.h"
@@ -46,18 +47,72 @@ bool isPureRemovable(const Instruction& insn) {
   return !info.canTrap;
 }
 
-// Value-number key of an expression.
+// Value-number key of an expression.  A candidate has a fixed arity of at
+// most three operands; an FP immediate is keyed on its bit pattern, so
+// -0.0 and 0.0 (and NaNs of different payloads) stay different values.
 struct ExprKey {
-  Opcode op;
-  std::vector<std::uint64_t> operandVns;
-  std::int64_t imm;
-  double fimm;
-  std::uint64_t memEpoch;
+  Opcode op = Opcode::kNop;
+  std::uint32_t arity = 0;
+  std::array<std::uint32_t, 3> operandVns = {0, 0, 0};
+  std::int64_t imm = 0;
+  std::uint64_t fimmBits = 0;
+  std::uint32_t memEpoch = 0;
 
-  friend bool operator<(const ExprKey& a, const ExprKey& b) {
-    return std::tie(a.op, a.operandVns, a.imm, a.fimm, a.memEpoch) <
-           std::tie(b.op, b.operandVns, b.imm, b.fimm, b.memEpoch);
+  friend bool operator==(const ExprKey&, const ExprKey&) = default;
+
+  std::uint64_t hash() const {
+    constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+    std::uint64_t h = static_cast<std::uint64_t>(op) |
+                      (static_cast<std::uint64_t>(memEpoch) << 32);
+    for (const std::uint32_t vn : operandVns) {
+      h = (h ^ vn) * kMul;
+    }
+    h = (h ^ static_cast<std::uint64_t>(imm)) * kMul;
+    h = (h ^ fimmBits) * kMul;
+    return h ^ (h >> 32);
   }
+};
+
+// The available expressions of one block: key -> (value number, register
+// holding it), open-addressed over an index sized to the block.  An entry
+// is live only while its register still holds the entry's value number,
+// which the caller checks; value number 0 marks an entry that is not.
+class AvailableExprs {
+ public:
+  struct Entry {
+    ExprKey key;
+    std::uint32_t vn = 0;
+    Reg reg;
+  };
+
+  // Empties the map, sized for up to `count` keys.
+  void reset(std::size_t count) {
+    index_.assign(std::max<std::size_t>(8, std::bit_ceil(2 * count)), 0);
+    mask_ = index_.size() - 1;
+    entries_.clear();
+  }
+
+  // The entry of `key`, added with value number 0 when absent.
+  Entry& at(const ExprKey& key) {
+    for (std::size_t i = key.hash() & mask_;; i = (i + 1) & mask_) {
+      if (index_[i] == 0) {
+        CASTED_CHECK(2 * entries_.size() < index_.size())
+            << "more CSE keys than the block was sized for";
+        entries_.push_back({key, 0, Reg()});
+        index_[i] = static_cast<std::uint32_t>(entries_.size());
+        return entries_.back();
+      }
+      Entry& entry = entries_[index_[i] - 1];
+      if (entry.key == key) {
+        return entry;
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint32_t> index_;  // 0, or 1 + the index in entries_
+  std::size_t mask_ = 0;
+  std::vector<Entry> entries_;
 };
 
 }  // namespace
@@ -65,27 +120,29 @@ struct ExprKey {
 LateOptStats applyLocalCse(ir::Program& program,
                            const LateOptOptions& options) {
   LateOptStats stats;
+  AvailableExprs available;
   for (ir::FuncId f = 0; f < program.functionCount(); ++f) {
     ir::Function& fn = program.function(f);
+    const ir::RegSlots slots = fn.regSlots();
+    // Current value number by register slot.  Numbers grow over the whole
+    // function, and one below the block's first counts as not numbered yet
+    // (0 is below every block's), so no block clears the array.
+    std::vector<std::uint32_t> vnOf(slots.count(), 0);
+    std::uint32_t nextVn = 1;
     for (ir::BlockId b = 0; b < fn.blockCount(); ++b) {
-      std::unordered_map<Reg, std::uint64_t> vnOf;  // current value number
-      std::uint64_t nextVn = 1;
-      std::uint64_t memEpoch = 0;
+      const std::uint32_t blockFirstVn = nextVn;
+      std::uint32_t memEpoch = 0;
       auto vn = [&](Reg reg) {
-        const auto it = vnOf.find(reg);
-        if (it != vnOf.end()) {
-          return it->second;
+        std::uint32_t& number = vnOf[slots.slot(reg)];
+        if (number < blockFirstVn) {
+          number = nextVn++;
         }
-        const std::uint64_t fresh = nextVn++;
-        vnOf.emplace(reg, fresh);
-        return fresh;
+        return number;
       };
-      // Available expressions: key -> (value number, register holding it).
-      // An entry is live only while its register still holds the entry's
-      // value number, which the lookup checks.
-      std::map<ExprKey, std::pair<std::uint64_t, Reg>> available;
+      std::vector<Instruction>& insns = fn.block(b).insns();
+      available.reset(insns.size());
 
-      for (Instruction& insn : fn.block(b).insns()) {
+      for (Instruction& insn : insns) {
         const bool excluded =
             options.protectRedundant && insn.origin != InsnOrigin::kOriginal;
 
@@ -94,45 +151,49 @@ LateOptStats applyLocalCse(ir::Program& program,
         }
 
         if (!excluded && isCseCandidate(insn)) {
+          CASTED_CHECK(insn.uses.size() <= 3)
+              << "CSE candidate with " << insn.uses.size() << " operands";
           ExprKey key;
           key.op = insn.op;
-          for (const Reg& use : insn.uses) {
-            key.operandVns.push_back(vn(use));
+          key.arity = static_cast<std::uint32_t>(insn.uses.size());
+          for (std::size_t i = 0; i < insn.uses.size(); ++i) {
+            key.operandVns[i] = vn(insn.uses[i]);
           }
           key.imm = insn.info().hasImm || insn.isMemory() ? insn.imm : 0;
-          key.fimm = insn.info().hasFpImm ? insn.fimm : 0.0;
+          key.fimmBits = insn.info().hasFpImm
+                             ? std::bit_cast<std::uint64_t>(insn.fimm)
+                             : 0;
           key.memEpoch = insn.isLoad() ? memEpoch : 0;
 
           const Reg def = insn.defs[0];
-          const auto hit = available.find(key);
-          if (hit != available.end() &&
-              vnOf[hit->second.second] == hit->second.first) {
+          AvailableExprs::Entry& hit = available.at(key);
+          if (hit.vn != 0 && vnOf[slots.slot(hit.reg)] == hit.vn) {
             // Rewrite into a copy from the register holding the value; the
             // def keeps the *same* value number as the original result.
-            const Reg source = hit->second.second;
+            const Reg source = hit.reg;
             insn.op = ir::copyOpcodeFor(def.cls);
             insn.uses = {source};
             insn.imm = 0;
             insn.fimm = 0.0;
-            vnOf[def] = hit->second.first;
+            vnOf[slots.slot(def)] = hit.vn;
             if (source == def) {
               // `r = op ...` recomputed r's own value: the entry counts as
               // redefined, so a later recomputation stays as it is.
-              available.erase(hit);
+              hit.vn = 0;
             }
             ++stats.cseReplaced;
             continue;
           }
-          const std::uint64_t resultVn = nextVn++;
-          vnOf[def] = resultVn;
-          available.insert_or_assign(std::move(key),
-                                     std::make_pair(resultVn, def));
+          const std::uint32_t resultVn = nextVn++;
+          vnOf[slots.slot(def)] = resultVn;
+          hit.vn = resultVn;
+          hit.reg = def;
           continue;
         }
 
         // Not a candidate (or excluded): just update value numbers.
         for (const Reg& def : insn.defs) {
-          vnOf[def] = nextVn++;
+          vnOf[slots.slot(def)] = nextVn++;
         }
       }
     }

@@ -58,24 +58,25 @@ BlockSchedule scheduleBlock(const dfg::DataFlowGraph& graph,
     clusterOf[i] = static_cast<std::uint32_t>(cluster);
   }
 
-  // Ready list ordered by priority: larger height first, then program order.
-  // The block's last node, its terminator, never enters it: it is placed
-  // after every other node, no earlier than the latest issue cycle so far,
-  // so nothing issues after the branch that ends the block.
+  // Ready list as a binary max-heap of priority keys: larger height first,
+  // then program order (the key holds the height above the complemented
+  // node index).  That order is total, so the pops are the same as from a
+  // list kept sorted.  The block's last node, its terminator, never enters
+  // it: it is placed after every other node, no earlier than the latest
+  // issue cycle so far, so nothing issues after the branch that ends the
+  // block.
   const std::uint32_t terminator = static_cast<std::uint32_t>(n - 1);
-  std::vector<std::uint32_t> ready;
-  auto priorityLess = [&](std::uint32_t a, std::uint32_t b) {
-    if (graph.height(a) != graph.height(b)) {
-      return graph.height(a) > graph.height(b);
-    }
-    return a < b;
+  auto priorityKey = [&](std::uint32_t node) {
+    return (std::uint64_t{graph.height(node)} << 32) | ~node;
   };
+  std::vector<std::uint64_t> ready;
+  ready.reserve(terminator);
   for (std::uint32_t i = 0; i < terminator; ++i) {
     if (remainingPreds[i] == 0) {
-      ready.push_back(i);
+      ready.push_back(priorityKey(i));
     }
   }
-  std::sort(ready.begin(), ready.end(), priorityLess);
+  std::make_heap(ready.begin(), ready.end());
 
   std::uint32_t maxCompletion = 0;
   std::uint32_t lastIssue = 0;
@@ -97,16 +98,14 @@ BlockSchedule scheduleBlock(const dfg::DataFlowGraph& graph,
   };
   for (std::size_t done = 0; done < terminator; ++done) {
     CASTED_CHECK(!ready.empty()) << "scheduler stalled: DFG has a cycle?";
-    // Pop the highest-priority ready node.
-    const std::uint32_t node = ready.front();
-    ready.erase(ready.begin());
+    std::pop_heap(ready.begin(), ready.end());
+    const auto node = ~static_cast<std::uint32_t>(ready.back());
+    ready.pop_back();
     place(node, 0);
     for (const dfg::Edge& edge : graph.succs(node)) {
       if (--remainingPreds[edge.to] == 0 && edge.to != terminator) {
-        // Insert keeping the priority order.
-        const auto pos = std::lower_bound(ready.begin(), ready.end(),
-                                          edge.to, priorityLess);
-        ready.insert(pos, edge.to);
+        ready.push_back(priorityKey(edge.to));
+        std::push_heap(ready.begin(), ready.end());
       }
     }
   }

@@ -98,6 +98,7 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
     for (std::uint32_t i = 0; i < slots_.size(); ++i) {
       slots_[i].lanes = LaneSet{};
       slots_[i].values.clear();
+      slots_[i].keyPos.clear();
       freeSlots_.push_back(i);
     }
     memIndex_.clear();
@@ -181,6 +182,7 @@ void Lanes::freeSlotDiffs(std::uint32_t cls, std::uint32_t at) {
   const std::uint32_t index = indexOf(cls, at);
   slots_[index - 1].lanes = LaneSet{};
   slots_[index - 1].values.clear();
+  slots_[index - 1].keyPos.clear();
   freeSlots_.push_back(index - 1);
   setIndex(cls, at, 0);
 }
@@ -190,28 +192,41 @@ void Lanes::freeSlotDiffs(std::uint32_t cls, std::uint32_t at) {
 void Lanes::eraseValue(std::uint32_t lane, std::uint32_t cls,
                        std::uint32_t at) {
   SlotDiffs& d = slots_[indexOf(cls, at) - 1];
-  d.values.erase(d.values.begin() + d.lanes.rank(lane));
+  const std::uint32_t rank = d.lanes.rank(lane);
+  d.values.erase(d.values.begin() + rank);
+  d.keyPos.erase(d.keyPos.begin() + rank);
   d.lanes.reset(lane);
   if (!d.lanes.any()) {
     freeSlotDiffs(cls, at);
   }
 }
 
-// A diff of `lane` appeared or died: its key list and counts follow.
-inline void Lanes::addDiff(std::uint32_t lane, std::uint32_t cls,
-                           std::uint32_t at) {
-  lanes_[lane].keys.push_back(key(cls, at));
+// A diff of `lane` appeared: its key joins the lane's list, at the
+// position returned (the caller keeps it in the location's keyPos).
+inline std::uint32_t Lanes::addDiff(std::uint32_t lane, std::uint32_t cls,
+                                    std::uint32_t at) {
+  std::vector<std::uint64_t>& keys = lanes_[lane].keys;
+  keys.push_back(key(cls, at));
   ++diffs_;
+  return static_cast<std::uint32_t>(keys.size() - 1);
 }
 
-void Lanes::dropDiff(std::uint32_t lane, std::uint32_t cls,
-                     std::uint32_t at) {
+// The diff whose key sits at `pos` in `lane`'s list died: the back key
+// fills the hole, and its location's keyPos follows it.
+void Lanes::dropDiff(std::uint32_t lane, std::uint32_t pos) {
   std::vector<std::uint64_t>& keys = lanes_[lane].keys;
-  const auto it = std::find(keys.begin(), keys.end(), key(cls, at));
-  CASTED_CHECK(it != keys.end()) << "lane diff has no such location";
-  *it = keys.back();
+  CASTED_CHECK(pos < keys.size()) << "lane diff has no such location";
+  const std::uint64_t moved = keys.back();
   keys.pop_back();
   --diffs_;
+  if (pos == keys.size()) {
+    return;
+  }
+  keys[pos] = moved;
+  SlotDiffs& d = slots_[indexOf(static_cast<std::uint32_t>(moved >> 32),
+                                static_cast<std::uint32_t>(moved)) -
+                        1];
+  d.keyPos[d.lanes.rank(lane)] = pos;
 }
 
 // Records one lane's value at a location, as a diff iff it differs from
@@ -230,11 +245,13 @@ void Lanes::setBits(std::uint32_t lane, std::uint32_t cls, std::uint32_t at,
       return;
     }
     d.values.insert(d.values.begin() + rank, bits);
+    d.keyPos.insert(d.keyPos.begin() + rank, addDiff(lane, cls, at));
     d.lanes.set(lane);
-    addDiff(lane, cls, at);
   } else if (index != 0 && slots_[index - 1].lanes.test(lane)) {
+    const SlotDiffs& d = slots_[index - 1];
+    const std::uint32_t pos = d.keyPos[d.lanes.rank(lane)];
     eraseValue(lane, cls, at);
-    dropDiff(lane, cls, at);
+    dropDiff(lane, pos);
   }
 }
 
@@ -279,26 +296,53 @@ inline void Lanes::noteReconverged(std::uint32_t lane) {
 [[gnu::always_inline]] inline void Lanes::writeDef(std::uint32_t cls,
                                                    std::uint32_t slot,
                                                    const LaneSet& after) {
+  const std::uint32_t index = regIndex_[cls][slot];
+  if (index == 0 ? !after.any() : slots_[index - 1].lanes == after) {
+    // Values changed, no diff appeared or died.
+    if (index != 0) {
+      slots_[index - 1].values.swap(defValues_);
+    }
+    return;
+  }
+  writeDefLanes(cls, slot, after);
+}
+
+// writeDef when diffs appear or die: one walk over both lane sets in lane
+// order.  The lanes staying keep their key positions, the new ones get
+// theirs, and the dying ones leave their lists (which moves no key of this
+// slot).
+void Lanes::writeDefLanes(std::uint32_t cls, std::uint32_t slot,
+                          const LaneSet& after) {
   std::uint32_t index = regIndex_[cls][slot];
   const LaneSet before = index == 0 ? LaneSet{} : slots_[index - 1].lanes;
+  const std::uint32_t* keyPos =
+      index == 0 ? nullptr : slots_[index - 1].keyPos.data();
+  std::uint32_t beforeRank = 0;
+  LaneSet either = before;
+  either |= after;
+  defKeyPos_.clear();
+  either.forEach([&](std::uint32_t lane) {
+    const bool was = before.test(lane);
+    if (!after.test(lane)) {
+      dropDiff(lane, keyPos[beforeRank]);
+    } else {
+      defKeyPos_.push_back(was ? keyPos[beforeRank]
+                               : addDiff(lane, cls, slot));
+    }
+    beforeRank += was ? 1 : 0;
+  });
   if (!defValues_.empty()) {
     if (index == 0) {
       index = newSlotDiffs(cls, slot);
     }
     slots_[index - 1].lanes = after;
     slots_[index - 1].values.swap(defValues_);
+    slots_[index - 1].keyPos.swap(defKeyPos_);
   } else if (index != 0) {
     freeSlotDiffs(cls, slot);
   }
-  if (after == before) {
-    return;  // values changed, no diff appeared or died
-  }
-  after.minus(before).forEach(
-      [&](std::uint32_t lane) { addDiff(lane, cls, slot); });
-  before.minus(after).forEach([&](std::uint32_t lane) {
-    dropDiff(lane, cls, slot);
-    noteReconverged(lane);
-  });
+  before.minus(after).forEach(
+      [&](std::uint32_t lane) { noteReconverged(lane); });
 }
 
 // One batch per touched op, after golden ran it: golden's operands (from
@@ -530,8 +574,11 @@ void Lanes::dropFrame(const FrameBase& base) {
       if (regIndex_[c][slot] == 0) {
         continue;
       }
-      const LaneSet lanes = lanesAt(c, slot);
-      lanes.forEach([&](std::uint32_t lane) { dropDiff(lane, c, slot); });
+      const SlotDiffs& d = slots_[regIndex_[c][slot] - 1];
+      const LaneSet lanes = d.lanes;
+      lanes.forEach([&](std::uint32_t lane) {
+        dropDiff(lane, d.keyPos[lanes.rank(lane)]);
+      });
       touched |= lanes;
       freeSlotDiffs(c, slot);
     }

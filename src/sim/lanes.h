@@ -173,10 +173,12 @@ struct LaneSet {
 
 // The lanes that differ at one location, a register slot or a memory word,
 // and their values there, packed in lane order: a lane's value is
-// values[lanes.rank(lane)].
+// values[lanes.rank(lane)], and keyPos at the same rank is where the
+// location's key sits in that lane's key list.
 struct SlotDiffs {
   LaneSet lanes;
   std::vector<std::uint64_t> values;
+  std::vector<std::uint32_t> keyPos;
 };
 
 // Memory word index -> 1 + the index of its SlotDiffs, for the words some
@@ -362,7 +364,8 @@ class Lanes {
     std::uint64_t boundStart = 0;   // golden cycles at the first such access
     std::uint64_t worstBefore = 0;  // `worst_` at that point
     // The locations the lane differs at (key()), in no order: kept on a
-    // diff's appearance and death only, walked when the lane ends.
+    // diff's appearance and death only (a death swaps the back key into
+    // the hole), walked when the lane ends.
     std::vector<std::uint64_t> keys;
   };
 
@@ -411,9 +414,12 @@ class Lanes {
   std::uint32_t newSlotDiffs(std::uint32_t cls, std::uint32_t at);
   void freeSlotDiffs(std::uint32_t cls, std::uint32_t at);
   void eraseValue(std::uint32_t lane, std::uint32_t cls, std::uint32_t at);
-  void addDiff(std::uint32_t lane, std::uint32_t cls, std::uint32_t at);
-  void dropDiff(std::uint32_t lane, std::uint32_t cls, std::uint32_t at);
+  std::uint32_t addDiff(std::uint32_t lane, std::uint32_t cls,
+                        std::uint32_t at);
+  void dropDiff(std::uint32_t lane, std::uint32_t pos);
   void writeDef(std::uint32_t cls, std::uint32_t slot, const LaneSet& after);
+  void writeDefLanes(std::uint32_t cls, std::uint32_t slot,
+                     const LaneSet& after);
 
   // `lane`'s value at a location: its diff there, else `golden`.
   std::uint64_t laneBits(std::uint32_t lane, std::uint32_t cls,
@@ -453,6 +459,7 @@ class Lanes {
   // (swapped with the slot's, so both keep their allocations).
   std::array<LaneAccess, kMaxLanes> accesses_;
   std::vector<std::uint64_t> defValues_;
+  std::vector<std::uint32_t> defKeyPos_;  // writeDef's, swapped the same way
   // What capture() kept of the golden op step() follows.
   std::uint64_t goldenUse_[3] = {};
   std::uint64_t goldenStoreWord_ = 0;

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -319,6 +321,56 @@ TEST(LocalCseTest, LoadsFoldUntilStoreIntervenes) {
   b.halt(b.add(v2, v3));
   const LateOptStats stats = applyLocalCse(prog);
   EXPECT_EQ(stats.cseReplaced, 1u);
+}
+
+// FP immediates are keyed on their bit pattern: -0.0 and 0.0 are different
+// values (1 / -0.0 is -inf), and a NaN equals no other immediate.  Only the
+// second 1.0 folds.
+Program fpImmediateProgram() {
+  Program prog;
+  prog.allocateGlobal("output", 40);
+  Function& fn = prog.addFunction("main");
+  IrBuilder b(fn);
+  b.setBlock(b.createBlock("entry"));
+  const Reg base =
+      b.movImm(static_cast<std::int64_t>(prog.symbol("output").address));
+  const Reg one = b.fMovImm(1.0);
+  const Reg zero = b.fMovImm(0.0);
+  const Reg negZero = b.fMovImm(-0.0);
+  b.fStore(base, 0, b.fDiv(one, zero));     // inf
+  b.fStore(base, 8, b.fDiv(one, negZero));  // -inf
+  b.fStore(base, 16, b.fMovImm(std::numeric_limits<double>::quiet_NaN()));
+  b.fStore(base, 24, b.fMovImm(-std::numeric_limits<double>::quiet_NaN()));
+  b.fStore(base, 32, b.fMovImm(1.0));       // the one legitimate fold
+  b.halt(b.movImm(0));
+  return prog;
+}
+
+TEST(LocalCseTest, FpImmediatesFoldOnlyOnEqualBits) {
+  Program prog = fpImmediateProgram();
+  const LateOptStats stats = applyLocalCse(prog);
+  EXPECT_EQ(stats.cseReplaced, 1u);
+  const auto& insns = prog.function(0).block(0).insns();
+  for (std::size_t i = 0; i + 1 < insns.size(); ++i) {
+    if (insns[i].op == Opcode::kFMov) {
+      EXPECT_EQ(insns[i].uses, std::vector<Reg>{insns[1].defs[0]})
+          << "only the second 1.0 may become a copy (of the first)";
+    }
+  }
+
+  core::PipelineOptions off;
+  off.runLateOptimisations = false;
+  const arch::MachineConfig machine = testutil::machine(2, 1);
+  const sim::RunResult plain = core::run(
+      core::compile(fpImmediateProgram(), machine, Scheme::kNoed, off));
+  const sim::RunResult optimised = core::run(
+      core::compile(fpImmediateProgram(), machine, Scheme::kNoed));
+  EXPECT_EQ(optimised.output, plain.output);
+  ASSERT_EQ(plain.output.size(), 40u);
+  double quotients[2] = {};
+  std::memcpy(quotients, plain.output.data(), sizeof(quotients));
+  EXPECT_EQ(quotients[0], std::numeric_limits<double>::infinity());
+  EXPECT_EQ(quotients[1], -std::numeric_limits<double>::infinity());
 }
 
 TEST(LocalCseTest, ProtectionKeepsDuplicates) {

@@ -225,6 +225,30 @@ TEST(ListSchedulerTest, HonoursAssignedClusters) {
   }
 }
 
+// Nodes of equal height leave the ready list in program order: on a
+// one-wide machine the three independent leaves issue one per cycle,
+// lowest index first, after the taller chain head.
+TEST(ListSchedulerTest, EqualHeightsIssueInProgramOrder) {
+  Program prog;
+  ir::Function& fn = prog.addFunction("main");
+  IrBuilder b(fn);
+  ir::BasicBlock& entry = b.createBlock("entry");
+  b.setBlock(entry);
+  const Reg a = b.movImm(1);  // node 0: height 2, feeds the halt
+  b.movImm(2);                // nodes 1-3: height 1 each
+  b.movImm(3);
+  b.movImm(4);
+  b.halt(a);                  // node 4
+  const arch::MachineConfig config = testutil::machine(1, 1);
+  const dfg::DataFlowGraph graph(entry, config);
+  ASSERT_EQ(graph.height(1), graph.height(2));
+  ASSERT_EQ(graph.height(2), graph.height(3));
+  const BlockSchedule schedule = scheduleBlock(graph, config);
+  expectValidSchedule(schedule, graph, config);
+  EXPECT_EQ(schedule.issueCycle,
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+}
+
 TEST(ListSchedulerTest, InvalidClusterRejected) {
   Program prog = testutil::makeTinyProgram();
   prog.function(0).block(0).insns()[0].cluster = 7;
