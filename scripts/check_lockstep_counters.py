@@ -13,7 +13,9 @@ counters are checked ("campaign" or "exhaustive").  For every trace:
   * fault.<DRIVER>.lockstep.lanes, .lane_ops and .lane_steps exist;
   * every lane is decided or falls back exactly once;
   * the lane ops split by lane end (lane_ops.<end>) sum to lane_ops, and
-    no lane step (a golden op that evaluated some lane) is without one;
+    so do the lane ops split by the opcode of their step
+    (lane_ops.op.<mnemonic>); no lane step (a golden op that evaluated
+    some lane) is without one;
   * the golden streams ran instructions, and the part of them before each
     window's first flip (prefix_insns) is at most all of them;
   * per fallback reason, the re-runs' outcome counters sum to the reason's
@@ -64,6 +66,9 @@ def check(trace, driver, lanes_expected, sites_per_lane):
     lane_ops = counters[prefix + 'lane_ops']
     by_end = sum(counters.get(prefix + 'lane_ops.' + end, 0) for end in ENDS)
     assert by_end == lane_ops, (by_end, lane_ops)
+    by_opcode = sum(value for name, value in counters.items()
+                    if name.startswith(prefix + 'lane_ops.op.'))
+    assert by_opcode == lane_ops, ('by opcode', by_opcode, lane_ops)
     lane_steps = counters[prefix + 'lane_steps']
     assert lane_steps <= lane_ops, (lane_steps, lane_ops)
 

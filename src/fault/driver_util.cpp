@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "ir/opcode.h"
 #include "support/check.h"
 #include "support/env.h"
 
@@ -262,6 +263,16 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
                                       std::int64_t{0}));
     trace::counterAdd(prefix + "lane_steps",
                       static_cast<std::int64_t>(stream.laneSteps));
+    // The same lane ops by the opcode of their step; only the opcodes that
+    // evaluated some lane get a counter.
+    for (std::size_t op = 0; op < stream.laneOps.size(); ++op) {
+      if (stream.laneOps[op] != 0) {
+        trace::counterAdd(
+            prefix + "lane_ops.op." +
+                ir::opcodeInfo(static_cast<ir::Opcode>(op)).name,
+            static_cast<std::int64_t>(stream.laneOps[op]));
+      }
+    }
     trace::counterAdd(prefix + "stream_insns",
                       static_cast<std::int64_t>(stream.insns));
     trace::counterAdd(prefix + "prefix_insns",

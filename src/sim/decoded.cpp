@@ -505,12 +505,21 @@ struct DecodedRunner::Impl {
     std::uint8_t* pr;
     std::uint64_t* addr;
 
-    std::int64_t g(std::uint32_t slot) const { return gp[slot]; }
-    double f(std::uint32_t slot) const { return fp[slot]; }
-    std::uint8_t p(std::uint32_t slot) const { return pr[slot]; }
-    void setG(std::uint32_t slot, std::int64_t value) { gp[slot] = value; }
-    void setF(std::uint32_t slot, double value) { fp[slot] = value; }
-    void setP(std::uint32_t slot, std::uint8_t value) { pr[slot] = value; }
+    template <int I>
+    std::int64_t g(const MicroOp& u, kernel::Use<I> use) const {
+      return gp[kernel::slotOf(u, use)];
+    }
+    template <int I>
+    double f(const MicroOp& u, kernel::Use<I> use) const {
+      return fp[kernel::slotOf(u, use)];
+    }
+    template <int I>
+    std::uint8_t p(const MicroOp& u, kernel::Use<I> use) const {
+      return pr[kernel::slotOf(u, use)];
+    }
+    void setG(const MicroOp& u, std::int64_t value) { gp[u.def] = value; }
+    void setF(const MicroOp& u, double value) { fp[u.def] = value; }
+    void setP(const MicroOp& u, std::uint8_t value) { pr[u.def] = value; }
 
     TrapKind load(std::uint32_t node, std::uint64_t address,
                   std::uint32_t width, std::uint64_t& value) {
@@ -585,7 +594,7 @@ struct DecodedRunner::Impl {
             lanes.capture(u, f.base);
           }
         }
-        if (u.op < Opcode::kBr || u.op > Opcode::kHalt) [[likely]] {
+        if (!kernel::isControl(u.op)) [[likely]] {
           const OpEval eval = evalOp(u, node, regs);
           if (eval.status == OpStatus::kDetect) [[unlikely]] {
             return Flow::kDetected;
@@ -616,7 +625,7 @@ struct DecodedRunner::Impl {
               }
               if constexpr (kLanes) {
                 lanes.syncArenas();
-                lanes.onMove(pool + u.a, caller,
+                lanes.onMove(u.op, pool + u.a, caller,
                              prog.functions()[u.t1].params.data(),
                              frames.back().base, u.b);
               }
@@ -631,8 +640,8 @@ struct DecodedRunner::Impl {
                 const FrameBase caller = frames[frames.size() - 2].base;
                 copyRegs(pool + u.a, f.base, pool + f.retPool, caller, u.b);
                 if constexpr (kLanes) {
-                  lanes.onMove(pool + u.a, f.base, pool + f.retPool, caller,
-                               u.b);
+                  lanes.onMove(u.op, pool + u.a, f.base, pool + f.retPool,
+                               caller, u.b);
                 }
               }
               returned = true;
@@ -840,6 +849,7 @@ struct DecodedRunner::Impl {
         << "the golden stream ended without deciding its lanes";
     stream.insns = stats.dynamicInsns;
     stream.laneSteps = lanes.laneSteps();
+    stream.laneOps = lanes.laneOpsByOpcode();
     rerunFallbacks(plans, verdicts);
     return stream;
   }

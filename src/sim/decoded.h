@@ -27,6 +27,7 @@
 // the oracle and the decoded engine is wrong.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -206,14 +207,21 @@ struct LaneVerdict {
   RunResult rerun;               // fallbacks only
 };
 
+// A count per opcode, indexed by ir::Opcode.
+using OpcodeCounts =
+    std::array<std::uint64_t, static_cast<std::size_t>(ir::Opcode::kOpcodeCount)>;
+
 // The golden instructions one lockstep window's stream ran: in all, and
 // before the window's first flip (the whole run when that flip lies past
-// the run's last def); and its lane steps, the golden ops (a flagged op, or
-// a move of call arguments or returned values) that evaluated some lane.
+// the run's last def); its lane steps, the golden ops (a flagged op, or
+// a move of call arguments or returned values) that evaluated some lane;
+// and its lane ops by the opcode of their step (the steps' batch widths),
+// which sum to the lanes' LaneVerdict::laneOps.
 struct LockstepStream {
   std::uint64_t insns = 0;
   std::uint64_t prefixInsns = 0;
   std::uint64_t laneSteps = 0;
+  OpcodeCounts laneOps{};
 };
 
 // A reusable execution context over one DecodedProgram: the memory image,

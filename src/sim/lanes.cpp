@@ -31,42 +31,37 @@ const char* laneEndName(LaneEnd end) {
   return kNames[static_cast<std::size_t>(end)];
 }
 
-// evalOp's access for one lane: the op's register operands, gathered
-// before the call, and the lane's view of memory, golden's overlaid with
-// its word diffs.  It writes nothing; step() commits what it captured.
+// The kernels' access for one lane: the op's register operands by
+// position, gathered before the kernel runs, and the lane's view of
+// memory, golden's overlaid with its word diffs.  It writes nothing;
+// step() commits what it captured.
 struct Lanes::Access {
   const Lanes& lanes;
-  const MicroOp& u;
   std::uint32_t lane;
   std::uint64_t use[3] = {};  // bits of the register operands a, b, c
   std::uint64_t def = 0;      // bits of the op's result
   std::uint64_t address = 0;  // of a load or store
   std::uint64_t stored = 0;   // value of a store
 
-  // evalOp reads a register only as one of the op's declared uses a, b, c
-  // (MicroOp::useClass), so class and slot name the operand.
-  std::uint64_t operand(std::uint32_t cls, std::uint32_t slot) const {
-    if (u.useClass[0] == cls && u.a == slot) {
-      return use[0];
-    }
-    return u.useClass[1] == cls && u.b == slot ? use[1] : use[2];
+  template <int I>
+  std::int64_t g(const MicroOp&, kernel::Use<I>) const {
+    return static_cast<std::int64_t>(use[I]);
   }
-  std::int64_t g(std::uint32_t slot) const {
-    return static_cast<std::int64_t>(operand(0, slot));
+  template <int I>
+  double f(const MicroOp&, kernel::Use<I>) const {
+    return std::bit_cast<double>(use[I]);
   }
-  double f(std::uint32_t slot) const {
-    return std::bit_cast<double>(operand(1, slot));
+  template <int I>
+  std::uint8_t p(const MicroOp&, kernel::Use<I>) const {
+    return static_cast<std::uint8_t>(use[I]);
   }
-  std::uint8_t p(std::uint32_t slot) const {
-    return static_cast<std::uint8_t>(operand(2, slot));
-  }
-  void setG(std::uint32_t, std::int64_t value) {
+  void setG(const MicroOp&, std::int64_t value) {
     def = static_cast<std::uint64_t>(value);
   }
-  void setF(std::uint32_t, double value) {
+  void setF(const MicroOp&, double value) {
     def = std::bit_cast<std::uint64_t>(value);
   }
-  void setP(std::uint32_t, std::uint8_t value) { def = value; }
+  void setP(const MicroOp&, std::uint8_t value) { def = value; }
   TrapKind load(std::uint32_t, std::uint64_t at, std::uint32_t width,
                 std::uint64_t& value) {
     address = at;
@@ -107,7 +102,6 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
   }
   verdicts_ = &out;
   lanes_.resize(plans.size());
-  words_ = (plans.size() + 63) / 64;
   events_.clear();
   for (std::uint32_t i = 0; i < plans.size(); ++i) {
     Lane& l = lanes_[i];  // keeps the allocation of `keys`
@@ -126,6 +120,7 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
   open_ = plans.size();
   worst_ = 0;
   laneSteps_ = 0;
+  opLaneOps_.fill(0);
   const std::uint64_t words =
       (golden_.memory.arenaEnd() - ir::Program::kGlobalBase + 7) / 8;
   if (words != memWords_) {
@@ -290,21 +285,23 @@ inline void Lanes::noteReconverged(std::uint32_t lane) {
 }
 
 // The def of a step's op: `after` names the evaluated lanes whose result
-// differs from golden's, and defValues_ holds their results in lane order.
-// It becomes the slot's packed values, and the lanes that no longer
-// differ leave the slot.
+// differs from golden's, and the first `defs` of defValues_ are their
+// results in lane order.  They become the slot's packed values, and the
+// lanes that no longer differ leave the slot.
 [[gnu::always_inline]] inline void Lanes::writeDef(std::uint32_t cls,
                                                    std::uint32_t slot,
-                                                   const LaneSet& after) {
+                                                   const LaneSet& after,
+                                                   std::uint32_t defs) {
   const std::uint32_t index = regIndex_[cls][slot];
   if (index == 0 ? !after.any() : slots_[index - 1].lanes == after) {
     // Values changed, no diff appeared or died.
     if (index != 0) {
-      slots_[index - 1].values.swap(defValues_);
+      slots_[index - 1].values.assign(defValues_.data(),
+                                      defValues_.data() + defs);
     }
     return;
   }
-  writeDefLanes(cls, slot, after);
+  writeDefLanes(cls, slot, after, defs);
 }
 
 // writeDef when diffs appear or die: one walk over both lane sets in lane
@@ -312,7 +309,7 @@ inline void Lanes::noteReconverged(std::uint32_t lane) {
 // theirs, and the dying ones leave their lists (which moves no key of this
 // slot).
 void Lanes::writeDefLanes(std::uint32_t cls, std::uint32_t slot,
-                          const LaneSet& after) {
+                          const LaneSet& after, std::uint32_t defs) {
   std::uint32_t index = regIndex_[cls][slot];
   const LaneSet before = index == 0 ? LaneSet{} : slots_[index - 1].lanes;
   const std::uint32_t* keyPos =
@@ -331,12 +328,13 @@ void Lanes::writeDefLanes(std::uint32_t cls, std::uint32_t slot,
     }
     beforeRank += was ? 1 : 0;
   });
-  if (!defValues_.empty()) {
+  if (defs != 0) {
     if (index == 0) {
       index = newSlotDiffs(cls, slot);
     }
     slots_[index - 1].lanes = after;
-    slots_[index - 1].values.swap(defValues_);
+    slots_[index - 1].values.assign(defValues_.data(),
+                                    defValues_.data() + defs);
     slots_[index - 1].keyPos.swap(defKeyPos_);
   } else if (index != 0) {
     freeSlotDiffs(cls, slot);
@@ -345,140 +343,155 @@ void Lanes::writeDefLanes(std::uint32_t cls, std::uint32_t slot,
       [&](std::uint32_t lane) { noteReconverged(lane); });
 }
 
+// Every use slot's lanes are touched, so walking the touched lanes in
+// order walks each slot's packed values in order too: a lane's operand is
+// at its rank, the slot's cursor.  Compiled per opcode: the loop holds no
+// opcode switch, and gathers only the operands kOp's kernel reads (the
+// others' gathers are dead code in this instantiation).
+template <ir::Opcode kOp>
+[[gnu::noinline]] void Lanes::evalLanes(const MicroOp& u,
+                                        std::uint32_t node) {
+  if constexpr (kernel::isControl(kOp)) {
+    CASTED_UNREACHABLE("a control op reached the lane kernels");
+  } else {
+    Batch& b = batch_;
+    // Locals: the stores below could alias members and the batch.
+    const std::uint64_t golden[3] = {goldenUse_[0], goldenUse_[1],
+                                     goldenUse_[2]};
+    const bool hasDef = b.hasDef;
+    const std::uint64_t goldenDef = b.goldenDef;
+    std::uint32_t cursor[3] = {};
+    std::uint32_t evaluated = 0;
+    std::uint32_t defs = 0;
+    std::size_t accesses = 0;
+    bool ends = false;
+    for (std::size_t w = 0; w < LaneSet::kWords; ++w) {
+      if (b.touched.w[w] == 0) {
+        b.detected.w[w] = 0;
+        b.trapped.w[w] = 0;
+        b.differs.w[w] = 0;
+        continue;
+      }
+      const std::uint64_t useWord[3] = {b.useLanes[0]->w[w],
+                                        b.useLanes[1]->w[w],
+                                        b.useLanes[2]->w[w]};
+      std::uint64_t detectedBits = 0;
+      std::uint64_t trappedBits = 0;
+      std::uint64_t differsBits = 0;
+      for (std::uint64_t bits = b.touched.w[w]; bits != 0; bits &= bits - 1) {
+        const std::uint64_t mask = bits & (0 - bits);
+        const auto lane =
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+        Access access{*this, lane};
+#pragma GCC unroll 3
+        for (int i = 0; i < 3; ++i) {
+          const bool laneDiffers = (useWord[i] & mask) != 0;
+          access.use[i] = laneDiffers ? b.useValues[i][cursor[i]] : golden[i];
+          cursor[i] += laneDiffers ? 1 : 0;
+        }
+        ++laneOps_[lane];
+        ++evaluated;
+        const OpEval eval = opKernel<kOp>(u, node, access);
+        if (eval.status != OpStatus::kOk) [[unlikely]] {
+          (eval.status == OpStatus::kDetect ? detectedBits : trappedBits) |=
+              mask;
+          continue;
+        }
+        if (hasDef && access.def != goldenDef) {
+          differsBits |= mask;
+          defValues_[defs++] = access.def;
+        }
+        if constexpr (isMemOp(kOp)) {
+          noteLine(lane, access.address, b.goldenLine);
+        }
+        if constexpr (isStoreOp(kOp)) {
+          accesses_[accesses++] = {lane, access.address, access.stored};
+        }
+      }
+      b.detected.w[w] = detectedBits;
+      b.trapped.w[w] = trappedBits;
+      b.differs.w[w] = differsBits;
+      ends |= (detectedBits | trappedBits) != 0;
+    }
+    b.ends = ends;
+    b.evaluated = evaluated;
+    b.defs = defs;
+    b.accesses = accesses;
+  }
+}
+
 // One batch per touched op, after golden ran it: golden's operands (from
-// capture()) and its result once, then one pass over the touched lanes in
-// lane order that counts each lane's op, gathers its operands by rank from
-// the slots' packed values, evaluates it through evalOp and packs its def;
-// then the decisions, the def and (for memory ops) the addresses and
-// stored words are committed.
+// capture()) and its result once, then the opcode's lane loop
+// (evalLanes<kOp>, one dispatch per batch), which counts each lane's op,
+// gathers its operands by rank from the slots' packed values, runs the
+// opcode's kernel, packs its def and (memory ops) notes its line; then the
+// decisions, the def and a store's words are committed.
 bool Lanes::step(const MicroOp& u, std::uint32_t node,
                  const FrameBase& base, std::uint64_t insns) {
   static const LaneSet kNone;
   const std::uint32_t field[3] = {u.a, u.b, u.c};
-  const LaneSet* useLanes[3] = {&kNone, &kNone, &kNone};
-  const std::uint64_t* useValues[3] = {};
-  LaneSet touched;
+  Batch& b = batch_;
+  b.touched = LaneSet{};
   for (int i = 0; i < 3; ++i) {
+    b.useLanes[i] = &kNone;
+    b.useValues[i] = nullptr;
     const std::uint32_t cls = u.useClass[i];
     if (cls == MicroOp::kNoUse) {
       continue;
     }
     const std::uint32_t slot = slotBase(base, cls) + field[i];
     if (const std::uint32_t index = regIndex_[cls][slot]; index != 0) {
-      useLanes[i] = &slots_[index - 1].lanes;
-      useValues[i] = slots_[index - 1].values.data();
-      touched |= *useLanes[i];
+      b.useLanes[i] = &slots_[index - 1].lanes;
+      b.useValues[i] = slots_[index - 1].values.data();
+      b.touched |= *b.useLanes[i];
     }
   }
   if (u.op == Opcode::kBrCond) {
     // Golden predicates are 0/1, so a differing one takes the other edge.
-    touched.forEach([&](std::uint32_t lane) {
+    b.touched.forEach([&](std::uint32_t lane) {
       decide(lane, LaneEnd::kFallbackControl, insns);
     });
     return open_ == 0;
   }
-  const bool hasDef = u.defCount == 1 && u.op != Opcode::kCall;
+  b.hasDef = u.defCount == 1 && u.op != Opcode::kCall;
   const std::uint32_t defSlot = slotBase(base, u.defClass) + u.def;
-  if (hasDef) {
+  if (b.hasDef) {
     if (const std::uint32_t index = regIndex_[u.defClass][defSlot]) {
-      touched |= slots_[index - 1].lanes;
+      b.touched |= slots_[index - 1].lanes;
     }
   }
   // Golden has run the op: its result is in its def slot, its address in
   // the frame's address slot of the op.
-  const std::uint64_t goldenDef = hasDef ? goldenBits(u.defClass, defSlot) : 0;
+  b.goldenDef = b.hasDef ? goldenBits(u.defClass, defSlot) : 0;
   const bool memoryOp = isMemOp(u.op);
   const std::uint64_t goldenAddress =
       memoryOp ? golden_.addr[base.addr + node] : 0;
   const std::uint64_t goldenWord = goldenAddress & ~7ULL;
+  b.goldenLine = goldenAddress >> golden_.prog.lineShift();
   if (memoryOp) {
-    touched |= lanesAt(kWordClass, wordAt(goldenWord));
+    b.touched |= lanesAt(kWordClass, wordAt(goldenWord));
   }
 
-  // Every use slot's lanes are touched, so walking the touched lanes in
-  // order walks each slot's packed values in order too: a lane's operand
-  // is at its rank, the slot's cursor.
-  std::uint32_t cursor[3] = {};
-  LaneSet detected, trapped, differs;
-  bool ends = false;  // some lane detected or trapped
-  std::size_t accesses = 0;
-  defValues_.clear();
-  for (std::size_t w = 0; w < words_; ++w) {
-    if (touched.w[w] == 0) {
-      continue;
-    }
-    const std::uint64_t useWord[3] = {useLanes[0]->w[w], useLanes[1]->w[w],
-                                      useLanes[2]->w[w]};
-    std::uint64_t detectedBits = 0;
-    std::uint64_t trappedBits = 0;
-    std::uint64_t differsBits = 0;
-    for (std::uint64_t bits = touched.w[w]; bits != 0; bits &= bits - 1) {
-      const std::uint64_t mask = bits & (0 - bits);
-      const auto lane =
-          static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
-      std::uint64_t use[3] = {};
-#pragma GCC unroll 3
-      for (int i = 0; i < 3; ++i) {
-        const bool laneDiffers = (useWord[i] & mask) != 0;
-        use[i] = laneDiffers ? useValues[i][cursor[i]] : goldenUse_[i];
-        cursor[i] += laneDiffers ? 1 : 0;
-      }
-      ++laneOps_[lane];
-      Access access{*this, u, lane, {use[0], use[1], use[2]}};
-      const OpEval eval = evalOp(u, node, access);
-      if (eval.status != OpStatus::kOk) [[unlikely]] {
-        (eval.status == OpStatus::kDetect ? detectedBits : trappedBits) |=
-            mask;
-        continue;
-      }
-      if (hasDef && access.def != goldenDef) {
-        differsBits |= mask;
-        defValues_.push_back(access.def);
-      }
-      if (memoryOp) {
-        accesses_[accesses++] = {lane, access.address, access.stored};
-      }
-    }
-    detected.w[w] = detectedBits;
-    trapped.w[w] = trappedBits;
-    differs.w[w] = differsBits;
-    ends |= (detectedBits | trappedBits) != 0;
-  }
+  withOpcode(u.op, [&](auto op) { evalLanes<decltype(op)::value>(u, node); });
   ++laneSteps_;
-  if (ends) [[unlikely]] {
-    detected.forEach([&](std::uint32_t lane) {
+  opLaneOps_[static_cast<std::size_t>(u.op)] += b.evaluated;
+  if (b.ends) [[unlikely]] {
+    b.detected.forEach([&](std::uint32_t lane) {
       decide(lane, LaneEnd::kDetected, insns);
     });
-    trapped.forEach([&](std::uint32_t lane) {
+    b.trapped.forEach([&](std::uint32_t lane) {
       decide(lane, LaneEnd::kException, insns);
     });
   }
-  if (hasDef) {
-    writeDef(u.defClass, defSlot, differs);
+  if (b.hasDef) {
+    writeDef(u.defClass, defSlot, b.differs, b.defs);
   }
-  if (!memoryOp) {
+  if (!isStoreOp(u.op)) {
     return open_ == 0;
   }
-  // Every level's line holds the smallest one, so an access inside golden's
-  // smallest line touches golden's line at every level.
-  const std::uint32_t lineShift = golden_.prog.lineShift();
-  const bool storeOp = isStoreOp(u.op);
-  const std::uint32_t width = u.op == Opcode::kLoadB || u.op == Opcode::kStoreB
-                                  ? 1
-                                  : 8;
-  for (std::size_t k = 0; k < accesses; ++k) {
+  const std::uint32_t width = u.op == Opcode::kStoreB ? 1 : 8;
+  for (std::size_t k = 0; k < b.accesses; ++k) {
     const LaneAccess& r = accesses_[k];
-    Lane& l = lanes_[r.lane];
-    if (!l.diverged &&
-        (r.address >> lineShift) != (goldenAddress >> lineShift)) {
-      // Its cache sees another line from here on: its cycles get a bound.
-      l.diverged = true;
-      l.boundStart = golden_.cycles;
-      l.worstBefore = worst_;
-    }
-    if (!storeOp) {
-      continue;
-    }
     // Golden memory holds golden's store already.  After both stores, the
     // lane keeps its own bytes at golden's address (golden's word before
     // the store, unless the lane differs there or wrote there too), and
@@ -535,9 +548,9 @@ std::uint64_t Lanes::onDef(const MicroOp& u, const FrameBase& base,
 }
 
 // A lane that differs at either end of a move takes its own value across.
-void Lanes::moveDiffs(const DecodedReg* from, const FrameBase& src,
-                      const DecodedReg* to, const FrameBase& dst,
-                      std::uint32_t count) {
+void Lanes::moveDiffs(ir::Opcode op, const DecodedReg* from,
+                      const FrameBase& src, const DecodedReg* to,
+                      const FrameBase& dst, std::uint32_t count) {
   LaneSet touched;
   for (std::uint32_t i = 0; i < count; ++i) {
     touched |= lanesAt(from[i].cls, slotBase(src, from[i].cls) + from[i].slot);
@@ -547,6 +560,7 @@ void Lanes::moveDiffs(const DecodedReg* from, const FrameBase& src,
     return;
   }
   ++laneSteps_;
+  opLaneOps_[static_cast<std::size_t>(op)] += touched.count();
   touched.forEach([&](std::uint32_t lane) {
     ++laneOps_[lane];
     for (std::uint32_t i = 0; i < count; ++i) {

@@ -46,11 +46,11 @@ inline std::uint32_t slotBase(const FrameBase& base, std::uint32_t cls) {
   return cls == 0 ? base.gp : cls == 1 ? base.fp : base.pr;
 }
 
-inline bool isMemOp(ir::Opcode op) {
+constexpr bool isMemOp(ir::Opcode op) {
   return op >= ir::Opcode::kLoad && op <= ir::Opcode::kFStore;
 }
 
-inline bool isStoreOp(ir::Opcode op) {
+constexpr bool isStoreOp(ir::Opcode op) {
   return op == ir::Opcode::kStore || op == ir::Opcode::kStoreB ||
          op == ir::Opcode::kFStore;
 }
@@ -131,6 +131,13 @@ struct LaneSet {
       bits |= word;
     }
     return bits != 0;
+  }
+  std::uint32_t count() const {
+    std::uint32_t n = 0;
+    for (const std::uint64_t word : w) {
+      n += static_cast<std::uint32_t>(std::popcount(word));
+    }
+    return n;
   }
   bool test(std::uint32_t lane) const {
     return ((w[lane >> 6] >> (lane & 63)) & 1) != 0;
@@ -301,6 +308,9 @@ class Lanes {
   bool allDecided() const { return open_ == 0 && diffs_ == 0; }
   // Golden ops (steps and moves) of this window that evaluated some lane.
   std::uint64_t laneSteps() const { return laneSteps_; }
+  // This window's lane ops by the opcode of the golden op that evaluated
+  // them (a move counts under its kCall or kRet).
+  const OpcodeCounts& laneOpsByOpcode() const { return opLaneOps_; }
 
   // Events of the golden stream; `insns` is its instruction count so far.
   // An op the LaneView flags is bracketed: capture() runs before golden
@@ -329,13 +339,14 @@ class Lanes {
   // Def ordinal `ordinal` is a flip of some lane; returns the next one.
   std::uint64_t onDef(const MicroOp& u, const FrameBase& base,
                       std::uint64_t ordinal, std::uint64_t insns);
-  // Golden copied the registers listed at `from` in frame `src` to those
-  // at `to` in frame `dst`: call arguments or returned values.
-  void onMove(const DecodedReg* from, const FrameBase& src,
+  // Golden's op `op` (kCall or kRet) copied the registers listed at `from`
+  // in frame `src` to those at `to` in frame `dst`: call arguments or
+  // returned values.
+  void onMove(ir::Opcode op, const DecodedReg* from, const FrameBase& src,
               const DecodedReg* to, const FrameBase& dst,
               std::uint32_t count) {
     if (diffs_ != 0) {
-      moveDiffs(from, src, to, dst, count);
+      moveDiffs(op, from, src, to, dst, count);
     }
   }
   // Golden pops the frame at `base`.
@@ -369,16 +380,38 @@ class Lanes {
     std::vector<std::uint64_t> keys;
   };
 
-  // A lane's address (and stored value) at a step's memory op, committed
-  // after every touched lane was evaluated.
+  // A lane's address and stored value at a step's store, committed after
+  // every touched lane was evaluated.
   struct LaneAccess {
     std::uint32_t lane = 0;
     std::uint64_t address = 0;
     std::uint64_t stored = 0;
   };
 
-  // evalOp's access for one lane (lanes.cpp).
+  // The kernels' access for one lane (lanes.cpp).
   struct Access;
+
+  // One step's batch.  step() fills the inputs once: the touched lanes,
+  // each use slot's differing lanes and packed values (kNone and null for
+  // a slot no lane differs at, or no use), golden's result and (memory
+  // ops) the line of golden's address.  evalLanes<kOp> writes all of the
+  // outputs: the lanes that detected, trapped or now differ from golden
+  // in the def (their `defs` results, in lane order, in defValues_), and
+  // a store's `accesses` (in accesses_).
+  struct Batch {
+    LaneSet touched;
+    const LaneSet* useLanes[3] = {};
+    const std::uint64_t* useValues[3] = {};
+    bool hasDef = false;
+    std::uint64_t goldenDef = 0;
+    std::uint64_t goldenLine = 0;
+
+    LaneSet detected, trapped, differs;
+    bool ends = false;  // some lane detected or trapped
+    std::uint32_t evaluated = 0;
+    std::uint32_t defs = 0;
+    std::size_t accesses = 0;
+  };
 
   // A location is a register slot (class 0-2, absolute arena slot `at`)
   // or an aligned memory word (kWordClass, `at` its index in the arena).
@@ -394,9 +427,12 @@ class Lanes {
     return (static_cast<std::uint64_t>(cls) << 32) | at;
   }
 
-  void moveDiffs(const DecodedReg* from, const FrameBase& src,
-                 const DecodedReg* to, const FrameBase& dst,
-                 std::uint32_t count);
+  void moveDiffs(ir::Opcode op, const DecodedReg* from,
+                 const FrameBase& src, const DecodedReg* to,
+                 const FrameBase& dst, std::uint32_t count);
+  // Runs opKernel<kOp> for every lane of batch_.
+  template <ir::Opcode kOp>
+  void evalLanes(const MicroOp& u, std::uint32_t node);
   void dropFrame(const FrameBase& base);
 
   // 0, or 1 + the index of the location's SlotDiffs.
@@ -417,9 +453,10 @@ class Lanes {
   std::uint32_t addDiff(std::uint32_t lane, std::uint32_t cls,
                         std::uint32_t at);
   void dropDiff(std::uint32_t lane, std::uint32_t pos);
-  void writeDef(std::uint32_t cls, std::uint32_t slot, const LaneSet& after);
+  void writeDef(std::uint32_t cls, std::uint32_t slot, const LaneSet& after,
+                std::uint32_t defs);
   void writeDefLanes(std::uint32_t cls, std::uint32_t slot,
-                     const LaneSet& after);
+                     const LaneSet& after, std::uint32_t defs);
 
   // `lane`'s value at a location: its diff there, else `golden`.
   std::uint64_t laneBits(std::uint32_t lane, std::uint32_t cls,
@@ -433,11 +470,25 @@ class Lanes {
                std::uint64_t bits, std::uint64_t golden);
   void decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
               bool corrupt = false);
+  // A lane's memory op accessed `address`.  Every level's line holds the
+  // smallest one, so an access inside golden's smallest line (`goldenLine`,
+  // golden's address >> lineShift) touches golden's line at every level;
+  // the first access outside it starts the lane's cycle bound, as its
+  // cache sees another line from here on.
+  void noteLine(std::uint32_t lane, std::uint64_t address,
+                std::uint64_t goldenLine) {
+    Lane& l = lanes_[lane];
+    if (!l.diverged &&
+        (address >> golden_.prog.lineShift()) != goldenLine) {
+      l.diverged = true;
+      l.boundStart = golden_.cycles;
+      l.worstBefore = worst_;
+    }
+  }
   void noteReconverged(std::uint32_t lane);
 
   const GoldenView golden_;
   std::vector<Lane> lanes_;
-  std::size_t words_ = 0;  // LaneSet words the window's lanes occupy
   // Per lane: its state, lane ops and golden instructions at its first
   // flip.
   std::array<State, kMaxLanes> state_{};
@@ -455,16 +506,20 @@ class Lanes {
   std::uint64_t memWords_ = 0;
   // Pending flips as a min-heap on the ordinal: (ordinal, lane).
   std::vector<std::pair<std::uint64_t, std::uint32_t>> events_;
-  // step() scratch: the memory ops' accesses, and the def's packed values
-  // (swapped with the slot's, so both keep their allocations).
+  // step() scratch, reused from step to step: the batch, a store's
+  // accesses, and the def's packed values (copied into the slot's).
+  Batch batch_;
   std::array<LaneAccess, kMaxLanes> accesses_;
-  std::vector<std::uint64_t> defValues_;
-  std::vector<std::uint32_t> defKeyPos_;  // writeDef's, swapped the same way
+  std::array<std::uint64_t, kMaxLanes> defValues_;
+  // writeDefLanes' key positions (swapped with the slot's, so both keep
+  // their allocations).
+  std::vector<std::uint32_t> defKeyPos_;
   // What capture() kept of the golden op step() follows.
   std::uint64_t goldenUse_[3] = {};
   std::uint64_t goldenStoreWord_ = 0;
   std::uint64_t worst_ = 0;  // sum of worstCycles over the charged blocks
   std::uint64_t laneSteps_ = 0;
+  OpcodeCounts opLaneOps_{};
   std::size_t diffs_ = 0;    // diffs over all lanes
   std::size_t open_ = 0;     // lanes not yet decided
 };

@@ -157,11 +157,14 @@ void appendMicros(std::string& out, std::uint64_t ns) {
 }  // namespace
 
 std::uint64_t nowNs() {
+  // The origin first: on the process's first call it is set here, so it
+  // cannot lie after `now`.
+  const std::uint64_t start = processStartNs();
   const std::uint64_t now =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count();
-  return now - processStartNs();
+  return now - start;
 }
 
 namespace {

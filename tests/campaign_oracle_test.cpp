@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -220,6 +221,30 @@ TEST(CampaignOracleTest, ReportBitIdenticalWithTracingOnAndOff) {
   EXPECT_EQ(laneOpsByEnd, laneOps);
   EXPECT_GT(trace::counterValue(lockstep + "lane_steps"), 0);
   EXPECT_LE(trace::counterValue(lockstep + "lane_steps"), laneOps);
+  // The lane ops by opcode (each step adds its batch width) sum to them
+  // too, and count per lane, so a one-worker campaign, whose windows hold
+  // other lanes, reads the same per opcode.
+  std::map<std::string, std::int64_t> byOpcode;
+  std::int64_t laneOpsByOpcode = 0;
+  for (const auto& [name, value] : trace::counterSnapshot()) {
+    if (name.starts_with(lockstep + "lane_ops.op.")) {
+      byOpcode[name] = value;
+      laneOpsByOpcode += value;
+    }
+  }
+  EXPECT_EQ(laneOpsByOpcode, laneOps);
+  EXPECT_GT(byOpcode[lockstep + "lane_ops.op.add"], 0);
+  trace::resetForTest();
+  trace::enable("");
+  runWith(bin, 1, sim::Engine::kDecoded, trials, 0xCA57EDu,
+          InjectionMode::kCheckpointed);
+  for (const auto& [name, value] : trace::counterSnapshot()) {
+    if (name.starts_with(lockstep + "lane_ops.op.")) {
+      EXPECT_EQ(value, byOpcode[name]) << name;
+      byOpcode.erase(name);
+    }
+  }
+  EXPECT_TRUE(byOpcode.empty()) << byOpcode.begin()->first;
   trace::resetForTest();
 }
 

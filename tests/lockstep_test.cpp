@@ -709,6 +709,272 @@ TEST(LockstepTest, EnumerationWindowsBatchEveryOpOfRandomPrograms) {
   EXPECT_GT(overflows, 0u) << "no re-run went past the call-depth limit";
 }
 
+// One op under test, `op`, on operands defined just before it (one def
+// site per operand), its result stored to the output, then a load whose
+// base a later flip can send out of the arena and a check whose operand a
+// later flip can change.  The operand values make the op mask some flips
+// and pass others: a divisor of 1 (bit 0 makes it 0), 1.5 as f2i's input
+// (an exponent bit makes it out of range), a shift of 3 (a flip of bit 6
+// or above is masked), and a memory op's base 8 bytes into a scratch
+// region (bits 0-2 misalign it, bit 40 leaves the arena).  A check reads
+// equal operands, and trapif a false predicate, so the golden run halts.
+// A store's effect reaches the output through a copy of the scratch words
+// it can reach.
+struct MixedBatch : Crafted {
+  Opcode op;
+  std::uint32_t uses = 0;
+  DefSite operand[3];
+  DefSite trapBase, checked;
+
+  explicit MixedBatch(Opcode opcode) : op(opcode) {
+    const ir::OpcodeInfo& info = ir::opcodeInfo(op);
+    uses = info.useCount;
+    const std::uint64_t out = program.allocateGlobal("output", 128);
+    // Scratch words: 0x99 at every fourth word from word 2, else 0x55, so
+    // a load whose base moved reads a word equal to golden's or not.
+    std::vector<std::uint8_t> image(4096);
+    for (std::size_t word = 0; word < image.size() / 8; ++word) {
+      image[word * 8] = word % 4 == 2 ? 0x99 : 0x55;
+    }
+    const std::uint64_t scratch = program.allocateGlobal("scratch", image);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    b.setBlock(b.createBlock("entry"));
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    std::vector<Reg> operands;
+    for (std::uint32_t i = 0; i < uses; ++i) {
+      operand[i] = nextSite(b);
+      operands.push_back(operandValue(b, info, i, scratch));
+    }
+    std::vector<Reg> defs;
+    if (info.defCount == 1) {
+      defs.push_back(fn.newReg(info.defClass));
+    }
+    // A shift or an immediate operand of 3; a memory op's offset of 8.
+    b.emit(op, defs, operands).imm = info.isLoad || info.isStore ? 8 : 3;
+    if (info.defCount == 1) {
+      storeResult(b, outBase, defs[0]);
+    }
+    if (info.isStore) {
+      const Reg from = b.movImm(static_cast<std::int64_t>(scratch));
+      for (std::int64_t word = 0; word < 12; ++word) {
+        b.store(outBase, 16 + 8 * word, b.load(from, 8 * word));
+      }
+    }
+    trapBase = nextSite(b);
+    b.store(outBase, 8,
+            b.load(b.movImm(static_cast<std::int64_t>(scratch)), 0));
+    checked = nextSite(b);
+    const Reg shadow = b.movImm(77);
+    b.emit(Opcode::kCheckG, {}, {b.movImm(77), shadow}).origin =
+        ir::InsnOrigin::kCheck;
+    b.halt(b.movImm(0));
+    finish();
+  }
+
+  static Reg operandValue(IrBuilder& b, const ir::OpcodeInfo& info,
+                          std::uint32_t i, std::uint64_t scratch) {
+    if (info.isLoad || (info.isStore && i == 0)) {
+      return b.movImm(static_cast<std::int64_t>(scratch + 8));
+    }
+    switch (info.useClass[i]) {
+      case RegClass::kGp:
+        return b.movImm(i == 0 || info.isCheck ? 0x1234 : i == 1 ? 1 : 7);
+      case RegClass::kFp:
+        return b.fMovImm(i == 0 || info.isCheck ? 1.5 : 0.25);
+      default:
+        return b.pSetImm(!info.isCheck && i == 0);
+    }
+  }
+
+  static void storeResult(IrBuilder& b, Reg outBase, Reg result) {
+    switch (result.cls) {
+      case RegClass::kGp:
+        b.store(outBase, 0, result);
+        break;
+      case RegClass::kFp:
+        b.fStore(outBase, 0, result);
+        break;
+      default:
+        b.store(outBase, 0, b.select(result, b.movImm(1), b.movImm(2)));
+        break;
+    }
+  }
+
+  // The plan of lane `k` of a window: kinds cycle so that every LaneSet
+  // word holds each one, and the flipped bit walks all 64 (13 is odd).
+  // Every kind flips an operand, so every lane is in the op's batch:
+  //   0, 1: one operand;
+  //   2:    two operands at the same bit (a check then reads equal
+  //         values again), or one at another bit;
+  //   3:    as 2, then the later load's base: an exception unless the
+  //         op trapped or fired first;
+  //   4:    an operand, then the later check's operand: detected.
+  FaultPlan plan(std::size_t k) const {
+    const auto bit = static_cast<std::uint32_t>((k * 13) % 64);
+    const std::uint32_t i = static_cast<std::uint32_t>(k % uses);
+    const std::uint64_t first = ordinal(operand[i]);
+    FaultPlan plan{{{first, 0, bit}}};
+    switch (k % 5) {
+      case 2:
+      case 3:
+        if (uses > 1) {
+          const std::uint64_t second = ordinal(operand[(i + 1) % uses]);
+          plan.points = {{std::min(first, second), 0, bit},
+                         {std::max(first, second), 0, bit}};
+        } else {
+          plan.points[0].bit = (bit + 32) % 64;
+        }
+        if (k % 5 == 3) {
+          plan.points.push_back({ordinal(trapBase), 0, 40});
+        }
+        break;
+      case 4:
+        plan.points.push_back({ordinal(checked), 0, bit});
+        break;
+      default:
+        break;
+    }
+    return plan;
+  }
+};
+
+// Runs lanes 0..n-1 of `c` as one window and checks every lane against
+// the whole run of its plan on the reference engine: exit kind,
+// instruction count and output, or a fallback's re-run field for field.
+std::vector<LaneVerdict> lanesAgainstReference(const MixedBatch& c,
+                                               std::size_t n,
+                                               const std::string& context) {
+  std::vector<FaultPlan> plans;
+  for (std::size_t k = 0; k < n; ++k) {
+    plans.push_back(c.plan(k));
+  }
+  std::vector<const FaultPlan*> lanes;
+  for (const FaultPlan& plan : plans) {
+    lanes.push_back(&plan);
+  }
+  SimOptions options;
+  options.maxCycles = c.golden.stats.cycles * 20;
+  DecodedRunner runner(*c.decoded);
+  std::vector<LaneVerdict> verdicts;
+  runner.runLockstep(options, lanes, verdicts);
+  EXPECT_EQ(verdicts.size(), n) << context;
+  SimOptions reference = options;
+  reference.engine = Engine::kReference;
+  const RunResult golden =
+      simulate(c.program, c.schedule, c.config, reference);
+  testutil::expectIdentical(golden, c.golden, context + " golden");
+  for (std::size_t k = 0; k < verdicts.size(); ++k) {
+    const LaneVerdict& lane = verdicts[k];
+    reference.faultPlan = &plans[k];
+    const RunResult run =
+        simulate(c.program, c.schedule, c.config, reference);
+    const std::string what = context + " lane " + std::to_string(k) + " (" +
+                             laneEndName(lane.end) + ")";
+    if (isFallback(lane.end)) {
+      testutil::expectIdentical(run, lane.rerun, what);
+      continue;
+    }
+    EXPECT_EQ(exitOf(lane.end), run.exit) << what;
+    EXPECT_EQ(lane.dynamicInsns, run.stats.dynamicInsns) << what;
+    if (run.exit == ExitKind::kHalted) {
+      EXPECT_EQ(lane.corrupt, run.output != golden.output ||
+                                  run.exitCode != golden.exitCode)
+          << what;
+    }
+  }
+  return verdicts;
+}
+
+TEST(LockstepTest, MixedBatchesOfEveryKernelMatchTheReferenceEngine) {
+  // Each kernel class runs in windows of 1, 63, 64, 65 and 256 lanes (the
+  // LaneSet word boundaries), so one batch of the op under test holds
+  // lanes whose result differs from golden's, lanes whose result equals
+  // it, and lanes that go on to trap or to fire a check, in every word of
+  // the set; at the trapping ops and the checks, some lanes of the batch
+  // trap or fire there.  Every lane must agree with its reference run.
+  struct KernelClass {
+    const char* name;
+    std::vector<Opcode> ops;
+  };
+  const std::vector<KernelClass> classes = {
+      {"integer ALU",
+       {Opcode::kMov, Opcode::kAdd, Opcode::kSub, Opcode::kMul, Opcode::kAnd,
+        Opcode::kOr, Opcode::kXor, Opcode::kShl, Opcode::kShr, Opcode::kSra,
+        Opcode::kMin, Opcode::kMax, Opcode::kNeg, Opcode::kAbs, Opcode::kNot,
+        Opcode::kSelect}},
+      {"integer ALU with an immediate",
+       {Opcode::kAddImm, Opcode::kMulImm, Opcode::kAndImm, Opcode::kShlImm,
+        Opcode::kShrImm, Opcode::kSraImm}},
+      {"compares",
+       {Opcode::kCmpEq, Opcode::kCmpNe, Opcode::kCmpLt, Opcode::kCmpLe,
+        Opcode::kCmpGt, Opcode::kCmpGe, Opcode::kCmpEqImm, Opcode::kCmpNeImm,
+        Opcode::kCmpLtImm, Opcode::kCmpLeImm, Opcode::kCmpGtImm,
+        Opcode::kCmpGeImm, Opcode::kFCmpEq, Opcode::kFCmpLt, Opcode::kFCmpLe,
+        Opcode::kFCmpNeBits}},
+      {"predicate ops",
+       {Opcode::kPMov, Opcode::kPNot, Opcode::kPAnd, Opcode::kPOr,
+        Opcode::kPXor}},
+      {"FP ops",
+       {Opcode::kFMov, Opcode::kFAdd, Opcode::kFSub, Opcode::kFMul,
+        Opcode::kFDiv, Opcode::kFMin, Opcode::kFMax, Opcode::kFNeg,
+        Opcode::kFAbs, Opcode::kFSqrt, Opcode::kI2F}},
+      {"div and rem", {Opcode::kDiv, Opcode::kRem}},
+      {"f2i", {Opcode::kF2I}},
+      {"loads", {Opcode::kLoad, Opcode::kLoadB, Opcode::kFLoad}},
+      {"stores", {Opcode::kStore, Opcode::kStoreB, Opcode::kFStore}},
+      {"checks",
+       {Opcode::kCheckG, Opcode::kCheckF, Opcode::kCheckP, Opcode::kTrapIf}},
+  };
+  // Every opcode with a kernel and an operand is in some class.
+  std::vector<Opcode> covered;
+  for (const KernelClass& kernelClass : classes) {
+    covered.insert(covered.end(), kernelClass.ops.begin(),
+                   kernelClass.ops.end());
+  }
+  for (std::size_t i = 0; i < static_cast<std::size_t>(Opcode::kOpcodeCount);
+       ++i) {
+    const auto op = static_cast<Opcode>(i);
+    const ir::OpcodeInfo& info = ir::opcodeInfo(op);
+    if (info.useCount > 0 && !info.variableArity && !info.isTerminator) {
+      EXPECT_NE(std::find(covered.begin(), covered.end(), op), covered.end())
+          << info.name;
+    }
+  }
+
+  for (const KernelClass& kernelClass : classes) {
+    // Over the class's 256-lane windows: lanes that trap, that fire a
+    // check, that end with an output other than golden's and with
+    // golden's.
+    std::size_t trapped = 0, detected = 0, corrupt = 0, clean = 0;
+    for (const Opcode op : kernelClass.ops) {
+      const MixedBatch c(op);
+      for (const std::size_t n : {1u, 63u, 64u, 65u, 256u}) {
+        const std::vector<LaneVerdict> verdicts = lanesAgainstReference(
+            c, n,
+            std::string(ir::opcodeInfo(op).name) + " x" + std::to_string(n));
+        if (n != 256) {
+          continue;
+        }
+        for (const LaneVerdict& lane : verdicts) {
+          trapped += lane.end == LaneEnd::kException ? 1 : 0;
+          detected += lane.end == LaneEnd::kDetected ? 1 : 0;
+          const bool decidedRun = lane.end == LaneEnd::kHalted ||
+                                  lane.end == LaneEnd::kReconverged;
+          corrupt += decidedRun && lane.corrupt ? 1 : 0;
+          clean += decidedRun && !lane.corrupt ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(trapped, 0u) << kernelClass.name;
+    EXPECT_GT(detected, 0u) << kernelClass.name;
+    EXPECT_GT(clean, 0u) << kernelClass.name;
+    if (std::string(kernelClass.name) != "checks") {
+      EXPECT_GT(corrupt, 0u) << kernelClass.name;
+    }
+  }
+}
+
 TEST(LockstepTest, RandomProgramsWithMultiFlipPlansMatchWholeRuns) {
   // The engine differential test's random CFG programs, with and without
   // calls, under every scheme, with about three flips per plan.  The

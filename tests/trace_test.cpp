@@ -33,6 +33,7 @@
 
 #include "core/pipeline.h"
 #include "fault/driver_util.h"
+#include "ir/opcode.h"
 #include "sim/decoded.h"
 #include "support/check.h"
 #include "support/trace.h"
@@ -337,16 +338,24 @@ void expectFallbackOutcomesAndPrefix(const std::string& prefix) {
       << prefix;
 }
 
-// The lane ops split by lane end sum to lane_ops, and each lane step (a
-// golden op that evaluated some lane) evaluated at least one lane op.
+// The lane ops split by lane end sum to lane_ops, and so do the lane ops
+// split by opcode; each lane step (a golden op that evaluated some lane)
+// evaluated at least one lane op.
 void expectLaneOpsByEndAndSteps(const std::string& prefix) {
   std::int64_t byEnd = 0;
   for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
     const auto end = static_cast<sim::LaneEnd>(e);
     byEnd += trace::counterValue(prefix + "lane_ops." + sim::laneEndName(end));
   }
+  std::int64_t byOpcode = 0;
+  for (std::size_t op = 0; op < sim::OpcodeCounts{}.size(); ++op) {
+    byOpcode += trace::counterValue(
+        prefix + "lane_ops.op." +
+        ir::opcodeInfo(static_cast<ir::Opcode>(op)).name);
+  }
   const std::int64_t laneOps = trace::counterValue(prefix + "lane_ops");
   EXPECT_EQ(byEnd, laneOps) << prefix;
+  EXPECT_EQ(byOpcode, laneOps) << prefix;
   EXPECT_GT(trace::counterValue(prefix + "lane_steps"), 0) << prefix;
   EXPECT_LE(trace::counterValue(prefix + "lane_steps"), laneOps) << prefix;
 }
