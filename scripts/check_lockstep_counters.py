@@ -19,7 +19,9 @@ counters are checked ("campaign" or "exhaustive").  For every trace:
   * the golden streams ran instructions, and the part of them before each
     window's first flip (prefix_insns) is at most all of them;
   * per fallback reason, the re-runs' outcome counters sum to the reason's
-    fallbacks.
+    fallbacks;
+  * no timing check both stopped at its safe point (timing_safe) and timed
+    out, so the two together are at most the timing fallbacks.
 
 --lanes N demands exactly N lanes; --sites-per-lane K demands
 K * lanes == fault.<DRIVER>.sites (an audit that enumerates every site
@@ -84,6 +86,12 @@ def check(trace, driver, lanes_expected, sites_per_lane):
             for outcome in OUTCOMES)
         fallbacks = counters.get(prefix + 'fallback.' + reason, 0)
         assert outcomes == fallbacks, (reason, outcomes, fallbacks)
+
+    assert prefix + 'timing_safe' in counters, 'missing timing_safe counter'
+    safe = counters[prefix + 'timing_safe']
+    timeouts = counters.get(prefix + 'fallback_outcome.timing.timeout', 0)
+    timing = counters.get(prefix + 'fallback.timing', 0)
+    assert safe + timeouts <= timing, ('timing checks', safe, timeouts, timing)
 
 
 def main():

@@ -204,6 +204,19 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   const auto verdictOf = [&](const sim::RunResult& faulty) {
     return TrialVerdict{classify(faulty, golden), faulty.stats.dynamicInsns};
   };
+  // An exact lane end as the whole run's verdict.
+  const auto exactVerdict = [](sim::LaneEnd end, const sim::LaneVerdict& lane) {
+    switch (end) {
+      case sim::LaneEnd::kDetected:
+        return TrialVerdict{Outcome::kDetected, lane.dynamicInsns};
+      case sim::LaneEnd::kException:
+        return TrialVerdict{Outcome::kException, lane.dynamicInsns};
+      default:  // kHalted, kReconverged
+        return TrialVerdict{
+            lane.corrupt ? Outcome::kDataCorrupt : Outcome::kBenign,
+            lane.dynamicInsns};
+    }
+  };
   if (!checkpointed_) {
     for (std::size_t i = 0; i < window.size(); ++i) {
       options_.faultPlan = &window[i];
@@ -224,34 +237,27 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   std::array<std::int64_t, sim::kLaneEndCount> ends = {};
   std::array<std::int64_t, sim::kLaneEndCount> laneOps = {};
   // Per fallback reason, the instructions the fallbacks ran past their
-  // injection point, and how they ended.
+  // injection point, and how they ended; the timing checks that stopped at
+  // their safe point.
   std::array<std::int64_t, sim::kLaneEndCount> fallbackInsns = {};
   std::array<std::array<std::int64_t, kOutcomeCount>, sim::kLaneEndCount>
       fallbackOutcomes = {};
+  std::int64_t timingSafe = 0;
   for (std::size_t i = 0; i < window.size(); ++i) {
     const sim::LaneVerdict& lane = laneVerdicts_[i];
     const auto e = static_cast<std::size_t>(lane.end);
     laneOps[e] += static_cast<std::int64_t>(lane.laneOps);
     ++ends[e];
-    switch (lane.end) {
-      case sim::LaneEnd::kDetected:
-        out[i] = {Outcome::kDetected, lane.dynamicInsns};
-        break;
-      case sim::LaneEnd::kException:
-        out[i] = {Outcome::kException, lane.dynamicInsns};
-        break;
-      case sim::LaneEnd::kHalted:
-      case sim::LaneEnd::kReconverged:
-        out[i] = {lane.corrupt ? Outcome::kDataCorrupt : Outcome::kBenign,
-                  lane.dynamicInsns};
-        break;
-      default:
-        out[i] = verdictOf(lane.rerun);
-        fallbackInsns[e] += static_cast<std::int64_t>(
-            lane.rerun.stats.dynamicInsns - lane.injectedAt);
-        ++fallbackOutcomes[e][static_cast<std::size_t>(out[i].outcome)];
-        break;
+    if (!sim::isFallback(lane.end)) {
+      out[i] = exactVerdict(lane.end, lane);
+      continue;
     }
+    out[i] = lane.safe ? exactVerdict(lane.reached, lane)
+                       : verdictOf(lane.rerun);
+    timingSafe += lane.safe ? 1 : 0;
+    fallbackInsns[e] += static_cast<std::int64_t>(
+        lane.rerun.stats.dynamicInsns - lane.injectedAt);
+    ++fallbackOutcomes[e][static_cast<std::size_t>(out[i].outcome)];
   }
   if (trace::enabled()) {
     const std::string& prefix = lockstepCounters_;
@@ -277,6 +283,7 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
                       static_cast<std::int64_t>(stream.insns));
     trace::counterAdd(prefix + "prefix_insns",
                       static_cast<std::int64_t>(stream.prefixInsns));
+    trace::counterAdd(prefix + "timing_safe", timingSafe);
     for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
       const auto end = static_cast<sim::LaneEnd>(e);
       const std::string name = sim::laneEndName(end);

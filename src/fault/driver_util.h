@@ -74,8 +74,10 @@ class SiteExecutor {
   // as "<lockstepCounters><name>", e.g. "fault.campaign.lockstep.lanes";
   // "stream_insns" adds the golden streams' instructions, "prefix_insns"
   // the part before each window's first flip, "fallback_insns.<reason>"
-  // what those fallbacks ran past their injection point and
-  // "fallback_outcome.<reason>.<outcome>" how they ended.
+  // what those fallbacks ran past their injection point (a timing check
+  // up to where it stopped), "fallback_outcome.<reason>.<outcome>" how
+  // they ended, and "timing_safe" the timing checks that stopped at their
+  // safe point.
   // The program, schedule, config and `decoded` (null for the reference
   // engine) must outlive the executor.
   SiteExecutor(const ir::Program& program,

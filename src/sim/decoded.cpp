@@ -205,6 +205,7 @@ enum class Flow : std::uint8_t {
   kTrapped,    // a hardware trap; Impl::trap holds its kind
   kTimeout,    // the watchdog expired
   kLanesDone,  // lockstep: every lane of the window is decided
+  kSafe,       // a timing check reached its safe point (rerunFallbacks)
 };
 
 }  // namespace
@@ -284,6 +285,17 @@ struct DecodedRunner::Impl {
   ArchCheckpoint::Data windowCheckpoint;
   std::vector<std::uint32_t> fallbacks;
 
+  // The timing check of a `timing` fallback's re-run (rerunFallbacks).
+  // While it is armed, each block charge takes the block's worstCycles off
+  // `left`, the rest of the lane's budget, and the block-end test stops the
+  // run (Flow::kSafe) once stats.cycles + left <= maxCycles.  Every run
+  // disarms it when it stops.
+  struct TimingCheck {
+    bool armed = false;
+    bool safe = false;  // the last check stopped at its safe point
+    std::uint64_t left = 0;
+  } check;
+
   explicit Impl(const DecodedProgram& program)
       : prog(program),
         memory(program.globalImage(), kHeapBytes),
@@ -322,6 +334,7 @@ struct DecodedRunner::Impl {
     finished = false;
     result = RunResult{};
     ++checkpointGen;  // outstanding checkpoints are now stale
+    check = TimingCheck{};
     updateNextEvent();
     // At depth 0 and cycle 0 the entry push can neither overflow the stack
     // nor time out.
@@ -411,6 +424,11 @@ struct DecodedRunner::Impl {
     ++stats.blockExecutions;
     if constexpr (kLanes) {
       lanes.chargeBlock(blk);
+    } else if (check.armed) [[unlikely]] {
+      // The check follows the lane's path, whose blocks its budget holds.
+      CASTED_CHECK(check.left >= blk.worstCycles)
+          << "a timing check ran past its lane's decision";
+      check.left -= blk.worstCycles;
     }
   }
 
@@ -718,6 +736,12 @@ struct DecodedRunner::Impl {
       if (stats.cycles > options.maxCycles) {
         return Flow::kTimeout;
       }
+      // No block costs more than its worstCycles, so from here no
+      // watchdog test (block ends, pushFrame) of the lane's path can fire.
+      if (!kLanes && check.armed &&
+          stats.cycles + check.left <= options.maxCycles) [[unlikely]] {
+        return Flow::kSafe;
+      }
     }
   }
 
@@ -745,11 +769,19 @@ struct DecodedRunner::Impl {
       completePausedDef<false>();
     }
     const Flow flow = exec<false>();
+    check.armed = false;
+    check.safe = flow == Flow::kSafe;
     if (flow == Flow::kPause) {
       pausedAtDef = true;
       return true;
     }
     result = RunResult{};
+    if (check.safe) {
+      // Only what the check ran counts: its statistics.
+      result.stats = statsNow();
+      finished = true;
+      return false;
+    }
     switch (flow) {
       case Flow::kHalted:
         result.exit = ExitKind::kHalted;
@@ -856,7 +888,8 @@ struct DecodedRunner::Impl {
 
   // Re-runs the window's fallbacks from its checkpoint, in injection order
   // (ties by index): each restores the checkpoint, rolls it forward when
-  // its plan injects later, and runs its suffix to the natural end.
+  // its plan injects later, and runs its suffix, a control fallback to its
+  // natural end and a timing fallback as a timing check with its budget.
   void rerunFallbacks(const std::vector<const FaultPlan*>& plans,
                       std::vector<LaneVerdict>& verdicts) {
     fallbacks.clear();
@@ -881,7 +914,12 @@ struct DecodedRunner::Impl {
         saveCheckpoint(windowCheckpoint);
       }
       injectAtPause(*plans[i]);
-      verdicts[i].rerun = finish();
+      LaneVerdict& v = verdicts[i];
+      if (v.end == LaneEnd::kFallbackTiming) {
+        check = {true, false, v.budget};
+      }
+      v.rerun = finish();
+      v.safe = check.safe;
     }
   }
 

@@ -174,7 +174,9 @@ class ArchCheckpoint {
 // How a lockstep lane ended (DecodedRunner::runLockstep).  The first four
 // are exact decisions; the fallbacks leave the plan to a re-run from the
 // window's golden-prefix checkpoint.  A lane never times out on golden's
-// addresses, because the watchdog admits the golden run.
+// addresses, because the watchdog admits the golden run.  A timing
+// fallback's lane did reach an exact end; only the watchdog is open, and
+// its re-run is a timing check that answers just that.
 enum class LaneEnd : std::uint8_t {
   kDetected,         // a check read a differing operand and fired
   kException,        // the lane trapped on its own values
@@ -195,15 +197,26 @@ inline bool isFallback(LaneEnd end) {
 // have ended as `end` says after exactly `dynamicInsns` instructions, with
 // an exit code or output different from the golden run's iff `corrupt`
 // (kHalted only; a reconverged lane ends as the golden run did).  A
-// fallen-back lane's `dynamicInsns` is the stream's count when it gave up,
+// control fallback's `dynamicInsns` is the stream's count when it gave up,
 // and `rerun` is its plan's faulty run, field for field the whole
 // run(options-with-plan).
+//
+// A timing fallback keeps the exact end it reached in `reached` (with
+// `corrupt` and `dynamicInsns`), and `budget`, the worstCycles of the golden
+// blocks charged between its first flip and that end.  Its re-run is a
+// timing check: it runs until its cycles plus the budget left cannot pass
+// the watchdog (`safe`: the exact verdict stands, and `rerun` holds only
+// the statistics where the check stopped), else to its natural end or its
+// timeout (`rerun` is then the whole run, as for a control fallback).
 struct LaneVerdict {
   LaneEnd end = LaneEnd::kReconverged;
+  LaneEnd reached = LaneEnd::kReconverged;  // kFallbackTiming only
   bool corrupt = false;
+  bool safe = false;             // kFallbackTiming only
   std::uint64_t dynamicInsns = 0;
   std::uint64_t laneOps = 0;     // ops this lane evaluated on its own values
   std::uint64_t injectedAt = 0;  // golden instructions at its first flip
+  std::uint64_t budget = 0;      // kFallbackTiming only
   RunResult rerun;               // fallbacks only
 };
 
@@ -320,8 +333,9 @@ class DecodedRunner {
   // run(options-with-plan) in exit kind, instruction count and
   // output/exit-code agreement.  The runner then re-runs each fallen-back
   // lane from the checkpoint, in injection order (ties by index), rolling
-  // the checkpoint forward to a later ordinal first; each re-run runs to
-  // its natural end and counts in sim.decoded.* what it ran past the
+  // the checkpoint forward to a later ordinal first; a control fallback's
+  // re-run runs to its natural end, a timing check at most that far (see
+  // LaneVerdict), and each counts in sim.decoded.* what it ran past the
   // checkpoint it restored.  Ends the runner's stepwise run (begin() again
   // before runToDef).
   static constexpr std::size_t kMaxLanes = 256;

@@ -110,6 +110,7 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
     l.diverged = false;
     l.boundStart = 0;
     l.worstBefore = 0;
+    l.worstAtFlip = 0;
     l.keys.clear();
     state_[i] = State::kDormant;
     laneOps_[i] = 0;
@@ -251,16 +252,21 @@ void Lanes::setBits(std::uint32_t lane, std::uint32_t cls, std::uint32_t at,
 }
 
 // Ends a lane.  An exact decision of a lane whose address once differed
-// stands only if its cycle bound kept it under the watchdog until now.
+// stands only if its cycle bound kept it under the watchdog until now;
+// otherwise the lane falls back as `timing`, keeping the end it reached
+// and its timing check's budget, the worstCycles of the blocks charged
+// since its first flip (on golden's path, which is the lane's).
 void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
                    bool corrupt) {
   Lane& l = lanes_[lane];
-  if (!isFallback(end) && l.diverged &&
-      l.boundStart + (worst_ - l.worstBefore) > golden_.maxCycles) {
-    end = LaneEnd::kFallbackTiming;
-  }
   LaneVerdict& v = (*verdicts_)[lane];
   v.end = end;
+  if (!isFallback(end) && l.diverged &&
+      l.boundStart + (worst_ - l.worstBefore) > golden_.maxCycles) {
+    v.end = LaneEnd::kFallbackTiming;
+    v.reached = end;
+    v.budget = worst_ - l.worstAtFlip;
+  }
   v.corrupt = corrupt;
   v.dynamicInsns = insns;
   v.laneOps = laneOps_[lane];
@@ -529,6 +535,7 @@ std::uint64_t Lanes::onDef(const MicroOp& u, const FrameBase& base,
     if (state_[lane] == State::kDormant) {
       state_[lane] = State::kLive;
       injectedAt_[lane] = insns;
+      l.worstAtFlip = worst_;
     }
     if (l.cursor < l.plan->points.size()) {
       events_.emplace_back(l.plan->points[l.cursor].ordinal, lane);

@@ -374,6 +374,7 @@ class Lanes {
     bool diverged = false;   // an access left golden's line: bound live
     std::uint64_t boundStart = 0;   // golden cycles at the first such access
     std::uint64_t worstBefore = 0;  // `worst_` at that point
+    std::uint64_t worstAtFlip = 0;  // `worst_` at its first flip
     // The locations the lane differs at (key()), in no order: kept on a
     // diff's appearance and death only (a death swaps the back key into
     // the hole), walked when the lane ends.

@@ -159,6 +159,51 @@ TEST(CampaignOracleTest, LockstepEqualsFullOnMcfAndParserAtFig9Settings) {
   }
 }
 
+TEST(CampaignOracleTest, LockstepEqualsFullOnRandomProgramsThatCall) {
+  // The random CFG programs with callees and the bounded recursion: calls
+  // inside loops and between memory ops, diffs crossing call arguments and
+  // returned values, frames popped under live lanes, re-runs that go past
+  // the call-depth limit.  Multi-flip plans, and a watchdog at twice the
+  // golden cycles as well as the default, so that timing checks cross call
+  // frames too.  The checkpointed (lockstep) report on either engine, at
+  // one and at three workers, must equal the one-worker kFull oracle's.
+  const std::size_t seeds = testutil::testTrials(6);
+  for (std::size_t seed = 0; seed < seeds; ++seed) {
+    const ir::Program source =
+        testutil::makeRandomCfgProgram(seed, 4, 8, /*calls=*/true);
+    for (const Scheme scheme : passes::kAllSchemes) {
+      const core::CompiledProgram bin =
+          core::compile(source, testutil::machine(2, 1 + seed % 2), scheme);
+      for (const std::uint64_t timeoutFactor : {20u, 2u}) {
+        CampaignOptions options;
+        options.trials = 80;
+        options.seed = 0xCA11ED + seed;
+        options.originalDefInsns = core::run(bin).stats.dynamicDefInsns / 3;
+        options.timeoutFactor = timeoutFactor;
+        options.threads = 1;
+        options.mode = InjectionMode::kFull;
+        const CoverageReport full = core::campaign(bin, options);
+        options.mode = InjectionMode::kCheckpointed;
+        for (const sim::Engine engine :
+             {sim::Engine::kDecoded, sim::Engine::kReference}) {
+          for (const std::uint32_t threads : {1u, 3u}) {
+            options.simOptions.engine = engine;
+            options.threads = threads;
+            const CoverageReport lockstep = core::campaign(bin, options);
+            const std::string context =
+                "seed " + std::to_string(seed) + " " +
+                passes::schemeName(scheme) + " timeout x" +
+                std::to_string(timeoutFactor) + " " +
+                sim::engineName(engine) + " x" + std::to_string(threads);
+            EXPECT_EQ(lockstep.counts, full.counts) << context;
+            EXPECT_EQ(lockstep.dynamicInsns, full.dynamicInsns) << context;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CampaignOracleTest, ReportBitIdenticalWithTracingOnAndOff) {
   // The trace subsystem's determinism contract (DESIGN.md §11): an active
   // session observes the campaign but never feeds back into it, so the
@@ -210,6 +255,10 @@ TEST(CampaignOracleTest, ReportBitIdenticalWithTracingOnAndOff) {
     EXPECT_EQ(outcomes, trace::counterValue(lockstep + "fallback." + reason))
         << reason;
   }
+  EXPECT_LE(
+      trace::counterValue(lockstep + "timing_safe") +
+          trace::counterValue(lockstep + "fallback_outcome.timing.timeout"),
+      trace::counterValue(lockstep + "fallback.timing"));
   std::int64_t laneOpsByEnd = 0;
   for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
     const auto end = static_cast<sim::LaneEnd>(e);

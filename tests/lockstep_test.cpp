@@ -2,9 +2,10 @@
 // §10 "Lockstep lanes").  Each crafted program aims a plan at one way a
 // lane ends — every exact decision and every fallback — and checks two
 // things: the lane ends that way, and it agrees with a whole faulty run of
-// its plan — a decided lane in exit kind, instruction count, output and
-// exit code, a fallback's re-run field for field.  The campaign over each
-// program must also report exactly what the kFull oracle reports.
+// its plan — a decided lane, and a timing check that stopped at its safe
+// point, in exit kind, instruction count, output and exit code; any other
+// fallback's re-run field for field.  The campaign over each program must
+// also report exactly what the kFull oracle reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,6 +84,29 @@ ExitKind exitOf(LaneEnd end) {
   }
 }
 
+// One lane against `run`, the whole run of its plan: a decided lane, and a
+// timing check that stopped at its safe point (before the lane's end), in
+// exit kind, instruction count and output/exit-code agreement; any other
+// fallback's re-run field for field.
+void expectLaneMatchesRun(const LaneVerdict& lane, const RunResult& run,
+                          const RunResult& golden, const std::string& what) {
+  if (isFallback(lane.end) && !lane.safe) {
+    testutil::expectIdentical(run, lane.rerun, what);
+    return;
+  }
+  if (lane.safe) {
+    EXPECT_EQ(lane.end, LaneEnd::kFallbackTiming) << what;
+    EXPECT_LT(lane.rerun.stats.dynamicInsns, run.stats.dynamicInsns) << what;
+  }
+  EXPECT_EQ(exitOf(lane.safe ? lane.reached : lane.end), run.exit) << what;
+  EXPECT_EQ(lane.dynamicInsns, run.stats.dynamicInsns) << what;
+  if (run.exit == ExitKind::kHalted) {
+    EXPECT_EQ(lane.corrupt, run.output != golden.output ||
+                                run.exitCode != golden.exitCode)
+        << what;
+  }
+}
+
 // Runs `plans` as the lanes of one golden stream on `runner` and checks
 // every lane against a whole run of its plan under the same watchdog (on
 // the same runner, which starts every run afresh).
@@ -105,19 +129,9 @@ std::vector<LaneVerdict> lanesAgainstRuns(DecodedRunner& runner,
     SimOptions whole = options;
     whole.faultPlan = &plans[i];
     const RunResult run = runner.run(whole);
-    const std::string what = context + " lane " + std::to_string(i) + " (" +
-                             laneEndName(lane.end) + ")";
-    if (isFallback(lane.end)) {
-      testutil::expectIdentical(run, lane.rerun, what);
-      continue;
-    }
-    EXPECT_EQ(exitOf(lane.end), run.exit) << what;
-    EXPECT_EQ(lane.dynamicInsns, run.stats.dynamicInsns) << what;
-    if (run.exit == ExitKind::kHalted) {
-      EXPECT_EQ(lane.corrupt, run.output != golden.output ||
-                                  run.exitCode != golden.exitCode)
-          << what;
-    }
+    expectLaneMatchesRun(lane, run, golden,
+                         context + " lane " + std::to_string(i) + " (" +
+                             laneEndName(lane.end) + ")");
   }
   return verdicts;
 }
@@ -442,12 +456,227 @@ TEST(LockstepTest, FallbacksAtLaterOrdinalsRollTheCheckpointForward) {
     EXPECT_EQ(f.end, expected[i]) << what << " ended as "
                                   << laneEndName(f.end);
     EXPECT_EQ(f.end, b.end) << what;
+    EXPECT_EQ(f.reached, b.reached) << what;
+    EXPECT_EQ(f.safe, b.safe) << what;
+    EXPECT_EQ(f.budget, b.budget) << what;
     EXPECT_EQ(f.corrupt, b.corrupt) << what;
     EXPECT_EQ(f.dynamicInsns, b.dynamicInsns) << what;
     EXPECT_EQ(f.laneOps, b.laneOps) << what;
     EXPECT_EQ(f.injectedAt, b.injectedAt) << what;
     testutil::expectIdentical(f.rerun, b.rerun, what);
   }
+}
+
+// A loop of 200 iterations, each a store to a fixed scratch word and a
+// load from a fixed table word: after the first iteration both hit L1, so
+// golden's cycles stay far below the loop's worstCycles.  A flip of bit 6
+// of a store base (`storeBase` in the entry block, `loopBase` in every
+// iteration) sends the lane's store to another 64-byte line of the arena
+// and starts its cycle bound.
+struct HotLoop : Crafted {
+  DefSite first, storeBase, loopBase, counter;
+
+  HotLoop() {
+    const std::uint64_t out = program.allocateGlobal("output", 8);
+    const std::uint64_t table = program.allocateGlobal("table", 64);
+    const std::uint64_t scratch = program.allocateGlobal("scratch", 256);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& loop = b.createBlock("loop");
+    ir::BasicBlock& done = b.createBlock("done");
+    b.setBlock(entry);
+    first = nextSite(b);  // the accumulator's start: reaches the output
+    const Reg acc = b.movImm(0);
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    const Reg tableBase = b.movImm(static_cast<std::int64_t>(table));
+    storeBase = nextSite(b);
+    const Reg s = b.movImm(static_cast<std::int64_t>(scratch));
+    b.store(s, 0, b.movImm(7));
+    const Reg i = b.movImm(0);
+    b.br(loop);
+    b.setBlock(loop);
+    loopBase = nextSite(b);
+    b.store(b.movImm(static_cast<std::int64_t>(scratch + 128)), 0, i);
+    b.binaryTo(Opcode::kAdd, acc, acc, b.load(tableBase, 0));
+    counter = nextSite(b);
+    b.addImmTo(i, i, 1);
+    b.brCond(b.cmpLtImm(i, 200), loop, done);
+    b.setBlock(done);
+    b.store(outBase, 0, b.addImm(acc, 1));
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, ATimingCheckStopsAtItsSafePointMidRun) {
+  // At timeout factor 20 the lane's bound passes the watchdog, but each
+  // iteration the check runs takes a whole worstCycles off its budget for a
+  // few cycles of its own: it stops at a block end well inside the loop,
+  // where its cycles plus the budget left first fit under the watchdog.
+  const HotLoop c;
+  const FaultPlan plan{{{c.ordinal(c.storeBase), 0, 6}}};
+  const std::vector<LaneVerdict> verdicts =
+      lanesAgainstRuns(*c.decoded, c.golden, {plan}, 20, "hot loop");
+  ASSERT_EQ(verdicts.size(), 1u);
+  const LaneVerdict& lane = verdicts[0];
+  EXPECT_EQ(lane.end, LaneEnd::kFallbackTiming);
+  EXPECT_EQ(lane.reached, LaneEnd::kHalted);
+  EXPECT_TRUE(lane.safe);
+  // More than ten iterations in, and more than ten before the loop's end.
+  const std::uint64_t loopOps =
+      c.program.function(0).block(c.counter.block).insns().size();
+  EXPECT_GT(lane.rerun.stats.dynamicInsns, lane.injectedAt + 10 * loopOps);
+  EXPECT_LT(lane.rerun.stats.dynamicInsns + 10 * loopOps, lane.dynamicInsns);
+  expectCampaignMatchesFull(c, 20);
+}
+
+// Loads `table + step * i` for 100 iterations.  Golden's step is 0, so
+// every load after the first hits one L1 line; bit 6 of the step sends
+// each of the lane's loads to a line it never touched, a miss at every
+// level, and at timeout factor 1 the lane really times out.
+struct StrideLoop : Crafted {
+  DefSite step;
+
+  StrideLoop() {
+    const std::uint64_t out = program.allocateGlobal("output", 8);
+    const std::uint64_t table = program.allocateGlobal("table", 8192);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& loop = b.createBlock("loop");
+    ir::BasicBlock& done = b.createBlock("done");
+    b.setBlock(entry);
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    const Reg p = b.movImm(static_cast<std::int64_t>(table));
+    step = nextSite(b);
+    const Reg stride = b.movImm(0);
+    const Reg acc = b.movImm(0);
+    const Reg i = b.movImm(0);
+    b.br(loop);
+    b.setBlock(loop);
+    b.binaryTo(Opcode::kAdd, acc, acc, b.load(p, 0));
+    b.binaryTo(Opcode::kAdd, p, p, stride);
+    b.addImmTo(i, i, 1);
+    b.brCond(b.cmpLtImm(i, 100), loop, done);
+    b.setBlock(done);
+    b.store(outBase, 0, acc);
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, ATimingCheckThatTimesOutReportsTheTimeout) {
+  // The lane halts with golden's output in lockstep, but its cycles pass
+  // the watchdog inside the loop: its check never reaches a safe point and
+  // times out exactly where the whole run does.
+  const StrideLoop c;
+  const FaultPlan plan{{{c.ordinal(c.step), 0, 6}}};
+  const std::vector<LaneVerdict> verdicts =
+      lanesAgainstRuns(*c.decoded, c.golden, {plan}, 1, "stride loop");
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].end, LaneEnd::kFallbackTiming);
+  EXPECT_EQ(verdicts[0].reached, LaneEnd::kHalted);
+  EXPECT_FALSE(verdicts[0].safe);
+  EXPECT_EQ(verdicts[0].rerun.exit, ExitKind::kTimeout);
+  expectCampaignMatchesFull(c, 1);
+}
+
+// A flipped address register leaves golden's line in the entry block,
+// which warms the table's line; the next block calls a callee that chases
+// three dependent loads through that line (three bundles that hit, each
+// with a worst case of a memory access) and then checks the register
+// against its shadow.
+struct CallThenCheck : Crafted {
+  DefSite address;
+
+  CallThenCheck() {
+    const std::uint64_t out = program.allocateGlobal("output", 8);
+    const std::uint64_t table = program.allocateGlobal("table", 64);
+    const std::uint64_t scratch = program.allocateGlobal("scratch", 128);
+    ir::Function& chase = program.addFunction("chase");
+    {
+      const Reg p = chase.newReg(RegClass::kGp);
+      chase.params() = {p};
+      chase.returnClasses() = {RegClass::kGp};
+      IrBuilder b(chase);
+      b.setBlock(b.createBlock("body"));
+      const Reg a = b.load(p, 0);
+      const Reg q = b.add(p, a);
+      const Reg d = b.load(q, 0);
+      b.ret({b.load(b.add(q, d), 0)});
+    }
+    ir::Function& main = program.addFunction("main");
+    program.setEntryFunction(main.id());
+    IrBuilder b(main);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& call = b.createBlock("call");
+    b.setBlock(entry);
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    const Reg tableBase = b.movImm(static_cast<std::int64_t>(table));
+    const Reg warm = b.load(tableBase, 0);
+    address = nextSite(b);
+    const Reg x = b.movImm(static_cast<std::int64_t>(scratch));
+    const Reg shadow = b.movImm(static_cast<std::int64_t>(scratch));
+    const Reg y = b.load(x, 0);
+    b.br(call);
+    b.setBlock(call);
+    const Reg r = b.call(chase, {tableBase})[0];
+    b.emit(Opcode::kCheckG, {}, {x, shadow}).origin = ir::InsnOrigin::kCheck;
+    b.store(outBase, 0, b.add(b.add(r, y), warm));
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, ATimingCheckEndsWithItsLaneBeforeAnySafePoint) {
+  // At timeout factor 1 the lane's budget, the entry block and the
+  // callee's worst cases, passes the watchdog; at the entry block's end
+  // the callee's worst case alone still does, and the callee's block ends
+  // in a return, which has no watchdog test.  So the check runs into the
+  // lane's detection in the next block and reports it as a whole run.
+  const CallThenCheck c;
+  const FaultPlan plan{{{c.ordinal(c.address), 0, 6}}};
+  const std::vector<LaneVerdict> verdicts =
+      lanesAgainstRuns(*c.decoded, c.golden, {plan}, 1, "call then check");
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].end, LaneEnd::kFallbackTiming);
+  EXPECT_EQ(verdicts[0].reached, LaneEnd::kDetected);
+  EXPECT_FALSE(verdicts[0].safe);
+  EXPECT_EQ(verdicts[0].rerun.exit, ExitKind::kDetected);
+  expectCampaignMatchesFull(c, 1);
+}
+
+TEST(LockstepTest, TimingChecksRollTheCheckpointForwardAndDisarm) {
+  // One window at timeout factor 2: a lane decided at the window's first
+  // ordinal, two timing lanes at later ordinals, and a control fallback
+  // after them.  The first check rolls the checkpoint forward to its
+  // ordinal; the second restores that checkpoint and rolls it on; the
+  // control fallback's re-run and the whole runs that follow on the same
+  // runner must not see a check still armed.
+  const HotLoop c;
+  const std::vector<FaultPlan> plans = {
+      {{{c.ordinal(c.first), 0, 2}}},
+      {{{c.ordinal(c.loopBase, 3), 0, 6}}},
+      {{{c.ordinal(c.loopBase, 60), 0, 6}}},
+      {{{c.ordinal(c.counter, 100), 0, 40}}},
+  };
+  const std::vector<LaneEnd> expected = {
+      LaneEnd::kHalted, LaneEnd::kFallbackTiming, LaneEnd::kFallbackTiming,
+      LaneEnd::kFallbackControl};
+  DecodedRunner runner(*c.decoded);
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::vector<LaneVerdict> verdicts = lanesAgainstRuns(
+        runner, c.golden, plans, 2, "pass " + std::to_string(pass));
+    ASSERT_EQ(verdicts.size(), plans.size());
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      EXPECT_EQ(verdicts[i].end, expected[i])
+          << "lane " << i << " ended as " << laneEndName(verdicts[i].end);
+    }
+    EXPECT_TRUE(verdicts[1].safe);
+    EXPECT_TRUE(verdicts[2].safe);
+  }
+  expectCampaignMatchesFull(c, 2);
 }
 
 // An entry function that returns instead of halting.  A flipped predicate
@@ -840,8 +1069,8 @@ struct MixedBatch : Crafted {
 };
 
 // Runs lanes 0..n-1 of `c` as one window and checks every lane against
-// the whole run of its plan on the reference engine: exit kind,
-// instruction count and output, or a fallback's re-run field for field.
+// the whole run of its plan on the reference engine
+// (expectLaneMatchesRun).
 std::vector<LaneVerdict> lanesAgainstReference(const MixedBatch& c,
                                                std::size_t n,
                                                const std::string& context) {
@@ -869,19 +1098,9 @@ std::vector<LaneVerdict> lanesAgainstReference(const MixedBatch& c,
     reference.faultPlan = &plans[k];
     const RunResult run =
         simulate(c.program, c.schedule, c.config, reference);
-    const std::string what = context + " lane " + std::to_string(k) + " (" +
-                             laneEndName(lane.end) + ")";
-    if (isFallback(lane.end)) {
-      testutil::expectIdentical(run, lane.rerun, what);
-      continue;
-    }
-    EXPECT_EQ(exitOf(lane.end), run.exit) << what;
-    EXPECT_EQ(lane.dynamicInsns, run.stats.dynamicInsns) << what;
-    if (run.exit == ExitKind::kHalted) {
-      EXPECT_EQ(lane.corrupt, run.output != golden.output ||
-                                  run.exitCode != golden.exitCode)
-          << what;
-    }
+    expectLaneMatchesRun(lane, run, golden,
+                         context + " lane " + std::to_string(k) + " (" +
+                             laneEndName(lane.end) + ")");
   }
   return verdicts;
 }
@@ -979,7 +1198,7 @@ TEST(LockstepTest, RandomProgramsWithMultiFlipPlansMatchWholeRuns) {
   // The engine differential test's random CFG programs, with and without
   // calls, under every scheme, with about three flips per plan.  The
   // reference engine is the oracle of the golden run and of every
-  // fallback's re-run, field for field, so the stream's and the re-runs'
+  // fallback (expectLaneMatchesRun), so the stream's and the re-runs'
   // timing are checked against the other engine too.
   const std::size_t seeds = testutil::testTrials(30);
   for (const bool calls : {false, true}) {
@@ -1014,10 +1233,10 @@ TEST(LockstepTest, RandomProgramsWithMultiFlipPlansMatchWholeRuns) {
         for (std::size_t i = 0; i < plans.size(); ++i) {
           if (isFallback(verdicts[i].end)) {
             reference.faultPlan = &plans[i];
-            testutil::expectIdentical(
+            expectLaneMatchesRun(
+                verdicts[i],
                 simulate(bin.program, bin.schedule, bin.machine, reference),
-                verdicts[i].rerun,
-                context + " reference lane " + std::to_string(i));
+                golden, context + " reference lane " + std::to_string(i));
           }
         }
 

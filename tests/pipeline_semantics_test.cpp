@@ -61,23 +61,31 @@ TEST(PipelineSemanticsTest, TransformedProgramsRoundTrip) {
 }
 
 TEST(PipelineSemanticsTest, SchemesPreserveFaultFreeResults) {
+  // With and without calls: the calling programs pass values of all three
+  // register classes to their callees and recurse, so error detection and
+  // the late opts work across call boundaries.
   const std::size_t seeds = testutil::testTrials(15);
-  for (std::size_t seed = 0; seed < seeds; ++seed) {
-    const ir::Program source = testutil::makeRandomCfgProgram(seed, 5, 9);
-    const arch::MachineConfig config = testutil::machine(2, 2);
-    const core::CompiledProgram noed =
-        core::compile(source, config, Scheme::kNoed);
-    const sim::RunResult baseline = core::run(noed);
-    ASSERT_EQ(baseline.exit, sim::ExitKind::kHalted) << "seed " << seed;
-    for (const Scheme scheme :
-         {Scheme::kSced, Scheme::kDced, Scheme::kCasted}) {
-      const core::CompiledProgram bin = core::compile(source, config, scheme);
-      const sim::RunResult result = core::run(bin);
-      const std::string label = std::string("seed ") + std::to_string(seed) +
-                                " " + passes::schemeName(scheme);
-      EXPECT_EQ(result.exit, sim::ExitKind::kHalted) << label;
-      EXPECT_EQ(result.exitCode, baseline.exitCode) << label;
-      EXPECT_EQ(result.output, baseline.output) << label;
+  for (const bool calls : {false, true}) {
+    for (std::size_t seed = 0; seed < seeds; ++seed) {
+      const ir::Program source =
+          testutil::makeRandomCfgProgram(seed, 5, 9, calls);
+      const arch::MachineConfig config = testutil::machine(2, 2);
+      const core::CompiledProgram noed =
+          core::compile(source, config, Scheme::kNoed);
+      const sim::RunResult baseline = core::run(noed);
+      const std::string program = std::string(calls ? "calling " : "") +
+                                  "seed " + std::to_string(seed);
+      ASSERT_EQ(baseline.exit, sim::ExitKind::kHalted) << program;
+      for (const Scheme scheme :
+           {Scheme::kSced, Scheme::kDced, Scheme::kCasted}) {
+        const core::CompiledProgram bin =
+            core::compile(source, config, scheme);
+        const sim::RunResult result = core::run(bin);
+        const std::string label = program + " " + passes::schemeName(scheme);
+        EXPECT_EQ(result.exit, sim::ExitKind::kHalted) << label;
+        EXPECT_EQ(result.exitCode, baseline.exitCode) << label;
+        EXPECT_EQ(result.output, baseline.output) << label;
+      }
     }
   }
 }

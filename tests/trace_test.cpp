@@ -320,7 +320,8 @@ std::int64_t lockstepFallbacks(
 }
 
 // Per fallback reason, the outcome counters of the re-runs sum to the
-// reason's fallbacks, and the windows' prefixes lie inside their streams.
+// reason's fallbacks; a timing check stops at its safe point or times out,
+// not both; and the windows' prefixes lie inside their streams.
 void expectFallbackOutcomesAndPrefix(const std::string& prefix) {
   for (const char* reason : {"control", "timing"}) {
     std::int64_t outcomes = 0;
@@ -332,6 +333,10 @@ void expectFallbackOutcomesAndPrefix(const std::string& prefix) {
     EXPECT_EQ(outcomes, trace::counterValue(prefix + "fallback." + reason))
         << prefix << reason;
   }
+  EXPECT_LE(trace::counterValue(prefix + "timing_safe") +
+                trace::counterValue(prefix + "fallback_outcome.timing.timeout"),
+            trace::counterValue(prefix + "fallback.timing"))
+      << prefix;
   EXPECT_GT(trace::counterValue(prefix + "prefix_insns"), 0) << prefix;
   EXPECT_LE(trace::counterValue(prefix + "prefix_insns"),
             trace::counterValue(prefix + "stream_insns"))
