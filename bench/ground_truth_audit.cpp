@@ -202,11 +202,11 @@ int main(int argc, char** argv) {
       "the static analysis cannot prove protected — every site outside that\n"
       "set contributes zero to exact-sdc by the soundness contract.\n"
       "The timing table compares full re-execution per site against\n"
-      "lockstep windows (one per def, fallbacks from a golden-prefix\n"
+      "lockstep windows (%llu defs each, fallbacks from a golden-prefix\n"
       "checkpoint); 'identical' certifies the two reports are equal field\n"
       "for field.  The audit exits non-zero when they differ, when in99\n"
       "reads NO, or when a scheme without lint gaps has nonzero exact-sdc.\n",
-      trials);
+      trials, static_cast<unsigned long long>(fault::kOrdinalsPerWindow));
   writeJson(jsonPath, wl.name, scale, threads, rows);
 
   // Export the trace session (active only under CASTED_TRACE or an explicit

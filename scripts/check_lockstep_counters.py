@@ -16,8 +16,11 @@ counters are checked ("campaign" or "exhaustive").  For every trace:
     so do the lane ops split by the opcode of their step
     (lane_ops.op.<mnemonic>); no lane step (a golden op that evaluated
     some lane) is without one;
+  * every window ran one golden stream, and one more for each stream that
+    deferred plans to a later one: windows <= streams <= windows +
+    deferred;
   * the golden streams ran instructions, and the part of them before each
-    window's first flip (prefix_insns) is at most all of them;
+    stream's first flip (prefix_insns) is at most all of them;
   * per fallback reason, the re-runs' outcome counters sum to the reason's
     fallbacks;
   * no timing check both stopped at its safe point (timing_safe) and timed
@@ -73,6 +76,14 @@ def check(trace, driver, lanes_expected, sites_per_lane):
     assert by_opcode == lane_ops, ('by opcode', by_opcode, lane_ops)
     lane_steps = counters[prefix + 'lane_steps']
     assert lane_steps <= lane_ops, (lane_steps, lane_ops)
+
+    for name in ('windows', 'streams', 'deferred'):
+        assert prefix + name in counters, f'missing {name} counter'
+    windows = counters[prefix + 'windows']
+    streams = counters[prefix + 'streams']
+    deferred = counters[prefix + 'deferred']
+    assert windows <= streams <= windows + deferred, (
+        'streams', windows, streams, deferred)
 
     stream = counters.get(prefix + 'stream_insns', 0)
     assert stream > 0, 'missing golden-stream instructions'

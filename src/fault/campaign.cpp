@@ -104,9 +104,9 @@ CoverageReport runCampaign(const ir::Program& program,
   // Every trial's plan is derived up front from (seed, trialIndex) alone, so
   // a trial's outcome does not depend on which worker runs it or when.  The
   // plans are visited in (injection ordinal, trialIndex) order, so that a
-  // window holds nearby ordinals: its golden stream runs the prefix up to
-  // the window's first flip on the plain interpreter, and its fallbacks
-  // roll one checkpoint forward over a short range.
+  // window holds consecutive ordinals: its golden stream runs the prefix up
+  // to the window's first flip on the plain interpreter, and its fallbacks
+  // roll one checkpoint forward through the window's range.
   std::vector<sim::FaultPlan> plans(options.trials);
   for (std::uint32_t trial = 0; trial < options.trials; ++trial) {
     Rng trialRng(deriveStreamSeed(options.seed, trial));
@@ -118,12 +118,13 @@ CoverageReport runCampaign(const ir::Program& program,
                      return a.points[0].ordinal < b.points[0].ordinal;
                    });
 
-  // Workers claim windows of consecutive plans: each window is decided by
-  // one lockstep golden stream in checkpointed mode (DESIGN.md §10), so
-  // windows may be as large as the lanes allow.  A verdict depends on its
-  // plan alone, never on its window.
+  // Each worker claims one window of consecutive plans, its whole share:
+  // in checkpointed mode a window is decided by as few lockstep golden
+  // streams as the lane slots allow (DESIGN.md §10), one when no more than
+  // kMaxLanes of its lanes are live at once.  A verdict depends on its plan
+  // alone, never on its window.
   const std::vector<CoverageReport> partial = loop.run(
-      plans.size(), sim::DecodedRunner::kMaxLanes, "trials", CoverageReport{},
+      plans.size(), ~std::uint64_t{0}, "trials", CoverageReport{},
       [&](CoverageReport& part, std::uint64_t first, std::uint64_t last,
           detail::SiteExecutor& executor) {
         std::vector<detail::TrialVerdict> verdicts;

@@ -232,8 +232,8 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   for (const sim::FaultPlan& plan : window) {
     lanePlans_.push_back(&plan);
   }
-  const sim::LockstepStream stream =
-      runner_->runLockstep(options_, lanePlans_, laneVerdicts_);
+  const sim::LockstepStream stream = runner_->runLockstep(
+      options_, lanePlans_, laneVerdicts_, golden.result.stats.dynamicInsns);
   std::array<std::int64_t, sim::kLaneEndCount> ends = {};
   std::array<std::int64_t, sim::kLaneEndCount> laneOps = {};
   // Per fallback reason, the instructions the fallbacks ran past their
@@ -262,6 +262,10 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   if (trace::enabled()) {
     const std::string& prefix = lockstepCounters_;
     trace::counterAdd(prefix + "windows");
+    trace::counterAdd(prefix + "streams",
+                      static_cast<std::int64_t>(stream.streams));
+    trace::counterAdd(prefix + "deferred",
+                      static_cast<std::int64_t>(stream.deferred));
     trace::counterAdd(prefix + "lanes",
                       static_cast<std::int64_t>(window.size()));
     trace::counterAdd(prefix + "lane_ops",

@@ -57,9 +57,10 @@ struct TrialVerdict {
 // Each worker owns one executor, and it is exactly one of three strategies,
 // fixed at construction:
 //   * decoded engine, InjectionMode::kCheckpointed — the window runs as
-//     lockstep lanes of one golden stream (DecodedRunner::runLockstep),
-//     which also re-runs the lanes it cannot decide exactly from its
-//     golden-prefix checkpoint; the executor classifies each verdict;
+//     lockstep lanes of as few golden streams as the lane slots allow
+//     (DecodedRunner::runLockstep), which also re-runs the lanes it cannot
+//     decide exactly from their stream's golden-prefix checkpoint; the
+//     executor classifies each verdict;
 //   * decoded engine, InjectionMode::kFull — a whole DecodedRunner::run per
 //     plan;
 //   * reference engine (either mode) — a whole sim::simulate per plan.
@@ -72,8 +73,10 @@ class SiteExecutor {
   // `armedOptions` is the worker's ready-to-run configuration (watchdog
   // applied, faultPlan and defTrace null).  The lockstep lanes are counted
   // as "<lockstepCounters><name>", e.g. "fault.campaign.lockstep.lanes";
-  // "stream_insns" adds the golden streams' instructions, "prefix_insns"
-  // the part before each window's first flip, "fallback_insns.<reason>"
+  // "streams" counts the golden streams, "deferred" the plans moved to a
+  // later stream of their window, "stream_insns" adds the golden streams'
+  // instructions, "prefix_insns" the part before each stream's first flip,
+  // "fallback_insns.<reason>"
   // what those fallbacks ran past their injection point (a timing check
   // up to where it stopped), "fallback_outcome.<reason>.<outcome>" how
   // they ended, and "timing_safe" the timing checks that stopped at their
@@ -87,10 +90,10 @@ class SiteExecutor {
                const sim::SimOptions& armedOptions,
                std::string lockstepCounters);
 
-  // Decides every plan of `window` (in any order, at most
-  // sim::DecodedRunner::kMaxLanes plans; points[0] is each plan's injection
-  // point, later points fire downstream) into out[i], classified against
-  // `golden`.  No state carries over from one call to the next.
+  // Decides every plan of `window` (any number, in any order; points[0] is
+  // each plan's injection point, later points fire downstream) into
+  // out[i], classified against `golden`.  No state carries over from one
+  // call to the next.
   void runWindow(std::span<const sim::FaultPlan> window,
                  const GoldenProfile& golden, std::vector<TrialVerdict>& out);
 
@@ -138,7 +141,8 @@ class FaultSiteLoop {
   // [first, last) of consecutive items in [0, items) and returns the
   // per-worker accumulators, each started from `init`.  Chunks are as even
   // as possible, at most `maxChunk` items, and as few as lets every worker
-  // claim one (300 items, 1 worker, maxChunk 256: two chunks of 150).  Items
+  // claim one (300 items, no cap: one chunk of 300 on 1 worker, four of 75
+  // on 4; maxChunk 256 on 1 worker: two of 150).  Items
   // completed per worker are counted as "fault.<driver>.<unit>" and
   // "fault.<driver>.worker<w>.<unit>", and CASTED_PROGRESS=N prints a
   // heartbeat every N seconds.  Which worker ran which chunk varies from

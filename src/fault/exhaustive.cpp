@@ -153,33 +153,38 @@ GroundTruthReport enumerateFaultSpace(const ir::Program& program,
                       static_cast<std::int64_t>(totalSites));
   }
 
-  // The sites of one dynamic ordinal are one window of plans, decided
-  // together by the executor (DESIGN.md §10).  The plan IS the site — no
-  // randomness — so the merged result is independent of how ordinals are
-  // distributed over workers.
+  // The sites of kOrdinalsPerWindow consecutive dynamic ordinals are one
+  // window of plans, decided together by the executor (DESIGN.md §10).
+  // The plan IS the site — no randomness — so the merged result is
+  // independent of how ordinals are distributed over workers.
   static_assert(4 * 64 <= sim::DecodedRunner::kMaxLanes,
-                "every site of an ordinal (4 defs x 64 bits) fits one window");
+                "a stream takes every site (4 defs x 64 bits) of its first "
+                "ordinal");
   const std::vector<std::vector<Tally>> partial = loop.run(
-      defTrace.size(), 1, "ordinals", std::vector<Tally>(statics.size()),
-      [&](std::vector<Tally>& tallies, std::uint64_t ordinal, std::uint64_t,
+      defTrace.size(), kOrdinalsPerWindow, "ordinals",
+      std::vector<Tally>(statics.size()),
+      [&](std::vector<Tally>& tallies, std::uint64_t first, std::uint64_t last,
           detail::SiteExecutor& executor) {
-        const StaticSite& entry = statics[ordinalStatic[ordinal]];
-        Tally& tally = tallies[ordinalStatic[ordinal]];
         std::vector<sim::FaultPlan> window;
-        window.reserve(entry.sitesPerExecution);
-        for (std::uint32_t d = 0; d < entry.defCount; ++d) {
-          for (std::uint32_t bit = 0; bit < entry.bitsOf[d]; ++bit) {
-            window.push_back({{{ordinal, d, bit}}});
+        for (std::uint64_t ordinal = first; ordinal < last; ++ordinal) {
+          const StaticSite& entry = statics[ordinalStatic[ordinal]];
+          for (std::uint32_t d = 0; d < entry.defCount; ++d) {
+            for (std::uint32_t bit = 0; bit < entry.bitsOf[d]; ++bit) {
+              window.push_back({{{ordinal, d, bit}}});
+            }
           }
         }
         std::vector<detail::TrialVerdict> verdicts;
         executor.runWindow(window, golden, verdicts);
         for (std::size_t i = 0; i < window.size(); ++i) {
-          const std::uint32_t d = window[i].points[0].whichDef;
+          const sim::FaultPoint& point = window[i].points[0];
+          const std::uint32_t s = ordinalStatic[point.ordinal];
+          const StaticSite& entry = statics[s];
           const auto outcome = static_cast<int>(verdicts[i].outcome);
-          ++tally.counts[outcome];
-          tally.massUnits[outcome] +=
-              entry.defQuarters[d] * (entry.bitsOf[d] == 1 ? 64u : 1u);
+          ++tallies[s].counts[outcome];
+          tallies[s].massUnits[outcome] +=
+              entry.defQuarters[point.whichDef] *
+              (entry.bitsOf[point.whichDef] == 1 ? 64u : 1u);
         }
       });
 

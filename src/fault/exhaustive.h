@@ -43,6 +43,12 @@
 
 namespace casted::fault {
 
+// The consecutive dynamic def ordinals whose sites form one enumeration
+// window (EXPERIMENTS.md, "One golden stream per window"): more share one
+// golden stream's prefix, and a window whose lanes outlive the lane slots
+// defers its later ordinals to further streams.
+inline constexpr std::uint64_t kOrdinalsPerWindow = 64;
+
 struct ExhaustiveOptions {
   // Worker threads for the site loop.  0 = one per hardware thread.
   std::uint32_t threads = 1;
@@ -54,9 +60,10 @@ struct ExhaustiveOptions {
   // (throws) if the site space exceeds this.  0 = unlimited.
   std::uint64_t maxSites = 0;
   // Execution strategy for the faulty runs (see InjectionMode).  In
-  // kCheckpointed mode the (register x bit) sites of dynamic def d are one
-  // window of lockstep lanes, whose golden stream saves a checkpoint at d;
-  // the lanes that fall back re-run from it.
+  // kCheckpointed mode the (register x bit) sites of kOrdinalsPerWindow
+  // consecutive dynamic defs are one window of lockstep lanes, whose golden
+  // streams each save a checkpoint at their first flip; the lanes that fall
+  // back re-run from it.
   InjectionMode mode = InjectionMode::kCheckpointed;
   sim::SimOptions simOptions;
 };

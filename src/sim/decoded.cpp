@@ -204,7 +204,7 @@ enum class Flow : std::uint8_t {
   kDetected,   // a check fired
   kTrapped,    // a hardware trap; Impl::trap holds its kind
   kTimeout,    // the watchdog expired
-  kLanesDone,  // lockstep: every lane of the window is decided
+  kLanesDone,  // lockstep: every plan of the stream is decided or deferred
   kSafe,       // a timing check reached its safe point (rerunFallbacks)
 };
 
@@ -258,8 +258,8 @@ struct DecodedRunner::Impl {
   std::optional<std::uint32_t> exitSlot;
   TrapKind trap = TrapKind::kNone;
 
-  // The lockstep window the golden stream serves (runLanes).  While it is
-  // armed (exec<true>), its lanes take the fault-plan cursor's place:
+  // The lockstep lanes the golden stream serves (runLanes).  While they
+  // are armed (exec<true>), they take the fault-plan cursor's place:
   // nextFaultOrdinal is their next flip.
   Lanes lanes{{gpStack, fpStack, prStack, addrStack, memory, stats.cycles,
                options.maxCycles, prog}};
@@ -280,10 +280,10 @@ struct DecodedRunner::Impl {
   // finish() traces only what the run executed past them.
   RunStats traceFrom;
 
-  // runLanes scratch, reused for its allocations only: the window's
-  // checkpoint and its fallbacks in injection order.
-  ArchCheckpoint::Data windowCheckpoint;
-  std::vector<std::uint32_t> fallbacks;
+  // runLanes scratch, reused for its allocations only: the stream's plans
+  // in first-ordinal order, and its checkpoint.
+  std::vector<std::uint32_t> streamPlans;
+  ArchCheckpoint::Data streamCheckpoint;
 
   // The timing check of a `timing` fallback's re-run (rerunFallbacks).
   // While it is armed, each block charge takes the block's worstCycles off
@@ -495,6 +495,12 @@ struct DecodedRunner::Impl {
       return Flow::kPause;
     }
     finishDef<kLanes>(u, f.base, insns);
+    if constexpr (kLanes) {
+      // A flip may have decided or deferred the stream's last plan.
+      if (lanes.allDecided()) {
+        return Flow::kLanesDone;
+      }
+    }
     return Flow::kContinue;
   }
 
@@ -567,7 +573,7 @@ struct DecodedRunner::Impl {
   };
 
   // The core loop: executes frames.back() until the run ends, a runToDef
-  // pause ordinal is reached, or (kLanes) the lockstep window is decided.
+  // pause ordinal is reached, or (kLanes) the stream's plans are decided.
   // exec<false> is the plain interpreter every whole and stepwise run uses;
   // exec<true> is the lockstep golden stream, the same loop plus the lane
   // hooks, which compile away in exec<false>.
@@ -584,6 +590,12 @@ struct DecodedRunner::Impl {
     } insns{stats.dynamicInsns, stats.dynamicInsns};
     const DecodedReg* pool = prog.pool().data();
     while (true) {
+      if constexpr (kLanes) {
+        // A move or a pop may have decided the last lane (reconverged).
+        if (lanes.allDecided()) {
+          return Flow::kLanesDone;
+        }
+      }
       InterpFrame& f = frames.back();
       const DecodedFunction& fn = prog.functions()[f.func];
       const DecodedBlock& blk = fn.blocks[f.block];
@@ -832,89 +844,103 @@ struct DecodedRunner::Impl {
 
   LockstepStream runLanes(const SimOptions& opts,
                           const std::vector<const FaultPlan*>& plans,
-                          std::vector<LaneVerdict>& verdicts) {
-    CASTED_CHECK(plans.size() <= kMaxLanes)
-        << plans.size() << " lanes exceed the window of " << kMaxLanes;
-    begin(opts);
+                          std::vector<LaneVerdict>& verdicts,
+                          std::uint64_t goldenInsns) {
     // The fallbacks below drive the stepwise run; it ends with this call.
     struct EndStepwise {
       bool& mode;
       ~EndStepwise() { mode = false; }
     } endStepwise{stepMode};
     verdicts.assign(plans.size(), LaneVerdict{});
-    if (plans.empty()) {
-      return {};
+    streamPlans.resize(plans.size());
+    for (std::uint32_t i = 0; i < plans.size(); ++i) {
+      CASTED_CHECK(!plans[i]->points.empty()) << "empty fault plan";
+      streamPlans[i] = i;
     }
-    std::uint64_t first = kNoFault;
-    for (const FaultPlan* plan : plans) {
-      CASTED_CHECK(!plan->points.empty()) << "empty fault plan";
-      first = std::min(first, plan->points[0].ordinal);
+    std::stable_sort(streamPlans.begin(), streamPlans.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return plans[a]->points[0].ordinal <
+                              plans[b]->points[0].ordinal;
+                     });
+    LockstepStream total;
+    // Every stream arms at least its first plan, into a free slot.
+    while (!streamPlans.empty()) {
+      runStream(opts, plans, verdicts, goldenInsns, total);
+      streamPlans = lanes.deferred();
     }
-    // The prefix runs on the plain interpreter and pauses at the window's
+    return total;
+  }
+
+  // One golden stream over streamPlans, then its fallbacks' re-runs.
+  void runStream(const SimOptions& opts,
+                 const std::vector<const FaultPlan*>& plans,
+                 std::vector<LaneVerdict>& verdicts, std::uint64_t goldenInsns,
+                 LockstepStream& total) {
+    begin(opts);
+    const std::uint64_t first = plans[streamPlans[0]]->points[0].ordinal;
+    // The prefix runs on the plain interpreter and pauses at the stream's
     // first flip, where the fallbacks' checkpoint is saved before any lane
     // arms.  A first flip past the run's last def leaves no pause: every
-    // lane is then decided at the golden stream's end.
+    // plan is then decided at the golden stream's end.
     pauseAt = first;
     updateNextEvent();
     Flow flow = exec<false>();
     pauseAt = kNoFault;
-    LockstepStream stream;
-    stream.prefixInsns = stats.dynamicInsns;
-    lanes.begin(plans, verdicts);  // sizes the lane masks to the arenas
+    total.prefixInsns += stats.dynamicInsns;
+    lanes.begin(plans, streamPlans, verdicts, goldenInsns);
     if (flow == Flow::kPause) {
       pausedAtDef = true;
-      saveCheckpoint(windowCheckpoint);
+      saveCheckpoint(streamCheckpoint);
       // The paused def completes with the lanes armed, so their flips at
       // `first` apply there, and the stream goes on from it.
       nextFaultOrdinal = first;
       completePausedDef<true>();
-      flow = exec<true>();
+      flow = lanes.allDecided() ? Flow::kLanesDone : exec<true>();
     }
     CASTED_CHECK(flow != Flow::kTimeout)
         << "the golden stream timed out: the watchdog (" << opts.maxCycles
         << " cycles) must admit the fault-free run";
     if (flow == Flow::kHalted) {
+      CASTED_CHECK(stats.dynamicInsns == goldenInsns)
+          << "the golden stream ran " << stats.dynamicInsns
+          << " instructions, the golden run " << goldenInsns;
       lanes.finish(exitSlot, exitCode, stats.dynamicInsns);
     }
     CASTED_CHECK(flow != Flow::kDetected && flow != Flow::kTrapped &&
                  lanes.allDecided())
         << "the golden stream ended without deciding its lanes";
-    stream.insns = stats.dynamicInsns;
-    stream.laneSteps = lanes.laneSteps();
-    stream.laneOps = lanes.laneOpsByOpcode();
+    ++total.streams;
+    total.deferred += lanes.deferred().size();
+    total.insns += stats.dynamicInsns;
+    total.laneSteps += lanes.laneSteps();
+    for (std::size_t op = 0; op < total.laneOps.size(); ++op) {
+      total.laneOps[op] += lanes.laneOpsByOpcode()[op];
+    }
     rerunFallbacks(plans, verdicts);
-    return stream;
   }
 
-  // Re-runs the window's fallbacks from its checkpoint, in injection order
-  // (ties by index): each restores the checkpoint, rolls it forward when
-  // its plan injects later, and runs its suffix, a control fallback to its
-  // natural end and a timing fallback as a timing check with its budget.
+  // Re-runs the stream's fallbacks from its checkpoint, in injection order
+  // (streamPlans' order): each restores the checkpoint, rolls it forward
+  // when its plan injects later, and runs its suffix, a control fallback to
+  // its natural end and a timing fallback as a timing check with its
+  // budget.
   void rerunFallbacks(const std::vector<const FaultPlan*>& plans,
                       std::vector<LaneVerdict>& verdicts) {
-    fallbacks.clear();
-    for (std::uint32_t i = 0; i < plans.size(); ++i) {
-      if (isFallback(verdicts[i].end)) {
-        fallbacks.push_back(i);
+    for (const std::uint32_t i : streamPlans) {
+      LaneVerdict& v = verdicts[i];
+      if (!isFallback(v.end)) {
+        continue;  // decided, or deferred to the next stream
       }
-    }
-    std::stable_sort(fallbacks.begin(), fallbacks.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return plans[a]->points[0].ordinal <
-                              plans[b]->points[0].ordinal;
-                     });
-    for (const std::uint32_t i : fallbacks) {
       // Undo the stream, or whatever the previous suffix touched.
-      restoreCheckpoint(windowCheckpoint);
+      restoreCheckpoint(streamCheckpoint);
       const std::uint64_t target = plans[i]->points[0].ordinal;
       if (target != defOrdinal) {
         const bool paused = runToDef(target);
         CASTED_CHECK(paused) << "injection ordinal " << target
                              << " beyond the golden run";
-        saveCheckpoint(windowCheckpoint);
+        saveCheckpoint(streamCheckpoint);
       }
       injectAtPause(*plans[i]);
-      LaneVerdict& v = verdicts[i];
       if (v.end == LaneEnd::kFallbackTiming) {
         check = {true, false, v.budget};
       }
@@ -1055,8 +1081,8 @@ RunResult DecodedRunner::finish() {
 
 LockstepStream DecodedRunner::runLockstep(
     const SimOptions& options, const std::vector<const FaultPlan*>& plans,
-    std::vector<LaneVerdict>& verdicts) {
-  return impl_->runLanes(options, plans, verdicts);
+    std::vector<LaneVerdict>& verdicts, std::uint64_t goldenInsns) {
+  return impl_->runLanes(options, plans, verdicts, goldenInsns);
 }
 
 RunResult runDecoded(const DecodedProgram& program, const SimOptions& options) {

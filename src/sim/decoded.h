@@ -172,8 +172,8 @@ class ArchCheckpoint {
 };
 
 // How a lockstep lane ended (DecodedRunner::runLockstep).  The first four
-// are exact decisions; the fallbacks leave the plan to a re-run from the
-// window's golden-prefix checkpoint.  A lane never times out on golden's
+// are exact decisions; the fallbacks leave the plan to a re-run from its
+// stream's golden-prefix checkpoint.  A lane never times out on golden's
 // addresses, because the watchdog admits the golden run.  A timing
 // fallback's lane did reach an exact end; only the watchdog is open, and
 // its re-run is a timing check that answers just that.
@@ -193,12 +193,14 @@ inline bool isFallback(LaneEnd end) {
   return end >= LaneEnd::kFallbackControl;
 }
 
-// One lane's verdict.  For a decided lane, the faulty run of its plan would
+// One plan's verdict.  For a decided lane, the faulty run of its plan would
 // have ended as `end` says after exactly `dynamicInsns` instructions, with
 // an exit code or output different from the golden run's iff `corrupt`
-// (kHalted only; a reconverged lane ends as the golden run did).  A
-// control fallback's `dynamicInsns` is the stream's count when it gave up,
-// and `rerun` is its plan's faulty run, field for field the whole
+// (kHalted only; a reconverged lane ends as the golden run did, after
+// golden's instruction count, whether it was decided at golden's end or,
+// never having left golden's lines, where it reconverged).  A control
+// fallback's `dynamicInsns` is the stream's count when it gave up, and
+// `rerun` is its plan's faulty run, field for field the whole
 // run(options-with-plan).
 //
 // A timing fallback keeps the exact end it reached in `reached` (with
@@ -224,13 +226,16 @@ struct LaneVerdict {
 using OpcodeCounts =
     std::array<std::uint64_t, static_cast<std::size_t>(ir::Opcode::kOpcodeCount)>;
 
-// The golden instructions one lockstep window's stream ran: in all, and
-// before the window's first flip (the whole run when that flip lies past
-// the run's last def); its lane steps, the golden ops (a flagged op, or
-// a move of call arguments or returned values) that evaluated some lane;
-// and its lane ops by the opcode of their step (the steps' batch widths),
-// which sum to the lanes' LaneVerdict::laneOps.
+// The golden streams one runLockstep call ran, summed over them: the
+// streams and the plans deferred from one to the next; the golden
+// instructions in all, and before each stream's first flip (the whole run
+// when that flip lies past the run's last def); the lane steps, golden ops
+// (a flagged op, or a move of call arguments or returned values) that
+// evaluated some lane; and the lane ops by the opcode of their step (the
+// steps' batch widths), which sum to the lanes' LaneVerdict::laneOps.
 struct LockstepStream {
+  std::uint64_t streams = 0;
+  std::uint64_t deferred = 0;
   std::uint64_t insns = 0;
   std::uint64_t prefixInsns = 0;
   std::uint64_t laneSteps = 0;
@@ -319,21 +324,28 @@ class DecodedRunner {
 
   // ---- Lockstep lanes (DESIGN.md §10, "Lockstep lanes") ----
   //
-  // Decides up to kMaxLanes fault plans, in any order, against ONE golden
-  // stream: the fault-free run under `options` (faultPlan and defTrace
-  // null; maxCycles is the watchdog every plan runs under, and must admit
-  // the fault-free run: a golden stream that times out throws FatalError).
-  // The stream runs the prefix with the plain interpreter up to the
-  // window's first flip and saves a checkpoint there.  From there each
-  // plan is a lane that holds only its pending flips and the registers and
-  // aligned memory words where its values differ from the golden run's; an
-  // op costs lane work only when it reads a differing value, and the
-  // stream stops once every lane is decided.  verdicts[i] receives
-  // plans[i]'s verdict; a decided verdict matches a whole
-  // run(options-with-plan) in exit kind, instruction count and
-  // output/exit-code agreement.  The runner then re-runs each fallen-back
-  // lane from the checkpoint, in injection order (ties by index), rolling
-  // the checkpoint forward to a later ordinal first; a control fallback's
+  // Decides any number of fault plans, in any order, against as few golden
+  // streams as the lane slots allow: each stream is the fault-free run
+  // under `options` (faultPlan and defTrace null; maxCycles is the
+  // watchdog every plan runs under, and must admit the fault-free run: a
+  // golden stream that times out throws FatalError), and `goldenInsns` is
+  // that run's instruction count (GoldenProfile::result); a stream that
+  // reaches the end with another count throws FatalError.  A stream runs
+  // the prefix with the plain interpreter up to its first plan's first
+  // flip and saves a checkpoint there.  From there, in first-ordinal order
+  // (ties by index), each plan takes one of kMaxLanes lane slots at its
+  // first flip and frees it when decided; a plan that finds every slot
+  // taken is deferred to a further stream, which starts from reset.  A
+  // lane holds only its pending flips and the registers and aligned memory
+  // words where its values differ from the golden run's; an op costs lane
+  // work only when it reads a differing value, and a stream stops once
+  // every plan it holds is decided or deferred.  An undiverged lane that
+  // reconverges is decided where it does.  verdicts[i] receives plans[i]'s
+  // verdict; a decided verdict matches a whole run(options-with-plan) in
+  // exit kind, instruction count and output/exit-code agreement.  After
+  // each stream the runner re-runs that stream's fallen-back lanes from
+  // its checkpoint, in injection order (ties by index), rolling the
+  // checkpoint forward to a later ordinal first; a control fallback's
   // re-run runs to its natural end, a timing check at most that far (see
   // LaneVerdict), and each counts in sim.decoded.* what it ran past the
   // checkpoint it restored.  Ends the runner's stepwise run (begin() again
@@ -341,7 +353,8 @@ class DecodedRunner {
   static constexpr std::size_t kMaxLanes = 256;
   LockstepStream runLockstep(const SimOptions& options,
                              const std::vector<const FaultPlan*>& plans,
-                             std::vector<LaneVerdict>& verdicts);
+                             std::vector<LaneVerdict>& verdicts,
+                             std::uint64_t goldenInsns);
 
   // The decoded interpreter itself (decoded.cpp).
   struct Impl;

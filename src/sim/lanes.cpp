@@ -83,9 +83,10 @@ struct Lanes::Access {
 };
 
 void Lanes::begin(const std::vector<const FaultPlan*>& plans,
-                  std::vector<LaneVerdict>& out) {
+                  const std::vector<std::uint32_t>& order,
+                  std::vector<LaneVerdict>& out, std::uint64_t goldenInsns) {
   if (open_ != 0) {
-    // The last window was abandoned midway: its sets are not empty.
+    // The last stream was abandoned midway: its sets are not empty.
     for (std::uint32_t c = 0; c < 3; ++c) {
       std::fill(regIndex_[c].begin(), regIndex_[c].end(), 0);
     }
@@ -98,27 +99,27 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
     }
     memIndex_.clear();
     std::fill(memAny_.begin(), memAny_.end(), 0);
+    for (Lane& l : lanes_) {
+      l.keys.clear();
+    }
     diffs_ = 0;
   }
+  lanes_.resize(kMaxLanes);
+  plans_ = &plans;
+  order_ = &order;
+  pending_ = 0;
   verdicts_ = &out;
-  lanes_.resize(plans.size());
+  goldenInsns_ = goldenInsns;
+  laneOf_.assign(plans.size(), kNoLane);
+  deferred_.clear();
   events_.clear();
-  for (std::uint32_t i = 0; i < plans.size(); ++i) {
-    Lane& l = lanes_[i];  // keeps the allocation of `keys`
-    l.plan = plans[i];
-    l.cursor = 0;
-    l.diverged = false;
-    l.boundStart = 0;
-    l.worstBefore = 0;
-    l.worstAtFlip = 0;
-    l.keys.clear();
-    state_[i] = State::kDormant;
-    laneOps_[i] = 0;
-    injectedAt_[i] = 0;
-    events_.emplace_back(plans[i]->points[0].ordinal, i);
+  state_.fill(State::kFree);
+  // Slot 0 is taken first.
+  freeLanes_.resize(kMaxLanes);
+  for (std::uint32_t i = 0; i < kMaxLanes; ++i) {
+    freeLanes_[i] = static_cast<std::uint32_t>(kMaxLanes - 1 - i);
   }
-  std::make_heap(events_.begin(), events_.end(), std::greater<>());
-  open_ = plans.size();
+  open_ = order.size();
   worst_ = 0;
   laneSteps_ = 0;
   opLaneOps_.fill(0);
@@ -251,15 +252,17 @@ void Lanes::setBits(std::uint32_t lane, std::uint32_t cls, std::uint32_t at,
   }
 }
 
-// Ends a lane.  An exact decision of a lane whose address once differed
-// stands only if its cycle bound kept it under the watchdog until now;
-// otherwise the lane falls back as `timing`, keeping the end it reached
-// and its timing check's budget, the worstCycles of the blocks charged
-// since its first flip (on golden's path, which is the lane's).
+// Ends a lane: writes its verdict and frees its slot (dropLanes() tears
+// down whatever diffs it has left).  An exact decision of a lane whose
+// address once differed stands only if its cycle bound kept it under the
+// watchdog until now; otherwise the lane falls back as `timing`, keeping
+// the end it reached and its timing check's budget, the worstCycles of
+// the blocks charged since its first flip (on golden's path, which is the
+// lane's).
 void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
                    bool corrupt) {
   Lane& l = lanes_[lane];
-  LaneVerdict& v = (*verdicts_)[lane];
+  LaneVerdict& v = (*verdicts_)[l.index];
   v.end = end;
   if (!isFallback(end) && l.diverged &&
       l.boundStart + (worst_ - l.worstBefore) > golden_.maxCycles) {
@@ -271,22 +274,76 @@ void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
   v.dynamicInsns = insns;
   v.laneOps = laneOps_[lane];
   v.injectedAt = injectedAt_[lane];
-  for (const std::uint64_t k : l.keys) {
-    eraseValue(lane, static_cast<std::uint32_t>(k >> 32),
-               static_cast<std::uint32_t>(k));
-  }
-  diffs_ -= l.keys.size();
-  l.keys.clear();
-  state_[lane] = State::kDone;
+  // The slot is free for the next plan to flip.
+  state_[lane] = State::kFree;
+  laneOf_[l.index] = kNoLane;
+  freeLanes_.push_back(lane);
   --open_;
 }
 
+// Tears down every diff of the decided lanes in `dying`: each location
+// they differ at drops all of them in one pass over its packed values,
+// however many of them end together (the lanes a check fires for share
+// most of their locations).
+void Lanes::dropLanes(const LaneSet& dying) {
+  dying.forEach([&](std::uint32_t lane) {
+    std::vector<std::uint64_t>& keys = lanes_[lane].keys;
+    for (const std::uint64_t k : keys) {
+      const auto cls = static_cast<std::uint32_t>(k >> 32);
+      const auto at = static_cast<std::uint32_t>(k);
+      const std::uint32_t index = indexOf(cls, at);
+      if (index == 0) {
+        continue;  // an earlier lane's pass freed it
+      }
+      SlotDiffs& d = slots_[index - 1];
+      const LaneSet kept = d.lanes.minus(dying);
+      if (kept == d.lanes) {
+        continue;  // an earlier lane's pass dropped them here
+      }
+      if (!kept.any()) {
+        freeSlotDiffs(cls, at);
+        continue;
+      }
+      // Slide each run of kept values down over the dropped ones.
+      std::uint32_t out = 0;
+      std::uint32_t from = 0;
+      const auto slide = [&](std::uint32_t to) {
+        std::copy(d.values.begin() + from, d.values.begin() + to,
+                  d.values.begin() + out);
+        std::copy(d.keyPos.begin() + from, d.keyPos.begin() + to,
+                  d.keyPos.begin() + out);
+        out += to - from;
+      };
+      d.lanes.minus(kept).forEach([&](std::uint32_t gone) {
+        const std::uint32_t rank = d.lanes.rank(gone);
+        slide(rank);
+        from = rank + 1;
+      });
+      slide(static_cast<std::uint32_t>(d.values.size()));
+      d.values.resize(out);
+      d.keyPos.resize(out);
+      d.lanes = kept;
+    }
+    diffs_ -= keys.size();
+    keys.clear();
+  });
+}
+
 // A live lane whose diffs all died with no flip pending is the golden run
-// from here on; it waits for the stream's end, which decides it.
+// from here on.  If none of its accesses left golden's line, its cycles
+// were golden's all along and the watchdog admits golden, so it is decided
+// at once: benign, after golden's instruction count.  Otherwise its cycle
+// bound keeps growing until golden's end, which decides it.
 inline void Lanes::noteReconverged(std::uint32_t lane) {
-  if (state_[lane] == State::kLive && lanes_[lane].keys.empty() &&
-      lanes_[lane].cursor == lanes_[lane].plan->points.size()) {
+  const Lane& l = lanes_[lane];
+  if (state_[lane] != State::kLive || !l.keys.empty() ||
+      l.cursor != l.plan->points.size()) {
+    return;
+  }
+  if (l.diverged) {
     state_[lane] = State::kReconverged;
+  } else {
+    decide(lane, LaneEnd::kReconverged, goldenInsns_);  // no diffs to drop
   }
 }
 
@@ -457,6 +514,7 @@ bool Lanes::step(const MicroOp& u, std::uint32_t node,
     b.touched.forEach([&](std::uint32_t lane) {
       decide(lane, LaneEnd::kFallbackControl, insns);
     });
+    dropLanes(b.touched);
     return open_ == 0;
   }
   b.hasDef = u.defCount == 1 && u.op != Opcode::kCall;
@@ -488,6 +546,9 @@ bool Lanes::step(const MicroOp& u, std::uint32_t node,
     b.trapped.forEach([&](std::uint32_t lane) {
       decide(lane, LaneEnd::kException, insns);
     });
+    LaneSet ended = b.detected;
+    ended |= b.trapped;
+    dropLanes(ended);
   }
   if (b.hasDef) {
     writeDef(u.defClass, defSlot, b.differs, b.defs);
@@ -521,37 +582,70 @@ bool Lanes::step(const MicroOp& u, std::uint32_t node,
   return open_ == 0;
 }
 
+void Lanes::arm(std::uint32_t plan, std::uint64_t insns) {
+  const std::uint32_t lane = freeLanes_.back();
+  freeLanes_.pop_back();
+  Lane& l = lanes_[lane];  // keeps the allocation of `keys`, left empty
+  l.plan = (*plans_)[plan];
+  l.index = plan;
+  l.cursor = 0;
+  l.diverged = false;
+  l.boundStart = 0;
+  l.worstBefore = 0;
+  l.worstAtFlip = worst_;
+  state_[lane] = State::kLive;
+  laneOps_[lane] = 0;
+  injectedAt_[lane] = insns;
+  laneOf_[plan] = lane;
+}
+
+void Lanes::flip(std::uint32_t lane, const MicroOp& u, const FrameBase& base) {
+  Lane& l = lanes_[lane];
+  const FaultPoint& point = l.plan->points[l.cursor++];
+  if (l.cursor < l.plan->points.size()) {
+    events_.emplace_back(l.plan->points[l.cursor].ordinal, l.index);
+    std::push_heap(events_.begin(), events_.end(), std::greater<>());
+  }
+  const DecodedReg target = faultTarget(u, point, golden_.prog.pool().data());
+  const std::uint32_t slot = slotBase(base, target.cls) + target.slot;
+  const std::uint64_t golden = goldenBits(target.cls, slot);
+  setBits(lane, target.cls, slot,
+          flipBits(target.cls, laneBits(lane, target.cls, slot, golden),
+                   point.bit),
+          golden);
+  noteReconverged(lane);
+}
+
+// The plans whose first flip is here take free slots, in first-ordinal
+// order, or are deferred; then every armed lane with a flip here flips.
 std::uint64_t Lanes::onDef(const MicroOp& u, const FrameBase& base,
                            std::uint64_t ordinal, std::uint64_t insns) {
-  while (!events_.empty() && events_.front().first == ordinal) {
-    const std::uint32_t lane = events_.front().second;
-    std::pop_heap(events_.begin(), events_.end(), std::greater<>());
-    events_.pop_back();
-    Lane& l = lanes_[lane];
-    const FaultPoint& point = l.plan->points[l.cursor++];
-    if (state_[lane] == State::kDone) {
+  const auto firstOrdinal = [&](std::size_t at) {
+    return (*plans_)[(*order_)[at]]->points[0].ordinal;
+  };
+  for (; pending_ < order_->size() && firstOrdinal(pending_) == ordinal;
+       ++pending_) {
+    const std::uint32_t plan = (*order_)[pending_];
+    if (freeLanes_.empty()) {
+      deferred_.push_back(plan);
+      --open_;
       continue;
     }
-    if (state_[lane] == State::kDormant) {
-      state_[lane] = State::kLive;
-      injectedAt_[lane] = insns;
-      l.worstAtFlip = worst_;
-    }
-    if (l.cursor < l.plan->points.size()) {
-      events_.emplace_back(l.plan->points[l.cursor].ordinal, lane);
-      std::push_heap(events_.begin(), events_.end(), std::greater<>());
-    }
-    const DecodedReg target =
-        faultTarget(u, point, golden_.prog.pool().data());
-    const std::uint32_t slot = slotBase(base, target.cls) + target.slot;
-    const std::uint64_t golden = goldenBits(target.cls, slot);
-    setBits(lane, target.cls, slot,
-            flipBits(target.cls, laneBits(lane, target.cls, slot, golden),
-                     point.bit),
-            golden);
-    noteReconverged(lane);
+    arm(plan, insns);
+    events_.emplace_back(ordinal, plan);
+    std::push_heap(events_.begin(), events_.end(), std::greater<>());
   }
-  return events_.empty() ? kNoFault : events_.front().first;
+  while (!events_.empty() && events_.front().first == ordinal) {
+    const std::uint32_t lane = laneOf_[events_.front().second];
+    std::pop_heap(events_.begin(), events_.end(), std::greater<>());
+    events_.pop_back();
+    if (lane != kNoLane) {
+      flip(lane, u, base);
+    }
+  }
+  const std::uint64_t next = events_.empty() ? kNoFault : events_.front().first;
+  return pending_ < order_->size() ? std::min(next, firstOrdinal(pending_))
+                                   : next;
 }
 
 // A lane that differs at either end of a move takes its own value across.
@@ -613,10 +707,19 @@ void Lanes::finish(std::optional<std::uint32_t> exitSlot,
                    std::int64_t exitCode, std::uint64_t insns) {
   const std::uint64_t begin = golden_.prog.outputAddress();
   const std::uint64_t end = begin + golden_.prog.outputSize();
-  for (std::uint32_t lane = 0; lane < lanes_.size(); ++lane) {
-    if (state_[lane] == State::kDone) {
+  // A plan whose first flip lies past the run's last def never flipped.
+  for (; pending_ < order_->size(); ++pending_) {
+    LaneVerdict& v = (*verdicts_)[(*order_)[pending_]];
+    v.end = LaneEnd::kHalted;
+    v.dynamicInsns = insns;
+    --open_;
+  }
+  LaneSet ended;
+  for (std::uint32_t lane = 0; lane < kMaxLanes; ++lane) {
+    if (state_[lane] == State::kFree) {
       continue;
     }
+    ended.set(lane);
     if (state_[lane] == State::kReconverged) {
       decide(lane, LaneEnd::kReconverged, insns);
       continue;
@@ -643,6 +746,7 @@ void Lanes::finish(std::optional<std::uint32_t> exitSlot,
     }
     decide(lane, LaneEnd::kHalted, insns, corrupt);
   }
+  dropLanes(ended);
 }
 
 }  // namespace casted::sim

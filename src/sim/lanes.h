@@ -1,10 +1,11 @@
 // The lockstep lanes (DESIGN.md §10): concurrent fault simulation (Ulrich &
-// Baker) of up to DecodedRunner::kMaxLanes fault plans over one golden
-// stream.  A lane holds only its pending flips and the locations (register
-// slots and aligned memory words) where its values differ from the golden
-// run's; the golden stream (the decoded interpreter's exec<true>,
-// decoded.cpp) raises the events below, and the lanes read golden's state
-// only through a GoldenView.
+// Baker) of fault plans over one golden stream, at most
+// DecodedRunner::kMaxLanes of them live at once.  A plan takes a lane slot
+// at its first flip and frees it when it is decided.  A lane holds only its
+// pending flips and the locations (register slots and aligned memory words)
+// where its values differ from the golden run's; the golden stream (the
+// decoded interpreter's exec<true>, decoded.cpp) raises the events below,
+// and the lanes read golden's state only through a GoldenView.
 //
 // Invariant: a live lane's architectural state is the golden stream's state
 // overlaid with its diffs: the locations whose SlotDiffs name it, register
@@ -120,7 +121,7 @@ struct LaneView {
   }
 };
 
-// A set of lanes of one window, one bit per lane.
+// A set of lane slots, one bit per slot.
 struct LaneSet {
   static constexpr std::size_t kWords = DecodedRunner::kMaxLanes / 64;
   std::uint64_t w[kWords] = {};
@@ -269,22 +270,31 @@ class WordMap {
   std::size_t size_ = 0;
 };
 
-// The lockstep state of one window (DecodedRunner::runLockstep): the lanes,
-// and the SlotDiffs of every location some lane differs at.  The golden
-// stream calls step() before each op the LaneView flags, and the other
-// events at defs (onDef), moves of call arguments and returned values
-// (onMove), frame pops (onPop), block charges (chargeBlock) and its end
-// (finish).  One Lanes lives as long as its interpreter and serves window
-// after window: a window ends with every lane decided and so every set
-// empty, and begin() keeps the allocations.
+// The lockstep state of one golden stream (DecodedRunner::runLockstep): the
+// lane slots, the stream's plans not yet armed, and the SlotDiffs of every
+// location some lane differs at.  The golden stream calls step() before
+// each op the LaneView flags, and the other events at defs (onDef), moves
+// of call arguments and returned values (onMove), frame pops (onPop), block
+// charges (chargeBlock) and its end (finish).  One Lanes lives as long as
+// its interpreter and serves stream after stream: a stream ends with every
+// plan decided or deferred and so every set empty, and begin() keeps the
+// allocations.
 class Lanes {
  public:
   explicit Lanes(const GoldenView& golden) : golden_(golden) {}
 
-  // Starts a window of `plans` on the golden run, whose frames the prefix
-  // left; verdicts to `out`.
+  // Starts a stream of plans[order[0]], plans[order[1]], ... (in
+  // first-ordinal order) on the golden run, whose frames the prefix left.
+  // Each plan takes a free slot at its first flip, or is deferred (see
+  // deferred()) when none is free; plans[i]'s verdict goes to out[i].
+  // `goldenInsns` is the golden run's instruction count: an undiverged
+  // lane that reconverges is decided with it at once.
   void begin(const std::vector<const FaultPlan*>& plans,
-             std::vector<LaneVerdict>& out);
+             const std::vector<std::uint32_t>& order,
+             std::vector<LaneVerdict>& out, std::uint64_t goldenInsns);
+  // The plans of this stream that found no free slot at their first flip,
+  // in first-ordinal order: a later stream decides them.
+  const std::vector<std::uint32_t>& deferred() const { return deferred_; }
 
   LaneView view(const FrameBase& base) const {
     return {{regIndex_[0].data() + base.gp, regIndex_[1].data() + base.fp,
@@ -305,10 +315,11 @@ class Lanes {
   }
 
   bool hasDiffs() const { return diffs_ != 0; }
+  // Every plan of the stream is decided or deferred.
   bool allDecided() const { return open_ == 0 && diffs_ == 0; }
-  // Golden ops (steps and moves) of this window that evaluated some lane.
+  // Golden ops (steps and moves) of this stream that evaluated some lane.
   std::uint64_t laneSteps() const { return laneSteps_; }
-  // This window's lane ops by the opcode of the golden op that evaluated
+  // This stream's lane ops by the opcode of the golden op that evaluated
   // them (a move counts under its kCall or kRet).
   const OpcodeCounts& laneOpsByOpcode() const { return opLaneOps_; }
 
@@ -336,7 +347,8 @@ class Lanes {
   }
   bool step(const MicroOp& u, std::uint32_t node, const FrameBase& base,
             std::uint64_t insns);
-  // Def ordinal `ordinal` is a flip of some lane; returns the next one.
+  // Def ordinal `ordinal` is a flip of some lane or the first flip of some
+  // plan; returns the next one.
   std::uint64_t onDef(const MicroOp& u, const FrameBase& base,
                       std::uint64_t ordinal, std::uint64_t insns);
   // Golden's op `op` (kCall or kRet) copied the registers listed at `from`
@@ -357,27 +369,30 @@ class Lanes {
   }
   void chargeBlock(const DecodedBlock& blk) { worst_ += blk.worstCycles; }
   // The golden run halted (exitSlot: the gp slot kHalt read its code from;
-  // none for an entry return): every open lane is decided.
+  // none for an entry return): every open lane is decided, and so is every
+  // plan whose first flip never came.
   void finish(std::optional<std::uint32_t> exitSlot, std::int64_t exitCode,
               std::uint64_t insns);
 
  private:
   static constexpr std::size_t kMaxLanes = DecodedRunner::kMaxLanes;
-  enum class State : std::uint8_t { kDormant, kLive, kReconverged, kDone };
+  static constexpr std::uint32_t kNoLane = ~0U;
+  enum class State : std::uint8_t { kFree, kLive, kReconverged };
 
   // What step() reads of a lane only when it is decided, flipped, diverges
   // or gains or loses a diff; the per-op counters are the structure of
-  // arrays below.
+  // arrays below.  arm() sets every field for the plan taking the slot.
   struct Lane {
     const FaultPlan* plan = nullptr;
-    std::size_t cursor = 0;  // next point of `plan` to fire
+    std::uint32_t index = 0;  // the plan's index: where its verdict goes
+    std::size_t cursor = 0;   // next point of `plan` to fire
     bool diverged = false;   // an access left golden's line: bound live
     std::uint64_t boundStart = 0;   // golden cycles at the first such access
     std::uint64_t worstBefore = 0;  // `worst_` at that point
     std::uint64_t worstAtFlip = 0;  // `worst_` at its first flip
     // The locations the lane differs at (key()), in no order: kept on a
     // diff's appearance and death only (a death swaps the back key into
-    // the hole), walked when the lane ends.
+    // the hole), walked when the lane ends (which empties it).
     std::vector<std::uint64_t> keys;
   };
 
@@ -469,8 +484,13 @@ class Lanes {
   }
   void setBits(std::uint32_t lane, std::uint32_t cls, std::uint32_t at,
                std::uint64_t bits, std::uint64_t golden);
+  // Gives plans[plan] a free slot at its first flip.
+  void arm(std::uint32_t plan, std::uint64_t insns);
+  // Applies `lane`'s next flip to the def of `u`.
+  void flip(std::uint32_t lane, const MicroOp& u, const FrameBase& base);
   void decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
               bool corrupt = false);
+  void dropLanes(const LaneSet& dying);
   // A lane's memory op accessed `address`.  Every level's line holds the
   // smallest one, so an access inside golden's smallest line (`goldenLine`,
   // golden's address >> lineShift) touches golden's line at every level;
@@ -489,13 +509,23 @@ class Lanes {
   void noteReconverged(std::uint32_t lane);
 
   const GoldenView golden_;
+  // By slot (begin() sizes lanes_): the lane, its state, lane ops and
+  // golden instructions at its first flip; the free slots.
   std::vector<Lane> lanes_;
-  // Per lane: its state, lane ops and golden instructions at its first
-  // flip.
   std::array<State, kMaxLanes> state_{};
   std::array<std::uint64_t, kMaxLanes> laneOps_{};
   std::array<std::uint64_t, kMaxLanes> injectedAt_{};
+  std::vector<std::uint32_t> freeLanes_;
+  // The stream's plans (begin()): plans_[order_[pending_]] is the next to
+  // take a slot; laneOf_ maps a plan's index to its slot (kNoLane while it
+  // has none: not armed yet, deferred or decided).
+  const std::vector<const FaultPlan*>* plans_ = nullptr;
+  const std::vector<std::uint32_t>* order_ = nullptr;
+  std::size_t pending_ = 0;
+  std::vector<std::uint32_t> laneOf_;
+  std::vector<std::uint32_t> deferred_;
   std::vector<LaneVerdict>* verdicts_ = nullptr;
+  std::uint64_t goldenInsns_ = 0;
   // By absolute arena slot: 0, or 1 + the index of the slot's SlotDiffs.
   std::vector<std::uint32_t> regIndex_[3];
   std::vector<SlotDiffs> slots_;
@@ -505,7 +535,8 @@ class Lanes {
   WordMap memIndex_;
   std::vector<std::uint64_t> memAny_;
   std::uint64_t memWords_ = 0;
-  // Pending flips as a min-heap on the ordinal: (ordinal, lane).
+  // The armed lanes' later flips as a min-heap on the ordinal: (ordinal,
+  // plan index); a decided plan's flips are dropped as they come up.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> events_;
   // step() scratch, reused from step to step: the batch, a store's
   // accesses, and the def's packed values (copied into the slot's).
@@ -522,7 +553,7 @@ class Lanes {
   std::uint64_t laneSteps_ = 0;
   OpcodeCounts opLaneOps_{};
   std::size_t diffs_ = 0;    // diffs over all lanes
-  std::size_t open_ = 0;     // lanes not yet decided
+  std::size_t open_ = 0;     // plans of the stream not decided or deferred
 };
 
 }  // namespace casted::sim

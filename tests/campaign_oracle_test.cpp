@@ -204,6 +204,50 @@ TEST(CampaignOracleTest, LockstepEqualsFullOnRandomProgramsThatCall) {
   }
 }
 
+TEST(CampaignOracleTest, LockstepEqualsFullWhenAWorkersShareExceedsTheSlots) {
+  // Each worker decides its whole share of the trials as one window: 900
+  // trials on one worker, 300 each on three, more than the
+  // sim::DecodedRunner::kMaxLanes lane slots either way.  Under NOED, a
+  // flip of the loop's sum holds its slot to the end, so plans defer to
+  // further streams of their window.  The checkpointed report on either
+  // engine, at one and at three workers, must equal the one-worker kFull
+  // oracle's.
+  const std::uint32_t trials = 900;
+  static_assert(trials / 3 > sim::DecodedRunner::kMaxLanes);
+  for (const Scheme scheme : {Scheme::kNoed, Scheme::kCasted}) {
+    const core::CompiledProgram bin = core::compile(
+        testutil::makeLoopProgram(200), testutil::machine(2, 1), scheme);
+    const CoverageReport full = runWith(bin, 1, sim::Engine::kDecoded, trials,
+                                        0x51075u, InjectionMode::kFull);
+    for (const sim::Engine engine :
+         {sim::Engine::kDecoded, sim::Engine::kReference}) {
+      for (const std::uint32_t threads : {1u, 3u}) {
+        const CoverageReport lockstep =
+            runWith(bin, threads, engine, trials, 0x51075u);
+        const std::string context = std::string(passes::schemeName(scheme)) +
+                                    " " + sim::engineName(engine) + " x" +
+                                    std::to_string(threads);
+        EXPECT_EQ(lockstep.counts, full.counts) << context;
+        EXPECT_EQ(lockstep.dynamicInsns, full.dynamicInsns) << context;
+      }
+    }
+    if (scheme != Scheme::kNoed) {
+      continue;
+    }
+    // One worker: one window, whose NOED lanes outlast the slots.
+    trace::resetForTest();
+    trace::enable("");
+    runWith(bin, 1, sim::Engine::kDecoded, trials, 0x51075u);
+    const std::string lockstep = "fault.campaign.lockstep.";
+    EXPECT_EQ(trace::counterValue(lockstep + "windows"), 1);
+    EXPECT_GT(trace::counterValue(lockstep + "deferred"), 0);
+    EXPECT_GT(trace::counterValue(lockstep + "streams"), 1);
+    EXPECT_LE(trace::counterValue(lockstep + "streams"),
+              1 + trace::counterValue(lockstep + "deferred"));
+    trace::resetForTest();
+  }
+}
+
 TEST(CampaignOracleTest, ReportBitIdenticalWithTracingOnAndOff) {
   // The trace subsystem's determinism contract (DESIGN.md §11): an active
   // session observes the campaign but never feeds back into it, so the
@@ -242,6 +286,12 @@ TEST(CampaignOracleTest, ReportBitIdenticalWithTracingOnAndOff) {
   EXPECT_EQ(trace::counterValue("fault.campaign.trials"),
             static_cast<std::int64_t>(trials) * 2);
   const std::string lockstep = "fault.campaign.lockstep.";
+  // Each of the two workers takes its share as one window: one stream
+  // each, and one more per stream that deferred plans.
+  EXPECT_EQ(trace::counterValue(lockstep + "windows"), 2);
+  EXPECT_GE(trace::counterValue(lockstep + "streams"), 2);
+  EXPECT_LE(trace::counterValue(lockstep + "streams"),
+            2 + trace::counterValue(lockstep + "deferred"));
   EXPECT_GT(trace::counterValue(lockstep + "prefix_insns"), 0);
   EXPECT_LE(trace::counterValue(lockstep + "prefix_insns"),
             trace::counterValue(lockstep + "stream_insns"));

@@ -30,6 +30,7 @@
 #include "passes/protection_lint.h"
 #include "support/check.h"
 #include "support/statistics.h"
+#include "support/trace.h"
 #include "test_util.h"
 
 namespace casted {
@@ -196,6 +197,75 @@ TEST(ExhaustiveGroundTruthTest, ThreadCountEngineAndModeAreInvariant) {
       EXPECT_EQ(baseline.perInsn[i].insn, other.perInsn[i].insn) << label;
     }
   }
+}
+
+// A loop that stores i * 3 + 7 to output word i, for i in [0, n): under
+// NOED a flip of the value or of the store's address is a diff in some
+// output word until the end.
+ir::Program makeStoreLoopProgram(std::int64_t n) {
+  ir::Program prog;
+  const std::uint64_t out = prog.allocateGlobal("output", 8 * n);
+  ir::Function& main = prog.addFunction("main");
+  ir::IrBuilder b(main);
+  ir::BasicBlock& entry = b.createBlock("entry");
+  ir::BasicBlock& loop = b.createBlock("loop");
+  ir::BasicBlock& done = b.createBlock("done");
+  b.setBlock(entry);
+  const ir::Reg base = b.movImm(static_cast<std::int64_t>(out));
+  const ir::Reg i = b.movImm(0);
+  b.br(loop);
+  b.setBlock(loop);
+  b.store(b.add(base, b.shlImm(i, 3)), 0, b.addImm(b.mulImm(i, 3), 7));
+  b.addImmTo(i, i, 1);
+  b.brCond(b.cmpLtImm(i, n), loop, done);
+  b.setBlock(done);
+  b.halt(b.movImm(0));
+  return prog;
+}
+
+TEST(ExhaustiveGroundTruthTest, MultiOrdinalWindowsMatchTheFullOracle) {
+  // Checkpointed enumeration decides the sites of up to
+  // fault::kOrdinalsPerWindow consecutive ordinals as one window.  Under
+  // NOED most of the store loop's lanes hold their slots to the end, so a
+  // window's later ordinals defer to further streams; the sum loop's lanes
+  // mostly fall back or reconverge.  Each report must equal the serial
+  // kFull oracle's, at one and at three workers.
+  const std::vector<Workload> programs = {
+      {"stores", makeStoreLoopProgram(48)},
+      {"loop64", testutil::makeLoopProgram(64)}};
+  for (const Workload& wl : programs) {
+    for (const passes::Scheme scheme :
+         {passes::Scheme::kNoed, passes::Scheme::kCasted}) {
+      const core::CompiledProgram bin = compileFor(wl.program, scheme);
+      const std::string label = wl.name + " " + passes::schemeName(scheme);
+      fault::ExhaustiveOptions options;
+      options.mode = fault::InjectionMode::kFull;
+      const fault::GroundTruthReport full = core::groundTruth(bin, options);
+      ASSERT_GT(full.defInsns, 2 * fault::kOrdinalsPerWindow) << label;
+      options.mode = fault::InjectionMode::kCheckpointed;
+      for (const std::uint32_t threads : {1u, 3u}) {
+        options.threads = threads;
+        EXPECT_TRUE(full == core::groundTruth(bin, options))
+            << label << " x" << threads;
+      }
+    }
+  }
+  const core::CompiledProgram stores =
+      compileFor(programs[0].program, passes::Scheme::kNoed);
+  trace::resetForTest();
+  trace::enable("");
+  const fault::GroundTruthReport report =
+      core::groundTruth(stores, fault::ExhaustiveOptions{});
+  const std::string lockstep = "fault.exhaustive.lockstep.";
+  const std::int64_t windows = trace::counterValue(lockstep + "windows");
+  EXPECT_EQ(windows, static_cast<std::int64_t>(
+                         (report.defInsns + fault::kOrdinalsPerWindow - 1) /
+                         fault::kOrdinalsPerWindow));
+  EXPECT_GT(trace::counterValue(lockstep + "deferred"), 0);
+  EXPECT_GT(trace::counterValue(lockstep + "streams"), windows);
+  EXPECT_LE(trace::counterValue(lockstep + "streams"),
+            windows + trace::counterValue(lockstep + "deferred"));
+  trace::resetForTest();
 }
 
 // Contract 2: the lint's "protected"/"sphere-exit" verdicts are sound.

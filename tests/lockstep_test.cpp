@@ -107,23 +107,56 @@ void expectLaneMatchesRun(const LaneVerdict& lane, const RunResult& run,
   }
 }
 
-// Runs `plans` as the lanes of one golden stream on `runner` and checks
-// every lane against a whole run of its plan under the same watchdog (on
-// the same runner, which starts every run afresh).
-std::vector<LaneVerdict> lanesAgainstRuns(DecodedRunner& runner,
-                                          const RunResult& golden,
-                                          const std::vector<FaultPlan>& plans,
-                                          std::uint64_t timeoutFactor,
-                                          const std::string& context) {
+// Runs `plans` on `runner` as lockstep lanes under the watchdog at
+// `timeoutFactor` times golden's cycles, into `verdicts`; returns the
+// streams.  The lane ops of the verdicts must sum to the streams' (a slot
+// that kept its last lane's count would add it to the next lane's).
+LockstepStream runWindow(DecodedRunner& runner, const RunResult& golden,
+                         const std::vector<FaultPlan>& plans,
+                         std::uint64_t timeoutFactor,
+                         std::vector<LaneVerdict>& verdicts,
+                         const std::string& context) {
   SimOptions options;
   options.maxCycles = golden.stats.cycles * timeoutFactor;
   std::vector<const FaultPlan*> lanes;
   for (const FaultPlan& plan : plans) {
     lanes.push_back(&plan);
   }
-  std::vector<LaneVerdict> verdicts;
-  runner.runLockstep(options, lanes, verdicts);
+  const LockstepStream stream = runner.runLockstep(
+      options, lanes, verdicts, golden.stats.dynamicInsns);
   EXPECT_EQ(verdicts.size(), plans.size()) << context;
+  std::uint64_t laneOps = 0;
+  for (const LaneVerdict& lane : verdicts) {
+    laneOps += lane.laneOps;
+  }
+  std::uint64_t streamOps = 0;
+  for (const std::uint64_t ops : stream.laneOps) {
+    streamOps += ops;
+  }
+  EXPECT_EQ(laneOps, streamOps) << context;
+  EXPECT_GE(stream.streams, plans.empty() ? 0u : 1u) << context;
+  EXPECT_LE(stream.streams, 1 + stream.deferred) << context;
+  return stream;
+}
+
+// Runs `plans` as lockstep lanes on `runner` and checks every lane against
+// a whole run of its plan under the same watchdog (on the same runner,
+// which starts every run afresh).  `stream`, when given, receives the
+// streams.
+std::vector<LaneVerdict> lanesAgainstRuns(DecodedRunner& runner,
+                                          const RunResult& golden,
+                                          const std::vector<FaultPlan>& plans,
+                                          std::uint64_t timeoutFactor,
+                                          const std::string& context,
+                                          LockstepStream* stream = nullptr) {
+  std::vector<LaneVerdict> verdicts;
+  const LockstepStream ran =
+      runWindow(runner, golden, plans, timeoutFactor, verdicts, context);
+  if (stream != nullptr) {
+    *stream = ran;
+  }
+  SimOptions options;
+  options.maxCycles = golden.stats.cycles * timeoutFactor;
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     const LaneVerdict& lane = verdicts[i];
     SimOptions whole = options;
@@ -141,9 +174,40 @@ std::vector<LaneVerdict> lanesAgainstRuns(const DecodedProgram& decoded,
                                           const RunResult& golden,
                                           const std::vector<FaultPlan>& plans,
                                           std::uint64_t timeoutFactor,
-                                          const std::string& context) {
+                                          const std::string& context,
+                                          LockstepStream* stream = nullptr) {
   DecodedRunner runner(decoded);
-  return lanesAgainstRuns(runner, golden, plans, timeoutFactor, context);
+  return lanesAgainstRuns(runner, golden, plans, timeoutFactor, context,
+                          stream);
+}
+
+// Runs `plans` as lockstep lanes of `c` at timeout factor 20 and checks
+// every lane against the whole run of its plan on the reference engine
+// (expectLaneMatchesRun).  `stream`, when given, receives the streams.
+std::vector<LaneVerdict> lanesAgainstReference(
+    const Crafted& c, const std::vector<FaultPlan>& plans,
+    const std::string& context, LockstepStream* stream = nullptr) {
+  DecodedRunner runner(*c.decoded);
+  std::vector<LaneVerdict> verdicts;
+  const LockstepStream ran =
+      runWindow(runner, c.golden, plans, 20, verdicts, context);
+  if (stream != nullptr) {
+    *stream = ran;
+  }
+  SimOptions reference;
+  reference.maxCycles = c.golden.stats.cycles * 20;
+  reference.engine = Engine::kReference;
+  const RunResult golden = simulate(c.program, c.schedule, c.config, reference);
+  testutil::expectIdentical(golden, c.golden, context + " golden");
+  for (std::size_t k = 0; k < verdicts.size(); ++k) {
+    const LaneVerdict& lane = verdicts[k];
+    reference.faultPlan = &plans[k];
+    const RunResult run = simulate(c.program, c.schedule, c.config, reference);
+    expectLaneMatchesRun(lane, run, golden,
+                         context + " lane " + std::to_string(k) + " (" +
+                             laneEndName(lane.end) + ")");
+  }
+  return verdicts;
 }
 
 // One plan as one lane: it must end as `expected` (and agree with its
@@ -384,7 +448,9 @@ TEST(LockstepTest, EveryFallbackAndTheGoldenTimeout) {
     // The lane's flip lies past the watchdog, so the stream runs into it.
     const FaultPlan plan{{{loop.ordinal(loop.counter, 290), 0, 1}}};
     std::vector<LaneVerdict> verdicts;
-    EXPECT_THROW(runner.runLockstep(options, {&plan}, verdicts), FatalError);
+    EXPECT_THROW(runner.runLockstep(options, {&plan}, verdicts,
+                                    loop.golden.stats.dynamicInsns),
+                 FatalError);
   }
   const core::CompiledProgram bin =
       core::compile(loop.program, loop.config, passes::Scheme::kNoed);
@@ -1068,9 +1134,7 @@ struct MixedBatch : Crafted {
   }
 };
 
-// Runs lanes 0..n-1 of `c` as one window and checks every lane against
-// the whole run of its plan on the reference engine
-// (expectLaneMatchesRun).
+// Runs lanes 0..n-1 of `c` as one window against the reference engine.
 std::vector<LaneVerdict> lanesAgainstReference(const MixedBatch& c,
                                                std::size_t n,
                                                const std::string& context) {
@@ -1078,31 +1142,7 @@ std::vector<LaneVerdict> lanesAgainstReference(const MixedBatch& c,
   for (std::size_t k = 0; k < n; ++k) {
     plans.push_back(c.plan(k));
   }
-  std::vector<const FaultPlan*> lanes;
-  for (const FaultPlan& plan : plans) {
-    lanes.push_back(&plan);
-  }
-  SimOptions options;
-  options.maxCycles = c.golden.stats.cycles * 20;
-  DecodedRunner runner(*c.decoded);
-  std::vector<LaneVerdict> verdicts;
-  runner.runLockstep(options, lanes, verdicts);
-  EXPECT_EQ(verdicts.size(), n) << context;
-  SimOptions reference = options;
-  reference.engine = Engine::kReference;
-  const RunResult golden =
-      simulate(c.program, c.schedule, c.config, reference);
-  testutil::expectIdentical(golden, c.golden, context + " golden");
-  for (std::size_t k = 0; k < verdicts.size(); ++k) {
-    const LaneVerdict& lane = verdicts[k];
-    reference.faultPlan = &plans[k];
-    const RunResult run =
-        simulate(c.program, c.schedule, c.config, reference);
-    expectLaneMatchesRun(lane, run, golden,
-                         context + " lane " + std::to_string(k) + " (" +
-                             laneEndName(lane.end) + ")");
-  }
-  return verdicts;
+  return lanesAgainstReference(c, plans, context);
 }
 
 TEST(LockstepTest, MixedBatchesOfEveryKernelMatchTheReferenceEngine) {
@@ -1253,6 +1293,239 @@ TEST(LockstepTest, RandomProgramsWithMultiFlipPlansMatchWholeRuns) {
       }
     }
   }
+}
+
+// A loop that stores one value per iteration to its own output word: a
+// flip of any bit of `value` corrupts that word, so the lane lives to the
+// end (no check reads it).  Windows of these lanes fill every slot.
+struct OutputLoop : Crafted {
+  static constexpr std::int64_t kIterations = 128;
+  DefSite value;
+
+  OutputLoop() {
+    const std::uint64_t out = program.allocateGlobal("output", 8 * kIterations);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& loop = b.createBlock("loop");
+    ir::BasicBlock& done = b.createBlock("done");
+    b.setBlock(entry);
+    const Reg base = b.movImm(static_cast<std::int64_t>(out));
+    const Reg i = b.movImm(0);
+    b.br(loop);
+    b.setBlock(loop);
+    value = nextSite(b);
+    const Reg v = b.addImm(i, 1000);
+    b.store(b.add(base, b.shlImm(i, 3)), 0, v);
+    b.addImmTo(i, i, 1);
+    b.brCond(b.cmpLtImm(i, kIterations), loop, done);
+    b.setBlock(done);
+    b.halt(b.movImm(0));
+    finish();
+  }
+
+  // Plan k flips bit k % 61 of the value of iteration k / 8: eight plans
+  // per ordinal, all of them live to the end.
+  std::vector<FaultPlan> plans(std::size_t n) const {
+    std::vector<FaultPlan> out;
+    for (std::size_t k = 0; k < n; ++k) {
+      out.push_back({{{ordinal(value, k / 8), 0,
+                       static_cast<std::uint32_t>(k % 61)}}});
+    }
+    return out;
+  }
+};
+
+TEST(LockstepTest, PlansBeyondTheSlotsDeferToFurtherStreams) {
+  // Every lane holds its slot to the end, so a window of more than
+  // kMaxLanes plans fills the slots and defers the rest, in first-ordinal
+  // order, to a stream of its own from reset; each lane must still agree
+  // with its whole run on the reference engine, and its verdict must land
+  // at its plan's index, which is no longer its slot's.
+  const OutputLoop c;
+  for (const std::size_t n : {257u, 1000u}) {
+    const std::string context = "window of " + std::to_string(n);
+    // Handed over in reverse: a plan's index and its first-ordinal order
+    // disagree too.
+    std::vector<FaultPlan> plans = c.plans(n);
+    std::reverse(plans.begin(), plans.end());
+    LockstepStream stream;
+    const std::vector<LaneVerdict> verdicts =
+        lanesAgainstReference(c, plans, context, &stream);
+    const std::uint64_t streams =
+        (n + DecodedRunner::kMaxLanes - 1) / DecodedRunner::kMaxLanes;
+    EXPECT_EQ(stream.streams, streams) << context;
+    // The plans of stream s are deferred s times.
+    std::uint64_t deferred = 0;
+    for (std::uint64_t s = 1; s < streams; ++s) {
+      deferred += n - s * DecodedRunner::kMaxLanes;
+    }
+    EXPECT_EQ(stream.deferred, deferred) << context;
+    EXPECT_EQ(stream.insns, streams * c.golden.stats.dynamicInsns) << context;
+    for (std::size_t i = 0; i < verdicts.size(); ++i) {
+      EXPECT_EQ(verdicts[i].end, LaneEnd::kHalted) << context << " " << i;
+      EXPECT_TRUE(verdicts[i].corrupt) << context << " " << i;
+    }
+  }
+  expectCampaignMatchesFull(c, 20);
+}
+
+// A loop whose value is stored to its own output word and then checked
+// against a shadow, so a flipped value is detected with its word diff
+// still live; a dead value, masked and then redefined, whose lane
+// reconverges there.  The output words are summed
+// at the end, so a diff that outlived its lane would be read.
+struct CheckedLoop : Crafted {
+  static constexpr std::int64_t kIterations = 40;
+  DefSite value, dead;
+
+  CheckedLoop() {
+    const std::uint64_t out =
+        program.allocateGlobal("output", 8 * (kIterations + 2));
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& loop = b.createBlock("loop");
+    ir::BasicBlock& sum = b.createBlock("sum");
+    ir::BasicBlock& done = b.createBlock("done");
+    b.setBlock(entry);
+    const Reg base = b.movImm(static_cast<std::int64_t>(out));
+    const Reg i = b.movImm(0);
+    const Reg t = b.movImm(3);
+    b.br(loop);
+    b.setBlock(loop);
+    value = nextSite(b);
+    const Reg v = b.addImm(i, 1000);
+    const Reg shadow = b.addImm(i, 1000);
+    dead = nextSite(b);
+    b.movImmTo(t, 3);
+    b.store(base, 8 * kIterations, b.andImm(t, 0));
+    b.movImmTo(t, 5);
+    b.store(b.add(base, b.shlImm(i, 3)), 0, v);
+    b.emit(Opcode::kCheckG, {}, {v, shadow}).origin = ir::InsnOrigin::kCheck;
+    b.addImmTo(i, i, 1);
+    b.brCond(b.cmpLtImm(i, kIterations), loop, sum);
+    b.setBlock(sum);
+    const Reg k = b.movImm(0);
+    const Reg total = b.movImm(0);
+    b.br(done);
+    b.setBlock(done);
+    b.binaryTo(Opcode::kAdd, total, total,
+               b.load(b.add(base, b.shlImm(k, 3)), 0));
+    b.addImmTo(k, k, 1);
+    ir::BasicBlock& halt = b.createBlock("halt");
+    b.brCond(b.cmpLtImm(k, kIterations), done, halt);
+    b.setBlock(halt);
+    b.store(base, 8 * (kIterations + 1), total);
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, ADecidedLanesSlotServesALaterPlanInTheSameStream) {
+  // 320 plans, eight per iteration: six flips of the value, detected in
+  // the iteration with a word diff live, and two of the dead value, which
+  // reconverge at its redefinition.  Few lanes are live at once, so one
+  // stream takes every plan, the later ones in slots the earlier ones
+  // freed: nothing of a slot's last lane (its diffs, its lane ops) may
+  // reach the next.
+  const CheckedLoop c;
+  std::vector<FaultPlan> plans;
+  for (std::size_t iteration = 0; iteration < CheckedLoop::kIterations;
+       ++iteration) {
+    for (const std::uint32_t bit : {0u, 3u, 9u, 17u, 40u, 63u}) {
+      plans.push_back({{{c.ordinal(c.value, iteration), 0, bit}}});
+    }
+    for (const std::uint32_t bit : {1u, 33u}) {
+      plans.push_back({{{c.ordinal(c.dead, iteration), 0, bit}}});
+    }
+  }
+  ASSERT_GT(plans.size(), DecodedRunner::kMaxLanes);
+  LockstepStream stream;
+  const std::vector<LaneVerdict> verdicts =
+      lanesAgainstReference(c, plans, "checked loop", &stream);
+  EXPECT_EQ(stream.streams, 1u);
+  EXPECT_EQ(stream.deferred, 0u);
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(verdicts[i].end,
+              i % 8 < 6 ? LaneEnd::kDetected : LaneEnd::kReconverged)
+        << i;
+  }
+  // Each lane's lane ops are those it has alone.
+  DecodedRunner runner(*c.decoded);
+  for (const std::size_t i : {0u, 7u, 255u, 300u, 319u}) {
+    std::vector<LaneVerdict> alone;
+    runWindow(runner, c.golden, {plans[i]}, 20, alone, "alone");
+    EXPECT_EQ(verdicts[i].laneOps, alone[0].laneOps) << i;
+  }
+  expectCampaignMatchesFull(c, 20);
+}
+
+// Two flips that reconverge early in a run with a long tail: a dead value
+// that is masked and redefined, and a load base whose bit 6 sends the
+// lane's load to another line of a zeroed table (the loaded value is
+// golden's) before it is redefined.
+struct ReconvergesEarly : Crafted {
+  DefSite dead, loadBase;
+
+  ReconvergesEarly() {
+    const std::uint64_t out = program.allocateGlobal("output", 16);
+    const std::uint64_t table = program.allocateGlobal("table", 256);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& loop = b.createBlock("loop");
+    ir::BasicBlock& done = b.createBlock("done");
+    b.setBlock(entry);
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    dead = nextSite(b);
+    const Reg t = b.movImm(3);
+    b.store(outBase, 0, b.andImm(t, 0));
+    b.movImmTo(t, 5);
+    loadBase = nextSite(b);
+    const Reg p = b.movImm(static_cast<std::int64_t>(table));
+    b.store(outBase, 8, b.load(p, 0));
+    b.movImmTo(p, 0);
+    const Reg i = b.movImm(0);
+    b.br(loop);
+    b.setBlock(loop);
+    b.addImmTo(i, i, 1);
+    b.brCond(b.cmpLtImm(i, 200), loop, done);
+    b.setBlock(done);
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, AnUndivergedLaneIsDecidedWhereItReconverges) {
+  // The dead value's lane never left golden's lines: it is decided benign,
+  // with golden's instruction count, where it reconverges, and the stream
+  // stops there.  The load-base lane reconverges as early, but its address
+  // left golden's line, so its cycle bound waits for golden's end.
+  const ReconvergesEarly c;
+  const std::uint64_t goldenInsns = c.golden.stats.dynamicInsns;
+  LockstepStream stream;
+  const std::vector<LaneVerdict> early = lanesAgainstReference(
+      c, {{{{c.ordinal(c.dead), 0, 4}}}}, "dead value", &stream);
+  EXPECT_EQ(early[0].end, LaneEnd::kReconverged);
+  EXPECT_EQ(early[0].dynamicInsns, goldenInsns);
+  EXPECT_LT(stream.insns + 400, goldenInsns);
+
+  const std::vector<LaneVerdict> late = lanesAgainstReference(
+      c, {{{{c.ordinal(c.loadBase), 0, 6}}}}, "load base", &stream);
+  EXPECT_EQ(late[0].end, LaneEnd::kReconverged);
+  EXPECT_EQ(late[0].dynamicInsns, goldenInsns);
+  EXPECT_EQ(stream.insns, goldenInsns);
+  expectCampaignMatchesFull(c, 20);
+
+  // A golden instruction count other than the stream's is refused.
+  DecodedRunner runner(*c.decoded);
+  const FaultPlan plan{{{c.ordinal(c.loadBase), 0, 6}}};
+  std::vector<LaneVerdict> verdicts;
+  SimOptions options;
+  options.maxCycles = c.golden.stats.cycles * 20;
+  EXPECT_THROW(runner.runLockstep(options, {&plan}, verdicts, goldenInsns + 1),
+               FatalError);
 }
 
 }  // namespace

@@ -343,6 +343,16 @@ void expectFallbackOutcomesAndPrefix(const std::string& prefix) {
       << prefix;
 }
 
+// A window runs one golden stream, and one more for each stream that
+// deferred plans to a later one.
+void expectStreams(const std::string& prefix, std::int64_t windows) {
+  const std::int64_t streams = trace::counterValue(prefix + "streams");
+  EXPECT_EQ(trace::counterValue(prefix + "windows"), windows) << prefix;
+  EXPECT_GE(streams, windows) << prefix;
+  EXPECT_LE(streams, windows + trace::counterValue(prefix + "deferred"))
+      << prefix;
+}
+
 // The lane ops split by lane end sum to lane_ops, and so do the lane ops
 // split by opcode; each lane step (a golden op that evaluated some lane)
 // evaluated at least one lane op.
@@ -391,6 +401,7 @@ TEST_F(TraceTest, CheckpointedCampaignCountsEveryTrialRun) {
   EXPECT_EQ(trace::counterValue("sim.checkpoint.restores"),
             lockstepFallbacks());
   EXPECT_EQ(trace::counterValue("sim.decoded.runs"), 1 + lockstepFallbacks());
+  expectStreams("fault.campaign.lockstep.", 1);
   expectFallbackOutcomesAndPrefix("fault.campaign.lockstep.");
 }
 
@@ -436,7 +447,8 @@ TEST_F(TraceTest, LockstepLanesAreDecidedOrFallBackAndTracingOnlyObserves) {
   EXPECT_GT(trace::counterValue("fault.campaign.lockstep.fallback.control"),
             0);
   EXPECT_GT(trace::counterValue("fault.campaign.lockstep.lane_ops"), 0);
-  EXPECT_GE(trace::counterValue("fault.campaign.lockstep.windows"), 2);
+  // Each of the two workers takes its share, 60 trials, as one window.
+  expectStreams("fault.campaign.lockstep.", 2);
   expectFallbackOutcomesAndPrefix("fault.campaign.lockstep.");
   expectLaneOpsByEndAndSteps("fault.campaign.lockstep.");
 }
@@ -547,10 +559,11 @@ TEST_F(TraceTest, RestoreRewindsEachCacheSetAtMostOnce) {
 TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
   // The enumerator's counters come from the shared fault-site loop: every
   // ordinal is counted once, by the worker that claimed it.  In
-  // checkpointed mode each ordinal's sites are one lockstep window, counted
-  // under the enumerator's own prefix and never as campaign lanes.
+  // checkpointed mode the sites of up to kOrdinalsPerWindow consecutive
+  // ordinals are one lockstep window, counted under the enumerator's own
+  // prefix and never as campaign lanes; each worker claims one here.
   const core::CompiledProgram bin =
-      core::compile(testutil::makeLoopProgram(4), testutil::machine(2, 1),
+      core::compile(testutil::makeLoopProgram(40), testutil::machine(2, 1),
                     passes::Scheme::kCasted);
   for (const fault::InjectionMode mode :
        {fault::InjectionMode::kCheckpointed, fault::InjectionMode::kFull}) {
@@ -578,7 +591,12 @@ TEST_F(TraceTest, EnumerationCountsOrdinalsAndSitesPerWorker) {
     const std::int64_t lanes = trace::counterValue(lockstep + "lanes");
     if (mode == fault::InjectionMode::kCheckpointed) {
       EXPECT_EQ(lanes, static_cast<std::int64_t>(report.sites)) << label;
-      EXPECT_EQ(trace::counterValue(lockstep + "windows"), defInsns) << label;
+      const std::int64_t windows = trace::counterValue(lockstep + "windows");
+      const auto perWindow =
+          static_cast<std::int64_t>(fault::kOrdinalsPerWindow);
+      ASSERT_GE(defInsns, perWindow * options.threads) << label;
+      EXPECT_EQ(windows, (defInsns + perWindow - 1) / perWindow) << label;
+      expectStreams(lockstep, windows);
       EXPECT_EQ(lockstepDecided(lockstep) + lockstepFallbacks(lockstep), lanes)
           << label;
       expectFallbackOutcomesAndPrefix(lockstep);
@@ -619,6 +637,7 @@ TEST_F(TraceTest, LockstepCountsStreamAndFallbackInstructionsPerDriver) {
               trace::counterValue(prefix + "windows"))
         << driver;
     EXPECT_GT(trace::counterValue(prefix + "windows"), 0) << driver;
+    expectStreams(prefix, trace::counterValue(prefix + "windows"));
     for (const char* reason : {"control", "timing"}) {
       const std::int64_t fallbacks =
           trace::counterValue(prefix + "fallback." + reason);
@@ -636,18 +655,52 @@ TEST_F(TraceTest, LockstepCountsStreamAndFallbackInstructionsPerDriver) {
 
 TEST_F(TraceTest, DecodedCountersHoldOnlyExecutedInstructions) {
   // sim.decoded.* counts what each run executed: a fallback re-run restored
-  // from its window's checkpoint adds only its suffix, not the golden
-  // prefix it restored.  An enumeration window holds one ordinal, so no
-  // fallback rolls its checkpoint forward, and the counter is the golden
-  // run plus what the fallbacks ran past their injection point.
+  // from its stream's checkpoint adds only what it ran past that
+  // checkpoint, not the golden prefix it restored.  A window of one
+  // ordinal's sites rolls no checkpoint forward, so there the counter is
+  // exactly what the fallbacks ran past their injection point.
   const core::CompiledProgram bin =
       core::compile(testutil::makeLoopProgram(64), testutil::machine(2, 1),
                     passes::Scheme::kNoed);
-  const auto golden =
-      static_cast<std::int64_t>(core::run(bin).stats.dynamicInsns);
+  const sim::RunResult goldenRun = core::run(bin);
+  const auto golden = static_cast<std::int64_t>(goldenRun.stats.dynamicInsns);
+  trace::enable("");
+  sim::DecodedRunner runner(*bin.decoded);
+  sim::SimOptions armed;
+  armed.maxCycles = goldenRun.stats.cycles * 20;
+  std::int64_t fallbacks = 0;
+  std::int64_t pastInjection = 0;
+  for (std::uint64_t ordinal = 0; ordinal < goldenRun.stats.dynamicDefInsns;
+       ++ordinal) {
+    std::vector<sim::FaultPlan> plans;
+    for (std::uint32_t bit = 0; bit < 64; ++bit) {
+      plans.push_back({{{ordinal, 0, bit}}});
+    }
+    std::vector<const sim::FaultPlan*> lanes;
+    for (const sim::FaultPlan& plan : plans) {
+      lanes.push_back(&plan);
+    }
+    std::vector<sim::LaneVerdict> verdicts;
+    runner.runLockstep(armed, lanes, verdicts, goldenRun.stats.dynamicInsns);
+    for (const sim::LaneVerdict& lane : verdicts) {
+      if (sim::isFallback(lane.end)) {
+        ++fallbacks;
+        pastInjection += static_cast<std::int64_t>(
+            lane.rerun.stats.dynamicInsns - lane.injectedAt);
+      }
+    }
+  }
+  ASSERT_GT(fallbacks, 0);
+  EXPECT_EQ(trace::counterValue("sim.decoded.runs"), fallbacks);
+  EXPECT_EQ(trace::counterValue("sim.decoded.insns"), pastInjection);
+
+  // The enumerator's windows span several ordinals, so a fallback may roll
+  // its stream's checkpoint forward first: at most up to the stream's last
+  // fallback, which the stream ran past.
+  trace::resetForTest();
+  trace::enable("");
   fault::ExhaustiveOptions options;
   options.threads = 2;
-  trace::enable("");
   core::groundTruth(bin, options);
   const std::string prefix = "fault.exhaustive.lockstep.";
   std::int64_t fallbackInsns = 0;
@@ -657,7 +710,11 @@ TEST_F(TraceTest, DecodedCountersHoldOnlyExecutedInstructions) {
   ASSERT_GT(lockstepFallbacks(prefix), 0);
   EXPECT_EQ(trace::counterValue("sim.decoded.runs"),
             1 + lockstepFallbacks(prefix));
-  EXPECT_EQ(trace::counterValue("sim.decoded.insns"), golden + fallbackInsns);
+  const std::int64_t rolledForward =
+      trace::counterValue("sim.decoded.insns") - golden - fallbackInsns;
+  EXPECT_GE(rolledForward, 0);
+  EXPECT_LE(rolledForward, trace::counterValue(prefix + "stream_insns") -
+                               trace::counterValue(prefix + "prefix_insns"));
 }
 
 TEST_F(TraceTest, MemOpsCountsTheRunsMemoryOpsOnBothEngines) {
