@@ -3,7 +3,7 @@
 
 Usage:
   scripts/check_lockstep_counters.py TRACE DRIVER [--lanes N]
-                                     [--sites-per-lane K]
+                                     [--sites-per-lane K] [--max-timing N]
 
 TRACE is the JSON a traced binary wrote, DRIVER the fault driver whose
 counters are checked ("campaign" or "exhaustive").  For every trace:
@@ -24,11 +24,14 @@ counters are checked ("campaign" or "exhaustive").  For every trace:
   * per fallback reason, the re-runs' outcome counters sum to the reason's
     fallbacks;
   * no timing check both stopped at its safe point (timing_safe) and timed
-    out, so the two together are at most the timing fallbacks.
+    out, so the two together are at most the timing fallbacks;
+  * only a lane whose cycle bound went live (an access left golden's
+    line) falls back as timing: fallback.timing <= diverged <= lanes.
 
 --lanes N demands exactly N lanes; --sites-per-lane K demands
 K * lanes == fault.<DRIVER>.sites (an audit that enumerates every site
-once per injection mode, and only one mode as lanes, passes K = 2).
+once per injection mode, and only one mode as lanes, passes K = 2);
+--max-timing N demands at most N timing fallbacks.
 
 Exits non-zero, naming the failed check, when any check fails.
 """
@@ -43,7 +46,7 @@ ENDS = DECISIONS + REASONS
 OUTCOMES = ('benign', 'detected', 'exception', 'data-corrupt', 'timeout')
 
 
-def check(trace, driver, lanes_expected, sites_per_lane):
+def check(trace, driver, lanes_expected, sites_per_lane, max_timing):
     counters = trace['counters']
     prefix = f'fault.{driver}.lockstep.'
 
@@ -104,6 +107,12 @@ def check(trace, driver, lanes_expected, sites_per_lane):
     timing = counters.get(prefix + 'fallback.timing', 0)
     assert safe + timeouts <= timing, ('timing checks', safe, timeouts, timing)
 
+    assert prefix + 'diverged' in counters, 'missing diverged counter'
+    diverged = counters[prefix + 'diverged']
+    assert timing <= diverged <= lanes, ('diverged', timing, diverged, lanes)
+    if max_timing is not None:
+        assert timing <= max_timing, ('timing fallbacks', timing, max_timing)
+
 
 def main():
     parser = argparse.ArgumentParser(
@@ -112,11 +121,13 @@ def main():
     parser.add_argument('driver', choices=('campaign', 'exhaustive'))
     parser.add_argument('--lanes', type=int)
     parser.add_argument('--sites-per-lane', type=int)
+    parser.add_argument('--max-timing', type=int)
     args = parser.parse_args()
     with open(args.trace) as f:
         trace = json.load(f)
     try:
-        check(trace, args.driver, args.lanes, args.sites_per_lane)
+        check(trace, args.driver, args.lanes, args.sites_per_lane,
+              args.max_timing)
     except (AssertionError, KeyError) as error:
         sys.exit(f'{args.trace}: {args.driver} lockstep check failed: '
                  f'{error!r}')

@@ -243,11 +243,13 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   std::array<std::array<std::int64_t, kOutcomeCount>, sim::kLaneEndCount>
       fallbackOutcomes = {};
   std::int64_t timingSafe = 0;
+  std::int64_t diverged = 0;
   for (std::size_t i = 0; i < window.size(); ++i) {
     const sim::LaneVerdict& lane = laneVerdicts_[i];
     const auto e = static_cast<std::size_t>(lane.end);
     laneOps[e] += static_cast<std::int64_t>(lane.laneOps);
     ++ends[e];
+    diverged += lane.diverged ? 1 : 0;
     if (!sim::isFallback(lane.end)) {
       out[i] = exactVerdict(lane.end, lane);
       continue;
@@ -268,6 +270,7 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
                       static_cast<std::int64_t>(stream.deferred));
     trace::counterAdd(prefix + "lanes",
                       static_cast<std::int64_t>(window.size()));
+    trace::counterAdd(prefix + "diverged", diverged);
     trace::counterAdd(prefix + "lane_ops",
                       std::accumulate(laneOps.begin(), laneOps.end(),
                                       std::int64_t{0}));

@@ -73,10 +73,11 @@ class SiteExecutor {
   // `armedOptions` is the worker's ready-to-run configuration (watchdog
   // applied, faultPlan and defTrace null).  The lockstep lanes are counted
   // as "<lockstepCounters><name>", e.g. "fault.campaign.lockstep.lanes";
-  // "streams" counts the golden streams, "deferred" the plans moved to a
-  // later stream of their window, "stream_insns" adds the golden streams'
-  // instructions, "prefix_insns" the part before each stream's first flip,
-  // "fallback_insns.<reason>"
+  // "diverged" counts the lanes whose cycle bound went live (an access
+  // left golden's line), "streams" the golden streams, "deferred" the
+  // plans moved to a later stream of their window, "stream_insns" adds the
+  // golden streams' instructions, "prefix_insns" the part before each
+  // stream's first flip, "fallback_insns.<reason>"
   // what those fallbacks ran past their injection point (a timing check
   // up to where it stopped), "fallback_outcome.<reason>.<outcome>" how
   // they ended, and "timing_safe" the timing checks that stopped at their

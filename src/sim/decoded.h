@@ -86,12 +86,17 @@ static_assert(sizeof(MicroOp) == 40, "MicroOp grew past its padding");
 // schedule length and the block's cache-access plan (sched::memoryPlan).
 // worstCycles bounds what one execution of the block can cost whatever the
 // cache state: schedLength + bundles x (the largest latency
-// CacheHierarchy::access can return - the base latency).
+// CacheHierarchy::access can return - the base latency).  warmCycles
+// bounds it when every line the block accesses is in the last level:
+// schedLength + bundles x (the largest level latency - the base latency).
+// It equals worstCycles when the last level can evict an arena line
+// (DecodedProgram::coldPenalty is then 0).
 struct DecodedBlock {
   std::uint32_t firstOp = 0;
   std::uint32_t opCount = 0;
   std::uint32_t schedLength = 0;   // BlockSchedule::length
   std::uint32_t worstCycles = 0;
+  std::uint32_t warmCycles = 0;
   sched::MemoryPlan plan;
 };
 
@@ -129,6 +134,14 @@ class DecodedProgram {
   // log2 of the smallest line size in the hierarchy: two addresses that
   // agree above it touch the same line at every level.
   std::uint32_t lineShift() const { return lineShift_; }
+  // Whether the last level holds every line of the arena (the globals and
+  // the heap) at once: no set receives more of the arena's lines than it
+  // has ways, so a line, once filled, is never evicted.
+  bool lastLevelKeepsArena() const { return keepsArena_; }
+  // When the last level keeps the arena, what a bundle can pay beyond its
+  // share of warmCycles for a line it misses there (the largest latency
+  // CacheHierarchy::access can return - the largest level latency); else 0.
+  std::uint32_t coldPenalty() const { return coldPenalty_; }
 
  private:
   DecodedProgram() = default;
@@ -142,6 +155,8 @@ class DecodedProgram {
   arch::CacheConfig cacheConfig_;
   std::uint32_t memBaseLatency_ = 1;
   std::uint32_t lineShift_ = 0;
+  bool keepsArena_ = false;
+  std::uint32_t coldPenalty_ = 0;
 };
 
 // An opaque snapshot of a DecodedRunner's complete golden mid-run state:
@@ -214,6 +229,7 @@ struct LaneVerdict {
   LaneEnd end = LaneEnd::kReconverged;
   LaneEnd reached = LaneEnd::kReconverged;  // kFallbackTiming only
   bool corrupt = false;
+  bool diverged = false;         // an access left golden's line: bound live
   bool safe = false;             // kFallbackTiming only
   std::uint64_t dynamicInsns = 0;
   std::uint64_t laneOps = 0;     // ops this lane evaluated on its own values

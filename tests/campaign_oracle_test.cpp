@@ -165,38 +165,49 @@ TEST(CampaignOracleTest, LockstepEqualsFullOnRandomProgramsThatCall) {
   // returned values, frames popped under live lanes, re-runs that go past
   // the call-depth limit.  Multi-flip plans, and a watchdog at twice the
   // golden cycles as well as the default, so that timing checks cross call
-  // frames too.  The checkpointed (lockstep) report on either engine, at
-  // one and at three workers, must equal the one-worker kFull oracle's.
+  // frames too.  On the paper machine, whose L3 keeps the arena, and on
+  // one whose L3 can evict, where a diverged lane's bound is the blocks'
+  // worstCycles and the timing checks decide the rest.  The checkpointed
+  // (lockstep) report on either engine, at one and at three workers, must
+  // equal the one-worker kFull oracle's.
   const std::size_t seeds = testutil::testTrials(6);
   for (std::size_t seed = 0; seed < seeds; ++seed) {
     const ir::Program source =
         testutil::makeRandomCfgProgram(seed, 4, 8, /*calls=*/true);
-    for (const Scheme scheme : passes::kAllSchemes) {
-      const core::CompiledProgram bin =
-          core::compile(source, testutil::machine(2, 1 + seed % 2), scheme);
-      for (const std::uint64_t timeoutFactor : {20u, 2u}) {
-        CampaignOptions options;
-        options.trials = 80;
-        options.seed = 0xCA11ED + seed;
-        options.originalDefInsns = core::run(bin).stats.dynamicDefInsns / 3;
-        options.timeoutFactor = timeoutFactor;
-        options.threads = 1;
-        options.mode = InjectionMode::kFull;
-        const CoverageReport full = core::campaign(bin, options);
-        options.mode = InjectionMode::kCheckpointed;
-        for (const sim::Engine engine :
-             {sim::Engine::kDecoded, sim::Engine::kReference}) {
-          for (const std::uint32_t threads : {1u, 3u}) {
-            options.simOptions.engine = engine;
-            options.threads = threads;
-            const CoverageReport lockstep = core::campaign(bin, options);
-            const std::string context =
-                "seed " + std::to_string(seed) + " " +
-                passes::schemeName(scheme) + " timeout x" +
-                std::to_string(timeoutFactor) + " " +
-                sim::engineName(engine) + " x" + std::to_string(threads);
-            EXPECT_EQ(lockstep.counts, full.counts) << context;
-            EXPECT_EQ(lockstep.dynamicInsns, full.dynamicInsns) << context;
+    const std::uint32_t delay = 1 + seed % 2;
+    for (const bool evicting : {false, true}) {
+      const arch::MachineConfig machine =
+          evicting ? testutil::evictingMachine(2, delay)
+                   : testutil::machine(2, delay);
+      for (const Scheme scheme : passes::kAllSchemes) {
+        const core::CompiledProgram bin =
+            core::compile(source, machine, scheme);
+        for (const std::uint64_t timeoutFactor : {20u, 2u}) {
+          CampaignOptions options;
+          options.trials = 80;
+          options.seed = 0xCA11ED + seed;
+          options.originalDefInsns =
+              core::run(bin).stats.dynamicDefInsns / 3;
+          options.timeoutFactor = timeoutFactor;
+          options.threads = 1;
+          options.mode = InjectionMode::kFull;
+          const CoverageReport full = core::campaign(bin, options);
+          options.mode = InjectionMode::kCheckpointed;
+          for (const sim::Engine engine :
+               {sim::Engine::kDecoded, sim::Engine::kReference}) {
+            for (const std::uint32_t threads : {1u, 3u}) {
+              options.simOptions.engine = engine;
+              options.threads = threads;
+              const CoverageReport lockstep = core::campaign(bin, options);
+              const std::string context =
+                  "seed " + std::to_string(seed) + " " +
+                  passes::schemeName(scheme) +
+                  (evicting ? " evicting L3" : "") + " timeout x" +
+                  std::to_string(timeoutFactor) + " " +
+                  sim::engineName(engine) + " x" + std::to_string(threads);
+              EXPECT_EQ(lockstep.counts, full.counts) << context;
+              EXPECT_EQ(lockstep.dynamicInsns, full.dynamicInsns) << context;
+            }
           }
         }
       }

@@ -28,6 +28,7 @@
 #include "core/pipeline.h"
 #include "fault/exhaustive.h"
 #include "passes/protection_lint.h"
+#include "sim/decoded.h"
 #include "support/check.h"
 #include "support/statistics.h"
 #include "support/trace.h"
@@ -265,6 +266,32 @@ TEST(ExhaustiveGroundTruthTest, MultiOrdinalWindowsMatchTheFullOracle) {
   EXPECT_GT(trace::counterValue(lockstep + "streams"), windows);
   EXPECT_LE(trace::counterValue(lockstep + "streams"),
             windows + trace::counterValue(lockstep + "deferred"));
+  trace::resetForTest();
+}
+
+TEST(ExhaustiveGroundTruthTest, AnEvictingL3MatchesTheFullOracle) {
+  // On a machine whose L3 can evict, a diverged lane's cycle bound is the
+  // blocks' worstCycles, so at timeout factor 2 the store loop's lanes
+  // whose address left golden's line fall back to timing checks.  The
+  // checkpointed report must still equal the serial kFull oracle's, at one
+  // and at three workers.
+  const core::CompiledProgram bin =
+      core::compile(makeStoreLoopProgram(48), testutil::evictingMachine(2, 1),
+                    passes::Scheme::kNoed);
+  ASSERT_FALSE(bin.decoded->lastLevelKeepsArena());
+  fault::ExhaustiveOptions options;
+  options.timeoutFactor = 2;
+  options.mode = fault::InjectionMode::kFull;
+  const fault::GroundTruthReport full = core::groundTruth(bin, options);
+  options.mode = fault::InjectionMode::kCheckpointed;
+  trace::resetForTest();
+  trace::enable("");
+  for (const std::uint32_t threads : {1u, 3u}) {
+    options.threads = threads;
+    EXPECT_TRUE(full == core::groundTruth(bin, options)) << "x" << threads;
+  }
+  EXPECT_GT(trace::counterValue("fault.exhaustive.lockstep.fallback.timing"),
+            0);
   trace::resetForTest();
 }
 

@@ -43,8 +43,12 @@ DefSite nextSite(IrBuilder& b) {
 }
 
 // A hand-built program (no compiler passes, so every marked instruction
-// survives), scheduled and decoded, with its golden run and def trace.
+// survives), scheduled and decoded for `config` (the paper machine unless
+// given), with its golden run and def trace.
 struct Crafted {
+  Crafted() = default;
+  explicit Crafted(const arch::MachineConfig& machine) : config(machine) {}
+
   ir::Program program;
   arch::MachineConfig config = testutil::machine(2, 1);
   sched::ProgramSchedule schedule;
@@ -181,21 +185,22 @@ std::vector<LaneVerdict> lanesAgainstRuns(const DecodedProgram& decoded,
                           stream);
 }
 
-// Runs `plans` as lockstep lanes of `c` at timeout factor 20 and checks
+// Runs `plans` as lockstep lanes of `c` at `timeoutFactor` and checks
 // every lane against the whole run of its plan on the reference engine
 // (expectLaneMatchesRun).  `stream`, when given, receives the streams.
 std::vector<LaneVerdict> lanesAgainstReference(
     const Crafted& c, const std::vector<FaultPlan>& plans,
-    const std::string& context, LockstepStream* stream = nullptr) {
+    const std::string& context, LockstepStream* stream = nullptr,
+    std::uint64_t timeoutFactor = 20) {
   DecodedRunner runner(*c.decoded);
   std::vector<LaneVerdict> verdicts;
   const LockstepStream ran =
-      runWindow(runner, c.golden, plans, 20, verdicts, context);
+      runWindow(runner, c.golden, plans, timeoutFactor, verdicts, context);
   if (stream != nullptr) {
     *stream = ran;
   }
   SimOptions reference;
-  reference.maxCycles = c.golden.stats.cycles * 20;
+  reference.maxCycles = c.golden.stats.cycles * timeoutFactor;
   reference.engine = Engine::kReference;
   const RunResult golden = simulate(c.program, c.schedule, c.config, reference);
   testutil::expectIdentical(golden, c.golden, context + " golden");
@@ -249,7 +254,9 @@ struct StraightLine : Crafted {
   DefSite check, divisor, f2iInput, badBase, misalignedBase, storeBase,
       outValue, deadValue, exitCode;
 
-  StraightLine() {
+  explicit StraightLine(
+      const arch::MachineConfig& machine = testutil::machine(2, 1))
+      : Crafted(machine) {
     const std::uint64_t out = program.allocateGlobal("output", 24);
     const std::uint64_t scratch = program.allocateGlobal("scratch", 64);
     ir::Function& fn = program.addFunction("main");
@@ -475,11 +482,11 @@ TEST(LockstepTest, EveryFallbackAndTheGoldenTimeout) {
   }
 
   // At timeoutFactor 1 the watchdog is the golden run's own cycle count,
-  // and a lane whose store went to another 64-byte line (still in the
-  // arena) has a cycle bound above it.  A store to another word of
-  // golden's line leaves every cache level as golden's, so that lane is
-  // decided exactly.
-  const StraightLine line;
+  // and, on a machine whose L3 can evict, a lane whose store went to
+  // another 64-byte line (still in the arena) has a cycle bound above it.
+  // A store to another word of golden's line leaves every cache level as
+  // golden's, so that lane is decided exactly.
+  const StraightLine line(testutil::evictingMachine(2, 1));
   expectLane(line, {{{line.ordinal(line.storeBase), 0, 6}}},
              LaneEnd::kFallbackTiming, 1);
   expectLane(line, {{{line.ordinal(line.storeBase), 0, 3}}},
@@ -542,7 +549,8 @@ TEST(LockstepTest, FallbacksAtLaterOrdinalsRollTheCheckpointForward) {
 struct HotLoop : Crafted {
   DefSite first, storeBase, loopBase, counter;
 
-  HotLoop() {
+  explicit HotLoop(const arch::MachineConfig& machine = testutil::machine(2, 1))
+      : Crafted(machine) {
     const std::uint64_t out = program.allocateGlobal("output", 8);
     const std::uint64_t table = program.allocateGlobal("table", 64);
     const std::uint64_t scratch = program.allocateGlobal("scratch", 256);
@@ -576,11 +584,13 @@ struct HotLoop : Crafted {
 };
 
 TEST(LockstepTest, ATimingCheckStopsAtItsSafePointMidRun) {
-  // At timeout factor 20 the lane's bound passes the watchdog, but each
-  // iteration the check runs takes a whole worstCycles off its budget for a
-  // few cycles of its own: it stops at a block end well inside the loop,
-  // where its cycles plus the budget left first fit under the watchdog.
-  const HotLoop c;
+  // On a machine whose L3 can evict, the lane's bound charges every block
+  // at its worstCycles and passes the watchdog at timeout factor 20, but
+  // each iteration the check runs takes a whole worstCycles off its budget
+  // for a few cycles of its own: it stops at a block end well inside the
+  // loop, where its cycles plus the budget left first fit under the
+  // watchdog.
+  const HotLoop c(testutil::evictingMachine(2, 1));
   const FaultPlan plan{{{c.ordinal(c.storeBase), 0, 6}}};
   const std::vector<LaneVerdict> verdicts =
       lanesAgainstRuns(*c.decoded, c.golden, {plan}, 20, "hot loop");
@@ -656,7 +666,9 @@ TEST(LockstepTest, ATimingCheckThatTimesOutReportsTheTimeout) {
 struct CallThenCheck : Crafted {
   DefSite address;
 
-  CallThenCheck() {
+  explicit CallThenCheck(
+      const arch::MachineConfig& machine = testutil::machine(2, 1))
+      : Crafted(machine) {
     const std::uint64_t out = program.allocateGlobal("output", 8);
     const std::uint64_t table = program.allocateGlobal("table", 64);
     const std::uint64_t scratch = program.allocateGlobal("scratch", 128);
@@ -700,8 +712,9 @@ TEST(LockstepTest, ATimingCheckEndsWithItsLaneBeforeAnySafePoint) {
   // callee's worst cases, passes the watchdog; at the entry block's end
   // the callee's worst case alone still does, and the callee's block ends
   // in a return, which has no watchdog test.  So the check runs into the
-  // lane's detection in the next block and reports it as a whole run.
-  const CallThenCheck c;
+  // lane's detection in the next block and reports it as a whole run.  The
+  // machine's L3 can evict, so the bound is the blocks' worstCycles.
+  const CallThenCheck c(testutil::evictingMachine(2, 1));
   const FaultPlan plan{{{c.ordinal(c.address), 0, 6}}};
   const std::vector<LaneVerdict> verdicts =
       lanesAgainstRuns(*c.decoded, c.golden, {plan}, 1, "call then check");
@@ -719,8 +732,9 @@ TEST(LockstepTest, TimingChecksRollTheCheckpointForwardAndDisarm) {
   // after them.  The first check rolls the checkpoint forward to its
   // ordinal; the second restores that checkpoint and rolls it on; the
   // control fallback's re-run and the whole runs that follow on the same
-  // runner must not see a check still armed.
-  const HotLoop c;
+  // runner must not see a check still armed.  The machine's L3 can evict,
+  // so the bound is the blocks' worstCycles.
+  const HotLoop c(testutil::evictingMachine(2, 1));
   const std::vector<FaultPlan> plans = {
       {{{c.ordinal(c.first), 0, 2}}},
       {{{c.ordinal(c.loopBase, 3), 0, 6}}},
@@ -743,6 +757,172 @@ TEST(LockstepTest, TimingChecksRollTheCheckpointForwardAndDisarm) {
     EXPECT_TRUE(verdicts[2].safe);
   }
   expectCampaignMatchesFull(c, 2);
+}
+
+// What `runs[b]` executions of each block b of `fn` cost at most when each
+// of their bundles pays `extra` cycles over the base latency.
+std::uint64_t chargedAt(const DecodedFunction& fn,
+                        const std::vector<std::uint64_t>& runs,
+                        std::uint32_t extra) {
+  std::uint64_t cycles = 0;
+  for (std::size_t b = 0; b < runs.size(); ++b) {
+    const DecodedBlock& blk = fn.blocks[b];
+    cycles += runs[b] * (blk.schedLength + blk.plan.bundleSizes.size() * extra);
+  }
+  return cycles;
+}
+
+// The extra latency of a hit in cache level `level` of `c`'s machine.
+std::uint32_t hitExtra(const Crafted& c, std::size_t level) {
+  return c.config.cache.levels[level].latency - c.config.latencies.mem;
+}
+
+TEST(LockstepTest, AResidentArenaDecidesADivergedLaneExactly) {
+  // The paper machine's L3 keeps every line of the arena, so the hot-loop
+  // lane whose store left golden's line (the one that falls back on an
+  // evicting L3 above) costs at most each block's warmCycles plus a memory
+  // access per line it misses in L3.  Its worst-case bound, every block
+  // from the entry on at its worstCycles, passes the watchdog at timeout
+  // factor 20; the warm one does not, and the lane is decided exactly.
+  const HotLoop c;
+  ASSERT_TRUE(c.decoded->lastLevelKeepsArena());
+  const std::vector<std::uint64_t> runs = {1, 200, 1};  // entry, loop, done
+  EXPECT_GT(chargedAt(c.decoded->functions()[0], runs,
+                      c.config.cache.memoryLatency - c.config.latencies.mem),
+            20 * c.golden.stats.cycles);
+  const std::vector<LaneVerdict> verdicts = lanesAgainstReference(
+      c, {{{{c.ordinal(c.storeBase), 0, 6}}}}, "resident hot loop");
+  EXPECT_EQ(verdicts[0].end, LaneEnd::kHalted);
+  EXPECT_TRUE(verdicts[0].diverged);
+  expectCampaignMatchesFull(c, 20);
+}
+
+// Streams a table, one new 128-byte line per iteration: kFill iterations
+// that fill the L2 (256 KiB), then kLagged more that also load, after each
+// new line, the word `behind` bytes back.  Golden's `behind` is 0, an L1
+// hit on the line it just loaded; bit 18 makes it 256 KiB, the line kFill
+// iterations back, which golden's L3 holds but its L2 has just evicted.
+struct LaggedStream : Crafted {
+  static constexpr std::int64_t kFill = 2048;
+  static constexpr std::int64_t kLagged = 64;
+  DefSite behind;
+
+  LaggedStream() {
+    const std::uint64_t out = program.allocateGlobal("output", 8);
+    const std::uint64_t table =
+        program.allocateGlobal("table", (kFill + kLagged) * 128);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& fill = b.createBlock("fill");
+    ir::BasicBlock& lagged = b.createBlock("lagged");
+    ir::BasicBlock& done = b.createBlock("done");
+    b.setBlock(entry);
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    const Reg p = b.movImm(static_cast<std::int64_t>(table));
+    const Reg acc = b.movImm(0);
+    const Reg i = b.movImm(0);
+    behind = nextSite(b);
+    const Reg lag = b.movImm(0);
+    b.br(fill);
+    b.setBlock(fill);
+    b.binaryTo(Opcode::kAdd, acc, acc, b.load(p, 0));
+    b.addImmTo(p, p, 128);
+    b.addImmTo(i, i, 1);
+    b.brCond(b.cmpLtImm(i, kFill), fill, lagged);
+    b.setBlock(lagged);
+    const Reg v = b.load(p, 0);
+    // The lagged load waits for the new line's: they never share a bundle.
+    const Reg q = b.add(b.sub(p, lag), b.andImm(v, 0));
+    b.binaryTo(Opcode::kAdd, acc, acc, b.add(v, b.load(q, 0)));
+    b.addImmTo(p, p, 128);
+    b.addImmTo(i, i, 1);
+    b.brCond(b.cmpLtImm(i, kFill + kLagged), lagged, done);
+    b.setBlock(done);
+    b.store(outBase, 0, acc);
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, ALaneSlowedByWarmLinesStillFallsBack) {
+  // Each lagged load of the lane is an L3 hit where golden's is an L1 hit,
+  // and golden pays a memory access for each new line: at timeout factor
+  // 1 the lane truly times out.  Its bound passes the watchdog only with
+  // both of its parts.  Even charged over the whole run, a bound without
+  // golden's L3 misses fits under it, and so does one that charges warm
+  // bundles at L2 latency; either would decide the lane exactly.
+  const LaggedStream c;
+  ASSERT_TRUE(c.decoded->lastLevelKeepsArena());
+  const DecodedFunction& fn = c.decoded->functions()[0];
+  const std::vector<std::uint64_t> runs = {1, LaggedStream::kFill,
+                                           LaggedStream::kLagged, 1};
+  const std::uint64_t goldenMisses = c.golden.stats.cacheLevel[2].misses;
+  EXPECT_LE(chargedAt(fn, runs, hitExtra(c, 2)), c.golden.stats.cycles);
+  EXPECT_LE(chargedAt(fn, runs, hitExtra(c, 1)) +
+                c.decoded->coldPenalty() * goldenMisses,
+            c.golden.stats.cycles);
+  const std::vector<LaneVerdict> verdicts = lanesAgainstReference(
+      c, {{{{c.ordinal(c.behind), 0, 18}}}}, "lagged stream", nullptr, 1);
+  EXPECT_EQ(verdicts[0].end, LaneEnd::kFallbackTiming);
+  EXPECT_EQ(verdicts[0].reached, LaneEnd::kHalted);
+  EXPECT_EQ(verdicts[0].rerun.exit, ExitKind::kTimeout);
+  expectCampaignMatchesFull(c, 1);
+}
+
+// Loads the word at `hot` kIterations times, stepping by `stride`:
+// golden's stride is 0, so every load after the first hits L1.  `hot` is
+// the last global, so bit 7 of the stride walks the lane's loads through
+// the heap, a line golden never touches per iteration.
+struct HeapWalk : Crafted {
+  static constexpr std::int64_t kIterations = 200;
+  DefSite stride;
+
+  HeapWalk() {
+    const std::uint64_t out = program.allocateGlobal("output", 8);
+    const std::uint64_t hot = program.allocateGlobal("hot", 8);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& loop = b.createBlock("loop");
+    ir::BasicBlock& done = b.createBlock("done");
+    b.setBlock(entry);
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    const Reg p = b.movImm(static_cast<std::int64_t>(hot));
+    stride = nextSite(b);
+    const Reg step = b.movImm(0);
+    const Reg acc = b.movImm(0);
+    const Reg i = b.movImm(0);
+    b.br(loop);
+    b.setBlock(loop);
+    b.binaryTo(Opcode::kAdd, acc, acc, b.load(p, 0));
+    b.binaryTo(Opcode::kAdd, p, p, step);
+    b.addImmTo(i, i, 1);
+    b.brCond(b.cmpLtImm(i, kIterations), loop, done);
+    b.setBlock(done);
+    b.store(outBase, 0, acc);
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, ALaneWalkingUntouchedHeapLinesStillFallsBack) {
+  // Each of the lane's loads misses at every level: at timeout factor 4
+  // it truly times out.  Golden's L3 misses few lines, so the bound passes
+  // the watchdog only by the lane's own accesses to lines golden's L3
+  // lacks; charged over the whole run, a bound without them fits under it.
+  const HeapWalk c;
+  ASSERT_TRUE(c.decoded->lastLevelKeepsArena());
+  const std::vector<std::uint64_t> runs = {1, HeapWalk::kIterations, 1};
+  EXPECT_LE(chargedAt(c.decoded->functions()[0], runs, hitExtra(c, 2)) +
+                c.decoded->coldPenalty() * c.golden.stats.cacheLevel[2].misses,
+            4 * c.golden.stats.cycles);
+  const std::vector<LaneVerdict> verdicts = lanesAgainstReference(
+      c, {{{{c.ordinal(c.stride), 0, 7}}}}, "heap walk", nullptr, 4);
+  EXPECT_EQ(verdicts[0].end, LaneEnd::kFallbackTiming);
+  EXPECT_EQ(verdicts[0].reached, LaneEnd::kHalted);
+  EXPECT_EQ(verdicts[0].rerun.exit, ExitKind::kTimeout);
+  expectCampaignMatchesFull(c, 4);
 }
 
 // An entry function that returns instead of halting.  A flipped predicate

@@ -169,6 +169,19 @@ inline arch::MachineConfig machine(std::uint32_t issueWidth,
   return arch::makePaperMachine(issueWidth, delay);
 }
 
+// The paper machine with a 64 KiB L3 (128-byte lines, 8 ways, 64 sets):
+// too small to keep the arena's lines, so a diverged lockstep lane's cycle
+// bound charges every block at its worstCycles, and the timing check
+// decides what that bound cannot.
+inline arch::MachineConfig evictingMachine(std::uint32_t issueWidth,
+                                           std::uint32_t delay) {
+  arch::MachineConfig config = arch::makePaperMachine(issueWidth, delay);
+  config.cache.levels[2].sizeBytes = 64 * 1024;
+  config.cache.levels[2].associativity = 8;
+  config.validate();
+  return config;
+}
+
 // One to three callees for a calling random program, each taking the base
 // of the caller's table array, two gp values, an fp value and a predicate,
 // and returning one to three values of random classes.  Callee k loads and

@@ -321,7 +321,8 @@ std::int64_t lockstepFallbacks(
 
 // Per fallback reason, the outcome counters of the re-runs sum to the
 // reason's fallbacks; a timing check stops at its safe point or times out,
-// not both; and the windows' prefixes lie inside their streams.
+// not both; only a lane whose cycle bound went live (diverged) falls back
+// as timing; and the windows' prefixes lie inside their streams.
 void expectFallbackOutcomesAndPrefix(const std::string& prefix) {
   for (const char* reason : {"control", "timing"}) {
     std::int64_t outcomes = 0;
@@ -336,6 +337,12 @@ void expectFallbackOutcomesAndPrefix(const std::string& prefix) {
   EXPECT_LE(trace::counterValue(prefix + "timing_safe") +
                 trace::counterValue(prefix + "fallback_outcome.timing.timeout"),
             trace::counterValue(prefix + "fallback.timing"))
+      << prefix;
+  EXPECT_LE(trace::counterValue(prefix + "fallback.timing"),
+            trace::counterValue(prefix + "diverged"))
+      << prefix;
+  EXPECT_LE(trace::counterValue(prefix + "diverged"),
+            trace::counterValue(prefix + "lanes"))
       << prefix;
   EXPECT_GT(trace::counterValue(prefix + "prefix_insns"), 0) << prefix;
   EXPECT_LE(trace::counterValue(prefix + "prefix_insns"),
