@@ -74,14 +74,14 @@ void CacheHierarchy::reset() {
   for (CacheLevel& level : levels_) {
     level.reset();
   }
-  memoryAccesses_ = 0;
+  memoryAccessLog_.clear();
 }
 
 void CacheHierarchy::setCheckpoint() {
   for (CacheLevel& level : levels_) {
     level.setCheckpoint();
   }
-  savedMemoryAccesses_ = memoryAccesses_;
+  savedMemoryAccesses_ = memoryAccessLog_.size();
 }
 
 std::size_t CacheHierarchy::rewindToCheckpoint() {
@@ -89,7 +89,7 @@ std::size_t CacheHierarchy::rewindToCheckpoint() {
   for (CacheLevel& level : levels_) {
     rewound += level.rewindToCheckpoint();
   }
-  memoryAccesses_ = savedMemoryAccesses_;
+  memoryAccessLog_.resize(savedMemoryAccesses_);
   return rewound;
 }
 
