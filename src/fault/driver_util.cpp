@@ -205,8 +205,8 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
     return TrialVerdict{classify(faulty, golden), faulty.stats.dynamicInsns};
   };
   // An exact lane end as the whole run's verdict.
-  const auto exactVerdict = [](sim::LaneEnd end, const sim::LaneVerdict& lane) {
-    switch (end) {
+  const auto exactVerdict = [](const sim::LaneVerdict& lane) {
+    switch (lane.end) {
       case sim::LaneEnd::kDetected:
         return TrialVerdict{Outcome::kDetected, lane.dynamicInsns};
       case sim::LaneEnd::kException:
@@ -237,12 +237,10 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
   std::array<std::int64_t, sim::kLaneEndCount> ends = {};
   std::array<std::int64_t, sim::kLaneEndCount> laneOps = {};
   // Per fallback reason, the instructions the fallbacks ran past their
-  // injection point, and how they ended; the timing checks that stopped at
-  // their safe point.
+  // injection point, and how they ended.
   std::array<std::int64_t, sim::kLaneEndCount> fallbackInsns = {};
   std::array<std::array<std::int64_t, kOutcomeCount>, sim::kLaneEndCount>
       fallbackOutcomes = {};
-  std::int64_t timingSafe = 0;
   std::int64_t diverged = 0;
   for (std::size_t i = 0; i < window.size(); ++i) {
     const sim::LaneVerdict& lane = laneVerdicts_[i];
@@ -251,12 +249,10 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
     ++ends[e];
     diverged += lane.diverged ? 1 : 0;
     if (!sim::isFallback(lane.end)) {
-      out[i] = exactVerdict(lane.end, lane);
+      out[i] = exactVerdict(lane);
       continue;
     }
-    out[i] = lane.safe ? exactVerdict(lane.reached, lane)
-                       : verdictOf(lane.rerun);
-    timingSafe += lane.safe ? 1 : 0;
+    out[i] = verdictOf(lane.rerun);
     fallbackInsns[e] += static_cast<std::int64_t>(
         lane.rerun.stats.dynamicInsns - lane.injectedAt);
     ++fallbackOutcomes[e][static_cast<std::size_t>(out[i].outcome)];
@@ -290,7 +286,6 @@ void SiteExecutor::runWindow(std::span<const sim::FaultPlan> window,
                       static_cast<std::int64_t>(stream.insns));
     trace::counterAdd(prefix + "prefix_insns",
                       static_cast<std::int64_t>(stream.prefixInsns));
-    trace::counterAdd(prefix + "timing_safe", timingSafe);
     for (std::size_t e = 0; e < sim::kLaneEndCount; ++e) {
       const auto end = static_cast<sim::LaneEnd>(e);
       const std::string name = sim::laneEndName(end);

@@ -77,11 +77,9 @@ class SiteExecutor {
   // left golden's line), "streams" the golden streams, "deferred" the
   // plans moved to a later stream of their window, "stream_insns" adds the
   // golden streams' instructions, "prefix_insns" the part before each
-  // stream's first flip, "fallback_insns.<reason>"
-  // what those fallbacks ran past their injection point (a timing check
-  // up to where it stopped), "fallback_outcome.<reason>.<outcome>" how
-  // they ended, and "timing_safe" the timing checks that stopped at their
-  // safe point.
+  // stream's first flip, "fallback_insns.<reason>" what those fallbacks
+  // ran past their injection point, and
+  // "fallback_outcome.<reason>.<outcome>" how they ended.
   // The program, schedule, config and `decoded` (null for the reference
   // engine) must outlive the executor.
   SiteExecutor(const ir::Program& program,

@@ -111,10 +111,9 @@ DecodedProgram DecodedProgram::build(const ir::Program& program,
       dbk.opCount = static_cast<std::uint32_t>(insns.size());
       dbk.schedLength = blockSched.length;
       dbk.plan = sched::memoryPlan(fn.block(b), blockSched);
-      const auto bundles =
-          static_cast<std::uint32_t>(dbk.plan.bundleSizes.size());
-      dbk.worstCycles = dbk.schedLength + bundles * worstExtra;
-      dbk.warmCycles = dbk.schedLength + bundles * warmExtra;
+      dbk.warmCycles =
+          dbk.schedLength +
+          static_cast<std::uint32_t>(dbk.plan.bundleSizes.size()) * warmExtra;
 
       for (const ir::Instruction& insn : insns) {
         MicroOp u;
@@ -229,7 +228,6 @@ enum class Flow : std::uint8_t {
   kTrapped,    // a hardware trap; Impl::trap holds its kind
   kTimeout,    // the watchdog expired
   kLanesDone,  // lockstep: every plan of the stream is decided or deferred
-  kSafe,       // a timing check reached its safe point (rerunFallbacks)
 };
 
 }  // namespace
@@ -309,17 +307,6 @@ struct DecodedRunner::Impl {
   std::vector<std::uint32_t> streamPlans;
   ArchCheckpoint::Data streamCheckpoint;
 
-  // The timing check of a `timing` fallback's re-run (rerunFallbacks).
-  // While it is armed, each block charge takes the block's worstCycles off
-  // `left`, the rest of the lane's budget, and the block-end test stops the
-  // run (Flow::kSafe) once stats.cycles + left <= maxCycles.  Every run
-  // disarms it when it stops.
-  struct TimingCheck {
-    bool armed = false;
-    bool safe = false;  // the last check stopped at its safe point
-    std::uint64_t left = 0;
-  } check;
-
   explicit Impl(const DecodedProgram& program)
       : prog(program),
         memory(program.globalImage(), kHeapBytes),
@@ -358,7 +345,6 @@ struct DecodedRunner::Impl {
     finished = false;
     result = RunResult{};
     ++checkpointGen;  // outstanding checkpoints are now stale
-    check = TimingCheck{};
     updateNextEvent();
     // At depth 0 and cycle 0 the entry push can neither overflow the stack
     // nor time out.
@@ -448,11 +434,6 @@ struct DecodedRunner::Impl {
     ++stats.blockExecutions;
     if constexpr (kLanes) {
       lanes.chargeBlock(blk);
-    } else if (check.armed) [[unlikely]] {
-      // The check follows the lane's path, whose blocks its budget holds.
-      CASTED_CHECK(check.left >= blk.worstCycles)
-          << "a timing check ran past its lane's decision";
-      check.left -= blk.worstCycles;
     }
   }
 
@@ -772,12 +753,6 @@ struct DecodedRunner::Impl {
       if (stats.cycles > options.maxCycles) {
         return Flow::kTimeout;
       }
-      // No block costs more than its worstCycles, so from here no
-      // watchdog test (block ends, pushFrame) of the lane's path can fire.
-      if (!kLanes && check.armed &&
-          stats.cycles + check.left <= options.maxCycles) [[unlikely]] {
-        return Flow::kSafe;
-      }
     }
   }
 
@@ -805,19 +780,11 @@ struct DecodedRunner::Impl {
       completePausedDef<false>();
     }
     const Flow flow = exec<false>();
-    check.armed = false;
-    check.safe = flow == Flow::kSafe;
     if (flow == Flow::kPause) {
       pausedAtDef = true;
       return true;
     }
     result = RunResult{};
-    if (check.safe) {
-      // Only what the check ran counts: its statistics.
-      result.stats = statsNow();
-      finished = true;
-      return false;
-    }
     switch (flow) {
       case Flow::kHalted:
         result.exit = ExitKind::kHalted;
@@ -945,9 +912,7 @@ struct DecodedRunner::Impl {
 
   // Re-runs the stream's fallbacks from its checkpoint, in injection order
   // (streamPlans' order): each restores the checkpoint, rolls it forward
-  // when its plan injects later, and runs its suffix, a control fallback to
-  // its natural end and a timing fallback as a timing check with its
-  // budget.
+  // when its plan injects later, and runs its suffix to its natural end.
   void rerunFallbacks(const std::vector<const FaultPlan*>& plans,
                       std::vector<LaneVerdict>& verdicts) {
     for (const std::uint32_t i : streamPlans) {
@@ -965,11 +930,7 @@ struct DecodedRunner::Impl {
         saveCheckpoint(streamCheckpoint);
       }
       injectAtPause(*plans[i]);
-      if (v.end == LaneEnd::kFallbackTiming) {
-        check = {true, false, v.budget};
-      }
       v.rerun = finish();
-      v.safe = check.safe;
     }
   }
 

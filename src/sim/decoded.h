@@ -84,18 +84,16 @@ static_assert(sizeof(MicroOp) == 40, "MicroOp grew past its padding");
 
 // Static per-block data: the micro-op range plus the timing summary, the
 // schedule length and the block's cache-access plan (sched::memoryPlan).
-// worstCycles bounds what one execution of the block can cost whatever the
-// cache state: schedLength + bundles x (the largest latency
-// CacheHierarchy::access can return - the base latency).  warmCycles
-// bounds it when every line the block accesses is in the last level:
-// schedLength + bundles x (the largest level latency - the base latency).
-// It equals worstCycles when the last level can evict an arena line
-// (DecodedProgram::coldPenalty is then 0).
+// warmCycles bounds what one execution of the block can cost when every
+// line it accesses is in the last level: schedLength + bundles x (the
+// largest level latency - the base latency).  When the last level can
+// evict an arena line it bounds the block whatever the cache state: each
+// bundle is then charged the largest latency CacheHierarchy::access can
+// return (DecodedProgram::coldPenalty is 0).
 struct DecodedBlock {
   std::uint32_t firstOp = 0;
   std::uint32_t opCount = 0;
   std::uint32_t schedLength = 0;   // BlockSchedule::length
-  std::uint32_t worstCycles = 0;
   std::uint32_t warmCycles = 0;
   sched::MemoryPlan plan;
 };
@@ -187,11 +185,11 @@ class ArchCheckpoint {
 };
 
 // How a lockstep lane ended (DecodedRunner::runLockstep).  The first four
-// are exact decisions; the fallbacks leave the plan to a re-run from its
-// stream's golden-prefix checkpoint.  A lane never times out on golden's
-// addresses, because the watchdog admits the golden run.  A timing
-// fallback's lane did reach an exact end; only the watchdog is open, and
-// its re-run is a timing check that answers just that.
+// are exact decisions; the fallbacks leave the plan to a whole re-run from
+// its stream's golden-prefix checkpoint.  A lane never times out on
+// golden's addresses, because the watchdog admits the golden run; a lane
+// whose addresses left golden's lines falls back as `timing` when its
+// cycle bound passes the watchdog, whatever end it reached.
 enum class LaneEnd : std::uint8_t {
   kDetected,         // a check read a differing operand and fired
   kException,        // the lane trapped on its own values
@@ -214,27 +212,16 @@ inline bool isFallback(LaneEnd end) {
 // (kHalted only; a reconverged lane ends as the golden run did, after
 // golden's instruction count, whether it was decided at golden's end or,
 // never having left golden's lines, where it reconverged).  A control
-// fallback's `dynamicInsns` is the stream's count when it gave up, and
-// `rerun` is its plan's faulty run, field for field the whole
-// run(options-with-plan).
-//
-// A timing fallback keeps the exact end it reached in `reached` (with
-// `corrupt` and `dynamicInsns`), and `budget`, the worstCycles of the golden
-// blocks charged between its first flip and that end.  Its re-run is a
-// timing check: it runs until its cycles plus the budget left cannot pass
-// the watchdog (`safe`: the exact verdict stands, and `rerun` holds only
-// the statistics where the check stopped), else to its natural end or its
-// timeout (`rerun` is then the whole run, as for a control fallback).
+// fallback's `dynamicInsns` is the stream's count when it fell back (a
+// timing fallback's, where it reached its end), and `rerun` is its plan's
+// faulty run, field for field the whole run(options-with-plan).
 struct LaneVerdict {
   LaneEnd end = LaneEnd::kReconverged;
-  LaneEnd reached = LaneEnd::kReconverged;  // kFallbackTiming only
   bool corrupt = false;
   bool diverged = false;         // an access left golden's line: bound live
-  bool safe = false;             // kFallbackTiming only
   std::uint64_t dynamicInsns = 0;
   std::uint64_t laneOps = 0;     // ops this lane evaluated on its own values
   std::uint64_t injectedAt = 0;  // golden instructions at its first flip
-  std::uint64_t budget = 0;      // kFallbackTiming only
   RunResult rerun;               // fallbacks only
 };
 
@@ -361,9 +348,8 @@ class DecodedRunner {
   // exit kind, instruction count and output/exit-code agreement.  After
   // each stream the runner re-runs that stream's fallen-back lanes from
   // its checkpoint, in injection order (ties by index), rolling the
-  // checkpoint forward to a later ordinal first; a control fallback's
-  // re-run runs to its natural end, a timing check at most that far (see
-  // LaneVerdict), and each counts in sim.decoded.* what it ran past the
+  // checkpoint forward to a later ordinal first; each re-run runs to its
+  // natural end and counts in sim.decoded.* what it ran past the
   // checkpoint it restored.  Ends the runner's stepwise run (begin() again
   // before runToDef).
   static constexpr std::size_t kMaxLanes = 256;

@@ -120,8 +120,8 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
     freeLanes_[i] = static_cast<std::uint32_t>(kMaxLanes - 1 - i);
   }
   open_ = order.size();
-  worst_ = 0;
   warm_ = 0;
+  bundles_ = 0;
   laneSteps_ = 0;
   opLaneOps_.fill(0);
   const std::uint64_t words =
@@ -259,29 +259,30 @@ void Lanes::setBits(std::uint32_t lane, std::uint32_t cls, std::uint32_t at,
 
 // The lane's cache equals golden's up to its bound's start, and golden's
 // path is its path, so the blocks charged since then cost it at most their
-// worstCycles.  When the last level keeps the arena, no line it holds ever
-// leaves it, so each of those blocks costs at most its warmCycles plus the
-// cold penalty per line the lane misses there: a line golden's last level
-// lacked at the bound's start.  The lane touches such a line either where
-// golden does, and golden's first touch is one of its last-level misses
-// since then, or off golden's line, where noteLine found it missing from
-// golden's last level (ownCold) or golden had missed it since then.
-// A last level that can evict has warmCycles = worstCycles and no cold
-// penalty, which leaves the worst bound.
+// warmCycles plus the cold penalty for each bundle that misses in the last
+// level: a bundle's accesses overlap, so it pays the penalty at most once.
+// When the last level keeps the arena, no line it holds ever leaves it, so
+// a bundle misses there only on a line golden's last level lacked at the
+// bound's start.  The lane touches such a line either where golden does,
+// and golden's first touch is one of its last-level misses since then, or
+// off golden's line, where noteLine found it missing from golden's last
+// level (ownCold) or golden had missed it since then.  So the bundles that
+// pay are at most the bundles charged and at most those cold lines.  A
+// last level that can evict has no cold penalty: its warmCycles charge
+// every bundle the largest latency.
 std::uint64_t Lanes::cycleBound(const Lane& l) const {
   const std::uint64_t cold =
       golden_.caches.memoryAccesses() - l.missesBefore + l.ownCold;
-  return std::min(worst_ - l.worstBefore,
-                  warm_ - l.warmBefore + golden_.prog.coldPenalty() * cold);
+  const std::uint64_t bundles = bundles_ - l.bundlesBefore;
+  return warm_ - l.warmBefore +
+         golden_.prog.coldPenalty() * std::min(bundles, cold);
 }
 
 // Ends a lane: writes its verdict and frees its slot (dropLanes() tears
 // down whatever diffs it has left).  An exact decision of a lane whose
 // address once differed stands only if its cycle bound kept it under the
-// watchdog until now; otherwise the lane falls back as `timing`, keeping
-// the end it reached and its timing check's budget, the worstCycles of
-// the blocks charged since its first flip (on golden's path, which is the
-// lane's).
+// watchdog until now; otherwise the lane falls back as `timing`, and its
+// whole re-run decides it.
 void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
                    bool corrupt) {
   Lane& l = lanes_[lane];
@@ -291,8 +292,6 @@ void Lanes::decide(std::uint32_t lane, LaneEnd end, std::uint64_t insns,
   if (!isFallback(end) && l.diverged &&
       l.boundStart + cycleBound(l) > golden_.maxCycles) {
     v.end = LaneEnd::kFallbackTiming;
-    v.reached = end;
-    v.budget = worst_ - l.worstAtFlip;
   }
   v.corrupt = corrupt;
   v.dynamicInsns = insns;
@@ -615,11 +614,10 @@ void Lanes::arm(std::uint32_t plan, std::uint64_t insns) {
   l.cursor = 0;
   l.diverged = false;
   l.boundStart = 0;
-  l.worstBefore = 0;
   l.warmBefore = 0;
+  l.bundlesBefore = 0;
   l.missesBefore = 0;
   l.ownCold = 0;
-  l.worstAtFlip = worst_;
   state_[lane] = State::kLive;
   laneOps_[lane] = 0;
   injectedAt_[lane] = insns;

@@ -370,8 +370,8 @@ class Lanes {
     }
   }
   void chargeBlock(const DecodedBlock& blk) {
-    worst_ += blk.worstCycles;
     warm_ += blk.warmCycles;
+    bundles_ += blk.plan.bundleSizes.size();
   }
   // The golden run halted (exitSlot: the gp slot kHalt read its code from;
   // none for an entry return): every open lane is decided, and so is every
@@ -392,14 +392,13 @@ class Lanes {
     std::uint32_t index = 0;  // the plan's index: where its verdict goes
     std::size_t cursor = 0;   // next point of `plan` to fire
     bool diverged = false;   // an access left golden's line: bound live
-    std::uint64_t boundStart = 0;   // golden cycles at the first such access
-    std::uint64_t worstBefore = 0;  // `worst_` at that point
-    std::uint64_t warmBefore = 0;   // `warm_` at that point
-    std::uint64_t missesBefore = 0;  // golden's memory accesses then
+    std::uint64_t boundStart = 0;    // golden cycles at the first such access
+    std::uint64_t warmBefore = 0;     // `warm_` at that point
+    std::uint64_t bundlesBefore = 0;  // `bundles_` at that point
+    std::uint64_t missesBefore = 0;   // golden's memory accesses then
     // The lane's accesses off golden's line to a line golden's last level
     // lacked.
     std::uint64_t ownCold = 0;
-    std::uint64_t worstAtFlip = 0;  // `worst_` at its first flip
     // The locations the lane differs at (key()), in no order: kept on a
     // diff's appearance and death only (a death swaps the back key into
     // the hole), walked when the lane ends (which empties it).
@@ -516,8 +515,8 @@ class Lanes {
     if (!l.diverged) {
       l.diverged = true;
       l.boundStart = golden_.cycles;
-      l.worstBefore = worst_;
       l.warmBefore = warm_;
+      l.bundlesBefore = bundles_;
       l.missesBefore = golden_.caches.memoryAccesses();
     }
     if (!goldenHolds(address)) {
@@ -588,8 +587,10 @@ class Lanes {
   // What capture() kept of the golden op step() follows.
   std::uint64_t goldenUse_[3] = {};
   std::uint64_t goldenStoreWord_ = 0;
-  std::uint64_t worst_ = 0;  // sum of worstCycles over the charged blocks
-  std::uint64_t warm_ = 0;   // sum of warmCycles over the charged blocks
+  // Over the charged blocks: the sum of their warmCycles, and of their
+  // memory bundles.
+  std::uint64_t warm_ = 0;
+  std::uint64_t bundles_ = 0;
   // A bit per arena line of the last level (log2 of its size:
   // residentShift_) for goldenHolds().
   std::vector<std::uint64_t> resident_;

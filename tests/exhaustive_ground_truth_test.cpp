@@ -270,9 +270,9 @@ TEST(ExhaustiveGroundTruthTest, MultiOrdinalWindowsMatchTheFullOracle) {
 }
 
 TEST(ExhaustiveGroundTruthTest, AnEvictingL3MatchesTheFullOracle) {
-  // On a machine whose L3 can evict, a diverged lane's cycle bound is the
-  // blocks' worstCycles, so at timeout factor 2 the store loop's lanes
-  // whose address left golden's line fall back to timing checks.  The
+  // On a machine whose L3 can evict, a diverged lane's cycle bound charges
+  // every bundle the memory latency, so at timeout factor 2 the store
+  // loop's lanes whose address left golden's line fall back as timing.  The
   // checkpointed report must still equal the serial kFull oracle's, at one
   // and at three workers.
   const core::CompiledProgram bin =

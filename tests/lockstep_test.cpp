@@ -2,10 +2,9 @@
 // §10 "Lockstep lanes").  Each crafted program aims a plan at one way a
 // lane ends — every exact decision and every fallback — and checks two
 // things: the lane ends that way, and it agrees with a whole faulty run of
-// its plan — a decided lane, and a timing check that stopped at its safe
-// point, in exit kind, instruction count, output and exit code; any other
-// fallback's re-run field for field.  The campaign over each program must
-// also report exactly what the kFull oracle reports.
+// its plan — a decided lane in exit kind, instruction count, output and
+// exit code, a fallback's re-run field for field.  The campaign over each
+// program must also report exactly what the kFull oracle reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +18,7 @@
 
 #include "core/pipeline.h"
 #include "fault/campaign.h"
+#include "fault/driver_util.h"
 #include "fault/exhaustive.h"
 #include "ir/builder.h"
 #include "sched/list_scheduler.h"
@@ -88,21 +88,16 @@ ExitKind exitOf(LaneEnd end) {
   }
 }
 
-// One lane against `run`, the whole run of its plan: a decided lane, and a
-// timing check that stopped at its safe point (before the lane's end), in
-// exit kind, instruction count and output/exit-code agreement; any other
-// fallback's re-run field for field.
+// One lane against `run`, the whole run of its plan: a decided lane in exit
+// kind, instruction count and output/exit-code agreement, a fallback's
+// re-run field for field.
 void expectLaneMatchesRun(const LaneVerdict& lane, const RunResult& run,
                           const RunResult& golden, const std::string& what) {
-  if (isFallback(lane.end) && !lane.safe) {
+  if (isFallback(lane.end)) {
     testutil::expectIdentical(run, lane.rerun, what);
     return;
   }
-  if (lane.safe) {
-    EXPECT_EQ(lane.end, LaneEnd::kFallbackTiming) << what;
-    EXPECT_LT(lane.rerun.stats.dynamicInsns, run.stats.dynamicInsns) << what;
-  }
-  EXPECT_EQ(exitOf(lane.safe ? lane.reached : lane.end), run.exit) << what;
+  EXPECT_EQ(exitOf(lane.end), run.exit) << what;
   EXPECT_EQ(lane.dynamicInsns, run.stats.dynamicInsns) << what;
   if (run.exit == ExitKind::kHalted) {
     EXPECT_EQ(lane.corrupt, run.output != golden.output ||
@@ -187,7 +182,10 @@ std::vector<LaneVerdict> lanesAgainstRuns(const DecodedProgram& decoded,
 
 // Runs `plans` as lockstep lanes of `c` at `timeoutFactor` and checks
 // every lane against the whole run of its plan on the reference engine
-// (expectLaneMatchesRun).  `stream`, when given, receives the streams.
+// (expectLaneMatchesRun), and the fault driver's verdict for it (the same
+// window through SiteExecutor::runWindow, which classifies a decided lane
+// or a fallback's re-run) against that run's classification.  `stream`,
+// when given, receives the streams.
 std::vector<LaneVerdict> lanesAgainstReference(
     const Crafted& c, const std::vector<FaultPlan>& plans,
     const std::string& context, LockstepStream* stream = nullptr,
@@ -204,13 +202,23 @@ std::vector<LaneVerdict> lanesAgainstReference(
   reference.engine = Engine::kReference;
   const RunResult golden = simulate(c.program, c.schedule, c.config, reference);
   testutil::expectIdentical(golden, c.golden, context + " golden");
+  const fault::GoldenProfile profile = fault::detail::toProfile(golden);
+  SimOptions armed;
+  armed.maxCycles = reference.maxCycles;
+  fault::detail::SiteExecutor executor(
+      c.program, c.schedule, c.config, &*c.decoded,
+      fault::InjectionMode::kCheckpointed, armed, "lockstep_test.");
+  std::vector<fault::detail::TrialVerdict> trials;
+  executor.runWindow(plans, profile, trials);
   for (std::size_t k = 0; k < verdicts.size(); ++k) {
     const LaneVerdict& lane = verdicts[k];
     reference.faultPlan = &plans[k];
     const RunResult run = simulate(c.program, c.schedule, c.config, reference);
-    expectLaneMatchesRun(lane, run, golden,
-                         context + " lane " + std::to_string(k) + " (" +
-                             laneEndName(lane.end) + ")");
+    const std::string what = context + " lane " + std::to_string(k) + " (" +
+                             laneEndName(lane.end) + ")";
+    expectLaneMatchesRun(lane, run, golden, what);
+    EXPECT_EQ(trials[k].outcome, fault::classify(run, profile)) << what;
+    EXPECT_EQ(trials[k].dynamicInsns, run.stats.dynamicInsns) << what;
   }
   return verdicts;
 }
@@ -529,9 +537,6 @@ TEST(LockstepTest, FallbacksAtLaterOrdinalsRollTheCheckpointForward) {
     EXPECT_EQ(f.end, expected[i]) << what << " ended as "
                                   << laneEndName(f.end);
     EXPECT_EQ(f.end, b.end) << what;
-    EXPECT_EQ(f.reached, b.reached) << what;
-    EXPECT_EQ(f.safe, b.safe) << what;
-    EXPECT_EQ(f.budget, b.budget) << what;
     EXPECT_EQ(f.corrupt, b.corrupt) << what;
     EXPECT_EQ(f.dynamicInsns, b.dynamicInsns) << what;
     EXPECT_EQ(f.laneOps, b.laneOps) << what;
@@ -542,10 +547,10 @@ TEST(LockstepTest, FallbacksAtLaterOrdinalsRollTheCheckpointForward) {
 
 // A loop of 200 iterations, each a store to a fixed scratch word and a
 // load from a fixed table word: after the first iteration both hit L1, so
-// golden's cycles stay far below the loop's worstCycles.  A flip of bit 6
-// of a store base (`storeBase` in the entry block, `loopBase` in every
-// iteration) sends the lane's store to another 64-byte line of the arena
-// and starts its cycle bound.
+// golden's cycles stay far below what the loop costs with every bundle at
+// the memory latency.  A flip of bit 6 of a store base (`storeBase` in the
+// entry block, `loopBase` in every iteration) sends the lane's store to
+// another 64-byte line of the arena and starts its cycle bound.
 struct HotLoop : Crafted {
   DefSite first, storeBase, loopBase, counter;
 
@@ -583,30 +588,6 @@ struct HotLoop : Crafted {
   }
 };
 
-TEST(LockstepTest, ATimingCheckStopsAtItsSafePointMidRun) {
-  // On a machine whose L3 can evict, the lane's bound charges every block
-  // at its worstCycles and passes the watchdog at timeout factor 20, but
-  // each iteration the check runs takes a whole worstCycles off its budget
-  // for a few cycles of its own: it stops at a block end well inside the
-  // loop, where its cycles plus the budget left first fit under the
-  // watchdog.
-  const HotLoop c(testutil::evictingMachine(2, 1));
-  const FaultPlan plan{{{c.ordinal(c.storeBase), 0, 6}}};
-  const std::vector<LaneVerdict> verdicts =
-      lanesAgainstRuns(*c.decoded, c.golden, {plan}, 20, "hot loop");
-  ASSERT_EQ(verdicts.size(), 1u);
-  const LaneVerdict& lane = verdicts[0];
-  EXPECT_EQ(lane.end, LaneEnd::kFallbackTiming);
-  EXPECT_EQ(lane.reached, LaneEnd::kHalted);
-  EXPECT_TRUE(lane.safe);
-  // More than ten iterations in, and more than ten before the loop's end.
-  const std::uint64_t loopOps =
-      c.program.function(0).block(c.counter.block).insns().size();
-  EXPECT_GT(lane.rerun.stats.dynamicInsns, lane.injectedAt + 10 * loopOps);
-  EXPECT_LT(lane.rerun.stats.dynamicInsns + 10 * loopOps, lane.dynamicInsns);
-  expectCampaignMatchesFull(c, 20);
-}
-
 // Loads `table + step * i` for 100 iterations.  Golden's step is 0, so
 // every load after the first hits one L1 line; bit 6 of the step sends
 // each of the lane's loads to a line it never touched, a miss at every
@@ -614,7 +595,9 @@ TEST(LockstepTest, ATimingCheckStopsAtItsSafePointMidRun) {
 struct StrideLoop : Crafted {
   DefSite step;
 
-  StrideLoop() {
+  explicit StrideLoop(
+      const arch::MachineConfig& machine = testutil::machine(2, 1))
+      : Crafted(machine) {
     const std::uint64_t out = program.allocateGlobal("output", 8);
     const std::uint64_t table = program.allocateGlobal("table", 8192);
     ir::Function& fn = program.addFunction("main");
@@ -642,20 +625,22 @@ struct StrideLoop : Crafted {
   }
 };
 
-TEST(LockstepTest, ATimingCheckThatTimesOutReportsTheTimeout) {
+TEST(LockstepTest, ATimingFallbackThatTimesOutReportsTheTimeout) {
   // The lane halts with golden's output in lockstep, but its cycles pass
-  // the watchdog inside the loop: its check never reaches a safe point and
-  // times out exactly where the whole run does.
-  const StrideLoop c;
-  const FaultPlan plan{{{c.ordinal(c.step), 0, 6}}};
-  const std::vector<LaneVerdict> verdicts =
-      lanesAgainstRuns(*c.decoded, c.golden, {plan}, 1, "stride loop");
-  ASSERT_EQ(verdicts.size(), 1u);
-  EXPECT_EQ(verdicts[0].end, LaneEnd::kFallbackTiming);
-  EXPECT_EQ(verdicts[0].reached, LaneEnd::kHalted);
-  EXPECT_FALSE(verdicts[0].safe);
-  EXPECT_EQ(verdicts[0].rerun.exit, ExitKind::kTimeout);
-  expectCampaignMatchesFull(c, 1);
+  // the watchdog inside the loop: its re-run times out exactly where the
+  // whole run does.  Its loads miss at every level, so it falls back
+  // whether or not the L3 can evict.
+  for (const bool evicting : {false, true}) {
+    const StrideLoop c(evicting ? testutil::evictingMachine(2, 1)
+                                : testutil::machine(2, 1));
+    const FaultPlan plan{{{c.ordinal(c.step), 0, 6}}};
+    const std::vector<LaneVerdict> verdicts =
+        lanesAgainstRuns(*c.decoded, c.golden, {plan}, 1, "stride loop");
+    ASSERT_EQ(verdicts.size(), 1u);
+    EXPECT_EQ(verdicts[0].end, LaneEnd::kFallbackTiming) << evicting;
+    EXPECT_EQ(verdicts[0].rerun.exit, ExitKind::kTimeout) << evicting;
+    expectCampaignMatchesFull(c, 1);
+  }
 }
 
 // A flipped address register leaves golden's line in the entry block,
@@ -707,33 +692,29 @@ struct CallThenCheck : Crafted {
   }
 };
 
-TEST(LockstepTest, ATimingCheckEndsWithItsLaneBeforeAnySafePoint) {
-  // At timeout factor 1 the lane's budget, the entry block and the
-  // callee's worst cases, passes the watchdog; at the entry block's end
-  // the callee's worst case alone still does, and the callee's block ends
-  // in a return, which has no watchdog test.  So the check runs into the
-  // lane's detection in the next block and reports it as a whole run.  The
-  // machine's L3 can evict, so the bound is the blocks' worstCycles.
+TEST(LockstepTest, ATimingFallbackReRunsAcrossACallToItsDetection) {
+  // At timeout factor 1 the lane's bound, the entry block and the callee
+  // with every bundle at the memory latency, passes the watchdog (the
+  // machine's L3 can evict).  Its re-run goes through the call into the
+  // lane's detection in the next block and reports it as a whole run.
   const CallThenCheck c(testutil::evictingMachine(2, 1));
   const FaultPlan plan{{{c.ordinal(c.address), 0, 6}}};
   const std::vector<LaneVerdict> verdicts =
       lanesAgainstRuns(*c.decoded, c.golden, {plan}, 1, "call then check");
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_EQ(verdicts[0].end, LaneEnd::kFallbackTiming);
-  EXPECT_EQ(verdicts[0].reached, LaneEnd::kDetected);
-  EXPECT_FALSE(verdicts[0].safe);
   EXPECT_EQ(verdicts[0].rerun.exit, ExitKind::kDetected);
   expectCampaignMatchesFull(c, 1);
 }
 
-TEST(LockstepTest, TimingChecksRollTheCheckpointForwardAndDisarm) {
+TEST(LockstepTest, TimingFallbacksRollTheCheckpointForward) {
   // One window at timeout factor 2: a lane decided at the window's first
   // ordinal, two timing lanes at later ordinals, and a control fallback
-  // after them.  The first check rolls the checkpoint forward to its
-  // ordinal; the second restores that checkpoint and rolls it on; the
-  // control fallback's re-run and the whole runs that follow on the same
-  // runner must not see a check still armed.  The machine's L3 can evict,
-  // so the bound is the blocks' worstCycles.
+  // after them.  The first re-run rolls the checkpoint forward to its
+  // ordinal; the second restores that checkpoint and rolls it on, and so
+  // does the control fallback's; the whole runs that follow run on the
+  // same runner.  The machine's L3 can evict, so each lane's bound charges
+  // every bundle the memory latency.
   const HotLoop c(testutil::evictingMachine(2, 1));
   const std::vector<FaultPlan> plans = {
       {{{c.ordinal(c.first), 0, 2}}},
@@ -753,8 +734,6 @@ TEST(LockstepTest, TimingChecksRollTheCheckpointForwardAndDisarm) {
       EXPECT_EQ(verdicts[i].end, expected[i])
           << "lane " << i << " ended as " << laneEndName(verdicts[i].end);
     }
-    EXPECT_TRUE(verdicts[1].safe);
-    EXPECT_TRUE(verdicts[2].safe);
   }
   expectCampaignMatchesFull(c, 2);
 }
@@ -779,11 +758,11 @@ std::uint32_t hitExtra(const Crafted& c, std::size_t level) {
 
 TEST(LockstepTest, AResidentArenaDecidesADivergedLaneExactly) {
   // The paper machine's L3 keeps every line of the arena, so the hot-loop
-  // lane whose store left golden's line (the one that falls back on an
-  // evicting L3 above) costs at most each block's warmCycles plus a memory
-  // access per line it misses in L3.  Its worst-case bound, every block
-  // from the entry on at its worstCycles, passes the watchdog at timeout
-  // factor 20; the warm one does not, and the lane is decided exactly.
+  // lane whose store left golden's line costs at most each block's
+  // warmCycles plus a memory access per line it misses in L3.  Its
+  // worst-case bound, every bundle from the entry on at the memory
+  // latency, passes the watchdog at timeout factor 20; the warm one does
+  // not, and the lane is decided exactly.
   const HotLoop c;
   ASSERT_TRUE(c.decoded->lastLevelKeepsArena());
   const std::vector<std::uint64_t> runs = {1, 200, 1};  // entry, loop, done
@@ -865,7 +844,6 @@ TEST(LockstepTest, ALaneSlowedByWarmLinesStillFallsBack) {
   const std::vector<LaneVerdict> verdicts = lanesAgainstReference(
       c, {{{{c.ordinal(c.behind), 0, 18}}}}, "lagged stream", nullptr, 1);
   EXPECT_EQ(verdicts[0].end, LaneEnd::kFallbackTiming);
-  EXPECT_EQ(verdicts[0].reached, LaneEnd::kHalted);
   EXPECT_EQ(verdicts[0].rerun.exit, ExitKind::kTimeout);
   expectCampaignMatchesFull(c, 1);
 }
@@ -920,9 +898,71 @@ TEST(LockstepTest, ALaneWalkingUntouchedHeapLinesStillFallsBack) {
   const std::vector<LaneVerdict> verdicts = lanesAgainstReference(
       c, {{{{c.ordinal(c.stride), 0, 7}}}}, "heap walk", nullptr, 4);
   EXPECT_EQ(verdicts[0].end, LaneEnd::kFallbackTiming);
-  EXPECT_EQ(verdicts[0].reached, LaneEnd::kHalted);
   EXPECT_EQ(verdicts[0].rerun.exit, ExitKind::kTimeout);
   expectCampaignMatchesFull(c, 4);
+}
+
+// Loads two words of `hot` kIterations times, both loads in one bundle of
+// the loop: golden's loads hit L1 after the first.  Bit 13 of the base
+// sends both of the lane's loads of every iteration to one heap line that
+// golden never touches, so the lane counts two accesses to lines golden's
+// L3 lacks per bundle, while its own cache misses that line once.
+struct ColdPair : Crafted {
+  static constexpr std::int64_t kIterations = 200;
+  DefSite base, load;
+
+  ColdPair() {
+    const std::uint64_t out = program.allocateGlobal("output", 8);
+    const std::uint64_t hot = program.allocateGlobal("hot", 16);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    ir::BasicBlock& entry = b.createBlock("entry");
+    ir::BasicBlock& loop = b.createBlock("loop");
+    ir::BasicBlock& done = b.createBlock("done");
+    b.setBlock(entry);
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    base = nextSite(b);
+    const Reg p = b.movImm(static_cast<std::int64_t>(hot));
+    const Reg acc = b.movImm(0);
+    const Reg i = b.movImm(0);
+    b.br(loop);
+    b.setBlock(loop);
+    load = nextSite(b);
+    b.binaryTo(Opcode::kAdd, acc, acc, b.add(b.load(p, 0), b.load(p, 8)));
+    b.addImmTo(i, i, 1);
+    b.brCond(b.cmpLtImm(i, kIterations), loop, done);
+    b.setBlock(done);
+    b.store(outBase, 0, acc);
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, ABundleOfAccessesToOneColdLinePaysThePenaltyOnce) {
+  // A bundle's accesses overlap their misses, so the lane's bound charges
+  // the cold penalty at most once per bundle.  Capped, its bound (at most
+  // every bundle at the memory latency, over the whole run) fits under
+  // the watchdog at timeout factor 40; a penalty per cold access would
+  // pass it on the lane's own accesses alone.  The lane is decided
+  // exactly.
+  const ColdPair c;
+  ASSERT_TRUE(c.decoded->lastLevelKeepsArena());
+  const DecodedFunction& fn = c.decoded->functions()[0];
+  ASSERT_EQ(fn.blocks[c.load.block].plan.bundleSizes,
+            std::vector<std::uint32_t>{2});
+  constexpr std::uint64_t kFactor = 40;
+  const std::vector<std::uint64_t> runs = {1, ColdPair::kIterations, 1};
+  EXPECT_LE(chargedAt(fn, runs,
+                      c.config.cache.memoryLatency - c.config.latencies.mem),
+            kFactor * c.golden.stats.cycles);
+  EXPECT_GT(c.decoded->coldPenalty() * 2 * ColdPair::kIterations,
+            kFactor * c.golden.stats.cycles);
+  const std::vector<LaneVerdict> verdicts = lanesAgainstReference(
+      c, {{{{c.ordinal(c.base), 0, 13}}}}, "cold pair", nullptr, kFactor);
+  EXPECT_EQ(verdicts[0].end, LaneEnd::kHalted)
+      << "ended as " << laneEndName(verdicts[0].end);
+  EXPECT_TRUE(verdicts[0].diverged);
+  expectCampaignMatchesFull(c, kFactor);
 }
 
 // An entry function that returns instead of halting.  A flipped predicate

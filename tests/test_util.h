@@ -171,8 +171,8 @@ inline arch::MachineConfig machine(std::uint32_t issueWidth,
 
 // The paper machine with a 64 KiB L3 (128-byte lines, 8 ways, 64 sets):
 // too small to keep the arena's lines, so a diverged lockstep lane's cycle
-// bound charges every block at its worstCycles, and the timing check
-// decides what that bound cannot.
+// bound charges every bundle the memory latency, and a lane whose bound
+// passes the watchdog falls back as `timing` to a whole re-run.
 inline arch::MachineConfig evictingMachine(std::uint32_t issueWidth,
                                            std::uint32_t delay) {
   arch::MachineConfig config = arch::makePaperMachine(issueWidth, delay);
