@@ -105,19 +105,20 @@ sim::RunResult run(const CompiledProgram& compiled,
 
 // Runs the Monte Carlo fault campaign on a compiled program.  By default
 // (options.mode; DESIGN.md §10) each window of trials runs as lockstep
-// lanes of one golden stream over the cached decode, and the lanes it
-// cannot decide exactly re-run from the checkpoint the stream saved at the
-// window's first flip; the report is bit-identical to the full-rerun
-// oracle mode either way.
+// lanes of as few golden streams as the lane slots allow over the cached
+// decode, and the lanes they cannot decide exactly re-run from the
+// checkpoint their stream saved at its first flip; the report is
+// bit-identical to the full-rerun oracle mode either way.
 fault::CoverageReport campaign(const CompiledProgram& compiled,
                                const fault::CampaignOptions& options = {});
 
 // Exhaustively enumerates and classifies the complete fault-site space of a
 // compiled program (the ground truth the campaign samples) — see
 // fault/exhaustive.h.  In the default checkpointed injection mode the
-// sites of each dynamic def are one window of lockstep lanes instead of a
-// re-run of the program per site.  Still only tractable for small and
-// mid-sized workloads; use `options.maxSites` as a guard.
+// sites of each run of fault::kOrdinalsPerWindow consecutive dynamic defs
+// are one window of lockstep lanes instead of a re-run of the program per
+// site.  Still only tractable for small and mid-sized workloads; use
+// `options.maxSites` as a guard.
 fault::GroundTruthReport groundTruth(
     const CompiledProgram& compiled,
     const fault::ExhaustiveOptions& options = {});

@@ -42,15 +42,16 @@ enum class InjectionMode : std::uint8_t {
   // simple, no shared state between runs.
   kFull,
   // Lockstep and checkpoint-and-diverge (DESIGN.md §10): both drivers
-  // decide a window of plans (the campaign's ordinal-sorted trials, or the
-  // sites of one enumerated def) as lockstep lanes of one golden stream,
-  // which saves a golden-prefix checkpoint at the window's first flip.
-  // The runner re-runs the lanes lockstep cannot decide exactly from that
-  // checkpoint, rolled forward to each later injection ordinal; each
-  // faulty suffix runs to its natural end.  Reports are bit-identical to
-  // kFull — the driver oracle tests enforce it.  Requires the decoded
-  // engine; silently falls back to kFull under the reference engine
-  // (which has no lockstep lanes).
+  // decide a window of plans (a worker's ordinal-sorted trials, or the
+  // sites of kOrdinalsPerWindow (exhaustive.h) consecutive enumerated
+  // defs) as lockstep lanes of as few golden streams as the lane slots
+  // allow; each stream saves a golden-prefix checkpoint at its first
+  // flip.  The runner re-runs the lanes lockstep cannot decide exactly
+  // from their stream's checkpoint, rolled forward to each later injection
+  // ordinal; each faulty suffix runs to its natural end.  Reports are
+  // bit-identical to kFull — the driver oracle tests enforce it.  Requires
+  // the decoded engine; silently falls back to kFull under the reference
+  // engine (which has no lockstep lanes).
   kCheckpointed,
 };
 
@@ -98,10 +99,10 @@ struct CampaignOptions {
   std::uint64_t timeoutFactor = 20;
   // Execution strategy for the faulty runs; kFull is the oracle.  Trials
   // are visited in injection-ordinal order in every mode.  A checkpointed
-  // worker decides each window of trials as lockstep lanes of one golden
-  // stream, which replays the golden prefix from program start up to the
-  // window's first flip, once; its fallbacks re-run from a checkpoint
-  // there.
+  // worker decides each window of trials as lockstep lanes of as few golden
+  // streams as the lane slots allow; each stream replays the golden prefix
+  // from program start up to its first flip, once, and its fallbacks re-run
+  // from a checkpoint there.
   // Outcome counts and instruction totals commute, so the report stays
   // bit-identical to kFull at every thread count.
   InjectionMode mode = InjectionMode::kCheckpointed;

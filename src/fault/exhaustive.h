@@ -23,8 +23,9 @@
 // Enumeration runs through the campaign's fault-site loop
 // (detail::FaultSiteLoop): the shared read-only DecodedProgram, one site
 // executor per worker, and a work-stealing pool over an atomic cursor.  The
-// sites of one dynamic ordinal are one window of that executor, decided as
-// the campaign decides its trials.
+// sites of kOrdinalsPerWindow consecutive dynamic ordinals are one window
+// of that executor, decided as the campaign decides its trials: as lockstep
+// lanes of as few golden streams as the lane slots allow.
 // Classification is deterministic (no RNG — the plan IS the site), so the
 // report is bit-identical for every thread count and engine.
 #pragma once

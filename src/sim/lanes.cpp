@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 
+#include "support/check.h"
+
 namespace casted::sim {
 
 namespace {
@@ -87,8 +89,8 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
                   std::vector<LaneVerdict>& out, std::uint64_t goldenInsns) {
   if (open_ != 0) {
     // The last stream was abandoned midway: its sets are not empty.
-    for (std::uint32_t c = 0; c < 3; ++c) {
-      std::fill(regIndex_[c].begin(), regIndex_[c].end(), 0);
+    for (std::vector<std::uint32_t>& index : locationIndex_) {
+      std::fill(index.begin(), index.end(), 0);
     }
     freeSlots_.clear();
     for (std::uint32_t i = 0; i < slots_.size(); ++i) {
@@ -97,8 +99,6 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
       slots_[i].keyPos.clear();
       freeSlots_.push_back(i);
     }
-    memIndex_.clear();
-    std::fill(memAny_.begin(), memAny_.end(), 0);
     for (Lane& l : lanes_) {
       l.keys.clear();
     }
@@ -126,9 +126,8 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
   opLaneOps_.fill(0);
   const std::uint64_t words =
       (golden_.memory.arenaEnd() - ir::Program::kGlobalBase + 7) / 8;
-  if (words != memWords_) {
-    memWords_ = words;
-    memAny_.assign((memWords_ + 63) / 64, 0);
+  if (words != locationIndex_[kWordClass].size()) {
+    locationIndex_[kWordClass].assign(words, 0);
   }
   residentShift_ = static_cast<std::uint32_t>(std::countr_zero(
       golden_.prog.cacheConfig().levels.back().blockBytes));
@@ -140,29 +139,13 @@ void Lanes::begin(const std::vector<const FaultPlan*>& plans,
 inline std::uint64_t Lanes::laneBits(std::uint32_t lane, std::uint32_t cls,
                                      std::uint32_t at,
                                      std::uint64_t golden) const {
-  if (const std::uint32_t index = indexOf(cls, at); index != 0) {
+  if (const std::uint32_t index = locationIndex_[cls][at]; index != 0) {
     const SlotDiffs& d = slots_[index - 1];
     if (d.lanes.test(lane)) {
       return d.values[d.lanes.rank(lane)];
     }
   }
   return golden;
-}
-
-void Lanes::setIndex(std::uint32_t cls, std::uint32_t at,
-                     std::uint32_t index) {
-  if (cls != kWordClass) {
-    regIndex_[cls][at] = index;
-    return;
-  }
-  const std::uint64_t bit = 1ULL << (at & 63);
-  if (index != 0) {
-    memIndex_.put(at, index);
-    memAny_[at >> 6] |= bit;
-  } else {
-    memIndex_.erase(at);
-    memAny_[at >> 6] &= ~bit;
-  }
 }
 
 // Gives a location a SlotDiffs, recycled if one is free; returns its
@@ -176,24 +159,24 @@ std::uint32_t Lanes::newSlotDiffs(std::uint32_t cls, std::uint32_t at) {
     index = freeSlots_.back() + 1;
     freeSlots_.pop_back();
   }
-  setIndex(cls, at, index);
+  locationIndex_[cls][at] = index;
   return index;
 }
 
 void Lanes::freeSlotDiffs(std::uint32_t cls, std::uint32_t at) {
-  const std::uint32_t index = indexOf(cls, at);
+  const std::uint32_t index = locationIndex_[cls][at];
   slots_[index - 1].lanes = LaneSet{};
   slots_[index - 1].values.clear();
   slots_[index - 1].keyPos.clear();
   freeSlots_.push_back(index - 1);
-  setIndex(cls, at, 0);
+  locationIndex_[cls][at] = 0;
 }
 
 // Takes `lane`'s value out of the location's packed values, and frees the
 // location's SlotDiffs with its last lane.
 void Lanes::eraseValue(std::uint32_t lane, std::uint32_t cls,
                        std::uint32_t at) {
-  SlotDiffs& d = slots_[indexOf(cls, at) - 1];
+  SlotDiffs& d = slots_[locationIndex_[cls][at] - 1];
   const std::uint32_t rank = d.lanes.rank(lane);
   d.values.erase(d.values.begin() + rank);
   d.keyPos.erase(d.keyPos.begin() + rank);
@@ -225,9 +208,9 @@ void Lanes::dropDiff(std::uint32_t lane, std::uint32_t pos) {
     return;
   }
   keys[pos] = moved;
-  SlotDiffs& d = slots_[indexOf(static_cast<std::uint32_t>(moved >> 32),
-                                static_cast<std::uint32_t>(moved)) -
-                        1];
+  SlotDiffs& d =
+      slots_[locationIndex_[moved >> 32][static_cast<std::uint32_t>(moved)] -
+             1];
   d.keyPos[d.lanes.rank(lane)] = pos;
 }
 
@@ -235,7 +218,7 @@ void Lanes::dropDiff(std::uint32_t lane, std::uint32_t pos) {
 // the golden stream's value there, `golden`.
 void Lanes::setBits(std::uint32_t lane, std::uint32_t cls, std::uint32_t at,
                     std::uint64_t bits, std::uint64_t golden) {
-  std::uint32_t index = indexOf(cls, at);
+  std::uint32_t index = locationIndex_[cls][at];
   if (bits != golden) {
     if (index == 0) {
       index = newSlotDiffs(cls, at);
@@ -314,7 +297,7 @@ void Lanes::dropLanes(const LaneSet& dying) {
     for (const std::uint64_t k : keys) {
       const auto cls = static_cast<std::uint32_t>(k >> 32);
       const auto at = static_cast<std::uint32_t>(k);
-      const std::uint32_t index = indexOf(cls, at);
+      const std::uint32_t index = locationIndex_[cls][at];
       if (index == 0) {
         continue;  // an earlier lane's pass freed it
       }
@@ -378,7 +361,7 @@ inline void Lanes::noteReconverged(std::uint32_t lane) {
                                                    std::uint32_t slot,
                                                    const LaneSet& after,
                                                    std::uint32_t defs) {
-  const std::uint32_t index = regIndex_[cls][slot];
+  const std::uint32_t index = locationIndex_[cls][slot];
   if (index == 0 ? !after.any() : slots_[index - 1].lanes == after) {
     // Values changed, no diff appeared or died.
     if (index != 0) {
@@ -396,7 +379,7 @@ inline void Lanes::noteReconverged(std::uint32_t lane) {
 // slot).
 void Lanes::writeDefLanes(std::uint32_t cls, std::uint32_t slot,
                           const LaneSet& after, std::uint32_t defs) {
-  std::uint32_t index = regIndex_[cls][slot];
+  std::uint32_t index = locationIndex_[cls][slot];
   const LaneSet before = index == 0 ? LaneSet{} : slots_[index - 1].lanes;
   const std::uint32_t* keyPos =
       index == 0 ? nullptr : slots_[index - 1].keyPos.data();
@@ -526,7 +509,7 @@ bool Lanes::step(const MicroOp& u, std::uint32_t node,
       continue;
     }
     const std::uint32_t slot = slotBase(base, cls) + field[i];
-    if (const std::uint32_t index = regIndex_[cls][slot]; index != 0) {
+    if (const std::uint32_t index = locationIndex_[cls][slot]; index != 0) {
       b.useLanes[i] = &slots_[index - 1].lanes;
       b.useValues[i] = slots_[index - 1].values.data();
       b.touched |= *b.useLanes[i];
@@ -543,7 +526,7 @@ bool Lanes::step(const MicroOp& u, std::uint32_t node,
   b.hasDef = u.defCount == 1 && u.op != Opcode::kCall;
   const std::uint32_t defSlot = slotBase(base, u.defClass) + u.def;
   if (b.hasDef) {
-    if (const std::uint32_t index = regIndex_[u.defClass][defSlot]) {
+    if (const std::uint32_t index = locationIndex_[u.defClass][defSlot]) {
       b.touched |= slots_[index - 1].lanes;
     }
   }
@@ -711,10 +694,10 @@ void Lanes::dropFrame(const FrameBase& base) {
   for (std::uint32_t c = 0; c < 3; ++c) {
     for (std::size_t s = slotBase(base, c); s < tops[c]; ++s) {
       const auto slot = static_cast<std::uint32_t>(s);
-      if (regIndex_[c][slot] == 0) {
+      if (locationIndex_[c][slot] == 0) {
         continue;
       }
-      const SlotDiffs& d = slots_[regIndex_[c][slot] - 1];
+      const SlotDiffs& d = slots_[locationIndex_[c][slot] - 1];
       const LaneSet lanes = d.lanes;
       lanes.forEach([&](std::uint32_t lane) {
         dropDiff(lane, d.keyPos[lanes.rank(lane)]);

@@ -10,14 +10,13 @@
 // Invariant: a live lane's architectural state is the golden stream's state
 // overlaid with its diffs: the locations whose SlotDiffs name it, register
 // slots by absolute arena slot and memory words by their index in the
-// arena, one store for both.  Its control flow and def ordinals are the
-// golden stream's.  Every event preserves it, or ends the lane.
+// arena, both found by one array load.  Its control flow and def ordinals
+// are the golden stream's.  Every event preserves it, or ends the lane.
 //
 // The per-op test (LaneView::touches), the "any diffs" guards and the
 // per-block charge are inline here, so the stream pays no call per op.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -30,7 +29,6 @@
 #include "sim/decoded.h"
 #include "sim/memory.h"
 #include "sim/op_kernel.h"
-#include "support/check.h"
 
 namespace casted::sim {
 
@@ -98,9 +96,11 @@ struct GoldenView {
 // read a register, write a register or touch a memory word where some lane
 // differs from the golden run?  Plain loads, no lane state walked.
 struct LaneView {
-  const std::uint32_t* regIndex[3] = {};  // Lanes::regIndex_[c] + frame base
-  const std::uint64_t* memAny = nullptr;
-  std::uint64_t memWords = 0;
+  // Lanes::locationIndex_ (nonzero where some lane differs): the register
+  // classes' from the frame's bases, and the arena's `words` words.
+  const std::uint32_t* regIndex[3] = {};
+  const std::uint32_t* wordIndex = nullptr;
+  std::uint64_t words = 0;
 
   bool touches(const MicroOp& u, const std::int64_t* gp) const {
     const std::uint32_t field[3] = {u.a, u.b, u.c};
@@ -117,7 +117,7 @@ struct LaneView {
     if (isMemOp(u.op)) {
       const std::uint64_t word =
           (kernel::address(gp[u.a], u.imm) - ir::Program::kGlobalBase) >> 3;
-      return word < memWords && ((memAny[word >> 6] >> (word & 63)) & 1) != 0;
+      return word < words && wordIndex[word] != 0;
     }
     return false;
   }
@@ -191,87 +191,6 @@ struct SlotDiffs {
   std::vector<std::uint32_t> keyPos;
 };
 
-// Memory word index -> 1 + the index of its SlotDiffs, for the words some
-// lane differs at: open addressing with linear probing.
-class WordMap {
- public:
-  // The entry of `word`, which must be present.
-  std::uint32_t at(std::uint32_t word) const {
-    for (std::size_t i = home(word);; i = (i + 1) & mask_) {
-      if (slots_[i].word == word) {
-        return slots_[i].index;
-      }
-      CASTED_CHECK(slots_[i].word != kEmpty) << "lane diff has no such word";
-    }
-  }
-
-  // Enters `word`, which must be absent.
-  void put(std::uint32_t word, std::uint32_t index) {
-    if (2 * (size_ + 1) > slots_.size()) {
-      grow();
-    }
-    std::size_t i = home(word);
-    while (slots_[i].word != kEmpty) {
-      i = (i + 1) & mask_;
-    }
-    slots_[i] = {word, index};
-    ++size_;
-  }
-
-  // Backward-shift deletion: no tombstones, so lookups stay short.
-  void erase(std::uint32_t word) {
-    std::size_t i = home(word);
-    while (slots_[i].word != word) {
-      CASTED_CHECK(slots_[i].word != kEmpty) << "lane diff has no such word";
-      i = (i + 1) & mask_;
-    }
-    for (std::size_t j = (i + 1) & mask_; slots_[j].word != kEmpty;
-         j = (j + 1) & mask_) {
-      const std::size_t h = home(slots_[j].word);
-      // Move j's entry into the hole at i unless its home lies in (i, j].
-      if (((j - h) & mask_) >= ((j - i) & mask_)) {
-        slots_[i] = slots_[j];
-        i = j;
-      }
-    }
-    slots_[i].word = kEmpty;
-    --size_;
-  }
-
-  void clear() {
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    size_ = 0;
-  }
-
- private:
-  static constexpr std::uint32_t kEmpty = ~0U;
-  struct Slot {
-    std::uint32_t word = kEmpty;
-    std::uint32_t index = 0;
-  };
-
-  std::size_t home(std::uint32_t word) const {
-    return static_cast<std::size_t>((word * 0x9E3779B97F4A7C15ULL) >> 32) &
-           mask_;
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 8 : old.size() * 2, Slot{});
-    mask_ = slots_.size() - 1;
-    size_ = 0;
-    for (const Slot& slot : old) {
-      if (slot.word != kEmpty) {
-        put(slot.word, slot.index);
-      }
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t mask_ = 0;
-  std::size_t size_ = 0;
-};
-
 // The lockstep state of one golden stream (DecodedRunner::runLockstep): the
 // lane slots, the stream's plans not yet armed, and the SlotDiffs of every
 // location some lane differs at.  The golden stream calls step() before
@@ -299,19 +218,21 @@ class Lanes {
   const std::vector<std::uint32_t>& deferred() const { return deferred_; }
 
   LaneView view(const FrameBase& base) const {
-    return {{regIndex_[0].data() + base.gp, regIndex_[1].data() + base.fp,
-             regIndex_[2].data() + base.pr},
-            memAny_.data(),
-            memWords_};
+    return {{locationIndex_[0].data() + base.gp,
+             locationIndex_[1].data() + base.fp,
+             locationIndex_[2].data() + base.pr},
+            locationIndex_[kWordClass].data(),
+            locationIndex_[kWordClass].size()};
   }
 
-  // Grows the slot index to golden's arenas (after a frame push).
+  // Grows the register classes' index to golden's arenas (after a frame
+  // push).
   void syncArenas() {
     const std::size_t sizes[3] = {golden_.gp.size(), golden_.fp.size(),
                                   golden_.pr.size()};
     for (std::uint32_t c = 0; c < 3; ++c) {
-      if (regIndex_[c].size() < sizes[c]) {
-        regIndex_[c].resize(sizes[c], 0);
+      if (locationIndex_[c].size() < sizes[c]) {
+        locationIndex_[c].resize(sizes[c], 0);
       }
     }
   }
@@ -460,16 +381,8 @@ class Lanes {
   void evalLanes(const MicroOp& u, std::uint32_t node);
   void dropFrame(const FrameBase& base);
 
-  // 0, or 1 + the index of the location's SlotDiffs.
-  std::uint32_t indexOf(std::uint32_t cls, std::uint32_t at) const {
-    if (cls != kWordClass) {
-      return regIndex_[cls][at];
-    }
-    return ((memAny_[at >> 6] >> (at & 63)) & 1) != 0 ? memIndex_.at(at) : 0;
-  }
-  void setIndex(std::uint32_t cls, std::uint32_t at, std::uint32_t index);
   LaneSet lanesAt(std::uint32_t cls, std::uint32_t at) const {
-    const std::uint32_t index = indexOf(cls, at);
+    const std::uint32_t index = locationIndex_[cls][at];
     return index == 0 ? LaneSet{} : slots_[index - 1].lanes;
   }
   std::uint32_t newSlotDiffs(std::uint32_t cls, std::uint32_t at);
@@ -564,15 +477,12 @@ class Lanes {
   std::vector<std::uint32_t> deferred_;
   std::vector<LaneVerdict>* verdicts_ = nullptr;
   std::uint64_t goldenInsns_ = 0;
-  // By absolute arena slot: 0, or 1 + the index of the slot's SlotDiffs.
-  std::vector<std::uint32_t> regIndex_[3];
+  // By location class, then by absolute arena slot (classes 0-2, grown
+  // with the arenas) or by arena word (kWordClass, sized to the arena by
+  // begin()): 0, or 1 + the index of the location's SlotDiffs.
+  std::vector<std::uint32_t> locationIndex_[kWordClass + 1];
   std::vector<SlotDiffs> slots_;
   std::vector<std::uint32_t> freeSlots_;
-  // By memory word index, the same for the words whose memAny_ bit (one per
-  // arena word) is set.
-  WordMap memIndex_;
-  std::vector<std::uint64_t> memAny_;
-  std::uint64_t memWords_ = 0;
   // The armed lanes' later flips as a min-heap on the ordinal: (ordinal,
   // plan index); a decided plan's flips are dropped as they come up.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> events_;

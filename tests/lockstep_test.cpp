@@ -965,6 +965,57 @@ TEST(LockstepTest, ABundleOfAccessesToOneColdLinePaysThePenaltyOnce) {
   expectCampaignMatchesFull(c, kFactor);
 }
 
+// The heap fills the arena's last kHeapBytes, so bit 20 (kHeapBytes) of an
+// address inside the last global moves it to the same offset in the
+// arena's last 8 bytes.  Through `edgeBase` the lane stores to the arena's
+// last word and loads it back, and reads its own (unstored) `edge` through
+// a second base: 77 + 0 reaches the output where golden's is 77 + 77.
+// Through `pastBase`, golden loads the heap's first word and the lane the
+// word one past the arena's end.
+struct ArenaEdge : Crafted {
+  std::uint64_t edge = 0;
+  DefSite edgeBase, pastBase;
+
+  ArenaEdge() {
+    const std::uint64_t out = program.allocateGlobal("output", 16);
+    edge = program.allocateGlobal("edge", 8);
+    ir::Function& fn = program.addFunction("main");
+    IrBuilder b(fn);
+    b.setBlock(b.createBlock("entry"));
+    const Reg outBase = b.movImm(static_cast<std::int64_t>(out));
+    edgeBase = nextSite(b);
+    const Reg p = b.movImm(static_cast<std::int64_t>(edge));
+    b.store(p, 0, b.movImm(77));
+    const Reg q = b.movImm(static_cast<std::int64_t>(edge));
+    b.store(outBase, 0, b.add(b.load(p, 0), b.load(q, 0)));
+    pastBase = nextSite(b);
+    const Reg r = b.movImm(static_cast<std::int64_t>(edge));
+    b.store(outBase, 8, b.load(r, 8));
+    b.halt(b.movImm(0));
+    finish();
+  }
+};
+
+TEST(LockstepTest, LanesAtTheArenasLastWordAndPastItsEnd) {
+  const ArenaEdge c;
+  constexpr std::uint32_t kBit = 20;
+  ASSERT_EQ(1ULL << kBit, kHeapBytes);
+  const std::uint64_t arenaEnd = c.program.globalEnd() + kHeapBytes;
+  ASSERT_EQ((c.edge ^ (1ULL << kBit)) + 8, arenaEnd);
+  const std::vector<LaneVerdict> verdicts = lanesAgainstReference(
+      c,
+      {{{{c.ordinal(c.edgeBase), 0, kBit}}},
+       {{{c.ordinal(c.pastBase), 0, kBit}}}},
+      "arena edge");
+  EXPECT_EQ(verdicts[0].end, LaneEnd::kHalted)
+      << "ended as " << laneEndName(verdicts[0].end);
+  EXPECT_TRUE(verdicts[0].corrupt);
+  EXPECT_TRUE(verdicts[0].diverged);
+  EXPECT_EQ(verdicts[1].end, LaneEnd::kException)
+      << "ended as " << laneEndName(verdicts[1].end);
+  expectCampaignMatchesFull(c, 20);
+}
+
 // An entry function that returns instead of halting.  A flipped predicate
 // takes it to `halt r` instead, with r = 7; r is also kept in `scratch`,
 // so a lane that differs in r still differs when the entry frame pops.
